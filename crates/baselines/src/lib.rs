@@ -19,8 +19,9 @@
 //!
 //! Where a baseline's own accounting deviates from the plain geometric
 //! model (MMR2's expected case, MR's transaction expected latency), the
-//! spec carries the paper constant and the bench prints both, flagged —
-//! see EXPERIMENTS.md.
+//! spec carries the paper constant and the bench prints both, flagged
+//! ([`spec::BaselineSpec::geometric_model_exact`]; README § "Build,
+//! test, bench").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

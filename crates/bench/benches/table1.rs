@@ -8,7 +8,8 @@
 //! * **paper** — the constant printed in Table 1;
 //! * **model** — the geometric leader-lottery process at the adversarial
 //!   boundary p(good leader) = ½ (closed form; flagged where a
-//!   baseline's own accounting differs, see EXPERIMENTS.md);
+//!   baseline's own accounting differs, see README § "Build, test,
+//!   bench");
 //! * **measured** — TOB-SVD only: the real protocol under the
 //!   discrete-event simulator, fault-free for the best case and with a
 //!   split-brain adversary at the corruption bound for the expected

@@ -504,6 +504,7 @@ impl TobSimulationBuilder {
                 persisted_len: val.persisted_len(),
                 audits_run: val.audits_run(),
                 audit_repairs: val.audit_repairs(),
+                audit_scans: sync.audit_scans(),
                 crypto: CryptoStats {
                     sig_verifies: val.sig_verifies(),
                     sig_verify_skips: val.sig_verify_skips(),
@@ -572,6 +573,10 @@ pub struct ValidatorStats {
     /// Stabilization anomalies detected and repaired (0 when no state
     /// corruption struck — every repair is a caught fault).
     pub audit_repairs: u64,
+    /// Full `known ⊆ store` scans the sync audit ran behind its O(1)
+    /// trigger (0 unless sync knowledge was corrupted) — pins why the
+    /// per-phase audit is flat in the horizon.
+    pub audit_scans: u64,
     /// Verification fast-path statistics.
     pub crypto: CryptoStats,
     /// Delta-sync statistics.

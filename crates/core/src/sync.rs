@@ -33,6 +33,15 @@
 //! retried — re-broadcast to all peers — every
 //! [`SyncState::RETRY_AFTER_DELTAS`]·Δ until answered, so a dropped
 //! request or response only delays resolution.
+//!
+//! Two probes run far more often than anything changes — the
+//! stabilization audit at every phase boundary, the drain probe after
+//! every protocol message — so both are O(1) and kept current at the
+//! single honest door into the known set (`learn`): a shadow count of
+//! honest insertions gates the audit's full `known ⊆ store` scan (see
+//! [`SyncState::audit`]), and a flag records that a parked message's
+//! gap was just learned (see [`SyncState::has_resolvable`]). Neither
+//! cost depends on how many blocks were ever announced.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -63,6 +72,17 @@ struct Inflight {
 #[derive(Debug)]
 pub struct SyncState {
     known: BTreeSet<BlockId>,
+    /// Shadow count of the ids the honest paths put into `known`
+    /// (genesis, [`SyncState::mark_own`], [`SyncState::resolve`],
+    /// [`SyncState::accept_response`]). It equals `known.len()` unless
+    /// something else wrote to the set — the O(1) trigger in front of
+    /// [`SyncState::audit`]'s full scan.
+    honest_known: usize,
+    /// Some parked message's missing block may have become known since
+    /// the last [`SyncState::take_resolved`]. Never `false` while a
+    /// parked message can drain; may stay `true` after an eviction or a
+    /// quarantine removed the reason, which costs one empty drain.
+    drainable: bool,
     genesis: BlockId,
     pending: VecDeque<Parked>,
     /// Outstanding fetches by missing block id. `BTreeMap` so retry
@@ -73,6 +93,7 @@ pub struct SyncState {
     blocks_fetched: u64,
     parked_total: u64,
     evicted: u64,
+    audit_scans: u64,
 }
 
 impl SyncState {
@@ -90,6 +111,8 @@ impl SyncState {
         known.insert(genesis);
         SyncState {
             known,
+            honest_known: 1,
+            drainable: false,
             genesis,
             pending: VecDeque::new(),
             inflight: BTreeMap::new(),
@@ -98,6 +121,26 @@ impl SyncState {
             blocks_fetched: 0,
             parked_total: 0,
             evicted: 0,
+            audit_scans: 0,
+        }
+    }
+
+    /// The one honest door into `known`: counts the insertion, settles
+    /// the fetch for `id`, and notes whether a parked message waits on
+    /// it. Returns whether `id` is newly known.
+    fn learn(&mut self, id: BlockId) -> bool {
+        self.inflight.remove(&id);
+        let newly = self.known.insert(id);
+        if newly {
+            self.honest_known += 1;
+            self.note_if_awaited(id);
+        }
+        newly
+    }
+
+    fn note_if_awaited(&mut self, id: BlockId) {
+        if self.pending.iter().any(|p| p.missing == id) {
+            self.drainable = true;
         }
     }
 
@@ -108,14 +151,14 @@ impl SyncState {
 
     /// Marks a locally-built block (own proposal extension) as known.
     pub fn mark_own(&mut self, id: BlockId) {
-        self.known.insert(id);
-        self.inflight.remove(&id);
+        self.learn(id);
     }
 
     /// Whether any parked message's missing block has since become
-    /// known (cheap emptiness probe before draining).
+    /// known (O(1) probe before draining, run after every protocol
+    /// message).
     pub fn has_resolvable(&self) -> bool {
-        self.pending.iter().any(|p| self.knows(p.missing))
+        self.drainable
     }
 
     /// Resolves a log reference against the knowledge set, absorbing the
@@ -141,8 +184,7 @@ impl SyncState {
         if k > 0 {
             if let Some(ids) = store.chain_range(log.tip(), base_height + 1) {
                 for id in ids {
-                    self.known.insert(id);
-                    self.inflight.remove(&id);
+                    self.learn(id);
                 }
             }
         }
@@ -172,6 +214,9 @@ impl SyncState {
         if !self.pending.iter().any(|p| p.msg.id() == msg.id()) {
             self.pending.push_back(Parked { missing, msg, since: now });
             self.parked_total += 1;
+            if self.knows(missing) {
+                self.drainable = true;
+            }
             while self.pending.len() > Self::PENDING_CAP {
                 // `len > CAP ≥ 0` implies non-empty today, but eviction
                 // must never be a panic path: a refactor of the cap (or
@@ -226,10 +271,7 @@ impl SyncState {
         };
         let mut newly = 0;
         for id in ids {
-            if self.known.insert(id) {
-                newly += 1;
-            }
-            self.inflight.remove(&id);
+            newly += u64::from(self.learn(id));
         }
         self.blocks_fetched += newly;
         newly
@@ -238,6 +280,7 @@ impl SyncState {
     /// Drains parked messages whose missing block is now known, in
     /// arrival order, for replay through the normal processing path.
     pub fn take_resolved(&mut self) -> Vec<SignedMessage> {
+        self.drainable = false;
         let mut out = Vec::new();
         let mut kept = VecDeque::with_capacity(self.pending.len());
         while let Some(p) = self.pending.pop_front() {
@@ -304,12 +347,20 @@ impl SyncState {
         self.evicted
     }
 
+    /// Full `known ⊆ store` scans [`SyncState::audit`] actually ran —
+    /// zero unless something bypassed the honest insertion paths.
+    pub fn audit_scans(&self) -> u64 {
+        self.audit_scans
+    }
+
     /// Fault injection: forces a raw id into the knowledge set,
     /// breaking the chain-known invariant (the id's content and
     /// ancestry need not exist anywhere). Exists only for the
     /// stabilization plane's state-corruption experiments.
     pub fn poison_known(&mut self, id: BlockId) {
-        self.known.insert(id);
+        if self.known.insert(id) {
+            self.note_if_awaited(id);
+        }
     }
 
     /// Fault injection: total delta-sync amnesia — all block knowledge
@@ -318,32 +369,55 @@ impl SyncState {
     pub fn forget_all(&mut self) {
         self.known.clear();
         self.known.insert(self.genesis);
+        // The shadow count sits in the same arena and is wiped with it
+        // (not re-seeded for genesis): the next audit runs one full
+        // scan, and ids forged on top of the wipe cannot cancel it out.
+        self.honest_known = 0;
         self.pending.clear();
+        self.drainable = false;
         self.inflight.clear();
     }
 
     /// Stabilization audit: re-establishes the structural invariants a
     /// [`SyncState::poison_known`]-shaped corruption can break and
-    /// returns how many anomalies were repaired.
+    /// returns how many anomalies were repaired. Runs at every phase
+    /// boundary, so its cost must not depend on the horizon.
     ///
     /// * Every known id (except genesis) must have its content in the
     ///   store — honest ids enter `known` only via store-backed
     ///   resolution, so an absent body is corruption; the id is
     ///   quarantined (dropped) and, if truly needed, re-learned through
-    ///   the ordinary fetch path.
+    ///   the ordinary fetch path. The scan over `known` (one store
+    ///   lookup per block ever announced) sits behind an O(1) trigger:
+    ///   it runs only when `known.len()` disagrees with the shadow
+    ///   count of honest insertions, i.e. when something other than the
+    ///   honest paths wrote to the set, and re-syncs the count.
     /// * No in-flight fetch may target an already-known id (the honest
-    ///   paths clear these on resolution).
+    ///   paths clear these on resolution). Checked every time: the
+    ///   in-flight map holds outstanding fetches only.
     ///
     /// The chain-known invariant is restored transitively: a poisoned
     /// id with no store body is dropped here, and any id whose ancestry
     /// ran through it could only have entered `known` via the same
     /// corruption, so it too fails the store check.
+    ///
+    /// The trigger sees every corruption that changes how many ids are
+    /// known without going through the honest paths — forged ids and
+    /// wiped knowledge, the two shapes the `StateFault` vocabulary has.
+    /// It does not see a forged id that was already known (a no-op), a
+    /// corruption that forges exactly as many ids as it drops, or a
+    /// store that loses the body of an honestly learned id; none of
+    /// those is in the fault model.
     pub fn audit(&mut self, store: &BlockStore) -> u64 {
         let mut repaired = 0u64;
-        let genesis = self.genesis;
-        let before = self.known.len();
-        self.known.retain(|id| *id == genesis || store.contains(*id));
-        repaired += (before - self.known.len()) as u64;
+        if self.known.len() != self.honest_known {
+            self.audit_scans += 1;
+            let genesis = self.genesis;
+            let before = self.known.len();
+            self.known.retain(|id| *id == genesis || store.contains(*id));
+            repaired += (before - self.known.len()) as u64;
+            self.honest_known = self.known.len();
+        }
         let known = &self.known;
         let before = self.inflight.len();
         self.inflight.retain(|id, _| !known.contains(id));
@@ -545,6 +619,96 @@ mod tests {
         assert_eq!(sync.stale_requests(Time::new(8), 8), vec![base]);
         assert!(sync.stale_requests(Time::new(9), 8).is_empty(), "stamp was refreshed");
         assert_eq!(sync.stale_requests(Time::new(16), 8), vec![base]);
+    }
+
+    fn garbage(i: u8) -> BlockId {
+        BlockId(tobsvd_crypto::Digest::from_bytes([i; 32]))
+    }
+
+    #[test]
+    fn audit_scans_only_when_the_shadow_count_disagrees() {
+        let store = BlockStore::new();
+        let mut sync = SyncState::new(&store);
+        let l3 = chain(&store, 3);
+        sync.mark_own(l3.prefix(2, &store).unwrap().tip());
+        assert_eq!(sync.resolve(&l3.prefix(3, &store).unwrap(), &store), Resolution::Resolved);
+        assert_eq!(sync.accept_response(l3.tip(), 3, &store), 1);
+        // Re-learning known ids is not double-counted.
+        sync.mark_own(l3.tip());
+        assert_eq!((sync.audit(&store), sync.audit_scans()), (0, 0));
+
+        // Forged ids bypass the count: one scan, exact repair count,
+        // and the count is re-synced so the next pass is O(1) again.
+        sync.poison_known(garbage(1));
+        sync.poison_known(garbage(2));
+        assert_eq!((sync.audit(&store), sync.audit_scans()), (2, 1));
+        assert!(sync.knows(l3.tip()), "honest knowledge survives the quarantine");
+        assert_eq!((sync.audit(&store), sync.audit_scans()), (0, 1));
+
+        // A wipe trips the scan too (nothing in `known` to repair), and
+        // forging as many ids as were wiped cannot cancel it out.
+        sync.forget_all();
+        for i in 0..3 {
+            sync.poison_known(garbage(10 + i));
+        }
+        assert_eq!((sync.audit(&store), sync.audit_scans()), (3, 2));
+        assert_eq!((sync.audit(&store), sync.audit_scans()), (0, 2));
+    }
+
+    #[test]
+    fn audit_clears_fetches_that_target_forged_known_ids() {
+        let store = BlockStore::new();
+        let mut sync = SyncState::new(&store);
+        let l1 = chain(&store, 1);
+        sync.note_requested(l1.tip(), Time::new(1));
+        // The id exists in the store, so the scan keeps it; the fetch
+        // for it is the anomaly.
+        sync.poison_known(l1.tip());
+        assert_eq!(sync.audit(&store), 1);
+        assert!(sync.should_fetch(l1.tip()));
+    }
+
+    /// The O(1) probe never misses a drainable message: it agrees with
+    /// the per-message scan it replaced at every step of a
+    /// park / learn / drain / wipe sequence.
+    #[test]
+    fn has_resolvable_flag_matches_the_pending_scan() {
+        fn scan(sync: &SyncState) -> bool {
+            sync.pending.iter().any(|p| sync.knows(p.missing))
+        }
+        let store = BlockStore::new();
+        let mut sync = SyncState::new(&store);
+        let l4 = chain(&store, 4);
+        let Resolution::Missing(base) = sync.resolve(&l4, &store) else {
+            panic!("expected a gap");
+        };
+        sync.park(base, msg_with_log(&store, 1, 4, l4), Time::new(1));
+        assert_eq!((sync.has_resolvable(), scan(&sync)), (false, false));
+
+        // Learning an unrelated block does not arm the probe…
+        let side = Log::genesis(&store).extend_empty(&store, ValidatorId::new(3), View::new(9));
+        sync.mark_own(side.tip());
+        assert_eq!((sync.has_resolvable(), scan(&sync)), (false, false));
+        // …learning the awaited one does, …
+        assert_eq!(sync.accept_response(base, 1, &store), 3);
+        assert_eq!((sync.has_resolvable(), scan(&sync)), (true, true));
+        // …and draining disarms it.
+        assert_eq!(sync.take_resolved().len(), 1);
+        assert_eq!((sync.has_resolvable(), scan(&sync)), (false, false));
+
+        // Parking on an already-known block is drainable at once.
+        sync.park(base, msg_with_log(&store, 2, 4, l4), Time::new(2));
+        assert_eq!((sync.has_resolvable(), scan(&sync)), (true, true));
+        sync.forget_all();
+        assert_eq!((sync.has_resolvable(), scan(&sync)), (false, false));
+
+        // A forged id that a parked message waits on arms it as well.
+        let Resolution::Missing(base) = sync.resolve(&l4, &store) else {
+            panic!("knowledge was wiped");
+        };
+        sync.park(base, msg_with_log(&store, 1, 4, l4), Time::new(3));
+        sync.poison_known(base);
+        assert_eq!((sync.has_resolvable(), scan(&sync)), (true, true));
     }
 
     #[test]

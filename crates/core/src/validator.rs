@@ -586,8 +586,13 @@ impl Validator {
     ///   proves poisoning; the O(n) reconciliation runs only behind
     ///   that O(1) trigger and evicts ids gossip never sighted.
     /// * **Sync structural sanity** — [`SyncState::audit`]: known ids
-    ///   must have store-backed content, in-flight fetches must target
-    ///   unknown ids.
+    ///   must have store-backed content (`known ⊆ store`, scanned only
+    ///   behind its own O(1) shadow-count trigger), in-flight fetches
+    ///   must target unknown ids.
+    ///
+    /// This runs at every phase boundary of every validator, so each
+    /// check is an O(1) trigger with any scan behind it: nothing here
+    /// may walk a set that grows with the horizon.
     ///
     /// Returns the number of anomalies repaired this pass. When
     /// repairs occurred and the §2 recovery protocol is enabled, the

@@ -414,6 +414,7 @@ impl SimulationBuilder {
             events: BinaryHeap::new(),
             slots,
             sent_this_tick: Vec::new(),
+            target_marks: vec![false; self.cfg.n],
             drop_while_asleep: self.drop_while_asleep,
             max_delay_factor: self.max_delay_factor,
             advance: self.advance,
@@ -463,6 +464,9 @@ pub struct Simulation {
     observer: DecisionObserver,
     rng: StdRng,
     sent_this_tick: Vec<Arc<SignedMessage>>,
+    /// Scratch for [`Simulation::deliver_to_each`]: one mark per
+    /// validator, all `false` between calls.
+    target_marks: Vec<bool>,
     /// When set, messages delivered to asleep validators are dropped
     /// instead of buffered (the §2 practical setting).
     drop_while_asleep: bool,
@@ -883,24 +887,12 @@ impl Simulation {
                 Outgoing::ForwardTo(targets, msg) => {
                     self.metrics.forwards += 1;
                     let delivery = self.share(msg);
-                    let mut seen = vec![false; self.cfg.n];
-                    for to in targets {
-                        if !seen[to.index()] {
-                            seen[to.index()] = true;
-                            self.deliver_one(from, to, &delivery);
-                        }
-                    }
+                    self.deliver_to_each(from, &targets, &delivery);
                 }
                 Outgoing::Multicast(targets, msg) => {
                     self.metrics.record_broadcast(kind_of(msg.payload()));
                     let delivery = self.share(msg);
-                    let mut seen = vec![false; self.cfg.n];
-                    for to in targets {
-                        if !seen[to.index()] {
-                            seen[to.index()] = true;
-                            self.deliver_one(from, to, &delivery);
-                        }
-                    }
+                    self.deliver_to_each(from, &targets, &delivery);
                 }
             }
         }
@@ -959,6 +951,23 @@ impl Simulation {
         for to in ValidatorId::all(self.cfg.n) {
             self.deliver_one(from, to, delivery);
         }
+    }
+
+    /// Delivers to each distinct target once, in first-occurrence order.
+    /// Recovery replies and fetch responses take this path once per
+    /// message, so the dedup marks live in a scratch buffer that is
+    /// wiped target by target instead of being allocated per call.
+    fn deliver_to_each(&mut self, from: ValidatorId, targets: &[ValidatorId], delivery: &Delivery) {
+        let mut marks = std::mem::take(&mut self.target_marks);
+        for &to in targets {
+            if !std::mem::replace(&mut marks[to.index()], true) {
+                self.deliver_one(from, to, delivery);
+            }
+        }
+        for to in targets {
+            marks[to.index()] = false;
+        }
+        self.target_marks = marks;
     }
 
     fn deliver_one(&mut self, from: ValidatorId, to: ValidatorId, delivery: &Delivery) {

@@ -11,6 +11,21 @@
 //! re-broadcast it (`forward`). Deduplication is by message id, so the
 //! same signed message arriving over multiple forwarding paths is handled
 //! once.
+//!
+//! # Layout: id sets bucketed by view
+//!
+//! Both id sets here ([`GossipState`]'s seen set and [`VerifiedSet`])
+//! only ever grow, and a message id is a uniformly random 32-byte key.
+//! One flat ordered set therefore gets deeper and colder with every
+//! view that passes, while the traffic that probes it belongs almost
+//! entirely to the two or three newest views. The sets are instead
+//! indexed by [`tobsvd_types::Payload::view_number`] — one small
+//! `BTreeSet` per view — and the distinct-payload counters are keyed
+//! view-major, so steady-state lookups touch only the newest,
+//! cache-resident buckets whatever the horizon. An id determines its
+//! payload and hence its bucket, so this is a pure re-indexing: every
+//! answer is the one a single flat set would give. Nothing is pruned
+//! here; dropping finished views is a `split_off` on the bucket maps.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -18,6 +33,56 @@ use tobsvd_crypto::{Digest, KeyCache, PublicKey};
 use tobsvd_types::{SignedMessage, ValidatorId};
 
 use crate::node::Context;
+
+/// A grow-only set of message ids, bucketed by the view of the message
+/// an id names.
+///
+/// Ids filed without a view — fetch-plane payloads, and the raw ids a
+/// state-corruption experiment forces in — live in one extra bucket
+/// that every lookup also consults (it is empty in a fault-free
+/// protocol run), which keeps membership exactly that of a flat set.
+#[derive(Debug, Default)]
+struct ViewIds {
+    by_view: BTreeMap<u64, BTreeSet<Digest>>,
+    unkeyed: BTreeSet<Digest>,
+    len: usize,
+}
+
+impl ViewIds {
+    /// Membership of the id of a message belonging to `view`.
+    fn contains_at(&self, view: Option<u64>, id: &Digest) -> bool {
+        view.and_then(|v| self.by_view.get(&v)).is_some_and(|bucket| bucket.contains(id))
+            || self.unkeyed.contains(id)
+    }
+
+    /// Membership of a bare id, view unknown: probes every bucket,
+    /// newest first. Audit and diagnostics only.
+    fn contains(&self, id: &Digest) -> bool {
+        self.unkeyed.contains(id) || self.by_view.values().rev().any(|bucket| bucket.contains(id))
+    }
+
+    /// Inserts the id of a message belonging to `view`; `false` when
+    /// it was already a member.
+    fn insert(&mut self, view: Option<u64>, id: Digest) -> bool {
+        let fresh = match view {
+            Some(v) => !self.unkeyed.contains(&id) && self.by_view.entry(v).or_default().insert(id),
+            None => self.unkeyed.insert(id),
+        };
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    /// Keeps only the ids `keep` holds for; returns how many went.
+    fn retain<F: FnMut(&Digest) -> bool>(&mut self, mut keep: F) -> usize {
+        let before = self.len;
+        self.unkeyed.retain(|id| keep(id));
+        for bucket in self.by_view.values_mut() {
+            bucket.retain(|id| keep(id));
+        }
+        self.len = self.unkeyed.len() + self.by_view.values().map(BTreeSet::len).sum::<usize>();
+        before - self.len
+    }
+}
 
 /// Outcome of receiving a message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,9 +97,11 @@ pub struct Reception {
 /// Per-node gossip state.
 #[derive(Debug, Default)]
 pub struct GossipState {
-    seen: BTreeSet<Digest>,
-    /// Count of distinct payloads seen per (sender, equivocation key).
-    distinct: BTreeMap<(ValidatorId, (u8, u64)), u8>,
+    seen: ViewIds,
+    /// Count of distinct payloads seen per (sender, equivocation key),
+    /// keyed view-major `(view, sender, kind)` so live entries sit
+    /// together at the top of the map.
+    distinct: BTreeMap<(u64, ValidatorId, u8), u8>,
 }
 
 impl GossipState {
@@ -63,14 +130,14 @@ impl GossipState {
     /// assert!(!dup.fresh && !dup.forward);
     /// ```
     pub fn on_receive(&mut self, msg: &SignedMessage) -> Reception {
-        if !self.seen.insert(msg.id()) {
+        let key = msg.payload().equivocation_key();
+        if !self.seen.insert(key.map(|(_, view)| view), msg.id()) {
             return Reception { fresh: false, forward: false };
         }
-        let key = match msg.payload().equivocation_key() {
-            Some(k) => k,
-            None => return Reception { fresh: true, forward: true },
+        let Some((kind, view)) = key else {
+            return Reception { fresh: true, forward: true };
         };
-        let count = self.distinct.entry((msg.sender(), key)).or_insert(0);
+        let count = self.distinct.entry((view, msg.sender(), kind)).or_insert(0);
         if *count >= 2 {
             // Third or later distinct message from this sender for this
             // key: neither accepted nor forwarded.
@@ -82,7 +149,7 @@ impl GossipState {
 
     /// Number of distinct messages seen (diagnostics).
     pub fn seen_count(&self) -> usize {
-        self.seen.len()
+        self.seen.len
     }
 
     /// Whether `id` has been sighted here (the superset side of the
@@ -111,7 +178,7 @@ impl GossipState {
 /// [`GossipState`]'s seen set).
 #[derive(Debug, Default)]
 pub struct VerifiedSet {
-    ids: BTreeSet<Digest>,
+    ids: ViewIds,
     /// Per-node `seed → PublicKey` table (bounded by the number of
     /// distinct senders, i.e. n): warm verifications stay lock-free
     /// instead of taking the process-global [`KeyCache`] read lock on
@@ -133,7 +200,8 @@ impl VerifiedSet {
     /// Counts every decision into the per-node totals and the context's
     /// [`crate::CryptoOps`].
     pub fn admit(&mut self, msg: &SignedMessage, retain: bool, ctx: &mut Context) -> bool {
-        if self.ids.contains(&msg.id()) {
+        let view = msg.payload().view_number();
+        if self.ids.contains_at(view, &msg.id()) {
             self.skips += 1;
             ctx.note_sig_verify_skip();
             return true;
@@ -153,7 +221,7 @@ impl VerifiedSet {
             return false;
         }
         if retain {
-            self.ids.insert(msg.id());
+            self.ids.insert(view, msg.id());
         }
         true
     }
@@ -175,12 +243,12 @@ impl VerifiedSet {
 
     /// Number of retained verified ids.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.ids.len
     }
 
     /// Whether no id has been retained yet.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.ids.len == 0
     }
 
     /// Fault injection: forces a raw id into the set *without*
@@ -188,17 +256,19 @@ impl VerifiedSet {
     /// honest admit path maintains. Exists only for the stabilization
     /// plane's state-corruption experiments.
     pub fn poison(&mut self, id: Digest) {
-        self.ids.insert(id);
+        // A raw id names no view; one that is already a member (in
+        // whichever bucket) stays where it is.
+        if !self.ids.contains(&id) {
+            self.ids.insert(None, id);
+        }
     }
 
     /// Quarantine pass: retains only ids for which `keep` holds and
     /// returns how many were evicted. The stabilization audit calls
     /// this with "sighted by gossip" as the predicate, restoring the
     /// containment a [`VerifiedSet::poison`]-style corruption broke.
-    pub fn quarantine<F: FnMut(&Digest) -> bool>(&mut self, mut keep: F) -> usize {
-        let before = self.ids.len();
-        self.ids.retain(|id| keep(id));
-        before - self.ids.len()
+    pub fn quarantine<F: FnMut(&Digest) -> bool>(&mut self, keep: F) -> usize {
+        self.ids.retain(keep)
     }
 }
 

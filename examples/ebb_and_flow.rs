@@ -49,5 +49,5 @@ fn main() {
     println!("t = 0 and has no built-in resynchronization. The gadget's checkpoints are");
     println!("exactly what survives; restarting the available chain from the latest");
     println!("finalized checkpoint is the ebb-and-flow recovery path (future work in the");
-    println!("paper's terms — see EXPERIMENTS.md).");
+    println!("paper's terms — see README, \"Build, test, bench\").");
 }

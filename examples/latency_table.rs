@@ -59,7 +59,7 @@ fn main() {
     println!("Table 1 — paper constants, geometric model at p(good leader) = ½:\n");
     println!("{}", table.render());
     println!("* that protocol's own expected-case accounting differs from the plain");
-    println!("  geometric model — see EXPERIMENTS.md.\n");
+    println!("  geometric model — see README, \"Build, test, bench\".\n");
     println!(
         "measured TOB-SVD best-case latency (fault-free, worst-case Δ delays): {measured_best:.1}Δ (paper: 6Δ)"
     );
