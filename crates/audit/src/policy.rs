@@ -64,8 +64,8 @@ pub fn classify(rel_path: &str) -> PolicyClass {
 /// This is the policy map documented in the README: panic-path and
 /// unchecked-index rules bind the protocol core (`core`/`types`/
 /// `crypto`/`storage` — a corrupt WAL record must degrade, not
-/// abort) and the ingest front door (`runtime`'s `ingest`/`client`
-/// modules — byte streams from untrusted client sockets must never
+/// abort) and the ingest front door (`runtime`'s `ingest`/`client`/
+/// `frame` modules — byte streams from untrusted sockets must never
 /// panic a node, even though the rest of the runtime is WallClock
 /// territory); the determinism rules bind every deterministic crate
 /// and the tooling; wire-tag coverage is a workspace-level rule
@@ -76,7 +76,8 @@ pub fn rule_applies(rule: &str, class: PolicyClass, rel_path: &str) -> bool {
         || rel_path.starts_with("crates/crypto/")
         || rel_path.starts_with("crates/storage/");
     let ingest_frontdoor = rel_path.starts_with("crates/runtime/src/ingest")
-        || rel_path.starts_with("crates/runtime/src/client");
+        || rel_path.starts_with("crates/runtime/src/client")
+        || rel_path.starts_with("crates/runtime/src/frame");
     match rule {
         "no-nondeterministic-iteration" | "no-ambient-nondeterminism" => {
             matches!(class, PolicyClass::Deterministic | PolicyClass::Tooling)
@@ -120,6 +121,9 @@ mod tests {
         // WallClock: client sockets feed it untrusted bytes.
         assert!(rule_applies("no-panic-path", PolicyClass::WallClock, "crates/runtime/src/ingest.rs"));
         assert!(rule_applies("no-unchecked-index", PolicyClass::WallClock, "crates/runtime/src/client.rs"));
+        // So is the frame parser both of them read sockets through.
+        assert!(rule_applies("no-panic-path", PolicyClass::WallClock, "crates/runtime/src/frame.rs"));
+        assert!(rule_applies("no-unchecked-index", PolicyClass::WallClock, "crates/runtime/src/frame.rs"));
         assert!(!rule_applies("no-panic-path", PolicyClass::WallClock, "crates/runtime/src/node.rs"));
         assert!(rule_applies("no-nondeterministic-iteration", PolicyClass::Tooling, "crates/audit/src/engine.rs"));
         assert!(rule_applies("checked-delta-arithmetic", PolicyClass::Deterministic, "crates/sweep/src/matrix.rs"));

@@ -16,8 +16,6 @@ pub struct TobConfig {
     /// archive of recent messages. Required for liveness when the
     /// network does not buffer for asleep validators.
     pub recovery: bool,
-    /// Cap on messages re-sent per recovery request served.
-    pub recovery_response_cap: usize,
     /// Enables the aggregation plane: vote relaying is deferred to the
     /// next phase boundary and quorate vote groups cross the wire as one
     /// `Payload::Certificate` instead of per-receiver vote forwards,
@@ -39,7 +37,6 @@ impl TobConfig {
             delta: Delta::default(),
             max_txs_per_block: 256,
             recovery: false,
-            recovery_response_cap: 1024,
             certificates: true,
             snapshot_every: 8,
         }

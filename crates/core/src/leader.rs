@@ -122,11 +122,6 @@ impl ProposalTracker {
             .map(|(v, log, _)| (v, log))
     }
 
-    /// Number of distinct proposers seen.
-    pub fn proposer_count(&self) -> usize {
-        self.proposals.len()
-    }
-
     /// Whether `v` is a known proposal equivocator for this view.
     pub fn is_equivocator(&self, v: ValidatorId) -> bool {
         matches!(self.proposals.get(&v), Some(None))

@@ -32,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod aggregation;
 mod config;
 pub mod leader;
 mod protocol;
@@ -41,7 +42,9 @@ mod validator;
 
 pub use config::TobConfig;
 pub use leader::ProposalTracker;
-pub use protocol::{CryptoStats, LatencyStats, SyncStats, TobReport, TobSimulationBuilder, TxWorkload};
+pub use protocol::{
+    CryptoStats, LatencyStats, SyncStats, TobError, TobReport, TobSimulationBuilder, TxWorkload,
+};
 pub use schedule::ViewSchedule;
 pub use sync::{Resolution, SyncState};
 pub use validator::Validator;

@@ -4,7 +4,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tobsvd_sim::{
     AdmissionPolicy, AdmissionStats, AdvanceMode, AdversaryController, ByzantineFactory,
-    CorruptionSchedule, DecisionRecord, DelayPolicy, DeliveryFilter, IdleNode, Invariant, Node,
+    CorruptionSchedule, DecisionRecord, DelayPolicy, DeliveryFilter, IdleNode, Invariant, Mempool,
+    Node,
     OpenLoopSpec, OpenLoopWorkload, ParticipationSchedule, SimConfig, SimReport, Simulation,
     StateFault,
 };
@@ -88,7 +89,6 @@ pub struct TobSimulationBuilder {
     views: u64,
     seed: u64,
     delta: Delta,
-    max_txs_per_block: usize,
     workload: TxWorkload,
     participation: Option<ParticipationSchedule>,
     corruption: CorruptionSchedule,
@@ -146,7 +146,6 @@ impl TobSimulationBuilder {
             views: 10,
             seed: 0,
             delta: Delta::default(),
-            max_txs_per_block: 256,
             workload: TxWorkload::PerView { count: 2, size: 64 },
             participation: None,
             corruption: CorruptionSchedule::none(),
@@ -251,12 +250,6 @@ impl TobSimulationBuilder {
         self
     }
 
-    /// Block size cap.
-    pub fn max_txs_per_block(mut self, max: usize) -> Self {
-        self.max_txs_per_block = max;
-        self
-    }
-
     /// The transaction workload.
     pub fn workload(mut self, workload: TxWorkload) -> Self {
         self.workload = workload;
@@ -346,7 +339,6 @@ impl TobSimulationBuilder {
         let cfg = SimConfig::new(self.n).with_delta(self.delta).with_seed(self.seed);
         let tob_cfg = TobConfig::new(self.n)
             .with_delta(self.delta)
-            .with_max_txs(self.max_txs_per_block)
             .with_recovery(self.recovery)
             .with_certificates(self.certificates)
             .with_snapshot_every(self.snapshot_every);
@@ -354,14 +346,14 @@ impl TobSimulationBuilder {
         let mut builder = Simulation::builder(cfg)
             .drop_while_asleep(self.drop_while_asleep)
             .advance_mode(self.advance);
+        if let Some(policy) = self.admission {
+            builder = builder.with_mempool(Mempool::bounded(policy));
+        }
 
         // Workload: pre-submit with future submission times.
         let horizon = sched.view_start(View::new(self.views));
         {
             let mempool = builder.mempool().clone();
-            if let Some(policy) = self.admission {
-                mempool.set_policy(policy);
-            }
             let mut rng = StdRng::seed_from_u64(self.seed ^ 0x7a5c_3b1d);
             let mut nonce = 0u64;
             match self.workload {

@@ -104,6 +104,10 @@ impl SyncState {
     /// An unanswered fetch is re-broadcast after this many Δ.
     pub const RETRY_AFTER_DELTAS: u64 = 2;
 
+    /// Cap on archived messages re-sent per §2 `RECOVERY` request
+    /// served (block content beyond them moves over the fetch plane).
+    pub const RECOVERY_RESPONSE_CAP: usize = 1024;
+
     /// Fresh state: only genesis is known.
     pub fn new(store: &BlockStore) -> Self {
         let genesis = store.genesis();

@@ -1,121 +1,28 @@
 //! The TOB-SVD validator state machine (Figure 4).
+//!
+//! Receive pipeline (dedup-before-verify, the delta-sync resolution
+//! gate), view phases and their GA instances, the per-phase
+//! stabilization audit and decided-log persistence. *How* fresh votes,
+//! certificates and proposals are relayed is not decided here: that is
+//! the `Option<AggregationPlane>` of `aggregation.rs`, built once from
+//! [`TobConfig::certificates`] — no other line reads the flag.
 
 use std::collections::BTreeMap;
 
-use tobsvd_crypto::{AggregateSignature, Digest, KeyCache, Keypair, PublicKey, Signature, VrfOutput};
+use tobsvd_crypto::{Digest, KeyCache, Keypair};
 use tobsvd_ga::Ga3;
 use tobsvd_sim::gossip::{GossipState, VerifiedSet};
 use tobsvd_sim::{garbage_bytes, Context, Node, StateFault};
 use tobsvd_storage::{replay_into, BlockRecord, SharedDurable, Snapshot, WalError, WalRecord};
 use tobsvd_types::{
-    wire, BlockId, BlockStore, InstanceId, Log, Payload, SignedMessage, SignerSet, ValidatorId,
-    View,
+    wire, BlockId, BlockStore, InstanceId, Log, Payload, SignedMessage, ValidatorId, View,
 };
 
+use crate::aggregation::AggregationPlane;
 use crate::config::TobConfig;
 use crate::leader::{verify_vrf, vrf_for, ProposalTracker};
 use crate::schedule::{ViewSchedule, ViewPhase};
 use crate::sync::{Resolution, SyncState};
-
-/// Aggregation state for one `(instance, log)` vote group.
-///
-/// The aggregation plane defers all vote relaying to the next phase
-/// boundary. Boundaries are Δ-spaced and the engine delivers messages
-/// before firing the phase callback at the same tick, so a vote in this
-/// validator's `kΔ` snapshot is flushed at `kΔ` and reaches every honest
-/// validator by `(k+1)Δ` — exactly the graded-delivery guarantee the
-/// paper obtains from immediate per-receiver forwarding, at O(n²)
-/// instead of O(n³) deliveries per view.
-struct VoteGroup {
-    instance: InstanceId,
-    log: Log,
-    /// Individually received (and verified) votes, in arrival order.
-    /// One entry per sender: gossip dedups ids, and a sender's two
-    /// conflicting logs land in two different groups.
-    votes: Vec<SignedMessage>,
-    /// Senders of `votes` as a bitmap (the signer set of our own
-    /// certificate).
-    have_votes: SignerSet,
-    /// `votes[..flushed]` have been relayed — individually or covered
-    /// by a certificate this validator sent.
-    flushed: usize,
-    /// Signers this validator has *personally* sent a certificate for
-    /// (own broadcast or a forwarded received certificate). Only sends
-    /// count: coverage is what upholds the relay guarantee through this
-    /// validator.
-    covered: SignerSet,
-    /// Signers vouched by a received certificate whose aggregate this
-    /// validator fully verified.
-    cert_verified: SignerSet,
-    /// Whether this validator's own certificate for the group has been
-    /// broadcast (at most one per group, so the per-sender gossip cap
-    /// can never drop a later emission that would carry new signers).
-    own_cert_emitted: bool,
-    /// Verified received certificates queued for boundary forwarding.
-    pending_certs: Vec<SignedMessage>,
-}
-
-impl VoteGroup {
-    fn new(instance: InstanceId, log: Log) -> Self {
-        VoteGroup {
-            instance,
-            log,
-            votes: Vec::new(),
-            have_votes: SignerSet::empty(),
-            flushed: 0,
-            covered: SignerSet::empty(),
-            cert_verified: SignerSet::empty(),
-            own_cert_emitted: false,
-            pending_certs: Vec::new(),
-        }
-    }
-
-    /// Signers whose votes this validator can vouch for without the
-    /// certificate under consideration: individually held votes plus
-    /// previously verified certificates.
-    fn vouched(&self) -> SignerSet {
-        let mut s = self.have_votes;
-        s.union_with(&self.cert_verified);
-        s
-    }
-
-    /// Signers already guaranteed to be relayed by this validator: held
-    /// votes (flushed individually or via our own certificate) plus
-    /// everything we already sent a certificate for.
-    fn relayed_by_us(&self) -> SignerSet {
-        let mut s = self.have_votes;
-        s.union_with(&self.covered);
-        s
-    }
-}
-
-/// Deferred proposal relaying for one view (certificate mode).
-///
-/// The paper's gossip echoes every received proposal per receiver:
-/// n proposals × n forwarders is the second O(n³) delivery term per
-/// view, co-equal with the vote echo the certificates eliminate. But a
-/// proposal relay is informative in exactly two cases — it spreads the
-/// highest-VRF proposal (the one any vote could pick) or it spreads
-/// equivocation evidence. Votes themselves never depend on relays
-/// under worst-case delay: a proposal received at t relays at the next
-/// boundary and lands at t + Δ at the earliest, past the `t_v + Δ`
-/// vote it could have fed, while the direct broadcast already reaches
-/// every awake validator in time. So the boundary flush forwards the
-/// best verified proposal seen (once per priority improvement) and
-/// every buffered copy from a detected equivocator, and drops the
-/// rest: O(n) relays per view instead of O(n²).
-#[derive(Default)]
-struct ProposalRelay {
-    /// VRF-verified proposal receptions since the last boundary flush.
-    /// Bounded by the gossip cap: at most two distinct messages per
-    /// sender per view survive `on_receive`.
-    pending: Vec<SignedMessage>,
-    /// Highest `(vrf, Reverse(sender))` priority already relayed for
-    /// this view — the same total order [`ProposalTracker`] uses to
-    /// pick the vote input, so a relayed proposal is outranked only by
-    /// one that would also outrank it there.
-    best_relayed: Option<(VrfOutput, std::cmp::Reverse<ValidatorId>)>,
-}
 
 /// An honest TOB-SVD validator.
 ///
@@ -145,14 +52,9 @@ pub struct Validator {
     archive: BTreeMap<View, Vec<SignedMessage>>,
     /// Delta-sync state: block knowledge, bounded pending set, fetches.
     sync: SyncState,
-    /// Aggregation plane: per-view vote groups awaiting the boundary
-    /// flush (certificate emission or individual relay). Pruned with the
-    /// GA window.
-    agg_groups: BTreeMap<View, Vec<VoteGroup>>,
-    /// Aggregation plane, proposal side: proposal relays buffered since
-    /// the last boundary plus per-view relay coverage. Pruned with the
-    /// proposal window.
-    prop_relays: BTreeMap<View, ProposalRelay>,
+    /// The relay strategy: the aggregation plane, or `None` for the
+    /// paper's immediate per-receiver forward (no aggregation state).
+    agg: Option<AggregationPlane>,
     /// Verification fast path: the dedup-before-verify gate (see
     /// [`VerifiedSet`]). Fetch-plane ids are deliberately *not*
     /// retained (point-to-point transport an adversary can mint without
@@ -184,19 +86,10 @@ pub struct Validator {
     proposals_made: u64,
     /// Instrumentation: decisions reported.
     decisions_made: u64,
-    /// Instrumentation: recovery requests served.
-    recoveries_served: u64,
     /// Instrumentation: VRF verifications performed.
     vrf_verifies: u64,
     /// Instrumentation: VRF verifications skipped via the per-view memo.
     vrf_verify_skips: u64,
-    /// Instrumentation: certificate aggregate verifications performed.
-    agg_verifies: u64,
-    /// Instrumentation: aggregate verifications skipped because every
-    /// attested signer was already vouched (subset fast path).
-    agg_verify_skips: u64,
-    /// Instrumentation: own certificates broadcast.
-    certificates_emitted: u64,
     /// Stabilization: local-audit passes run (one per phase boundary).
     audits_run: u64,
     /// Stabilization: anomalies the local audit repaired (quarantined
@@ -208,9 +101,10 @@ impl Validator {
     /// Creates a validator; `store` must be the simulation's shared
     /// store (the genesis log anchors the decided chain).
     pub fn new(me: tobsvd_types::ValidatorId, cfg: TobConfig, store: &BlockStore) -> Self {
+        let keypair = KeyCache::keypair(me.key_seed());
         Validator {
             me,
-            keypair: KeyCache::keypair(me.key_seed()),
+            keypair,
             sched: ViewSchedule::new(cfg.delta),
             gas: BTreeMap::new(),
             proposals: BTreeMap::new(),
@@ -218,8 +112,7 @@ impl Validator {
             decided: Log::genesis(store),
             archive: BTreeMap::new(),
             sync: SyncState::new(store),
-            agg_groups: BTreeMap::new(),
-            prop_relays: BTreeMap::new(),
+            agg: cfg.certificates.then(|| AggregationPlane::new(me, keypair, cfg.n)),
             verified: VerifiedSet::new(),
             started: false,
             durable: None,
@@ -230,12 +123,8 @@ impl Validator {
             votes_cast: 0,
             proposals_made: 0,
             decisions_made: 0,
-            recoveries_served: 0,
             vrf_verifies: 0,
             vrf_verify_skips: 0,
-            agg_verifies: 0,
-            agg_verify_skips: 0,
-            certificates_emitted: 0,
             audits_run: 0,
             audit_repairs: 0,
             cfg,
@@ -329,11 +218,6 @@ impl Validator {
         self.decisions_made
     }
 
-    /// Number of recovery requests this validator answered.
-    pub fn recoveries_served(&self) -> u64 {
-        self.recoveries_served
-    }
-
     /// Signature verifications this validator performed (one per unique
     /// verified message id, plus one per forged frame and one per
     /// fetch-plane frame — those ids are never retained).
@@ -359,18 +243,18 @@ impl Validator {
 
     /// Certificate aggregate verifications this validator performed.
     pub fn agg_verifies(&self) -> u64 {
-        self.agg_verifies
+        self.agg.as_ref().map_or(0, |p| p.agg_verifies)
     }
 
     /// Certificate receptions that skipped aggregate verification
     /// because every attested signer was already vouched individually.
     pub fn agg_verify_skips(&self) -> u64 {
-        self.agg_verify_skips
+        self.agg.as_ref().map_or(0, |p| p.agg_verify_skips)
     }
 
     /// Own quorum certificates this validator has broadcast.
     pub fn certificates_emitted(&self) -> u64 {
-        self.certificates_emitted
+        self.agg.as_ref().map_or(0, |p| p.certificates_emitted)
     }
 
     /// Stabilization: local-audit passes run (one per phase boundary).
@@ -643,14 +527,12 @@ impl Validator {
         self.gas.retain(|w, _| w.number() + 2 >= v.number());
         // Proposals for view w only matter until t_w + Δ.
         self.proposals.retain(|w, _| w.number() + 1 >= v.number());
-        // Relay buffers follow the proposal window.
-        self.prop_relays.retain(|w, _| w.number() + 1 >= v.number());
         // The archive follows the GA window: recovering validators can
         // only act on still-live instances anyway.
         self.archive.retain(|w, _| w.number() + 2 >= v.number());
-        // Vote groups follow the GA window too: a finished instance
-        // takes no more snapshots, so nothing is owed a relay.
-        self.agg_groups.retain(|w, _| w.number() + 2 >= v.number());
+        if let Some(plane) = self.agg.as_mut() {
+            plane.prune(v);
+        }
     }
 
     /// Records a fresh message in the recovery archive.
@@ -672,18 +554,18 @@ impl Validator {
         if !self.cfg.recovery || requester == self.me {
             return;
         }
-        self.recoveries_served += 1;
-        let mut sent = 0usize;
-        for (view, msgs) in self.archive.range(from_view..) {
-            let _ = view;
-            for msg in msgs {
-                if sent >= self.cfg.recovery_response_cap {
-                    return;
-                }
-                ctx.forward_to(vec![requester], *msg);
-                sent += 1;
-            }
+        let archived = self.archive.range(from_view..).flat_map(|(_, msgs)| msgs);
+        for msg in archived.take(SyncState::RECOVERY_RESPONSE_CAP) {
+            ctx.forward_to(vec![requester], *msg);
         }
+    }
+
+    /// Broadcasts the §2 `RECOVERY` request at view `current`, asking
+    /// for everything affecting still-live GA instances.
+    fn broadcast_recovery(&mut self, current: View, ctx: &mut Context) {
+        let from_view = View::new(current.number().saturating_sub(2));
+        let payload = Payload::Recovery { from_view, log: self.decided };
+        ctx.broadcast(SignedMessage::sign(&self.keypair, self.me, payload));
     }
 
     /// Issues a `BlockRequest` for the chain ending at `missing`:
@@ -800,213 +682,6 @@ impl Validator {
             }
         }
     }
-
-    /// The vote group for `(instance, log)`, created on first use.
-    /// Groups per instance are few (honestly at most two — the gossip
-    /// cap drops further distinct logs per sender), so a linear scan in
-    /// arrival order keeps the flush deterministic.
-    ///
-    /// `None` is unreachable in practice (the group is created on
-    /// demand); the `Option` keeps the accessor total without an
-    /// unreachable panic arm, and the caller degrades to the baseline
-    /// per-vote forward.
-    fn group_mut(&mut self, instance: InstanceId, log: Log) -> Option<&mut VoteGroup> {
-        let groups = self.agg_groups.entry(instance.view()).or_default();
-        match groups.iter().position(|g| g.instance == instance && g.log == log) {
-            Some(i) => groups.get_mut(i),
-            None => {
-                groups.push(VoteGroup::new(instance, log));
-                groups.last_mut()
-            }
-        }
-    }
-
-    /// Buffers a fresh, resolved, in-window vote for the boundary flush.
-    fn note_vote(&mut self, msg: &SignedMessage, instance: InstanceId, log: Log, ctx: &mut Context) {
-        if !self.cfg.certificates {
-            return;
-        }
-        let Some(g) = self.group_mut(instance, log) else {
-            // No group handle: keep the relay guarantee the simple way.
-            ctx.forward(*msg);
-            return;
-        };
-        if !g.have_votes.insert(msg.sender()) {
-            // Beyond the bitmap capacity: fall back to the baseline
-            // immediate forward so the relay guarantee still holds.
-            ctx.forward(*msg);
-            return;
-        }
-        g.votes.push(*msg);
-    }
-
-    /// Handles a fresh, resolved, in-window quorum certificate.
-    ///
-    /// The attested `(signer, log)` claims enter the GA only through one
-    /// of two authenticated doors: every attested signer was already
-    /// vouched (its vote individually verified here, or covered by a
-    /// previously verified certificate) — the subset fast path, no new
-    /// claims — or the aggregate itself verifies against the
-    /// reconstructed per-signer vote bindings. A forged aggregate fails
-    /// the recomputation and is dropped before any absorption or
-    /// forwarding.
-    fn on_certificate(
-        &mut self,
-        msg: &SignedMessage,
-        instance: InstanceId,
-        log: Log,
-        signers: SignerSet,
-        agg: AggregateSignature,
-        ctx: &mut Context,
-    ) {
-        if !self.cfg.certificates {
-            return;
-        }
-        // A certificate naming validators outside the committee claims
-        // votes that cannot exist; drop it outright.
-        if signers.is_empty() || signers.iter().any(|s| s.index() >= self.cfg.n) {
-            return;
-        }
-        let w = instance.view();
-        let Some(g) = self.group_mut(instance, log) else { return };
-        if signers.is_subset(&g.vouched()) {
-            // Every attested vote is already authenticated here; the
-            // certificate adds no claims and needs no relay from us
-            // (held votes flush through our own machinery; previously
-            // verified certificates were queued when they arrived).
-            self.agg_verify_skips += 1;
-            ctx.note_agg_verify_skip();
-            return;
-        }
-        self.agg_verifies += 1;
-        ctx.note_agg_verify();
-        let vote_payload = Payload::Log { instance, log };
-        let signer_ids: Vec<ValidatorId> = signers.iter().collect();
-        let bindings: Vec<Digest> = signer_ids
-            .iter()
-            .map(|s| SignedMessage::binding_for(*s, &vote_payload))
-            .collect();
-        let msgs: Vec<&[u8]> = bindings.iter().map(|d| d.as_bytes().as_slice()).collect();
-        let pks: Vec<PublicKey> =
-            signer_ids.iter().map(|s| KeyCache::keypair(s.key_seed()).public()).collect();
-        let pk_refs: Vec<&PublicKey> = pks.iter().collect();
-        if !agg.aggregate_verify(&msgs, &pk_refs) {
-            return; // forged aggregate: no absorption, no forward
-        }
-        if let Some(g) = self.group_mut(instance, log) {
-            g.cert_verified.union_with(&signers);
-            // Queue for boundary forwarding iff it vouches signers we
-            // could not otherwise relay — this is what preserves the
-            // paper's graded-delivery guarantee for votes we never saw
-            // individually.
-            if !signers.is_subset(&g.relayed_by_us()) {
-                g.pending_certs.push(*msg);
-            }
-        }
-        // Absorb the attested votes into the GA (duplicates no-op,
-        // conflicting logs across certificates surface as equivocation
-        // in the tracker, exactly as individual votes would).
-        for signer in signer_ids {
-            self.ensure_ga(w).on_log(signer, log);
-        }
-    }
-
-    /// Boundary flush of the aggregation plane (every Δ while awake):
-    /// forward verified certificates that extend our coverage, emit our
-    /// own certificate once a group turns quorate (> n/2 distinct
-    /// voters), and relay the remaining buffered votes individually.
-    fn flush_aggregation(&mut self, ctx: &mut Context) {
-        if !self.cfg.certificates {
-            return;
-        }
-        let quorum = self.cfg.n / 2;
-        let mut own_certs = 0u64;
-        for groups in self.agg_groups.values_mut() {
-            for g in groups.iter_mut() {
-                // Received certificates first: maximal coverage means
-                // fewer individual forwards below.
-                for cert in std::mem::take(&mut g.pending_certs) {
-                    let Payload::Certificate { signers, .. } = cert.payload() else {
-                        continue;
-                    };
-                    if !signers.is_subset(&g.relayed_by_us()) {
-                        ctx.forward(cert);
-                        g.covered.union_with(signers);
-                    }
-                }
-                // Our own certificate, at most once per group, and only
-                // if it vouches someone our coverage does not.
-                if !g.own_cert_emitted
-                    && g.votes.len() > quorum
-                    && !g.have_votes.is_subset(&g.covered)
-                {
-                    let mut votes: Vec<&SignedMessage> = g.votes.iter().collect();
-                    votes.sort_by_key(|m| m.sender());
-                    let sigs: Vec<&Signature> = votes.iter().map(|m| m.signature()).collect();
-                    // A quorate group is non-empty, so aggregation always
-                    // succeeds; on the impossible `None` the group simply
-                    // falls through to per-vote forwarding below.
-                    if let Ok(agg) = AggregateSignature::aggregate(&sigs) {
-                        let payload = Payload::Certificate {
-                            instance: g.instance,
-                            log: g.log,
-                            signers: g.have_votes,
-                            agg,
-                        };
-                        ctx.broadcast(SignedMessage::sign(&self.keypair, self.me, payload));
-                        own_certs += 1;
-                        g.own_cert_emitted = true;
-                        let have = g.have_votes;
-                        g.covered.union_with(&have);
-                        g.flushed = g.votes.len();
-                    }
-                }
-                // Whatever is still unflushed goes out individually —
-                // the sub-quorum (or late-vote) fallback, identical to
-                // the paper's per-receiver forwarding.
-                while let Some(vote) = g.votes.get(g.flushed).copied() {
-                    g.flushed += 1;
-                    if !g.covered.contains(vote.sender()) {
-                        ctx.forward(vote);
-                    }
-                }
-            }
-        }
-        self.certificates_emitted += own_certs;
-        // Proposal side: relay the highest-priority verified proposal
-        // per view (only when it outranks everything we relayed for the
-        // view before) plus every buffered copy from a detected
-        // equivocator — the two relays that carry information. The rest
-        // of the echo is dropped; see [`ProposalRelay`] for why votes
-        // never depend on it.
-        for (view, relay) in self.prop_relays.iter_mut() {
-            let tracker = self.proposals.get(view);
-            let mut best: Option<((VrfOutput, std::cmp::Reverse<ValidatorId>), SignedMessage)> =
-                None;
-            for msg in std::mem::take(&mut relay.pending) {
-                let Payload::Proposal { vrf, .. } = msg.payload() else {
-                    continue;
-                };
-                if tracker.is_some_and(|t| t.is_equivocator(msg.sender())) {
-                    // Evidence: both conflicting copies (the gossip cap
-                    // admits at most two per sender) spread so peers
-                    // discard the equivocator too.
-                    ctx.forward(msg);
-                    continue;
-                }
-                let prio = (*vrf, std::cmp::Reverse(msg.sender()));
-                if best.as_ref().map_or(true, |(p, _)| prio > *p) {
-                    best = Some((prio, msg));
-                }
-            }
-            if let Some((prio, msg)) = best {
-                if relay.best_relayed.map_or(true, |b| prio > b) {
-                    ctx.forward(msg);
-                    relay.best_relayed = Some(prio);
-                }
-            }
-        }
-    }
 }
 
 /// The durable [`BlockRecord`] for a stored block, `None` for genesis
@@ -1034,16 +709,8 @@ impl Node for Validator {
             return;
         }
         // §2: "upon waking up, a validator sends a RECOVERY message to
-        // other validators", asking for everything affecting still-live
-        // GA instances.
-        let current = View::of_time(ctx.time, ctx.delta);
-        let from_view = View::new(current.number().saturating_sub(2));
-        let msg = SignedMessage::sign(
-            &self.keypair,
-            self.me,
-            Payload::Recovery { from_view, log: self.decided },
-        );
-        ctx.broadcast(msg);
+        // other validators".
+        self.broadcast_recovery(View::of_time(ctx.time, ctx.delta), ctx);
     }
 
     fn on_phase(&mut self, ctx: &mut Context) {
@@ -1053,13 +720,7 @@ impl Node for Validator {
         // RECOVERY request — the quarantined state may have included
         // live-instance messages only peers can restore.
         if self.local_audit(ctx) > 0 && self.cfg.recovery {
-            let from_view = View::new(v.number().saturating_sub(2));
-            let msg = SignedMessage::sign(
-                &self.keypair,
-                self.me,
-                Payload::Recovery { from_view, log: self.decided },
-            );
-            ctx.broadcast(msg);
+            self.broadcast_recovery(v, ctx);
         }
         // A durably recorded decided head the restart could not rebuild
         // locally: close the gap over the delta-sync plane (broadcast,
@@ -1082,7 +743,9 @@ impl Node for Validator {
         // Flush the aggregation plane: votes and certificates buffered
         // since the previous boundary go out now, as one quorum
         // certificate where a group is quorate.
-        self.flush_aggregation(ctx);
+        if let Some(plane) = self.agg.as_mut() {
+            plane.flush(&self.proposals, ctx);
+        }
         // Drive the ongoing GA instances: the TOB phase at this
         // boundary consumes outputs computed at this very time (Figure 3
         // arrows land on the phase they feed).
@@ -1163,19 +826,10 @@ impl Node for Validator {
             _ => {}
         }
         let reception = self.gossip.on_receive(msg);
-        // Under the aggregation plane, votes, certificates and
-        // proposals are not forwarded on reception: votes and
-        // certificates buffer in their vote group and flush at the next
-        // phase boundary (as one certificate when the group is
-        // quorate); proposals buffer in their view's relay and flush as
-        // the best-VRF proposal plus equivocation evidence. Everything
-        // else keeps the immediate per-receiver forward of the paper's
-        // gossip.
-        let deferred = self.cfg.certificates
-            && matches!(
-                msg.payload(),
-                Payload::Log { .. } | Payload::Certificate { .. } | Payload::Proposal { .. }
-            );
+        // The paper's gossip forwards on reception; the aggregation
+        // plane, when present, takes over the relaying of the payloads
+        // it defers to the next phase boundary.
+        let deferred = self.agg.is_some() && AggregationPlane::defers(msg.payload());
         if reception.forward && !deferred {
             ctx.forward(*msg);
         }
@@ -1214,14 +868,22 @@ impl Validator {
                 }
                 self.archive_message(msg);
                 self.ensure_ga(w).on_log(msg.sender(), *log);
-                self.note_vote(msg, *instance, *log, ctx);
+                if let Some(plane) = self.agg.as_mut() {
+                    plane.note_vote(msg, *instance, *log, ctx);
+                }
             }
             Payload::Certificate { instance, log, signers, agg } => {
                 let w = instance.view();
                 if w.number() + 2 < current.number() || w.number() > current.number() + 1 {
                     return;
                 }
-                self.on_certificate(msg, *instance, *log, *signers, *agg, ctx);
+                // Certificates only exist under the aggregation plane;
+                // per-vote mode has no door through which one could
+                // reach the GA.
+                let Some(plane) = self.agg.as_mut() else { return };
+                for signer in plane.on_certificate(msg, *instance, *log, *signers, *agg, ctx) {
+                    self.ensure_ga(w).on_log(signer, *log);
+                }
             }
             Payload::Proposal { view, log, vrf, proof } => {
                 // Window check before the VRF check: an out-of-window
@@ -1261,13 +923,10 @@ impl Validator {
                     .entry(*view)
                     .or_default()
                     .record(msg.sender(), *log, *vrf);
-                // Certificate mode: the relay decision is deferred to
-                // the boundary flush, where this view's tracker knows
-                // the best VRF seen and the equivocators. Only
-                // VRF-verified proposals get here, so a forged-VRF
+                // Only VRF-verified proposals get here, so a forged-VRF
                 // frame is never relayed either.
-                if self.cfg.certificates {
-                    self.prop_relays.entry(*view).or_default().pending.push(*msg);
+                if let Some(plane) = self.agg.as_mut() {
+                    plane.note_proposal(*view, msg);
                 }
             }
             Payload::Vote { .. } => {} // not part of TOB-SVD

@@ -72,14 +72,6 @@ impl Digest {
     pub fn short(&self) -> String {
         self.to_hex()[..8].to_string()
     }
-
-    /// Interprets the leading 8 bytes as a big-endian `u64`.
-    ///
-    /// Used where a numeric projection of a digest is convenient (e.g.
-    /// pseudo-random tie-breaking in tests).
-    pub fn leading_u64(&self) -> u64 {
-        self.0.iter().take(8).fold(0u64, |acc, b| (acc << 8) | u64::from(*b))
-    }
 }
 
 impl fmt::Debug for Digest {
@@ -196,13 +188,6 @@ mod tests {
         let mut hi2 = [0u8; 32];
         hi2[31] = 1;
         assert!(Digest::ZERO < Digest::from_bytes(hi2));
-    }
-
-    #[test]
-    fn leading_u64_matches_bytes() {
-        let mut b = [0u8; 32];
-        b[..8].copy_from_slice(&0xdead_beef_0102_0304u64.to_be_bytes());
-        assert_eq!(Digest::from_bytes(b).leading_u64(), 0xdead_beef_0102_0304);
     }
 
     #[test]

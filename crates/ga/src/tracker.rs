@@ -131,11 +131,6 @@ impl LogTracker {
         self.equivocators.contains(&v)
     }
 
-    /// Number of known equivocators.
-    pub fn equivocator_count(&self) -> usize {
-        self.equivocators.len()
-    }
-
     /// The pairs of `snapshot` whose senders are still in `V` now —
     /// i.e. `V^snap ∩ V^now` as used by the time-shifted quorum on the
     /// equivocator set (a pair survives iff its sender has not been
@@ -191,7 +186,6 @@ mod tests {
         assert_eq!(t.v_len(), 0);
         assert_eq!(t.s_len(), 1);
         assert!(t.is_equivocator(ValidatorId::new(0)));
-        assert_eq!(t.equivocator_count(), 1);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! multiplex hundreds of connections, which is exactly how the ingest
 //! bench models large client populations without a thread per user.
 
-use std::io::{Read, Write};
 use std::net::SocketAddr;
 
 use tobsvd_types::client::{
@@ -16,6 +15,8 @@ use tobsvd_types::client::{
     MAX_SUBMIT_FRAME_BYTES,
 };
 use tobsvd_types::TxId;
+
+use crate::frame::{self, FrameStep};
 
 /// One received acknowledgment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,9 +82,9 @@ impl ClientConn {
         let id = submit_transaction(payload.clone()).id();
         let frame =
             encode_client_frame(&ClientFrame::Submit { client: self.client, fee, payload });
-        let len = frame.len() as u32;
-        self.outbuf.extend_from_slice(&len.to_be_bytes());
-        self.outbuf.extend_from_slice(&frame);
+        // A payload too large to frame is not sent; its ack never comes,
+        // which is what the node's own size cap would have made of it.
+        frame::push(&mut self.outbuf, &frame);
         id
     }
 
@@ -95,82 +96,26 @@ impl ClientConn {
     /// Propagates unexpected socket errors (`WouldBlock` is not an
     /// error; EOF marks the connection closed and returns normally).
     pub fn pump(&mut self) -> std::io::Result<Vec<Ack>> {
-        self.pump_writes()?;
-        self.pump_reads()
-    }
-
-    fn pump_writes(&mut self) -> std::io::Result<()> {
-        while self.out_pos < self.outbuf.len() {
-            let Some(pending) = self.outbuf.get(self.out_pos..) else {
-                break;
-            };
-            match self.stream.write(pending) {
-                Ok(0) => {
-                    self.closed = true;
-                    break;
-                }
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::BrokenPipe
-                        || e.kind() == std::io::ErrorKind::ConnectionReset =>
-                {
-                    self.closed = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if self.out_pos == self.outbuf.len() && self.out_pos > 0 {
-            self.outbuf.clear();
-            self.out_pos = 0;
-        }
-        Ok(())
-    }
-
-    fn pump_reads(&mut self) -> std::io::Result<Vec<Ack>> {
-        let mut chunk = [0u8; 4096];
+        self.closed |= frame::flush(&mut self.stream, &mut self.outbuf, &mut self.out_pos)?;
+        self.closed |= frame::fill(&mut self.stream, &mut self.inbuf, usize::MAX)?;
+        let mut acks = Vec::new();
+        let mut consumed = 0;
         loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
+            match frame::take(&self.inbuf, &mut consumed, MAX_SUBMIT_FRAME_BYTES) {
+                FrameStep::Incomplete => break,
+                FrameStep::Corrupt => {
+                    // Garbled stream: nothing sane can follow.
                     self.closed = true;
                     break;
                 }
-                Ok(n) => {
-                    if let Some(data) = chunk.get(..n) {
-                        self.inbuf.extend_from_slice(data);
+                FrameStep::Frame(frame) => {
+                    if let Ok(ClientFrame::SubmitAck { tx, status }) = decode_client_frame(frame) {
+                        acks.push(Ack { tx, status });
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::BrokenPipe
-                        || e.kind() == std::io::ErrorKind::ConnectionReset =>
-                {
-                    self.closed = true;
-                    break;
-                }
-                Err(e) => return Err(e),
             }
         }
-        let mut acks = Vec::new();
-        while let Some(prefix) = self.inbuf.get(..4) {
-            let mut len_bytes = [0u8; 4];
-            len_bytes.copy_from_slice(prefix);
-            let len = u32::from_be_bytes(len_bytes) as usize;
-            if len == 0 || len > MAX_SUBMIT_FRAME_BYTES {
-                // Garbled stream: nothing sane can follow.
-                self.closed = true;
-                break;
-            }
-            let Some(payload) = self.inbuf.get(4..4 + len) else { break };
-            let frame = bytes::Bytes::copy_from_slice(payload);
-            self.inbuf.drain(..4 + len);
-            if let Ok(ClientFrame::SubmitAck { tx, status }) = decode_client_frame(frame) {
-                acks.push(Ack { tx, status });
-            }
-        }
+        self.inbuf.drain(..consumed);
         Ok(acks)
     }
 }

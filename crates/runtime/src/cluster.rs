@@ -247,11 +247,6 @@ impl RunningCluster {
         self.addrs.get(&v).copied()
     }
 
-    /// All node listen addresses.
-    pub fn addrs(&self) -> &HashMap<ValidatorId, SocketAddr> {
-        &self.addrs
-    }
-
     /// The shared epoch clock.
     pub fn clock(&self) -> TickClock {
         self.clock

@@ -2,12 +2,10 @@
 //! serving every inbound socket — the peer mesh *and* thousands of
 //! client connections — through a single `mio`-style poll loop.
 //!
-//! This replaces the former thread-per-connection layout (an acceptor
-//! thread sleep-polling `accept` at 5 ms plus one reader thread per
-//! inbound socket): per-connection cost is now one registered poll
-//! source and two small buffers, so a node comfortably holds thousands
-//! of concurrent client sockets within a fixed two-thread budget (this
-//! I/O loop + the tick-driven node loop).
+//! Per-connection cost is one registered poll source and two small
+//! buffers, so a node comfortably holds thousands of concurrent client
+//! sockets within a fixed two-thread budget (this I/O loop + the
+//! tick-driven node loop).
 //!
 //! # Session model
 //!
@@ -15,9 +13,8 @@
 //! payload byte of a session's first frame classifies it:
 //!
 //! * [`tobsvd_types::wire::WIRE_VERSION`] — a **peer** session carrying
-//!   consensus frames, decoded and handed to the node loop exactly as
-//!   the old reader threads did (including the park-and-fetch
-//!   `MissingBlocks` path);
+//!   consensus frames, decoded and handed to the node loop (including
+//!   the park-and-fetch `MissingBlocks` path);
 //! * [`tobsvd_types::client::CLIENT_WIRE_VERSION`] — a **client**
 //!   session carrying `Submit` frames. Submissions go through the
 //!   shared bounded mempool ([`Mempool::admit`]) *on this thread* —
@@ -42,12 +39,11 @@
 //!   clients sharing the loop.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Buf, Bytes};
+use bytes::Bytes;
 use crossbeam::channel::Sender;
 use mio::{Events, Interest, Poll, Token};
 use tobsvd_sim::Mempool;
@@ -55,10 +51,10 @@ use tobsvd_types::client::{
     decode_client_frame, encode_client_frame, is_client_frame, AckStatus, ClientFrame,
     MAX_SUBMIT_FRAME_BYTES,
 };
-use tobsvd_types::{wire, BlockId, BlockStore, SignedMessage, ValidatorId};
+use tobsvd_types::{wire, BlockId, BlockStore, SignedMessage};
 
 use crate::clock::TickClock;
-use crate::codec::MAX_FRAME_BYTES;
+use crate::frame::{self, FrameStep, MAX_FRAME_BYTES};
 
 /// Token of the listener; sessions get tokens from 1 upward.
 const LISTENER: Token = Token(0);
@@ -78,13 +74,12 @@ pub const CLIENT_OUTBUF_CAP: usize = 256 * 1024;
 /// stop flag are observed promptly.
 const POLL_TIMEOUT: Duration = Duration::from_millis(1);
 
-/// What a reader hands the node loop (moved here from `node.rs`; the
-/// node loop still consumes it unchanged).
+/// What a reader hands the node loop.
 pub(crate) enum Inbound {
     /// A fully decoded message (`u64` = frame payload length).
     Msg(SignedMessage, u64),
-    /// A well-formed frame referencing blocks the store lacks: park it,
-    /// fetch `missing` starting at `from_height` from `from`.
+    /// A well-formed frame referencing blocks the store lacks: park it
+    /// and fetch `missing` starting at `from_height` from its sender.
     NeedBlocks {
         /// The raw frame to re-decode once blocks arrive.
         raw: Bytes,
@@ -92,8 +87,6 @@ pub(crate) enum Inbound {
         missing: BlockId,
         /// Fetch start-height hint.
         from_height: u64,
-        /// The frame's claimed sender.
-        from: Option<ValidatorId>,
     },
 }
 
@@ -154,44 +147,6 @@ impl Session {
     fn buffered(&self) -> usize {
         self.inbuf.len() + (self.outbuf.len() - self.out_pos)
     }
-}
-
-enum FrameStep {
-    /// No complete frame buffered yet.
-    Incomplete,
-    /// One frame extracted.
-    Frame(Bytes),
-    /// The stream is unsalvageable (oversize/garbled length).
-    Corrupt,
-}
-
-/// Extracts one length-prefixed frame from `buf` if complete.
-fn extract_frame(buf: &mut Vec<u8>, max_len: usize) -> FrameStep {
-    let Some(prefix) = buf.get(..4) else {
-        return FrameStep::Incomplete;
-    };
-    let mut len_bytes = [0u8; 4];
-    len_bytes.copy_from_slice(prefix);
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len == 0 || len > max_len {
-        return FrameStep::Corrupt;
-    }
-    let Some(payload) = buf.get(4..4 + len) else {
-        return FrameStep::Incomplete;
-    };
-    let frame = Bytes::copy_from_slice(payload);
-    buf.drain(..4 + len);
-    FrameStep::Frame(frame)
-}
-
-/// Claimed sender id of a peer wire frame (fixed offset, decodable even
-/// when the chain does not resolve yet).
-pub(crate) fn frame_sender(frame: &Bytes) -> Option<ValidatorId> {
-    if frame.len() < 5 {
-        return None;
-    }
-    let mut buf = frame.slice(1..5);
-    Some(ValidatorId::new(buf.get_u32()))
 }
 
 /// Everything the I/O loop needs from the node.
@@ -261,7 +216,7 @@ pub(crate) fn io_loop(
         let mut buffered_total = 0u64;
         sessions.retain(|_, session| {
             if !session.closed {
-                flush_out(session, &mut stats);
+                flush_out(session);
             }
             buffered_total += session.buffered() as u64;
             if session.closed {
@@ -337,30 +292,11 @@ fn service_read(
         SessionKind::Peer => PEER_READ_BUDGET,
         _ => CLIENT_READ_BUDGET,
     };
-    let mut read_total = 0usize;
-    let mut chunk = [0u8; 4096];
-    while read_total < budget {
-        match session.stream.read(&mut chunk) {
-            Ok(0) => {
-                session.closed = true;
-                break;
-            }
-            Ok(n) => {
-                read_total += n;
-                if let Some(data) = chunk.get(..n) {
-                    session.inbuf.extend_from_slice(data);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                session.closed = true;
-                break;
-            }
-        }
-    }
+    // Any socket error ends the session, like an orderly close.
+    session.closed |= frame::fill(&mut session.stream, &mut session.inbuf, budget).unwrap_or(true);
 
     // Parse complete frames. Classification happens on the first one.
+    let mut consumed = 0;
     loop {
         let max_len = match session.kind {
             SessionKind::Peer => MAX_FRAME_BYTES,
@@ -369,7 +305,7 @@ fn service_read(
             // tells us what this is.
             SessionKind::Unknown => MAX_FRAME_BYTES,
         };
-        match extract_frame(&mut session.inbuf, max_len) {
+        match frame::take(&session.inbuf, &mut consumed, max_len) {
             FrameStep::Incomplete => break,
             FrameStep::Corrupt => {
                 stats.malformed += 1;
@@ -397,6 +333,7 @@ fn service_read(
             }
         }
     }
+    session.inbuf.drain(..consumed);
 }
 
 fn classify(session: &mut Session, frame: &Bytes, stats: &mut IngestStats) {
@@ -424,12 +361,7 @@ fn handle_peer_frame(frame: Bytes, cfg: &IngestConfig, stats: &mut IngestStats) 
         }
         Err(wire::WireError::MissingBlocks { missing, from_height }) => {
             stats.peer_frames += 1;
-            let _ = cfg.to_node.send(Inbound::NeedBlocks {
-                from: frame_sender(&frame),
-                raw: frame,
-                missing,
-                from_height,
-            });
+            let _ = cfg.to_node.send(Inbound::NeedBlocks { raw: frame, missing, from_height });
         }
         Err(_) => {
             stats.malformed += 1;
@@ -497,9 +429,8 @@ fn queue_ack(
     stats: &mut IngestStats,
 ) {
     let payload = encode_client_frame(&ClientFrame::SubmitAck { tx, status });
-    let len = payload.len() as u32;
-    session.outbuf.extend_from_slice(&len.to_be_bytes());
-    session.outbuf.extend_from_slice(&payload);
+    // An ack is a fixed few dozen bytes: always framable.
+    frame::push(&mut session.outbuf, &payload);
     if session.outbuf.len() - session.out_pos > CLIENT_OUTBUF_CAP {
         stats.slow_client_closes += 1;
         session.closed = true;
@@ -507,27 +438,7 @@ fn queue_ack(
 }
 
 /// Writes as much pending out-buffer as the socket accepts.
-fn flush_out(session: &mut Session, _stats: &mut IngestStats) {
-    while session.out_pos < session.outbuf.len() {
-        let Some(pending) = session.outbuf.get(session.out_pos..) else {
-            break;
-        };
-        match session.stream.write(pending) {
-            Ok(0) => {
-                session.closed = true;
-                break;
-            }
-            Ok(n) => session.out_pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                session.closed = true;
-                break;
-            }
-        }
-    }
-    if session.out_pos == session.outbuf.len() && session.out_pos > 0 {
-        session.outbuf.clear();
-        session.out_pos = 0;
-    }
+fn flush_out(session: &mut Session) {
+    let Session { stream, outbuf, out_pos, .. } = session;
+    session.closed |= frame::flush(stream, outbuf, out_pos).unwrap_or(true);
 }

@@ -33,7 +33,7 @@
 pub mod client;
 mod clock;
 mod cluster;
-mod codec;
+mod frame;
 mod ingest;
 mod node;
 
@@ -42,6 +42,6 @@ pub use clock::TickClock;
 pub use cluster::{
     ClusterConfig, ClusterError, ClusterReport, LocalCluster, NodeOutcome, RunningCluster,
 };
-pub use codec::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
+pub use frame::MAX_FRAME_BYTES;
 pub use ingest::{IngestStats, CLIENT_OUTBUF_CAP};
 pub use node::{DecidedEvent, NodeConfig, NodeHandle, WireStats};

@@ -12,11 +12,6 @@
 //!   Δ-boundaries, and writes the collected outgoing messages to the
 //!   peer mesh.
 //!
-//! The former layout (an acceptor thread sleep-polling `accept` plus
-//! one reader thread per inbound connection) scaled threads linearly
-//! with sockets; the ingest rewrite removes it so thousands of client
-//! connections fit in the two-thread budget above.
-//!
 //! Each node owns a private [`BlockStore`], and the message plane is
 //! **content-addressed delta sync**: log-carrying frames are hash
 //! announcements (tip hash + parent-hash list + a one-block inline
@@ -37,8 +32,19 @@
 //! Fetch responses are served from the local store by the validator
 //! (`serve_fetch`); the codec expands the referenced range into block
 //! bodies on encode and inserts them on decode.
+//!
+//! The two layers are the known duplicate left in the fetch path (see
+//! `DESIGN.md`): a `SignedMessage` holds a `Log`, and a `Log` cannot be
+//! constructed for a tip the private store lacks, so an undecodable
+//! frame can only wait as raw bytes, outside the validator.
+//!
+//! Byte formats live elsewhere: the length prefix in the `frame`
+//! module, the peer header in `tobsvd_types::wire`
+//! ([`wire::peek_header`] is all this module knows about a frame it
+//! cannot decode yet).
 
 use std::collections::{HashMap, VecDeque};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -51,12 +57,13 @@ use tobsvd_core::{TobConfig, Validator};
 use tobsvd_crypto::KeyCache;
 use tobsvd_sim::{AdmissionPolicy, AdmissionStats, Context, Mempool, Node as SimNode, Outgoing};
 use tobsvd_storage::{shared, FileDurable};
+use tobsvd_types::wire::{self, MessageClass};
 use tobsvd_types::{
-    wire, BlockId, BlockStore, Delta, Log, Payload, SignedMessage, Time, Transaction, ValidatorId,
+    BlockId, BlockStore, Delta, Log, Payload, SignedMessage, Time, Transaction, ValidatorId,
 };
 
 use crate::clock::TickClock;
-use crate::codec::write_frame;
+use crate::frame;
 use crate::ingest::{io_loop, Inbound, IngestConfig, IngestStats};
 
 /// Maximum frames parked at the session layer awaiting fetched blocks.
@@ -129,6 +136,29 @@ pub struct WireStats {
     pub agg_verify_skips: u64,
     /// Quorum certificates this node assembled and broadcast.
     pub certificates_emitted: u64,
+}
+
+/// Direction of a charged frame.
+#[derive(Clone, Copy)]
+enum Dir {
+    In,
+    Out,
+}
+
+impl WireStats {
+    /// Charges `bytes` of one frame to its per-class, per-direction
+    /// counter — the only place the class → counter mapping lives.
+    fn charge(&mut self, class: MessageClass, dir: Dir, bytes: u64) {
+        let counter = match (class, dir) {
+            (MessageClass::Announce, Dir::In) => &mut self.announce_bytes_in,
+            (MessageClass::Announce, Dir::Out) => &mut self.announce_bytes_out,
+            (MessageClass::Sync, Dir::In) => &mut self.sync_bytes_in,
+            (MessageClass::Sync, Dir::Out) => &mut self.sync_bytes_out,
+            (MessageClass::Certificate, Dir::In) => &mut self.certificate_bytes_in,
+            (MessageClass::Certificate, Dir::Out) => &mut self.certificate_bytes_out,
+        };
+        *counter += bytes;
+    }
 }
 
 /// One decision event of the node loop: at `tick`, the validator's
@@ -294,13 +324,7 @@ impl NodeState {
         match inbound {
             Inbound::Msg(msg, bytes) => {
                 self.frames_received += 1;
-                if msg.payload().is_sync() {
-                    self.wire.sync_bytes_in += bytes;
-                } else if matches!(msg.payload(), Payload::Certificate { .. }) {
-                    self.wire.certificate_bytes_in += bytes;
-                } else {
-                    self.wire.announce_bytes_in += bytes;
-                }
+                self.wire.charge(MessageClass::of(msg.payload()), Dir::In, bytes);
                 let was_response = matches!(msg.payload(), Payload::BlockResponse { .. });
                 let mut ctx = self.ctx(now);
                 self.validator.on_message(&msg, &mut ctx);
@@ -310,15 +334,15 @@ impl NodeState {
                     self.retry_parked(now);
                 }
             }
-            Inbound::NeedBlocks { raw, missing, from_height, from } => {
+            Inbound::NeedBlocks { raw, missing, from_height } => {
                 self.frames_received += 1;
-                if frame_is_sync(&raw) {
-                    self.wire.sync_bytes_in += raw.len() as u64;
-                } else if frame_is_certificate(&raw) {
-                    self.wire.certificate_bytes_in += raw.len() as u64;
-                } else {
-                    self.wire.announce_bytes_in += raw.len() as u64;
-                }
+                // The frame does not decode yet, but its fixed header
+                // already names the claimed sender and the byte class.
+                let (from, class) = match wire::peek_header(&raw) {
+                    Some((sender, class)) => (Some(sender), class),
+                    None => (None, MessageClass::Announce),
+                };
+                self.wire.charge(class, Dir::In, raw.len() as u64);
                 self.wire.frames_parked += 1;
                 if self.parked.len() >= PARKED_FRAMES_CAP {
                     self.parked.pop_front();
@@ -326,13 +350,7 @@ impl NodeState {
                 self.parked.push_back(ParkedFrame { missing, from_height, raw });
                 // Ask the frame's sender for the gap (any peer can
                 // answer the phase-boundary re-broadcasts).
-                let req = SignedMessage::sign(
-                    &self.keypair,
-                    self.me,
-                    Payload::BlockRequest { tip: missing, from_height },
-                );
-                self.wire.session_fetches += 1;
-                self.send_direct(&req, from);
+                self.session_fetch(missing, from_height, from);
             }
         }
     }
@@ -356,13 +374,7 @@ impl NodeState {
             requests.push((frame.missing, frame.from_height));
         }
         for (missing, from_height) in requests {
-            let req = SignedMessage::sign(
-                &self.keypair,
-                self.me,
-                Payload::BlockRequest { tip: missing, from_height },
-            );
-            self.wire.session_fetches += 1;
-            self.send_direct(&req, None);
+            self.session_fetch(missing, from_height, None);
         }
         let mut ctx = self.ctx(now);
         self.validator.on_phase(&mut ctx);
@@ -391,27 +403,47 @@ impl NodeState {
         self.parked = keep;
     }
 
-    /// Writes one message to a single peer (or all peers when `to` is
-    /// `None`).
-    fn send_direct(&mut self, msg: &SignedMessage, to: Option<ValidatorId>) {
-        let Ok(bytes) = wire::encode_message(msg, &self.store) else {
-            // Refusing the frame beats crashing the node; the counter
-            // makes the drop observable in the run report.
+    /// Encodes and frames `msg` once, then writes it to each of
+    /// `targets` that is a dialed peer: one `write_all` per peer under
+    /// its mutex, so the length prefix never leaves as a segment of its
+    /// own. Returns `false` when the message cannot be encoded —
+    /// refusing it beats crashing the node, and the counter makes the
+    /// drop observable in the run report.
+    fn send(&mut self, msg: &SignedMessage, targets: &[ValidatorId]) -> bool {
+        let Ok(payload) = wire::encode_message(msg, &self.store) else {
             self.wire.encode_failures += 1;
-            return;
+            return false;
         };
-        let targets: Vec<ValidatorId> = match to {
-            Some(t) => vec![t],
-            None => self.outbound.keys().copied().collect(),
-        };
+        let mut framed = Vec::new();
+        frame::push(&mut framed, &payload);
+        if framed.is_empty() {
+            // Too large to frame: it reaches no peer, as every reader
+            // would refuse it.
+            return true;
+        }
+        let class = MessageClass::of(msg.payload());
         for target in targets {
-            if let Some(stream) = self.outbound.get(&target) {
-                if write_frame(&mut *stream.lock(), &bytes).is_ok() {
-                    self.wire.sync_bytes_out += bytes.len() as u64;
-                    self.frames_sent += 1;
-                }
+            let Some(stream) = self.outbound.get(target) else { continue };
+            if stream.lock().write_all(&framed).is_ok() {
+                self.wire.charge(class, Dir::Out, payload.len() as u64);
+                self.frames_sent += 1;
             }
         }
+        true
+    }
+
+    fn peers(&self) -> Vec<ValidatorId> {
+        self.outbound.keys().copied().collect()
+    }
+
+    /// Issues one session-layer `BlockRequest` to a single peer (or all
+    /// peers when `to` is `None`).
+    fn session_fetch(&mut self, tip: BlockId, from_height: u64, to: Option<ValidatorId>) {
+        let payload = Payload::BlockRequest { tip, from_height };
+        let req = SignedMessage::sign(&self.keypair, self.me, payload);
+        self.wire.session_fetches += 1;
+        let targets = to.map_or_else(|| self.peers(), |t| vec![t]);
+        self.send(&req, &targets);
     }
 
     /// Sends a context's collected actions over the mesh. Self-copies go
@@ -419,38 +451,15 @@ impl NodeState {
     fn flush(&mut self, ctx: &mut Context) {
         for action in ctx.take_outbox() {
             let (targets, msg): (Vec<ValidatorId>, SignedMessage) = match action {
-                Outgoing::Broadcast(m) => {
-                    (self.outbound.keys().copied().chain([self.me]).collect(), m)
-                }
+                Outgoing::Broadcast(m) => (self.peers().into_iter().chain([self.me]).collect(), m),
                 // Forwards skip self: already processed.
-                Outgoing::Forward(m) => (self.outbound.keys().copied().collect(), m),
+                Outgoing::Forward(m) => (self.peers(), m),
                 Outgoing::ForwardTo(t, m) | Outgoing::Multicast(t, m) => (t, m),
             };
-            let Ok(bytes) = wire::encode_message(&msg, &self.store) else {
-                self.wire.encode_failures += 1;
-                continue;
-            };
-            let is_sync = msg.payload().is_sync();
-            let is_cert = matches!(msg.payload(), Payload::Certificate { .. });
-            for target in targets {
-                if target == self.me {
-                    // Self-copies never cross the network: charge 0
-                    // bytes so per-kind in/out stats reconcile.
-                    let _ = self.loopback.send(Inbound::Msg(msg, 0));
-                    continue;
-                }
-                if let Some(stream) = self.outbound.get(&target) {
-                    if write_frame(&mut *stream.lock(), &bytes).is_ok() {
-                        if is_sync {
-                            self.wire.sync_bytes_out += bytes.len() as u64;
-                        } else if is_cert {
-                            self.wire.certificate_bytes_out += bytes.len() as u64;
-                        } else {
-                            self.wire.announce_bytes_out += bytes.len() as u64;
-                        }
-                        self.frames_sent += 1;
-                    }
-                }
+            if self.send(&msg, &targets) && targets.contains(&self.me) {
+                // Self-copies never cross the network: charge 0
+                // bytes so per-kind in/out stats reconcile.
+                let _ = self.loopback.send(Inbound::Msg(msg, 0));
             }
         }
     }
@@ -587,18 +596,6 @@ fn run_node(
         decided_events: state.decided_events,
         fatal: None,
     }
-}
-
-/// Whether a raw frame carries a fetch-subprotocol payload (tag byte at
-/// the fixed offset after version + sender).
-fn frame_is_sync(frame: &Bytes) -> bool {
-    matches!(frame.get(5), Some(5 | 6))
-}
-
-/// Whether a raw frame carries a quorum certificate (same fixed tag
-/// offset).
-fn frame_is_certificate(frame: &Bytes) -> bool {
-    matches!(frame.get(5), Some(7))
 }
 
 fn dial_with_retry(addr: SocketAddr, until: std::time::Instant) -> Option<TcpStream> {

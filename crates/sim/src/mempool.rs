@@ -31,9 +31,10 @@
 //! An evicted transaction leaves the pool *and* the duplicate-
 //! suppression index: the client is expected to resubmit later, and a
 //! resubmission must not be silently swallowed as a duplicate.
-//! [`Mempool::new`] keeps the historical unbounded behavior
-//! ([`AdmissionPolicy::unbounded`]), so existing simulations and their
-//! fixed-seed fingerprints are untouched unless a policy is installed.
+//! The policy is fixed at construction: [`Mempool::bounded`] takes one,
+//! and [`Mempool::new`] is the same code path under
+//! [`AdmissionPolicy::unbounded`] (the pool of every simulation that
+//! does not ask for admission control).
 //!
 //! Two mechanisms keep memory bounded over million-tick sweeps:
 //!
@@ -80,8 +81,7 @@ pub struct AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
-    /// No limits: the historical pool behavior (and the default of
-    /// [`Mempool::new`], preserving existing simulation fingerprints).
+    /// No limits: the policy of [`Mempool::new`].
     pub fn unbounded() -> Self {
         AdmissionPolicy { capacity: usize::MAX, rate_cap: 0, rate_window: 1 }
     }
@@ -156,8 +156,6 @@ struct Inner {
     submitted: BTreeMap<TxId, Time>,
     /// Per-client rate-cap windows: client → (window index, accepted).
     rate: BTreeMap<u64, (u64, u32)>,
-    /// Admission policy.
-    policy: Option<AdmissionPolicy>,
     /// Admission counters.
     stats: AdmissionStats,
     /// Memoized set of tx ids included on the chain ending at each block.
@@ -167,10 +165,6 @@ struct Inner {
 }
 
 impl Inner {
-    fn policy(&self) -> AdmissionPolicy {
-        self.policy.unwrap_or_else(AdmissionPolicy::unbounded)
-    }
-
     fn memoize(&mut self, id: BlockId, set: Arc<BTreeSet<TxId>>) {
         if self.inclusion.insert(id, set).is_none() {
             self.inclusion_order.push_back(id);
@@ -238,8 +232,7 @@ impl Inner {
 /// use tobsvd_types::{BlockStore, Log, Time, Transaction};
 ///
 /// let store = BlockStore::new();
-/// let pool = Mempool::new();
-/// pool.set_policy(AdmissionPolicy { capacity: 1, rate_cap: 0, rate_window: 1 });
+/// let pool = Mempool::bounded(AdmissionPolicy { capacity: 1, rate_cap: 0, rate_window: 1 });
 /// let tx = Transaction::new(b"tx".to_vec());
 /// assert!(pool.admit(tx.clone(), Time::new(5), 3, Some(1)).is_accepted());
 /// // Pool full; an equal-or-lower fee is shed with Busy.
@@ -248,9 +241,16 @@ impl Inner {
 /// let pending = pool.pending_for(&Log::genesis(&store), &store);
 /// assert_eq!(pending, vec![tx]);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Mempool {
     inner: Arc<Mutex<Inner>>,
+    policy: AdmissionPolicy,
+}
+
+impl Default for Mempool {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Mempool {
@@ -260,29 +260,14 @@ impl Mempool {
     /// recomputed by walking to the nearest still-memoized ancestor.
     pub const INCLUSION_MEMO_CAP: usize = 1024;
 
-    /// Creates an empty pool with unbounded admission (the historical
-    /// behavior — install an [`AdmissionPolicy`] to bound it).
+    /// Creates an empty pool with unbounded admission.
     pub fn new() -> Self {
-        Self::default()
+        Self::bounded(AdmissionPolicy::unbounded())
     }
 
     /// Creates an empty pool with the given admission policy.
     pub fn bounded(policy: AdmissionPolicy) -> Self {
-        let pool = Self::default();
-        pool.set_policy(policy);
-        pool
-    }
-
-    /// Installs (or replaces) the admission policy. Already-pending
-    /// records are kept even if they exceed the new capacity; the bound
-    /// applies to subsequent admissions.
-    pub fn set_policy(&self, policy: AdmissionPolicy) {
-        self.inner.lock().policy = Some(policy);
-    }
-
-    /// The current admission policy.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.inner.lock().policy()
+        Mempool { inner: Arc::default(), policy }
     }
 
     /// Admission counters so far.
@@ -303,7 +288,7 @@ impl Mempool {
     /// identity, returning the explicit admission verdict.
     pub fn admit(&self, tx: Transaction, now: Time, fee: u64, client: Option<u64>) -> Admission {
         let mut inner = self.inner.lock();
-        let policy = inner.policy();
+        let policy = self.policy;
         let id = tx.id();
         if inner.submitted.contains_key(&id) {
             inner.stats.duplicates += 1;

@@ -181,22 +181,6 @@ impl Metrics {
         }
     }
 
-    /// Total *voting-phase* messages: original LOG + VOTE broadcasts.
-    pub fn voting_messages(&self) -> u64 {
-        self.log_broadcasts + self.vote_broadcasts
-    }
-
-    /// Total original broadcasts of any protocol kind (fetch traffic is
-    /// transport, not protocol, and is excluded — see
-    /// [`Metrics::sync_broadcasts`]).
-    pub fn total_broadcasts(&self) -> u64 {
-        self.log_broadcasts
-            + self.proposal_broadcasts
-            + self.vote_broadcasts
-            + self.recovery_broadcasts
-            + self.certificate_broadcasts
-    }
-
     /// Total fetch-subprotocol sends (requests + responses).
     pub fn sync_broadcasts(&self) -> u64 {
         self.block_request_broadcasts + self.block_response_broadcasts
@@ -205,15 +189,6 @@ impl Metrics {
     /// Delivered bytes of the fetch subprotocol (requests + responses).
     pub fn sync_bytes(&self) -> u64 {
         self.block_request_bytes + self.block_response_bytes
-    }
-
-    /// Wire bytes delivered per decided block, or `None` before any
-    /// decision — the headline delta-sync efficiency metric.
-    pub fn bytes_per_decided_block(&self) -> Option<f64> {
-        if self.decisions == 0 {
-            return None;
-        }
-        Some(self.bytes_delivered as f64 / self.decisions as f64)
     }
 
     /// Merges another metrics bundle into this one. Counters sum
@@ -271,8 +246,6 @@ mod tests {
         m.record_broadcast(MessageKind::BlockRequest);
         m.record_broadcast(MessageKind::BlockResponse);
         assert_eq!(m.log_broadcasts, 2);
-        assert_eq!(m.voting_messages(), 3);
-        assert_eq!(m.total_broadcasts(), 4, "fetch traffic is not a protocol broadcast");
         assert_eq!(m.sync_broadcasts(), 2);
     }
 

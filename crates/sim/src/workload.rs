@@ -135,7 +135,6 @@ pub struct OpenLoopWorkload {
     carry_milli: u64,
     /// Per-user nonces (only touched users occupy memory).
     nonces: BTreeMap<u64, u64>,
-    generated: u64,
 }
 
 impl OpenLoopWorkload {
@@ -146,18 +145,12 @@ impl OpenLoopWorkload {
             rng: StdRng::seed_from_u64(seed),
             carry_milli: 0,
             nonces: BTreeMap::new(),
-            generated: 0,
         }
     }
 
     /// The spec this generator was built from.
     pub fn spec(&self) -> OpenLoopSpec {
         self.spec
-    }
-
-    /// Total arrivals generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     /// Generates the arrivals for tick `now` (possibly none).
@@ -182,7 +175,6 @@ impl OpenLoopWorkload {
         let nonce = self.nonces.entry(user).or_insert(0);
         *nonce += 1;
         let tx = build_tx(user, *nonce, self.spec.tx_bytes);
-        self.generated += 1;
         Arrival { at: now, user, fee, tx }
     }
 

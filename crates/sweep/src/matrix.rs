@@ -3,7 +3,7 @@
 use tobsvd_adversary::{churn, AdaptiveLeaderCorruptor, SplitBrainNode};
 use tobsvd_core::{TobConfig, TobReport, TobSimulationBuilder, TxWorkload, ViewSchedule};
 use tobsvd_sim::{
-    AdmissionPolicy, AdvanceMode, BestCaseDelay, OpenLoopSpec, ParticipationSchedule,
+    AdmissionPolicy, BestCaseDelay, OpenLoopSpec, ParticipationSchedule,
     UniformDelay, WorstCaseDelay,
 };
 use tobsvd_types::{Delta, Time, ValidatorId, View};
@@ -184,8 +184,6 @@ pub struct Scenario {
     /// Bounded mempool admission policy (unbounded legacy pool if
     /// `None`).
     pub admission: Option<AdmissionPolicy>,
-    /// Engine time-advancement mode (event-driven unless overridden).
-    pub advance: AdvanceMode,
 }
 
 impl Scenario {
@@ -234,7 +232,6 @@ impl Scenario {
             .views(self.views)
             .seed(self.seed)
             .delta(delta)
-            .advance(self.advance)
             .workload(self.workload.build())
             .participation(self.participation.build(self.n, delta, horizon, self.seed));
         if let Some(policy) = self.admission {
@@ -297,8 +294,6 @@ pub struct ScenarioMatrix {
     pub workload: WorkloadSpec,
     /// Admission policy applied to every scenario (`None` = unbounded).
     pub admission: Option<AdmissionPolicy>,
-    /// Engine advancement mode applied to every scenario.
-    pub advance: AdvanceMode,
 }
 
 impl ScenarioMatrix {
@@ -316,7 +311,6 @@ impl ScenarioMatrix {
             adversaries: vec![AdversarySpec::None],
             workload: WorkloadSpec::PerView { count: 2, size: 48 },
             admission: None,
-            advance: AdvanceMode::EventDriven,
         }
     }
 
@@ -362,12 +356,6 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Sets the engine advancement mode for every scenario.
-    pub fn advance(mut self, mode: AdvanceMode) -> Self {
-        self.advance = mode;
-        self
-    }
-
     /// Number of scenarios in the expansion.
     pub fn len(&self) -> usize {
         self.ns.len()
@@ -403,7 +391,6 @@ impl ScenarioMatrix {
                                     adversary,
                                     workload: self.workload,
                                     admission: self.admission,
-                                    advance: self.advance,
                                 });
                             }
                         }

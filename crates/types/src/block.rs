@@ -25,7 +25,7 @@ impl fmt::Display for BlockId {
     }
 }
 
-/// A block: "a batch of transactions [containing] a reference to another
+/// A block: "a batch of transactions \[containing\] a reference to another
 /// block" (paper §3.2).
 ///
 /// Blocks are immutable once constructed; identity is the hash of the

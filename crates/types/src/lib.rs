@@ -61,7 +61,7 @@ pub use block::{Block, BlockId};
 pub use ids::ValidatorId;
 pub use log::Log;
 pub use message::{InstanceId, Payload, SignedMessage, SignerSet};
-pub use store::BlockStore;
+pub use store::{BlockStore, StoreError};
 pub use time::{Delta, Time};
 pub use tx::{Transaction, TxId};
 pub use view::View;

@@ -29,7 +29,7 @@ pub struct Log {
 }
 
 impl Log {
-    /// The genesis log Λ_g = [b_genesis].
+    /// The genesis log Λ_g = \[b_genesis\].
     pub fn genesis(store: &BlockStore) -> Log {
         Log { tip: store.genesis(), len: 1 }
     }

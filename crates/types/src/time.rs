@@ -51,11 +51,6 @@ impl Time {
     pub fn is_phase_boundary(&self, delta: Delta) -> bool {
         self.0 % delta.ticks() == 0
     }
-
-    /// Number of whole Δ intervals elapsed.
-    pub fn delta_count(&self, delta: Delta) -> u64 {
-        self.0 / delta.ticks()
-    }
 }
 
 impl Add<u64> for Time {
@@ -174,7 +169,6 @@ mod tests {
         assert!(Time::new(0).is_phase_boundary(d));
         assert!(Time::new(16).is_phase_boundary(d));
         assert!(!Time::new(17).is_phase_boundary(d));
-        assert_eq!(Time::new(25).delta_count(d), 3);
     }
 
     #[test]

@@ -159,6 +159,46 @@ fn payload_tag(payload: &Payload) -> u8 {
     }
 }
 
+/// The three byte-accounting classes of peer traffic: what the
+/// runtime's per-kind counters (and the simulator's per-kind metrics)
+/// split wire bytes into.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MessageClass {
+    /// LOG / PROPOSAL / VOTE / RECOVERY / FINALITY-VOTE announcements.
+    Announce,
+    /// The fetch subprotocol (`BlockRequest` / `BlockResponse`).
+    Sync,
+    /// Quorum certificates of the aggregation plane.
+    Certificate,
+}
+
+impl MessageClass {
+    /// The class of a decoded payload.
+    pub fn of(payload: &Payload) -> Self {
+        Self::of_tag(payload_tag(payload))
+    }
+
+    fn of_tag(tag: u8) -> Self {
+        match tag {
+            5 | 6 => MessageClass::Sync,
+            7 => MessageClass::Certificate,
+            _ => MessageClass::Announce,
+        }
+    }
+}
+
+/// Claimed sender and byte class of a raw peer frame, read off the fixed
+/// header (`version ‖ sender ‖ tag`) without touching the body — so it
+/// works on frames that cannot be decoded yet
+/// ([`WireError::MissingBlocks`]). `None` when the frame is shorter
+/// than the header. The claim is unauthenticated until the frame
+/// decodes and its signature verifies.
+pub fn peek_header(frame: &[u8]) -> Option<(ValidatorId, MessageClass)> {
+    let sender = <[u8; 4]>::try_from(frame.get(1..5)?).ok()?;
+    let tag = *frame.get(5)?;
+    Some((ValidatorId::new(u32::from_be_bytes(sender)), MessageClass::of_tag(tag)))
+}
+
 /// Minimal number of bitmap words needed to carry `signers` (index of
 /// the highest non-zero word, plus one).
 fn signer_word_count(signers: &SignerSet) -> usize {
@@ -373,12 +413,6 @@ pub fn inline_equivalent_len(msg: &SignedMessage, store: &BlockStore) -> u64 {
         Some(log) => crate::ENVELOPE_NOMINAL_BYTES + log.nominal_size(store),
         None => 0,
     }
-}
-
-/// Outcome classification helper: whether a [`WireError`] is the
-/// recoverable "park the frame and fetch" case.
-pub fn is_missing_blocks(err: &WireError) -> bool {
-    matches!(err, WireError::MissingBlocks { .. })
 }
 
 /// Decodes one message, inserting carried blocks into `store`.
@@ -1040,15 +1074,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn encoded_len_matches_encode_for_all_variants() {
-        let store = BlockStore::new();
-        let log = sample_log(&store);
+    /// One payload of each of the 8 variants, all over `sample_log`.
+    fn all_variants(store: &BlockStore) -> [Payload; 8] {
+        let log = sample_log(store);
         let (vrf, proof) = (
             VrfOutput(tobsvd_crypto::sha256(b"vrf")),
             VrfProof(tobsvd_crypto::sha256(b"proof")),
         );
-        let payloads = [
+        [
             Payload::Log { instance: InstanceId(9), log },
             Payload::Proposal { view: View::new(9), log, vrf, proof },
             Payload::Vote { instance: InstanceId(9), log },
@@ -1056,15 +1089,34 @@ mod tests {
             Payload::FinalityVote { epoch: 9, log },
             Payload::BlockRequest { tip: log.tip(), from_height: 1 },
             Payload::BlockResponse { tip: log.tip(), from_height: 1, count: log.len() - 1 },
-            sample_certificate(&store),
-        ];
-        for payload in payloads {
+            sample_certificate(store),
+        ]
+    }
+
+    #[test]
+    fn encoded_len_and_header_peek_agree_with_the_codec_for_all_variants() {
+        let store = BlockStore::new();
+        for payload in all_variants(&store) {
             let msg = signed(payload);
+            let frame = encode_message(&msg, &store).expect("encode");
             assert_eq!(
-                encode_message(&msg, &store).expect("encode").len() as u64,
+                frame.len() as u64,
                 encoded_len(&msg, &store).expect("len"),
                 "encoded_len disagrees for {payload:?}"
             );
+            let decoded = decode_message(frame.clone(), &store).expect("decode");
+            let class = match payload {
+                Payload::BlockRequest { .. } | Payload::BlockResponse { .. } => MessageClass::Sync,
+                Payload::Certificate { .. } => MessageClass::Certificate,
+                _ => MessageClass::Announce,
+            };
+            assert_eq!(MessageClass::of(decoded.payload()), class, "class of {payload:?}");
+            // The header is version + sender + tag: it reads off the
+            // first 6 bytes, and anything shorter has no claim to read.
+            assert_eq!(peek_header(&frame[..6]), Some((decoded.sender(), class)), "{payload:?}");
+            for cut in 0..6 {
+                assert_eq!(peek_header(&frame[..cut]), None, "{cut}-byte prefix");
+            }
         }
     }
 }

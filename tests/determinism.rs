@@ -344,3 +344,65 @@ fn event_driven_matches_tick_loop_with_delta_sync_fetch_traffic() {
         assert_eq!(evm.inline_equiv_bytes, tlm.inline_equiv_bytes);
     }
 }
+
+// ---------------------------------------------------------------------
+// Pinned per-vote transcript: the paper's relay strategy
+// (`certificates(false)`, immediate per-receiver forwarding) must keep
+// producing exactly this run — decided bytes, decision ticks and every
+// per-kind message/byte/verification counter. The value was taken at
+// the commit *before* the relay strategy moved behind
+// `Option<AggregationPlane>`, so it pins that the move altered no
+// message, forward or verification on the path that has no plane.
+// ---------------------------------------------------------------------
+
+fn per_vote_churn_run() -> TobReport {
+    let n = 8usize;
+    let views = 12u64;
+    let delta = Delta::default();
+    let horizon = View::new(views + 1).start_time(delta);
+    TobSimulationBuilder::new(n)
+        .views(views)
+        .seed(17)
+        .certificates(false)
+        .drop_while_asleep(true)
+        .recovery(true)
+        .participation(churn::rotating_sleep(n, 4, 4 * delta.ticks(), horizon))
+        .workload(TxWorkload::PerView { count: 2, size: 32 })
+        .run()
+        .expect("valid configuration")
+}
+
+#[test]
+fn per_vote_transcript_fingerprint_is_pinned() {
+    let report = per_vote_churn_run();
+    report.assert_safety();
+    let m = &report.report.metrics;
+    assert_eq!(m.certificate_broadcasts, 0, "per-vote mode emits no certificates");
+    assert!(m.forwards > 0 && m.sync_broadcasts() > 0, "the run must exercise echo and fetch");
+    let mut h = tob_svd::crypto::Hasher::new("test/per-vote-transcript");
+    h.update(&report_transcript(&report));
+    for counter in [
+        m.log_broadcasts,
+        m.proposal_broadcasts,
+        m.recovery_broadcasts,
+        m.block_request_broadcasts,
+        m.block_response_broadcasts,
+        m.forwards,
+        m.deliveries,
+        m.bytes_delivered,
+        m.inline_equiv_bytes,
+        m.sig_verifies,
+        m.sig_verify_skips,
+        m.vrf_verifies,
+        m.vrf_verify_skips,
+        m.dropped,
+        m.decisions,
+    ] {
+        h.update_u64(counter);
+    }
+    assert_eq!(
+        h.finalize().to_hex(),
+        "7f479a03bd4b21fb0c090bef69470a74687496d3a896139d3fc317bcc5cb32e8",
+        "the per-vote (certificates = false) run changed"
+    );
+}
