@@ -250,7 +250,7 @@ impl AggregationPlane {
     ) -> Vec<ValidatorId> {
         // A certificate naming validators outside the committee claims
         // votes that cannot exist; drop it outright.
-        if signers.is_empty() || signers.iter().any(|s| s.index() >= self.n) {
+        if signers.is_empty() || !signers.within(self.n) {
             return Vec::new();
         }
         let Some(g) = self.group_mut(instance, log) else { return Vec::new() };

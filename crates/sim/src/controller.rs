@@ -43,8 +43,9 @@ pub trait AdversaryController: Send {
     /// Called after all events of a tick have been processed.
     ///
     /// Under the event-driven engine this runs at every *executed* tick —
-    /// every tick that had a heap event, fell on a phase boundary, or was
-    /// requested via [`AdversaryController::next_wakeup`]. Ticks where
+    /// every tick that had a scheduled event or delivery, fell on a
+    /// phase boundary, or was requested via
+    /// [`AdversaryController::next_wakeup`]. Ticks where
     /// nothing happens (so `view.sent` would be empty) may be skipped
     /// entirely unless `next_wakeup` claims them.
     fn on_tick(&mut self, view: &TickView<'_>) -> Vec<AdversaryCommand>;

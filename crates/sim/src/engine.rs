@@ -13,9 +13,14 @@
 //! 4. **Deliveries** — in schedule order. Processing deliveries *before*
 //!    the phase timer makes "received by time t" inclusive, as the
 //!    paper's quorum arguments require.
-//! 5. **Phase** — on Δ-multiples, every awake node's `on_phase` runs (in
+//! 5. **Crash** — the process dies, *after* seeing the tick's deliveries.
+//! 6. **Restart** — a killed process comes back, rebuilt from durable
+//!    state, and runs `on_wake`; the tick's deliveries were dropped.
+//! 7. **StateFault** — a state corruption strikes (after a same-tick
+//!    restart, so it hits the recovered incarnation).
+//! 8. **Phase** — on Δ-multiples, every awake node's `on_phase` runs (in
 //!    validator order).
-//! 6. **Controller** — the adversary observes the tick's traffic and may
+//! 9. **Controller** — the adversary observes the tick's traffic and may
 //!    issue commands.
 //!
 //! # Time advancement
@@ -24,26 +29,68 @@
 //!
 //! * [`AdvanceMode::EventDriven`] (the default) jumps simulation time
 //!   directly to the next *interesting* tick —
-//!   `min(next heap event, next phase boundary, next controller wakeup)`
-//!   — and executes only those. A tick with no scheduled event, off the
-//!   Δ-grid, and unclaimed by [`AdversaryController::next_wakeup`] can
-//!   affect nothing (steps 1–4 have no events to drain, step 5 does not
-//!   fire, and step 6 would see an empty [`TickView`]), so skipping it
-//!   is unobservable. In particular, no RNG draws happen on skipped
-//!   ticks (delays are drawn per delivery when a message is sent), so
-//!   the event-driven engine produces **byte-identical transcripts** to
-//!   the tick loop for the same seed and inputs.
+//!   `min(next heap event, next delivery bucket, next phase boundary,
+//!   next controller wakeup)` — and executes only those. A tick with no
+//!   scheduled event or delivery, off the Δ-grid, and unclaimed by
+//!   [`AdversaryController::next_wakeup`] can affect nothing (steps 1–7
+//!   have nothing to drain, step 8 does not fire, and step 9 would see
+//!   an empty [`TickView`]), so skipping it is unobservable. In
+//!   particular, no RNG draws happen on skipped ticks (delays are drawn
+//!   per delivery when a message is sent), so the event-driven engine
+//!   produces **byte-identical transcripts** to the tick loop for the
+//!   same seed and inputs.
 //! * [`AdvanceMode::TickLoop`] executes every tick in `[0, t_end]` —
 //!   the original reference semantics, kept as the oracle for the
-//!   differential determinism suite and the speedup benchmarks.
+//!   differential determinism suite and the speedup benchmarks. It
+//!   shares `step_tick` with the event-driven mode, so it is the oracle
+//!   for time advancement and for nothing else.
 //!
 //! [`Metrics::executed_ticks`] counts the ticks actually executed; in
 //! sparse executions (long horizons, large Δ, quiet controllers) it is
 //! orders of magnitude below [`Metrics::ticks`], which is where the
 //! event-driven engine's speedup comes from.
+//!
+//! # Delivery order
+//!
+//! Deliveries are nearly all events, so they bypass the heap: each tick
+//! has a bucket that copies are appended to when the message is sent.
+//! Appends happen in the order the heap's `seq` counter used to number
+//! them, so a bucket read front to back *is* the `(time, Deliver, seq)`
+//! order — the **event order** below.
+//!
+//! Step 4 does not call the nodes in event order. A broadcast is n
+//! consecutive events for n different recipients, and calling them
+//! round-robin lands every call on a validator whose state left the
+//! cache n − 1 calls ago (at n = 256, half of `on_message`'s time).
+//! The bucket is drained **recipient by recipient** instead: one pass
+//! in event order does the byte accounting and settles each delivery's
+//! fate (received, buffered, dropped) as a per-event loop would; a
+//! stable counting sort groups the received ones by recipient; each
+//! recipient's node is checked out once and gets its messages in their
+//! original relative order; and what those calls emitted is applied
+//! afterwards **in event order**. The regrouping is unobservable:
+//!
+//! * *Nodes cannot tell.* A node sees only its own receptions, in the
+//!   same relative order. What a call emits lands at `now + delay`,
+//!   `delay ≥ 1`, never in the bucket being drained, and slot state
+//!   (awake, crashed, Byzantine) changes only in the other steps. Nodes
+//!   share the content-addressed [`BlockStore`], where insertion order
+//!   cannot change what an id resolves to, and the [`Mempool`], which
+//!   `on_message` does not write and the engine prunes only when it
+//!   applies a decision.
+//! * *The engine replays.* Everything order-sensitive on its side —
+//!   which bucket a copy joins and where, the delivery filter, the
+//!   delay policy's RNG draws, the controller's [`TickView`], decisions
+//!   reaching observer, invariants and mempool prune — happens while
+//!   applying effects, in event order whichever order the calls ran
+//!   in. The per-call crypto counts are sums.
+//!
+//! A wake-up's buffered messages are one recipient's run through the
+//! same helper. `tests/transcript_golden.rs` pins transcripts recorded
+//! from the per-event engine.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -80,8 +127,8 @@ pub type RestartFactory = Box<dyn FnMut(ValidatorId, Time) -> Box<dyn Node> + Se
 /// whether provably-inert ticks are visited at all (see the module doc).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AdvanceMode {
-    /// Jump straight to the next heap event, phase boundary, or
-    /// controller wakeup. O(events + phases) per run.
+    /// Jump straight to the next heap event, delivery bucket, phase
+    /// boundary, or controller wakeup. O(events + phases) per run.
     #[default]
     EventDriven,
     /// Visit every tick of the horizon. O(horizon) per run; the
@@ -89,25 +136,43 @@ pub enum AdvanceMode {
     TickLoop,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Where the tick's delivery bucket sits in the within-tick order:
+/// heap events ranked below it run before the deliveries, the rest after.
+const DELIVER_RANK: u8 = 3;
+
+/// The rare events, which stay in the heap (deliveries have their own
+/// per-tick [`Bucket`]).
+#[derive(Clone, Copy)]
 enum EventKind {
-    Wake = 0,
-    Sleep = 1,
-    Corrupt = 2,
-    Deliver = 3,
+    Wake,
+    Sleep,
+    Corrupt,
     /// Kill fault: the process dies at this tick. Deliveries scheduled
-    /// for the same tick land first (and are dropped — the dying
-    /// process never saw them durably), matching the ordering of the
-    /// other state transitions.
-    Crash = 4,
+    /// for the same tick land first (the dying process saw them, never
+    /// durably), matching the ordering of the other state transitions.
+    Crash,
     /// The killed process comes back, rebuilt by the restart factory
     /// from durable state only.
-    Restart = 5,
-    /// State corruption: a [`crate::StateFault`] strikes the target's
+    Restart,
+    /// State corruption: the [`crate::StateFault`] strikes the target's
     /// in-memory (or durable-image) state. Ordered after Restart so a
     /// same-tick corruption hits the *recovered* incarnation — the
     /// worst case for the stabilization layer.
-    StateFault = 6,
+    StateFault(StateFault),
+}
+
+impl EventKind {
+    /// Position in the within-tick order (see the module doc).
+    fn rank(self) -> u8 {
+        match self {
+            EventKind::Wake => 0,
+            EventKind::Sleep => 1,
+            EventKind::Corrupt => 2,
+            EventKind::Crash => DELIVER_RANK + 1,
+            EventKind::Restart => DELIVER_RANK + 2,
+            EventKind::StateFault(_) => DELIVER_RANK + 3,
+        }
+    }
 }
 
 /// One broadcast's shared delivery payload: the `Arc`'d message plus
@@ -128,17 +193,11 @@ struct Event {
     kind: EventKind,
     seq: u64,
     target: ValidatorId,
-    /// Delivery events share one `Arc`'d message per broadcast: the
-    /// engine allocates once in `apply_context` and every per-recipient
-    /// event holds a handle, not a deep copy.
-    msg: Option<Delivery>,
-    /// State-fault events carry the corruption to apply.
-    fault: Option<StateFault>,
 }
 
 impl Event {
-    fn key(&self) -> (Time, EventKind, u64) {
-        (self.time, self.kind, self.seq)
+    fn key(&self) -> (Time, u8, u64) {
+        (self.time, self.kind.rank(), self.seq)
     }
 }
 
@@ -157,6 +216,28 @@ impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key().cmp(&other.key())
     }
+}
+
+/// The deliveries scheduled for one tick, in scheduling order.
+#[derive(Default)]
+struct Bucket {
+    /// One entry per broadcast with a copy landing on this tick (the
+    /// copies of one broadcast are scheduled back to back, so a new
+    /// entry is needed only when the message changes).
+    shares: Vec<Delivery>,
+    /// `(recipient, index into shares)` per delivery. Eight bytes: the
+    /// per-vote flood schedules n³ copies onto one tick.
+    entries: Vec<(u32, u32)>,
+}
+
+/// What one `on_message` call emitted, set aside until the whole run of
+/// calls is over and applied in `tag` order.
+struct Effect {
+    /// The call's position in event order.
+    tag: u32,
+    from: ValidatorId,
+    outbox: Vec<Outgoing>,
+    decisions: Vec<Log>,
 }
 
 struct Slot {
@@ -412,6 +493,11 @@ impl SimulationBuilder {
             time: Time::ZERO,
             seq: 0,
             events: BinaryHeap::new(),
+            deliveries: BTreeMap::new(),
+            spare_buckets: Vec::new(),
+            group_ends: Vec::new(),
+            group_order: Vec::new(),
+            effects: Vec::new(),
             slots,
             sent_this_tick: Vec::new(),
             target_marks: vec![false; self.cfg.n],
@@ -448,6 +534,19 @@ pub struct Simulation {
     time: Time,
     seq: u64,
     events: BinaryHeap<Reverse<Event>>,
+    /// Pending deliveries, one bucket per tick (a map, not a ring: the
+    /// checker's hostile scenarios drive Δ toward `u64::MAX`).
+    deliveries: BTreeMap<Time, Bucket>,
+    /// Drained buckets, kept for their capacity.
+    spare_buckets: Vec<Bucket>,
+    /// Scratch of [`Simulation::drain_bucket`]'s counting sort: per
+    /// validator, where its group ends in `group_order`.
+    group_ends: Vec<u32>,
+    /// Scratch: bucket entry indices grouped by recipient, each group in
+    /// event order.
+    group_order: Vec<u32>,
+    /// Scratch: effects of the run of `on_message` calls in progress.
+    effects: Vec<Effect>,
     slots: Vec<Slot>,
     participation: ParticipationSchedule,
     corruption: CorruptionSchedule,
@@ -497,52 +596,34 @@ impl Simulation {
         for v in ValidatorId::all(self.cfg.n) {
             // Byzantine-from-genesis validators are always awake.
             if self.corruption.is_byzantine(v, Time::ZERO) {
-                self.push_event(Time::ZERO, EventKind::Corrupt, v, None);
-                self.push_event(Time::ZERO, EventKind::Wake, v, None);
+                self.push_event(Time::ZERO, EventKind::Corrupt, v);
+                self.push_event(Time::ZERO, EventKind::Wake, v);
                 continue;
             }
             for (t, wake) in self.participation.transitions(v) {
                 let kind = if wake { EventKind::Wake } else { EventKind::Sleep };
-                self.push_event(t, kind, v, None);
+                self.push_event(t, kind, v);
             }
             if let Some(eff) = self.corruption.effective_time(v) {
-                self.push_event(eff, EventKind::Corrupt, v, None);
+                self.push_event(eff, EventKind::Corrupt, v);
             }
         }
         let faults = std::mem::take(&mut self.crashes);
         for (v, at, restart_at) in &faults {
-            self.push_event(*at, EventKind::Crash, *v, None);
-            self.push_event(*restart_at, EventKind::Restart, *v, None);
+            self.push_event(*at, EventKind::Crash, *v);
+            self.push_event(*restart_at, EventKind::Restart, *v);
         }
         self.crashes = faults;
         let corruptions = std::mem::take(&mut self.state_faults);
         for (v, at, fault) in &corruptions {
-            self.push_state_fault(*at, *v, *fault);
+            self.push_event(*at, EventKind::StateFault(*fault), *v);
         }
         self.state_faults = corruptions;
     }
 
-    fn push_event(
-        &mut self,
-        time: Time,
-        kind: EventKind,
-        target: ValidatorId,
-        msg: Option<Delivery>,
-    ) {
+    fn push_event(&mut self, time: Time, kind: EventKind, target: ValidatorId) {
         self.seq += 1;
-        self.events.push(Reverse(Event { time, kind, seq: self.seq, target, msg, fault: None }));
-    }
-
-    fn push_state_fault(&mut self, time: Time, target: ValidatorId, fault: StateFault) {
-        self.seq += 1;
-        self.events.push(Reverse(Event {
-            time,
-            kind: EventKind::StateFault,
-            seq: self.seq,
-            target,
-            msg: None,
-            fault: Some(fault),
-        }));
+        self.events.push(Reverse(Event { time, kind, seq: self.seq, target }));
     }
 
     /// Current simulation time.
@@ -652,8 +733,8 @@ impl Simulation {
     }
 
     /// The earliest tick at or after `self.time` where anything can
-    /// happen: a scheduled heap event, a Δ phase boundary, or a
-    /// controller-requested wakeup.
+    /// happen: a scheduled heap event, a delivery bucket, a Δ phase
+    /// boundary, or a controller-requested wakeup.
     fn next_interesting_tick(&mut self) -> Time {
         let now = self.time;
         let delta = self.cfg.delta.ticks();
@@ -664,6 +745,10 @@ impl Simulation {
         if let Some(Reverse(ev)) = self.events.peek() {
             debug_assert!(ev.time >= now, "stale event below current time");
             next = next.min(ev.time.max(now));
+        }
+        if let Some((&at, _)) = self.deliveries.first_key_value() {
+            debug_assert!(at >= now, "stale delivery bucket below current time");
+            next = next.min(at.max(now));
         }
         if let Some(wakeup) = self.controller.next_wakeup(now) {
             next = next.min(wakeup.max(now));
@@ -677,18 +762,18 @@ impl Simulation {
         self.metrics.executed_ticks += 1;
         self.sent_this_tick.clear();
 
-        // 1–4: drain all heap events scheduled for this tick, in
-        // (kind, seq) order — the heap ordering guarantees this.
-        while let Some(Reverse(ev)) = self.events.peek() {
-            debug_assert!(ev.time >= now, "event in the past");
-            if ev.time > now {
-                break;
-            }
-            let Reverse(ev) = self.events.pop().expect("peeked");
-            self.apply_event(ev);
+        // 1–3, 4, 5–7: the heap events ranked before the deliveries,
+        // the tick's bucket, the heap events ranked after.
+        self.drain_heap(DELIVER_RANK);
+        if let Some(mut bucket) = self.deliveries.remove(&now) {
+            self.drain_bucket(&bucket);
+            bucket.shares.clear();
+            bucket.entries.clear();
+            self.spare_buckets.push(bucket);
         }
+        self.drain_heap(u8::MAX);
 
-        // 5: phase boundary.
+        // 8: phase boundary.
         if now.is_phase_boundary(self.cfg.delta) {
             for i in 0..self.slots.len() {
                 if self.slots[i].awake {
@@ -697,7 +782,7 @@ impl Simulation {
             }
         }
 
-        // 6: adversary controller.
+        // 9: adversary controller.
         let commands = {
             let view = TickView { time: now, sent: &self.sent_this_tick };
             self.controller.on_tick(&view)
@@ -709,24 +794,28 @@ impl Simulation {
         self.time += 1;
     }
 
+    /// Applies this tick's heap events ranked below `rank`, in
+    /// `(rank, seq)` order — the heap ordering guarantees this.
+    fn drain_heap(&mut self, rank: u8) {
+        while let Some(Reverse(ev)) = self.events.peek() {
+            debug_assert!(ev.time >= self.time, "event in the past");
+            if ev.time > self.time || ev.kind.rank() >= rank {
+                break;
+            }
+            let Reverse(ev) = self.events.pop().expect("peeked");
+            self.apply_event(ev);
+        }
+    }
+
     fn apply_event(&mut self, ev: Event) {
         let idx = ev.target.index();
         match ev.kind {
             EventKind::Wake => {
                 // A crashed process cannot wake: only a Restart (which
                 // rebuilds it from durable state) brings it back.
-                if self.slots[idx].awake || self.slots[idx].crashed {
-                    return;
+                if !self.slots[idx].awake && !self.slots[idx].crashed {
+                    self.wake_up(idx);
                 }
-                self.slots[idx].awake = true;
-                let t = self.time;
-                self.slots[idx].transitions.push((t, true));
-                // Deliver everything buffered while asleep, then on_wake.
-                let buffered: Vec<Arc<SignedMessage>> = std::mem::take(&mut self.slots[idx].buffer);
-                for msg in buffered {
-                    self.call_node(idx, |node, ctx| node.on_message(&msg, ctx));
-                }
-                self.call_node(idx, |node, ctx| node.on_wake(ctx));
             }
             EventKind::Sleep => {
                 // Byzantine validators are always awake.
@@ -754,42 +843,7 @@ impl Simulation {
                 }
                 // Byzantine validators are always awake.
                 if !self.slots[idx].awake {
-                    self.slots[idx].awake = true;
-                    let t = self.time;
-                    self.slots[idx].transitions.push((t, true));
-                    let buffered: Vec<Arc<SignedMessage>> =
-                        std::mem::take(&mut self.slots[idx].buffer);
-                    for msg in buffered {
-                        self.call_node(idx, |node, ctx| node.on_message(&msg, ctx));
-                    }
-                    self.call_node(idx, |node, ctx| node.on_wake(ctx));
-                }
-            }
-            EventKind::Deliver => {
-                let delivery = ev.msg.expect("deliver event carries a message");
-                // Byte accounting: the copy's actual wire encoding under
-                // the delta-sync codec, plus what the old full-chain
-                // codec would have shipped (for the savings ratio) —
-                // both computed once per broadcast at send time.
-                let msg = delivery.msg;
-                self.metrics.record_delivery(
-                    kind_of(msg.payload()),
-                    delivery.wire_len,
-                    delivery.inline_len,
-                );
-                if self.slots[idx].crashed {
-                    // A dead process receives nothing, and nothing
-                    // buffers for it — regardless of the sleep mode.
-                    self.metrics.dropped += 1;
-                } else if self.slots[idx].awake {
-                    self.call_node(idx, |node, ctx| node.on_message(&msg, ctx));
-                } else if self.drop_while_asleep {
-                    // The practical setting of §2: nobody buffers for
-                    // you; the recovery protocol must fill the gap.
-                    self.metrics.dropped += 1;
-                } else {
-                    self.metrics.buffered += 1;
-                    self.slots[idx].buffer.push(msg);
+                    self.wake_up(idx);
                 }
             }
             EventKind::Crash => {
@@ -816,15 +870,13 @@ impl Simulation {
                 self.slots[idx].crashed = false;
                 let replacement = (self.restart_factory)(ev.target, self.time);
                 self.slots[idx].node = replacement;
-                self.slots[idx].awake = true;
-                let t = self.time;
-                self.slots[idx].transitions.push((t, true));
-                // Restart is semantically a wake-up with amnesia: no
-                // buffered deliveries exist, so the node goes straight
-                // to on_wake (where the §2 recovery broadcast fires).
-                self.call_node(idx, |node, ctx| node.on_wake(ctx));
+                // Restart is semantically a wake-up with amnesia: the
+                // buffer died with the process, so the node goes
+                // straight to on_wake (where the §2 recovery broadcast
+                // fires).
+                self.wake_up(idx);
             }
-            EventKind::StateFault => {
+            EventKind::StateFault(fault) => {
                 // A crashed process has no volatile state to corrupt
                 // (its durable image is reachable only through a node,
                 // which is gone too). Sleep does NOT protect: bit rot
@@ -833,11 +885,146 @@ impl Simulation {
                 if self.slots[idx].crashed {
                     return;
                 }
-                let fault = ev.fault.expect("state-fault event carries a fault");
                 self.metrics.state_corruptions += 1;
                 self.call_node(idx, |node, ctx| node.on_state_fault(&fault, ctx));
             }
         }
+    }
+
+    /// Marks slot `idx` awake, delivers everything buffered while it
+    /// slept (one run, in arrival order), then runs `on_wake`.
+    fn wake_up(&mut self, idx: usize) {
+        self.slots[idx].awake = true;
+        let t = self.time;
+        self.slots[idx].transitions.push((t, true));
+        let buffered = std::mem::take(&mut self.slots[idx].buffer);
+        let mut ctx = self.context(idx);
+        self.receive_run(idx, &mut ctx, (0..).zip(buffered.iter().map(|msg| &**msg)));
+        self.apply_effects();
+        self.call_node(idx, |node, ctx| node.on_wake(ctx));
+    }
+
+    /// Step 4: the tick's deliveries, drained recipient by recipient
+    /// (the module doc's "Delivery order" argues why that is
+    /// unobservable).
+    fn drain_bucket(&mut self, bucket: &Bucket) {
+        let mut ends = std::mem::take(&mut self.group_ends);
+        let mut order = std::mem::take(&mut self.group_order);
+        ends.clear();
+        ends.resize(self.slots.len(), 0);
+        // Accounting and disposition, in event order. Byte accounting:
+        // the copy's actual wire encoding under the delta-sync codec,
+        // plus what the old full-chain codec would have shipped (for
+        // the savings ratio) — both computed once per broadcast at send
+        // time. Slot state cannot change inside the run of deliveries
+        // (and `awake` implies not crashed).
+        for &(to, share) in &bucket.entries {
+            let delivery = &bucket.shares[share as usize];
+            self.metrics.record_delivery(
+                kind_of(delivery.msg.payload()),
+                delivery.wire_len,
+                delivery.inline_len,
+            );
+            let slot = &mut self.slots[to as usize];
+            debug_assert!(!(slot.awake && slot.crashed), "a crashed process is never awake");
+            if slot.awake {
+                ends[to as usize] += 1;
+            } else if slot.crashed || self.drop_while_asleep {
+                // A dead process receives nothing, and nothing buffers
+                // for it — regardless of the sleep mode. For a sleeper,
+                // the practical setting of §2: nobody buffers for you;
+                // the recovery protocol must fill the gap.
+                self.metrics.dropped += 1;
+            } else {
+                self.metrics.buffered += 1;
+                slot.buffer.push(Arc::clone(&delivery.msg));
+            }
+        }
+        // Stable counting sort of the received deliveries by recipient:
+        // counts → group starts → (after the scatter) group ends.
+        let mut received = 0u32;
+        for end in &mut ends {
+            received += std::mem::replace(end, received);
+        }
+        order.clear();
+        order.resize(received as usize, 0);
+        for (i, &(to, _)) in bucket.entries.iter().enumerate() {
+            if self.slots[to as usize].awake {
+                let at = &mut ends[to as usize];
+                order[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
+        let mut ctx = self.context(0);
+        let mut start = 0;
+        for (idx, &end) in ends.iter().enumerate() {
+            let end = end as usize;
+            if end > start {
+                let run = order[start..end].iter().map(|&i| {
+                    let (_, share) = bucket.entries[i as usize];
+                    (i, &*bucket.shares[share as usize].msg)
+                });
+                self.receive_run(idx, &mut ctx, run);
+            }
+            start = end;
+        }
+        self.apply_effects();
+        self.group_ends = ends;
+        self.group_order = order;
+    }
+
+    /// Checks the node of slot `idx` out once and hands it `msgs` in
+    /// order through the reused `ctx`. Whatever a call emits is set
+    /// aside in `self.effects` under the call's tag, for
+    /// [`Simulation::apply_effects`].
+    fn receive_run<'a>(
+        &mut self,
+        idx: usize,
+        ctx: &mut Context,
+        msgs: impl Iterator<Item = (u32, &'a SignedMessage)>,
+    ) {
+        let from = ValidatorId::new(idx as u32);
+        ctx.me = from;
+        let mut node: Box<dyn Node> = std::mem::replace(&mut self.slots[idx].node, Box::new(IdleNode));
+        for (tag, msg) in msgs {
+            node.on_message(msg, ctx);
+            self.metrics.record_crypto(std::mem::take(&mut ctx.crypto_ops));
+            if !ctx.outbox.is_empty() || !ctx.decisions.is_empty() {
+                // Held until the bucket is done: a recovery reply's
+                // hundreds of 288-byte actions should not also hold
+                // their `Vec`'s growth slack.
+                ctx.outbox.shrink_to_fit();
+                self.effects.push(Effect {
+                    tag,
+                    from,
+                    outbox: std::mem::take(&mut ctx.outbox),
+                    decisions: std::mem::take(&mut ctx.decisions),
+                });
+            }
+        }
+        self.slots[idx].node = node;
+    }
+
+    /// Applies the effects set aside by [`Simulation::receive_run`], in
+    /// the event order of the calls that caused them.
+    fn apply_effects(&mut self) {
+        let mut effects = std::mem::take(&mut self.effects);
+        effects.sort_unstable_by_key(|e| e.tag);
+        for e in effects.drain(..) {
+            self.apply_actions(e.from, e.outbox, e.decisions);
+        }
+        self.effects = effects;
+    }
+
+    /// A fresh callback context for the validator in slot `idx`.
+    fn context(&self, idx: usize) -> Context {
+        Context::new(
+            self.time,
+            ValidatorId::new(idx as u32),
+            self.cfg.delta,
+            self.store.clone(),
+            self.mempool.clone(),
+        )
     }
 
     /// Checks a node out of its slot, runs `f` with a fresh context, puts
@@ -846,30 +1033,19 @@ impl Simulation {
     where
         F: FnOnce(&mut Box<dyn Node>, &mut Context),
     {
-        let me = ValidatorId::new(idx as u32);
-        let mut ctx = Context::new(
-            self.time,
-            me,
-            self.cfg.delta,
-            self.store.clone(),
-            self.mempool.clone(),
-        );
+        let mut ctx = self.context(idx);
         let mut node: Box<dyn Node> = std::mem::replace(&mut self.slots[idx].node, Box::new(IdleNode));
         f(&mut node, &mut ctx);
         self.slots[idx].node = node;
-        self.apply_context(idx, ctx);
+        self.metrics.record_crypto(ctx.crypto_ops);
+        self.apply_actions(ValidatorId::new(idx as u32), ctx.outbox, ctx.decisions);
     }
 
-    fn apply_context(&mut self, idx: usize, ctx: Context) {
-        let from = ValidatorId::new(idx as u32);
-        let byzantine = self.slots[idx].byzantine;
-        self.metrics.sig_verifies += ctx.crypto_ops.sig_verifies;
-        self.metrics.sig_verify_skips += ctx.crypto_ops.sig_verify_skips;
-        self.metrics.vrf_verifies += ctx.crypto_ops.vrf_verifies;
-        self.metrics.vrf_verify_skips += ctx.crypto_ops.vrf_verify_skips;
-        self.metrics.agg_verifies += ctx.crypto_ops.agg_verifies;
-        self.metrics.agg_verify_skips += ctx.crypto_ops.agg_verify_skips;
-        for out in ctx.outbox {
+    /// Applies what one callback of validator `from` emitted: schedules
+    /// its messages, then reports its decisions.
+    fn apply_actions(&mut self, from: ValidatorId, outbox: Vec<Outgoing>, decisions: Vec<Log>) {
+        let byzantine = self.slots[from.index()].byzantine;
+        for out in outbox {
             // One allocation (and one byte-length computation) per
             // broadcast: every delivery event and the controller's tick
             // view share the handle.
@@ -896,8 +1072,8 @@ impl Simulation {
                 }
             }
         }
-        let decided_something = !ctx.decisions.is_empty();
-        for log in ctx.decisions {
+        let decided_something = !decisions.is_empty();
+        for log in decisions {
             self.metrics.decisions += 1;
             if !byzantine {
                 let t = self.time;
@@ -988,8 +1164,16 @@ impl Simulation {
                 .delay(msg, from, to, self.time, delta, &mut self.rng)
                 .clamp(1, delta.ticks().saturating_mul(self.max_delay_factor))
         };
-        let at = self.time + delay;
-        self.push_event(at, EventKind::Deliver, to, Some(delivery.clone()));
+        // Appending is scheduling: bucket order is event order.
+        let spare = &mut self.spare_buckets;
+        let bucket = self
+            .deliveries
+            .entry(self.time + delay)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
+        if !bucket.shares.last().is_some_and(|last| Arc::ptr_eq(&last.msg, msg)) {
+            bucket.shares.push(delivery.clone());
+        }
+        bucket.entries.push((to.raw(), (bucket.shares.len() - 1) as u32));
     }
 
     fn apply_command(&mut self, cmd: AdversaryCommand) {
@@ -1000,15 +1184,15 @@ impl Simulation {
                 }
                 let t = self.time;
                 let eff = self.corruption.schedule(v, t, self.cfg.delta);
-                self.push_event(eff, EventKind::Corrupt, v, None);
+                self.push_event(eff, EventKind::Corrupt, v);
             }
             AdversaryCommand::Sleep(v) => {
                 let t = self.time + 1;
-                self.push_event(t, EventKind::Sleep, v, None);
+                self.push_event(t, EventKind::Sleep, v);
             }
             AdversaryCommand::Wake(v) => {
                 let t = self.time + 1;
-                self.push_event(t, EventKind::Wake, v, None);
+                self.push_event(t, EventKind::Wake, v);
             }
         }
     }
@@ -1314,6 +1498,164 @@ mod tests {
             .unwrap();
         assert_eq!(probe.msgs_before_phase_at_8, 1, "delivery at t=8 must precede phase at t=8");
         assert!(probe.phase8_seen);
+    }
+
+    // -----------------------------------------------------------------
+    // Same-tick seams of the split drain: heap events ranked before the
+    // deliveries, the tick's bucket, heap events ranked after.
+    // -----------------------------------------------------------------
+
+    /// `(when, recipient, original sender)` of every reception, shared by
+    /// all of a run's [`Recorder`]s so it survives a crash.
+    type ReceptionLog = Arc<std::sync::Mutex<Vec<(Time, ValidatorId, ValidatorId)>>>;
+
+    /// Broadcasts one LOG at t = 0, logs every reception, and forwards
+    /// whatever it receives at `forward_at`.
+    struct Recorder {
+        me: ValidatorId,
+        log: ReceptionLog,
+        forward_at: Option<Time>,
+    }
+
+    impl Node for Recorder {
+        fn on_phase(&mut self, ctx: &mut Context) {
+            if ctx.time == Time::ZERO {
+                let kp = Keypair::from_seed(self.me.key_seed());
+                ctx.broadcast(SignedMessage::sign(
+                    &kp,
+                    self.me,
+                    Payload::Log { instance: InstanceId(0), log: Log::genesis(&ctx.store) },
+                ));
+            }
+        }
+        fn on_message(&mut self, msg: &SignedMessage, ctx: &mut Context) {
+            self.log.lock().unwrap().push((ctx.time, self.me, msg.sender()));
+            if self.forward_at == Some(ctx.time) {
+                ctx.forward(*msg);
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Three recorders under worst-case delay: the t = 0 broadcasts reach
+    /// their sender at t = 1 and everyone else at t = Δ = 8.
+    fn recorder_sim(
+        forward_at: Option<Time>,
+        configure: impl FnOnce(SimulationBuilder) -> SimulationBuilder,
+    ) -> (Simulation, ReceptionLog) {
+        let log = ReceptionLog::default();
+        let mut b = configure(
+            Simulation::builder(SimConfig::new(3).with_seed(1))
+                .delay(Box::new(crate::network::WorstCaseDelay)),
+        );
+        for v in ValidatorId::all(3) {
+            b = b.node(v, Box::new(Recorder { me: v, log: Arc::clone(&log), forward_at }));
+        }
+        (b.build(), log)
+    }
+
+    fn receptions_at(log: &ReceptionLog, t: u64) -> Vec<(u32, u32)> {
+        let log = log.lock().unwrap();
+        log.iter().filter(|r| r.0 == Time::new(t)).map(|r| (r.1.raw(), r.2.raw())).collect()
+    }
+
+    #[test]
+    fn wake_precedes_same_tick_delivery() {
+        let (mut sim, log) = recorder_sim(None, |b| {
+            let mut part = ParticipationSchedule::always_awake(3);
+            part.set_intervals(ValidatorId::new(2), vec![(Time::new(8), Time::new(100))]);
+            b.participation(part)
+        });
+        sim.run_until(Time::new(8));
+        // v2 woke at t = 8 before the t = 8 bucket: both LOGs reach the
+        // node directly, nothing was buffered for it.
+        assert_eq!(sim.metrics().buffered, 0);
+        let to_v2: Vec<_> = receptions_at(&log, 8).into_iter().filter(|r| r.0 == 2).collect();
+        assert_eq!(to_v2, vec![(2, 0), (2, 1)]);
+    }
+
+    #[test]
+    fn same_tick_delivery_precedes_crash() {
+        let (mut sim, log) = recorder_sim(None, |b| {
+            b.crashes(vec![(ValidatorId::new(1), Time::new(8), Time::new(100))])
+        });
+        sim.run_until(Time::new(8));
+        // v1 saw the t = 8 deliveries, then died.
+        assert!(sim.is_crashed(ValidatorId::new(1)));
+        assert_eq!(sim.metrics().dropped, 0);
+        assert!(receptions_at(&log, 8).contains(&(1, 0)));
+        assert!(receptions_at(&log, 8).contains(&(1, 2)));
+    }
+
+    #[test]
+    fn same_tick_delivery_precedes_restart_and_is_dropped_once() {
+        let (mut sim, log) = recorder_sim(None, |b| {
+            let log = ReceptionLog::default();
+            b.crashes(vec![(ValidatorId::new(1), Time::new(2), Time::new(8))]).restart_factory(
+                Box::new(move |me, _| {
+                    Box::new(Recorder { me, log: Arc::clone(&log), forward_at: None })
+                }),
+            )
+        });
+        sim.run_until(Time::new(8));
+        // v1 is back up at the end of t = 8, but the tick's two copies
+        // for it arrived while it was still down: dropped, each counted
+        // as one delivery and one drop, never handed to either
+        // incarnation.
+        assert!(sim.is_awake(ValidatorId::new(1)) && !sim.is_crashed(ValidatorId::new(1)));
+        assert_eq!(sim.metrics().dropped, 2);
+        assert_eq!(sim.metrics().deliveries, 9);
+        assert!(receptions_at(&log, 8).iter().all(|r| r.0 != 1));
+    }
+
+    /// Logs the sender of every copy it is asked to delay (the engine
+    /// asks in scheduling order, one RNG-visible call per copy) and
+    /// gives each sender its own delay.
+    struct SchedulingLog(Arc<std::sync::Mutex<Vec<(Time, u32)>>>);
+    impl crate::network::DelayPolicy for SchedulingLog {
+        fn delay(
+            &mut self,
+            _msg: &SignedMessage,
+            from: ValidatorId,
+            _to: ValidatorId,
+            at: Time,
+            delta: tobsvd_types::Delta,
+            _rng: &mut StdRng,
+        ) -> u64 {
+            self.0.lock().unwrap().push((at, from.raw()));
+            if at == Time::ZERO {
+                delta.ticks()
+            } else {
+                1 + u64::from(from.raw())
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_drain_keeps_reception_order_and_schedules_effects_in_event_order() {
+        let scheduled = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let (mut sim, log) = recorder_sim(Some(Time::new(8)), |b| {
+            b.delay(Box::new(SchedulingLog(Arc::clone(&scheduled))))
+        });
+        sim.run_until(Time::new(8));
+        // The t = 8 bucket in event order: v0's LOG to v1, v2; v1's to
+        // v0, v2; v2's to v0, v1. The drain calls v0 (v1's, v2's), v1
+        // (v0's, v2's), v2 (v0's, v1's): each recipient in event order…
+        let mut by_recipient = receptions_at(&log, 8);
+        by_recipient.sort_by_key(|r| r.0); // stable: keeps each recipient's order
+        assert_eq!(by_recipient, vec![(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]);
+        // …while the forwards those receptions emitted were scheduled
+        // (two delay-policy calls each, self copy excluded) in the order
+        // of the receptions that caused them, not of the calls.
+        let forwarders: Vec<u32> =
+            scheduled.lock().unwrap().iter().filter(|s| s.0 == Time::new(8)).map(|s| s.1).collect();
+        assert_eq!(forwarders, vec![1, 1, 2, 2, 0, 0, 2, 2, 0, 0, 1, 1]);
+        assert_eq!(sim.metrics().forwards, 6);
     }
 
     #[test]

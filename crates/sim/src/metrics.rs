@@ -181,6 +181,17 @@ impl Metrics {
         }
     }
 
+    /// Folds one callback's (or one run of callbacks') crypto-operation
+    /// counts into the run totals.
+    pub fn record_crypto(&mut self, ops: crate::node::CryptoOps) {
+        self.sig_verifies += ops.sig_verifies;
+        self.sig_verify_skips += ops.sig_verify_skips;
+        self.vrf_verifies += ops.vrf_verifies;
+        self.vrf_verify_skips += ops.vrf_verify_skips;
+        self.agg_verifies += ops.agg_verifies;
+        self.agg_verify_skips += ops.agg_verify_skips;
+    }
+
     /// Total fetch-subprotocol sends (requests + responses).
     pub fn sync_broadcasts(&self) -> u64 {
         self.block_request_broadcasts + self.block_response_broadcasts

@@ -121,12 +121,27 @@ impl SignerSet {
         }
     }
 
-    /// Ascending iterator over the member validator ids.
+    /// Whether every signer's index is below `n` (a committee of `n`
+    /// validators): the words are masked, no bit is walked.
+    pub fn within(&self, n: usize) -> bool {
+        self.words.iter().enumerate().all(|(wi, w)| {
+            let keep = match n.saturating_sub(wi * 64) {
+                0 => 0,
+                bits @ 1..=63 => (1u64 << bits) - 1,
+                _ => u64::MAX,
+            };
+            w & !keep == 0
+        })
+    }
+
+    /// Ascending iterator over the member validator ids: per word, the
+    /// lowest set bit is read off and cleared, so the cost follows the
+    /// number of signers, not the capacity.
     pub fn iter(&self) -> impl Iterator<Item = ValidatorId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, w)| {
-            (0..64).filter(move |b| w >> b & 1 == 1).map(move |b| {
-                ValidatorId::new((wi * 64 + b) as u32)
-            })
+        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+            std::iter::successors(Some(word), |w| Some(w & w.wrapping_sub(1)))
+                .take_while(|w| *w != 0)
+                .map(move |w| ValidatorId::new((wi * 64) as u32 + w.trailing_zeros()))
         })
     }
 
@@ -478,6 +493,66 @@ mod tests {
 
     fn log_payload(store: &BlockStore, instance: u64) -> Payload {
         Payload::Log { instance: InstanceId(instance), log: Log::genesis(store) }
+    }
+
+    /// The definition `iter` and `within` must agree with: walk every
+    /// bit position and test it.
+    fn members_bit_by_bit(set: &SignerSet) -> Vec<ValidatorId> {
+        (0..SignerSet::CAPACITY as u32)
+            .map(ValidatorId::new)
+            .filter(|v| set.contains(*v))
+            .collect()
+    }
+
+    #[test]
+    fn signer_iteration_is_ascending_and_matches_the_bitwise_definition() {
+        // Deterministic xorshift words: sparse, dense, empty and full sets.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut sets = vec![SignerSet::empty(), SignerSet::from_words([u64::MAX; SignerSet::WORDS])];
+        for round in 0..200 {
+            let mut words = [0u64; SignerSet::WORDS];
+            for w in &mut words {
+                *w = match round % 4 {
+                    0 => next(),
+                    1 => next() & next() & next(),
+                    2 => next() | next(),
+                    _ => u64::from(next() % 3 == 0) << (next() % 64),
+                };
+            }
+            sets.push(SignerSet::from_words(words));
+        }
+        for set in &sets {
+            let got: Vec<ValidatorId> = set.iter().collect();
+            assert_eq!(got, members_bit_by_bit(set));
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "ascending");
+            assert_eq!(got.len(), set.len());
+        }
+    }
+
+    #[test]
+    fn within_masks_exactly_at_the_committee_size() {
+        for n in [0usize, 63, 64, 65, 511, 512] {
+            // Everyone below n is within; adding validator n is not.
+            let mut set = SignerSet::empty();
+            for i in 0..n {
+                assert!(set.insert(ValidatorId::new(i as u32)));
+            }
+            assert!(set.within(n), "full committee of {n}");
+            assert!(SignerSet::empty().within(n));
+            if n > 0 {
+                assert!(!set.within(n - 1), "validator {} is outside {}", n - 1, n - 1);
+            }
+            if set.insert(ValidatorId::new(n as u32)) {
+                assert!(!set.within(n), "validator {n} is outside a committee of {n}");
+            }
+        }
+        assert!(SignerSet::from_words([u64::MAX; SignerSet::WORDS]).within(usize::MAX));
     }
 
     #[test]

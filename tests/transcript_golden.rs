@@ -21,6 +21,9 @@ use common::report_transcript;
 /// sig_verify_skips, dropped, decisions]`.
 type Counters = [u64; 7];
 
+/// Name, run, SHA-256 of its decision transcript, its counters.
+type Golden = (&'static str, fn() -> TobReport, &'static str, Counters);
+
 fn fault_free() -> TobReport {
     TobSimulationBuilder::new(7)
         .views(10)
@@ -99,7 +102,7 @@ fn observed(report: &TobReport) -> (String, Counters) {
 
 #[test]
 fn golden_transcripts_are_pinned_across_builds() {
-    let golden: [(&str, fn() -> TobReport, &str, Counters); 4] = [
+    let golden: [Golden; 4] = [
         (
             "fault-free n=7 uniform delay",
             fault_free,
