@@ -65,15 +65,6 @@ impl Summary {
             p90: pct(0.90),
         })
     }
-
-    /// Half-width of the normal-approximation 95 % confidence interval
-    /// of the mean.
-    pub fn ci95(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        1.96 * self.std_dev / (self.n as f64).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -113,14 +104,5 @@ mod tests {
         assert!(Summary::from_slice(&[f64::INFINITY]).is_none());
         let s = Summary::from_slice(&[7.0]).unwrap();
         assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.ci95(), 0.0);
-    }
-
-    #[test]
-    fn ci_shrinks_with_n() {
-        let few = Summary::from_slice(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        let many: Vec<f64> = (0..400).map(|i| 1.0 + (i % 4) as f64).collect();
-        let lots = Summary::from_slice(&many).unwrap();
-        assert!(lots.ci95() < few.ci95());
     }
 }

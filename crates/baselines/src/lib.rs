@@ -12,10 +12,7 @@
 //! * [`process`] — the leader-lottery view process: closed-form and
 //!   Monte-Carlo expected latency, transaction expected latency and
 //!   voting phases per decided block, driven by the good-leader
-//!   probability (> ½ per Lemma 2, → ½ at the adversarial boundary);
-//! * [`compare`] — executable GA-level comparison: the §4 Momose–Ren GA
-//!   (with its extra `VOTE` round) vs the paper's 2-grade GA on the real
-//!   simulator, measuring messages per instance.
+//!   probability (> ½ per Lemma 2, → ½ at the adversarial boundary).
 //!
 //! Where a baseline's own accounting deviates from the plain geometric
 //! model (MMR2's expected case, MR's transaction expected latency), the
@@ -26,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod process;
 pub mod spec;
 

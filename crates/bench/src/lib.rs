@@ -1,7 +1,8 @@
-//! Shared measurement helpers for the benchmark harness.
+//! Shared helpers of the paper-artifact regenerators.
 //!
-//! The `benches/` targets of this crate regenerate every table and
-//! figure of the paper:
+//! The `benches/` targets of this crate regenerate the tables and
+//! figures of the paper — and nothing else; performance is measured by
+//! the `perf/` ledger declared in `BENCHMARK.json`:
 //!
 //! | target | artifact |
 //! |---|---|
@@ -9,7 +10,6 @@
 //! | `fig3_timeline` | Figure 3 (view/GA overlap timeline) |
 //! | `comm_complexity` | Table 1 row 7 measured: O(L·n³) growth fit |
 //! | `ablation_stabilization` | §2/§6.3 stabilization-period ablation |
-//! | `ga_perf`, `sim_perf` | criterion micro-benchmarks |
 //!
 //! Run them with `cargo bench -p tobsvd-bench` (or a specific
 //! `--bench` target).
@@ -37,30 +37,13 @@ pub fn halves(n: usize) -> (Vec<ValidatorId>, Vec<ValidatorId>) {
 ///
 /// Runs the paper's protocol verbatim — per-vote forwarding, no
 /// certificates — so the Table 1 reproductions keep measuring the
-/// published O(L·n³) behavior. See [`run_tobsvd_with`] for the
-/// aggregation-plane variant.
+/// published O(L·n³) behavior.
 pub fn run_tobsvd(
     n: usize,
     byz: usize,
     views: u64,
     seed: u64,
     workload: TxWorkload,
-) -> TobReport {
-    run_tobsvd_with(n, byz, views, seed, workload, false)
-}
-
-/// [`run_tobsvd`] with the quorum-certificate aggregation plane
-/// switchable: `certificates = false` is the per-vote baseline (Table
-/// 1's cubic fit), `true` defers vote relaying to phase boundaries and
-/// ships quorate groups as certificates (the sub-cubic mode the
-/// `comm_scaling` bench measures).
-pub fn run_tobsvd_with(
-    n: usize,
-    byz: usize,
-    views: u64,
-    seed: u64,
-    workload: TxWorkload,
-    certificates: bool,
 ) -> TobReport {
     assert!(byz < n, "cannot corrupt everyone");
     let delta = Delta::default();
@@ -70,11 +53,11 @@ pub fn run_tobsvd_with(
         .seed(seed)
         .delta(delta)
         .workload(workload)
-        .certificates(certificates)
+        .certificates(false)
         .delay(Box::new(WorstCaseDelay));
     for v in ValidatorId::all(n).skip(n - byz) {
         let (a, b) = (half_a.clone(), half_b.clone());
-        let cfg = TobConfig::new(n).with_delta(delta).with_certificates(certificates);
+        let cfg = TobConfig::new(n).with_delta(delta).with_certificates(false);
         builder = builder.byzantine(
             v,
             Box::new(move |store| Box::new(SplitBrainNode::new(v, cfg, store, a, b))),

@@ -48,12 +48,6 @@ impl TobConfig {
         self
     }
 
-    /// Sets the block size cap.
-    pub fn with_max_txs(mut self, max: usize) -> Self {
-        self.max_txs_per_block = max;
-        self
-    }
-
     /// Enables the §2 recovery protocol.
     pub fn with_recovery(mut self, recovery: bool) -> Self {
         self.recovery = recovery;
@@ -80,9 +74,9 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let cfg = TobConfig::new(10).with_delta(Delta::new(4)).with_max_txs(5);
+        let cfg = TobConfig::new(10).with_delta(Delta::new(4)).with_recovery(true);
         assert_eq!(cfg.n, 10);
         assert_eq!(cfg.delta.ticks(), 4);
-        assert_eq!(cfg.max_txs_per_block, 5);
+        assert!(cfg.recovery);
     }
 }

@@ -43,7 +43,7 @@ mod validator;
 pub use config::TobConfig;
 pub use leader::ProposalTracker;
 pub use protocol::{
-    CryptoStats, LatencyStats, SyncStats, TobError, TobReport, TobSimulationBuilder, TxWorkload,
+    CryptoStats, SyncStats, TobError, TobReport, TobSimulationBuilder, TxWorkload,
 };
 pub use schedule::ViewSchedule;
 pub use sync::{Resolution, SyncState};

@@ -621,51 +621,6 @@ pub struct SyncStats {
     pub evicted: u64,
 }
 
-/// Percentile summary of a latency sample.
-///
-/// Percentiles use the nearest-rank method on the sorted sample, so
-/// they are exact order statistics (p50 of 4 samples is the 2nd), not
-/// interpolations — deterministic and comparison-friendly across runs.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LatencyStats {
-    /// Sample count.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (50th percentile).
-    pub p50: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl LatencyStats {
-    /// Summarizes a sample; `None` when empty or any value is NaN.
-    pub fn from_samples(mut samples: Vec<f64>) -> Option<Self> {
-        if samples.is_empty() || samples.iter().any(|v| v.is_nan()) {
-            return None;
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let count = samples.len();
-        let pick = |p: f64| -> f64 {
-            // Nearest-rank: ceil(p × n), 1-based.
-            let rank = ((p * count as f64).ceil() as usize).clamp(1, count);
-            samples.get(rank - 1).copied().unwrap_or(0.0)
-        };
-        Some(LatencyStats {
-            count,
-            mean: samples.iter().sum::<f64>() / count as f64,
-            p50: pick(0.50),
-            p90: pick(0.90),
-            p99: pick(0.99),
-            max: samples.last().copied().unwrap_or(0.0),
-        })
-    }
-}
-
 /// Result of a [`TobSimulationBuilder::run`].
 #[derive(Debug)]
 pub struct TobReport {
@@ -730,12 +685,6 @@ impl TobReport {
     /// [`AdmissionPolicy`] was installed).
     pub fn admission(&self) -> AdmissionStats {
         self.report.admission
-    }
-
-    /// Percentile summary of confirmed-transaction latencies, in Δ
-    /// (`None` if nothing confirmed).
-    pub fn tx_latency_stats(&self) -> Option<LatencyStats> {
-        LatencyStats::from_samples(self.tx_latencies_deltas())
     }
 
     /// Confirmation latencies of all confirmed transactions, in Δ.
@@ -872,9 +821,8 @@ mod tests {
             .run()
             .expect("runs");
         report.assert_safety();
-        let stats = report.tx_latency_stats().expect("open-loop txs confirm");
-        assert!(stats.count > 50, "only {} confirmations", stats.count);
-        assert!(stats.p50 <= stats.p99 && stats.p99 <= stats.max);
+        let confirmed = report.tx_latencies_deltas().len();
+        assert!(confirmed > 50, "only {confirmed} confirmations");
         // Unbounded default: nothing shed.
         assert_eq!(report.admission().busy, 0);
         assert!(report.admission().accepted > 0);
@@ -906,7 +854,7 @@ mod tests {
         assert!(adm.busy + adm.evicted > 0, "no backpressure under overload: {adm:?}");
         assert!(adm.pending_peak <= 256, "capacity breached: {adm:?}");
         // The system still makes progress and confirms transactions.
-        assert!(report.tx_latency_stats().is_some());
+        assert!(!report.tx_latencies_deltas().is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the `Option<AggregationPlane>` of `aggregation.rs`, built once from
 //! [`TobConfig::certificates`] — no other line reads the flag.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use tobsvd_crypto::{Digest, KeyCache, Keypair};
 use tobsvd_ga::Ga3;
@@ -15,7 +15,7 @@ use tobsvd_sim::gossip::{GossipState, VerifiedSet};
 use tobsvd_sim::{garbage_bytes, Context, Node, StateFault};
 use tobsvd_storage::{replay_into, BlockRecord, SharedDurable, Snapshot, WalError, WalRecord};
 use tobsvd_types::{
-    wire, BlockId, BlockStore, InstanceId, Log, Payload, SignedMessage, ValidatorId, View,
+    wire, BlockId, BlockStore, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
 };
 
 use crate::aggregation::AggregationPlane;
@@ -42,6 +42,10 @@ pub struct Validator {
     sched: ViewSchedule,
     /// Live GA instances by view (`GA_v` spans views v and v+1).
     gas: BTreeMap<View, Ga3>,
+    /// GA instances that were live at a phase boundary this validator
+    /// reached late (see [`Validator::note_late_boundary`]): their
+    /// grade-2 outputs are not decided. Pruned with `gas`.
+    late_gas: BTreeSet<View>,
     /// Per-view proposal tracking with equivocation discarding.
     proposals: BTreeMap<View, ProposalTracker>,
     gossip: GossipState,
@@ -86,6 +90,11 @@ pub struct Validator {
     proposals_made: u64,
     /// Instrumentation: decisions reported.
     decisions_made: u64,
+    /// Instrumentation: phase boundaries the driver reported as late.
+    late_boundaries: u64,
+    /// Instrumentation: grade-2 outputs not decided because their GA
+    /// instance was live at a late boundary.
+    decisions_withheld: u64,
     /// Instrumentation: VRF verifications performed.
     vrf_verifies: u64,
     /// Instrumentation: VRF verifications skipped via the per-view memo.
@@ -107,6 +116,7 @@ impl Validator {
             keypair,
             sched: ViewSchedule::new(cfg.delta),
             gas: BTreeMap::new(),
+            late_gas: BTreeSet::new(),
             proposals: BTreeMap::new(),
             gossip: GossipState::new(),
             decided: Log::genesis(store),
@@ -123,6 +133,8 @@ impl Validator {
             votes_cast: 0,
             proposals_made: 0,
             decisions_made: 0,
+            late_boundaries: 0,
+            decisions_withheld: 0,
             vrf_verifies: 0,
             vrf_verify_skips: 0,
             audits_run: 0,
@@ -216,6 +228,43 @@ impl Validator {
     /// Number of decide-phase outputs this validator reported.
     pub fn decisions_made(&self) -> u64 {
         self.decisions_made
+    }
+
+    /// Phase boundaries reported through
+    /// [`Validator::note_late_boundary`].
+    pub fn late_boundaries(&self) -> u64 {
+        self.late_boundaries
+    }
+
+    /// Grade-2 outputs this validator held but did not decide, because
+    /// their GA instance was live at a late boundary.
+    pub fn decisions_withheld(&self) -> u64 {
+        self.decisions_withheld
+    }
+
+    /// Tells the validator that the phase boundary at `now` is being
+    /// executed late — the driver's wall clock is already well past it
+    /// (the TCP node loop calls this when it is more than Δ/2 behind;
+    /// the simulator's clock cannot stall, so it never does).
+    ///
+    /// Figure 2 grants grade 2 only to a validator "awake at Δ": the
+    /// output is `V^Δ ∩ V^{5Δ}`, two snapshots taken 4Δ apart. A loop
+    /// that was descheduled replays its missed boundaries in a burst,
+    /// so both snapshots are taken at one instant and contain votes —
+    /// its own late one included — that no peer counted in time; a
+    /// grade-2 output computed that way can be a log nobody else
+    /// locked. The two instances live in the current view `v`,
+    /// `GA_{v−1}` and `GA_v`, are therefore marked, and
+    /// `decide` skips a marked instance. Everything else carries on:
+    /// the validator still proposes, votes and keeps its GA bookkeeping
+    /// (skipping the boundary instead starves the cluster — ROADMAP
+    /// item 1), and the next clean instance's grade-2 output is a
+    /// longer log, so the node lags by a view rather than diverging.
+    pub fn note_late_boundary(&mut self, now: Time) {
+        let v = View::of_time(now, self.cfg.delta);
+        self.late_boundaries += 1;
+        self.late_gas.extend(v.prev());
+        self.late_gas.insert(v);
     }
 
     /// Signature verifications this validator performed (one per unique
@@ -385,6 +434,10 @@ impl Validator {
         let Some(d) = self.prev_ga_output(v, 2, &ctx.store) else {
             return;
         };
+        if v.prev().is_some_and(|prev| self.late_gas.contains(&prev)) {
+            self.decisions_withheld += 1;
+            return;
+        }
         self.decisions_made += 1;
         ctx.decide(d);
         if d.len() > self.decided.len() {
@@ -525,6 +578,7 @@ impl Validator {
     fn prune(&mut self, v: View) {
         // GA_w ends at t_{w+1} + 2Δ: anything older than v−2 is finished.
         self.gas.retain(|w, _| w.number() + 2 >= v.number());
+        self.late_gas.retain(|w| w.number() + 2 >= v.number());
         // Proposals for view w only matter until t_w + Δ.
         self.proposals.retain(|w, _| w.number() + 1 >= v.number());
         // The archive follows the GA window: recovering validators can
@@ -1071,6 +1125,65 @@ mod tests {
         val.on_phase(&mut ctx);
         assert!(ctx.decisions().is_empty());
         assert_eq!(val.decisions_made(), 0);
+    }
+
+    #[test]
+    fn late_boundary_withholds_its_gas_and_the_next_clean_view_decides_the_suffix() {
+        use tobsvd_storage::{shared, MemDurable};
+
+        let store = BlockStore::new();
+        let durable = shared(MemDurable::new());
+        let mut val = Validator::new(ValidatorId::new(0), TobConfig::new(4), &store)
+            .with_durable(durable.clone());
+        let peers = [1, 2, 3].map(ValidatorId::new);
+        let sign = |from: ValidatorId, payload| {
+            SignedMessage::sign(&Keypair::from_seed(from.key_seed()), from, payload)
+        };
+        // Views 0 and 1 each get one proposal and a unanimous vote for
+        // it, so GA_0 outputs `b1` and GA_1 outputs `b2` at grade 2.
+        let b1 = Log::genesis(&store).extend_empty(&store, peers[0], View::ZERO);
+        let b2 = b1.extend_empty(&store, peers[1], View::new(1));
+        let mut decisions = Vec::new();
+        for t in (0..=80).step_by(8) {
+            if t == 16 {
+                // View 0's decide boundary ran late: GA_0 was live at it.
+                val.note_late_boundary(Time::new(t));
+            }
+            let mut ctx = ctx_at(t, &store);
+            val.on_phase(&mut ctx);
+            decisions.extend(ctx.decisions().iter().map(|d| (t, d.len())));
+            if t == 48 {
+                // decide(1): GA_0 holds `b1` at grade 2 and is marked.
+                assert_eq!(val.ga(View::ZERO).and_then(|ga| ga.output(2)), Some(b1));
+                assert_eq!(val.decisions_withheld(), 1);
+                assert!(decisions.is_empty(), "a withheld output never reaches ctx.decide");
+                assert!(val.decided().is_genesis(&store));
+                assert!(durable.lock().load().expect("loads").wal.is_empty(), "no WAL append");
+            }
+            // Traffic between this boundary and the next.
+            for (view, proposer, log) in [(View::ZERO, peers[0], b1), (View::new(1), peers[1], b2)] {
+                let start = view.number() * 32;
+                if t == start {
+                    let (vrf, proof) = vrf_for(proposer, view);
+                    let msg = sign(proposer, Payload::Proposal { view, log, vrf, proof });
+                    val.on_message(&msg, &mut ctx_at(t + 3, &store));
+                }
+                if t == start + 8 {
+                    for peer in peers {
+                        let vote = Payload::Log { instance: InstanceId::for_view(view), log };
+                        val.on_message(&sign(peer, vote), &mut ctx_at(t + 3, &store));
+                    }
+                }
+            }
+        }
+        // decide(2): GA_1 is clean, its output is the longer log, and
+        // the whole suffix (both blocks) is persisted behind it.
+        assert_eq!(decisions, vec![(80, 3)]);
+        assert_eq!((val.late_boundaries(), val.decisions_withheld()), (1, 1));
+        assert_eq!(val.decided(), b2);
+        assert_eq!(val.persisted_len(), 3);
+        let replayed = replay_into(&BlockStore::new(), &durable.lock().load().expect("loads"));
+        assert_eq!((replayed.decided_tip, replayed.decided_len), (b2.tip(), 3));
     }
 
     #[test]

@@ -69,16 +69,6 @@ impl Ga3 {
         self.start
     }
 
-    /// Time of the output phase for `grade` (3Δ, 4Δ, 5Δ after start).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grade ≥ 3`.
-    pub fn output_time(&self, grade: u8, delta: Delta) -> Time {
-        assert!(grade < GA3_GRADES, "grade out of range");
-        self.start + delta * (3 + u64::from(grade))
-    }
-
     /// Records this validator's own input (bookkeeping; the owner
     /// broadcasts the `LOG` message).
     pub fn set_input(&mut self, log: Log) {
@@ -261,20 +251,5 @@ mod tests {
         // but genesis support = 5·... all 5 entries? entries are the Δ
         // snapshot ∩ current = {v0, v1} only — 2 of 5 fails entirely.
         assert_eq!(ga.output(2), None);
-    }
-
-    #[test]
-    fn output_time_schedule() {
-        let ga = Ga3::new(InstanceId(3), t(2));
-        assert_eq!(ga.output_time(0, delta()), t(5));
-        assert_eq!(ga.output_time(1, delta()), t(6));
-        assert_eq!(ga.output_time(2, delta()), t(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "grade out of range")]
-    fn output_time_rejects_bad_grade() {
-        let ga = Ga3::new(InstanceId(3), Time::ZERO);
-        let _ = ga.output_time(3, delta());
     }
 }

@@ -399,6 +399,11 @@ mod tests {
                 }
             }
             result.report.assert_safety();
+            // One LOG per validator in every kind; only the Momose–Ren
+            // GA pays the extra VOTE round (§4, Table 1's voting phases).
+            let m = &result.report.metrics;
+            assert_eq!(m.log_broadcasts, 5, "{kind:?}");
+            assert_eq!(m.vote_broadcasts, if matches!(kind, GaKind::Mr) { 5 } else { 0 }, "{kind:?}");
         }
     }
 

@@ -286,6 +286,14 @@ impl LocalCluster {
     ///
     /// Socket/bind and thread-spawn failures.
     pub fn spawn(cfg: ClusterConfig) -> Result<RunningCluster, ClusterError> {
+        // Epoch slightly in the future so all nodes start at tick 0;
+        // callers extend the margin via `warmup` to pre-connect clients.
+        let epoch = Instant::now() + Duration::from_millis(150) + cfg.warmup;
+        Self::spawn_at(cfg, epoch)
+    }
+
+    /// [`LocalCluster::spawn`] with tick 0 at `epoch`.
+    fn spawn_at(cfg: ClusterConfig, epoch: Instant) -> Result<RunningCluster, ClusterError> {
         if cfg.n == 0 {
             return Err(ClusterError::BadConfig("n must be ≥ 1"));
         }
@@ -305,9 +313,6 @@ impl LocalCluster {
         let txs: Vec<Transaction> =
             (0..cfg.seed_txs).map(|i| Transaction::synthetic(i as u64, 48)).collect();
 
-        // Epoch slightly in the future so all nodes start at tick 0;
-        // callers extend the margin via `warmup` to pre-connect clients.
-        let epoch = Instant::now() + Duration::from_millis(150) + cfg.warmup;
         let clock = TickClock::new(epoch, cfg.tick);
         // Run length: `views` views of 4Δ plus the trailing 2Δ decide.
         let run_ticks = cfg.views * 4 * cfg.delta.ticks() + 2 * cfg.delta.ticks();
@@ -402,6 +407,34 @@ mod tests {
             "recovered tip must be a decided ancestor"
         );
 
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn nodes_that_start_behind_the_clock_withhold_then_resume() {
+        // Tick 0 lies 40 ticks in the past: every node loop replays its
+        // first ten or so phase boundaries while catching up, each more
+        // than Δ/2 late, then runs on time for the remaining views.
+        let root = std::env::temp_dir()
+            .join(format!("tobsvd-cluster-late-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cfg = ClusterConfig::new(3).views(12).data_root(&root);
+        let behind = cfg.tick * 40;
+        let epoch = Instant::now().checked_sub(behind).expect("host uptime exceeds 0.4 s");
+        let report = LocalCluster::spawn_at(cfg, epoch)
+            .and_then(RunningCluster::join)
+            .expect("cluster runs");
+
+        report.assert_agreement();
+        for o in &report.outcomes {
+            assert!(o.late_boundaries > 0, "{}: the burst must be noticed", o.me);
+            assert!(o.decisions_withheld > 0, "{}: a late GA's output must be withheld", o.me);
+            assert_eq!(o.wal_errors, 0, "{}", o.me);
+            assert_eq!(o.persisted_len, o.decided.len(), "{}: WAL holds exactly the decided log", o.me);
+            // Caught up, the node decides again — from clean instances.
+            assert!(o.decided.len() > 4, "{}: decided only {}", o.me, o.decided.len());
+            assert!(o.decided_events.iter().all(|ev| ev.tick > 40), "{}", o.me);
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 

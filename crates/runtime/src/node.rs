@@ -92,8 +92,11 @@ pub struct NodeConfig {
     pub admission: Option<AdmissionPolicy>,
 }
 
-/// Per-kind wire-byte accounting of one node's run (both directions),
-/// mirroring the simulator's per-kind metrics on the real network.
+/// Wire-byte accounting of one node's run (both directions) for the two
+/// message classes the reports read, mirroring the simulator's per-kind
+/// metrics on the real network. Certificate frames count as frames but
+/// their bytes have no reader here (the simulator's
+/// `Metrics::certificate_bytes` prices the aggregation plane).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WireStats {
     /// Announcement (LOG/PROPOSAL/VOTE/RECOVERY/FINALITY) bytes received.
@@ -104,38 +107,10 @@ pub struct WireStats {
     pub sync_bytes_in: u64,
     /// Fetch-subprotocol bytes sent.
     pub sync_bytes_out: u64,
-    /// Quorum-certificate (aggregation plane) bytes received.
-    pub certificate_bytes_in: u64,
-    /// Quorum-certificate bytes sent.
-    pub certificate_bytes_out: u64,
-    /// Frames parked at the session layer pending block fetches.
-    pub frames_parked: u64,
-    /// Session-layer fetch requests issued (excludes the validator's own
-    /// protocol-layer fetches).
-    pub session_fetches: u64,
     /// Outgoing messages dropped because their chain could not be read
     /// back from the local store at encode time (should stay 0; a
     /// non-zero value flags store corruption without crashing the node).
     pub encode_failures: u64,
-    /// Signature verifications the validator performed (one per unique
-    /// verified message id plus forged frames — the same fast path as
-    /// the simulator, so the two stay honest with each other).
-    pub sig_verifies: u64,
-    /// Frames that skipped signature verification via the validator's
-    /// verified-id set (duplicate broadcast copies).
-    pub sig_verify_skips: u64,
-    /// VRF verifications the validator performed.
-    pub vrf_verifies: u64,
-    /// Proposal receptions that hit the validator's per-view VRF memo.
-    pub vrf_verify_skips: u64,
-    /// Aggregate-signature verifications the validator performed on
-    /// received certificates.
-    pub agg_verifies: u64,
-    /// Certificate receptions that skipped the aggregate check because
-    /// every claimed signer was already individually authenticated.
-    pub agg_verify_skips: u64,
-    /// Quorum certificates this node assembled and broadcast.
-    pub certificates_emitted: u64,
 }
 
 /// Direction of a charged frame.
@@ -154,8 +129,7 @@ impl WireStats {
             (MessageClass::Announce, Dir::Out) => &mut self.announce_bytes_out,
             (MessageClass::Sync, Dir::In) => &mut self.sync_bytes_in,
             (MessageClass::Sync, Dir::Out) => &mut self.sync_bytes_out,
-            (MessageClass::Certificate, Dir::In) => &mut self.certificate_bytes_in,
-            (MessageClass::Certificate, Dir::Out) => &mut self.certificate_bytes_out,
+            (MessageClass::Certificate, _) => return,
         };
         *counter += bytes;
     }
@@ -200,6 +174,12 @@ pub struct NodeOutcomeInner {
     /// Durable-storage operations that failed (0 without a data dir;
     /// faults degrade durability, never safety).
     pub wal_errors: u64,
+    /// Phase boundaries the node loop reached more than Δ/2 late (a
+    /// descheduled thread replaying its missed ticks).
+    pub late_boundaries: u64,
+    /// Grade-2 outputs not decided because their GA instance was live
+    /// at a late boundary ([`Validator::note_late_boundary`]).
+    pub decisions_withheld: u64,
     /// Ingest-plane counters (sessions, submits, acks, backpressure).
     pub ingest: IngestStats,
     /// Mempool admission counters.
@@ -225,6 +205,8 @@ impl NodeOutcomeInner {
             blocks_fetched: 0,
             persisted_len: 1,
             wal_errors: 0,
+            late_boundaries: 0,
+            decisions_withheld: 0,
             ingest: IngestStats::default(),
             admission: AdmissionStats::default(),
             decided_events: Vec::new(),
@@ -343,7 +325,6 @@ impl NodeState {
                     None => (None, MessageClass::Announce),
                 };
                 self.wire.charge(class, Dir::In, raw.len() as u64);
-                self.wire.frames_parked += 1;
                 if self.parked.len() >= PARKED_FRAMES_CAP {
                     self.parked.pop_front();
                 }
@@ -441,7 +422,6 @@ impl NodeState {
     fn session_fetch(&mut self, tip: BlockId, from_height: u64, to: Option<ValidatorId>) {
         let payload = Payload::BlockRequest { tip, from_height };
         let req = SignedMessage::sign(&self.keypair, self.me, payload);
-        self.wire.session_fetches += 1;
         let targets = to.map_or_else(|| self.peers(), |t| vec![t]);
         self.send(&req, &targets);
     }
@@ -550,14 +530,35 @@ fn run_node(
         decided_len_seen: 1,
     };
 
-    // The node loop.
+    // The node loop. It visits every tick even when it has fallen
+    // behind the wall clock (a descheduled thread), so proposals, votes
+    // and GA bookkeeping continue — but two things differ while behind:
+    //
+    // * missed ticks are replayed at 8× real time, not in one instant.
+    //   Peers stalled by the same host replay the same boundaries at the
+    //   same moment; with no time between a replayed vote and the next
+    //   replayed snapshots, every node's V^{2Δ} holds its own vote only,
+    //   nobody gets a grade-1 output, nobody votes again, and the
+    //   cluster never recovers;
+    // * a boundary executed more than Δ/2 after its instant is reported
+    //   to the validator, which then decides nothing from the GA
+    //   instances live at it (synchrony's "awake at" did not hold).
+    let late_after = cfg.delta.ticks() / 2;
+    let replay_step = clock.tick_duration() / 8;
     for tick in 0..=cfg.run_ticks {
         clock.wait_for(tick);
+        let behind = clock.now_tick().ticks().saturating_sub(tick);
+        if behind > 0 {
+            std::thread::sleep(replay_step);
+        }
         let now = Time::new(tick);
         while let Ok(inbound) = rx_in.try_recv() {
             state.handle_inbound(inbound, now);
         }
         if now.is_phase_boundary(cfg.delta) {
+            if behind > late_after {
+                state.validator.note_late_boundary(now);
+            }
             state.phase_boundary(now);
         }
     }
@@ -570,22 +571,14 @@ fn run_node(
     stop.store(true, Ordering::Relaxed);
     let ingest = io_handle.join().unwrap_or_default();
 
-    // Crypto-op accounting comes straight off the validator: the node
-    // loop shares its verification fast path with the simulator.
-    state.wire.sig_verifies = state.validator.sig_verifies();
-    state.wire.sig_verify_skips = state.validator.sig_verify_skips();
-    state.wire.vrf_verifies = state.validator.vrf_verifies();
-    state.wire.vrf_verify_skips = state.validator.vrf_verify_skips();
-    state.wire.agg_verifies = state.validator.agg_verifies();
-    state.wire.agg_verify_skips = state.validator.agg_verify_skips();
-    state.wire.certificates_emitted = state.validator.certificates_emitted();
-
     NodeOutcomeInner {
         me: cfg.me,
         decided: state.validator.decided(),
         blocks_fetched: state.validator.sync().blocks_fetched(),
         persisted_len: state.validator.persisted_len(),
         wal_errors: state.validator.wal_errors(),
+        late_boundaries: state.validator.late_boundaries(),
+        decisions_withheld: state.validator.decisions_withheld(),
         store,
         votes_cast: state.validator.votes_cast(),
         frames_received: state.frames_received,

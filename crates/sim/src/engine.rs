@@ -656,12 +656,6 @@ impl Simulation {
         self.slots[v.index()].awake
     }
 
-    /// Whether `v` is currently down from a kill fault (crashed, not
-    /// yet restarted).
-    pub fn is_crashed(&self, v: ValidatorId) -> bool {
-        self.slots[v.index()].crashed
-    }
-
     /// Accumulated metrics.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -1586,7 +1580,7 @@ mod tests {
         });
         sim.run_until(Time::new(8));
         // v1 saw the t = 8 deliveries, then died.
-        assert!(sim.is_crashed(ValidatorId::new(1)));
+        assert!(sim.slots[1].crashed);
         assert_eq!(sim.metrics().dropped, 0);
         assert!(receptions_at(&log, 8).contains(&(1, 0)));
         assert!(receptions_at(&log, 8).contains(&(1, 2)));
@@ -1607,7 +1601,7 @@ mod tests {
         // for it arrived while it was still down: dropped, each counted
         // as one delivery and one drop, never handed to either
         // incarnation.
-        assert!(sim.is_awake(ValidatorId::new(1)) && !sim.is_crashed(ValidatorId::new(1)));
+        assert!(sim.is_awake(ValidatorId::new(1)) && !sim.slots[1].crashed);
         assert_eq!(sim.metrics().dropped, 2);
         assert_eq!(sim.metrics().deliveries, 9);
         assert!(receptions_at(&log, 8).iter().all(|r| r.0 != 1));
@@ -1691,7 +1685,7 @@ mod tests {
         }
         let mut sim = b.build();
         sim.run_until(Time::new(30));
-        assert!(!sim.is_crashed(ValidatorId::new(1)));
+        assert!(!sim.slots[1].crashed);
         assert!(sim.is_awake(ValidatorId::new(1)));
         assert_eq!(sim.metrics().crashes, 1);
         // Everything the pre-crash incarnation received died with it;

@@ -134,12 +134,9 @@ pub struct Metrics {
     pub decisions: u64,
     /// Ticks simulated (the horizon covered, regardless of advance mode).
     pub ticks: u64,
-    /// Ticks actually executed by the engine. For a single run this
-    /// equals `ticks` under the tick loop and is far smaller under the
-    /// event-driven engine on sparse executions — the ratio is the
-    /// engine's work saving. After [`Metrics::merge`] it is a *total
-    /// work* counter (summed across runs, while `ticks` takes the max),
-    /// so the per-run relationship no longer holds.
+    /// Ticks actually executed by the engine: equals `ticks` under the
+    /// tick loop and is far smaller under the event-driven engine on
+    /// sparse executions — the ratio is the engine's work saving.
     pub executed_ticks: u64,
 }
 
@@ -201,46 +198,6 @@ impl Metrics {
     pub fn sync_bytes(&self) -> u64 {
         self.block_request_bytes + self.block_response_bytes
     }
-
-    /// Merges another metrics bundle into this one. Counters sum
-    /// (including `executed_ticks`, which becomes total work across
-    /// runs); `ticks` takes the maximum horizon.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.log_broadcasts += other.log_broadcasts;
-        self.proposal_broadcasts += other.proposal_broadcasts;
-        self.vote_broadcasts += other.vote_broadcasts;
-        self.recovery_broadcasts += other.recovery_broadcasts;
-        self.finality_broadcasts += other.finality_broadcasts;
-        self.block_request_broadcasts += other.block_request_broadcasts;
-        self.block_response_broadcasts += other.block_response_broadcasts;
-        self.certificate_broadcasts += other.certificate_broadcasts;
-        self.forwards += other.forwards;
-        self.deliveries += other.deliveries;
-        self.bytes_delivered += other.bytes_delivered;
-        self.inline_equiv_bytes += other.inline_equiv_bytes;
-        self.log_bytes += other.log_bytes;
-        self.proposal_bytes += other.proposal_bytes;
-        self.vote_bytes += other.vote_bytes;
-        self.recovery_bytes += other.recovery_bytes;
-        self.finality_bytes += other.finality_bytes;
-        self.block_request_bytes += other.block_request_bytes;
-        self.block_response_bytes += other.block_response_bytes;
-        self.certificate_bytes += other.certificate_bytes;
-        self.sig_verifies += other.sig_verifies;
-        self.sig_verify_skips += other.sig_verify_skips;
-        self.vrf_verifies += other.vrf_verifies;
-        self.vrf_verify_skips += other.vrf_verify_skips;
-        self.agg_verifies += other.agg_verifies;
-        self.agg_verify_skips += other.agg_verify_skips;
-        self.buffered += other.buffered;
-        self.dropped += other.dropped;
-        self.crashes += other.crashes;
-        self.state_corruptions += other.state_corruptions;
-        self.filtered += other.filtered;
-        self.decisions += other.decisions;
-        self.ticks = self.ticks.max(other.ticks);
-        self.executed_ticks += other.executed_ticks;
-    }
 }
 
 #[cfg(test)]
@@ -271,23 +228,5 @@ mod tests {
         assert_eq!(m.log_bytes, 100);
         assert_eq!(m.block_response_bytes, 700);
         assert_eq!(m.sync_bytes(), 700);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Metrics::new();
-        a.deliveries = 5;
-        a.ticks = 10;
-        a.block_request_bytes = 3;
-        let mut b = Metrics::new();
-        b.deliveries = 7;
-        b.ticks = 4;
-        b.block_request_bytes = 4;
-        b.filtered = 2;
-        a.merge(&b);
-        assert_eq!(a.deliveries, 12);
-        assert_eq!(a.ticks, 10);
-        assert_eq!(a.block_request_bytes, 7);
-        assert_eq!(a.filtered, 2);
     }
 }

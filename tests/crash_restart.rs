@@ -85,6 +85,12 @@ fn identical_write_sequences_yield_byte_identical_images() {
     assert_eq!(mem.wal_bytes(), images[0].0.len());
     assert_eq!(mem.snapshot_bytes(), images[0].1.len());
 
+    // Checkpoints bound the live WAL: it holds the 8 blocks past the
+    // last checkpoint (at 32), not the 40 a WAL-only image carries.
+    let mut wal_only = MemDurable::new();
+    write_decided(&mut wal_only, &records, 0);
+    assert!(mem.wal_bytes() * 4 < wal_only.wal_bytes(), "snapshot must truncate the WAL");
+
     // The image round-trips: load + replay rebuilds the full prefix.
     let recovered = FileDurable::open(&tmp.join("a")).expect("reopen").load().expect("load");
     let replayed = replay_into(&BlockStore::new(), &recovered);

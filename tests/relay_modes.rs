@@ -27,9 +27,9 @@ fn with_invariants(mut builder: TobSimulationBuilder) -> TobSimulationBuilder {
     builder
 }
 
-fn fault_free(certificates: bool) -> TobReport {
+fn fault_free(n: usize, certificates: bool) -> TobReport {
     with_invariants(
-        TobSimulationBuilder::new(N)
+        TobSimulationBuilder::new(n)
             .views(12)
             .seed(21)
             .certificates(certificates)
@@ -87,7 +87,7 @@ fn assert_no_plane(report: &TobReport) {
 
 #[test]
 fn fault_free_both_strategies_decide_the_same_chain() {
-    let (cert, per_vote) = (fault_free(true), fault_free(false));
+    let (cert, per_vote) = (fault_free(N, true), fault_free(N, false));
     for report in [&cert, &per_vote] {
         report.assert_safety();
         report.report.assert_invariants();
@@ -104,6 +104,38 @@ fn fault_free_both_strategies_decide_the_same_chain() {
         "certificates must relay strictly less: {} vs {} forwards",
         cert.report.metrics.forwards,
         per_vote.report.metrics.forwards
+    );
+}
+
+/// What the plane buys on the wire, at the smallest n where the bars
+/// hold: one certificate replaces n per-receiver vote copies, so bytes
+/// per decided block are ≥ 5× below the per-vote baseline by n = 16, and
+/// doubling n multiplies them by ~4 (n² deliveries) where the paper's
+/// O(L·n³) forwarding multiplies by ~8.
+#[test]
+fn certificates_cut_wire_bytes_fivefold_and_grow_sub_cubically() {
+    let bytes_per_block = |n: usize, certificates: bool| {
+        let report = fault_free(n, certificates);
+        report.report.metrics.bytes_delivered as f64 / report.decided_blocks() as f64
+    };
+    let (cert, cert_2n) = (bytes_per_block(N, true), bytes_per_block(2 * N, true));
+    let (per_vote, per_vote_2n) = (bytes_per_block(N, false), bytes_per_block(2 * N, false));
+    assert!(
+        per_vote_2n >= 5.0 * cert_2n,
+        "certificates must cut wire bytes per decided block ≥ 5× at n = {}: {per_vote_2n:.0} vs {cert_2n:.0}",
+        2 * N
+    );
+    assert!(
+        cert_2n <= 6.0 * cert,
+        "certificate mode must grow sub-cubically: ×{:.1} for n = {N} → {}",
+        cert_2n / cert,
+        2 * N
+    );
+    assert!(
+        per_vote_2n > 6.0 * per_vote,
+        "the per-vote baseline is the cubic one: ×{:.1} for n = {N} → {}",
+        per_vote_2n / per_vote,
+        2 * N
     );
 }
 

@@ -103,11 +103,11 @@ fn one_signature_verify_per_unique_message_per_validator() {
     assert_eq!(m.sig_verify_skips, per_validator_skips);
 
     // The saving is real: with n=8 gossip fan-out, duplicate copies are
-    // the overwhelming majority of deliveries.
+    // the overwhelming majority of deliveries (measured 88.9 %).
     let skip_fraction = m.sig_verify_skips as f64 / m.deliveries as f64;
     assert!(
-        skip_fraction >= 0.7,
-        "expected ≥70% of deliveries to skip crypto, got {:.1}%",
+        skip_fraction >= 0.8,
+        "expected ≥80% of deliveries to skip crypto, got {:.1}%",
         skip_fraction * 100.0
     );
 }
