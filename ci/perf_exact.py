@@ -48,13 +48,10 @@ if sys.argv[1:] == ["--record"]:
     sys.exit(0)
 with open(GOLDEN) as f:
     golden = json.load(f)
-drift = []
-for section, want in [(w, golden[w]) for w in WORKLOADS] + [
-        (f"counters.{w}", golden["counters"][w]) for w in WORKLOADS]:
-    got = observed
-    for part in section.split(".", 1):
-        got = got[part]
-    drift += [(section, k, want[k], got[k]) for k in want if want[k] != got[k]]
+sections = [(w, golden[w], observed[w]) for w in WORKLOADS] + [
+    (f"counters.{w}", golden["counters"][w], observed["counters"][w]) for w in WORKLOADS]
+drift = [(section, k, want[k], got[k])
+         for section, want, got in sections for k in want if want[k] != got[k]]
 for section, k, want, got in drift:
     print(f"DRIFT {section}.{k}: recorded {want!r}, observed {got!r}")
 sys.exit(1 if drift else 0)

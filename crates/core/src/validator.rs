@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use tobsvd_crypto::{Digest, KeyCache, Keypair};
 use tobsvd_ga::Ga3;
-use tobsvd_sim::gossip::{GossipState, VerifiedSet};
+use tobsvd_sim::gossip::GossipState;
 use tobsvd_sim::{garbage_bytes, Context, Node, StateFault};
 use tobsvd_storage::{replay_into, BlockRecord, SharedDurable, Snapshot, WalError, WalRecord};
 use tobsvd_types::{
@@ -48,6 +48,11 @@ pub struct Validator {
     late_gas: BTreeSet<View>,
     /// Per-view proposal tracking with equivocation discarding.
     proposals: BTreeMap<View, ProposalTracker>,
+    /// The dedup / authenticity gate: one table, one probe per delivery
+    /// (see [`GossipState`]). Fetch-plane ids are deliberately *not*
+    /// retained (point-to-point transport an adversary can mint without
+    /// bound), so no Byzantine-floodable surface beyond verified
+    /// protocol messages.
     gossip: GossipState,
     /// Highest decided log.
     decided: Log,
@@ -59,13 +64,6 @@ pub struct Validator {
     /// The relay strategy: the aggregation plane, or `None` for the
     /// paper's immediate per-receiver forward (no aggregation state).
     agg: Option<AggregationPlane>,
-    /// Verification fast path: the dedup-before-verify gate (see
-    /// [`VerifiedSet`]). Fetch-plane ids are deliberately *not*
-    /// retained (point-to-point transport an adversary can mint without
-    /// bound, same reasoning as the gossip bypass), so the set grows in
-    /// lockstep with gossip's seen set — no new Byzantine-floodable
-    /// surface.
-    verified: VerifiedSet,
     /// Whether the node has started (first wake consumed).
     started: bool,
     /// Durable storage backend (WAL + snapshot checkpoints), when
@@ -123,7 +121,6 @@ impl Validator {
             archive: BTreeMap::new(),
             sync: SyncState::new(store),
             agg: cfg.certificates.then(|| AggregationPlane::new(me, keypair, cfg.n)),
-            verified: VerifiedSet::new(),
             started: false,
             durable: None,
             persisted_len: 1,
@@ -271,13 +268,13 @@ impl Validator {
     /// verified message id, plus one per forged frame and one per
     /// fetch-plane frame — those ids are never retained).
     pub fn sig_verifies(&self) -> u64 {
-        self.verified.verifies()
+        self.gossip.verifies()
     }
 
     /// Deliveries that skipped signature verification (duplicate copies
     /// of already-verified ids).
     pub fn sig_verify_skips(&self) -> u64 {
-        self.verified.skips()
+        self.gossip.skips()
     }
 
     /// VRF verifications this validator performed.
@@ -320,24 +317,14 @@ impl Validator {
     /// Number of distinct protocol message ids that passed verification
     /// (fetch-plane ids are never retained).
     pub fn verified_ids(&self) -> usize {
-        self.verified.len()
+        self.gossip.verified_count()
     }
 
-    /// Whether `id` has passed signature verification at this validator
+    /// Whether `msg` has passed signature verification at this validator
     /// (layered protocols — e.g. the finality gadget — reuse the base
     /// validator's verification instead of re-checking signatures).
-    pub fn is_verified(&self, id: &Digest) -> bool {
-        self.verified.contains(id)
-    }
-
-    /// Whether this validator should process `msg`, under the
-    /// dedup-before-verify discipline (see [`VerifiedSet`]).
-    fn admit(&mut self, msg: &SignedMessage, ctx: &mut Context) -> bool {
-        // Fetch-plane ids are never retained: the subprotocol is
-        // point-to-point transport an adversary can mint without bound,
-        // so each fetch frame pays its own (cached-key) verification,
-        // exactly as before the fast path.
-        self.verified.admit(msg, !msg.payload().is_sync(), ctx)
+    pub fn is_verified(&self, msg: &SignedMessage) -> bool {
+        self.gossip.is_verified(msg)
     }
 
     /// Number of distinct message ids the gossip layer has seen.
@@ -518,10 +505,10 @@ impl Validator {
     /// * **Decided tip known** — the sync plane must know the decided
     ///   chain; if not (amnesia), the §2 recover-fetch path is re-armed
     ///   and the fetch broadcast fires at this very boundary.
-    /// * **`verified ⊆ seen`** — every honest admit path inserts into
-    ///   both sets, so the retained-id count exceeding the seen count
-    ///   proves poisoning; the O(n) reconciliation runs only behind
-    ///   that O(1) trigger and evicts ids gossip never sighted.
+    /// * **`verified ⊆ seen`** — an id is filed only after its
+    ///   signature verified, so one that passes for verified without a
+    ///   sighting proves poisoning; [`GossipState::quarantine`] evicts
+    ///   those, O(1) when there are none.
     /// * **Sync structural sanity** — [`SyncState::audit`]: known ids
     ///   must have store-backed content (`known ⊆ store`, scanned only
     ///   behind its own O(1) shadow-count trigger), in-flight fetches
@@ -566,10 +553,7 @@ impl Validator {
             }
             repairs += 1;
         }
-        if self.verified.len() > self.gossip.seen_count() {
-            let gossip = &self.gossip;
-            repairs += self.verified.quarantine(|id| gossip.has_seen(id)) as u64;
-        }
+        repairs += self.gossip.quarantine() as u64;
         repairs += self.sync.audit(&ctx.store);
         self.audit_repairs += repairs;
         repairs
@@ -584,6 +568,7 @@ impl Validator {
         // The archive follows the GA window: recovering validators can
         // only act on still-live instances anyway.
         self.archive.retain(|w, _| w.number() + 2 >= v.number());
+        self.gossip.set_live(v.number());
         if let Some(plane) = self.agg.as_mut() {
             plane.prune(v);
         }
@@ -829,7 +814,7 @@ impl Node for Validator {
             }
             StateFault::VerifiedPoison { seed } => {
                 for lane in 0..4 {
-                    self.verified.poison(Digest::from_bytes(garbage_bytes(seed, lane)));
+                    self.gossip.poison(Digest::from_bytes(garbage_bytes(seed, lane)));
                 }
             }
             StateFault::SyncPoison { seed } => {
@@ -859,13 +844,13 @@ impl Node for Validator {
     }
 
     fn on_message(&mut self, msg: &SignedMessage, ctx: &mut Context) {
-        if !self.admit(msg, ctx) {
+        let Some(reception) = self.gossip.admit(msg, ctx) else {
             return; // forged signature
-        }
-        // Fetch traffic bypasses gossip entirely: it is point-to-point
+        };
+        // Fetch traffic is verified but never filed: it is point-to-point
         // transport (never re-broadcast), serving is idempotent, and a
         // retry is a byte-identical re-sign of the original request —
-        // the seen-set would silently discard every retry at a peer
+        // a dedup table would silently discard every retry at a peer
         // that could not serve the first copy (and would grow with
         // transport chatter).
         match msg.payload() {
@@ -879,7 +864,6 @@ impl Node for Validator {
             }
             _ => {}
         }
-        let reception = self.gossip.on_receive(msg);
         // The paper's gossip forwards on reception; the aggregation
         // plane, when present, takes over the relaying of the payloads
         // it defers to the next phase boundary.
@@ -1342,6 +1326,32 @@ mod tests {
         assert_eq!(val.sig_verifies(), 1, "one verify per unique message id");
         assert_eq!(val.sig_verify_skips(), 2, "every duplicate copy skips crypto");
         assert_eq!(val.unique_messages_seen(), 1, "gossip still dedups to one");
+    }
+
+    #[test]
+    fn third_distinct_payload_is_verified_and_counted_but_never_processed_or_forwarded() {
+        // §3.3: up to two different LOG messages per sender are
+        // forwarded; a third is genuine (so it is verified and filed)
+        // but reaches neither the GA nor the wire.
+        let store = BlockStore::new();
+        let cfg = TobConfig::new(4).with_certificates(false).with_recovery(true);
+        let mut val = Validator::new(ValidatorId::new(0), cfg, &store);
+        let g = Log::genesis(&store);
+        let sender = ValidatorId::new(1);
+        let kp = Keypair::from_seed(sender.key_seed());
+        let fork = |p: u32| g.extend_empty(&store, ValidatorId::new(p), View::ZERO);
+        let mut forwards = Vec::new();
+        for log in [g, fork(2), fork(3)] {
+            let payload = Payload::Log { instance: InstanceId(0), log };
+            let mut ctx = ctx_at(3, &store);
+            val.on_message(&SignedMessage::sign(&kp, sender, payload), &mut ctx);
+            let relayed = |o: &&tobsvd_sim::Outgoing| matches!(o, tobsvd_sim::Outgoing::Forward(_));
+            forwards.push(ctx.outbox().iter().filter(relayed).count());
+        }
+        assert_eq!(forwards, [1, 1, 0], "the third distinct LOG is not forwarded");
+        assert_eq!((val.sig_verifies(), val.sig_verify_skips()), (3, 0));
+        assert_eq!((val.unique_messages_seen(), val.verified_ids()), (3, 3));
+        assert_eq!(val.archive[&View::ZERO].len(), 2, "only two were processed");
     }
 
     #[test]

@@ -104,9 +104,9 @@ impl Node for FinalizingValidator {
         self.inner.on_message(msg, ctx);
         if let Payload::FinalityVote { epoch, log } = msg.payload() {
             // Reuse the base validator's verification verdict instead of
-            // re-checking the signature: its verified-id set holds the
-            // id iff this exact (sender, payload) passed verification.
-            if msg.sender() != self.me && self.inner.is_verified(&msg.id()) {
+            // re-checking the signature: its dedup table holds the id
+            // iff this exact (sender, payload) passed verification.
+            if msg.sender() != self.me && self.inner.is_verified(msg) {
                 self.fin.on_vote(*epoch, msg.sender(), *log, &ctx.store);
             }
         }

@@ -9,7 +9,7 @@
 //! check the GA properties against.
 
 use tobsvd_crypto::{KeyCache, Keypair};
-use tobsvd_sim::gossip::{GossipState, VerifiedSet};
+use tobsvd_sim::gossip::GossipState;
 use tobsvd_sim::{
     Context, DelayPolicy, Node, ParticipationSchedule, SimConfig, SimReport, Simulation,
     UniformDelay,
@@ -66,9 +66,8 @@ pub struct GaNode {
     input: Option<Log>,
     input_sent: bool,
     ga: AnyGa,
+    /// Dedup / authenticity gate, shared with `tobsvd-core`'s validator.
     gossip: GossipState,
-    /// Dedup-before-verify gate, shared with `tobsvd-core`'s validator.
-    verified: VerifiedSet,
 }
 
 impl GaNode {
@@ -95,7 +94,6 @@ impl GaNode {
             input_sent: false,
             ga,
             gossip: GossipState::new(),
-            verified: VerifiedSet::new(),
         }
     }
 
@@ -177,12 +175,9 @@ impl Node for GaNode {
 
     fn on_message(&mut self, msg: &SignedMessage, ctx: &mut Context) {
         // "The adversary cannot forge signatures": drop invalid ones.
-        // GA traffic is all broadcast (never fetch-plane), so every
-        // verified id is retained for the dedup-before-verify skip.
-        if !self.verified.admit(msg, true, ctx) {
+        let Some(reception) = self.gossip.admit(msg, ctx) else {
             return;
-        }
-        let reception = self.gossip.on_receive(msg);
+        };
         if reception.forward {
             ctx.forward(*msg);
         }

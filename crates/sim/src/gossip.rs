@@ -1,4 +1,5 @@
-//! Gossip bookkeeping shared by honest nodes.
+//! Gossip bookkeeping shared by honest nodes: the dedup / authenticity
+//! gate every receive path goes through.
 //!
 //! §3.3 of the paper: "At any time, honest validators forward any message
 //! received. Up to two different LOG messages per sender are forwarded
@@ -6,83 +7,56 @@
 //! third or later distinct message from the same sender is neither
 //! accepted nor forwarded.
 //!
-//! [`GossipState`] answers, for each delivered message, whether the
-//! protocol should process it (`fresh`) and whether the node should
-//! re-broadcast it (`forward`). Deduplication is by message id, so the
-//! same signed message arriving over multiple forwarding paths is handled
-//! once.
+//! [`GossipState`] answers, with one probe per delivered message, whether
+//! it is authentic, whether the protocol should process it (`fresh`) and
+//! whether the node should re-broadcast it (`forward`). Dedup is by
+//! message id: a message arriving over many paths is verified once.
 //!
-//! # Layout: id sets bucketed by view
+//! # Layout: a sender-indexed slot table with an ordered overflow
 //!
-//! Both id sets here ([`GossipState`]'s seen set and [`VerifiedSet`])
-//! only ever grow, and a message id is a uniformly random 32-byte key.
-//! One flat ordered set therefore gets deeper and colder with every
-//! view that passes, while the traffic that probes it belongs almost
-//! entirely to the two or three newest views. The sets are instead
-//! indexed by [`tobsvd_types::Payload::view_number`] — one small
-//! `BTreeSet` per view — and the distinct-payload counters are keyed
-//! view-major, so steady-state lookups touch only the newest,
-//! cache-resident buckets whatever the horizon. An id determines its
-//! payload and hence its bucket, so this is a pure re-indexing: every
-//! answer is the one a single flat set would give. Nothing is pruned
-//! here; dropping finished views is a `split_off` on the bucket maps.
+//! The paper's rule is the index: per `(view, kind, sender)` — the
+//! [`tobsvd_types::Payload::equivocation_key`] plus the sender — at most
+//! two ids matter, so a live view's state is a table addressed by that
+//! triple, not an ordered set of random 32-byte hashes.
+//!
+//! * **Slot table.** The first id a sender files under a key sits in
+//!   `live[view % 4][kind][sender]`; a duplicate of it — almost all
+//!   traffic — costs one array index and one 32-byte compare.
+//! * **Overflow.** One ordered set of `(key, id)` holds the rest: later
+//!   distinct ids of a key, senders at or beyond [`SignerSet::CAPACITY`],
+//!   and every view outside the live range (finished views,
+//!   attacker-chosen numbers, `RECOVERY` start views, finality epochs) —
+//!   one ordered descent each. In a live view a key has overflow entries
+//!   only if its slot is occupied, so an empty slot means "nothing
+//!   filed" without a descent.
+//! * **Live range.** Dense tables exist only for the four views from
+//!   `v − 2`, `v` being the view of the last [`GossipState::set_live`],
+//!   and a slot vector grows only when a *verified* id is filed into it:
+//!   no message can buy an O(n) allocation. Moving the range spills the
+//!   tables that left it into the overflow and lets overflow entries of
+//!   the views that entered take their slots — a pure re-indexing,
+//!   every answer is the one a flat id set gives.
+//!
+//! Ids bind `(sender, payload)` and are filed only after their signature
+//! verified, so a forged frame can never occupy a slot, and "verified"
+//! and "seen" are one membership that one probe serves — except for a
+//! fault-injected raw id ([`GossipState::poison`]), which passes for
+//! verified unsighted and waits in `raw` (empty in an uncorrupted node)
+//! until a delivery files it or the audit evicts it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use tobsvd_crypto::{Digest, KeyCache, PublicKey};
-use tobsvd_types::{SignedMessage, ValidatorId};
+use tobsvd_types::{SignedMessage, SignerSet, ValidatorId};
 
 use crate::node::Context;
 
-/// A grow-only set of message ids, bucketed by the view of the message
-/// an id names.
-///
-/// Ids filed without a view — fetch-plane payloads, and the raw ids a
-/// state-corruption experiment forces in — live in one extra bucket
-/// that every lookup also consults (it is empty in a fault-free
-/// protocol run), which keeps membership exactly that of a flat set.
-#[derive(Debug, Default)]
-struct ViewIds {
-    by_view: BTreeMap<u64, BTreeSet<Digest>>,
-    unkeyed: BTreeSet<Digest>,
-    len: usize,
-}
-
-impl ViewIds {
-    /// Membership of the id of a message belonging to `view`.
-    fn contains_at(&self, view: Option<u64>, id: &Digest) -> bool {
-        view.and_then(|v| self.by_view.get(&v)).is_some_and(|bucket| bucket.contains(id))
-            || self.unkeyed.contains(id)
-    }
-
-    /// Membership of a bare id, view unknown: probes every bucket,
-    /// newest first. Audit and diagnostics only.
-    fn contains(&self, id: &Digest) -> bool {
-        self.unkeyed.contains(id) || self.by_view.values().rev().any(|bucket| bucket.contains(id))
-    }
-
-    /// Inserts the id of a message belonging to `view`; `false` when
-    /// it was already a member.
-    fn insert(&mut self, view: Option<u64>, id: Digest) -> bool {
-        let fresh = match view {
-            Some(v) => !self.unkeyed.contains(&id) && self.by_view.entry(v).or_default().insert(id),
-            None => self.unkeyed.insert(id),
-        };
-        self.len += usize::from(fresh);
-        fresh
-    }
-
-    /// Keeps only the ids `keep` holds for; returns how many went.
-    fn retain<F: FnMut(&Digest) -> bool>(&mut self, mut keep: F) -> usize {
-        let before = self.len;
-        self.unkeyed.retain(|id| keep(id));
-        for bucket in self.by_view.values_mut() {
-            bucket.retain(|id| keep(id));
-        }
-        self.len = self.unkeyed.len() + self.by_view.values().map(BTreeSet::len).sum::<usize>();
-        before - self.len
-    }
-}
+/// Equivocation kinds 0–5 of [`tobsvd_types::Payload::equivocation_key`].
+const KINDS: usize = 6;
+/// Width of the live range: at view `v`, GA input for `v − 2 ..= v + 1`.
+const LIVE_VIEWS: u64 = 4;
+/// `(view number, kind, sender)`: what an id is filed under.
+type Key = (u64, u8, u32);
 
 /// Outcome of receiving a message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,141 +68,183 @@ pub struct Reception {
     pub forward: bool,
 }
 
-/// Per-node gossip state.
+const ACCEPTED: Reception = Reception { fresh: true, forward: true };
+/// A copy of a filed id, or a third distinct payload under one key.
+const IGNORED: Reception = Reception { fresh: false, forward: false };
+/// Fetch traffic: served every time, never relayed.
+const POINT_TO_POINT: Reception = Reception { fresh: true, forward: false };
+
+/// Per-node dedup-before-verify gate and gossip state (layout and the
+/// filing rule: module docs). A repeat sighting of a filed id is a copy
+/// of a message already proven authentic and is dropped whatever
+/// signature bytes it carries, so duplicates skip crypto entirely; fresh
+/// ids (and all forgeries) verify. Fetch payloads carry no equivocation
+/// key and are never retained (an adversary can mint them without
+/// bound): each pays its own verification.
 #[derive(Debug, Default)]
 pub struct GossipState {
-    seen: ViewIds,
-    /// Count of distinct payloads seen per (sender, equivocation key),
-    /// keyed view-major `(view, sender, kind)` so live entries sit
-    /// together at the top of the map.
-    distinct: BTreeMap<(u64, ValidatorId, u8), u8>,
-}
-
-impl GossipState {
-    /// Creates empty gossip state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a received message and returns how to treat it.
-    ///
-    /// ```
-    /// use tobsvd_crypto::Keypair;
-    /// use tobsvd_sim::gossip::GossipState;
-    /// use tobsvd_types::{BlockStore, InstanceId, Log, Payload, SignedMessage, ValidatorId};
-    ///
-    /// let store = BlockStore::new();
-    /// let v = ValidatorId::new(0);
-    /// let kp = Keypair::from_seed(v.key_seed());
-    /// let msg = SignedMessage::sign(&kp, v,
-    ///     Payload::Log { instance: InstanceId(0), log: Log::genesis(&store) });
-    ///
-    /// let mut gossip = GossipState::new();
-    /// let first = gossip.on_receive(&msg);
-    /// assert!(first.fresh && first.forward);
-    /// let dup = gossip.on_receive(&msg);
-    /// assert!(!dup.fresh && !dup.forward);
-    /// ```
-    pub fn on_receive(&mut self, msg: &SignedMessage) -> Reception {
-        let key = msg.payload().equivocation_key();
-        if !self.seen.insert(key.map(|(_, view)| view), msg.id()) {
-            return Reception { fresh: false, forward: false };
-        }
-        let Some((kind, view)) = key else {
-            return Reception { fresh: true, forward: true };
-        };
-        let count = self.distinct.entry((view, msg.sender(), kind)).or_insert(0);
-        if *count >= 2 {
-            // Third or later distinct message from this sender for this
-            // key: neither accepted nor forwarded.
-            return Reception { fresh: false, forward: false };
-        }
-        *count += 1;
-        Reception { fresh: true, forward: true }
-    }
-
-    /// Number of distinct messages seen (diagnostics).
-    pub fn seen_count(&self) -> usize {
-        self.seen.len
-    }
-
-    /// Whether `id` has been sighted here (the superset side of the
-    /// stabilization audit's `verified ⊆ seen` containment check).
-    pub fn has_seen(&self, id: &Digest) -> bool {
-        self.seen.contains(id)
-    }
-}
-
-/// The dedup-before-verify gate shared by every honest receive path
-/// (`tobsvd-core`'s validator, the GA harness nodes).
-///
-/// Ids bind `(sender, payload)` and enter the set only after a
-/// successful signature verification, so a forged frame can never
-/// poison it — a repeat sighting of a member id is a copy of a message
-/// already proven authentic, and every downstream action depends only
-/// on `(sender, payload)`, so handling the copy is indistinguishable
-/// from re-delivering the original, whatever signature bytes the copy
-/// carries. Duplicate copies therefore skip crypto entirely; fresh ids
-/// (and all forgeries) verify against the process-wide [`KeyCache`].
-///
-/// Callers decide per message whether a verified id is *retained*
-/// (`retain = false` for payload kinds an adversary can mint without
-/// bound, e.g. the fetch subprotocol — those pay their own cached-key
-/// verification every time, and the set grows in lockstep with
-/// [`GossipState`]'s seen set).
-#[derive(Debug, Default)]
-pub struct VerifiedSet {
-    ids: ViewIds,
-    /// Per-node `seed → PublicKey` table (bounded by the number of
-    /// distinct senders, i.e. n): warm verifications stay lock-free
-    /// instead of taking the process-global [`KeyCache`] read lock on
-    /// every fresh id — that lock is hit once per sender per node.
-    keys: BTreeMap<u64, PublicKey>,
+    live_from: u64,
+    /// `live[view % LIVE_VIEWS][kind][sender]`: first id filed per key.
+    live: [[Vec<Option<Digest>>; KINDS]; LIVE_VIEWS as usize],
+    overflow: BTreeSet<(Key, Digest)>,
+    /// Fault-injected ids that pass for verified but were never sighted.
+    raw: BTreeSet<Digest>,
+    filed: usize,
+    /// Public keys by sender index: warm verifications never take the
+    /// process-global [`KeyCache`] lock.
+    keys: Vec<Option<PublicKey>>,
     verifies: u64,
     skips: u64,
 }
 
-impl VerifiedSet {
-    /// Creates an empty set.
+impl GossipState {
+    /// Creates empty gossip state, live in views `0..4`.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Admits or rejects a delivered message: `true` means "authentic —
-    /// process it" (either a fresh id that verified, or a copy of an
-    /// already-verified id), `false` means the signature check failed.
-    /// Counts every decision into the per-node totals and the context's
-    /// [`crate::CryptoOps`].
-    pub fn admit(&mut self, msg: &SignedMessage, retain: bool, ctx: &mut Context) -> bool {
-        let view = msg.payload().view_number();
-        if self.ids.contains_at(view, &msg.id()) {
-            self.skips += 1;
-            ctx.note_sig_verify_skip();
-            return true;
-        }
-        self.verifies += 1;
-        ctx.note_sig_verify();
-        let seed = msg.sender().key_seed();
-        let key = match self.keys.get(&seed) {
-            Some(k) => *k,
-            None => {
-                let k = KeyCache::public(seed);
-                self.keys.insert(seed, k);
-                k
-            }
-        };
-        if !msg.verify(&key) {
-            return false;
-        }
-        if retain {
-            self.ids.insert(view, msg.id());
-        }
-        true
+    fn key(msg: &SignedMessage) -> Option<Key> {
+        msg.payload().equivocation_key().map(|(kind, view)| (view, kind, msg.sender().raw()))
     }
 
-    /// Whether `id` has passed verification here.
-    pub fn contains(&self, id: &Digest) -> bool {
-        self.ids.contains(id)
+    /// Whether `key` addresses a slot of a live table.
+    fn dense(&self, (view, kind, sender): Key) -> bool {
+        view.wrapping_sub(self.live_from) < LIVE_VIEWS
+            && usize::from(kind) < KINDS
+            && (sender as usize) < SignerSet::CAPACITY
+    }
+
+    fn is_filed(&self, key: Key, id: &Digest) -> bool {
+        if self.dense(key) {
+            let slots = &self.live[(key.0 % LIVE_VIEWS) as usize][usize::from(key.1)];
+            match slots.get(key.2 as usize) {
+                Some(Some(first)) if first == id => return true,
+                Some(Some(_)) => {}
+                _ => return false,
+            }
+        }
+        self.overflow.contains(&(key, *id))
+    }
+
+    /// Stores `id` under `key`, in its slot when that is addressable and
+    /// empty; returns whether the key already held two ids or more.
+    fn place(&mut self, key: Key, id: Digest) -> bool {
+        let dense = self.dense(key);
+        if dense {
+            let slots = &mut self.live[(key.0 % LIVE_VIEWS) as usize][usize::from(key.1)];
+            let sender = key.2 as usize;
+            if slots.len() <= sender {
+                slots.resize(sender + 1, None);
+            }
+            if slots[sender].is_none() {
+                slots[sender] = Some(id);
+                return false;
+            }
+        }
+        let spilled = self.overflow.range((key, Digest::ZERO)..).take_while(|(k, _)| *k == key);
+        let capped = usize::from(dense) + spilled.take(2).count() >= 2;
+        self.overflow.insert((key, id));
+        capped
+    }
+
+    /// Files a first-sighted id and applies the two-distinct cap.
+    fn file(&mut self, key: Key, id: Digest) -> Reception {
+        self.filed += 1;
+        self.raw.remove(&id);
+        if self.place(key, id) { IGNORED } else { ACCEPTED }
+    }
+
+    /// Moves the live range to the four views from `view − 2` (the
+    /// validator's GA window): tables that left it spill into the
+    /// overflow, overflow entries of views that entered take their slots.
+    pub fn set_live(&mut self, view: u64) {
+        let (old, new) = (self.live_from, view.saturating_sub(2));
+        let range = |from: u64| (0..LIVE_VIEWS).map(move |i| from.wrapping_add(i));
+        for w in range(old).filter(|w| w.wrapping_sub(new) >= LIVE_VIEWS) {
+            for (kind, slots) in self.live[(w % LIVE_VIEWS) as usize].iter_mut().enumerate() {
+                let ids = slots.drain(..).enumerate().filter_map(|(s, id)| Some((s, id?)));
+                self.overflow.extend(ids.map(|(s, id)| ((w, kind as u8, s as u32), id)));
+            }
+        }
+        self.live_from = new;
+        for w in range(new).filter(|w| w.wrapping_sub(old) >= LIVE_VIEWS) {
+            let spilled = self.overflow.range(((w, 0, 0), Digest::ZERO)..);
+            let spilled: Vec<_> = spilled.take_while(|(k, _)| k.0 == w).copied().collect();
+            for (key, id) in spilled {
+                self.overflow.remove(&(key, id));
+                self.place(key, id);
+            }
+        }
+    }
+
+    /// The one probe per delivery. `None`: the signature check failed.
+    /// Otherwise: a copy of a filed id skips verification and is ignored;
+    /// a first sighting is verified, filed, and accepted unless it is the
+    /// sender's third distinct payload for its key. Every decision counts
+    /// into the per-node totals and the context's [`crate::CryptoOps`].
+    pub fn admit(&mut self, msg: &SignedMessage, ctx: &mut Context) -> Option<Reception> {
+        let (key, id) = (Self::key(msg), msg.id());
+        let filed = key.is_some_and(|key| self.is_filed(key, &id));
+        if filed || self.raw.contains(&id) {
+            self.skips += 1;
+            ctx.note_sig_verify_skip();
+        } else {
+            self.verifies += 1;
+            ctx.note_sig_verify();
+            if !msg.verify(&self.public_key(msg.sender())) {
+                return None;
+            }
+        }
+        Some(match key {
+            Some(key) if !filed => self.file(key, id),
+            Some(_) => IGNORED,
+            None => POINT_TO_POINT,
+        })
+    }
+
+    /// [`GossipState::admit`] for a caller that vouches for the message
+    /// itself: dedup and the two-distinct cap, no signature check.
+    pub fn on_receive(&mut self, msg: &SignedMessage) -> Reception {
+        match Self::key(msg) {
+            Some(key) if self.is_filed(key, &msg.id()) => IGNORED,
+            Some(key) => self.file(key, msg.id()),
+            None => POINT_TO_POINT,
+        }
+    }
+
+    fn public_key(&mut self, sender: ValidatorId) -> PublicKey {
+        let (i, seed) = (sender.index(), sender.key_seed());
+        if i >= SignerSet::CAPACITY {
+            return KeyCache::public(seed);
+        }
+        if self.keys.len() <= i {
+            self.keys.resize(i + 1, None);
+        }
+        *self.keys[i].get_or_insert_with(|| KeyCache::public(seed))
+    }
+
+    /// Whether `msg`'s id passes for verified here: filed, or
+    /// fault-injected. Slot-addressed, O(1) for live traffic.
+    pub fn is_verified(&self, msg: &SignedMessage) -> bool {
+        Self::key(msg).is_some_and(|key| self.is_filed(key, &msg.id()))
+            || self.raw.contains(&msg.id())
+    }
+
+    /// Whether a bare id has been filed — a scan of every entry: fault
+    /// injection and diagnostics only; receive paths use [`Self::is_verified`].
+    pub fn has_seen(&self, id: &Digest) -> bool {
+        let mut slots = self.live.iter().flatten().flatten();
+        slots.any(|slot| slot.as_ref() == Some(id)) || self.overflow.iter().any(|(_, i)| i == id)
+    }
+
+    /// Number of distinct messages filed (diagnostics).
+    pub fn seen_count(&self) -> usize {
+        self.filed
+    }
+
+    /// Number of ids that pass for verified: filed plus fault-injected.
+    pub fn verified_count(&self) -> usize {
+        self.filed + self.raw.len()
     }
 
     /// Signature verifications performed.
@@ -241,34 +257,18 @@ impl VerifiedSet {
         self.skips
     }
 
-    /// Number of retained verified ids.
-    pub fn len(&self) -> usize {
-        self.ids.len
-    }
-
-    /// Whether no id has been retained yet.
-    pub fn is_empty(&self) -> bool {
-        self.ids.len == 0
-    }
-
-    /// Fault injection: forces a raw id into the set *without*
-    /// verification, breaking the `verified ⊆ seen` containment the
-    /// honest admit path maintains. Exists only for the stabilization
-    /// plane's state-corruption experiments.
+    /// Fault injection (state-corruption experiments): makes a raw id
+    /// pass for verified *without* a sighting; a filed id is left alone.
     pub fn poison(&mut self, id: Digest) {
-        // A raw id names no view; one that is already a member (in
-        // whichever bucket) stays where it is.
-        if !self.ids.contains(&id) {
-            self.ids.insert(None, id);
+        if !self.has_seen(&id) {
+            self.raw.insert(id);
         }
     }
 
-    /// Quarantine pass: retains only ids for which `keep` holds and
-    /// returns how many were evicted. The stabilization audit calls
-    /// this with "sighted by gossip" as the predicate, restoring the
-    /// containment a [`VerifiedSet::poison`]-style corruption broke.
-    pub fn quarantine<F: FnMut(&Digest) -> bool>(&mut self, keep: F) -> usize {
-        self.ids.retain(keep)
+    /// The stabilization audit's quarantine: evicts every id that passes
+    /// for verified unsighted; returns how many. O(1) when there are none.
+    pub fn quarantine(&mut self) -> usize {
+        std::mem::take(&mut self.raw).len()
     }
 }
 
@@ -282,6 +282,16 @@ mod tests {
         let v = ValidatorId::new(sender);
         let kp = Keypair::from_seed(v.key_seed());
         SignedMessage::sign(&kp, v, Payload::Log { instance: InstanceId(instance), log })
+    }
+
+    fn ctx(store: &BlockStore) -> Context {
+        Context::new(
+            tobsvd_types::Time::ZERO,
+            ValidatorId::new(0),
+            tobsvd_types::Delta::default(),
+            store.clone(),
+            crate::Mempool::new(),
+        )
     }
 
     #[test]
@@ -328,40 +338,37 @@ mod tests {
     }
 
     #[test]
-    fn verified_set_admits_skips_and_rejects() {
+    fn admit_verifies_once_skips_copies_and_rejects_forgeries() {
         let store = BlockStore::new();
-        let mut ctx = Context::new(
-            tobsvd_types::Time::ZERO,
-            ValidatorId::new(0),
-            tobsvd_types::Delta::default(),
-            store.clone(),
-            crate::Mempool::new(),
-        );
+        let mut ctx = ctx(&store);
         let genuine = msg(&store, 1, 0, Log::genesis(&store));
         let forged = SignedMessage::from_parts(
             genuine.sender(),
             *genuine.payload(),
             Keypair::from_seed(999).sign(b"forged"),
         );
-        let mut set = VerifiedSet::new();
-        // Forged-first: rejected, set not seeded.
-        assert!(!set.admit(&forged, true, &mut ctx));
-        assert!(set.is_empty());
-        // Genuine: verified and retained; the earlier forgery cannot
+        let mut gossip = GossipState::new();
+        // Forged-first: rejected, no slot taken.
+        assert_eq!(gossip.admit(&forged, &mut ctx), None);
+        assert_eq!(gossip.verified_count(), 0);
+        assert!(!gossip.is_verified(&genuine));
+        // Genuine: verified and filed; the earlier forgery cannot
         // shadow it.
-        assert!(set.admit(&genuine, true, &mut ctx));
-        assert_eq!(set.len(), 1);
+        assert_eq!(gossip.admit(&genuine, &mut ctx), Some(ACCEPTED));
+        assert_eq!((gossip.seen_count(), gossip.verified_count()), (1, 1));
         // Any later copy of the id — even the forged one — skips.
-        assert!(set.admit(&forged, true, &mut ctx));
-        assert_eq!((set.verifies(), set.skips()), (2, 1));
+        assert_eq!(gossip.admit(&forged, &mut ctx), Some(IGNORED));
+        assert_eq!((gossip.verifies(), gossip.skips()), (2, 1));
         assert_eq!(ctx.crypto_ops.sig_verifies, 2);
         assert_eq!(ctx.crypto_ops.sig_verify_skips, 1);
-        // retain = false: verified but never remembered.
-        let other = msg(&store, 2, 0, Log::genesis(&store));
-        assert!(set.admit(&other, false, &mut ctx));
-        assert!(!set.contains(&other.id()));
-        assert!(set.admit(&other, false, &mut ctx));
-        assert_eq!(set.verifies(), 4, "non-retained ids re-verify every time");
+        // Fetch payloads: verified, served, never remembered.
+        let kp = Keypair::from_seed(ValidatorId::new(2).key_seed());
+        let fetch = Payload::BlockRequest { tip: store.genesis(), from_height: 1 };
+        let fetch = SignedMessage::sign(&kp, ValidatorId::new(2), fetch);
+        assert_eq!(gossip.admit(&fetch, &mut ctx), Some(POINT_TO_POINT));
+        assert_eq!(gossip.admit(&fetch, &mut ctx), Some(POINT_TO_POINT));
+        assert!(!gossip.is_verified(&fetch) && !gossip.has_seen(&fetch.id()));
+        assert_eq!(gossip.verifies(), 4, "non-retained ids re-verify every time");
     }
 
     #[test]
@@ -373,5 +380,58 @@ mod tests {
         assert!(gossip.on_receive(&m).fresh);
         assert!(!gossip.on_receive(&m).fresh);
         assert_eq!(gossip.seen_count(), 1);
+    }
+
+    #[test]
+    fn far_future_views_buy_no_dense_table() {
+        // One Byzantine sender signs 10 000 distinct far-future view
+        // numbers: every id is genuine, so every id is filed — in the
+        // ordered overflow, at a constant cost per id.
+        let store = BlockStore::new();
+        let (mut ctx, g) = (ctx(&store), Log::genesis(&store));
+        let mut gossip = GossipState::new();
+        gossip.set_live(7);
+        for k in 0..10_000u64 {
+            let m = msg(&store, 3, 1_000_000 + 977 * k, g);
+            assert_eq!(gossip.admit(&m, &mut ctx), Some(ACCEPTED));
+        }
+        let slots: usize = gossip.live.iter().flatten().map(Vec::capacity).sum();
+        assert_eq!(slots, 0, "no dense table was allocated");
+        assert_eq!((gossip.overflow.len(), gossip.seen_count()), (10_000, 10_000));
+        assert!(std::mem::size_of::<(Key, Digest)>() <= 48, "bytes retained per filed id");
+        // A sender index at or beyond the dense bound is overflow-filed
+        // even in a live view.
+        let far = msg(&store, SignerSet::CAPACITY as u32, 7, g);
+        assert_eq!(gossip.admit(&far, &mut ctx), Some(ACCEPTED));
+        assert_eq!(gossip.admit(&far, &mut ctx), Some(IGNORED));
+        assert_eq!(gossip.live.iter().flatten().map(Vec::capacity).sum::<usize>(), 0);
+    }
+
+    #[test]
+    fn live_range_moves_change_no_answer() {
+        let store = BlockStore::new();
+        let g = Log::genesis(&store);
+        let l1 = g.extend_empty(&store, ValidatorId::new(9), View::new(1));
+        let l2 = g.extend_empty(&store, ValidatorId::new(8), View::new(1));
+        let (a, b, c) = (msg(&store, 2, 9, g), msg(&store, 2, 9, l1), msg(&store, 2, 9, l2));
+        let mut gossip = GossipState::new();
+        // Filed while view 9 is not live: the overflow holds it.
+        assert_eq!(gossip.on_receive(&a), ACCEPTED);
+        assert_eq!(gossip.overflow.len(), 1);
+        // View 9 becomes live: the id takes its slot, is still found,
+        // and still counts toward the two-distinct cap.
+        gossip.set_live(9);
+        assert!(gossip.overflow.is_empty());
+        assert_eq!(gossip.on_receive(&a), IGNORED);
+        assert_eq!(gossip.on_receive(&b), ACCEPTED);
+        assert_eq!(gossip.on_receive(&c), IGNORED);
+        // View 9 leaves the range: all three ids are still members.
+        gossip.set_live(40);
+        assert_eq!(gossip.overflow.len(), 3);
+        for m in [&a, &b, &c] {
+            assert_eq!(gossip.on_receive(m), IGNORED);
+            assert!(gossip.is_verified(m) && gossip.has_seen(&m.id()));
+        }
+        assert_eq!(gossip.seen_count(), 3);
     }
 }

@@ -349,15 +349,6 @@ impl Payload {
             Payload::BlockRequest { .. } | Payload::BlockResponse { .. } => None,
         }
     }
-
-    /// The view (GA instance, recovery start view, finality epoch) this
-    /// payload belongs to — the number half of
-    /// [`Payload::equivocation_key`], `None` for the fetch subprotocol.
-    /// Dedup state is bucketed by it, so steady-state traffic only
-    /// touches the newest buckets.
-    pub fn view_number(&self) -> Option<u64> {
-        self.equivocation_key().map(|(_, number)| number)
-    }
 }
 
 /// A payload signed by its sender.

@@ -1,25 +1,30 @@
-//! Differential test of the view-bucketed dedup state.
+//! Differential test of the dedup / authenticity gate.
 //!
-//! `GossipState` and `VerifiedSet` index their id sets by the view of
-//! the message an id names. That is meant to be a pure re-indexing, so
-//! random streams — duplicates, two- and three-way equivocations per
-//! `(sender, key)`, views out of order, fetch payloads that carry no
-//! key, forged signatures, fault-injected raw ids — are fed through
-//! the real types and through a reference model built on one flat
-//! `BTreeSet<Digest>`, and every observable answer must agree.
+//! `GossipState` files message ids in a sender-indexed slot table with
+//! an ordered overflow and a moving live range. That is meant to be a
+//! pure re-indexing of what it replaced — a verified-id set probed
+//! before a seen-id set, both flat — so random streams are fed through
+//! the real type and through that pair of `BTreeSet<Digest>`s composed
+//! exactly as `Validator::on_message` composed them, and every
+//! observable answer must agree. The streams hold duplicates, up to
+//! five-way equivocation per `(sender, key)`, views that enter and
+//! leave the live range between operations, sender indices at and
+//! beyond the dense bound, fetch payloads that carry no key, forged
+//! signatures before and after the genuine copy, and fault-injected raw
+//! ids with the audit's quarantine pass.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use tob_svd::crypto::{AggregateSignature, Digest, KeyCache, Keypair};
 use tob_svd::protocol::leader::vrf_for;
-use tob_svd::sim::gossip::{GossipState, Reception, VerifiedSet};
+use tob_svd::sim::gossip::{GossipState, Reception};
 use tob_svd::sim::{garbage_bytes, Context, Mempool};
 use tob_svd::types::{
     BlockStore, Delta, InstanceId, Log, Payload, SignedMessage, SignerSet, Time, ValidatorId, View,
 };
 
-/// The flat-set gossip state the bucketed one replaced.
+/// The flat seen-id set and distinct-payload counters.
 #[derive(Default)]
 struct FlatGossip {
     seen: BTreeSet<Digest>,
@@ -84,60 +89,79 @@ impl FlatVerified {
 /// messages and collide on `(sender, key)`.
 #[derive(Clone, Copy, Debug)]
 struct MsgSpec {
-    sender: u32,
+    /// Index into [`SENDERS`].
+    sender: usize,
     /// Payload kind: 0–5 keyed (LOG, PROPOSAL, VOTE, RECOVERY,
     /// FINALIZE, QC), 6–7 the keyless fetch pair.
     kind: u8,
-    view: u64,
-    /// Which of three distinct logs the payload carries.
-    variant: u8,
+    /// Index into [`VIEWS`].
+    view: usize,
+    /// Which of five distinct logs the payload carries.
+    variant: usize,
     forged: bool,
 }
 
+/// Two ordinary senders, the last dense index, the first index beyond
+/// the dense bound, and one far beyond it.
+const SENDERS: [u32; 5] = [
+    0,
+    1,
+    SignerSet::CAPACITY as u32 - 1,
+    SignerSet::CAPACITY as u32,
+    70_000,
+];
+/// Views the live range (moved over `0..12`) sweeps across, plus one it
+/// never reaches.
+const VIEWS: [u64; 9] = [0, 1, 2, 3, 4, 5, 7, 9, 1 << 40];
+
 #[derive(Clone, Debug)]
 enum Op {
-    /// Deliver a message: gossip reception + verification gate.
-    Deliver { msg: MsgSpec, retain: bool },
-    /// Force the id of a (possibly already delivered) message, or a
-    /// garbage id, into the verified set.
+    /// Deliver a message: the one probe of the receive path.
+    Deliver(MsgSpec),
+    /// Make the id of a (possibly already delivered) message, or a
+    /// garbage id, pass for verified.
     Poison { msg: Option<MsgSpec>, garbage: u64 },
     /// The stabilization audit's reconciliation pass.
     Quarantine,
+    /// `Validator::prune(v)`: the live range moves to `[v − 2, v + 2)`.
+    SetLive(u64),
 }
 
 fn msg_spec() -> impl Strategy<Value = MsgSpec> {
-    (0u32..3, 0u8..8, 0u64..5, 0u8..3, 0u8..10).prop_map(|(sender, kind, view, variant, f)| {
-        MsgSpec {
+    (0..SENDERS.len(), 0u8..8, 0..VIEWS.len(), 0usize..5, 0u8..10).prop_map(
+        |(sender, kind, view, variant, f)| MsgSpec {
             sender,
             kind,
             view,
             variant,
             forged: f == 0,
-        }
-    })
+        },
+    )
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (0u8..10, msg_spec(), any::<bool>(), any::<u64>()).prop_map(|(pick, msg, flag, garbage)| {
+    (0u8..12, msg_spec(), any::<bool>(), any::<u64>()).prop_map(|(pick, msg, flag, garbage)| {
         match pick {
             0 => Op::Quarantine,
             1 => Op::Poison {
                 msg: flag.then_some(msg),
                 garbage,
             },
-            _ => Op::Deliver { msg, retain: flag },
+            2 => Op::SetLive(garbage % 12),
+            _ => Op::Deliver(msg),
         }
     })
 }
 
-fn build(spec: &MsgSpec, logs: &[Log; 3]) -> SignedMessage {
-    let sender = ValidatorId::new(spec.sender);
-    let log = logs[usize::from(spec.variant)];
-    let instance = InstanceId(spec.view);
+fn build(spec: &MsgSpec, logs: &[Log; 5]) -> SignedMessage {
+    let sender = ValidatorId::new(SENDERS[spec.sender]);
+    let log = logs[spec.variant];
+    let number = VIEWS[spec.view];
+    let instance = InstanceId(number);
     let payload = match spec.kind {
         0 => Payload::Log { instance, log },
         1 => {
-            let view = View::new(spec.view);
+            let view = View::new(number);
             let (vrf, proof) = vrf_for(sender, view);
             Payload::Proposal {
                 view,
@@ -148,13 +172,10 @@ fn build(spec: &MsgSpec, logs: &[Log; 3]) -> SignedMessage {
         }
         2 => Payload::Vote { instance, log },
         3 => Payload::Recovery {
-            from_view: View::new(spec.view),
+            from_view: View::new(number),
             log,
         },
-        4 => Payload::FinalityVote {
-            epoch: spec.view,
-            log,
-        },
+        4 => Payload::FinalityVote { epoch: number, log },
         5 => {
             let mut signers = SignerSet::empty();
             signers.insert(sender);
@@ -168,12 +189,12 @@ fn build(spec: &MsgSpec, logs: &[Log; 3]) -> SignedMessage {
         }
         6 => Payload::BlockRequest {
             tip: log.tip(),
-            from_height: 1 + spec.view,
+            from_height: 1 + spec.view as u64,
         },
         _ => Payload::BlockResponse {
             tip: log.tip(),
             from_height: 1,
-            count: 1 + spec.view,
+            count: 1 + spec.view as u64,
         },
     };
     let signed = SignedMessage::sign(&Keypair::from_seed(sender.key_seed()), sender, payload);
@@ -189,62 +210,69 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn bucketed_dedup_state_answers_like_one_flat_set(
+    fn dedup_table_answers_like_the_two_flat_sets_composed(
         ops in proptest::collection::vec(op(), 1..400),
     ) {
         let store = BlockStore::new();
         let g = Log::genesis(&store);
-        let logs = [
-            g,
-            g.extend_empty(&store, ValidatorId::new(0), View::new(1)),
-            g.extend_empty(&store, ValidatorId::new(1), View::new(1)),
-        ];
+        let fork = |proposer: u32| g.extend_empty(&store, ValidatorId::new(proposer), View::new(1));
+        let logs = [g, fork(0), fork(1), fork(2), fork(3)];
         let mut ctx =
             Context::new(Time::ZERO, ValidatorId::new(0), Delta::default(), store, Mempool::new());
 
-        let (mut gossip, mut flat_gossip) = (GossipState::new(), FlatGossip::default());
-        let (mut verified, mut flat_verified) = (VerifiedSet::new(), FlatVerified::default());
-        let mut probes: BTreeSet<Digest> = BTreeSet::new();
+        let mut gossip = GossipState::new();
+        let (mut flat_gossip, mut flat_verified) = (FlatGossip::default(), FlatVerified::default());
+        let mut probes: Vec<SignedMessage> = Vec::new();
+        let mut raw_probes: BTreeSet<Digest> = BTreeSet::new();
 
         for op in &ops {
             match op {
-                Op::Deliver { msg, retain } => {
-                    let m = build(msg, &logs);
-                    probes.insert(m.id());
-                    // Validator order: verification gate, then gossip.
-                    let admitted = verified.admit(&m, *retain, &mut ctx);
-                    prop_assert_eq!(admitted, flat_verified.admit(&m, *retain));
-                    if admitted {
-                        prop_assert_eq!(gossip.on_receive(&m), flat_gossip.on_receive(&m));
-                    }
+                Op::Deliver(spec) => {
+                    let m = build(spec, &logs);
+                    probes.push(m);
+                    // `on_message` at the parent: the verification gate
+                    // (fetch ids not retained), fetch payloads served
+                    // without touching gossip, then the seen set.
+                    let keyed = !m.payload().is_sync();
+                    let want = flat_verified.admit(&m, keyed).then(|| match keyed {
+                        true => flat_gossip.on_receive(&m),
+                        false => Reception { fresh: true, forward: false },
+                    });
+                    prop_assert_eq!(gossip.admit(&m, &mut ctx), want);
                 }
                 Op::Poison { msg, garbage } => {
                     let id = match msg {
-                        Some(spec) => build(spec, &logs).id(),
+                        Some(spec) => {
+                            let m = build(spec, &logs);
+                            probes.push(m);
+                            m.id()
+                        }
                         None => Digest::from_bytes(garbage_bytes(*garbage, 0)),
                     };
-                    probes.insert(id);
-                    verified.poison(id);
+                    raw_probes.insert(id);
+                    gossip.poison(id);
                     flat_verified.ids.insert(id);
                 }
                 Op::Quarantine => {
-                    let evicted = verified.quarantine(|id| gossip.has_seen(id));
                     let before = flat_verified.ids.len();
                     flat_verified.ids.retain(|id| flat_gossip.seen.contains(id));
-                    prop_assert_eq!(evicted, before - flat_verified.ids.len());
+                    prop_assert_eq!(gossip.quarantine(), before - flat_verified.ids.len());
                 }
+                Op::SetLive(view) => gossip.set_live(*view),
             }
             prop_assert_eq!(gossip.seen_count(), flat_gossip.seen.len());
-            prop_assert_eq!(verified.len(), flat_verified.ids.len());
-            prop_assert_eq!(verified.is_empty(), flat_verified.ids.is_empty());
+            prop_assert_eq!(gossip.verified_count(), flat_verified.ids.len());
             prop_assert_eq!(
-                (verified.verifies(), verified.skips()),
+                (gossip.verifies(), gossip.skips()),
                 (flat_verified.verifies, flat_verified.skips)
             );
         }
-        for id in &probes {
+        for m in &probes {
+            prop_assert_eq!(gossip.has_seen(&m.id()), flat_gossip.seen.contains(&m.id()));
+            prop_assert_eq!(gossip.is_verified(m), flat_verified.ids.contains(&m.id()));
+        }
+        for id in &raw_probes {
             prop_assert_eq!(gossip.has_seen(id), flat_gossip.seen.contains(id));
-            prop_assert_eq!(verified.contains(id), flat_verified.ids.contains(id));
         }
         prop_assert_eq!(ctx.crypto_ops.sig_verifies, flat_verified.verifies);
         prop_assert_eq!(ctx.crypto_ops.sig_verify_skips, flat_verified.skips);

@@ -54,8 +54,8 @@ fn one_signature_verify_per_unique_message_per_validator() {
         );
         assert_eq!(
             c.verified_ids, c.unique_messages_seen,
-            "{}: the verified-id set and gossip's seen set cover the same ids \
-             (fetch-plane ids are retained by neither)",
+            "{}: every id that passes for verified was sighted — one table, no \
+             raw ids (fetch-plane ids are never filed)",
             stats.validator
         );
         assert!(
