@@ -148,7 +148,7 @@ const FINGERPRINT_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 fn run_range(cfg: &CheckConfig, start: usize, count: usize, basis: u64) -> CheckReport {
     // Wall time only decorates the report; fingerprints chain scenario
     // digests and never observe it.
-    // audit-allow: no-ambient-nondeterminism -- reporting-only wall timer
+    #[allow(clippy::disallowed_methods)]
     let t0 = Instant::now();
     let outcomes: Vec<(CheckScenario, ExecutionVerdict)> =
         tobsvd_sweep::run_indexed(count, cfg.threads, |i| {
@@ -194,7 +194,8 @@ pub fn run(cfg: &CheckConfig) -> CheckReport {
 /// chains batch digests — a clean exhausted run reports exactly the
 /// fingerprint `run` would give for `max_executions` executions.
 pub fn run_until_failure(cfg: &CheckConfig, batch: usize, max_executions: usize) -> CheckReport {
-    // audit-allow: no-ambient-nondeterminism -- reporting-only wall timer
+    // Reporting-only wall timer, as in `run_range`.
+    #[allow(clippy::disallowed_methods)]
     let t0 = Instant::now();
     let mut offset = 0usize;
     let mut total_decided_blocks = 0;

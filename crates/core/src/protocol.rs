@@ -24,7 +24,7 @@ use crate::validator::Validator;
 /// Submission times are honored by proposers (`pending_for_at` filters by
 /// submission time), so pre-populating the pool is equivalent to
 /// submitting live.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TxWorkload {
     /// No transactions (pure consensus benchmarking).
     None,

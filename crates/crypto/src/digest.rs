@@ -60,6 +60,7 @@ impl Digest {
         let mut out = [0u8; 32];
         // `chunks_exact(2)` guarantees two bytes per pair, so the pair
         // accesses below are bounds-safe by construction.
+        #[allow(clippy::indexing_slicing)]
         for (o, pair) in out.iter_mut().zip(s.as_bytes().chunks_exact(2)) {
             let hi = (pair[0] as char).to_digit(16)?;
             let lo = (pair[1] as char).to_digit(16)?;

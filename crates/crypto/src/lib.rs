@@ -49,6 +49,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The panic-safety half of the static gate (README § "Static analysis"):
+// outside tests this crate neither aborts nor indexes unchecked; an
+// exemption is a site-level `#[allow]` that states its reason.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 mod aggregate;
 mod cache;

@@ -109,6 +109,8 @@ impl Sha256State {
 
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
+        // `chunks_exact(4)` yields four-byte chunks only.
+        #[allow(clippy::indexing_slicing)]
         for (dst, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
             *dst = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }

@@ -2,7 +2,7 @@
 //! ports, run for a fixed number of views, collect and cross-check
 //! their decisions.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
@@ -236,7 +236,7 @@ impl ClusterReport {
 /// tests) use to connect mid-run, then [`RunningCluster::join`].
 pub struct RunningCluster {
     handles: Vec<NodeHandle>,
-    addrs: HashMap<ValidatorId, SocketAddr>,
+    addrs: BTreeMap<ValidatorId, SocketAddr>,
     clock: TickClock,
     run_ticks: u64,
 }
@@ -302,7 +302,7 @@ impl LocalCluster {
         }
         // Bind all listeners first so dialing cannot race.
         let mut listeners = Vec::with_capacity(cfg.n);
-        let mut addrs: HashMap<ValidatorId, SocketAddr> = HashMap::new();
+        let mut addrs: BTreeMap<ValidatorId, SocketAddr> = BTreeMap::new();
         for v in ValidatorId::all(cfg.n) {
             let l = TcpListener::bind("127.0.0.1:0").map_err(ClusterError::Bind)?;
             addrs.insert(v, l.local_addr().map_err(ClusterError::Bind)?);
@@ -319,7 +319,7 @@ impl LocalCluster {
 
         let mut handles = Vec::with_capacity(cfg.n);
         for (v, listener) in listeners {
-            let peers: HashMap<ValidatorId, SocketAddr> = addrs
+            let peers: BTreeMap<ValidatorId, SocketAddr> = addrs
                 .iter()
                 .filter(|(p, _)| **p != v)
                 .map(|(p, a)| (*p, *a))

@@ -234,6 +234,10 @@ pub(crate) fn io_loop(
 /// Re-registers sessions whose throttle window expired.
 fn lift_throttles(sessions: &mut HashMap<usize, Session>, poll: &Poll) {
     let now = Instant::now();
+    // `sessions` stays hashed (one token lookup per readiness event,
+    // thousands of clients); its order only sequences the throttle
+    // releases of one poll cycle, which no peer or client can observe.
+    #[allow(clippy::iter_over_hash_type)]
     for (token, session) in sessions.iter_mut() {
         if session.throttled_until.is_some_and(|until| now >= until) {
             session.throttled_until = None;

@@ -43,7 +43,7 @@
 //! ([`wire::peek_header`] is all this module knows about a frame it
 //! cannot decode yet).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -253,7 +253,7 @@ struct ParkedFrame {
 pub fn spawn_node(
     cfg: NodeConfig,
     listener: TcpListener,
-    peers: HashMap<ValidatorId, SocketAddr>,
+    peers: BTreeMap<ValidatorId, SocketAddr>,
     clock: TickClock,
 ) -> std::io::Result<NodeHandle> {
     let join = std::thread::Builder::new()
@@ -271,7 +271,7 @@ struct NodeState {
     mempool: Mempool,
     validator: Validator,
     keypair: tobsvd_crypto::Keypair,
-    outbound: HashMap<ValidatorId, Arc<Mutex<TcpStream>>>,
+    outbound: BTreeMap<ValidatorId, Arc<Mutex<TcpStream>>>,
     loopback: Sender<Inbound>,
     parked: VecDeque<ParkedFrame>,
     frames_sent: u64,
@@ -413,6 +413,8 @@ impl NodeState {
         true
     }
 
+    /// Fan-out order of every `Broadcast`/`Forward`: ascending validator
+    /// id, the same on every node and in every process.
     fn peers(&self) -> Vec<ValidatorId> {
         self.outbound.keys().copied().collect()
     }
@@ -448,7 +450,7 @@ impl NodeState {
 fn run_node(
     cfg: NodeConfig,
     listener: TcpListener,
-    peers: HashMap<ValidatorId, SocketAddr>,
+    peers: BTreeMap<ValidatorId, SocketAddr>,
     clock: TickClock,
 ) -> NodeOutcomeInner {
     let store = BlockStore::new();
@@ -505,7 +507,7 @@ fn run_node(
     };
 
     // Outbound mesh: dial every peer.
-    let mut outbound: HashMap<ValidatorId, Arc<Mutex<TcpStream>>> = HashMap::new();
+    let mut outbound: BTreeMap<ValidatorId, Arc<Mutex<TcpStream>>> = BTreeMap::new();
     for (peer, addr) in &peers {
         let stream = dial_with_retry(*addr, clock.instant_of(cfg.run_ticks));
         if let Some(s) = stream {

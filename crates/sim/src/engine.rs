@@ -702,25 +702,25 @@ impl Simulation {
     ///
     /// In [`AdvanceMode::EventDriven`] (the default) time jumps straight
     /// to each next interesting tick; in [`AdvanceMode::TickLoop`] every
-    /// tick is visited. Both end with `now() == t_end + 1` and identical
-    /// state (see the module doc's determinism argument).
+    /// tick is visited. Both end with identical state (see the module
+    /// doc's determinism argument) and `now() == t_end + 1` — except at
+    /// `t_end == u64::MAX`, where the saturating clock cannot step past
+    /// the last tick: the run ends once that tick has executed, with
+    /// `now() == t_end`.
     pub fn run_until(&mut self, t_end: Time) {
-        match self.advance {
-            AdvanceMode::TickLoop => {
-                while self.time <= t_end {
-                    self.step_tick();
+        while self.time <= t_end {
+            if self.advance == AdvanceMode::EventDriven {
+                let next = self.next_interesting_tick();
+                if next > t_end {
+                    self.time = t_end + 1;
+                    break;
                 }
+                self.time = next;
             }
-            AdvanceMode::EventDriven => {
-                while self.time <= t_end {
-                    let next = self.next_interesting_tick();
-                    if next > t_end {
-                        self.time = t_end + 1;
-                        break;
-                    }
-                    self.time = next;
-                    self.step_tick();
-                }
+            let stepped = self.time;
+            self.step_tick();
+            if self.time == stepped {
+                break; // the clock saturated: `stepped` was the last tick there is
             }
         }
         self.metrics.ticks = self.time.ticks();
@@ -1832,6 +1832,36 @@ mod tests {
                 ev.metrics().executed_ticks,
                 tl.metrics().executed_ticks
             );
+        }
+    }
+
+    #[test]
+    fn run_until_the_end_of_time_returns_in_both_modes() {
+        // `Time += 1` saturates, so `time <= t_end` alone never turns
+        // false at `t_end == u64::MAX`: the run must end with the last
+        // tick. The tick loop visits every tick, so once its pings have
+        // drained its clock is moved to three ticks short of the end.
+        let end = Time::new(u64::MAX);
+        let mut tl = build_ping_sim_mode(3, 5, AdvanceMode::TickLoop);
+        tl.run_until(Time::new(20));
+        tl.time = Time::new(u64::MAX - 3);
+        tl.run_until(end);
+        assert_eq!(tl.now(), end);
+        assert_eq!(tl.metrics().executed_ticks, 21 + 4);
+
+        // The event-driven engine gets there by itself once Δ is large
+        // enough that the phase boundaries on the way are few.
+        let cfg = SimConfig::new(3).with_seed(5).with_delta(tobsvd_types::Delta::new(1 << 62));
+        let mut b = Simulation::builder(cfg);
+        for v in ValidatorId::all(3) {
+            b = b.node(v, Box::new(PingNode::new(v)));
+        }
+        let mut ev = b.build();
+        ev.run_until(end);
+        assert_eq!(ev.now(), end);
+        assert_eq!(ev.metrics().ticks, u64::MAX);
+        for v in ValidatorId::all(3) {
+            assert_eq!(ping_received(&ev, v).len(), 3, "{v} heard every ping");
         }
     }
 

@@ -13,6 +13,8 @@ const CRC_POLY: u32 = 0xEDB8_8320;
 const fn build_crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut n = 0usize;
+    // Const-eval fill of a fixed 256-entry table; n < 256 by the loop bound.
+    #[allow(clippy::indexing_slicing)]
     while n < 256 {
         let mut c = n as u32;
         let mut k = 0;
@@ -20,7 +22,6 @@ const fn build_crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        // audit-allow: no-unchecked-index -- const-eval fill of a fixed 256-entry table; n < 256 by the loop bound
         table[n] = c;
         n += 1;
     }

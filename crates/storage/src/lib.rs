@@ -50,11 +50,26 @@
 //! not data). A corrupt snapshot surfaces as a [`WalError`] and
 //! recovery falls back to WAL-only (then to delta-sync fetch for
 //! whatever is still missing). This is the same graceful-degradation
-//! posture the `tobsvd-audit` no-panic-path rule enforces on the rest
-//! of the protocol core, and this crate sits under that gate.
+//! posture the clippy gate's panic-path lints enforce on the rest of
+//! the protocol core, and this crate sits under the same `deny` block.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The panic-safety half of the static gate (README § "Static analysis"):
+// outside tests this crate neither aborts nor indexes unchecked; an
+// exemption is a site-level `#[allow]` that states its reason.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 mod codec;
 mod file;

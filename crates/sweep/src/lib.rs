@@ -36,8 +36,6 @@ mod matrix;
 mod report;
 mod runner;
 
-pub use matrix::{
-    AdversarySpec, DelaySpec, ParticipationSpec, Scenario, ScenarioMatrix, WorkloadSpec,
-};
+pub use matrix::{AdversarySpec, DelaySpec, ParticipationSpec, Scenario, ScenarioMatrix};
 pub use report::{ScenarioOutcome, SweepReport};
 pub use runner::{effective_threads, run_indexed, run_matrix, run_scenarios};

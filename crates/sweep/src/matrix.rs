@@ -3,8 +3,7 @@
 use tobsvd_adversary::{churn, AdaptiveLeaderCorruptor, SplitBrainNode};
 use tobsvd_core::{TobConfig, TobReport, TobSimulationBuilder, TxWorkload, ViewSchedule};
 use tobsvd_sim::{
-    AdmissionPolicy, BestCaseDelay, OpenLoopSpec, ParticipationSchedule,
-    UniformDelay, WorstCaseDelay,
+    AdmissionPolicy, BestCaseDelay, ParticipationSchedule, UniformDelay, WorstCaseDelay,
 };
 use tobsvd_types::{Delta, Time, ValidatorId, View};
 
@@ -113,52 +112,6 @@ impl AdversarySpec {
     }
 }
 
-/// Transaction workload for the whole matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkloadSpec {
-    /// No transactions.
-    None,
-    /// `count` transactions of `size` bytes right before every view.
-    PerView {
-        /// Transactions per view.
-        count: usize,
-        /// Payload size in bytes.
-        size: usize,
-    },
-    /// `total` transactions of `size` bytes at random times.
-    Random {
-        /// Total transactions over the run.
-        total: usize,
-        /// Payload size in bytes.
-        size: usize,
-    },
-    /// Deterministic open-loop client population (Zipf rates, bursts)
-    /// generated by [`tobsvd_sim::OpenLoopWorkload`] — the overload /
-    /// mempool-saturation axis. Pair with [`ScenarioMatrix::admission`]
-    /// to exercise bounded admission.
-    OpenLoop(OpenLoopSpec),
-}
-
-impl WorkloadSpec {
-    fn build(self) -> TxWorkload {
-        match self {
-            WorkloadSpec::None => TxWorkload::None,
-            WorkloadSpec::PerView { count, size } => TxWorkload::PerView { count, size },
-            WorkloadSpec::Random { total, size } => TxWorkload::Random { total, size },
-            WorkloadSpec::OpenLoop(spec) => TxWorkload::OpenLoop(spec),
-        }
-    }
-
-    fn label(self) -> String {
-        match self {
-            WorkloadSpec::None => "notx".into(),
-            WorkloadSpec::PerView { count, size } => format!("pv{count}x{size}"),
-            WorkloadSpec::Random { total, size } => format!("rnd{total}x{size}"),
-            WorkloadSpec::OpenLoop(spec) => spec.label(),
-        }
-    }
-}
-
 /// One fully-specified simulation scenario — a single cell of a
 /// [`ScenarioMatrix`].
 #[derive(Clone, Debug, PartialEq)]
@@ -180,7 +133,7 @@ pub struct Scenario {
     /// Adversary family.
     pub adversary: AdversarySpec,
     /// Transaction workload.
-    pub workload: WorkloadSpec,
+    pub workload: TxWorkload,
     /// Bounded mempool admission policy (unbounded legacy pool if
     /// `None`).
     pub admission: Option<AdmissionPolicy>,
@@ -201,9 +154,9 @@ impl Scenario {
             self.delay.label(),
             self.adversary.label()
         );
-        if matches!(self.workload, WorkloadSpec::OpenLoop(_)) {
+        if let TxWorkload::OpenLoop(spec) = &self.workload {
             label.push(' ');
-            label.push_str(&self.workload.label());
+            label.push_str(&spec.label());
         }
         if let Some(policy) = self.admission {
             label.push_str(&format!(" cap{}", policy.capacity));
@@ -232,7 +185,7 @@ impl Scenario {
             .views(self.views)
             .seed(self.seed)
             .delta(delta)
-            .workload(self.workload.build())
+            .workload(self.workload.clone())
             .participation(self.participation.build(self.n, delta, horizon, self.seed));
         if let Some(policy) = self.admission {
             builder = builder.admission(policy);
@@ -291,7 +244,7 @@ pub struct ScenarioMatrix {
     /// Adversary axis.
     pub adversaries: Vec<AdversarySpec>,
     /// Workload applied to every scenario.
-    pub workload: WorkloadSpec,
+    pub workload: TxWorkload,
     /// Admission policy applied to every scenario (`None` = unbounded).
     pub admission: Option<AdmissionPolicy>,
 }
@@ -309,7 +262,7 @@ impl ScenarioMatrix {
             participation: vec![ParticipationSpec::Full],
             delays: vec![DelaySpec::Uniform],
             adversaries: vec![AdversarySpec::None],
-            workload: WorkloadSpec::PerView { count: 2, size: 48 },
+            workload: TxWorkload::PerView { count: 2, size: 48 },
             admission: None,
         }
     }
@@ -345,7 +298,7 @@ impl ScenarioMatrix {
     }
 
     /// Sets the workload for every scenario.
-    pub fn workload(mut self, workload: WorkloadSpec) -> Self {
+    pub fn workload(mut self, workload: TxWorkload) -> Self {
         self.workload = workload;
         self
     }
@@ -389,7 +342,7 @@ impl ScenarioMatrix {
                                     participation: participation.clone(),
                                     delay,
                                     adversary,
-                                    workload: self.workload,
+                                    workload: self.workload.clone(),
                                     admission: self.admission,
                                 });
                             }
@@ -405,6 +358,7 @@ impl ScenarioMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tobsvd_sim::OpenLoopSpec;
 
     #[test]
     fn expansion_is_the_cartesian_product_in_order() {
@@ -453,7 +407,7 @@ mod tests {
         };
         let m = ScenarioMatrix::new(vec![4], vec![4])
             .views(4)
-            .workload(WorkloadSpec::OpenLoop(spec))
+            .workload(TxWorkload::OpenLoop(spec))
             .admission(AdmissionPolicy { capacity: 64, rate_cap: 0, rate_window: 64 });
         let scenario = &m.scenarios()[0];
         assert!(scenario.label().contains("cap64"), "label: {}", scenario.label());

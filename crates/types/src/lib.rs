@@ -40,6 +40,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The panic-safety half of the static gate (README § "Static analysis"):
+// outside tests this crate neither aborts nor indexes unchecked; an
+// exemption is a site-level `#[allow]` that states its reason.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
 /// Fixed per-message envelope overhead assumed by the *nominal*
 /// (pre-delta-sync) byte accounting — see
@@ -52,8 +67,13 @@ mod ids;
 mod log;
 mod message;
 mod store;
+// Tick arithmetic saturates or is checked: raw `+ - * / %` on the
+// wrapped integer is denied here, each exemption says why it cannot
+// overflow (tests/delta_saturation.rs drives the callers' side).
+#[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 mod time;
 mod tx;
+#[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 mod view;
 pub mod wire;
 

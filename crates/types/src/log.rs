@@ -113,13 +113,13 @@ impl Log {
         view: View,
         txs: Vec<Transaction>,
     ) -> Log {
+        // Documented `# Panics` API: every constructor establishes
+        // tip-is-stored, the input is caller state (never attacker
+        // bytes), and an infallible `extend` is relied on
+        // throughout the protocol layer.
+        #[allow(clippy::expect_used)]
         let tip = store
             .append(self.tip, proposer, view, txs)
-            // Documented `# Panics` API: every constructor establishes
-            // tip-is-stored, the input is caller state (never attacker
-            // bytes), and an infallible `extend` is relied on
-            // throughout the protocol layer.
-            // audit-allow: no-panic-path -- documented invariant, local input
             .expect("log tip must be stored");
         Log { tip, len: self.len + 1 }
     }

@@ -48,6 +48,8 @@ impl Time {
     /// Whether this time falls on a multiple of `delta`.
     ///
     /// Protocol actions (phase boundaries) only fire on Δ-multiples.
+    // `Delta` is ≥ 1 by construction (`Delta::new` asserts, `Mul` clamps).
+    #[allow(clippy::arithmetic_side_effects)]
     pub fn is_phase_boundary(&self, delta: Delta) -> bool {
         self.0 % delta.ticks() == 0
     }
@@ -83,6 +85,9 @@ impl Sub<Time> for Time {
     /// # Panics
     ///
     /// Panics in debug builds if `rhs > self`.
+    // The documented contract above: callers subtract an earlier time,
+    // and debug builds (every test run) assert it.
+    #[allow(clippy::arithmetic_side_effects)]
     fn sub(self, rhs: Time) -> u64 {
         debug_assert!(rhs.0 <= self.0, "time subtraction underflow");
         self.0 - rhs.0

@@ -56,6 +56,8 @@ impl Transaction {
     /// controlled size `L` for the communication-complexity experiments.
     pub fn synthetic(nonce: u64, size: usize) -> Self {
         let mut payload = vec![0u8; size.max(8)];
+        // The payload was just allocated with `size.max(8)` ≥ 8 bytes.
+        #[allow(clippy::indexing_slicing)]
         payload[..8].copy_from_slice(&nonce.to_be_bytes());
         for (i, b) in payload.iter_mut().enumerate().skip(8) {
             *b = (i % 251) as u8;

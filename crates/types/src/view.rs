@@ -68,6 +68,8 @@ impl View {
     /// The view length `4Δ` saturates at `u64::MAX`, matching
     /// [`View::start_time`]'s clamp (every finite time then maps to
     /// view 0, consistent with all views starting at the end of time).
+    // The divisor is ≥ 4: `Delta` is ≥ 1 by construction.
+    #[allow(clippy::arithmetic_side_effects)]
     pub fn of_time(t: Time, delta: Delta) -> View {
         View(t.ticks() / DELTAS_PER_VIEW.saturating_mul(delta.ticks()))
     }

@@ -11,10 +11,9 @@
 //! independent seeded simulation, so the sweep runs on all cores and
 //! still produces bit-identical results in matrix order.
 
-use tob_svd::sweep::{
-    run_matrix, AdversarySpec, DelaySpec, ParticipationSpec, ScenarioMatrix, WorkloadSpec,
-};
+use tob_svd::protocol::TxWorkload;
 use tob_svd::sim::{AdmissionPolicy, OpenLoopSpec};
+use tob_svd::sweep::{run_matrix, AdversarySpec, DelaySpec, ParticipationSpec, ScenarioMatrix};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,7 +31,7 @@ fn main() {
             ])
             .delays(vec![DelaySpec::Uniform, DelaySpec::WorstCase])
             .adversaries(vec![AdversarySpec::None, AdversarySpec::SplitBrain { count: 1 }])
-            .workload(WorkloadSpec::PerView { count: 1, size: 32 })
+            .workload(TxWorkload::PerView { count: 1, size: 32 })
     } else {
         ScenarioMatrix::new(vec![5, 7, 9], vec![4, 8])
             .views(12)
@@ -48,7 +47,7 @@ fn main() {
                 AdversarySpec::SplitBrain { count: 2 },
                 AdversarySpec::AdaptiveLeaderCorruption { budget: 2 },
             ])
-            .workload(WorkloadSpec::PerView { count: 2, size: 48 })
+            .workload(TxWorkload::PerView { count: 2, size: 48 })
     };
 
     eprintln!(
@@ -96,7 +95,7 @@ fn main() {
             .participation(vec![ParticipationSpec::Full])
             .delays(vec![DelaySpec::Uniform])
             .adversaries(vec![AdversarySpec::None])
-            .workload(WorkloadSpec::PerView { count: 1, size: 32 });
+            .workload(TxWorkload::PerView { count: 1, size: 32 });
         eprintln!("sweeping {} large-n scenarios (n=128/256)...", large.len());
         let large_report = run_matrix(&large, 0);
         if json {
@@ -136,14 +135,14 @@ fn main() {
             "mempool-saturation",
             ScenarioMatrix::new(vec![5], vec![4])
                 .views(if smoke { 4 } else { 8 })
-                .workload(WorkloadSpec::OpenLoop(saturation))
+                .workload(TxWorkload::OpenLoop(saturation))
                 .admission(AdmissionPolicy { capacity: 256, rate_cap: 0, rate_window: 64 }),
         ),
         (
             "slow-client",
             ScenarioMatrix::new(vec![5], vec![4])
                 .views(if smoke { 4 } else { 8 })
-                .workload(WorkloadSpec::OpenLoop(bursty))
+                .workload(TxWorkload::OpenLoop(bursty))
                 .admission(AdmissionPolicy { capacity: 4096, rate_cap: 4, rate_window: 16 }),
         ),
     ];

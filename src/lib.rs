@@ -24,7 +24,6 @@
 //! | [`storage`] | `tobsvd-storage` | durable WAL + snapshot checkpoints + crash recovery |
 //! | [`sweep`] | `tobsvd-sweep` | declarative scenario matrices + parallel sweep runner |
 //! | [`check`] | `tobsvd-check` | randomized schedule-exploration model checker + shrinker |
-//! | [`audit`] | `tobsvd-audit` | determinism & panic-safety lint pass over the workspace itself |
 //!
 //! # Quickstart
 //!
@@ -47,7 +46,6 @@
 
 pub use tobsvd_adversary as adversary;
 pub use tobsvd_analysis as analysis;
-pub use tobsvd_audit as audit;
 pub use tobsvd_baselines as baselines;
 pub use tobsvd_check as check;
 pub use tobsvd_core as protocol;

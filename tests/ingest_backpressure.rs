@@ -10,12 +10,12 @@
 //!   evicted, or still pending within the capacity bound at shutdown.
 
 use std::io::Write;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use tob_svd::runtime::{ClientConn, ClusterConfig, LocalCluster};
 use tob_svd::sim::AdmissionPolicy;
 use tob_svd::types::client::AckStatus;
-use tob_svd::types::ValidatorId;
+use tob_svd::types::{Time, ValidatorId};
 
 const CAPACITY: usize = 16;
 
@@ -46,9 +46,9 @@ fn saturated_node_sheds_load_without_blocking_peers() {
     let mut submitted = 0u64;
     let mut accepted = 0u64;
     let mut busy = 0u64;
-    let deadline = clock.instant_of(run_ticks.saturating_sub(run_ticks / 4));
+    let deadline = Time::new(run_ticks.saturating_sub(run_ticks / 4));
     let mut nonce = 0u64;
-    while Instant::now() < deadline {
+    while clock.now_tick() < deadline {
         for conn in &mut conns {
             if conn.is_closed() {
                 continue;
@@ -72,8 +72,8 @@ fn saturated_node_sheds_load_without_blocking_peers() {
         std::thread::sleep(Duration::from_millis(1));
     }
     // Drain the remaining acks before the run ends.
-    let drain_until = Instant::now() + Duration::from_millis(100);
-    while Instant::now() < drain_until {
+    let drain_until = clock.now_tick() + (100 / clock.tick_duration().as_millis()) as u64; // ≈ 100 ms
+    while clock.now_tick() < drain_until {
         for conn in &mut conns {
             if conn.is_closed() {
                 continue;

@@ -19,10 +19,33 @@ struct MsgSpec {
     blocks: Vec<(u32, Vec<u16>)>,
 }
 
+/// Number of generator indices: `MsgSpec::tag` ranges over `0..TAGS`,
+/// one per `Payload` variant.
+const TAGS: u8 = 8;
+
+/// The generator index (`MsgSpec::tag`) that makes `build_message`
+/// produce `payload`'s variant. No wildcard arm, on purpose: a new
+/// `Payload` variant stops this suite compiling until it has an index
+/// here — and then `fuzz_matrix_generates_every_payload_variant` fails
+/// until `build_message` generates it, so no variant reaches the wire
+/// without truncation/mutation coverage.
+fn generator_index(payload: &Payload) -> u8 {
+    match payload {
+        Payload::Log { .. } => 0,
+        Payload::Proposal { .. } => 1,
+        Payload::Vote { .. } => 2,
+        Payload::Recovery { .. } => 3,
+        Payload::FinalityVote { .. } => 4,
+        Payload::BlockRequest { .. } => 5,
+        Payload::BlockResponse { .. } => 6,
+        Payload::Certificate { .. } => 7,
+    }
+}
+
 fn msg_spec() -> impl Strategy<Value = MsgSpec> {
     (
         0u32..16,
-        0u8..8,
+        0..TAGS,
         0u64..100,
         proptest::collection::vec(
             (0u32..16, proptest::collection::vec(1u16..600, 0..4)),
@@ -55,12 +78,13 @@ fn build_message(spec: &MsgSpec, store: &BlockStore) -> SignedMessage {
         4 => Payload::FinalityVote { epoch: spec.instance, log },
         5 => Payload::BlockRequest { tip: log.tip(), from_height: 1 + spec.instance % 4 },
         7 => certificate_over(InstanceId(spec.instance), log, spec.sender),
-        _ if log.len() > 1 => {
+        6 if log.len() > 1 => {
             Payload::BlockResponse { tip: log.tip(), from_height: 1, count: log.len() - 1 }
         }
         // A response must carry at least one block; fall back to a
         // request for empty chains.
-        _ => Payload::BlockRequest { tip: log.tip(), from_height: 1 },
+        6 => Payload::BlockRequest { tip: log.tip(), from_height: 1 },
+        tag => panic!("generator index {tag} outside 0..{TAGS}"),
     };
     let kp = Keypair::from_seed(sender.key_seed());
     SignedMessage::sign(&kp, sender, payload)
@@ -186,7 +210,7 @@ proptest! {
     /// garbage suffixes) over encodings of every payload variant —
     /// announcements, both fetch payloads and quorum certificates —
     /// must never panic the decoder: it returns `Ok` or `Err`, nothing
-    /// else. (`tag` in the spec ranges over all 8 variants.)
+    /// else. (`tag` in the spec ranges over all `TAGS` variants.)
     #[test]
     fn decode_never_panics_on_mutated_bytes(
         spec in msg_spec(),
@@ -220,6 +244,18 @@ proptest! {
         // The assertion is the return itself: a panic fails the case
         // (the harness catches unwinds and reports the input).
         let _ = wire::decode_message(bytes.into(), &rx);
+    }
+}
+
+/// The fuzz matrix above reaches every `Payload` variant: each index in
+/// `0..TAGS` generates the variant `generator_index` maps back to it.
+#[test]
+fn fuzz_matrix_generates_every_payload_variant() {
+    let store = BlockStore::new();
+    for tag in 0..TAGS {
+        let spec = MsgSpec { sender: 1, tag, instance: 3, blocks: vec![(0, vec![40]), (1, vec![])] };
+        let msg = build_message(&spec, &store);
+        assert_eq!(generator_index(msg.payload()), tag, "{:?}", msg.payload());
     }
 }
 
