@@ -60,22 +60,11 @@ fn run(name: &str, schedule: Option<ParticipationSchedule>, n: usize, views: u64
     }
     let report = b.run().expect("runs");
     report.assert_safety();
-    let napper_votes: f64 = report
-        .validators
-        .iter()
-        .flatten()
-        .filter(|s| s.validator.index() < 2)
-        .map(|s| s.votes_cast as f64)
-        .sum::<f64>()
-        / 2.0;
-    let stable_votes: f64 = report
-        .validators
-        .iter()
-        .flatten()
-        .filter(|s| s.validator.index() >= 2)
-        .map(|s| s.votes_cast as f64)
-        .sum::<f64>()
-        / (n - 2) as f64;
+    let votes = |nappers: bool| -> f64 {
+        let vals = report.honest_validators().filter(|v| (v.id().index() < 2) == nappers);
+        vals.map(|v| v.votes_cast() as f64).sum()
+    };
+    let (napper_votes, stable_votes) = (votes(true) / 2.0, votes(false) / (n - 2) as f64);
     (
         name.to_string(),
         vec![

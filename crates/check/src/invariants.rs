@@ -3,7 +3,7 @@
 
 use tobsvd_core::{TobReport, ViewSchedule};
 use tobsvd_sim::{DecisionEvent, DecisionObserver, Invariant, InvariantViolation};
-use tobsvd_types::{BlockStore, Delta, Time};
+use tobsvd_types::{BlockStore, Delta, Time, ValidatorId};
 
 use crate::scenario::CheckScenario;
 
@@ -140,7 +140,7 @@ impl Invariant for ChainGrowth {
 /// threw at it.
 ///
 /// Unlike the engine-level invariants this is an end-of-run check over
-/// the per-validator [`tobsvd_core::SyncStats`] snapshots (the engine
+/// each finished validator's [`tobsvd_core::SyncState`] (the engine
 /// cannot see node internals), appended to the verdict's violation list
 /// by [`CheckScenario::run_report`] under the same reporting contract:
 /// inside the `⌊(n−1)/2⌋` bound it must always hold; seeing it fail is
@@ -179,8 +179,8 @@ impl NoStalledFetch {
     pub fn check(&self, report: &TobReport) -> Vec<InvariantViolation> {
         let end = report.report.final_time;
         let mut violations = Vec::new();
-        for stats in report.validators.iter().flatten() {
-            let Some(since) = stats.sync.oldest_pending_since else {
+        for val in report.honest_validators() {
+            let Some(since) = val.sync().oldest_pending_since() else {
                 continue;
             };
             let age = end - since;
@@ -191,7 +191,11 @@ impl NoStalledFetch {
                     detail: format!(
                         "{} ended with {} parked message(s); oldest parked at t={} \
                          ({} ticks ago, bound {})",
-                        stats.validator, stats.sync.pending, since, age, self.bound_ticks
+                        val.id(),
+                        val.sync().pending_len(),
+                        since,
+                        age,
+                        self.bound_ticks
                     ),
                 });
             }
@@ -200,138 +204,80 @@ impl NoStalledFetch {
     }
 }
 
-/// Crash re-convergence: a validator killed and restarted from its
-/// durable store (snapshot + WAL suffix, remainder fetched over the
-/// delta-sync plane) must end the run re-converged onto the common
-/// decided anchor — provided enough horizon remains after the restart.
+/// Re-convergence after a fault: a validator knocked off the common
+/// decided anchor at a known tick must end the run back within two
+/// blocks of it — provided enough horizon remains after the fault. One
+/// check, two fault families, told apart by name and targets only:
 ///
-/// The grace period is 12Δ: a restart lands mid-view, the first view
-/// the validator fully participates in starts up to 4Δ later, and that
-/// view's block decides 6Δ after its proposal — plus margin for the
-/// catch-up fetch round trips. The scenario's longest declared sleep
-/// and fetch-fault windows are added on top (while either lasts, the
-/// network may legitimately withhold the catch-up traffic). Restarts
-/// closer to the horizon than the grace period are not judged. The
-/// tolerance of two blocks absorbs the decisions still in flight at
-/// the end of the run.
+/// * [`Reconvergence::CRASH`] — a validator killed and restarted from
+///   its durable store (snapshot + WAL suffix, remainder fetched over
+///   the delta-sync plane), judged from its restart tick. Inside the
+///   model a failure is a storage/recovery bug.
+/// * [`Reconvergence::STATE`] — a validator whose state was corrupted
+///   mid-run (decided-log reset, counter skew, poisoned caches, sync
+///   amnesia — the [`tobsvd_sim::StateFault`] vocabulary), repaired by
+///   its own per-phase local audits plus the §2 recovery broadcast and
+///   the fetch plane, judged from the corruption tick. Inside the model
+///   a failure is a stabilization bug (an audit missed or mis-repaired
+///   illegal state).
 ///
-/// Like [`NoStalledFetch`] this is an end-of-run check over the
-/// per-validator report (the engine cannot see node internals),
-/// appended by [`CheckScenario::run_report`]: inside the model a
-/// failure is a storage/recovery bug; past the corruption bound it is
-/// the expected finding.
-#[derive(Clone, Debug)]
-pub struct CrashReconvergence {
-    /// `(validator, restart_at)` for every scheduled restart.
-    pub restarts: Vec<(u32, u64)>,
-    /// Ticks after a restart before the bound applies.
-    pub grace_ticks: u64,
-}
-
-impl CrashReconvergence {
-    /// Stable violation name.
-    pub const NAME: &'static str = "crash-reconvergence";
-
-    /// The re-convergence bound for a concrete scenario.
-    pub fn for_scenario(scenario: &CheckScenario) -> Self {
-        let fault_w =
-            scenario.fetch_faults.iter().map(|f| f.until - f.from).max().unwrap_or(0);
-        let sleep_w = scenario.sleeps.iter().map(|w| w.until - w.from).max().unwrap_or(0);
-        // Saturating: shrinker-explored scenarios may carry extreme
-        // deltas or windows, and a wrapped grace would judge restarts
-        // that never had time to recover.
-        let grace_ticks = scenario
-            .delta
-            .saturating_mul(12)
-            .saturating_add(fault_w)
-            .saturating_add(sleep_w);
-        CrashReconvergence {
-            restarts: scenario.crashes.iter().map(|c| (c.validator, c.restart_at)).collect(),
-            grace_ticks,
-        }
-    }
-
-    /// Evaluates the check against a finished run's report.
-    pub fn check(&self, report: &TobReport) -> Vec<InvariantViolation> {
-        let end = report.report.final_time;
-        let max_len = report.max_decided_len();
-        let mut violations = Vec::new();
-        for (v, restart_at) in &self.restarts {
-            if restart_at.saturating_add(self.grace_ticks) > end.ticks() {
-                continue; // not enough horizon left to judge recovery
-            }
-            // A validator still down at run end (or Byzantine) reports
-            // no stats; re-convergence is then not judgeable.
-            let Some(stats) =
-                report.validators.get(*v as usize).and_then(|s| s.as_ref())
-            else {
-                continue;
-            };
-            if stats.decided_len.saturating_add(2) < max_len {
-                violations.push(InvariantViolation {
-                    invariant: Self::NAME,
-                    at: end,
-                    detail: format!(
-                        "{} restarted at t={} but ended at decided length {} \
-                         of {} (grace {} ticks)",
-                        stats.validator, restart_at, stats.decided_len, max_len, self.grace_ticks
-                    ),
-                });
-            }
-        }
-        violations
-    }
-}
-
-/// State re-convergence: a validator whose state was corrupted mid-run
-/// (decided-log reset, counter skew, poisoned caches, sync amnesia —
-/// the [`tobsvd_sim::StateFault`] vocabulary) must end the run back
-/// within two blocks of the common decided anchor, repaired by its own
-/// per-phase local audits plus the §2 recovery broadcast and the
-/// delta-sync fetch plane — provided enough horizon remains after the
-/// corruption.
+/// The grace period is 12Δ: the first view the validator fully
+/// participates in starts up to 4Δ after the fault (a restart lands
+/// mid-view; an audit fires at the next boundary), and that view's
+/// block decides 6Δ after its proposal — plus margin for the recovery
+/// and fetch round trips. The scenario's longest declared sleep and
+/// fetch-fault windows are added on top (while either lasts, the
+/// network may legitimately withhold the catch-up traffic). Faults
+/// closer to the horizon than the grace are not judged; the two-block
+/// tolerance absorbs decisions still in flight at run end.
 ///
-/// The grace period mirrors [`CrashReconvergence`]: 12Δ (the audit
-/// fires at the next phase boundary, a full re-sync needs the recovery
-/// round trip plus fetch round trips, and the first fully-participated
-/// view decides 6Δ after its proposal) plus the scenario's longest
-/// sleep and fetch-fault windows. Corruptions closer to the horizon
-/// than the grace period are not judged; the two-block tolerance
-/// absorbs decisions still in flight at run end.
-///
-/// Appended by [`CheckScenario::run_report`] like the other end-of-run
-/// checks: inside the model a failure is a stabilization bug (an audit
-/// missed or mis-repaired illegal state); past the corruption bound it
+/// Like [`NoStalledFetch`] this is an end-of-run check over the finished
+/// validators (the engine cannot see node internals), appended by
+/// [`CheckScenario::run_report`]; past the corruption bound a failure
 /// is the expected finding.
 #[derive(Clone, Debug)]
-pub struct StateReconvergence {
-    /// `(validator, at)` for every scheduled state corruption.
-    pub corrupted: Vec<(u32, u64)>,
-    /// Ticks after a corruption before the bound applies.
+pub struct Reconvergence {
+    /// Stable violation name: [`Reconvergence::CRASH`] or
+    /// [`Reconvergence::STATE`].
+    pub name: &'static str,
+    /// `(validator, since)`: each judged validator and the tick its
+    /// fault took effect.
+    pub targets: Vec<(u32, u64)>,
+    /// Ticks after a fault before the bound applies.
     pub grace_ticks: u64,
 }
 
-impl StateReconvergence {
-    /// Stable violation name.
-    pub const NAME: &'static str = "state-reconvergence";
+impl Reconvergence {
+    /// Violation name of the kill/restart check.
+    pub const CRASH: &'static str = "crash-reconvergence";
+    /// Violation name of the state-corruption check.
+    pub const STATE: &'static str = "state-reconvergence";
 
-    /// The re-convergence bound for a concrete scenario.
-    pub fn for_scenario(scenario: &CheckScenario) -> Self {
+    /// The check of every scheduled restart, from its restart tick.
+    pub fn after_restarts(scenario: &CheckScenario) -> Self {
+        let targets = scenario.crashes.iter().map(|c| (c.validator, c.restart_at)).collect();
+        Self::for_scenario(Self::CRASH, targets, scenario)
+    }
+
+    /// The check of every scheduled state corruption, from its tick.
+    pub fn after_state_faults(scenario: &CheckScenario) -> Self {
+        let targets = scenario.state_faults.iter().map(|f| (f.validator, f.at)).collect();
+        Self::for_scenario(Self::STATE, targets, scenario)
+    }
+
+    fn for_scenario(name: &'static str, targets: Vec<(u32, u64)>, scenario: &CheckScenario) -> Self {
         let fault_w =
             scenario.fetch_faults.iter().map(|f| f.until - f.from).max().unwrap_or(0);
         let sleep_w = scenario.sleeps.iter().map(|w| w.until - w.from).max().unwrap_or(0);
         // Saturating: shrinker-explored scenarios may carry extreme
-        // deltas or windows, and a wrapped grace would judge
-        // corruptions that never had time to heal.
+        // deltas or windows, and a wrapped grace would judge faults
+        // that never had time to heal.
         let grace_ticks = scenario
             .delta
             .saturating_mul(12)
             .saturating_add(fault_w)
             .saturating_add(sleep_w);
-        StateReconvergence {
-            corrupted: scenario.state_faults.iter().map(|f| (f.validator, f.at)).collect(),
-            grace_ticks,
-        }
+        Reconvergence { name, targets, grace_ticks }
     }
 
     /// Evaluates the check against a finished run's report.
@@ -339,30 +285,26 @@ impl StateReconvergence {
         let end = report.report.final_time;
         let max_len = report.max_decided_len();
         let mut violations = Vec::new();
-        for (v, at) in &self.corrupted {
-            if at.saturating_add(self.grace_ticks) > end.ticks() {
-                continue; // not enough horizon left to judge repair
+        for (v, since) in &self.targets {
+            if since.saturating_add(self.grace_ticks) > end.ticks() {
+                continue; // not enough horizon left to judge recovery
             }
-            // A validator down at run end (or Byzantine) reports no
-            // stats; re-convergence is then not judgeable.
-            let Some(stats) =
-                report.validators.get(*v as usize).and_then(|s| s.as_ref())
-            else {
+            // A validator down at run end (or Byzantine) has no honest
+            // state; re-convergence is then not judgeable.
+            let id = ValidatorId::new(*v);
+            let Some(val) = report.validator(id) else {
                 continue;
             };
-            if stats.decided_len.saturating_add(2) < max_len {
+            let len = val.decided().len();
+            if len.saturating_add(2) < max_len {
                 violations.push(InvariantViolation {
-                    invariant: Self::NAME,
+                    invariant: self.name,
                     at: end,
                     detail: format!(
-                        "{} was state-corrupted at t={} but ended at decided length {} \
-                         of {} after {} audits / {} repairs (grace {} ticks)",
-                        stats.validator,
-                        at,
-                        stats.decided_len,
-                        max_len,
-                        stats.audits_run,
-                        stats.audit_repairs,
+                        "{id} faulted at t={since} but ended at decided length {len} of \
+                         {max_len} after {} audits / {} repairs (grace {} ticks)",
+                        val.audits_run(),
+                        val.audit_repairs(),
                         self.grace_ticks
                     ),
                 });
@@ -448,8 +390,8 @@ mod tests {
             ..CheckScenario::fault_free(6, delta, 12, 3)
         };
         let report = scenario.run_report();
-        let napper = report.validators[0].expect("napper is honest");
-        assert!(napper.sync.pending > 0, "the permanent drop must strand parked messages");
+        let napper = report.validator(ValidatorId::new(0)).expect("napper is honest");
+        assert!(napper.sync().pending_len() > 0, "the permanent drop must strand parked messages");
         let tight = NoStalledFetch { bound_ticks: 0 }.check(&report);
         assert!(!tight.is_empty(), "a zero bound must flag the stall");
         assert_eq!(tight[0].invariant, NoStalledFetch::NAME);
@@ -459,23 +401,31 @@ mod tests {
     }
 
     /// The re-convergence grace saturates like the stall bound: extreme
-    /// deltas must clamp to "never judged", not wrap small.
+    /// deltas must clamp to "never judged", not wrap small — for both
+    /// fault families, each keeping its own name and targets.
     #[test]
     fn reconvergence_grace_saturates_at_extreme_delta() {
         let scenario = CheckScenario {
             crashes: vec![CrashRestart { validator: 0, at: 0, restart_at: 1 }],
+            state_faults: vec![StateCorruption {
+                validator: 1,
+                at: 3,
+                fault: StateFault::DecidedReset,
+            }],
             ..CheckScenario::fault_free(4, u64::MAX / 4, 5, 3)
         };
-        let inv = CrashReconvergence::for_scenario(&scenario);
-        assert_eq!(inv.grace_ticks, u64::MAX, "12Δ must clamp, not wrap");
-        assert_eq!(inv.restarts, vec![(0, 1)]);
+        let crash = Reconvergence::after_restarts(&scenario);
+        let state = Reconvergence::after_state_faults(&scenario);
+        assert_eq!((crash.name, crash.targets), (Reconvergence::CRASH, vec![(0, 1)]));
+        assert_eq!((state.name, state.targets), (Reconvergence::STATE, vec![(1, 3)]));
+        assert_eq!((crash.grace_ticks, state.grace_ticks), (u64::MAX, u64::MAX), "12Δ must clamp");
     }
 
     /// A validator that genuinely ends the run behind the common anchor
     /// (a napper whose fetch traffic is dead forever) must be flagged
-    /// when treated as a restart with an elapsed grace — and spared
-    /// when the grace has not elapsed. Proves the check measures the
-    /// decided-length gap and the grace gate both ways.
+    /// when judged with an elapsed grace — and spared when the grace has
+    /// not elapsed. Proves the check measures the decided-length gap and
+    /// the grace gate both ways.
     #[test]
     fn reconvergence_flags_a_laggard_and_respects_grace() {
         let delta = 4u64;
@@ -491,65 +441,20 @@ mod tests {
             ..CheckScenario::fault_free(6, delta, 12, 3)
         };
         let report = scenario.run_report();
-        let napper = report.validators[0].expect("napper is honest");
+        let napper = report.validator(ValidatorId::new(0)).expect("napper is honest");
         assert!(
-            napper.decided_len + 2 < report.max_decided_len(),
+            napper.decided().len() + 2 < report.max_decided_len(),
             "the dead fetch plane must leave the napper behind"
         );
-        let judged = CrashReconvergence { restarts: vec![(0, 0)], grace_ticks: 0 };
-        let flagged = judged.check(&report);
-        assert_eq!(flagged.len(), 1, "an elapsed grace must flag the laggard");
-        assert_eq!(flagged[0].invariant, CrashReconvergence::NAME);
-        let spared = CrashReconvergence { restarts: vec![(0, 0)], grace_ticks: u64::MAX };
-        assert!(spared.check(&report).is_empty(), "an unelapsed grace judges nothing");
-        // Out-of-range and Byzantine validators report no stats and are
-        // skipped rather than judged.
-        let oob = CrashReconvergence { restarts: vec![(99, 0)], grace_ticks: 0 };
-        assert!(oob.check(&report).is_empty());
-    }
-
-    /// The state-re-convergence grace saturates like the others:
-    /// extreme deltas clamp to "never judged", never wrap small.
-    #[test]
-    fn state_reconvergence_grace_saturates_at_extreme_delta() {
-        let scenario = CheckScenario {
-            state_faults: vec![StateCorruption {
-                validator: 0,
-                at: 3,
-                fault: StateFault::DecidedReset,
-            }],
-            ..CheckScenario::fault_free(4, u64::MAX / 4, 5, 3)
+        let check = |targets, grace_ticks| {
+            Reconvergence { name: Reconvergence::STATE, targets, grace_ticks }.check(&report)
         };
-        let inv = StateReconvergence::for_scenario(&scenario);
-        assert_eq!(inv.grace_ticks, u64::MAX, "12Δ must clamp, not wrap");
-        assert_eq!(inv.corrupted, vec![(0, 3)]);
-    }
-
-    /// A validator genuinely stranded behind the anchor (the dead-fetch
-    /// napper) must be flagged when judged as a state corruption with
-    /// elapsed grace — and spared when the grace has not elapsed.
-    #[test]
-    fn state_reconvergence_flags_a_laggard_and_respects_grace() {
-        let delta = 4u64;
-        let scenario = CheckScenario {
-            sleeps: vec![SleepWindow { validator: 0, from: 3 * delta, until: 24 * delta }],
-            sync: SyncMode::DropRecover,
-            fetch_faults: vec![FetchFault {
-                validator: 0,
-                from: 24 * delta,
-                until: 1_000_000,
-                kind: FetchFaultKind::Drop,
-            }],
-            ..CheckScenario::fault_free(6, delta, 12, 3)
-        };
-        let report = scenario.run_report();
-        let judged = StateReconvergence { corrupted: vec![(0, 0)], grace_ticks: 0 };
-        let flagged = judged.check(&report);
+        let flagged = check(vec![(0, 0)], 0);
         assert_eq!(flagged.len(), 1, "an elapsed grace must flag the laggard");
-        assert_eq!(flagged[0].invariant, StateReconvergence::NAME);
-        let spared = StateReconvergence { corrupted: vec![(0, 0)], grace_ticks: u64::MAX };
-        assert!(spared.check(&report).is_empty(), "an unelapsed grace judges nothing");
-        let oob = StateReconvergence { corrupted: vec![(99, 0)], grace_ticks: 0 };
-        assert!(oob.check(&report).is_empty());
+        assert_eq!(flagged[0].invariant, Reconvergence::STATE);
+        assert!(check(vec![(0, 0)], u64::MAX).is_empty(), "an unelapsed grace judges nothing");
+        // Out-of-range and Byzantine validators have no honest state and
+        // are skipped rather than judged.
+        assert!(check(vec![(99, 0)], 0).is_empty());
     }
 }

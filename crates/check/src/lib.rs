@@ -24,13 +24,13 @@
 //!   also schedule *kill/restart faults* ([`CrashRestart`]): the
 //!   validator loses all volatile state and is rebuilt from its
 //!   durable store (snapshot + WAL), with the end-of-run
-//!   [`CrashReconvergence`] check guarding recovery. Finally, samples
+//!   [`Reconvergence::CRASH`] check guarding recovery. Finally, samples
 //!   may schedule *state corruptions* ([`StateCorruption`]): a
 //!   validator's in-memory state (decided log, durability counters,
 //!   verified cache, delta-sync knowledge) is mutated in place, and the
 //!   self-stabilization plane's per-phase local audits must detect and
 //!   repair the damage — guarded by the end-of-run
-//!   [`StateReconvergence`] check.
+//!   [`Reconvergence::STATE`] check.
 //! * [`checker::run`] explores on `tobsvd-sweep`'s scoped-thread
 //!   work-stealing runner — one derived RNG per execution, so reports
 //!   (and their fingerprints) are bit-identical for any thread count.
@@ -84,9 +84,7 @@ mod shrink;
 
 pub use checker::{derive_seed, scenario_at, CheckConfig, CheckReport, Failure};
 pub use faults::{FetchFaultDelay, FetchFaultFilter};
-pub use invariants::{
-    BoundedDecisionLatency, ChainGrowth, CrashReconvergence, NoStalledFetch, StateReconvergence,
-};
+pub use invariants::{BoundedDecisionLatency, ChainGrowth, NoStalledFetch, Reconvergence};
 pub use repro::{Reproducer, REPRO_VERSION};
 pub use scenario::{
     ByzStrategy, CheckScenario, Corruption, CrashRestart, DelayKind, ExecutionVerdict, FetchFault,

@@ -20,9 +20,7 @@ use tobsvd_sim::{
 use tobsvd_types::{Delta, Time, ValidatorId, View};
 
 use crate::faults::{FetchFaultDelay, FetchFaultFilter};
-use crate::invariants::{
-    BoundedDecisionLatency, ChainGrowth, CrashReconvergence, NoStalledFetch, StateReconvergence,
-};
+use crate::invariants::{BoundedDecisionLatency, ChainGrowth, NoStalledFetch, Reconvergence};
 
 /// Byzantine node strategy for a from-genesis corrupted validator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -148,7 +146,7 @@ pub struct CrashRestart {
 /// honest — the self-stabilization plane's per-phase local audits must
 /// detect the illegal state and repair it through the §2 recovery
 /// broadcast and the delta-sync fetch plane, and the end-of-run
-/// [`StateReconvergence`] check bounds how long repair may take.
+/// [`Reconvergence::STATE`] check bounds how long repair may take.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StateCorruption {
     /// The corrupted validator.
@@ -559,14 +557,14 @@ impl CheckScenario {
         report
             .report
             .invariant_violations
-            .extend(CrashReconvergence::for_scenario(self).check(&report));
+            .extend(Reconvergence::after_restarts(self).check(&report));
         // End-of-run self-stabilization check: every validator whose
         // state was corrupted with enough remaining horizon must have
         // audited, repaired and re-converged onto the common anchor.
         report
             .report
             .invariant_violations
-            .extend(StateReconvergence::for_scenario(self).check(&report));
+            .extend(Reconvergence::after_state_faults(self).check(&report));
         report
     }
 
@@ -935,13 +933,12 @@ mod tests {
             report.report.metrics.filtered > 0,
             "the drop window must actually suppress fetch copies"
         );
-        let napper = report.validators[0].expect("napper is honest");
+        let napper = report.validator(ValidatorId::new(0)).expect("napper is honest").sync();
         assert!(
-            napper.sync.blocks_fetched > 0 || napper.sync.requests_sent > 0,
-            "the napper must exercise the fetch machinery: {:?}",
-            napper.sync
+            napper.blocks_fetched() > 0 || napper.requests_sent() > 0,
+            "the napper must exercise the fetch machinery"
         );
-        assert_eq!(napper.sync.pending, 0, "all parked messages must resolve by run end");
+        assert_eq!(napper.pending_len(), 0, "all parked messages must resolve by run end");
     }
 
     #[test]
@@ -972,18 +969,14 @@ mod tests {
         };
         assert!(verdict.passed(), "violations: {:?}", verdict.violations);
         assert_eq!(report.report.metrics.crashes, 1, "the kill fault must fire");
-        let restarted = report.validators[1].expect("restarted validator reports stats");
+        let restarted = report.validator(ValidatorId::new(1)).expect("restarted validator is up");
         assert!(
-            restarted.persisted_len > 1,
+            restarted.persisted_len() > 1,
             "decisions must have reached the durable store before the crash"
         );
-        assert_eq!(restarted.wal_errors, 0);
-        assert!(
-            restarted.decided_len + 2 >= report.max_decided_len(),
-            "restarted validator stuck at {} of {}",
-            restarted.decided_len,
-            report.max_decided_len()
-        );
+        assert_eq!(restarted.wal_errors(), 0);
+        let (len, max) = (restarted.decided().len(), report.max_decided_len());
+        assert!(len + 2 >= max, "restarted validator stuck at {len} of {max}");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!    byte-for-byte and is a shrink fixpoint.
 
 use tobsvd_check::{
-    checker, shrink, CheckConfig, CheckScenario, CrashRestart, Reproducer, ScenarioSpace,
-    StateCorruption, StateReconvergence, SyncMode,
+    checker, shrink, CheckConfig, CheckScenario, CrashRestart, Reconvergence, Reproducer,
+    ScenarioSpace, StateCorruption, SyncMode,
 };
 use tobsvd_sim::StateFault;
 
@@ -90,14 +90,14 @@ fn torn_wal_restart_fails_state_reconvergence_and_shrinks_to_fixture() {
     let scenario = torn_wal_restart();
     let verdict = scenario.run();
     assert!(
-        verdict.failure_signature().contains(&StateReconvergence::NAME),
+        verdict.failure_signature().contains(&Reconvergence::STATE),
         "the torn-WAL restart must fail re-convergence: {verdict:?}"
     );
     assert!(verdict.observer_safe, "state corruption must never cost safety");
     assert!(verdict.decided_blocks >= 3, "the chain must grow despite the stragglers");
 
     let result = shrink(&scenario);
-    assert!(result.violated.contains(&StateReconvergence::NAME));
+    assert!(result.violated.contains(&Reconvergence::STATE));
     assert!(result.minimal.complexity() <= scenario.complexity());
     assert_eq!(
         result.minimal.state_faults.len(),

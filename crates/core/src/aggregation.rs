@@ -134,11 +134,6 @@ pub(crate) struct AggregationPlane {
     /// Proposal relays buffered since the last boundary plus per-view
     /// relay coverage. Pruned with the proposal window.
     prop_relays: BTreeMap<View, ProposalRelay>,
-    /// Instrumentation: certificate aggregate verifications performed.
-    pub(crate) agg_verifies: u64,
-    /// Instrumentation: aggregate verifications skipped because every
-    /// attested signer was already vouched (subset fast path).
-    pub(crate) agg_verify_skips: u64,
     /// Instrumentation: own certificates broadcast.
     pub(crate) certificates_emitted: u64,
 }
@@ -151,8 +146,6 @@ impl AggregationPlane {
             n,
             groups: BTreeMap::new(),
             prop_relays: BTreeMap::new(),
-            agg_verifies: 0,
-            agg_verify_skips: 0,
             certificates_emitted: 0,
         }
     }
@@ -259,12 +252,10 @@ impl AggregationPlane {
             // certificate adds no claims and needs no relay from us
             // (held votes flush through our own machinery; previously
             // verified certificates were queued when they arrived).
-            self.agg_verify_skips += 1;
-            ctx.note_agg_verify_skip();
+            ctx.crypto_ops.agg_verify_skips += 1;
             return Vec::new();
         }
-        self.agg_verifies += 1;
-        ctx.note_agg_verify();
+        ctx.crypto_ops.agg_verifies += 1;
         let vote_payload = Payload::Log { instance, log };
         let signer_ids: Vec<ValidatorId> = signers.iter().collect();
         let bindings: Vec<Digest> = signer_ids

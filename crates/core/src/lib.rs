@@ -57,9 +57,7 @@ mod validator;
 
 pub use config::TobConfig;
 pub use leader::ProposalTracker;
-pub use protocol::{
-    CryptoStats, SyncStats, TobError, TobReport, TobSimulationBuilder, TxWorkload,
-};
+pub use protocol::{TobError, TobReport, TobSimulationBuilder, TxWorkload};
 pub use schedule::ViewSchedule;
 pub use sync::{Resolution, SyncState};
 pub use validator::Validator;

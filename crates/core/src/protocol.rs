@@ -390,15 +390,8 @@ impl TobSimulationBuilder {
 
         // Nodes.
         let store = builder.store().clone();
-        let mut byz_slots = vec![false; self.n];
         let mut byz_map: std::collections::BTreeMap<usize, ByzantineNodeFactory> =
-            std::collections::BTreeMap::new();
-        for (v, f) in self.byzantine {
-            if let Some(slot) = byz_slots.get_mut(v.index()) {
-                *slot = true;
-            }
-            byz_map.insert(v.index(), f);
-        }
+            self.byzantine.into_iter().map(|(v, f)| (v.index(), f)).collect();
         // Every crash target gets an in-memory durable backend shared
         // between its incarnations: the pre-crash validator writes the
         // WAL + snapshots, the restart factory recovers from them.
@@ -472,54 +465,6 @@ impl TobSimulationBuilder {
         sim.run_until(end);
         sim.check_end_invariants();
 
-        // Collect per-validator stats.
-        let mut validators = Vec::with_capacity(self.n);
-        for v in ValidatorId::all(self.n) {
-            if byz_slots.get(v.index()).copied().unwrap_or(false) || sim.is_byzantine(v) {
-                validators.push(None);
-                continue;
-            }
-            // A non-`Validator` node in an honest slot would be a harness
-            // bug; report it as a missing entry rather than panicking.
-            let Some(val) = sim.node(v).as_any().downcast_ref::<Validator>() else {
-                validators.push(None);
-                continue;
-            };
-            let sync = val.sync();
-            validators.push(Some(ValidatorStats {
-                validator: v,
-                decided_len: val.decided().len(),
-                votes_cast: val.votes_cast(),
-                proposals_made: val.proposals_made(),
-                decisions_made: val.decisions_made(),
-                wal_errors: val.wal_errors(),
-                persisted_len: val.persisted_len(),
-                audits_run: val.audits_run(),
-                audit_repairs: val.audit_repairs(),
-                audit_scans: sync.audit_scans(),
-                crypto: CryptoStats {
-                    sig_verifies: val.sig_verifies(),
-                    sig_verify_skips: val.sig_verify_skips(),
-                    vrf_verifies: val.vrf_verifies(),
-                    vrf_verify_skips: val.vrf_verify_skips(),
-                    agg_verifies: val.agg_verifies(),
-                    agg_verify_skips: val.agg_verify_skips(),
-                    certificates_emitted: val.certificates_emitted(),
-                    verified_ids: val.verified_ids(),
-                    unique_messages_seen: val.unique_messages_seen(),
-                },
-                sync: SyncStats {
-                    pending: sync.pending_len(),
-                    oldest_pending_since: sync.oldest_pending_since(),
-                    blocks_fetched: sync.blocks_fetched(),
-                    requests_sent: sync.requests_sent(),
-                    responses_served: sync.responses_served(),
-                    parked_total: sync.parked_total(),
-                    evicted: sync.evicted(),
-                },
-            }));
-        }
-
         // Ground-truth good-leader record per view.
         let eff = sim.effective_participation();
         let corruption = sim.corruption().clone();
@@ -535,110 +480,58 @@ impl TobSimulationBuilder {
             views: self.views,
             delta: self.delta,
             report: sim.report(),
-            validators,
             good_leaders: leaders,
-            store,
+            n: self.n,
+            sim,
         })
     }
 }
 
-/// Per-validator summary statistics.
-#[derive(Clone, Copy, Debug)]
-pub struct ValidatorStats {
-    /// The validator.
-    pub validator: ValidatorId,
-    /// Length of its highest decided log.
-    pub decided_len: u64,
-    /// `LOG` broadcasts (votes) made.
-    pub votes_cast: u64,
-    /// Proposals made.
-    pub proposals_made: u64,
-    /// Decide-phase outputs reported.
-    pub decisions_made: u64,
-    /// Durable-storage operations that failed (0 without a storage
-    /// plane attached; faults degrade durability, never safety).
-    pub wal_errors: u64,
-    /// Decided log length durably persisted (1 without a storage plane).
-    pub persisted_len: u64,
-    /// Stabilization local-audit passes run (one per phase boundary).
-    pub audits_run: u64,
-    /// Stabilization anomalies detected and repaired (0 when no state
-    /// corruption struck — every repair is a caught fault).
-    pub audit_repairs: u64,
-    /// Full `known ⊆ store` scans the sync audit ran behind its O(1)
-    /// trigger (0 unless sync knowledge was corrupted) — pins why the
-    /// per-phase audit is flat in the horizon.
-    pub audit_scans: u64,
-    /// Verification fast-path statistics.
-    pub crypto: CryptoStats,
-    /// Delta-sync statistics.
-    pub sync: SyncStats,
-}
-
-/// Per-validator verification fast-path statistics — the evidence for
-/// the "one signature check per unique message per validator" budget.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CryptoStats {
-    /// Signature verifications performed.
-    pub sig_verifies: u64,
-    /// Deliveries that skipped verification (duplicate ids).
-    pub sig_verify_skips: u64,
-    /// VRF verifications performed.
-    pub vrf_verifies: u64,
-    /// Proposal receptions that hit the VRF memo.
-    pub vrf_verify_skips: u64,
-    /// Aggregate-signature verifications performed on received
-    /// certificates.
-    pub agg_verifies: u64,
-    /// Certificate receptions whose aggregate check was skipped because
-    /// every claimed signer was already individually authenticated.
-    pub agg_verify_skips: u64,
-    /// Quorum certificates this validator assembled and broadcast.
-    pub certificates_emitted: u64,
-    /// Distinct message ids that passed verification.
-    pub verified_ids: usize,
-    /// Distinct message ids the gossip layer has seen.
-    pub unique_messages_seen: usize,
-}
-
-/// Per-validator delta-sync statistics, snapshotted at run end (the
-/// evidence base for the checker's `no-stalled-fetch` invariant).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SyncStats {
-    /// Messages still parked at run end.
-    pub pending: usize,
-    /// Arrival time of the oldest still-parked message.
-    pub oldest_pending_since: Option<Time>,
-    /// Blocks learned through fetch responses.
-    pub blocks_fetched: u64,
-    /// Fetch requests sent (including retries).
-    pub requests_sent: u64,
-    /// Fetch responses served to peers.
-    pub responses_served: u64,
-    /// Messages ever parked.
-    pub parked_total: u64,
-    /// Parked messages evicted by the FIFO cap.
-    pub evicted: u64,
-}
-
-/// Result of a [`TobSimulationBuilder::run`].
-#[derive(Debug)]
+/// Result of a [`TobSimulationBuilder::run`]. Per-validator counters are
+/// read off the finished validators themselves ([`TobReport::validator`]),
+/// not off a copy.
 pub struct TobReport {
     /// Number of views simulated.
     pub views: u64,
     /// The Δ used.
     pub delta: Delta,
-    /// Engine-level summary (metrics, safety, confirmed txs).
+    /// Engine-level summary (metrics, safety, confirmed txs, the shared
+    /// block store).
     pub report: SimReport,
-    /// Per-validator stats (`None` for Byzantine slots).
-    pub validators: Vec<Option<ValidatorStats>>,
     /// Ground truth: the good leader of each view, if one existed.
     pub good_leaders: Vec<(View, Option<ValidatorId>)>,
-    /// The shared block store.
-    pub store: BlockStore,
+    n: usize,
+    /// The finished simulation, kept so reports read validators in place.
+    sim: Simulation,
+}
+
+impl std::fmt::Debug for TobReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TobReport")
+            .field("views", &self.views)
+            .field("delta", &self.delta)
+            .field("report", &self.report)
+            .finish_non_exhaustive()
+    }
 }
 
 impl TobReport {
+    /// Validator `v` as the run left it. `None` for an out-of-range id,
+    /// a Byzantine slot, and a crash target still down at the end (its
+    /// slot holds an [`IdleNode`]) — the cases where there is no honest
+    /// state to judge.
+    pub fn validator(&self, v: ValidatorId) -> Option<&Validator> {
+        if v.index() >= self.n || self.sim.is_byzantine(v) {
+            return None;
+        }
+        self.sim.node(v).as_any().downcast_ref()
+    }
+
+    /// Every validator [`TobReport::validator`] returns, in id order.
+    pub fn honest_validators(&self) -> impl Iterator<Item = &Validator> {
+        ValidatorId::all(self.n).filter_map(|v| self.validator(v))
+    }
+
     /// Length of the longest decided log across honest validators.
     pub fn max_decided_len(&self) -> u64 {
         self.report.max_decided_len()
@@ -671,14 +564,13 @@ impl TobReport {
     /// *voting phases per new block* metric of Table 1, normalized
     /// per validator.
     pub fn voting_phases_per_block(&self) -> Option<f64> {
-        let honest: Vec<&ValidatorStats> =
-            self.validators.iter().flatten().collect();
-        if honest.is_empty() || self.decided_blocks() == 0 {
+        let (honest, votes) = self
+            .honest_validators()
+            .fold((0u64, 0u64), |(n, votes), val| (n + 1, votes + val.votes_cast()));
+        if honest == 0 || self.decided_blocks() == 0 {
             return None;
         }
-        let avg_votes: f64 = honest.iter().map(|s| s.votes_cast as f64).sum::<f64>()
-            / honest.len() as f64;
-        Some(avg_votes / self.decided_blocks() as f64)
+        Some(votes as f64 / honest as f64 / self.decided_blocks() as f64)
     }
 
     /// Mempool admission counters of the run (all-zero unless a bounded
@@ -705,17 +597,18 @@ impl TobReport {
         let sched = ViewSchedule::new(self.delta);
         let mut latencies = Vec::new();
         let history: &[DecisionRecord] = &self.report.decisions;
+        let store = &self.report.store;
         if let Some(longest) = self.report.longest_decided {
-            if let Some(chain) = self.store.chain_range(longest.tip(), 1) {
+            if let Some(chain) = store.chain_range(longest.tip(), 1) {
                 for (offset, id) in chain.into_iter().enumerate() {
-                    let Some(block) = self.store.get(id) else { continue };
+                    let Some(block) = store.get(id) else { continue };
                     let proposed_at = sched.view_start(block.view());
                     let height = 2 + offset as u64; // log length covering this block
                     // Earliest decision record covering this block.
                     let decided_at = history
                         .iter()
                         .filter(|r| {
-                            r.log.len() >= height && self.store.is_ancestor(id, r.log.tip())
+                            r.log.len() >= height && store.is_ancestor(id, r.log.tip())
                         })
                         .map(|r| r.at)
                         .min();
@@ -754,12 +647,7 @@ mod tests {
     fn all_honest_validators_agree() {
         let report = TobSimulationBuilder::new(5).views(6).seed(2).run().expect("runs");
         report.assert_safety();
-        let lens: Vec<u64> = report
-            .validators
-            .iter()
-            .flatten()
-            .map(|s| s.decided_len)
-            .collect();
+        let lens: Vec<u64> = report.honest_validators().map(|v| v.decided().len()).collect();
         assert_eq!(lens.len(), 5);
         // All validators within one view of each other.
         let max = *lens.iter().max().unwrap();
@@ -771,14 +659,11 @@ mod tests {
     #[test]
     fn single_vote_per_view() {
         let report = TobSimulationBuilder::new(4).views(10).seed(3).run().expect("runs");
-        for stats in report.validators.iter().flatten() {
+        for val in report.honest_validators() {
             // One LOG broadcast per view (±1 for the trailing view).
-            assert!(
-                stats.votes_cast <= report.views + 1,
-                "more votes than views: {}",
-                stats.votes_cast
-            );
-            assert!(stats.votes_cast >= report.views - 1);
+            let votes = val.votes_cast();
+            assert!(votes <= report.views + 1, "more votes than views: {votes}");
+            assert!(votes >= report.views - 1);
         }
         // Best case: 1 voting phase per decided block.
         let phases = report.voting_phases_per_block().expect("blocks decided");
@@ -892,30 +777,37 @@ mod tests {
         // start. Its restart incarnation recovers from the MemDurable
         // snapshot + WAL, catches the rest up over §2 recovery and the
         // delta-sync fetch plane, and re-converges with the network.
+        // Validator 5 is killed for good (its restart lies past the
+        // horizon) and slot 6 is Byzantine: neither has honest state
+        // left to read, which is what `crates/check` calls "not
+        // judgeable".
         let v = ValidatorId::new(2);
-        let report = TobSimulationBuilder::new(5)
+        let (down, byz) = (ValidatorId::new(5), ValidatorId::new(6));
+        let report = TobSimulationBuilder::new(7)
             .views(14)
             .seed(6)
             .recovery(true)
             .drop_while_asleep(true)
             .snapshot_every(4)
             .crash_restart(v, Time::new(5 * 32 + 3), Time::new(8 * 32))
+            .crash_restart(down, Time::new(6 * 32), Time::new(1_000_000))
+            .byzantine(byz, Box::new(|_| Box::new(IdleNode)))
             .run()
             .expect("runs");
         report.assert_safety();
-        assert_eq!(report.report.metrics.crashes, 1);
-        let restarted = report.validators[2].as_ref().expect("restarted slot reports stats");
-        assert_eq!(restarted.wal_errors, 0);
+        assert_eq!(report.report.metrics.crashes, 2);
+        assert!(report.validator(byz).is_none(), "a Byzantine slot has no validator");
+        assert!(report.validator(down).is_none(), "a target still down has no validator");
+        assert!(report.validator(ValidatorId::new(7)).is_none(), "out of range");
+        assert_eq!(report.honest_validators().count(), 5);
+        let restarted = report.validator(v).expect("the restarted incarnation is readable");
+        assert_eq!(restarted.wal_errors(), 0);
         assert!(
-            restarted.persisted_len > 1,
+            restarted.persisted_len() > 1,
             "the durable plane must have persisted decisions across the restart"
         );
-        let max = report.max_decided_len();
-        assert!(
-            restarted.decided_len + 2 >= max,
-            "restarted validator re-converged to {} of {max}",
-            restarted.decided_len
-        );
+        let (len, max) = (restarted.decided().len(), report.max_decided_len());
+        assert!(len + 2 >= max, "restarted validator re-converged to {len} of {max}");
     }
 
     #[test]

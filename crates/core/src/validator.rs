@@ -93,10 +93,6 @@ pub struct Validator {
     /// Instrumentation: grade-2 outputs not decided because their GA
     /// instance was live at a late boundary.
     decisions_withheld: u64,
-    /// Instrumentation: VRF verifications performed.
-    vrf_verifies: u64,
-    /// Instrumentation: VRF verifications skipped via the per-view memo.
-    vrf_verify_skips: u64,
     /// Stabilization: local-audit passes run (one per phase boundary).
     audits_run: u64,
     /// Stabilization: anomalies the local audit repaired (quarantined
@@ -132,8 +128,6 @@ impl Validator {
             decisions_made: 0,
             late_boundaries: 0,
             decisions_withheld: 0,
-            vrf_verifies: 0,
-            vrf_verify_skips: 0,
             audits_run: 0,
             audit_repairs: 0,
             cfg,
@@ -262,40 +256,6 @@ impl Validator {
         self.late_boundaries += 1;
         self.late_gas.extend(v.prev());
         self.late_gas.insert(v);
-    }
-
-    /// Signature verifications this validator performed (one per unique
-    /// verified message id, plus one per forged frame and one per
-    /// fetch-plane frame — those ids are never retained).
-    pub fn sig_verifies(&self) -> u64 {
-        self.gossip.verifies()
-    }
-
-    /// Deliveries that skipped signature verification (duplicate copies
-    /// of already-verified ids).
-    pub fn sig_verify_skips(&self) -> u64 {
-        self.gossip.skips()
-    }
-
-    /// VRF verifications this validator performed.
-    pub fn vrf_verifies(&self) -> u64 {
-        self.vrf_verifies
-    }
-
-    /// Proposal receptions that hit the per-view VRF memo.
-    pub fn vrf_verify_skips(&self) -> u64 {
-        self.vrf_verify_skips
-    }
-
-    /// Certificate aggregate verifications this validator performed.
-    pub fn agg_verifies(&self) -> u64 {
-        self.agg.as_ref().map_or(0, |p| p.agg_verifies)
-    }
-
-    /// Certificate receptions that skipped aggregate verification
-    /// because every attested signer was already vouched individually.
-    pub fn agg_verify_skips(&self) -> u64 {
-        self.agg.as_ref().map_or(0, |p| p.agg_verify_skips)
     }
 
     /// Own quorum certificates this validator has broadcast.
@@ -943,11 +903,9 @@ impl Validator {
                     .get(view)
                     .is_some_and(|tr| tr.vrf_verified(msg.sender(), vrf, proof));
                 if memo_hit {
-                    self.vrf_verify_skips += 1;
-                    ctx.note_vrf_verify_skip();
+                    ctx.crypto_ops.vrf_verify_skips += 1;
                 } else {
-                    self.vrf_verifies += 1;
-                    ctx.note_vrf_verify();
+                    ctx.crypto_ops.vrf_verifies += 1;
                     if !verify_vrf(msg.sender(), *view, vrf, proof) {
                         return; // forged VRF: proposal carries no priority
                     }
@@ -1289,24 +1247,22 @@ mod tests {
         // nothing processed.
         let mut ctx = ctx_at(3, &store);
         val.on_message(&forged, &mut ctx);
-        assert_eq!(val.sig_verifies(), 1);
+        assert_eq!(ctx.crypto_ops.sig_verifies, 1);
         assert_eq!(val.verified_ids(), 0, "failed verify must not seed the set");
         assert!(val.ga(View::ZERO).is_none(), "forged LOG must not reach the GA");
 
         // The genuine copy afterwards is NOT shadowed by the forgery: it
         // verifies, seeds the set, and is processed normally.
-        let mut ctx = ctx_at(3, &store);
         val.on_message(&genuine, &mut ctx);
-        assert_eq!(val.sig_verifies(), 2);
+        assert_eq!(ctx.crypto_ops.sig_verifies, 2);
         assert_eq!(val.verified_ids(), 1);
         assert!(val.ga(View::ZERO).is_some(), "genuine LOG processed after the forgery");
 
         // A later copy (forged or not) of the verified id takes the skip
         // path and is deduplicated by gossip — no reprocessing.
-        let mut ctx = ctx_at(3, &store);
         val.on_message(&forged, &mut ctx);
-        assert_eq!(val.sig_verify_skips(), 1);
-        assert_eq!(val.sig_verifies(), 2, "no third verification");
+        assert_eq!(ctx.crypto_ops.sig_verify_skips, 1);
+        assert_eq!(ctx.crypto_ops.sig_verifies, 2, "no third verification");
     }
 
     #[test]
@@ -1319,12 +1275,12 @@ mod tests {
         let kp = Keypair::from_seed(sender.key_seed());
         let msg =
             SignedMessage::sign(&kp, sender, Payload::Log { instance: InstanceId(0), log: g });
+        let mut ctx = ctx_at(3, &store);
         for _ in 0..3 {
-            let mut ctx = ctx_at(3, &store);
             val.on_message(&msg, &mut ctx);
         }
-        assert_eq!(val.sig_verifies(), 1, "one verify per unique message id");
-        assert_eq!(val.sig_verify_skips(), 2, "every duplicate copy skips crypto");
+        assert_eq!(ctx.crypto_ops.sig_verifies, 1, "one verify per unique message id");
+        assert_eq!(ctx.crypto_ops.sig_verify_skips, 2, "every duplicate copy skips crypto");
         assert_eq!(val.unique_messages_seen(), 1, "gossip still dedups to one");
     }
 
@@ -1341,15 +1297,15 @@ mod tests {
         let kp = Keypair::from_seed(sender.key_seed());
         let fork = |p: u32| g.extend_empty(&store, ValidatorId::new(p), View::ZERO);
         let mut forwards = Vec::new();
+        let mut ctx = ctx_at(3, &store);
         for log in [g, fork(2), fork(3)] {
             let payload = Payload::Log { instance: InstanceId(0), log };
-            let mut ctx = ctx_at(3, &store);
             val.on_message(&SignedMessage::sign(&kp, sender, payload), &mut ctx);
-            let relayed = |o: &&tobsvd_sim::Outgoing| matches!(o, tobsvd_sim::Outgoing::Forward(_));
-            forwards.push(ctx.outbox().iter().filter(relayed).count());
+            let relayed = |o: &tobsvd_sim::Outgoing| matches!(o, tobsvd_sim::Outgoing::Forward(_));
+            forwards.push(ctx.take_outbox().iter().filter(|o| relayed(o)).count());
         }
         assert_eq!(forwards, [1, 1, 0], "the third distinct LOG is not forwarded");
-        assert_eq!((val.sig_verifies(), val.sig_verify_skips()), (3, 0));
+        assert_eq!((ctx.crypto_ops.sig_verifies, ctx.crypto_ops.sig_verify_skips), (3, 0));
         assert_eq!((val.unique_messages_seen(), val.verified_ids()), (3, 3));
         assert_eq!(val.archive[&View::ZERO].len(), 2, "only two were processed");
     }
@@ -1365,6 +1321,7 @@ mod tests {
         let (vrf, proof) = vrf_for(sender, View::ZERO);
         // Two *different* proposals (equivocation) carrying the same
         // genuine VRF pair.
+        let mut ctx = ctx_at(3, &store);
         for tag in [ValidatorId::new(8), ValidatorId::new(9)] {
             let log = g.extend_empty(&store, tag, View::ZERO);
             let msg = SignedMessage::sign(
@@ -1372,11 +1329,10 @@ mod tests {
                 sender,
                 Payload::Proposal { view: View::ZERO, log, vrf, proof },
             );
-            let mut ctx = ctx_at(3, &store);
             val.on_message(&msg, &mut ctx);
         }
-        assert_eq!(val.vrf_verifies(), 1, "the second distinct proposal hits the memo");
-        assert_eq!(val.vrf_verify_skips(), 1);
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 1, "the second distinct proposal hits the memo");
+        assert_eq!(ctx.crypto_ops.vrf_verify_skips, 1);
         // Equivocation semantics are intact: both proposals discarded
         // from the vote, and the flush relays both copies as evidence
         // (never as a best-proposal pick).
@@ -1408,8 +1364,8 @@ mod tests {
         );
         let mut ctx = ctx_at(3, &store);
         val.on_message(&msg, &mut ctx);
-        assert_eq!(val.vrf_verifies(), 2, "a non-memoized claim is verified");
-        assert_eq!(val.vrf_verify_skips(), 1);
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 1, "a non-memoized claim is verified");
+        assert_eq!(ctx.crypto_ops.vrf_verify_skips, 0);
     }
 
     #[test]
@@ -1434,7 +1390,7 @@ mod tests {
         );
         let mut ctx = ctx_at(3, &store);
         val.on_message(&p1, &mut ctx);
-        assert_eq!(val.vrf_verifies(), 1);
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 1);
         // Warm now. Same output, garbage proof, different log.
         let garbage = tobsvd_crypto::VrfProof(tobsvd_crypto::Digest::from_bytes([0xab; 32]));
         let p2 = SignedMessage::sign(
@@ -1447,10 +1403,9 @@ mod tests {
                 proof: garbage,
             },
         );
-        let mut ctx = ctx_at(3, &store);
         val.on_message(&p2, &mut ctx);
-        assert_eq!(val.vrf_verifies(), 2, "tampered proof misses the memo and is verified");
-        assert_eq!(val.vrf_verify_skips(), 0);
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 2, "tampered proof misses the memo and is verified");
+        assert_eq!(ctx.crypto_ops.vrf_verify_skips, 0);
         // The tampered frame was rejected: the sender is NOT an
         // equivocator and p1 still stands.
         let mut ctx = ctx_at(8, &store);
@@ -1488,7 +1443,7 @@ mod tests {
         );
         let mut ctx = ctx_at(3, &store); // current view 0: view 20 is far future
         val.on_message(&msg, &mut ctx);
-        assert_eq!(val.vrf_verifies(), 0, "window check precedes the VRF check");
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 0, "window check precedes the VRF check");
     }
 
     #[test]

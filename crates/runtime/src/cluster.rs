@@ -6,12 +6,11 @@ use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-use tobsvd_sim::{AdmissionPolicy, AdmissionStats};
+use tobsvd_sim::AdmissionPolicy;
 use tobsvd_types::{Delta, Transaction, TxId, ValidatorId};
 
 use crate::clock::TickClock;
-use crate::ingest::IngestStats;
-use crate::node::{spawn_node, NodeConfig, NodeHandle, NodeOutcomeInner};
+use crate::node::{spawn_node, NodeConfig, NodeHandle, NodeOutcome};
 
 /// Cluster configuration.
 #[derive(Clone, Debug)]
@@ -115,58 +114,16 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// Per-node outcome in the report.
-#[derive(Clone, Debug)]
-pub struct NodeOutcome {
-    /// The node.
-    pub me: ValidatorId,
-    /// Length of its decided log.
-    pub decided_len: u64,
-    /// Votes it cast.
-    pub votes_cast: u64,
-    /// Frames it received / sent.
-    pub frames: (u64, u64),
-    /// Announcement bytes (received, sent).
-    pub announce_bytes: (u64, u64),
-    /// Fetch-subprotocol bytes (received, sent).
-    pub sync_bytes: (u64, u64),
-    /// Blocks learned through fetch responses.
-    pub blocks_fetched: u64,
-    /// Decided log length durably persisted (1 without a data root).
-    pub persisted_len: u64,
-    /// Durable-storage operations that failed.
-    pub wal_errors: u64,
-    /// Ingest-plane counters (sessions, submits, acks, backpressure).
-    pub ingest: IngestStats,
-    /// Mempool admission counters.
-    pub admission: AdmissionStats,
-}
-
 /// Report of a cluster run.
 #[derive(Debug)]
 pub struct ClusterReport {
-    outcomes: Vec<NodeOutcomeInner>,
+    outcomes: Vec<NodeOutcome>,
 }
 
 impl ClusterReport {
-    /// Per-node summary.
+    /// Per-node outcomes, in validator order.
     pub fn outcomes(&self) -> Vec<NodeOutcome> {
-        self.outcomes
-            .iter()
-            .map(|o| NodeOutcome {
-                me: o.me,
-                decided_len: o.decided.len(),
-                votes_cast: o.votes_cast,
-                frames: (o.frames_received, o.frames_sent),
-                announce_bytes: (o.wire.announce_bytes_in, o.wire.announce_bytes_out),
-                sync_bytes: (o.wire.sync_bytes_in, o.wire.sync_bytes_out),
-                blocks_fetched: o.blocks_fetched,
-                persisted_len: o.persisted_len,
-                wal_errors: o.wal_errors,
-                ingest: o.ingest,
-                admission: o.admission,
-            })
-            .collect()
+        self.outcomes.clone()
     }
 
     /// Joins node `me`'s decision stream against transaction ids: for
@@ -195,12 +152,12 @@ impl ClusterReport {
 
     /// Shortest decided log length across nodes.
     pub fn min_decided_len(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.decided.len()).min().unwrap_or(1)
+        self.outcomes.iter().map(|o| o.decided_len).min().unwrap_or(1)
     }
 
     /// Longest decided log length across nodes.
     pub fn max_decided_len(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.decided.len()).max().unwrap_or(1)
+        self.outcomes.iter().map(|o| o.decided_len).max().unwrap_or(1)
     }
 
     /// Checks pairwise compatibility of all decided logs (Safety across
@@ -209,12 +166,11 @@ impl ClusterReport {
     pub fn agreement(&self) -> bool {
         for a in &self.outcomes {
             for b in &self.outcomes {
-                let (short, long) =
-                    if a.decided.len() <= b.decided.len() { (a, b) } else { (b, a) };
-                if short.decided.len() == 1 {
+                let (short, long) = if a.decided_len <= b.decided_len { (a, b) } else { (b, a) };
+                if short.decided_len == 1 {
                     continue; // genesis is a prefix of everything
                 }
-                if !long.store.is_ancestor(short.decided.tip(), long.decided.tip()) {
+                if !long.store.is_ancestor(short.decided_tip, long.decided_tip) {
                     return false;
                 }
             }
@@ -263,14 +219,7 @@ impl RunningCluster {
     ///
     /// Node panics and pre-run aborts.
     pub fn join(self) -> Result<ClusterReport, ClusterError> {
-        let mut outcomes = Vec::with_capacity(self.handles.len());
-        for h in self.handles {
-            let outcome = h.join().map_err(ClusterError::NodePanic)?;
-            if let Some(reason) = outcome.fatal {
-                return Err(ClusterError::NodeFatal(reason));
-            }
-            outcomes.push(outcome);
-        }
+        let outcomes = self.handles.into_iter().map(NodeHandle::join).collect::<Result<_, _>>()?;
         Ok(ClusterReport { outcomes })
     }
 }
@@ -366,9 +315,11 @@ mod tests {
             "every node should decide at least one block: {:?}",
             report.outcomes()
         );
-        // Everyone voted roughly once per view.
-        for o in report.outcomes() {
+        // Everyone voted roughly once per view, and every store read
+        // back every chain it was asked to encode.
+        for o in &report.outcomes {
             assert!(o.votes_cast >= 3, "{:?}", o);
+            assert_eq!(o.encode_failures, 0, "{:?}", o);
         }
     }
 
@@ -384,8 +335,8 @@ mod tests {
         let report = LocalCluster::run(ClusterConfig::new(3).views(5).data_root(&root))
             .expect("disk-backed cluster runs");
         report.assert_agreement();
-        for o in report.outcomes() {
-            assert_eq!(o.wal_errors, 0, "{:?}", o);
+        for o in &report.outcomes {
+            assert_eq!((o.wal_errors, o.encode_failures), (0, 0), "{:?}", o);
             assert!(o.persisted_len > 1, "decisions must hit the disk: {:?}", o);
         }
 
@@ -403,7 +354,7 @@ mod tests {
         assert_eq!(replayed.skipped, 0);
         assert_eq!(replayed.decided_len, node0.persisted_len);
         assert!(
-            node0.store.is_ancestor(replayed.decided_tip, node0.decided.tip()),
+            node0.store.is_ancestor(replayed.decided_tip, node0.decided_tip),
             "recovered tip must be a decided ancestor"
         );
 
@@ -429,10 +380,10 @@ mod tests {
         for o in &report.outcomes {
             assert!(o.late_boundaries > 0, "{}: the burst must be noticed", o.me);
             assert!(o.decisions_withheld > 0, "{}: a late GA's output must be withheld", o.me);
-            assert_eq!(o.wal_errors, 0, "{}", o.me);
-            assert_eq!(o.persisted_len, o.decided.len(), "{}: WAL holds exactly the decided log", o.me);
+            assert_eq!((o.wal_errors, o.encode_failures), (0, 0), "{}", o.me);
+            assert_eq!(o.persisted_len, o.decided_len, "{}: WAL holds exactly the decided log", o.me);
             // Caught up, the node decides again — from clean instances.
-            assert!(o.decided.len() > 4, "{}: decided only {}", o.me, o.decided.len());
+            assert!(o.decided_len > 4, "{}: decided only {}", o.me, o.decided_len);
             assert!(o.decided_events.iter().all(|ev| ev.tick > 40), "{}", o.me);
         }
         let _ = std::fs::remove_dir_all(&root);

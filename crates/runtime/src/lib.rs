@@ -82,9 +82,7 @@ mod node;
 
 pub use client::{Ack, ClientConn};
 pub use clock::TickClock;
-pub use cluster::{
-    ClusterConfig, ClusterError, ClusterReport, LocalCluster, NodeOutcome, RunningCluster,
-};
+pub use cluster::{ClusterConfig, ClusterError, ClusterReport, LocalCluster, RunningCluster};
 pub use frame::MAX_FRAME_BYTES;
 pub use ingest::{IngestStats, CLIENT_OUTBUF_CAP};
-pub use node::{DecidedEvent, NodeConfig, NodeHandle, WireStats};
+pub use node::{DecidedEvent, NodeConfig, NodeHandle, NodeOutcome};

@@ -59,10 +59,11 @@ use tobsvd_sim::{AdmissionPolicy, AdmissionStats, Context, Mempool, Node as SimN
 use tobsvd_storage::{shared, FileDurable};
 use tobsvd_types::wire::{self, MessageClass};
 use tobsvd_types::{
-    BlockId, BlockStore, Delta, Log, Payload, SignedMessage, Time, Transaction, ValidatorId,
+    BlockId, BlockStore, Delta, Payload, SignedMessage, Time, Transaction, ValidatorId,
 };
 
 use crate::clock::TickClock;
+use crate::cluster::ClusterError;
 use crate::frame;
 use crate::ingest::{io_loop, Inbound, IngestConfig, IngestStats};
 
@@ -92,49 +93,6 @@ pub struct NodeConfig {
     pub admission: Option<AdmissionPolicy>,
 }
 
-/// Wire-byte accounting of one node's run (both directions) for the two
-/// message classes the reports read, mirroring the simulator's per-kind
-/// metrics on the real network. Certificate frames count as frames but
-/// their bytes have no reader here (the simulator's
-/// `Metrics::certificate_bytes` prices the aggregation plane).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WireStats {
-    /// Announcement (LOG/PROPOSAL/VOTE/RECOVERY/FINALITY) bytes received.
-    pub announce_bytes_in: u64,
-    /// Announcement bytes sent.
-    pub announce_bytes_out: u64,
-    /// Fetch-subprotocol (`BlockRequest`/`BlockResponse`) bytes received.
-    pub sync_bytes_in: u64,
-    /// Fetch-subprotocol bytes sent.
-    pub sync_bytes_out: u64,
-    /// Outgoing messages dropped because their chain could not be read
-    /// back from the local store at encode time (should stay 0; a
-    /// non-zero value flags store corruption without crashing the node).
-    pub encode_failures: u64,
-}
-
-/// Direction of a charged frame.
-#[derive(Clone, Copy)]
-enum Dir {
-    In,
-    Out,
-}
-
-impl WireStats {
-    /// Charges `bytes` of one frame to its per-class, per-direction
-    /// counter — the only place the class → counter mapping lives.
-    fn charge(&mut self, class: MessageClass, dir: Dir, bytes: u64) {
-        let counter = match (class, dir) {
-            (MessageClass::Announce, Dir::In) => &mut self.announce_bytes_in,
-            (MessageClass::Announce, Dir::Out) => &mut self.announce_bytes_out,
-            (MessageClass::Sync, Dir::In) => &mut self.sync_bytes_in,
-            (MessageClass::Sync, Dir::Out) => &mut self.sync_bytes_out,
-            (MessageClass::Certificate, _) => return,
-        };
-        *counter += bytes;
-    }
-}
-
 /// One decision event of the node loop: at `tick`, the validator's
 /// decided log first reached `len` with tip `tip`. The submitted→decided
 /// latency accounting of the ingest bench joins these against client
@@ -149,23 +107,35 @@ pub struct DecidedEvent {
     pub len: u64,
 }
 
-/// What a node reports after its run.
+/// What a node reports after its run. The node loop fills it as it
+/// runs (frames, bytes, decision events); the validator's own counters
+/// are read once, when the loop ends.
 #[derive(Clone, Debug)]
-pub struct NodeOutcomeInner {
-    /// The node's identity.
+pub struct NodeOutcome {
+    /// The node.
     pub me: ValidatorId,
-    /// Its final decided log.
-    pub decided: Log,
+    /// Tip of its final decided log.
+    pub decided_tip: BlockId,
+    /// Length of its final decided log.
+    pub decided_len: u64,
     /// Its private store (for cross-checking ancestry).
     pub store: BlockStore,
-    /// Votes cast.
+    /// Votes it cast.
     pub votes_cast: u64,
-    /// Frames received.
-    pub frames_received: u64,
-    /// Frames sent.
-    pub frames_sent: u64,
-    /// Per-kind wire-byte accounting.
-    pub wire: WireStats,
+    /// Frames it received / sent.
+    pub frames: (u64, u64),
+    /// Announcement (LOG/PROPOSAL/VOTE/RECOVERY/FINALITY) bytes
+    /// (received, sent).
+    pub announce_bytes: (u64, u64),
+    /// Fetch-subprotocol (`BlockRequest`/`BlockResponse`) bytes
+    /// (received, sent). Certificate frames count as frames but their
+    /// bytes have no reader here (the simulator's
+    /// `Metrics::certificate_bytes` prices the aggregation plane).
+    pub sync_bytes: (u64, u64),
+    /// Outgoing messages dropped because their chain could not be read
+    /// back from the local store at encode time (should stay 0; a
+    /// non-zero value flags store corruption without crashing the node).
+    pub encode_failures: u64,
     /// Blocks this node learned through fetch responses
     /// (protocol-layer).
     pub blocks_fetched: u64,
@@ -186,22 +156,27 @@ pub struct NodeOutcomeInner {
     pub admission: AdmissionStats,
     /// Every decision event in node-loop order, for latency accounting.
     pub decided_events: Vec<DecidedEvent>,
-    /// Set when the node aborted before running (e.g. its durable
-    /// directory could not be opened): the error, in place of a panic.
-    pub fatal: Option<String>,
 }
 
-impl NodeOutcomeInner {
-    /// An outcome representing a node that aborted before its run.
-    fn aborted(me: ValidatorId, store: BlockStore, reason: String) -> Self {
-        NodeOutcomeInner {
+/// Direction of a charged frame.
+#[derive(Clone, Copy)]
+enum Dir {
+    In,
+    Out,
+}
+
+impl NodeOutcome {
+    fn new(me: ValidatorId, store: BlockStore) -> Self {
+        NodeOutcome {
             me,
-            decided: Log::genesis(&store),
+            decided_tip: store.genesis(),
+            decided_len: 1,
             store,
             votes_cast: 0,
-            frames_received: 0,
-            frames_sent: 0,
-            wire: WireStats::default(),
+            frames: (0, 0),
+            announce_bytes: (0, 0),
+            sync_bytes: (0, 0),
+            encode_failures: 0,
             blocks_fetched: 0,
             persisted_len: 1,
             wal_errors: 0,
@@ -210,14 +185,26 @@ impl NodeOutcomeInner {
             ingest: IngestStats::default(),
             admission: AdmissionStats::default(),
             decided_events: Vec::new(),
-            fatal: Some(reason),
         }
+    }
+
+    /// Charges `bytes` of one frame to its per-class, per-direction
+    /// counter — the only place the class → counter mapping lives.
+    fn charge(&mut self, class: MessageClass, dir: Dir, bytes: u64) {
+        let counter = match (class, dir) {
+            (MessageClass::Announce, Dir::In) => &mut self.announce_bytes.0,
+            (MessageClass::Announce, Dir::Out) => &mut self.announce_bytes.1,
+            (MessageClass::Sync, Dir::In) => &mut self.sync_bytes.0,
+            (MessageClass::Sync, Dir::Out) => &mut self.sync_bytes.1,
+            (MessageClass::Certificate, _) => return,
+        };
+        *counter += bytes;
     }
 }
 
 /// Handle to a running node (join to get its outcome).
 pub struct NodeHandle {
-    join: std::thread::JoinHandle<NodeOutcomeInner>,
+    join: std::thread::JoinHandle<Result<NodeOutcome, String>>,
 }
 
 impl NodeHandle {
@@ -225,14 +212,19 @@ impl NodeHandle {
     ///
     /// # Errors
     ///
-    /// Returns `Err` if the node thread panicked.
-    pub fn join(self) -> Result<NodeOutcomeInner, String> {
-        self.join.join().map_err(|e| {
-            e.downcast_ref::<String>()
-                .cloned()
-                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "node thread panicked".to_string())
-        })
+    /// [`ClusterError::NodePanic`] if the node thread panicked,
+    /// [`ClusterError::NodeFatal`] if the node aborted before its run
+    /// (e.g. its durable directory could not be opened).
+    pub fn join(self) -> Result<NodeOutcome, ClusterError> {
+        let joined = self.join.join().map_err(|e| {
+            ClusterError::NodePanic(
+                e.downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_else(|| "node thread panicked".to_string()),
+            )
+        })?;
+        joined.map_err(ClusterError::NodeFatal)
     }
 }
 
@@ -274,10 +266,7 @@ struct NodeState {
     outbound: BTreeMap<ValidatorId, Arc<Mutex<TcpStream>>>,
     loopback: Sender<Inbound>,
     parked: VecDeque<ParkedFrame>,
-    frames_sent: u64,
-    frames_received: u64,
-    wire: WireStats,
-    decided_events: Vec<DecidedEvent>,
+    out: NodeOutcome,
     decided_len_seen: u64,
 }
 
@@ -292,7 +281,7 @@ impl NodeState {
         for log in ctx.decisions() {
             if log.len() > self.decided_len_seen {
                 self.decided_len_seen = log.len();
-                self.decided_events.push(DecidedEvent {
+                self.out.decided_events.push(DecidedEvent {
                     tick,
                     tip: log.tip(),
                     len: log.len(),
@@ -305,8 +294,8 @@ impl NodeState {
     fn handle_inbound(&mut self, inbound: Inbound, now: Time) {
         match inbound {
             Inbound::Msg(msg, bytes) => {
-                self.frames_received += 1;
-                self.wire.charge(MessageClass::of(msg.payload()), Dir::In, bytes);
+                self.out.frames.0 += 1;
+                self.out.charge(MessageClass::of(msg.payload()), Dir::In, bytes);
                 let was_response = matches!(msg.payload(), Payload::BlockResponse { .. });
                 let mut ctx = self.ctx(now);
                 self.validator.on_message(&msg, &mut ctx);
@@ -317,14 +306,14 @@ impl NodeState {
                 }
             }
             Inbound::NeedBlocks { raw, missing, from_height } => {
-                self.frames_received += 1;
+                self.out.frames.0 += 1;
                 // The frame does not decode yet, but its fixed header
                 // already names the claimed sender and the byte class.
                 let (from, class) = match wire::peek_header(&raw) {
                     Some((sender, class)) => (Some(sender), class),
                     None => (None, MessageClass::Announce),
                 };
-                self.wire.charge(class, Dir::In, raw.len() as u64);
+                self.out.charge(class, Dir::In, raw.len() as u64);
                 if self.parked.len() >= PARKED_FRAMES_CAP {
                     self.parked.pop_front();
                 }
@@ -392,7 +381,7 @@ impl NodeState {
     /// drop observable in the run report.
     fn send(&mut self, msg: &SignedMessage, targets: &[ValidatorId]) -> bool {
         let Ok(payload) = wire::encode_message(msg, &self.store) else {
-            self.wire.encode_failures += 1;
+            self.out.encode_failures += 1;
             return false;
         };
         let mut framed = Vec::new();
@@ -406,8 +395,8 @@ impl NodeState {
         for target in targets {
             let Some(stream) = self.outbound.get(target) else { continue };
             if stream.lock().write_all(&framed).is_ok() {
-                self.wire.charge(class, Dir::Out, payload.len() as u64);
-                self.frames_sent += 1;
+                self.out.charge(class, Dir::Out, payload.len() as u64);
+                self.out.frames.1 += 1;
             }
         }
         true
@@ -452,7 +441,7 @@ fn run_node(
     listener: TcpListener,
     peers: BTreeMap<ValidatorId, SocketAddr>,
     clock: TickClock,
-) -> NodeOutcomeInner {
+) -> Result<NodeOutcome, String> {
     let store = BlockStore::new();
     let mempool = Mempool::bounded(cfg.admission.unwrap_or_default());
     for tx in &cfg.seed_txs {
@@ -464,18 +453,9 @@ fn run_node(
             // A node that cannot open its durable directory is
             // misconfigured; reporting a fatal outcome (instead of the
             // former panic) lets the cluster surface a clean error.
-            match FileDurable::open(dir) {
-                Ok(backend) => {
-                    Validator::recovered(cfg.me, tob_cfg, &store, shared(backend))
-                }
-                Err(e) => {
-                    return NodeOutcomeInner::aborted(
-                        cfg.me,
-                        store,
-                        format!("open durable store at {}: {e:?}", dir.display()),
-                    );
-                }
-            }
+            let backend = FileDurable::open(dir)
+                .map_err(|e| format!("open durable store at {}: {e:?}", dir.display()))?;
+            Validator::recovered(cfg.me, tob_cfg, &store, shared(backend))
         }
         None => Validator::new(cfg.me, tob_cfg, &store),
     };
@@ -496,15 +476,10 @@ fn run_node(
         throttle: clock.tick_duration().saturating_mul(cfg.delta.ticks().max(1) as u32),
     };
     let io_stop = Arc::clone(&stop);
-    let io_handle = match std::thread::Builder::new()
+    let io_handle = std::thread::Builder::new()
         .name(format!("tobsvd-io-{}", cfg.me))
         .spawn(move || io_loop(listener, ingest_cfg, io_stop))
-    {
-        Ok(h) => h,
-        Err(e) => {
-            return NodeOutcomeInner::aborted(cfg.me, store, format!("spawn io thread: {e}"));
-        }
-    };
+        .map_err(|e| format!("spawn io thread: {e}"))?;
 
     // Outbound mesh: dial every peer.
     let mut outbound: BTreeMap<ValidatorId, Arc<Mutex<TcpStream>>> = BTreeMap::new();
@@ -525,10 +500,7 @@ fn run_node(
         outbound,
         loopback: tx_in,
         parked: VecDeque::new(),
-        frames_sent: 0,
-        frames_received: 0,
-        wire: WireStats::default(),
-        decided_events: Vec::new(),
+        out: NodeOutcome::new(cfg.me, store),
         decided_len_seen: 1,
     };
 
@@ -571,26 +543,17 @@ fn run_node(
         let _ = s.lock().shutdown(std::net::Shutdown::Both);
     }
     stop.store(true, Ordering::Relaxed);
-    let ingest = io_handle.join().unwrap_or_default();
-
-    NodeOutcomeInner {
-        me: cfg.me,
-        decided: state.validator.decided(),
-        blocks_fetched: state.validator.sync().blocks_fetched(),
-        persisted_len: state.validator.persisted_len(),
-        wal_errors: state.validator.wal_errors(),
-        late_boundaries: state.validator.late_boundaries(),
-        decisions_withheld: state.validator.decisions_withheld(),
-        store,
-        votes_cast: state.validator.votes_cast(),
-        frames_received: state.frames_received,
-        frames_sent: state.frames_sent,
-        wire: state.wire,
-        ingest,
-        admission: mempool.admission_stats(),
-        decided_events: state.decided_events,
-        fatal: None,
-    }
+    let (val, mut out) = (&state.validator, state.out);
+    out.ingest = io_handle.join().unwrap_or_default();
+    out.admission = mempool.admission_stats();
+    (out.decided_tip, out.decided_len) = (val.decided().tip(), val.decided().len());
+    out.votes_cast = val.votes_cast();
+    out.blocks_fetched = val.sync().blocks_fetched();
+    out.persisted_len = val.persisted_len();
+    out.wal_errors = val.wal_errors();
+    out.late_boundaries = val.late_boundaries();
+    out.decisions_withheld = val.decisions_withheld();
+    Ok(out)
 }
 
 fn dial_with_retry(addr: SocketAddr, until: std::time::Instant) -> Option<TcpStream> {
@@ -605,5 +568,38 @@ fn dial_with_retry(addr: SocketAddr, until: std::time::Instant) -> Option<TcpStr
             }
             Err(_) => return None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tobsvd_types::{InstanceId, Log, View};
+
+    #[test]
+    fn a_message_whose_chain_the_store_lacks_is_counted_not_sent() {
+        let (me, store) = (ValidatorId::new(0), BlockStore::new());
+        let (loopback, _inbox) = unbounded();
+        let mut state = NodeState {
+            me,
+            delta: Delta::new(4),
+            store: store.clone(),
+            mempool: Mempool::new(),
+            validator: Validator::new(me, TobConfig::new(1), &store),
+            keypair: KeyCache::keypair(me.key_seed()),
+            outbound: BTreeMap::new(),
+            loopback,
+            parked: VecDeque::new(),
+            out: NodeOutcome::new(me, store),
+            decided_len_seen: 1,
+        };
+        // The tip lives in another store only: encoding cannot read the
+        // chain back, so the message is refused and the refusal counted.
+        let elsewhere = BlockStore::new();
+        let log = Log::genesis(&elsewhere).extend_empty(&elsewhere, me, View::ZERO);
+        let msg = SignedMessage::sign(&state.keypair, me, Payload::Log { instance: InstanceId(0), log });
+        assert!(!state.send(&msg, &[me]));
+        assert_eq!(state.out.encode_failures, 1);
+        assert_eq!(state.out.frames, (0, 0));
     }
 }

@@ -93,8 +93,6 @@ pub struct GossipState {
     /// Public keys by sender index: warm verifications never take the
     /// process-global [`KeyCache`] lock.
     keys: Vec<Option<PublicKey>>,
-    verifies: u64,
-    skips: u64,
 }
 
 impl GossipState {
@@ -181,16 +179,14 @@ impl GossipState {
     /// Otherwise: a copy of a filed id skips verification and is ignored;
     /// a first sighting is verified, filed, and accepted unless it is the
     /// sender's third distinct payload for its key. Every decision counts
-    /// into the per-node totals and the context's [`crate::CryptoOps`].
+    /// into the context's [`crate::CryptoOps`], and only there.
     pub fn admit(&mut self, msg: &SignedMessage, ctx: &mut Context) -> Option<Reception> {
         let (key, id) = (Self::key(msg), msg.id());
         let filed = key.is_some_and(|key| self.is_filed(key, &id));
         if filed || self.raw.contains(&id) {
-            self.skips += 1;
-            ctx.note_sig_verify_skip();
+            ctx.crypto_ops.sig_verify_skips += 1;
         } else {
-            self.verifies += 1;
-            ctx.note_sig_verify();
+            ctx.crypto_ops.sig_verifies += 1;
             if !msg.verify(&self.public_key(msg.sender())) {
                 return None;
             }
@@ -245,16 +241,6 @@ impl GossipState {
     /// Number of ids that pass for verified: filed plus fault-injected.
     pub fn verified_count(&self) -> usize {
         self.filed + self.raw.len()
-    }
-
-    /// Signature verifications performed.
-    pub fn verifies(&self) -> u64 {
-        self.verifies
-    }
-
-    /// Verifications skipped (duplicate sightings of verified ids).
-    pub fn skips(&self) -> u64 {
-        self.skips
     }
 
     /// Fault injection (state-corruption experiments): makes a raw id
@@ -358,9 +344,7 @@ mod tests {
         assert_eq!((gossip.seen_count(), gossip.verified_count()), (1, 1));
         // Any later copy of the id — even the forged one — skips.
         assert_eq!(gossip.admit(&forged, &mut ctx), Some(IGNORED));
-        assert_eq!((gossip.verifies(), gossip.skips()), (2, 1));
-        assert_eq!(ctx.crypto_ops.sig_verifies, 2);
-        assert_eq!(ctx.crypto_ops.sig_verify_skips, 1);
+        assert_eq!((ctx.crypto_ops.sig_verifies, ctx.crypto_ops.sig_verify_skips), (2, 1));
         // Fetch payloads: verified, served, never remembered.
         let kp = Keypair::from_seed(ValidatorId::new(2).key_seed());
         let fetch = Payload::BlockRequest { tip: store.genesis(), from_height: 1 };
@@ -368,7 +352,7 @@ mod tests {
         assert_eq!(gossip.admit(&fetch, &mut ctx), Some(POINT_TO_POINT));
         assert_eq!(gossip.admit(&fetch, &mut ctx), Some(POINT_TO_POINT));
         assert!(!gossip.is_verified(&fetch) && !gossip.has_seen(&fetch.id()));
-        assert_eq!(gossip.verifies(), 4, "non-retained ids re-verify every time");
+        assert_eq!(ctx.crypto_ops.sig_verifies, 4, "non-retained ids re-verify every time");
     }
 
     #[test]

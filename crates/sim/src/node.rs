@@ -26,7 +26,9 @@ pub enum Outgoing {
 /// many signature/VRF verifications it actually performed vs skipped via
 /// its verified-id / VRF memo fast paths. The engine folds these into
 /// [`crate::Metrics`] after every callback, so a whole run's crypto
-/// budget is observable without instrumenting node internals.
+/// budget is observable without instrumenting node internals. This is
+/// the only place crypto work is counted: the code that verifies (or
+/// skips) bumps the field here, and nodes keep no totals of their own.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CryptoOps {
     /// Signature verifications performed.
@@ -88,37 +90,6 @@ impl Context {
             outbox: Vec::new(),
             decisions: Vec::new(),
         }
-    }
-
-    /// Records a performed signature verification.
-    pub fn note_sig_verify(&mut self) {
-        self.crypto_ops.sig_verifies += 1;
-    }
-
-    /// Records a signature verification skipped via the verified-id set.
-    pub fn note_sig_verify_skip(&mut self) {
-        self.crypto_ops.sig_verify_skips += 1;
-    }
-
-    /// Records a performed VRF verification.
-    pub fn note_vrf_verify(&mut self) {
-        self.crypto_ops.vrf_verifies += 1;
-    }
-
-    /// Records a VRF verification skipped via the per-view memo.
-    pub fn note_vrf_verify_skip(&mut self) {
-        self.crypto_ops.vrf_verify_skips += 1;
-    }
-
-    /// Records a performed aggregate-signature verification.
-    pub fn note_agg_verify(&mut self) {
-        self.crypto_ops.agg_verifies += 1;
-    }
-
-    /// Records an aggregate verification skipped because every claimed
-    /// signer was already vouched for.
-    pub fn note_agg_verify_skip(&mut self) {
-        self.crypto_ops.agg_verify_skips += 1;
     }
 
     /// Actions collected so far (tests and custom harnesses).

@@ -31,14 +31,14 @@ fn main() {
     );
 
     println!("\nper-validator state:");
-    for stats in report.validators.iter().flatten() {
+    for val in report.honest_validators() {
         println!(
             "  {}: decided len {}, proposals {}, votes {} (→ one vote per view), decisions {}",
-            stats.validator,
-            stats.decided_len,
-            stats.proposals_made,
-            stats.votes_cast,
-            stats.decisions_made,
+            val.id(),
+            val.decided().len(),
+            val.proposals_made(),
+            val.votes_cast(),
+            val.decisions_made(),
         );
     }
 

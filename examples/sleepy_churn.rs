@@ -99,22 +99,12 @@ fn main() {
         m.bytes_delivered,
         m.inline_equiv_bytes,
         m.inline_equiv_bytes as f64 / m.bytes_delivered as f64,
-        report
-            .validators
-            .iter()
-            .flatten()
-            .map(|s| s.sync.blocks_fetched)
-            .sum::<u64>()
+        report.honest_validators().map(|v| v.sync().blocks_fetched()).sum::<u64>()
     );
 
     // A validator that slept must catch up once awake: all decided logs
     // are compatible (already asserted) and within a view of each other.
-    let lens: Vec<u64> = report
-        .validators
-        .iter()
-        .flatten()
-        .map(|s| s.decided_len)
-        .collect();
+    let lens: Vec<u64> = report.honest_validators().map(|v| v.decided().len()).collect();
     println!("  per-validator decided lengths: {lens:?}");
     let _ = Time::ZERO;
 }

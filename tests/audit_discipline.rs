@@ -38,35 +38,24 @@ fn fault_free_long_run_never_scans() {
         .expect("fault-free run");
     report.assert_safety();
     assert!(report.decided_blocks() >= 198);
-    for s in report.validators.iter().flatten() {
-        assert!(
-            s.audits_run >= 4 * 200,
-            "{}: one audit per phase boundary",
-            s.validator
-        );
-        assert_eq!(
-            s.audit_scans, 0,
-            "{}: healthy state must never pay the scan",
-            s.validator
-        );
-        assert_eq!(s.audit_repairs, 0, "{}", s.validator);
+    for v in report.honest_validators() {
+        assert!(v.audits_run() >= 4 * 200, "{}: one audit per phase boundary", v.id());
+        assert_eq!(v.sync().audit_scans(), 0, "{}: healthy state must never pay the scan", v.id());
+        assert_eq!(v.audit_repairs(), 0, "{}", v.id());
     }
 }
 
 #[test]
 fn sync_poison_trips_the_scan_with_the_parents_repair_count() {
     let report = faulted_run(StateFault::SyncPoison { seed: 0xBAD5EED });
-    for s in report.validators.iter().flatten() {
-        if s.validator == ValidatorId::new(VICTIM) {
-            assert!(
-                s.audit_scans >= 1,
-                "poisoned knowledge must trip the full scan"
-            );
+    for v in report.honest_validators() {
+        if v.id() == ValidatorId::new(VICTIM) {
+            assert!(v.sync().audit_scans() >= 1, "poisoned knowledge must trip the full scan");
             // Taken from the parent commit (unconditional scan), same
             // scenario: the four forged ids, nothing else.
-            assert_eq!(s.audit_repairs, 4);
+            assert_eq!(v.audit_repairs(), 4);
         } else {
-            assert_eq!((s.audit_scans, s.audit_repairs), (0, 0), "{}", s.validator);
+            assert_eq!((v.sync().audit_scans(), v.audit_repairs()), (0, 0), "{}", v.id());
         }
     }
     assert!(
@@ -78,41 +67,23 @@ fn sync_poison_trips_the_scan_with_the_parents_repair_count() {
 #[test]
 fn sync_amnesia_still_rearms_recover_fetch_at_the_same_boundary() {
     let report = faulted_run(StateFault::SyncAmnesia);
-    let victim = report.validators[VICTIM as usize].expect("victim is honest");
+    let victim = report.validator(ValidatorId::new(VICTIM)).expect("victim is honest");
+    let sync = victim.sync();
     // Parent-commit numbers for this scenario: one repair (the
     // forgotten decided tip re-arms recover-fetch), then the fetch
     // plane re-learns the chain. A re-arm one boundary late would park
     // and fetch differently, so the whole-run traffic is pinned too.
-    assert_eq!(victim.audit_repairs, 1);
-    assert_eq!(
-        (
-            victim.sync.requests_sent,
-            victim.sync.blocks_fetched,
-            victim.sync.parked_total
-        ),
-        (2, 4, 10)
-    );
+    assert_eq!(victim.audit_repairs(), 1);
+    assert_eq!((sync.requests_sent(), sync.blocks_fetched(), sync.parked_total()), (2, 4, 10));
     let m = &report.report.metrics;
     assert_eq!(
         (m.block_request_broadcasts, m.block_response_broadcasts),
         (2, 6)
     );
     assert_eq!((m.deliveries, m.bytes_delivered), (5923, 3_187_022));
-    assert!(
-        victim.audit_scans >= 1,
-        "wiped knowledge trips the scan once"
-    );
-    assert_eq!(
-        victim.decided_len,
-        report.max_decided_len(),
-        "victim re-converged"
-    );
-    for s in report
-        .validators
-        .iter()
-        .flatten()
-        .filter(|s| s.validator != victim.validator)
-    {
-        assert_eq!((s.audit_scans, s.audit_repairs), (0, 0), "{}", s.validator);
+    assert!(sync.audit_scans() >= 1, "wiped knowledge trips the scan once");
+    assert_eq!(victim.decided().len(), report.max_decided_len(), "victim re-converged");
+    for v in report.honest_validators().filter(|v| v.id() != victim.id()) {
+        assert_eq!((v.sync().audit_scans(), v.audit_repairs()), (0, 0), "{}", v.id());
     }
 }

@@ -30,10 +30,10 @@ pub fn report_transcript(report: &TobReport) -> Vec<u8> {
     for rec in &report.report.latest_decisions {
         out.extend_from_slice(&rec.validator.raw().to_be_bytes());
         out.extend_from_slice(&rec.at.ticks().to_be_bytes());
-        log_transcript(&mut out, &rec.log, &report.store);
+        log_transcript(&mut out, &rec.log, &report.report.store);
     }
     if let Some(longest) = &report.report.longest_decided {
-        log_transcript(&mut out, longest, &report.store);
+        log_transcript(&mut out, longest, &report.report.store);
     }
     out
 }

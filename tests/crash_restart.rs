@@ -124,18 +124,14 @@ fn killed_validator_resumes_from_snapshot_plus_wal_and_reconverges() {
     for (seed, at) in [(3u64, 71u64), (11, 163), (27, 229)] {
         let report = crash_run(seed, at, 64);
         assert_eq!(report.report.metrics.crashes, 1, "seed {seed}");
-        let restarted = report.validators[1].expect("restarted slot reports stats");
-        assert_eq!(restarted.wal_errors, 0, "seed {seed}: durable plane must stay clean");
+        let restarted = report.validator(ValidatorId::new(1)).expect("restarted slot is up");
+        assert_eq!(restarted.wal_errors(), 0, "seed {seed}: durable plane must stay clean");
         assert!(
-            restarted.persisted_len > 1,
+            restarted.persisted_len() > 1,
             "seed {seed}: decisions must have been durably persisted"
         );
-        let max = report.max_decided_len();
-        assert!(
-            restarted.decided_len + 2 >= max,
-            "seed {seed}: restarted validator ended at {} of {max}",
-            restarted.decided_len
-        );
+        let (len, max) = (restarted.decided().len(), report.max_decided_len());
+        assert!(len + 2 >= max, "seed {seed}: restarted validator ended at {len} of {max}");
         // The network never stalls for the dead node.
         assert!(report.decided_blocks() >= report.views - 2, "seed {seed}");
     }
@@ -170,16 +166,12 @@ fn killed_validator_with_shredded_image_recovers_clean_prefix_and_reconverges() 
     for seed in [5u64, 19, 42] {
         let report = corrupted_crash_run(seed);
         assert_eq!(report.report.metrics.crashes, 1, "seed {seed}");
-        let restarted = report.validators[1].expect("restarted slot reports stats");
+        let restarted = report.validator(ValidatorId::new(1)).expect("restarted slot is up");
         // Torn/corrupt bytes degrade recovery; they are never I/O errors
         // (and never panics).
-        assert_eq!(restarted.wal_errors, 0, "seed {seed}: corruption must not error");
-        let max = report.max_decided_len();
-        assert!(
-            restarted.decided_len + 2 >= max,
-            "seed {seed}: shredded-image restart ended at {} of {max}",
-            restarted.decided_len
-        );
+        assert_eq!(restarted.wal_errors(), 0, "seed {seed}: corruption must not error");
+        let (len, max) = (restarted.decided().len(), report.max_decided_len());
+        assert!(len + 2 >= max, "seed {seed}: shredded-image restart ended at {len} of {max}");
         // The network never stalls for the corrupted node.
         assert!(report.decided_blocks() >= report.views - 2, "seed {seed}");
     }
@@ -263,12 +255,12 @@ fn crash_restart_runs_are_deterministic_across_executions() {
     assert_eq!(a.report.metrics.crashes, b.report.metrics.crashes);
     assert_eq!(a.report.metrics.dropped, b.report.metrics.dropped);
     assert_eq!(a.max_decided_len(), b.max_decided_len());
-    for (x, y) in a.validators.iter().zip(&b.validators) {
-        let (x, y) = (x.expect("stats"), y.expect("stats"));
-        assert_eq!(x.decided_len, y.decided_len, "{}", x.validator);
-        assert_eq!(x.persisted_len, y.persisted_len, "{}", x.validator);
-        assert_eq!(x.votes_cast, y.votes_cast, "{}", x.validator);
-        assert_eq!(x.proposals_made, y.proposals_made, "{}", x.validator);
-        assert_eq!(x.wal_errors, y.wal_errors, "{}", x.validator);
+    for v in ValidatorId::all(5) {
+        let (x, y) = (a.validator(v).expect("up"), b.validator(v).expect("up"));
+        assert_eq!(x.decided(), y.decided(), "{v}");
+        assert_eq!(x.persisted_len(), y.persisted_len(), "{v}");
+        assert_eq!(x.votes_cast(), y.votes_cast(), "{v}");
+        assert_eq!(x.proposals_made(), y.proposals_made(), "{v}");
+        assert_eq!(x.wal_errors(), y.wal_errors(), "{v}");
     }
 }

@@ -84,7 +84,7 @@ fn combined_adversary_long_run() {
     );
 
     // 4. Validators agree (within catching-up distance).
-    let lens: Vec<u64> = report.validators.iter().flatten().map(|s| s.decided_len).collect();
+    let lens: Vec<u64> = report.honest_validators().map(|v| v.decided().len()).collect();
     let max = *lens.iter().max().expect("honest validators exist");
     for l in &lens {
         assert!(max - l <= 2, "validator too far behind: {lens:?}");

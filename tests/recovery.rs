@@ -72,8 +72,8 @@ fn run(views: u64, drop_mode: bool, recovery: bool) -> tob_svd::protocol::TobRep
 
 /// (votes, proposals, decisions) of the napper.
 fn napper_stats(report: &tob_svd::protocol::TobReport) -> (u64, u64, u64) {
-    let s = report.validators[0].expect("napper is honest");
-    (s.votes_cast, s.proposals_made, s.decisions_made)
+    let s = report.validator(ValidatorId::new(0)).expect("napper is honest");
+    (s.votes_cast(), s.proposals_made(), s.decisions_made())
 }
 
 #[test]
@@ -107,8 +107,8 @@ fn dropping_without_recovery_kills_the_grade0_path() {
     );
     assert!(report.report.metrics.dropped > 0, "messages must actually be dropped");
     // The rest of the network is unaffected.
-    for s in report.validators.iter().flatten().skip(1) {
-        assert!(s.votes_cast >= 15, "{:?}", s);
+    for v in report.honest_validators().skip(1) {
+        assert!(v.votes_cast() >= 15, "{}: {} votes", v.id(), v.votes_cast());
     }
     assert!(report.decided_blocks() >= report.views - 2);
 }
@@ -182,28 +182,26 @@ fn deep_sleeper_catches_up_purely_via_fetches() {
         .expect("runs");
     report.assert_safety();
 
-    let sleeper = report.validators[0].expect("napper is honest");
+    let sleeper = report.validator(ValidatorId::new(0)).expect("napper is honest");
+    let sync = sleeper.sync();
     // The gap below the archive window was closed by fetches alone.
     assert!(
-        sleeper.sync.blocks_fetched >= 3,
-        "the deep sleeper must fetch the pruned-archive gap: {:?}",
-        sleeper.sync
+        sync.blocks_fetched() >= 3,
+        "the deep sleeper must fetch the pruned-archive gap: {} blocks",
+        sync.blocks_fetched()
     );
-    assert!(sleeper.sync.requests_sent >= 1);
-    assert_eq!(sleeper.sync.pending, 0, "every parked message must resolve: {:?}", sleeper.sync);
+    assert!(sync.requests_sent() >= 1);
+    assert_eq!(sync.pending_len(), 0, "every parked message must resolve");
     // Someone served those fetches, and the wire metrics saw both sides.
-    assert!(report.validators.iter().flatten().any(|s| s.sync.responses_served > 0));
+    assert!(report.honest_validators().any(|v| v.sync().responses_served() > 0));
     assert!(report.report.metrics.block_request_broadcasts >= 1);
     assert!(report.report.metrics.block_response_broadcasts >= 1);
     assert!(report.report.metrics.block_response_bytes > 0);
     // And the sleeper is a full participant again: its decided log ends
     // within a view of the network's.
     let max = report.max_decided_len();
-    assert!(
-        sleeper.decided_len + 2 >= max,
-        "sleeper decided {} of {max} blocks — catch-up failed",
-        sleeper.decided_len
-    );
+    let len = sleeper.decided().len();
+    assert!(len + 2 >= max, "sleeper decided {len} of {max} blocks — catch-up failed");
 }
 
 #[test]

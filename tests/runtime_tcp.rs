@@ -27,6 +27,7 @@ fn four_node_cluster_decides_and_agrees() {
             o
         );
         assert!(o.frames.0 > 0 && o.frames.1 > 0, "mesh traffic must flow");
+        assert_eq!(o.encode_failures, 0, "{}: every chain it sent read back from its store", o.me);
     }
 }
 
@@ -44,4 +45,5 @@ fn nodes_progress_in_lockstep() {
         "nodes too far apart: {:?}",
         report.outcomes()
     );
+    assert!(report.outcomes().iter().all(|o| o.encode_failures == 0));
 }

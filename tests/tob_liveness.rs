@@ -65,14 +65,9 @@ fn good_case_decisions_meet_phase_bound_without_tick_stepping() {
 
     // Every honest validator individually decided every view (±1 for
     // the trailing horizon).
-    for stats in report.validators.iter().flatten() {
-        assert!(
-            stats.decided_len >= views - 1,
-            "{:?} fell behind: decided {} of {} views",
-            stats.validator,
-            stats.decided_len,
-            views
-        );
+    for v in report.honest_validators() {
+        let len = v.decided().len();
+        assert!(len >= views - 1, "{} fell behind: decided {len} of {views} views", v.id());
     }
 
     // Per-slot O(Δ) bound: each decided block is anchored exactly 6Δ
@@ -186,12 +181,8 @@ fn sleeping_validator_catches_up_after_waking() {
         .run()
         .expect("runs");
     report.assert_safety();
-    let lens: Vec<(u32, u64)> = report
-        .validators
-        .iter()
-        .flatten()
-        .map(|s| (s.validator.raw(), s.decided_len))
-        .collect();
+    let lens: Vec<(u32, u64)> =
+        report.honest_validators().map(|v| (v.id().raw(), v.decided().len())).collect();
     let sleeper = lens.iter().find(|(v, _)| *v == 5).expect("v5 stats").1;
     let max = lens.iter().map(|(_, l)| *l).max().unwrap();
     assert!(

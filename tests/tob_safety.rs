@@ -124,8 +124,8 @@ fn per_validator_decisions_are_monotone_prefixes() {
     let longest = report.report.longest_decided.expect("some decision");
     for rec in &report.report.latest_decisions {
         assert!(
-            rec.log.is_prefix_of(&longest, &report.store)
-                || longest.is_prefix_of(&rec.log, &report.store),
+            rec.log.is_prefix_of(&longest, &report.report.store)
+                || longest.is_prefix_of(&rec.log, &report.report.store),
             "{}'s decision {} incompatible with longest {}",
             rec.validator,
             rec.log,
