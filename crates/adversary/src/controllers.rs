@@ -1,5 +1,6 @@
 //! Reactive adversary controllers.
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
 use tobsvd_core::leader::verify_vrf;
@@ -46,24 +47,24 @@ impl AdversaryController for AdaptiveLeaderCorruptor {
             return Vec::new();
         }
         // Proposals are broadcast at view starts and observed by the
-        // network adversary the same tick.
-        let mut best: Option<(View, ValidatorId, tobsvd_crypto::VrfOutput)> = None;
-        for msg in view.sent {
-            if let Payload::Proposal { view: v, vrf, proof, .. } = msg.payload() {
-                if !verify_vrf(msg.sender(), *v, vrf, proof) {
-                    continue;
+        // network adversary the same tick. Only unhandled views count,
+        // and only the highest valid claim: walk claims in descending
+        // claimed VRF (a stable sort, so equal claims keep their order
+        // and the first valid maximum wins) and verify until one passes.
+        let mut claims: Vec<_> = view
+            .sent
+            .iter()
+            .filter_map(|msg| match msg.payload() {
+                Payload::Proposal { view: v, vrf, proof, .. } if !self.handled_views.contains(v) => {
+                    Some((*v, msg.sender(), vrf, proof))
                 }
-                if self.handled_views.contains(v) {
-                    continue;
-                }
-                match &best {
-                    Some((_, _, b)) if b >= vrf => {}
-                    _ => best = Some((*v, msg.sender(), *vrf)),
-                }
-            }
-        }
+                _ => None,
+            })
+            .collect();
+        claims.sort_by_key(|(_, _, vrf, _)| Reverse(**vrf));
+        let best = claims.into_iter().find(|(v, sender, vrf, proof)| verify_vrf(*sender, *v, vrf, proof));
         let _ = self.delta;
-        if let Some((v, winner, _)) = best {
+        if let Some((v, winner, ..)) = best {
             self.handled_views.insert(v);
             if self.corrupted.insert(winner) {
                 return vec![AdversaryCommand::Corrupt(winner)];
@@ -144,5 +145,29 @@ mod tests {
         );
         let cmds = ctl.on_tick(&TickView { time: Time::new(32), sent: &[Arc::new(forged)] });
         assert!(cmds.is_empty());
+    }
+
+    #[test]
+    fn forged_top_claim_is_skipped_for_the_genuine_runner_up() {
+        let mut ctl = AdaptiveLeaderCorruptor::new(Delta::new(8), 5);
+        let store = BlockStore::new();
+        let view = View::new(1);
+        let genuine: Vec<_> = (0..3).map(|i| proposal(ValidatorId::new(i), view)).collect();
+        let winner = (0..3).map(ValidatorId::new).max_by_key(|v| vrf_for(*v, view).0).unwrap();
+        // v7 claims an output above every genuine one with a proof that
+        // cannot verify, and arrives first.
+        let sender = ValidatorId::new(7);
+        let (vrf, proof) = (
+            tobsvd_crypto::VrfOutput(tobsvd_crypto::Digest::from_bytes([0xff; 32])),
+            tobsvd_crypto::VrfProof(tobsvd_crypto::Digest::from_bytes([0xab; 32])),
+        );
+        let forged = SignedMessage::sign(
+            &Keypair::from_seed(sender.key_seed()),
+            sender,
+            Payload::Proposal { view, log: Log::genesis(&store), vrf, proof },
+        );
+        let msgs: Vec<_> = std::iter::once(Arc::new(forged)).chain(genuine).collect();
+        let cmds = ctl.on_tick(&TickView { time: Time::new(32), sent: &msgs });
+        assert_eq!(cmds, vec![AdversaryCommand::Corrupt(winner)]);
     }
 }

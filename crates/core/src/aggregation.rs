@@ -12,14 +12,13 @@
 //! GA state stays with the validator: [`AggregationPlane::on_certificate`]
 //! returns the signers it authenticated and the caller absorbs them.
 
-use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-use tobsvd_crypto::{AggregateSignature, Digest, KeyCache, Keypair, PublicKey, Signature, VrfOutput};
+use tobsvd_crypto::{AggregateSignature, Digest, KeyCache, Keypair, PublicKey, Signature};
 use tobsvd_sim::Context;
 use tobsvd_types::{InstanceId, Log, Payload, SignedMessage, SignerSet, ValidatorId, View};
 
-use crate::leader::ProposalTracker;
+use crate::leader::{Priority, ProposalTracker};
 
 /// Aggregation state for one `(instance, log)` vote group.
 ///
@@ -105,20 +104,21 @@ impl VoteGroup {
 /// boundary and lands at t + Δ at the earliest, past the `t_v + Δ`
 /// vote it could have fed, while the direct broadcast already reaches
 /// every awake validator in time. So the boundary flush forwards the
-/// best verified proposal seen (once per priority improvement) and
+/// best VRF-valid proposal seen (once per priority improvement) and
 /// every buffered copy from a detected equivocator, and drops the
-/// rest: O(n) relays per view instead of O(n²).
+/// rest: O(n) relays per view instead of O(n²). The choice is
+/// [`ProposalTracker::relays`], which checks VRFs on demand.
 #[derive(Default)]
 struct ProposalRelay {
-    /// VRF-verified proposal receptions since the last boundary flush.
-    /// Bounded by the gossip cap: at most two distinct messages per
-    /// sender per view survive `on_receive`.
+    /// Proposal receptions since the last boundary flush, as recorded
+    /// (VRFs not yet checked). Bounded by the gossip cap: at most two
+    /// distinct messages per sender per view survive `on_receive`.
     pending: Vec<SignedMessage>,
-    /// Highest `(vrf, Reverse(sender))` priority already relayed for
-    /// this view — the same total order [`ProposalTracker`] uses to
-    /// pick the vote input, so a relayed proposal is outranked only by
-    /// one that would also outrank it there.
-    best_relayed: Option<(VrfOutput, Reverse<ValidatorId>)>,
+    /// Highest priority already relayed for this view — the same total
+    /// order [`ProposalTracker`] uses to pick the vote input, so a
+    /// relayed proposal is outranked only by one that would also
+    /// outrank it there.
+    best_relayed: Option<Priority>,
 }
 
 /// The certificate-mode relay strategy of one validator (see the module
@@ -213,9 +213,9 @@ impl AggregationPlane {
         g.votes.push(*msg);
     }
 
-    /// Buffers a fresh, VRF-verified, in-window proposal: the relay
-    /// decision is deferred to the boundary flush, where the view's
-    /// tracker knows the best VRF seen and the equivocators.
+    /// Buffers a fresh, in-window proposal the view's tracker recorded:
+    /// the relay decision is deferred to the boundary flush, where the
+    /// tracker checks the VRFs it needs and knows the equivocators.
     pub(crate) fn note_proposal(&mut self, view: View, msg: &SignedMessage) {
         self.prop_relays.entry(view).or_default().pending.push(*msg);
     }
@@ -290,8 +290,8 @@ impl AggregationPlane {
     /// once a group turns quorate (> n/2 distinct voters), relay the
     /// remaining buffered votes individually, then the proposal side.
     /// `proposals` is the validator's per-view tracking (best VRF,
-    /// equivocators).
-    pub(crate) fn flush(&mut self, proposals: &BTreeMap<View, ProposalTracker>, ctx: &mut Context) {
+    /// equivocators), which checks VRFs into `ctx.crypto_ops`.
+    pub(crate) fn flush(&mut self, proposals: &mut BTreeMap<View, ProposalTracker>, ctx: &mut Context) {
         let quorum = self.n / 2;
         for g in self.groups.values_mut().flatten() {
             // Received certificates first: maximal coverage means
@@ -342,36 +342,17 @@ impl AggregationPlane {
                 }
             }
         }
-        // Proposal side: relay the highest-priority verified proposal
-        // per view (only when it outranks everything we relayed for the
-        // view before) plus every buffered copy from a detected
-        // equivocator — the two relays that carry information. The rest
-        // of the echo is dropped; see [`ProposalRelay`] for why votes
-        // never depend on it.
+        // Proposal side: relay every buffered copy from a detected
+        // equivocator, then the highest-priority valid proposal per view
+        // (only when it outranks everything we relayed for the view
+        // before) — the two relays that carry information. The rest of
+        // the echo is dropped; see [`ProposalRelay`] for why votes never
+        // depend on it.
         for (view, relay) in self.prop_relays.iter_mut() {
-            let tracker = proposals.get(view);
-            let mut best: Option<((VrfOutput, Reverse<ValidatorId>), SignedMessage)> = None;
-            for msg in std::mem::take(&mut relay.pending) {
-                let Payload::Proposal { vrf, .. } = msg.payload() else {
-                    continue;
-                };
-                if tracker.is_some_and(|t| t.is_equivocator(msg.sender())) {
-                    // Evidence: both conflicting copies (the gossip cap
-                    // admits at most two per sender) spread so peers
-                    // discard the equivocator too.
-                    ctx.forward(msg);
-                    continue;
-                }
-                let prio = (*vrf, Reverse(msg.sender()));
-                if best.as_ref().map_or(true, |(p, _)| prio > *p) {
-                    best = Some((prio, msg));
-                }
-            }
-            if let Some((prio, msg)) = best {
-                if relay.best_relayed.map_or(true, |b| prio > b) {
-                    ctx.forward(msg);
-                    relay.best_relayed = Some(prio);
-                }
+            let pending = std::mem::take(&mut relay.pending);
+            let Some(tracker) = proposals.get_mut(view) else { continue };
+            for msg in tracker.relays(&pending, &mut relay.best_relayed, &mut ctx.crypto_ops) {
+                ctx.forward(msg);
             }
         }
     }

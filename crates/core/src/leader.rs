@@ -13,8 +13,12 @@
 //! concrete schedule so experiments can verify both the probability and
 //! the consequences (Lemmas 3–4).
 
+use std::cmp::Reverse;
+use std::collections::{btree_map::Entry, BTreeMap, BinaryHeap};
+
 use tobsvd_crypto::{KeyCache, Vrf, VrfOutput, VrfProof};
-use tobsvd_types::{BlockStore, Log, ValidatorId, View};
+use tobsvd_sim::CryptoOps;
+use tobsvd_types::{BlockStore, Log, Payload, SignedMessage, ValidatorId, View};
 
 /// Evaluates validator `v`'s VRF for `view` using the conventional
 /// deterministic key derivation (cached per process — evaluation costs
@@ -55,76 +59,250 @@ pub fn good_leader(view: View, awake: &[ValidatorId], byz: &[ValidatorId]) -> Op
     is_good.then_some(best)
 }
 
-/// Per-view proposal bookkeeping with equivocation discarding.
-///
-/// "After discarding equivocating proposals, input to GA_v the proposal
-/// with the highest VRF value extending L_{v−1}" (Figure 4, Vote phase).
-#[derive(Clone, Debug, Default)]
-pub struct ProposalTracker {
-    /// `Some((log, vrf))` = unique proposal; `None` = equivocated.
-    proposals: std::collections::BTreeMap<ValidatorId, Option<(Log, VrfOutput)>>,
-    /// VRF `(output, proof)` pairs that passed verification for this
-    /// view, per sender. Both halves are unique per `(sender, view)`
-    /// (the proof is the deterministic signature over the view), so a
-    /// later proposal claiming the identical pair needs no
-    /// re-verification — this is what makes an equivocation burst cost
-    /// one VRF check, not one per distinct proposal. Matching on the
-    /// *pair* (not the output alone) keeps honest validators uniform: a
-    /// proposal with a correct output but garbage proof fails
-    /// verification at a cold validator, so it must also miss the memo
-    /// at a warm one.
-    verified_vrfs: std::collections::BTreeMap<ValidatorId, (VrfOutput, VrfProof)>,
+/// The order proposals are ranked in within a view: higher VRF output
+/// first, ties to the lower validator id. The vote input, the relay
+/// choice and the relay coverage all use this one order.
+pub type Priority = (VrfOutput, Reverse<ValidatorId>);
+
+/// What is known about one claim's VRF.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Verdict {
+    Unchecked,
+    Valid,
+    Forged,
 }
 
-impl ProposalTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
+/// One proposal as received: the log and the VRF pair it *claims*.
+#[derive(Clone, Copy, Debug)]
+struct Claim {
+    log: Log,
+    vrf: VrfOutput,
+    proof: VrfProof,
+    verdict: Verdict,
+}
+
+impl Claim {
+    fn is(&self, log: &Log, vrf: &VrfOutput, proof: &VrfProof) -> bool {
+        self.log == *log && self.vrf == *vrf && self.proof == *proof
+    }
+}
+
+/// A sender's claims for one view. The gossip cap lets at most two
+/// distinct proposals per `(sender, view)` reach the tracker, and a
+/// second one is rare (an equivocator or a forger), so it lives behind
+/// a pointer and the common case is one inline claim.
+#[derive(Clone, Debug)]
+struct Claims {
+    first: Claim,
+    second: Option<Box<Claim>>,
+}
+
+impl Claims {
+    fn slot(&self, log: &Log, vrf: &VrfOutput, proof: &VrfProof) -> Option<usize> {
+        if self.first.is(log, vrf, proof) {
+            return Some(0);
+        }
+        self.second.as_ref().filter(|c| c.is(log, vrf, proof)).map(|_| 1)
     }
 
-    /// Whether the claimed `(output, proof)` pair has already been
-    /// verified for `sender` in this view (memo hit ⇒ the claim is
-    /// authentic and verification can be skipped; any mismatching claim
-    /// must still be verified, and uniqueness makes it fail).
-    pub fn vrf_verified(&self, sender: ValidatorId, out: &VrfOutput, proof: &VrfProof) -> bool {
-        self.verified_vrfs.get(&sender).is_some_and(|(o, p)| o == out && p == proof)
-    }
-
-    /// Memoizes a `(output, proof)` pair that passed [`verify_vrf`] for
-    /// `sender` in this view.
-    pub fn note_vrf_verified(&mut self, sender: ValidatorId, out: VrfOutput, proof: VrfProof) {
-        self.verified_vrfs.entry(sender).or_insert((out, proof));
-    }
-
-    /// Records a (VRF-verified) proposal from `sender`. A second,
-    /// different proposal from the same sender discards both.
-    pub fn record(&mut self, sender: ValidatorId, log: Log, vrf: VrfOutput) {
-        match self.proposals.get_mut(&sender) {
-            None => {
-                self.proposals.insert(sender, Some((log, vrf)));
-            }
-            Some(slot) => match slot {
-                Some((existing, _)) if *existing == log => {}
-                Some(_) => *slot = None, // equivocation: discard
-                None => {}
-            },
+    fn get(&self, slot: usize) -> Option<&Claim> {
+        match slot {
+            0 => Some(&self.first),
+            _ => self.second.as_deref(),
         }
     }
 
-    /// The proposal with the highest VRF value whose log extends `lock`,
-    /// among non-equivocating proposers.
-    pub fn best_extending(&self, lock: &Log, store: &BlockStore) -> Option<(ValidatorId, Log)> {
-        self.proposals
-            .iter()
-            .filter_map(|(v, slot)| slot.map(|(log, vrf)| (*v, log, vrf)))
-            .filter(|(_, log, _)| log.extends(lock, store))
-            .max_by_key(|(v, _, vrf)| (*vrf, std::cmp::Reverse(*v)))
-            .map(|(v, log, _)| (v, log))
+    fn iter(&self) -> impl Iterator<Item = (usize, &Claim)> {
+        std::iter::once(&self.first).chain(self.second.as_deref()).enumerate()
     }
 
-    /// Whether `v` is a known proposal equivocator for this view.
-    pub fn is_equivocator(&self, v: ValidatorId) -> bool {
-        matches!(self.proposals.get(&v), Some(None))
+    /// The VRF verdict of the claim in `slot`: one [`verify_vrf`] the
+    /// first time its pair is asked about, the memoized verdict after
+    /// that. A check never looks at the log, so a sibling claiming the
+    /// same pair takes the same verdict: an equivocation burst costs one
+    /// check, as a memo keyed by the pair would.
+    fn check(&mut self, slot: usize, sender: ValidatorId, view: View, ops: &mut CryptoOps) -> bool {
+        let Some(claim) = self.get(slot).copied() else {
+            return false;
+        };
+        if claim.verdict != Verdict::Unchecked {
+            ops.vrf_verify_skips += 1;
+            return claim.verdict == Verdict::Valid;
+        }
+        ops.vrf_verifies += 1;
+        let verdict = if verify_vrf(sender, view, &claim.vrf, &claim.proof) {
+            Verdict::Valid
+        } else {
+            Verdict::Forged
+        };
+        let same_pair = |c: &&mut Claim| c.vrf == claim.vrf && c.proof == claim.proof;
+        for c in std::iter::once(&mut self.first).chain(self.second.as_deref_mut()).filter(same_pair) {
+            c.verdict = verdict;
+        }
+        verdict == Verdict::Valid
+    }
+
+    /// Two distinct VRF-valid logs. Checks only a sender that sent two
+    /// different logs.
+    fn equivocate(&mut self, sender: ValidatorId, view: View, ops: &mut CryptoOps) -> bool {
+        self.second.as_ref().is_some_and(|second| second.log != self.first.log)
+            && self.check(0, sender, view, ops)
+            && self.check(1, sender, view, ops)
+    }
+}
+
+/// Per-view proposal bookkeeping with equivocation discarding and VRFs
+/// verified on demand.
+///
+/// "After discarding equivocating proposals, input to GA_v the proposal
+/// with the highest VRF value extending L_{v−1}" (Figure 4, Vote phase).
+/// Only the winner's VRF matters, so proposals are recorded as
+/// unverified *claims*, and a VRF is verified only where a priority is
+/// used: the vote input ([`ProposalTracker::best_extending`]), the
+/// boundary relay ([`ProposalTracker::relays`]) and recovery serving
+/// (`ProposalTracker::verify`). Each walks claims in descending
+/// *claimed* priority and verifies only a claim that could win, and
+/// every claim keeps its verdict — about n checks per view across the
+/// committee instead of n², and a forged high claim costs its forger
+/// one check. The answers are those of verifying every claim on
+/// receipt and dropping the forged ones: a sender is an equivocator iff
+/// it has two distinct VRF-valid logs, and only VRF-valid claims are
+/// ever picked or relayed.
+#[derive(Clone, Debug)]
+pub struct ProposalTracker {
+    view: View,
+    claims: BTreeMap<ValidatorId, Claims>,
+}
+
+impl ProposalTracker {
+    /// Creates an empty tracker for `view` (the view the VRFs are
+    /// verified against).
+    pub fn new(view: View) -> Self {
+        ProposalTracker { view, claims: BTreeMap::new() }
+    }
+
+    /// Records `sender`'s proposal of `log` with its claimed VRF pair,
+    /// unverified. Returns whether the claim is new: a claim already
+    /// held, or a third distinct one from the sender (the gossip cap
+    /// lets neither through), is not recorded.
+    pub fn record(&mut self, sender: ValidatorId, log: Log, vrf: VrfOutput, proof: VrfProof) -> bool {
+        let claim = Claim { log, vrf, proof, verdict: Verdict::Unchecked };
+        match self.claims.entry(sender) {
+            Entry::Vacant(e) => {
+                e.insert(Claims { first: claim, second: None });
+                true
+            }
+            Entry::Occupied(mut e) => {
+                let held = e.get_mut();
+                if held.second.is_some() || held.slot(&log, &vrf, &proof).is_some() {
+                    return false;
+                }
+                // Same pair as the first claim: same verdict (see `check`).
+                let verdict = if (held.first.vrf, held.first.proof) == (vrf, proof) {
+                    held.first.verdict
+                } else {
+                    Verdict::Unchecked
+                };
+                held.second = Some(Box::new(Claim { verdict, ..claim }));
+                true
+            }
+        }
+    }
+
+    /// Whether `sender`'s recorded claim of `(log, vrf, proof)` carries
+    /// a valid VRF (checked at most once per claim). An unrecorded claim
+    /// is not valid.
+    pub(crate) fn verify(
+        &mut self,
+        sender: ValidatorId,
+        log: &Log,
+        vrf: &VrfOutput,
+        proof: &VrfProof,
+        ops: &mut CryptoOps,
+    ) -> bool {
+        let view = self.view;
+        let Some(held) = self.claims.get_mut(&sender) else {
+            return false;
+        };
+        held.slot(log, vrf, proof).is_some_and(|slot| held.check(slot, sender, view, ops))
+    }
+
+    /// Whether `v` is a proposal equivocator for this view: two distinct
+    /// VRF-valid logs.
+    pub fn is_equivocator(&mut self, v: ValidatorId, ops: &mut CryptoOps) -> bool {
+        let view = self.view;
+        self.claims.get_mut(&v).is_some_and(|held| held.equivocate(v, view, ops))
+    }
+
+    /// The valid proposal with the highest VRF value whose log extends
+    /// `lock`, among non-equivocating proposers. Claims are tried
+    /// top-first out of a heap (no full sort), so the usual cost is the
+    /// top claim's one check.
+    pub fn best_extending(
+        &mut self,
+        lock: &Log,
+        store: &BlockStore,
+        ops: &mut CryptoOps,
+    ) -> Option<(ValidatorId, Log)> {
+        let mut ranked: BinaryHeap<(Priority, Reverse<usize>)> = self
+            .claims
+            .iter()
+            .flat_map(|(v, held)| held.iter().map(move |(slot, c)| (*v, slot, c)))
+            .filter(|(_, _, c)| c.verdict != Verdict::Forged && c.log.extends(lock, store))
+            .map(|(v, slot, c)| ((c.vrf, Reverse(v)), Reverse(slot)))
+            .collect();
+        let view = self.view;
+        while let Some(((_, Reverse(v)), Reverse(slot))) = ranked.pop() {
+            let Some(held) = self.claims.get_mut(&v) else { continue };
+            if held.check(slot, v, view, ops) && !held.equivocate(v, view, ops) {
+                return held.get(slot).map(|claim| (v, claim.log));
+            }
+        }
+        None
+    }
+
+    /// The proposal relays of a boundary flush over `pending` (the
+    /// view's proposal receptions since the last flush, in arrival
+    /// order), in forwarding order: every pending copy from an
+    /// equivocator (the evidence peers need to discard it too), then
+    /// the highest-priority valid pending proposal from a
+    /// non-equivocator if it outranks `best_relayed`, which it then
+    /// becomes. Candidates at or below `best_relayed` are never checked,
+    /// and the rest are tried top-first. Copies that are not recorded
+    /// claims are never relayed.
+    pub fn relays(
+        &mut self,
+        pending: &[SignedMessage],
+        best_relayed: &mut Option<Priority>,
+        ops: &mut CryptoOps,
+    ) -> Vec<SignedMessage> {
+        let view = self.view;
+        let mut out = Vec::new();
+        let mut ranked: BinaryHeap<(Priority, Reverse<usize>, usize)> = BinaryHeap::new();
+        for (i, msg) in pending.iter().enumerate() {
+            let Payload::Proposal { log, vrf, proof, .. } = msg.payload() else { continue };
+            let sender = msg.sender();
+            let Some(held) = self.claims.get_mut(&sender) else { continue };
+            let Some(slot) = held.slot(log, vrf, proof) else { continue };
+            if held.equivocate(sender, view, ops) {
+                out.push(*msg); // both of an equivocator's claims are valid
+                continue;
+            }
+            let prio = (*vrf, Reverse(sender));
+            if best_relayed.map_or(true, |best| prio > best) {
+                ranked.push((prio, Reverse(i), slot));
+            }
+        }
+        while let Some((prio, Reverse(i), slot)) = ranked.pop() {
+            let sender = prio.1 .0;
+            let held = self.claims.get_mut(&sender);
+            if held.is_some_and(|held| held.check(slot, sender, view, ops)) {
+                out.extend(pending.get(i).copied());
+                *best_relayed = Some(prio);
+                break;
+            }
+        }
+        out
     }
 }
 
@@ -196,63 +374,121 @@ mod tests {
         assert_eq!(good_leader(view, &awake, &[]), Some(second));
     }
 
-    #[test]
-    fn proposal_tracker_picks_highest_extending() {
-        let store = BlockStore::new();
-        let g = Log::genesis(&store);
-        let lock = g.extend_empty(&store, v(0), View::new(1));
-        let ext1 = lock.extend_empty(&store, v(1), View::new(2));
-        let ext2 = lock.extend_empty(&store, v(2), View::new(2));
-        let off_lock = g.extend_empty(&store, v(3), View::new(2));
+    fn proposal(sender: ValidatorId, view: View, log: Log, vrf: VrfOutput, proof: VrfProof) -> SignedMessage {
+        let kp = tobsvd_crypto::Keypair::from_seed(sender.key_seed());
+        SignedMessage::sign(&kp, sender, Payload::Proposal { view, log, vrf, proof })
+    }
 
-        let mut tr = ProposalTracker::new();
-        let vrf1 = vrf_for(v(1), View::new(2)).0;
-        let vrf2 = vrf_for(v(2), View::new(2)).0;
-        let vrf3 = vrf_for(v(3), View::new(2)).0;
-        tr.record(v(1), ext1, vrf1);
-        tr.record(v(2), ext2, vrf2);
-        tr.record(v(3), off_lock, vrf3); // does not extend the lock
-        let (winner, log) = tr.best_extending(&lock, &store).expect("one extends");
-        let expect = if vrf1 > vrf2 { (v(1), ext1) } else { (v(2), ext2) };
-        assert_eq!((winner, log), expect);
+    /// A claim above every genuine output, with a proof that cannot verify.
+    fn forged_top() -> (VrfOutput, VrfProof) {
+        let garbage = tobsvd_crypto::Digest::from_bytes([0xab; 32]);
+        (VrfOutput(tobsvd_crypto::Digest::from_bytes([0xff; 32])), VrfProof(garbage))
     }
 
     #[test]
-    fn vrf_memo_covers_only_noted_pairs() {
-        let mut tr = ProposalTracker::new();
-        let (vrf, proof) = vrf_for(v(1), View::new(1));
-        assert!(!tr.vrf_verified(v(1), &vrf, &proof), "empty tracker memoizes nothing");
-        tr.note_vrf_verified(v(1), vrf, proof);
-        assert!(tr.vrf_verified(v(1), &vrf, &proof));
-        // A different claimed value — even another validator's genuine
-        // one — is not covered and must go through verification.
-        let (other, other_proof) = vrf_for(v(2), View::new(1));
-        assert!(!tr.vrf_verified(v(1), &other, &other_proof));
-        assert!(!tr.vrf_verified(v(2), &other, &other_proof));
-        // The memo matches the full (output, proof) pair: a correct
-        // output with a tampered proof must miss, so warm and cold
-        // validators treat the same frame identically.
+    fn proposal_tracker_picks_highest_extending_with_one_check() {
+        let store = BlockStore::new();
+        let g = Log::genesis(&store);
+        let view = View::new(2);
+        let lock = g.extend_empty(&store, v(0), View::new(1));
+        let mut tr = ProposalTracker::new(view);
+        let mut genuine = Vec::new();
+        for i in 1..6 {
+            let log = lock.extend_empty(&store, v(i), view);
+            let (vrf, proof) = vrf_for(v(i), view);
+            assert!(tr.record(v(i), log, vrf, proof));
+            genuine.push((vrf, v(i), log));
+        }
+        // Off the lock and claiming the top priority: never checked.
+        let (vrf, proof) = forged_top();
+        tr.record(v(9), g.extend_empty(&store, v(9), view), vrf, proof);
+        let mut ops = CryptoOps::default();
+        let (_, winner, log) = genuine.iter().copied().max_by_key(|(vrf, ..)| *vrf).unwrap();
+        assert_eq!(tr.best_extending(&lock, &store, &mut ops), Some((winner, log)));
+        assert_eq!(ops.vrf_verifies, 1, "only the winning claim is checked");
+        assert_eq!(tr.best_extending(&lock, &store, &mut ops), Some((winner, log)));
+        assert_eq!((ops.vrf_verifies, ops.vrf_verify_skips), (1, 1), "its verdict is kept");
+    }
+
+    #[test]
+    fn forged_top_claim_loses_and_costs_its_forger_one_check() {
+        let store = BlockStore::new();
+        let g = Log::genesis(&store);
+        let view = View::new(1);
+        let mut tr = ProposalTracker::new(view);
+        let mut pending = Vec::new();
+        let (vrf, proof) = forged_top();
+        let forged = proposal(v(7), view, g.extend_empty(&store, v(7), view), vrf, proof);
+        for i in 1..4 {
+            let (vrf, proof) = vrf_for(v(i), view);
+            pending.push(proposal(v(i), view, g.extend_empty(&store, v(i), view), vrf, proof));
+        }
+        pending.insert(1, forged);
+        for m in &pending {
+            let Payload::Proposal { log, vrf, proof, .. } = m.payload() else { unreachable!() };
+            assert!(tr.record(m.sender(), *log, *vrf, *proof));
+        }
+        let best = pending
+            .iter()
+            .filter(|m| m.sender() != v(7))
+            .max_by_key(|m| vrf_for(m.sender(), view).0)
+            .copied()
+            .unwrap();
+        let mut ops = CryptoOps::default();
+        let mut best_relayed = None;
+        let relays = tr.relays(&pending, &mut best_relayed, &mut ops);
+        assert_eq!(relays, vec![best], "the forged claim is never relayed");
+        assert_eq!(ops.vrf_verifies, 2, "one check for the forger, one for the winner");
+        let picked = tr.best_extending(&g, &store, &mut ops);
+        assert_eq!(picked, best.payload().log().map(|log| (best.sender(), log)));
+        assert!(tr.relays(&pending, &mut best_relayed, &mut ops).is_empty(), "already relayed");
+        assert_eq!(ops.vrf_verifies, 2, "a second vote and flush in the view cost nothing");
+    }
+
+    #[test]
+    fn genuine_copy_plus_forged_copy_with_another_log_is_not_equivocation() {
+        let store = BlockStore::new();
+        let g = Log::genesis(&store);
+        let view = View::new(1);
+        let (a, b) = (g.extend_empty(&store, v(1), view), g.extend_empty(&store, v(2), view));
+        let (vrf, proof) = vrf_for(v(1), view);
         let garbage = VrfProof(tobsvd_crypto::Digest::from_bytes([0xab; 32]));
-        assert!(!tr.vrf_verified(v(1), &vrf, &garbage));
+        let mut tr = ProposalTracker::new(view);
+        assert!(tr.record(v(1), a, vrf, proof));
+        assert!(tr.record(v(1), b, vrf, garbage), "a second distinct claim is held");
+        let mut ops = CryptoOps::default();
+        assert!(!tr.is_equivocator(v(1), &mut ops));
+        assert_eq!(ops.vrf_verifies, 2, "both logs are checked once");
+        assert_eq!(tr.best_extending(&g, &store, &mut ops), Some((v(1), a)));
+        assert_eq!(ops.vrf_verifies, 2);
+        assert!(!tr.verify(v(1), &b, &vrf, &garbage, &mut ops), "the forged copy stays forged");
+        assert!(!tr.record(v(1), g, vrf, proof), "a third distinct claim is dropped");
     }
 
     #[test]
     fn proposal_equivocation_discards() {
         let store = BlockStore::new();
         let g = Log::genesis(&store);
-        let a = g.extend_empty(&store, v(1), View::new(1));
-        let b = g.extend_empty(&store, v(2), View::new(1));
-        let mut tr = ProposalTracker::new();
-        let vrf = vrf_for(v(1), View::new(1)).0;
-        tr.record(v(1), a, vrf);
-        tr.record(v(1), b, vrf);
-        assert!(tr.is_equivocator(v(1)));
-        assert_eq!(tr.best_extending(&g, &store), None);
-        // Duplicate of the same proposal is not equivocation.
-        let mut tr = ProposalTracker::new();
-        tr.record(v(1), a, vrf);
-        tr.record(v(1), a, vrf);
-        assert!(!tr.is_equivocator(v(1)));
-        assert_eq!(tr.best_extending(&g, &store), Some((v(1), a)));
+        let view = View::new(1);
+        let a = g.extend_empty(&store, v(1), view);
+        let b = g.extend_empty(&store, v(2), view);
+        let (vrf, proof) = vrf_for(v(1), view);
+        let mut ops = CryptoOps::default();
+        let mut tr = ProposalTracker::new(view);
+        tr.record(v(1), a, vrf, proof);
+        tr.record(v(1), b, vrf, proof);
+        assert!(tr.is_equivocator(v(1), &mut ops));
+        assert_eq!(tr.best_extending(&g, &store, &mut ops), None);
+        // Both copies are relayed as evidence, never as a best pick.
+        let pending = [proposal(v(1), view, a, vrf, proof), proposal(v(1), view, b, vrf, proof)];
+        let mut best_relayed = None;
+        assert_eq!(tr.relays(&pending, &mut best_relayed, &mut ops), pending.to_vec());
+        assert_eq!((best_relayed, ops.vrf_verifies), (None, 1), "one pair, one check");
+        // A duplicate of the same proposal is not equivocation.
+        let mut tr = ProposalTracker::new(view);
+        assert!(tr.record(v(1), a, vrf, proof));
+        assert!(!tr.record(v(1), a, vrf, proof), "already held");
+        assert!(!tr.is_equivocator(v(1), &mut ops));
+        assert_eq!(tr.best_extending(&g, &store, &mut ops), Some((v(1), a)));
     }
 }

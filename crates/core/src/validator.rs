@@ -20,7 +20,7 @@ use tobsvd_types::{
 
 use crate::aggregation::AggregationPlane;
 use crate::config::TobConfig;
-use crate::leader::{verify_vrf, vrf_for, ProposalTracker};
+use crate::leader::{vrf_for, ProposalTracker};
 use crate::schedule::{ViewSchedule, ViewPhase};
 use crate::sync::{Resolution, SyncState};
 
@@ -46,7 +46,8 @@ pub struct Validator {
     /// reached late (see [`Validator::note_late_boundary`]): their
     /// grade-2 outputs are not decided. Pruned with `gas`.
     late_gas: BTreeSet<View>,
-    /// Per-view proposal tracking with equivocation discarding.
+    /// Per-view proposal tracking with equivocation discarding; VRFs
+    /// are verified on demand (see [`ProposalTracker`]).
     proposals: BTreeMap<View, ProposalTracker>,
     /// The dedup / authenticity gate: one table, one probe per delivery
     /// (see [`GossipState`]). Fetch-plane ids are deliberately *not*
@@ -58,7 +59,7 @@ pub struct Validator {
     decided: Log,
     /// Bounded archive of recent messages, served to recovering peers
     /// (§2 recovery protocol). Keyed by the view the message belongs to.
-    archive: BTreeMap<View, Vec<SignedMessage>>,
+    archive: BTreeMap<View, ArchivedView>,
     /// Delta-sync state: block knowledge, bounded pending set, fetches.
     sync: SyncState,
     /// The relay strategy: the aggregation plane, or `None` for the
@@ -358,8 +359,8 @@ impl Validator {
         };
         let input = self
             .proposals
-            .get(&v)
-            .and_then(|tr| tr.best_extending(&lock, &ctx.store))
+            .get_mut(&v)
+            .and_then(|tr| tr.best_extending(&lock, &ctx.store, &mut ctx.crypto_ops))
             .map(|(_, log)| log)
             .unwrap_or(lock);
         let ga = self.ensure_ga(v);
@@ -523,11 +524,14 @@ impl Validator {
         // GA_w ends at t_{w+1} + 2Δ: anything older than v−2 is finished.
         self.gas.retain(|w, _| w.number() + 2 >= v.number());
         self.late_gas.retain(|w| w.number() + 2 >= v.number());
-        // Proposals for view w only matter until t_w + Δ.
-        self.proposals.retain(|w, _| w.number() + 1 >= v.number());
         // The archive follows the GA window: recovering validators can
         // only act on still-live instances anyway.
         self.archive.retain(|w, _| w.number() + 2 >= v.number());
+        // Proposals for view w matter to the vote until t_w + Δ. The
+        // archive (recovery only) serves them by their tracker's
+        // verdicts, so there the trackers follow the archive.
+        let proposal_views = if self.cfg.recovery { 2 } else { 1 };
+        self.proposals.retain(|w, _| w.number() + proposal_views >= v.number());
         self.gossip.set_live(v.number());
         if let Some(plane) = self.agg.as_mut() {
             plane.prune(v);
@@ -544,17 +548,39 @@ impl Validator {
             Payload::Proposal { view, .. } => *view,
             _ => return,
         };
-        self.archive.entry(view).or_default().push(*msg);
+        self.archive.entry(view).or_default().msgs.push(*msg);
     }
 
     /// Serves a recovery request: re-send every archived message from
-    /// `from_view` onward to the requester.
+    /// `from_view` onward to the requester, up to the response cap.
+    /// Proposals are archived as unverified claims, so a view's newly
+    /// archived ones are vetted first through their tracker's verdicts
+    /// (checked at most once per claim) and the forged ones dropped: a
+    /// forged VRF is never relayed, and a repeated serve only copies.
     fn serve_recovery(&mut self, requester: tobsvd_types::ValidatorId, from_view: View, ctx: &mut Context) {
         if !self.cfg.recovery || requester == self.me {
             return;
         }
-        let archived = self.archive.range(from_view..).flat_map(|(_, msgs)| msgs);
-        for msg in archived.take(SyncState::RECOVERY_RESPONSE_CAP) {
+        let cap = SyncState::RECOVERY_RESPONSE_CAP;
+        let mut served: Vec<&SignedMessage> = Vec::new();
+        for (view, archived) in self.archive.range_mut(from_view..) {
+            if served.len() >= cap {
+                break;
+            }
+            if archived.vetted < archived.msgs.len() {
+                let mut tracker = self.proposals.get_mut(view);
+                let fresh = archived.msgs.split_off(archived.vetted);
+                archived.msgs.extend(fresh.into_iter().filter(|msg| match msg.payload() {
+                    Payload::Proposal { log, vrf, proof, .. } => tracker
+                        .as_mut()
+                        .is_some_and(|tr| tr.verify(msg.sender(), log, vrf, proof, &mut ctx.crypto_ops)),
+                    _ => true,
+                }));
+                archived.vetted = archived.msgs.len();
+            }
+            served.extend(archived.msgs.iter().take(cap - served.len()));
+        }
+        for msg in served {
             ctx.forward_to(vec![requester], *msg);
         }
     }
@@ -683,6 +709,14 @@ impl Validator {
     }
 }
 
+/// One view's recovery archive, in arrival order. The first `vetted`
+/// messages have had their proposals' VRFs checked, forged ones removed.
+#[derive(Default)]
+struct ArchivedView {
+    msgs: Vec<SignedMessage>,
+    vetted: usize,
+}
+
 /// The durable [`BlockRecord`] for a stored block, `None` for genesis
 /// (whose content is implicit) or an unknown id.
 fn block_record(store: &BlockStore, id: BlockId) -> Option<BlockRecord> {
@@ -743,7 +777,7 @@ impl Node for Validator {
         // since the previous boundary go out now, as one quorum
         // certificate where a group is quorate.
         if let Some(plane) = self.agg.as_mut() {
-            plane.flush(&self.proposals, ctx);
+            plane.flush(&mut self.proposals, ctx);
         }
         // Drive the ongoing GA instances: the TOB phase at this
         // boundary consumes outputs computed at this very time (Figure 3
@@ -884,43 +918,22 @@ impl Validator {
                 }
             }
             Payload::Proposal { view, log, vrf, proof } => {
-                // Window check before the VRF check: an out-of-window
-                // proposal is dropped either way, so it should never
-                // cost crypto (and never touch the per-view tracker,
-                // which only exists for live views).
+                // An out-of-window proposal is dropped before it touches
+                // the per-view tracker, which only exists for live views.
                 if view.number() + 1 < current.number() || view.number() > current.number() + 1 {
                     return;
                 }
-                // VRF memo: a valid (output, proof) pair is unique per
-                // (sender, view), so a claim matching an already-verified
-                // pair needs no re-check — an equivocation burst costs
-                // one VRF verify. Matching the full pair keeps honest
-                // validators uniform: a frame a cold validator would
-                // reject (e.g. right output, garbage proof) also misses
-                // the memo at a warm one.
-                let memo_hit = self
-                    .proposals
-                    .get(view)
-                    .is_some_and(|tr| tr.vrf_verified(msg.sender(), vrf, proof));
-                if memo_hit {
-                    ctx.crypto_ops.vrf_verify_skips += 1;
-                } else {
-                    ctx.crypto_ops.vrf_verifies += 1;
-                    if !verify_vrf(msg.sender(), *view, vrf, proof) {
-                        return; // forged VRF: proposal carries no priority
-                    }
-                    self.proposals
-                        .entry(*view)
-                        .or_default()
-                        .note_vrf_verified(msg.sender(), *vrf, *proof);
+                // Recorded as an unverified claim: its VRF is checked
+                // only where its priority is used — the vote, the
+                // boundary relay, a recovery serve — so a forged VRF is
+                // never picked or relayed, and the usual receipt costs
+                // no crypto at all.
+                let tracker =
+                    self.proposals.entry(*view).or_insert_with(|| ProposalTracker::new(*view));
+                if !tracker.record(msg.sender(), *log, *vrf, *proof) {
+                    return;
                 }
                 self.archive_message(msg);
-                self.proposals
-                    .entry(*view)
-                    .or_default()
-                    .record(msg.sender(), *log, *vrf);
-                // Only VRF-verified proposals get here, so a forged-VRF
-                // frame is never relayed either.
                 if let Some(plane) = self.agg.as_mut() {
                     plane.note_proposal(*view, msg);
                 }
@@ -941,6 +954,7 @@ impl Validator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tobsvd_crypto::{VrfOutput, VrfProof};
     use tobsvd_sim::Mempool;
     use tobsvd_types::{Delta, Time, ValidatorId};
 
@@ -1002,9 +1016,11 @@ mod tests {
             );
             let mut ctx = ctx_at(3, &store);
             val.on_message(&msg, &mut ctx);
+            assert_eq!(ctx.crypto_ops.vrf_verifies, 0, "receipt records the claim unchecked");
         }
         let mut ctx = ctx_at(8, &store);
         val.on_phase(&mut ctx);
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 1, "flush and vote share the winner's one check");
         let winner = [ValidatorId::new(1), ValidatorId::new(2)]
             .into_iter()
             .max_by_key(|v| vrf_for(*v, View::ZERO).0)
@@ -1045,9 +1061,10 @@ mod tests {
         );
         let mut ctx = ctx_at(3, &store);
         val.on_message(&msg, &mut ctx);
-        // The proposal must not have been recorded.
+        // The proposal is neither relayed nor voted for.
         let mut ctx = ctx_at(8, &store);
         val.on_phase(&mut ctx);
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 1, "the forger pays its one check");
         match ctx.outbox() {
             [tobsvd_sim::Outgoing::Broadcast(m)] => {
                 let log = m.payload().log().expect("LOG carries a log");
@@ -1307,37 +1324,41 @@ mod tests {
         assert_eq!(forwards, [1, 1, 0], "the third distinct LOG is not forwarded");
         assert_eq!((ctx.crypto_ops.sig_verifies, ctx.crypto_ops.sig_verify_skips), (3, 0));
         assert_eq!((val.unique_messages_seen(), val.verified_ids()), (3, 3));
-        assert_eq!(val.archive[&View::ZERO].len(), 2, "only two were processed");
+        assert_eq!(val.archive[&View::ZERO].msgs.len(), 2, "only two were processed");
+    }
+
+    fn proposal(sender: ValidatorId, log: Log, vrf: VrfOutput, proof: VrfProof) -> SignedMessage {
+        let payload = Payload::Proposal { view: View::ZERO, log, vrf, proof };
+        SignedMessage::sign(&Keypair::from_seed(sender.key_seed()), sender, payload)
+    }
+
+    /// An output above every genuine one, with a proof that cannot verify.
+    fn forged_top() -> (VrfOutput, VrfProof) {
+        (VrfOutput(Digest::from_bytes([0xff; 32])), VrfProof(Digest::from_bytes([0xab; 32])))
     }
 
     #[test]
-    fn vrf_memo_skips_reverification_and_equivocation_still_discards() {
+    fn equivocation_burst_costs_one_check_and_still_discards() {
         let store = BlockStore::new();
         let cfg = TobConfig::new(4);
         let mut val = Validator::new(ValidatorId::new(0), cfg, &store);
         let g = Log::genesis(&store);
         let sender = ValidatorId::new(1);
-        let kp = Keypair::from_seed(sender.key_seed());
         let (vrf, proof) = vrf_for(sender, View::ZERO);
         // Two *different* proposals (equivocation) carrying the same
         // genuine VRF pair.
         let mut ctx = ctx_at(3, &store);
         for tag in [ValidatorId::new(8), ValidatorId::new(9)] {
             let log = g.extend_empty(&store, tag, View::ZERO);
-            let msg = SignedMessage::sign(
-                &kp,
-                sender,
-                Payload::Proposal { view: View::ZERO, log, vrf, proof },
-            );
-            val.on_message(&msg, &mut ctx);
+            val.on_message(&proposal(sender, log, vrf, proof), &mut ctx);
         }
-        assert_eq!(ctx.crypto_ops.vrf_verifies, 1, "the second distinct proposal hits the memo");
-        assert_eq!(ctx.crypto_ops.vrf_verify_skips, 1);
-        // Equivocation semantics are intact: both proposals discarded
-        // from the vote, and the flush relays both copies as evidence
-        // (never as a best-proposal pick).
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 0, "receipt checks nothing");
+        // Both proposals are discarded from the vote, and the flush
+        // relays both copies as evidence (never as a best-proposal
+        // pick). Their shared VRF pair is checked once.
         let mut ctx = ctx_at(8, &store);
         val.on_phase(&mut ctx);
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 1);
         match ctx.outbox() {
             [tobsvd_sim::Outgoing::Forward(e1), tobsvd_sim::Outgoing::Forward(e2), tobsvd_sim::Outgoing::Broadcast(m)] =>
             {
@@ -1351,80 +1372,120 @@ mod tests {
             }
             other => panic!("expected two evidence relays + vote, got {other:?}"),
         }
-        // A mismatching VRF claim never hits the memo: a fresh sender
-        // claiming someone else's VRF value goes through verification
-        // (and fails — the proposal is not recorded).
-        let liar = ValidatorId::new(3);
-        let (other_vrf, other_proof) = vrf_for(ValidatorId::new(2), View::ZERO);
-        let log = g.extend_empty(&store, ValidatorId::new(10), View::ZERO);
-        let msg = SignedMessage::sign(
-            &Keypair::from_seed(liar.key_seed()),
-            liar,
-            Payload::Proposal { view: View::ZERO, log, vrf: other_vrf, proof: other_proof },
-        );
-        let mut ctx = ctx_at(3, &store);
-        val.on_message(&msg, &mut ctx);
-        assert_eq!(ctx.crypto_ops.vrf_verifies, 1, "a non-memoized claim is verified");
-        assert_eq!(ctx.crypto_ops.vrf_verify_skips, 0);
     }
 
     #[test]
-    fn correct_output_with_garbage_proof_misses_the_memo_and_is_rejected() {
-        // A cold validator rejects a proposal whose VRF proof is
-        // tampered (verify_vrf fails); a warm validator that already
-        // verified the sender's genuine pair must treat the same frame
-        // identically — the memo matches the full (output, proof) pair,
-        // so the tampered frame is re-verified and rejected, not
-        // recorded as an equivocation.
+    fn genuine_plus_forged_copy_with_another_log_is_not_equivocation() {
+        // A proposal whose VRF proof is tampered carries no priority, so
+        // a sender's genuine proposal plus a tampered copy with another
+        // log is not equivocation: the genuine one is relayed and voted.
         let store = BlockStore::new();
         let cfg = TobConfig::new(4);
         let mut val = Validator::new(ValidatorId::new(0), cfg, &store);
         let g = Log::genesis(&store);
         let sender = ValidatorId::new(1);
-        let kp = Keypair::from_seed(sender.key_seed());
         let (vrf, proof) = vrf_for(sender, View::ZERO);
-        let p1 = SignedMessage::sign(
-            &kp,
-            sender,
-            Payload::Proposal { view: View::ZERO, log: g.extend_empty(&store, sender, View::ZERO), vrf, proof },
-        );
+        let p1 = proposal(sender, g.extend_empty(&store, sender, View::ZERO), vrf, proof);
+        let garbage = VrfProof(Digest::from_bytes([0xab; 32]));
+        let p2 = proposal(sender, g.extend_empty(&store, ValidatorId::new(9), View::ZERO), vrf, garbage);
         let mut ctx = ctx_at(3, &store);
         val.on_message(&p1, &mut ctx);
-        assert_eq!(ctx.crypto_ops.vrf_verifies, 1);
-        // Warm now. Same output, garbage proof, different log.
-        let garbage = tobsvd_crypto::VrfProof(tobsvd_crypto::Digest::from_bytes([0xab; 32]));
-        let p2 = SignedMessage::sign(
-            &kp,
-            sender,
-            Payload::Proposal {
-                view: View::ZERO,
-                log: g.extend_empty(&store, ValidatorId::new(9), View::ZERO),
-                vrf,
-                proof: garbage,
-            },
-        );
         val.on_message(&p2, &mut ctx);
-        assert_eq!(ctx.crypto_ops.vrf_verifies, 2, "tampered proof misses the memo and is verified");
-        assert_eq!(ctx.crypto_ops.vrf_verify_skips, 0);
-        // The tampered frame was rejected: the sender is NOT an
-        // equivocator and p1 still stands.
         let mut ctx = ctx_at(8, &store);
         val.on_phase(&mut ctx);
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 2, "two logs from one sender: both checked once");
         match ctx.outbox() {
             [tobsvd_sim::Outgoing::Forward(relay), tobsvd_sim::Outgoing::Broadcast(m)] => {
-                assert_eq!(
-                    relay.id(),
-                    p1.id(),
-                    "only the genuine proposal is relayed — the tampered frame is gone"
-                );
-                let log = m.payload().log().expect("LOG carries a log");
-                assert!(
-                    !log.is_genesis(&store),
-                    "p1 must survive: the tampered frame is dropped, not equivocation evidence"
-                );
+                assert_eq!(relay.id(), p1.id(), "only the genuine proposal is relayed");
+                assert_eq!(m.payload().log(), p1.payload().log(), "p1 survives: no equivocation");
             }
             other => panic!("expected relay + vote, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn forged_top_claim_loses_and_a_second_vote_costs_nothing() {
+        let store = BlockStore::new();
+        let cfg = TobConfig::new(4);
+        let mut val = Validator::new(ValidatorId::new(0), cfg, &store);
+        let g = Log::genesis(&store);
+        let (vrf, proof) = forged_top();
+        let forger = ValidatorId::new(3);
+        let mut ctx = ctx_at(3, &store);
+        val.on_message(&proposal(forger, g.extend_empty(&store, forger, View::ZERO), vrf, proof), &mut ctx);
+        for sender in [ValidatorId::new(1), ValidatorId::new(2)] {
+            let (vrf, proof) = vrf_for(sender, View::ZERO);
+            val.on_message(&proposal(sender, g.extend_empty(&store, sender, View::ZERO), vrf, proof), &mut ctx);
+        }
+        let winner = [ValidatorId::new(1), ValidatorId::new(2)]
+            .into_iter()
+            .max_by_key(|v| vrf_for(*v, View::ZERO).0)
+            .unwrap();
+        let mut ctx = ctx_at(8, &store);
+        val.on_phase(&mut ctx);
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 2, "one check for the forger, one for the winner");
+        let voted = ctx.outbox().iter().find_map(|o| match o {
+            tobsvd_sim::Outgoing::Broadcast(m) => m.payload().log(),
+            _ => None,
+        });
+        let proposer = voted.and_then(|log| store.get(log.tip())).and_then(|b| b.proposer());
+        assert_eq!(proposer, Some(winner), "the best genuine proposal wins");
+        // A second vote and flush in the view answer from the verdicts.
+        let mut ctx = ctx_at(8, &store);
+        val.vote(View::ZERO, &mut ctx);
+        val.agg.as_mut().expect("certificate mode").flush(&mut val.proposals, &mut ctx);
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 0);
+    }
+
+    #[test]
+    fn forged_claim_is_never_relayed_nor_served_from_the_archive() {
+        let store = BlockStore::new();
+        let cfg = TobConfig::new(4).with_recovery(true);
+        let mut val = Validator::new(ValidatorId::new(0), cfg, &store);
+        let g = Log::genesis(&store);
+        let (vrf, proof) = forged_top();
+        let forger = ValidatorId::new(3);
+        let forged = proposal(forger, g.extend_empty(&store, forger, View::ZERO), vrf, proof);
+        let sender = ValidatorId::new(1);
+        let (vrf, proof) = vrf_for(sender, View::ZERO);
+        let genuine = proposal(sender, g.extend_empty(&store, sender, View::ZERO), vrf, proof);
+        let mut ctx = ctx_at(3, &store);
+        val.on_message(&forged, &mut ctx);
+        val.on_message(&genuine, &mut ctx);
+        // Certificate mode defers both; the flush relays only the genuine
+        // one.
+        assert!(ctx.outbox().is_empty());
+        let mut ctx = ctx_at(8, &store);
+        val.on_phase(&mut ctx);
+        let relayed: Vec<_> = ctx
+            .outbox()
+            .iter()
+            .filter_map(|o| match o {
+                tobsvd_sim::Outgoing::Forward(m) => Some(m.id()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(relayed, vec![genuine.id()]);
+        // A recovering peer gets the genuine proposal (and our vote),
+        // never the forged claim, and no claim is checked twice.
+        let peer = ValidatorId::new(2);
+        let request = SignedMessage::sign(
+            &Keypair::from_seed(peer.key_seed()),
+            peer,
+            Payload::Recovery { from_view: View::ZERO, log: g },
+        );
+        let mut ctx = ctx_at(9, &store);
+        val.on_message(&request, &mut ctx);
+        let served: Vec<_> = ctx
+            .outbox()
+            .iter()
+            .filter_map(|o| match o {
+                tobsvd_sim::Outgoing::ForwardTo(_, m) => Some(m.id()),
+                _ => None,
+            })
+            .collect();
+        assert!(served.contains(&genuine.id()) && !served.contains(&forged.id()), "{served:?}");
+        assert_eq!(ctx.crypto_ops.vrf_verifies, 0, "served from the flush's verdicts");
     }
 
     #[test]

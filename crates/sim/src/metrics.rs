@@ -98,12 +98,14 @@ pub struct Metrics {
     /// (duplicate copies of a broadcast; fetch-plane ids are never
     /// retained, so fetch frames always verify).
     pub sig_verify_skips: u64,
-    /// VRF verifications actually performed (first sighting of each
-    /// claimed `(sender, view)` VRF value, plus every forged claim).
+    /// VRF verifications actually performed. VRFs are verified on
+    /// demand — only a proposal claim whose priority a vote, a boundary
+    /// relay or a recovery serve uses, at most once per claim — so this
+    /// is about one per validator per view, not one per proposal
+    /// received.
     pub vrf_verifies: u64,
-    /// Proposal receptions that skipped VRF verification because the
-    /// claimed value matched the already-verified memo for
-    /// `(sender, view)`.
+    /// VRF questions answered from a claim's memoized verdict instead of
+    /// a fresh check.
     pub vrf_verify_skips: u64,
     /// Aggregate-signature verifications actually performed (certificate
     /// receptions whose signer set was not already fully vouched).

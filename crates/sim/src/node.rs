@@ -23,10 +23,11 @@ pub enum Outgoing {
 }
 
 /// Crypto-operation counts a node reports through its [`Context`]: how
-/// many signature/VRF verifications it actually performed vs skipped via
-/// its verified-id / VRF memo fast paths. The engine folds these into
-/// [`crate::Metrics`] after every callback, so a whole run's crypto
-/// budget is observable without instrumenting node internals. This is
+/// many signature/VRF verifications it actually performed vs answered
+/// from its verified-id table or its per-claim VRF verdicts. The engine
+/// folds these into [`crate::Metrics`] after every callback, so a whole
+/// run's crypto budget is observable without instrumenting node
+/// internals. This is
 /// the only place crypto work is counted: the code that verifies (or
 /// skips) bumps the field here, and nodes keep no totals of their own.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -35,9 +36,10 @@ pub struct CryptoOps {
     pub sig_verifies: u64,
     /// Signature verifications skipped (id already verified).
     pub sig_verify_skips: u64,
-    /// VRF verifications performed.
+    /// VRF verifications performed (on demand: the first time a
+    /// proposal claim's priority is used).
     pub vrf_verifies: u64,
-    /// VRF verifications skipped (claimed value already verified).
+    /// VRF questions answered from a claim's memoized verdict.
     pub vrf_verify_skips: u64,
     /// Aggregate-signature verifications performed (certificate whose
     /// signer set contains at least one not-yet-vouched signer).
