@@ -18,7 +18,11 @@
 //!   bytes actually crossed the (accounted) wire;
 //! * under the TCP runtime each node's private store converges through
 //!   the very same announcements and fetch responses the knowledge set
-//!   tracks.
+//!   tracks. A frame that cannot even be decoded yet
+//!   ([`wire::WireError::MissingBlocks`]: its chain does not link into
+//!   the private store, so no `Log` exists for it) waits here too, as a
+//!   [`Pending::Frame`] whose fetch asks from the codec's start hint —
+//!   the one place anything waits for blocks.
 //!
 //! The invariant maintained throughout: **an id enters the known set
 //! only when its entire ancestor chain is known** (genesis is known from
@@ -45,6 +49,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use bytes::Bytes;
 use tobsvd_types::{wire, BlockId, BlockStore, Log, SignedMessage, Time};
 
 /// Outcome of [`SyncState::resolve`].
@@ -56,16 +61,36 @@ pub enum Resolution {
     Missing(BlockId),
 }
 
+/// What waits in the pending set for a missing block.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Pending {
+    /// A decoded message whose chain this validator cannot vouch for.
+    Msg(Box<SignedMessage>),
+    /// A peer frame that does not decode against the local store yet
+    /// ([`wire::WireError::MissingBlocks`]); its fetch carries the
+    /// codec's start hint.
+    Frame(Bytes),
+}
+
+impl From<SignedMessage> for Pending {
+    fn from(msg: SignedMessage) -> Self {
+        Pending::Msg(Box::new(msg))
+    }
+}
+
 #[derive(Clone, Debug)]
 struct Parked {
     missing: BlockId,
-    msg: SignedMessage,
+    entry: Pending,
     since: Time,
 }
 
 #[derive(Clone, Copy, Debug)]
 struct Inflight {
     last_sent: Time,
+    /// The start height every attempt asks for; `None` recomputes
+    /// [`SyncState::fetch_start`] at send time.
+    from_height: Option<u64>,
 }
 
 /// Delta-sync bookkeeping for one validator.
@@ -211,12 +236,13 @@ impl SyncState {
         }
     }
 
-    /// Parks `msg` until `missing` becomes known. Deduplicates by
-    /// message id; enforces the FIFO cap. Returns whether the fetch for
+    /// Parks `entry` until `missing` becomes known. Deduplicates equal
+    /// entries; enforces the FIFO cap. Returns whether the fetch for
     /// `missing` still needs to be issued (not already in flight).
-    pub fn park(&mut self, missing: BlockId, msg: SignedMessage, now: Time) -> bool {
-        if !self.pending.iter().any(|p| p.msg.id() == msg.id()) {
-            self.pending.push_back(Parked { missing, msg, since: now });
+    pub fn park(&mut self, missing: BlockId, entry: impl Into<Pending>, now: Time) -> bool {
+        let entry = entry.into();
+        if !self.pending.iter().any(|p| p.entry == entry) {
+            self.pending.push_back(Parked { missing, entry, since: now });
             self.parked_total += 1;
             if self.knows(missing) {
                 self.drainable = true;
@@ -245,10 +271,12 @@ impl SyncState {
         !self.inflight.contains_key(&missing)
     }
 
-    /// Records that a fetch for `missing` was sent at `now`.
-    pub fn note_requested(&mut self, missing: BlockId, now: Time) {
+    /// Records that a fetch for `missing` was (re-)sent at `now`, asking
+    /// from `from_height` on every attempt (`None`: from
+    /// [`SyncState::fetch_start`] at each send).
+    pub fn note_requested(&mut self, missing: BlockId, now: Time, from_height: Option<u64>) {
         self.requests_sent += 1;
-        self.inflight.insert(missing, Inflight { last_sent: now });
+        self.inflight.insert(missing, Inflight { last_sent: now, from_height });
     }
 
     /// Records a served fetch response.
@@ -281,15 +309,15 @@ impl SyncState {
         newly
     }
 
-    /// Drains parked messages whose missing block is now known, in
+    /// Drains parked entries whose missing block is now known, in
     /// arrival order, for replay through the normal processing path.
-    pub fn take_resolved(&mut self) -> Vec<SignedMessage> {
+    pub fn take_resolved(&mut self) -> Vec<Pending> {
         self.drainable = false;
         let mut out = Vec::new();
         let mut kept = VecDeque::with_capacity(self.pending.len());
         while let Some(p) = self.pending.pop_front() {
             if self.knows(p.missing) {
-                out.push(p.msg);
+                out.push(p.entry);
             } else {
                 kept.push_back(p);
             }
@@ -298,22 +326,17 @@ impl SyncState {
         out
     }
 
-    /// Outstanding fetches not answered within the retry window,
-    /// stamped as re-sent at `now`. Deterministic order (by block id).
-    pub fn stale_requests(&mut self, now: Time, retry_after: u64) -> Vec<BlockId> {
-        let mut stale = Vec::new();
-        for (id, inflight) in self.inflight.iter_mut() {
-            // Checked: a deadline past the end of time (Δ near
-            // u64::MAX) means "never stale", not a wrap into the past.
-            let deadline = inflight.last_sent.ticks().checked_add(retry_after);
-            if deadline.is_some_and(|d| d <= now.ticks()) {
-                inflight.last_sent = now;
-                stale.push(*id);
-            }
-        }
-        // Re-sent requests count as requests.
-        self.requests_sent += stale.len() as u64;
-        stale
+    /// Outstanding fetches not answered within the retry window, with
+    /// the start height they were noted with. Deterministic order (by
+    /// block id). A re-send is noted like the first one
+    /// ([`SyncState::note_requested`]), which restarts its window.
+    pub fn stale_requests(&self, now: Time, retry_after: u64) -> Vec<(BlockId, Option<u64>)> {
+        // Checked: a deadline past the end of time (Δ near u64::MAX)
+        // means "never stale", not a wrap into the past.
+        let stale = |f: &Inflight| {
+            f.last_sent.ticks().checked_add(retry_after).is_some_and(|d| d <= now.ticks())
+        };
+        self.inflight.iter().filter(|(_, f)| stale(f)).map(|(id, f)| (*id, f.from_height)).collect()
     }
 
     /// Number of currently parked messages.
@@ -488,7 +511,7 @@ mod tests {
         };
         let m = msg_with_log(&store, 1, 7, l3);
         assert!(sync.park(base, m, Time::new(5)), "first park triggers a fetch");
-        sync.note_requested(base, Time::new(5));
+        sync.note_requested(base, Time::new(5), None);
         assert!(!sync.park(base, m, Time::new(6)), "duplicate park does not re-fetch");
         assert_eq!(sync.pending_len(), 1, "parking dedups by message id");
 
@@ -497,7 +520,7 @@ mod tests {
         assert_eq!(newly, 2);
         let released = sync.take_resolved();
         assert_eq!(released.len(), 1);
-        assert_eq!(released[0].id(), m.id());
+        assert_eq!(released[0], Pending::from(m));
         assert_eq!(sync.pending_len(), 0);
         // Replay now resolves.
         assert_eq!(sync.resolve(&l3, &store), Resolution::Resolved);
@@ -531,7 +554,7 @@ mod tests {
             };
             let m = msg_with_log(&store, 2, i, fork);
             if sync.park(base, m, Time::new(i)) {
-                sync.note_requested(base, Time::new(i));
+                sync.note_requested(base, Time::new(i), None);
             }
             first_missing.get_or_insert(base);
         }
@@ -539,7 +562,7 @@ mod tests {
         assert_eq!(sync.evicted(), 40);
         // The evicted entries' fetches were cancelled.
         assert!(
-            !sync.stale_requests(Time::new(10_000), 1).contains(&first_missing.unwrap()),
+            !sync.stale_requests(Time::new(10_000), 1).contains(&(first_missing.unwrap(), None)),
             "evicted message's fetch must be cancelled"
         );
     }
@@ -580,7 +603,7 @@ mod tests {
         assert_eq!(sync.evicted(), 1);
         let (first_id, first_missing) = first.unwrap();
         assert!(
-            !sync.take_resolved().iter().any(|m| m.id() == first_id),
+            !sync.take_resolved().iter().any(|m| matches!(m, Pending::Msg(m) if m.id() == first_id)),
             "evicted message must not be replayable"
         );
         assert!(
@@ -600,13 +623,13 @@ mod tests {
             panic!()
         };
         sync.park(base, msg_with_log(&store, 1, 1, l3), Time::new(u64::MAX - 4));
-        sync.note_requested(base, Time::new(u64::MAX - 4));
+        sync.note_requested(base, Time::new(u64::MAX - 4), None);
         assert!(
             sync.stale_requests(Time::new(u64::MAX), u64::MAX).is_empty(),
             "saturating deadline must not wrap into the past"
         );
         // A finite window elapsing at the edge of time still retries.
-        assert_eq!(sync.stale_requests(Time::new(u64::MAX), 4), vec![base]);
+        assert_eq!(sync.stale_requests(Time::new(u64::MAX), 4), vec![(base, None)]);
     }
 
     #[test]
@@ -618,11 +641,12 @@ mod tests {
             panic!()
         };
         sync.park(base, msg_with_log(&store, 1, 1, l3), Time::new(0));
-        sync.note_requested(base, Time::new(0));
+        sync.note_requested(base, Time::new(0), None);
         assert!(sync.stale_requests(Time::new(1), 8).is_empty(), "not stale yet");
-        assert_eq!(sync.stale_requests(Time::new(8), 8), vec![base]);
-        assert!(sync.stale_requests(Time::new(9), 8).is_empty(), "stamp was refreshed");
-        assert_eq!(sync.stale_requests(Time::new(16), 8), vec![base]);
+        assert_eq!(sync.stale_requests(Time::new(8), 8), vec![(base, None)]);
+        sync.note_requested(base, Time::new(8), None);
+        assert!(sync.stale_requests(Time::new(9), 8).is_empty(), "the re-send restarted the window");
+        assert_eq!(sync.stale_requests(Time::new(16), 8), vec![(base, None)]);
     }
 
     fn garbage(i: u8) -> BlockId {
@@ -664,7 +688,7 @@ mod tests {
         let store = BlockStore::new();
         let mut sync = SyncState::new(&store);
         let l1 = chain(&store, 1);
-        sync.note_requested(l1.tip(), Time::new(1));
+        sync.note_requested(l1.tip(), Time::new(1), None);
         // The id exists in the store, so the scan keeps it; the fetch
         // for it is the anomaly.
         sync.poison_known(l1.tip());

@@ -9,6 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use bytes::Bytes;
 use tobsvd_crypto::{Digest, KeyCache, Keypair};
 use tobsvd_ga::Ga3;
 use tobsvd_sim::gossip::GossipState;
@@ -22,7 +23,7 @@ use crate::aggregation::AggregationPlane;
 use crate::config::TobConfig;
 use crate::leader::{vrf_for, ProposalTracker};
 use crate::schedule::{ViewSchedule, ViewPhase};
-use crate::sync::{Resolution, SyncState};
+use crate::sync::{Pending, Resolution, SyncState};
 
 /// An honest TOB-SVD validator.
 ///
@@ -593,20 +594,29 @@ impl Validator {
         ctx.broadcast(SignedMessage::sign(&self.keypair, self.me, payload));
     }
 
-    /// Issues a `BlockRequest` for the chain ending at `missing`:
-    /// targeted at `target` for the first attempt, broadcast on retries
+    /// Issues a `BlockRequest` for the chain ending at `missing` and
+    /// notes it in flight. It asks from `from_height` (a parked frame's
+    /// codec hint) or else from [`SyncState::fetch_start`]; it goes to
+    /// `target` on the first attempt and is broadcast on retries
     /// (`target = None`) so any honest awake peer can answer.
-    fn request_blocks(&mut self, missing: BlockId, target: Option<ValidatorId>, ctx: &mut Context) {
-        let from_height = self.sync.fetch_start(missing, &ctx.store);
+    fn request_blocks(
+        &mut self,
+        missing: BlockId,
+        from_height: Option<u64>,
+        target: Option<ValidatorId>,
+        ctx: &mut Context,
+    ) {
+        let start = from_height.unwrap_or_else(|| self.sync.fetch_start(missing, &ctx.store));
         let msg = SignedMessage::sign(
             &self.keypair,
             self.me,
-            Payload::BlockRequest { tip: missing, from_height },
+            Payload::BlockRequest { tip: missing, from_height: start },
         );
         match target {
             Some(t) => ctx.multicast(vec![t], msg),
             None => ctx.broadcast(msg),
         }
+        self.sync.note_requested(missing, ctx.time, from_height);
     }
 
     /// Serves a fetch: responds with the requested chain range if we
@@ -633,8 +643,8 @@ impl Validator {
         // A gap wider than one response is served *top-first*: the
         // requester asked for `tip` specifically, and serving the
         // bottom would let a from_height hint that never advances
-        // (e.g. the session layer's full-resync retries) re-fetch the
-        // same lowest range forever. The requester fetches the
+        // (e.g. a parked frame's retries from a full-resync hint of 1)
+        // re-fetch the same lowest range forever. The requester fetches the
         // still-unanchored range below via the anchor-fetch fallback
         // in `on_blocks`, so arbitrarily deep gaps close in
         // O(gap / MAX_FETCH_BLOCKS) round trips.
@@ -661,8 +671,7 @@ impl Validator {
             if from_height > 1 {
                 if let Some(anchor) = ctx.store.ancestor_at(tip, from_height - 1) {
                     if !self.sync.knows(anchor) && self.sync.should_fetch(anchor) {
-                        self.request_blocks(anchor, Some(sender), ctx);
-                        self.sync.note_requested(anchor, ctx.time);
+                        self.request_blocks(anchor, None, Some(sender), ctx);
                     }
                 }
             }
@@ -690,20 +699,49 @@ impl Validator {
             Resolution::Resolved => self.process(msg, ctx),
             Resolution::Missing(missing) => {
                 if self.sync.park(missing, *msg, ctx.time) {
-                    self.request_blocks(missing, Some(msg.sender()), ctx);
-                    self.sync.note_requested(missing, ctx.time);
+                    self.request_blocks(missing, None, Some(msg.sender()), ctx);
                 }
             }
         }
     }
 
-    /// Replays parked messages whose gaps have closed, to a fixpoint
+    /// Parks a peer frame whose decode failed with
+    /// [`wire::WireError::MissingBlocks`] `{ missing, from_height }` and
+    /// fetches the gap from the sender its header claims. The fetch and
+    /// its retries ask from the codec's hint: [`SyncState::fetch_start`]
+    /// cannot walk a chain the store lacks and would ask from 1.
+    pub fn park_frame(&mut self, raw: Bytes, missing: BlockId, from_height: u64, ctx: &mut Context) {
+        let claimed = wire::peek_header(&raw).map(|(sender, _)| sender);
+        // The gap may have closed since the decode: then the frame
+        // drains at once, with no fetch.
+        if self.sync.park(missing, Pending::Frame(raw), ctx.time) && !self.sync.knows(missing) {
+            self.request_blocks(missing, Some(from_height), claimed, ctx);
+        }
+        self.drain_pending(ctx);
+    }
+
+    /// Replays parked entries whose gaps have closed, to a fixpoint
     /// (a replay may absorb a window that unblocks the next one; it may
-    /// also re-park on a deeper gap, issuing the next fetch).
+    /// also re-park on a deeper gap, issuing the next fetch). A frame
+    /// enters through [`Node::on_message`], so the admit gate verifies
+    /// its signature first; one that still misses a block the knowledge
+    /// set claims (corruption the audit repairs), or fails otherwise,
+    /// is dropped.
     fn drain_pending(&mut self, ctx: &mut Context) {
         while self.sync.has_resolvable() {
-            for msg in self.sync.take_resolved() {
-                self.handle_or_park(&msg, ctx);
+            for entry in self.sync.take_resolved() {
+                match entry {
+                    Pending::Msg(msg) => self.handle_or_park(&msg, ctx),
+                    Pending::Frame(raw) => match wire::decode_message(raw.clone(), &ctx.store) {
+                        Ok(msg) => self.on_message(&msg, ctx),
+                        Err(wire::WireError::MissingBlocks { missing, from_height })
+                            if !self.sync.knows(missing) =>
+                        {
+                            self.park_frame(raw, missing, from_height, ctx);
+                        }
+                        Err(_) => {}
+                    },
+                }
             }
         }
     }
@@ -760,8 +798,7 @@ impl Node for Validator {
         // so any honest awake peer can serve it).
         if let Some(missing) = self.recover_fetch.take() {
             if !self.sync.knows(missing) && self.sync.should_fetch(missing) {
-                self.request_blocks(missing, None, ctx);
-                self.sync.note_requested(missing, ctx.time);
+                self.request_blocks(missing, None, None, ctx);
             }
         }
         // Retry unanswered fetches first (as broadcasts, so any honest
@@ -770,8 +807,8 @@ impl Node for Validator {
         // Saturating: hostile checker scenarios drive Δ toward u64::MAX,
         // where `2 × Δ` wraps and every fetch would retry instantly.
         let retry_after = SyncState::RETRY_AFTER_DELTAS.saturating_mul(ctx.delta.ticks());
-        for missing in self.sync.stale_requests(ctx.time, retry_after) {
-            self.request_blocks(missing, None, ctx);
+        for (missing, from_height) in self.sync.stale_requests(ctx.time, retry_after) {
+            self.request_blocks(missing, from_height, None, ctx);
         }
         // Flush the aggregation plane: votes and certificates buffered
         // since the previous boundary go out now, as one quorum

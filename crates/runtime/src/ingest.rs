@@ -78,8 +78,8 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(1);
 pub(crate) enum Inbound {
     /// A fully decoded message (`u64` = frame payload length).
     Msg(SignedMessage, u64),
-    /// A well-formed frame referencing blocks the store lacks: park it
-    /// and fetch `missing` starting at `from_height` from its sender.
+    /// A well-formed frame referencing blocks the store lacks, for
+    /// [`tobsvd_core::Validator::park_frame`].
     NeedBlocks {
         /// The raw frame to re-decode once blocks arrive.
         raw: Bytes,
@@ -117,7 +117,10 @@ pub struct IngestStats {
     pub throttles: u64,
     /// Sessions closed for refusing to drain their acks.
     pub slow_client_closes: u64,
-    /// Malformed frames (bad version/tag/length); the session is closed.
+    /// Malformed frames. A corrupt length prefix, an unclassifiable
+    /// first frame or a bad client frame closes its session; a peer
+    /// frame that fails to decode is only counted and dropped, and the
+    /// mesh link stays open.
     pub malformed: u64,
     /// Peak total buffered bytes across all sessions (in + out) — the
     /// witness that per-socket memory stays bounded under load.

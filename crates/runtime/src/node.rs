@@ -16,59 +16,41 @@
 //! **content-addressed delta sync**: log-carrying frames are hash
 //! announcements (tip hash + parent-hash list + a one-block inline
 //! window — see `tobsvd_types::wire`), so per-message wire bytes are
-//! O(1) in chain length. Stores converge through two cooperating fetch
-//! layers backed by the same `BlockRequest`/`BlockResponse` payloads:
-//!
-//! * **session layer** (this module): a frame that fails to decode with
-//!   [`wire::WireError::MissingBlocks`] is parked (bounded FIFO) and a
-//!   `BlockRequest` for the missing id goes back to the frame's sender;
-//!   once a response lands the blocks in the local store, parked frames
-//!   are re-decoded and fed to the validator. Unanswered session
-//!   fetches are re-broadcast at phase boundaries.
-//! * **protocol layer** (`tobsvd_core::sync`): the validator's own
-//!   knowledge tracking, pending set and fetch emission — identical to
-//!   the simulator's, because the validator is sans-io.
-//!
-//! Fetch responses are served from the local store by the validator
-//! (`serve_fetch`); the codec expands the referenced range into block
-//! bodies on encode and inserts them on decode.
-//!
-//! The two layers are the known duplicate left in the fetch path (see
-//! `DESIGN.md`): a `SignedMessage` holds a `Log`, and a `Log` cannot be
-//! constructed for a tip the private store lacks, so an undecodable
-//! frame can only wait as raw bytes, outside the validator.
+//! O(1) in chain length. Stores converge through one fetch layer, the
+//! validator's own (`tobsvd_core::sync`), identical to the simulator's
+//! because the validator is sans-io. A frame that fails to decode with
+//! [`wire::WireError::MissingBlocks`] holds no `Log` yet, so this loop
+//! hands it to [`Validator::park_frame`] as raw bytes with the codec's
+//! fetch hint; it waits in the same pending set, under the same cap
+//! and retry schedule, as a decoded message whose chain is unknown.
+//! Fetch responses are served from the local store by the validator;
+//! the codec expands the referenced range into block bodies on encode
+//! and inserts them on decode.
 //!
 //! Byte formats live elsewhere: the length prefix in the `frame`
 //! module, the peer header in `tobsvd_types::wire`
-//! ([`wire::peek_header`] is all this module knows about a frame it
-//! cannot decode yet).
+//! ([`wire::peek_header`] is all this module reads of a frame it
+//! cannot decode yet: its byte class).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use tobsvd_core::{TobConfig, Validator};
-use tobsvd_crypto::KeyCache;
 use tobsvd_sim::{AdmissionPolicy, AdmissionStats, Context, Mempool, Node as SimNode, Outgoing};
 use tobsvd_storage::{shared, FileDurable};
 use tobsvd_types::wire::{self, MessageClass};
-use tobsvd_types::{
-    BlockId, BlockStore, Delta, Payload, SignedMessage, Time, Transaction, ValidatorId,
-};
+use tobsvd_types::{BlockId, BlockStore, Delta, SignedMessage, Time, Transaction, ValidatorId};
 
 use crate::clock::TickClock;
 use crate::cluster::ClusterError;
 use crate::frame;
 use crate::ingest::{io_loop, Inbound, IngestConfig, IngestStats};
-
-/// Maximum frames parked at the session layer awaiting fetched blocks.
-const PARKED_FRAMES_CAP: usize = 256;
 
 /// Configuration of one node.
 #[derive(Clone, Debug)]
@@ -122,7 +104,8 @@ pub struct NodeOutcome {
     pub store: BlockStore,
     /// Votes it cast.
     pub votes_cast: u64,
-    /// Frames it received / sent.
+    /// Frames it received / sent over the mesh (loopback self-copies
+    /// are neither).
     pub frames: (u64, u64),
     /// Announcement (LOG/PROPOSAL/VOTE/RECOVERY/FINALITY) bytes
     /// (received, sent).
@@ -228,13 +211,6 @@ impl NodeHandle {
     }
 }
 
-/// A raw frame awaiting block content, with its fetch coordinates.
-struct ParkedFrame {
-    missing: BlockId,
-    from_height: u64,
-    raw: Bytes,
-}
-
 /// Spawns a node: `listener` accepts inbound mesh + client connections;
 /// `peers` maps every other validator to its listen address; `clock` is
 /// the shared epoch clock.
@@ -254,18 +230,16 @@ pub fn spawn_node(
     Ok(NodeHandle { join })
 }
 
-/// The node loop's long-lived state, threaded through message handling,
-/// phase boundaries and the parked-frame retry path.
+/// The node loop's long-lived state, threaded through message handling
+/// and phase boundaries.
 struct NodeState {
     me: ValidatorId,
     delta: Delta,
     store: BlockStore,
     mempool: Mempool,
     validator: Validator,
-    keypair: tobsvd_crypto::Keypair,
     outbound: BTreeMap<ValidatorId, Arc<Mutex<TcpStream>>>,
     loopback: Sender<Inbound>,
-    parked: VecDeque<ParkedFrame>,
     out: NodeOutcome,
     decided_len_seen: u64,
 }
@@ -292,85 +266,32 @@ impl NodeState {
     }
 
     fn handle_inbound(&mut self, inbound: Inbound, now: Time) {
+        let mut ctx = self.ctx(now);
         match inbound {
             Inbound::Msg(msg, bytes) => {
-                self.out.frames.0 += 1;
-                self.out.charge(MessageClass::of(msg.payload()), Dir::In, bytes);
-                let was_response = matches!(msg.payload(), Payload::BlockResponse { .. });
-                let mut ctx = self.ctx(now);
-                self.validator.on_message(&msg, &mut ctx);
-                self.absorb(ctx, now.ticks());
-                if was_response {
-                    // New blocks may have landed: replay parked frames.
-                    self.retry_parked(now);
+                // A loopback self-copy (0 bytes) never crossed the mesh.
+                if bytes > 0 {
+                    self.out.frames.0 += 1;
+                    self.out.charge(MessageClass::of(msg.payload()), Dir::In, bytes);
                 }
+                self.validator.on_message(&msg, &mut ctx);
             }
             Inbound::NeedBlocks { raw, missing, from_height } => {
-                self.out.frames.0 += 1;
                 // The frame does not decode yet, but its fixed header
-                // already names the claimed sender and the byte class.
-                let (from, class) = match wire::peek_header(&raw) {
-                    Some((sender, class)) => (Some(sender), class),
-                    None => (None, MessageClass::Announce),
-                };
+                // already names the byte class.
+                self.out.frames.0 += 1;
+                let class = wire::peek_header(&raw).map_or(MessageClass::Announce, |(_, c)| c);
                 self.out.charge(class, Dir::In, raw.len() as u64);
-                if self.parked.len() >= PARKED_FRAMES_CAP {
-                    self.parked.pop_front();
-                }
-                self.parked.push_back(ParkedFrame { missing, from_height, raw });
-                // Ask the frame's sender for the gap (any peer can
-                // answer the phase-boundary re-broadcasts).
-                self.session_fetch(missing, from_height, from);
+                self.validator.park_frame(raw, missing, from_height, &mut ctx);
             }
         }
-    }
-
-    fn phase_boundary(&mut self, now: Time) {
-        // A parked frame's missing block may have landed through an
-        // announcement's inline window (not only a BlockResponse):
-        // re-decode before re-requesting, so the node never fetches
-        // blocks it already holds.
-        if !self.parked.is_empty() {
-            self.retry_parked(now);
-        }
-        // Re-broadcast session-layer fetches for still-parked frames,
-        // from each frame's latest decode-derived start hint (any peer
-        // can answer).
-        let mut requests: Vec<(BlockId, u64)> = Vec::new();
-        for frame in &self.parked {
-            if requests.iter().any(|(id, _)| *id == frame.missing) {
-                continue;
-            }
-            requests.push((frame.missing, frame.from_height));
-        }
-        for (missing, from_height) in requests {
-            self.session_fetch(missing, from_height, None);
-        }
-        let mut ctx = self.ctx(now);
-        self.validator.on_phase(&mut ctx);
         self.absorb(ctx, now.ticks());
     }
 
-    /// Feeds re-decoded parked frames back through the validator. Frames
-    /// that still miss blocks keep (or refresh) their fetch coordinates
-    /// from the new decode error.
-    fn retry_parked(&mut self, now: Time) {
-        let mut pending = std::mem::take(&mut self.parked);
-        let mut keep: VecDeque<ParkedFrame> = VecDeque::with_capacity(pending.len());
-        while let Some(frame) = pending.pop_front() {
-            match wire::decode_message(frame.raw.clone(), &self.store) {
-                Ok(msg) => {
-                    let mut ctx = self.ctx(now);
-                    self.validator.on_message(&msg, &mut ctx);
-                    self.absorb(ctx, now.ticks());
-                }
-                Err(wire::WireError::MissingBlocks { missing, from_height }) => {
-                    keep.push_back(ParkedFrame { missing, from_height, raw: frame.raw });
-                }
-                Err(_) => { /* malformed beyond repair: drop it */ }
-            }
-        }
-        self.parked = keep;
+    fn phase_boundary(&mut self, now: Time) {
+        let mut ctx = self.ctx(now);
+        self.validator.on_phase(&mut ctx);
+        self.absorb(ctx, now.ticks());
     }
 
     /// Encodes and frames `msg` once, then writes it to each of
@@ -406,15 +327,6 @@ impl NodeState {
     /// id, the same on every node and in every process.
     fn peers(&self) -> Vec<ValidatorId> {
         self.outbound.keys().copied().collect()
-    }
-
-    /// Issues one session-layer `BlockRequest` to a single peer (or all
-    /// peers when `to` is `None`).
-    fn session_fetch(&mut self, tip: BlockId, from_height: u64, to: Option<ValidatorId>) {
-        let payload = Payload::BlockRequest { tip, from_height };
-        let req = SignedMessage::sign(&self.keypair, self.me, payload);
-        let targets = to.map_or_else(|| self.peers(), |t| vec![t]);
-        self.send(&req, &targets);
     }
 
     /// Sends a context's collected actions over the mesh. Self-copies go
@@ -459,7 +371,6 @@ fn run_node(
         }
         None => Validator::new(cfg.me, tob_cfg, &store),
     };
-    let keypair = KeyCache::keypair(cfg.me.key_seed());
 
     // Inbox fed by the I/O loop (and by our own loopback).
     let (tx_in, rx_in): (Sender<Inbound>, Receiver<Inbound>) = unbounded();
@@ -496,10 +407,8 @@ fn run_node(
         store: store.clone(),
         mempool: mempool.clone(),
         validator,
-        keypair,
         outbound,
         loopback: tx_in,
-        parked: VecDeque::new(),
         out: NodeOutcome::new(cfg.me, store),
         decided_len_seen: 1,
     };
@@ -574,7 +483,8 @@ fn dial_with_retry(addr: SocketAddr, until: std::time::Instant) -> Option<TcpStr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tobsvd_types::{InstanceId, Log, View};
+    use tobsvd_crypto::KeyCache;
+    use tobsvd_types::{InstanceId, Log, Payload, View};
 
     #[test]
     fn a_message_whose_chain_the_store_lacks_is_counted_not_sent() {
@@ -586,10 +496,8 @@ mod tests {
             store: store.clone(),
             mempool: Mempool::new(),
             validator: Validator::new(me, TobConfig::new(1), &store),
-            keypair: KeyCache::keypair(me.key_seed()),
             outbound: BTreeMap::new(),
             loopback,
-            parked: VecDeque::new(),
             out: NodeOutcome::new(me, store),
             decided_len_seen: 1,
         };
@@ -597,7 +505,8 @@ mod tests {
         // chain back, so the message is refused and the refusal counted.
         let elsewhere = BlockStore::new();
         let log = Log::genesis(&elsewhere).extend_empty(&elsewhere, me, View::ZERO);
-        let msg = SignedMessage::sign(&state.keypair, me, Payload::Log { instance: InstanceId(0), log });
+        let payload = Payload::Log { instance: InstanceId(0), log };
+        let msg = SignedMessage::sign(&KeyCache::keypair(me.key_seed()), me, payload);
         assert!(!state.send(&msg, &[me]));
         assert_eq!(state.out.encode_failures, 1);
         assert_eq!(state.out.frames, (0, 0));

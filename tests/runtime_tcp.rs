@@ -4,7 +4,25 @@
 
 use std::time::Duration;
 
-use tob_svd::runtime::{ClusterConfig, LocalCluster};
+use tob_svd::runtime::{ClusterConfig, LocalCluster, NodeOutcome};
+use tob_svd::sim::invariant::{DecisionEvent, DecisionMonotonicity, Invariant};
+use tob_svd::sim::{DecisionObserver, DecisionRecord};
+use tob_svd::types::{Log, Time};
+
+/// ROADMAP 1b over TCP: a node's decision events form one chain in its
+/// own store — each decided tip extends the one before it.
+fn assert_decisions_append_only(o: &NodeOutcome) {
+    let observer = DecisionObserver::new(o.store.clone());
+    let mut monotone = DecisionMonotonicity::new();
+    for ev in &o.decided_events {
+        let log = Log::from_parts(&o.store, ev.tip, ev.len).expect("a decided tip is in its store");
+        let record = DecisionRecord { validator: o.me, at: Time::new(ev.tick), log };
+        let event = DecisionEvent { record: &record, observer: &observer, store: &o.store };
+        if let Err(violation) = monotone.on_decision(&event) {
+            panic!("{violation}");
+        }
+    }
+}
 
 #[test]
 fn four_node_cluster_decides_and_agrees() {
@@ -28,7 +46,13 @@ fn four_node_cluster_decides_and_agrees() {
         );
         assert!(o.frames.0 > 0 && o.frames.1 > 0, "mesh traffic must flow");
         assert_eq!(o.encode_failures, 0, "{}: every chain it sent read back from its store", o.me);
+        assert_decisions_append_only(&o);
     }
+    // Loopback self-copies are not mesh frames: across a fault-free
+    // cluster nothing is received that was not sent.
+    let received: u64 = report.outcomes().iter().map(|o| o.frames.0).sum();
+    let sent: u64 = report.outcomes().iter().map(|o| o.frames.1).sum();
+    assert!(received <= sent, "{received} frames received, only {sent} sent");
 }
 
 #[test]
@@ -46,4 +70,5 @@ fn nodes_progress_in_lockstep() {
         report.outcomes()
     );
     assert!(report.outcomes().iter().all(|o| o.encode_failures == 0));
+    report.outcomes().iter().for_each(assert_decisions_append_only);
 }
