@@ -8,7 +8,10 @@
 //! * [`sha256`] — a from-scratch SHA-256 implementation (FIPS 180-4),
 //!   validated against the NIST known-answer vectors. Everything
 //!   content-addressed in the repository (block ids, message ids, VRF
-//!   outputs) hashes through it.
+//!   outputs, signatures) hashes through it. On x86-64 CPUs with the SHA
+//!   extensions the compression runs on a SHA-NI kernel, chosen at run
+//!   time by a CPUID check; the portable compression is the fallback
+//!   elsewhere and the reference the kernel is tested against.
 //! * [`Digest`] — a 32-byte digest newtype with ordering, hex formatting
 //!   and incremental hashing helpers.
 //! * [`Keypair`]/[`Signature`] — *simulated* signatures: a signature is a
@@ -47,7 +50,10 @@
 //! assert!(!kp.public().verify(b"other", &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid` as in every other crate: the SHA-NI kernel in
+// `sha256impl.rs` is the workspace's one site-level exemption from
+// `unsafe_code`, and its unsafe call must carry a `// SAFETY:` comment.
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 // The panic-safety half of the static gate (README § "Static analysis"):
 // outside tests this crate neither aborts nor indexes unchecked; an

@@ -2,7 +2,7 @@
 //! the from-scratch SHA-256 against the NIST FIPS 180-4 vectors, and
 //! the hash VRF's determinism/verifiability across seeds.
 
-use tobsvd_crypto::{sha256, Digest, Keypair, Vrf};
+use tobsvd_crypto::{sha256, Digest, Hasher, Keypair, Vrf};
 
 /// NIST FIPS 180-4 known-answer vectors (plus the RFC 6234 length
 /// sweep edge cases around the 55/56-byte padding boundary).
@@ -38,15 +38,46 @@ fn sha256_million_a() {
 
 #[test]
 fn sha256_padding_boundary() {
-    // 55 bytes fits length in one block; 56 forces a second block. A
-    // correct padding implementation gives distinct, stable digests.
-    let d55 = sha256(&[0x55u8; 55]);
-    let d56 = sha256(&[0x55u8; 56]);
-    let d64 = sha256(&[0x55u8; 64]);
-    assert_ne!(d55, d56);
-    assert_ne!(d56, d64);
-    assert_eq!(d55, sha256(&[0x55u8; 55]), "digest must be deterministic");
-    assert_eq!(Digest::from_hex(&d55.to_hex()), Some(d55), "hex roundtrip");
+    // Known answers for `[0x55; L]` either side of each padding edge: 55
+    // bytes fit the length in one block, 56 force a second, 64/128 end on
+    // a block boundary. Generated with
+    // `python3 -c "import hashlib; print(hashlib.sha256(b'\x55' * L).hexdigest())"`.
+    let cases = [
+        (55, "b0d89fdd8ea175018b2b9e4011472cabd56f529b799d345ec5a85d4707c2d50b"),
+        (56, "90570b9db692e826bc3ef8b440d8e9bafacc78220abd270ed1f929bcab88029f"),
+        (63, "6d4e3350b63fa268f597da74d667ca704dcc81001cdd65169a4fcbd453fd1b15"),
+        (64, "3d9eae666b06b1a975071aca838b4bb5f27a8324eb2ddab0c8eccd71ceae6b50"),
+        (65, "6b0fc0075f0b926205932f509e85ce7407d93a9b269c3865cda1f0b7dd2f9467"),
+        (119, "2b65d765e9a878e2ff822128260e1a496b06d112dfb1e28b04a7597ea74d70fb"),
+        (120, "09a02baece236f519f993edbc70815d9987454d75b244e985ff156ca2865d63b"),
+        (128, "2e4cd3047da994c026c3c1f472f045cb243c0ec8b0611d7c55b8861fd9418bab"),
+    ];
+    for (len, expected) in cases {
+        let digest = sha256(&vec![0x55u8; len]);
+        assert_eq!(digest.to_hex(), expected, "length {len}");
+        assert_eq!(Digest::from_hex(expected), Some(digest), "hex roundtrip, length {len}");
+    }
+}
+
+/// A [`Hasher`] fed a message in two pieces, split anywhere, hashes
+/// exactly its length-prefixed encoding: the streaming buffer is right at
+/// every offset within a block.
+#[test]
+fn hasher_split_anywhere_equals_one_shot() {
+    let data: Vec<u8> = (0..=200u8).collect();
+    for len in 0..=200 {
+        for split in 0..=len {
+            let (a, b) = data[..len].split_at(split);
+            let mut hasher = Hasher::new("split");
+            hasher.update(a).update(b);
+            let mut encoding = Vec::new();
+            for field in [&b"split"[..], a, b] {
+                encoding.extend_from_slice(&(field.len() as u64).to_be_bytes());
+                encoding.extend_from_slice(field);
+            }
+            assert_eq!(hasher.finalize(), sha256(&encoding), "length {len}, split {split}");
+        }
+    }
 }
 
 #[test]
