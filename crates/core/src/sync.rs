@@ -26,8 +26,13 @@
 //!
 //! The invariant maintained throughout: **an id enters the known set
 //! only when its entire ancestor chain is known** (genesis is known from
-//! the start). Resolution of a reference is therefore a single
-//! membership test at the base of the inline window, not a chain walk.
+//! the start). Resolution of a reference is therefore never a chain
+//! walk: a known tip resolves with one membership probe (its ancestry,
+//! window included, is known already — the steady state, where the tip
+//! arrived over another path first), and an unknown tip needs a single
+//! membership test at the base of the inline window. The known set is
+//! hashed — keyed lookups, insertions, `retain` and `clear` only, never
+//! iterated — so neither probe grows with the blocks ever announced.
 //!
 //! The pending set is capped at [`SyncState::PENDING_CAP`] with FIFO
 //! eviction (like the mempool's inclusion-memo cap), so a Byzantine
@@ -47,7 +52,7 @@
 //! gap was just learned (see [`SyncState::has_resolvable`]). Neither
 //! cost depends on how many blocks were ever announced.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use bytes::Bytes;
 use tobsvd_types::{wire, BlockId, BlockStore, Log, SignedMessage, Time};
@@ -96,7 +101,9 @@ struct Inflight {
 /// Delta-sync bookkeeping for one validator.
 #[derive(Debug)]
 pub struct SyncState {
-    known: BTreeSet<BlockId>,
+    /// Std's keyed SipHash, not an identity hash over the digest bytes:
+    /// a Byzantine proposer can grind block ids into one bucket.
+    known: HashSet<BlockId>,
     /// Shadow count of the ids the honest paths put into `known`
     /// (genesis, [`SyncState::mark_own`], [`SyncState::resolve`],
     /// [`SyncState::accept_response`]). It equals `known.len()` unless
@@ -136,7 +143,7 @@ impl SyncState {
     /// Fresh state: only genesis is known.
     pub fn new(store: &BlockStore) -> Self {
         let genesis = store.genesis();
-        let mut known = BTreeSet::new();
+        let mut known = HashSet::new();
         known.insert(genesis);
         SyncState {
             known,
@@ -194,6 +201,10 @@ impl SyncState {
     /// message's inline window ([`wire::INLINE_WINDOW`] newest blocks)
     /// on success.
     pub fn resolve(&mut self, log: &Log, store: &BlockStore) -> Resolution {
+        // A known tip has its whole ancestry known, window included.
+        if self.knows(log.tip()) {
+            return Resolution::Resolved;
+        }
         let len = log.len();
         let k = (len - 1).min(wire::INLINE_WINDOW);
         let base_height = len - 1 - k;
@@ -737,6 +748,52 @@ mod tests {
         sync.park(base, msg_with_log(&store, 1, 4, l4), Time::new(3));
         sync.poison_known(base);
         assert_eq!((sync.has_resolvable(), scan(&sync)), (true, true));
+    }
+
+    /// The one-probe path: a known tip resolves without touching the
+    /// honest count, the fetch map or the drain probe.
+    #[test]
+    fn known_tip_resolves_with_no_side_effect() {
+        let store = BlockStore::new();
+        let mut sync = SyncState::new(&store);
+        let l2 = chain(&store, 2);
+        assert_eq!(sync.resolve(&l2.prefix(2, &store).unwrap(), &store), Resolution::Resolved);
+        assert_eq!(sync.resolve(&l2, &store), Resolution::Resolved);
+        // Something parked on an unrelated gap, with its fetch in flight.
+        let l4 = l2.prefix(1, &store).unwrap().extend_empty(&store, ValidatorId::new(5), View::new(7));
+        let l4 = l4.extend_empty(&store, ValidatorId::new(5), View::new(8));
+        let l4 = l4.extend_empty(&store, ValidatorId::new(5), View::new(9));
+        let Resolution::Missing(gap) = sync.resolve(&l4, &store) else {
+            panic!("expected a gap");
+        };
+        sync.park(gap, msg_with_log(&store, 1, 4, l4), Time::new(1));
+        sync.note_requested(gap, Time::new(1), None);
+
+        let before = (sync.honest_known, sync.inflight.len(), sync.has_resolvable());
+        for log in [l2, l2.prefix(2, &store).unwrap(), Log::genesis(&store)] {
+            assert_eq!(sync.resolve(&log, &store), Resolution::Resolved);
+            assert_eq!((sync.honest_known, sync.inflight.len(), sync.has_resolvable()), before);
+        }
+        assert_eq!(sync.stale_requests(Time::new(100), 1), vec![(gap, None)]);
+    }
+
+    /// The fast path trusts `knows(tip)`; a forged id breaks the
+    /// chain-known premise only until the audit quarantines it.
+    /// Afterwards a log whose tip was never learned parks and fetches.
+    #[test]
+    fn forged_ids_open_no_fast_path_after_the_audit() {
+        let store = BlockStore::new();
+        let mut sync = SyncState::new(&store);
+        let l3 = chain(&store, 3);
+        let base = store.ancestor_at(l3.tip(), 3 - wire::INLINE_WINDOW).unwrap();
+        sync.poison_known(garbage(8));
+        assert_eq!(sync.audit(&store), 1);
+        assert!(!sync.knows(l3.tip()));
+        assert_eq!(sync.resolve(&l3, &store), Resolution::Missing(base));
+        assert!(sync.park(base, msg_with_log(&store, 1, 3, l3), Time::new(2)), "the gap is fetched");
+        sync.note_requested(base, Time::new(2), None);
+        assert_eq!(sync.pending_len(), 1);
+        assert_eq!(sync.stale_requests(Time::new(10), 1), vec![(base, None)]);
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! *iterated LCA* of all tips: every block at or below the LCA is
 //! supported by all entries, so only the (usually shallow) region above
 //! the LCA needs per-block counting. This keeps output phases cheap even
-//! after thousands of decided blocks.
+//! after thousands of decided blocks. Both the LCA and the count walk
+//! run once per *distinct* tip, adding the tip's multiplicity: honest
+//! votes share one to three tips, so the work does not grow with the
+//! committee either.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -39,11 +42,23 @@ pub fn highest_supported(
         return None;
     }
 
+    // Distinct tips with their multiplicities, in tip order: the output
+    // is a function of the multiset of tips alone.
+    let mut logs: Vec<Log> = entries.iter().map(|(_, log)| *log).collect();
+    logs.sort_unstable_by_key(|log| log.tip());
+    let mut tips: Vec<(Log, usize)> = Vec::new();
+    for log in logs {
+        match tips.last_mut() {
+            Some((last, count)) if last.tip() == log.tip() => *count += 1,
+            _ => tips.push((log, 1)),
+        }
+    }
+
     // Iterated LCA of all recorded tips: every entry extends it. A
     // missing tip degrades to the genesis base (sound: genesis is a
     // prefix of everything, the walk below just covers more blocks).
-    let mut base = entries[0].1;
-    for (_, log) in entries.iter().skip(1) {
+    let mut base = tips[0].0;
+    for (log, _) in tips.iter().skip(1) {
         base = store
             .lca(base.tip(), log.tip())
             .and_then(|lca| Log::at_tip(store, lca))
@@ -54,10 +69,10 @@ pub fn highest_supported(
     // the scan below in block-id order — the output must not depend on
     // hash-iteration order.
     let mut counts: BTreeMap<BlockId, usize> = BTreeMap::new();
-    for (_, log) in entries {
+    for (log, multiplicity) in &tips {
         let mut cur = log.tip();
         while cur != base.tip() {
-            *counts.entry(cur).or_insert(0) += 1;
+            *counts.entry(cur).or_insert(0) += multiplicity;
             let block = store.get(cur).expect("chain block stored");
             cur = block.parent();
         }

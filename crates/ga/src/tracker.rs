@@ -7,11 +7,18 @@
 //! E contains a record of equivocators and equivocation evidence. … A
 //! validator can compute from V and E the set S of all the senders of
 //! LOG messages."
+//!
+//! `V` is a dense table indexed by validator — one [`Seat`] per
+//! validator index below [`SignerSet::CAPACITY`] — with running `|V|`
+//! and `|S|` counts, so recording a log and both counts are O(1) and
+//! iteration is in validator order. A sender at or beyond the bound
+//! (no committee member, but §3.3 counts every `LOG` sender in `S`)
+//! sits in an ordered side map instead: no message can buy a large
+//! allocation.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
-use tobsvd_types::{Log, ValidatorId};
+use tobsvd_types::{Log, SignerSet, ValidatorId};
 
 /// Outcome of recording one `LOG` message in the tracker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,13 +37,14 @@ pub enum TrackOutcome {
 /// An immutable snapshot of `V` at a point in time (`V^Δ`, `V^{2Δ}` …).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VSnapshot {
-    entries: BTreeMap<ValidatorId, Log>,
+    /// Sorted by validator.
+    entries: Vec<(ValidatorId, Log)>,
 }
 
 impl VSnapshot {
-    /// The recorded (validator, log) pairs.
+    /// The recorded (validator, log) pairs, in validator order.
     pub fn entries(&self) -> impl Iterator<Item = (ValidatorId, Log)> + '_ {
-        self.entries.iter().map(|(v, l)| (*v, *l))
+        self.entries.iter().copied()
     }
 
     /// Number of recorded validators.
@@ -51,8 +59,21 @@ impl VSnapshot {
 
     /// The log recorded for `v`, if any.
     pub fn get(&self, v: ValidatorId) -> Option<Log> {
-        self.entries.get(&v).copied()
+        let i = self.entries.binary_search_by_key(&v, |(w, _)| *w).ok()?;
+        self.entries.get(i).map(|(_, log)| *log)
     }
+}
+
+/// What one validator contributed to an instance.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Seat {
+    /// No `LOG` received (not in `S`).
+    #[default]
+    Silent,
+    /// Exactly one distinct log: `V(i)`.
+    One(Log),
+    /// Two or more distinct logs: in `E`, `V(i) = ⊥`.
+    Equivocator,
 }
 
 /// Tracks `V`, `E` and `S` for one GA instance.
@@ -74,9 +95,13 @@ impl VSnapshot {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LogTracker {
-    v: BTreeMap<ValidatorId, Log>,
-    equivocators: BTreeSet<ValidatorId>,
-    senders: BTreeSet<ValidatorId>,
+    /// `seats[i]`: validator `i`'s seat, for `i < SignerSet::CAPACITY`;
+    /// grows to the highest index heard from.
+    seats: Vec<Seat>,
+    /// Seats of senders at or beyond `SignerSet::CAPACITY`.
+    far: BTreeMap<ValidatorId, Seat>,
+    v_len: usize,
+    s_len: usize,
 }
 
 impl LogTracker {
@@ -85,50 +110,75 @@ impl LogTracker {
         Self::default()
     }
 
+    fn seat(&self, v: ValidatorId) -> Seat {
+        match self.seats.get(v.index()) {
+            Some(seat) => *seat,
+            None => self.far.get(&v).copied().unwrap_or_default(),
+        }
+    }
+
+    fn seat_mut(&mut self, v: ValidatorId) -> &mut Seat {
+        let i = v.index();
+        if i >= SignerSet::CAPACITY {
+            return self.far.entry(v).or_default();
+        }
+        if self.seats.len() <= i {
+            self.seats.resize(i + 1, Seat::Silent);
+        }
+        &mut self.seats[i]
+    }
+
     /// Records a `LOG` message from `sender` carrying `log`.
     pub fn on_log(&mut self, sender: ValidatorId, log: Log) -> TrackOutcome {
-        self.senders.insert(sender);
-        if self.equivocators.contains(&sender) {
-            return TrackOutcome::FromEquivocator;
-        }
-        match self.v.get(&sender) {
-            None => {
-                self.v.insert(sender, log);
+        let seat = self.seat_mut(sender);
+        match *seat {
+            Seat::Silent => {
+                *seat = Seat::One(log);
+                self.v_len += 1;
+                self.s_len += 1;
                 TrackOutcome::Recorded
             }
-            Some(existing) if *existing == log => TrackOutcome::Duplicate,
-            Some(_) => {
-                self.v.remove(&sender);
-                self.equivocators.insert(sender);
+            Seat::One(existing) if existing == log => TrackOutcome::Duplicate,
+            Seat::One(_) => {
+                *seat = Seat::Equivocator;
+                self.v_len -= 1;
                 TrackOutcome::NewEquivocation
             }
+            Seat::Equivocator => TrackOutcome::FromEquivocator,
         }
     }
 
     /// Takes an immutable snapshot of the current `V`.
     pub fn snapshot(&self) -> VSnapshot {
-        VSnapshot { entries: self.v.clone() }
+        let mut entries = Vec::with_capacity(self.v_len);
+        entries.extend(self.v_entries());
+        VSnapshot { entries }
     }
 
-    /// Current `V` entries (non-equivocating unique logs).
+    /// Current `V` entries (non-equivocating unique logs), in validator
+    /// order.
     pub fn v_entries(&self) -> impl Iterator<Item = (ValidatorId, Log)> + '_ {
-        self.v.iter().map(|(v, l)| (*v, *l))
+        let dense = self.seats.iter().enumerate().map(|(i, seat)| (ValidatorId::new(i as u32), seat));
+        dense.chain(self.far.iter().map(|(v, seat)| (*v, seat))).filter_map(|(v, seat)| match seat {
+            Seat::One(log) => Some((v, *log)),
+            _ => None,
+        })
     }
 
     /// `|V|`.
     pub fn v_len(&self) -> usize {
-        self.v.len()
+        self.v_len
     }
 
     /// `|S|` — count of validators from which at least one `LOG` message
     /// was received (equivocators included).
     pub fn s_len(&self) -> usize {
-        self.senders.len()
+        self.s_len
     }
 
     /// Whether `v` is a known equivocator (`v ∈ E`).
     pub fn is_equivocator(&self, v: ValidatorId) -> bool {
-        self.equivocators.contains(&v)
+        self.seat(v) == Seat::Equivocator
     }
 
     /// The pairs of `snapshot` whose senders are still in `V` now —
@@ -139,9 +189,7 @@ impl LogTracker {
         &'a self,
         snapshot: &'a VSnapshot,
     ) -> impl Iterator<Item = (ValidatorId, Log)> + 'a {
-        snapshot
-            .entries()
-            .filter(move |(v, _)| !self.equivocators.contains(v))
+        snapshot.entries().filter(move |(v, _)| !self.is_equivocator(*v))
     }
 }
 
@@ -216,5 +264,87 @@ mod tests {
         t.on_log(ValidatorId::new(1), a);
         let alive: Vec<_> = t.intersect_with_current(&snap).collect();
         assert_eq!(alive, vec![(ValidatorId::new(0), g)]);
+    }
+
+    /// The `BTreeMap`/`BTreeSet` transcription of §3.3's `V`, `E`, `S`
+    /// the seat table must answer like.
+    #[derive(Default)]
+    struct Reference {
+        v: BTreeMap<ValidatorId, Log>,
+        equivocators: std::collections::BTreeSet<ValidatorId>,
+        senders: std::collections::BTreeSet<ValidatorId>,
+    }
+
+    impl Reference {
+        fn on_log(&mut self, sender: ValidatorId, log: Log) -> TrackOutcome {
+            self.senders.insert(sender);
+            if self.equivocators.contains(&sender) {
+                return TrackOutcome::FromEquivocator;
+            }
+            match self.v.get(&sender) {
+                None => {
+                    self.v.insert(sender, log);
+                    TrackOutcome::Recorded
+                }
+                Some(existing) if *existing == log => TrackOutcome::Duplicate,
+                Some(_) => {
+                    self.v.remove(&sender);
+                    self.equivocators.insert(sender);
+                    TrackOutcome::NewEquivocation
+                }
+            }
+        }
+
+        fn entries(&self) -> Vec<(ValidatorId, Log)> {
+            self.v.iter().map(|(v, l)| (*v, *l)).collect()
+        }
+    }
+
+    /// Dense senders, the last dense index, and senders at and beyond
+    /// the bound.
+    const SENDERS: [u32; 8] = [0, 1, 2, 7, 511, 512, 513, 70_000];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Random `on_log` streams (duplicates, equivocations, senders
+        /// ≥ 512): every answer and every snapshot equals the ordered
+        /// reference model's, after every step.
+        #[test]
+        fn seats_answer_like_the_ordered_reference(
+            stream in proptest::collection::vec((0..SENDERS.len(), 0usize..3, 0usize..4), 1..120),
+        ) {
+            let (_store, g, a, b) = fixtures();
+            let logs = [g, a, b];
+            let (mut t, mut r) = (LogTracker::new(), Reference::default());
+            let mut snaps: Vec<(VSnapshot, Vec<(ValidatorId, Log)>)> = Vec::new();
+            for (sender, log, snap_every) in stream {
+                let v = ValidatorId::new(SENDERS[sender]);
+                proptest::prop_assert_eq!(t.on_log(v, logs[log]), r.on_log(v, logs[log]));
+                proptest::prop_assert_eq!(t.v_entries().collect::<Vec<_>>(), r.entries());
+                proptest::prop_assert_eq!((t.v_len(), t.s_len()), (r.v.len(), r.senders.len()));
+                for w in SENDERS {
+                    let w = ValidatorId::new(w);
+                    proptest::prop_assert_eq!(t.is_equivocator(w), r.equivocators.contains(&w));
+                }
+                if snap_every == 0 {
+                    snaps.push((t.snapshot(), r.entries()));
+                }
+                for (snap, want) in &snaps {
+                    proptest::prop_assert_eq!(snap.entries().collect::<Vec<_>>(), want.clone());
+                    for w in SENDERS {
+                        let w = ValidatorId::new(w);
+                        let got = want.iter().find(|(x, _)| *x == w).map(|(_, l)| *l);
+                        proptest::prop_assert_eq!(snap.get(w), got);
+                    }
+                    let alive: Vec<_> = want
+                        .iter()
+                        .copied()
+                        .filter(|(w, _)| !r.equivocators.contains(w))
+                        .collect();
+                    proptest::prop_assert_eq!(t.intersect_with_current(snap).collect::<Vec<_>>(), alive);
+                }
+            }
+        }
     }
 }

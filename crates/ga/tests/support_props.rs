@@ -48,6 +48,95 @@ fn build(case: &SupportCase) -> (BlockStore, Vec<(ValidatorId, Log)>, usize) {
     (store, entries, s_len)
 }
 
+/// A committee-sized vote set: up to 256 entries over at most four
+/// distinct tips of a random fork tree, as honest votes look (one to
+/// three shared tips) plus a stray.
+#[derive(Clone, Debug)]
+struct WideCase {
+    builds: Vec<(usize, u32)>,
+    tips: Vec<usize>,
+    /// Index into `tips` per entry.
+    picks: Vec<usize>,
+    extra_senders: usize,
+}
+
+fn wide_case() -> impl Strategy<Value = WideCase> {
+    (
+        proptest::collection::vec((0usize..8, 0u32..4), 0..12),
+        proptest::collection::vec(0usize..16, 1..=4),
+        proptest::collection::vec(0usize..4, 1..=256),
+        0usize..64,
+    )
+        .prop_map(|(builds, tips, picks, extra_senders)| WideCase {
+            builds,
+            tips,
+            picks,
+            extra_senders,
+        })
+}
+
+fn build_wide(case: &WideCase) -> (BlockStore, Vec<(ValidatorId, Log)>, usize) {
+    let store = BlockStore::new();
+    let mut logs = vec![Log::genesis(&store)];
+    for (i, (parent, proposer)) in case.builds.iter().enumerate() {
+        let parent_log = logs[parent % logs.len()];
+        logs.push(parent_log.extend_empty(
+            &store,
+            ValidatorId::new(*proposer),
+            View::new(i as u64 + 1),
+        ));
+    }
+    let tips: Vec<Log> = case.tips.iter().map(|t| logs[t % logs.len()]).collect();
+    let entries: Vec<(ValidatorId, Log)> = case
+        .picks
+        .iter()
+        .enumerate()
+        .map(|(v, pick)| (ValidatorId::new(v as u32), tips[pick % tips.len()]))
+        .collect();
+    let s_len = entries.len() + case.extra_senders;
+    (store, entries, s_len)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Tip grouping: committee-sized entry sets over few distinct tips
+    /// give the brute force's answer.
+    #[test]
+    fn wide_votes_over_few_tips_match_bruteforce(case in wide_case()) {
+        let (store, entries, s_len) = build_wide(&case);
+        prop_assert_eq!(
+            highest_supported(&entries, s_len, &store),
+            highest_supported_bruteforce(&entries, s_len, &store),
+            "tips {:?} s_len {}", case.tips, s_len
+        );
+    }
+
+    /// The answer is a function of the multiset of logs: any permutation
+    /// of the entries (and of which validator carries which log) gives
+    /// the same output.
+    #[test]
+    fn output_is_permutation_invariant(case in wide_case(), seed in any::<u64>()) {
+        let (store, entries, s_len) = build_wide(&case);
+        // Seeded Fisher–Yates (splitmix64 steps) over the logs.
+        let mut logs: Vec<Log> = entries.iter().map(|(_, log)| *log).collect();
+        let mut state = seed;
+        for i in (1..logs.len()).rev() {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            logs.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+        }
+        let permuted: Vec<(ValidatorId, Log)> =
+            logs.into_iter().enumerate().map(|(v, log)| (ValidatorId::new(v as u32), log)).collect();
+        prop_assert_eq!(
+            highest_supported(&permuted, s_len, &store),
+            highest_supported(&entries, s_len, &store)
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 

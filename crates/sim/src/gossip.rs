@@ -12,30 +12,37 @@
 //! whether the node should re-broadcast it (`forward`). Dedup is by
 //! message id: a message arriving over many paths is verified once.
 //!
-//! # Layout: a sender-indexed slot table with an ordered overflow
+//! # Layout: sender-indexed slot tables with an ordered overflow
 //!
 //! The paper's rule is the index: per `(view, kind, sender)` — the
 //! [`tobsvd_types::Payload::equivocation_key`] plus the sender — at most
-//! two ids matter, so a live view's state is a table addressed by that
+//! two ids matter, so a view's state is a table addressed by that
 //! triple, not an ordered set of random 32-byte hashes.
 //!
-//! * **Slot table.** The first id a sender files under a key sits in
-//!   `live[view % 4][kind][sender]`; a duplicate of it — almost all
-//!   traffic — costs one array index and one 32-byte compare.
+//! * **Slot tables.** The first id a sender files under a key sits in
+//!   its view's table at `[kind][sender]`; a duplicate of it — almost
+//!   all traffic — costs one array index and one 32-byte compare. The
+//!   four live views' tables sit in `live[view % 4]`; a view that left
+//!   the live range keeps its table whole in `retired`, one ordered
+//!   descent by view number away, and is addressed exactly like a live
+//!   one.
 //! * **Overflow.** One ordered set of `(key, id)` holds the rest: later
 //!   distinct ids of a key, senders at or beyond [`SignerSet::CAPACITY`],
-//!   and every view outside the live range (finished views,
-//!   attacker-chosen numbers, `RECOVERY` start views, finality epochs) —
-//!   one ordered descent each. In a live view a key has overflow entries
-//!   only if its slot is occupied, so an empty slot means "nothing
-//!   filed" without a descent.
-//! * **Live range.** Dense tables exist only for the four views from
+//!   and every view that never had a table (attacker-chosen numbers,
+//!   `RECOVERY` start views, finality epochs, views filed before they
+//!   became live) — one ordered descent each. In a view with a table a
+//!   key has overflow entries only if its slot is occupied, so an empty
+//!   slot means "nothing filed" without a descent. A fault-free run
+//!   leaves it empty.
+//! * **Live range.** Fresh tables are made only for the four views from
 //!   `v − 2`, `v` being the view of the last [`GossipState::set_live`],
 //!   and a slot vector grows only when a *verified* id is filed into it:
-//!   no message can buy an O(n) allocation. Moving the range spills the
-//!   tables that left it into the overflow and lets overflow entries of
-//!   the views that entered take their slots — a pure re-indexing,
-//!   every answer is the one a flat id set gives.
+//!   no message can buy an O(n) allocation. Moving the range moves each
+//!   table that left it into `retired` whole, hands a retired table back
+//!   to a view that re-enters, and lets overflow entries of a view that
+//!   enters without one take their slots — a pure re-indexing, every
+//!   answer is the one a flat id set gives. What is retained stays one
+//!   slot or entry per filed id.
 //!
 //! Ids bind `(sender, payload)` and are filed only after their signature
 //! verified, so a forged frame can never occupy a slot, and "verified"
@@ -44,7 +51,7 @@
 //! verified unsighted and waits in `raw` (empty in an uncorrupted node)
 //! until a delivery files it or the audit evicts it.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use tobsvd_crypto::{Digest, KeyCache, PublicKey};
 use tobsvd_types::{SignedMessage, SignerSet, ValidatorId};
@@ -57,6 +64,8 @@ const KINDS: usize = 6;
 const LIVE_VIEWS: u64 = 4;
 /// `(view number, kind, sender)`: what an id is filed under.
 type Key = (u64, u8, u32);
+/// One view's first ids: `[kind][sender]`.
+type Table = [Vec<Option<Digest>>; KINDS];
 
 /// Outcome of receiving a message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,7 +94,9 @@ const POINT_TO_POINT: Reception = Reception { fresh: true, forward: false };
 pub struct GossipState {
     live_from: u64,
     /// `live[view % LIVE_VIEWS][kind][sender]`: first id filed per key.
-    live: [[Vec<Option<Digest>>; KINDS]; LIVE_VIEWS as usize],
+    live: [Table; LIVE_VIEWS as usize],
+    /// Tables of views that left the live range, by view number.
+    retired: BTreeMap<u64, Table>,
     overflow: BTreeSet<(Key, Digest)>,
     /// Fault-injected ids that pass for verified but were never sighted.
     raw: BTreeSet<Digest>,
@@ -105,16 +116,36 @@ impl GossipState {
         msg.payload().equivocation_key().map(|(kind, view)| (view, kind, msg.sender().raw()))
     }
 
-    /// Whether `key` addresses a slot of a live table.
-    fn dense(&self, (view, kind, sender): Key) -> bool {
+    fn is_live(&self, view: u64) -> bool {
         view.wrapping_sub(self.live_from) < LIVE_VIEWS
-            && usize::from(kind) < KINDS
-            && (sender as usize) < SignerSet::CAPACITY
+    }
+
+    /// The slot vector `key` addresses, if its view has a table (live or
+    /// retired) and the key fits one.
+    fn slots(&self, (view, kind, sender): Key) -> Option<&Vec<Option<Digest>>> {
+        if sender as usize >= SignerSet::CAPACITY {
+            return None;
+        }
+        let table = match self.is_live(view) {
+            true => &self.live[(view % LIVE_VIEWS) as usize],
+            false => self.retired.get(&view)?,
+        };
+        table.get(usize::from(kind))
+    }
+
+    fn slots_mut(&mut self, (view, kind, sender): Key) -> Option<&mut Vec<Option<Digest>>> {
+        if sender as usize >= SignerSet::CAPACITY {
+            return None;
+        }
+        let table = match self.is_live(view) {
+            true => &mut self.live[(view % LIVE_VIEWS) as usize],
+            false => self.retired.get_mut(&view)?,
+        };
+        table.get_mut(usize::from(kind))
     }
 
     fn is_filed(&self, key: Key, id: &Digest) -> bool {
-        if self.dense(key) {
-            let slots = &self.live[(key.0 % LIVE_VIEWS) as usize][usize::from(key.1)];
+        if let Some(slots) = self.slots(key) {
             match slots.get(key.2 as usize) {
                 Some(Some(first)) if first == id => return true,
                 Some(Some(_)) => {}
@@ -127,20 +158,22 @@ impl GossipState {
     /// Stores `id` under `key`, in its slot when that is addressable and
     /// empty; returns whether the key already held two ids or more.
     fn place(&mut self, key: Key, id: Digest) -> bool {
-        let dense = self.dense(key);
-        if dense {
-            let slots = &mut self.live[(key.0 % LIVE_VIEWS) as usize][usize::from(key.1)];
-            let sender = key.2 as usize;
-            if slots.len() <= sender {
-                slots.resize(sender + 1, None);
+        let slotted = match self.slots_mut(key) {
+            Some(slots) => {
+                let sender = key.2 as usize;
+                if slots.len() <= sender {
+                    slots.resize(sender + 1, None);
+                }
+                if slots[sender].is_none() {
+                    slots[sender] = Some(id);
+                    return false;
+                }
+                true
             }
-            if slots[sender].is_none() {
-                slots[sender] = Some(id);
-                return false;
-            }
-        }
+            None => false,
+        };
         let spilled = self.overflow.range((key, Digest::ZERO)..).take_while(|(k, _)| *k == key);
-        let capped = usize::from(dense) + spilled.take(2).count() >= 2;
+        let capped = usize::from(slotted) + spilled.take(2).count() >= 2;
         self.overflow.insert((key, id));
         capped
     }
@@ -153,19 +186,24 @@ impl GossipState {
     }
 
     /// Moves the live range to the four views from `view − 2` (the
-    /// validator's GA window): tables that left it spill into the
-    /// overflow, overflow entries of views that entered take their slots.
+    /// validator's GA window): tables that left it retire whole, a view
+    /// that enters takes its retired table back or, without one, has its
+    /// overflow entries take their slots.
     pub fn set_live(&mut self, view: u64) {
         let (old, new) = (self.live_from, view.saturating_sub(2));
         let range = |from: u64| (0..LIVE_VIEWS).map(move |i| from.wrapping_add(i));
         for w in range(old).filter(|w| w.wrapping_sub(new) >= LIVE_VIEWS) {
-            for (kind, slots) in self.live[(w % LIVE_VIEWS) as usize].iter_mut().enumerate() {
-                let ids = slots.drain(..).enumerate().filter_map(|(s, id)| Some((s, id?)));
-                self.overflow.extend(ids.map(|(s, id)| ((w, kind as u8, s as u32), id)));
+            let table = std::mem::take(&mut self.live[(w % LIVE_VIEWS) as usize]);
+            if table.iter().any(|slots| !slots.is_empty()) {
+                self.retired.insert(w, table);
             }
         }
         self.live_from = new;
         for w in range(new).filter(|w| w.wrapping_sub(old) >= LIVE_VIEWS) {
+            if let Some(table) = self.retired.remove(&w) {
+                self.live[(w % LIVE_VIEWS) as usize] = table;
+                continue;
+            }
             let spilled = self.overflow.range(((w, 0, 0), Digest::ZERO)..);
             let spilled: Vec<_> = spilled.take_while(|(k, _)| k.0 == w).copied().collect();
             for (key, id) in spilled {
@@ -229,7 +267,7 @@ impl GossipState {
     /// Whether a bare id has been filed — a scan of every entry: fault
     /// injection and diagnostics only; receive paths use [`Self::is_verified`].
     pub fn has_seen(&self, id: &Digest) -> bool {
-        let mut slots = self.live.iter().flatten().flatten();
+        let mut slots = self.live.iter().chain(self.retired.values()).flatten().flatten();
         slots.any(|slot| slot.as_ref() == Some(id)) || self.overflow.iter().any(|(_, i)| i == id)
     }
 
@@ -399,23 +437,45 @@ mod tests {
         let l2 = g.extend_empty(&store, ValidatorId::new(8), View::new(1));
         let (a, b, c) = (msg(&store, 2, 9, g), msg(&store, 2, 9, l1), msg(&store, 2, 9, l2));
         let mut gossip = GossipState::new();
-        // Filed while view 9 is not live: the overflow holds it.
+        // Filed while view 9 is not live.
         assert_eq!(gossip.on_receive(&a), ACCEPTED);
-        assert_eq!(gossip.overflow.len(), 1);
-        // View 9 becomes live: the id takes its slot, is still found,
-        // and still counts toward the two-distinct cap.
+        // View 9 becomes live: the id is still found and still counts
+        // toward the two-distinct cap.
         gossip.set_live(9);
-        assert!(gossip.overflow.is_empty());
         assert_eq!(gossip.on_receive(&a), IGNORED);
         assert_eq!(gossip.on_receive(&b), ACCEPTED);
         assert_eq!(gossip.on_receive(&c), IGNORED);
-        // View 9 leaves the range: all three ids are still members.
-        gossip.set_live(40);
-        assert_eq!(gossip.overflow.len(), 3);
-        for m in [&a, &b, &c] {
-            assert_eq!(gossip.on_receive(m), IGNORED);
-            assert!(gossip.is_verified(m) && gossip.has_seen(&m.id()));
+        // View 9 leaves the range, then re-enters: all three ids are
+        // still members every time.
+        for view in [40, 10, 200] {
+            gossip.set_live(view);
+            for m in [&a, &b, &c] {
+                assert_eq!(gossip.on_receive(m), IGNORED);
+                assert!(gossip.is_verified(m) && gossip.has_seen(&m.id()));
+            }
         }
         assert_eq!(gossip.seen_count(), 3);
+    }
+
+    /// A fault-free run — every sender files one id per kind in the live
+    /// range, and late copies arrive after their view retired — never
+    /// touches the overflow, however long it runs.
+    #[test]
+    fn fault_free_views_leave_the_overflow_empty() {
+        let store = BlockStore::new();
+        let g = Log::genesis(&store);
+        let mut gossip = GossipState::new();
+        for view in 0..1_000u64 {
+            gossip.set_live(view);
+            for sender in 0..4 {
+                assert_eq!(gossip.on_receive(&msg(&store, sender, view + 1, g)), ACCEPTED);
+                if view >= 5 {
+                    // A late first sighting in a retired view.
+                    assert_eq!(gossip.on_receive(&msg(&store, sender + 4, view - 4, g)), ACCEPTED);
+                }
+            }
+        }
+        assert!(gossip.overflow.is_empty());
+        assert_eq!(gossip.seen_count(), 4 * 1_000 + 4 * 995);
     }
 }

@@ -1,14 +1,17 @@
 //! Differential test of the dedup / authenticity gate.
 //!
-//! `GossipState` files message ids in a sender-indexed slot table with
-//! an ordered overflow and a moving live range. That is meant to be a
+//! `GossipState` files message ids in sender-indexed slot tables (four
+//! live, the rest retired whole) with an ordered overflow and a moving
+//! live range. That is meant to be a
 //! pure re-indexing of what it replaced — a verified-id set probed
 //! before a seen-id set, both flat — so random streams are fed through
 //! the real type and through that pair of `BTreeSet<Digest>`s composed
 //! exactly as `Validator::on_message` composed them, and every
 //! observable answer must agree. The streams hold duplicates, up to
 //! five-way equivocation per `(sender, key)`, views that enter and
-//! leave the live range between operations, sender indices at and
+//! leave the live range between operations — forward and backward
+//! across more than 64 views, so retired tables take second ids and
+//! re-enter — sender indices at and
 //! beyond the dense bound, fetch payloads that carry no key, forged
 //! signatures before and after the genuine copy, and fault-injected raw
 //! ids with the audit's quarantine pass.
@@ -110,9 +113,11 @@ const SENDERS: [u32; 5] = [
     SignerSet::CAPACITY as u32,
     70_000,
 ];
-/// Views the live range (moved over `0..12`) sweeps across, plus one it
-/// never reaches.
-const VIEWS: [u64; 9] = [0, 1, 2, 3, 4, 5, 7, 9, 1 << 40];
+/// Views the live range (moved over `0..LIVE_SPAN`) sweeps across, plus
+/// one it never reaches.
+const VIEWS: [u64; 13] = [0, 1, 2, 3, 4, 5, 7, 9, 33, 64, 66, 70, 1 << 40];
+/// `SetLive` targets are drawn from `0..LIVE_SPAN`.
+const LIVE_SPAN: u64 = 76;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -147,7 +152,7 @@ fn op() -> impl Strategy<Value = Op> {
                 msg: flag.then_some(msg),
                 garbage,
             },
-            2 => Op::SetLive(garbage % 12),
+            2 => Op::SetLive(garbage % LIVE_SPAN),
             _ => Op::Deliver(msg),
         }
     })
@@ -206,6 +211,143 @@ fn build(spec: &MsgSpec, logs: &[Log; 5]) -> SignedMessage {
     }
 }
 
+/// The real gate and the flat model side by side, plus every message
+/// and raw id ever named, for the final membership sweep.
+struct Differential {
+    logs: [Log; 5],
+    ctx: Context,
+    gossip: GossipState,
+    flat_gossip: FlatGossip,
+    flat_verified: FlatVerified,
+    probes: Vec<SignedMessage>,
+    raw_probes: BTreeSet<Digest>,
+}
+
+impl Differential {
+    fn new() -> Self {
+        let store = BlockStore::new();
+        let g = Log::genesis(&store);
+        let fork = |proposer: u32| g.extend_empty(&store, ValidatorId::new(proposer), View::new(1));
+        let logs = [g, fork(0), fork(1), fork(2), fork(3)];
+        Differential {
+            logs,
+            ctx: Context::new(Time::ZERO, ValidatorId::new(0), Delta::default(), store, Mempool::new()),
+            gossip: GossipState::new(),
+            flat_gossip: FlatGossip::default(),
+            flat_verified: FlatVerified::default(),
+            probes: Vec::new(),
+            raw_probes: BTreeSet::new(),
+        }
+    }
+
+    fn step(&mut self, op: &Op) -> Result<(), TestCaseError> {
+        match op {
+            Op::Deliver(spec) => {
+                let m = build(spec, &self.logs);
+                self.probes.push(m);
+                // `on_message` at the parent: the verification gate
+                // (fetch ids not retained), fetch payloads served
+                // without touching gossip, then the seen set.
+                let keyed = !m.payload().is_sync();
+                let want = self.flat_verified.admit(&m, keyed).then(|| match keyed {
+                    true => self.flat_gossip.on_receive(&m),
+                    false => Reception { fresh: true, forward: false },
+                });
+                prop_assert_eq!(self.gossip.admit(&m, &mut self.ctx), want);
+            }
+            Op::Poison { msg, garbage } => {
+                let id = match msg {
+                    Some(spec) => {
+                        let m = build(spec, &self.logs);
+                        self.probes.push(m);
+                        m.id()
+                    }
+                    None => Digest::from_bytes(garbage_bytes(*garbage, 0)),
+                };
+                self.raw_probes.insert(id);
+                self.gossip.poison(id);
+                self.flat_verified.ids.insert(id);
+            }
+            Op::Quarantine => {
+                let before = self.flat_verified.ids.len();
+                let seen = &self.flat_gossip.seen;
+                self.flat_verified.ids.retain(|id| seen.contains(id));
+                prop_assert_eq!(self.gossip.quarantine(), before - self.flat_verified.ids.len());
+            }
+            Op::SetLive(view) => self.gossip.set_live(*view),
+        }
+        prop_assert_eq!(self.gossip.seen_count(), self.flat_gossip.seen.len());
+        prop_assert_eq!(self.gossip.verified_count(), self.flat_verified.ids.len());
+        let ops = &self.ctx.crypto_ops;
+        prop_assert_eq!(
+            (ops.sig_verifies, ops.sig_verify_skips),
+            (self.flat_verified.verifies, self.flat_verified.skips)
+        );
+        Ok(())
+    }
+
+    fn check_membership(&self) -> Result<(), TestCaseError> {
+        for m in &self.probes {
+            prop_assert_eq!(self.gossip.has_seen(&m.id()), self.flat_gossip.seen.contains(&m.id()));
+            prop_assert_eq!(self.gossip.is_verified(m), self.flat_verified.ids.contains(&m.id()));
+        }
+        for id in &self.raw_probes {
+            prop_assert_eq!(self.gossip.has_seen(id), self.flat_gossip.seen.contains(id));
+        }
+        Ok(())
+    }
+}
+
+/// A scripted sweep that hits every retirement path at least once: the
+/// live range walks forward over all of [`VIEWS`]' small numbers, each
+/// view collecting first ids, equivocating second and third ids and
+/// out-of-table senders while live *and* after it retired, then walks
+/// back so every retired table re-enters, then forward again.
+#[test]
+fn sweep_forward_back_and_forward_answers_like_the_flat_sets() {
+    let mut diff = Differential::new();
+    let deliver = |sender: usize, kind: u8, view: usize, variant: usize| {
+        Op::Deliver(MsgSpec { sender, kind, view, variant, forged: false })
+    };
+    // Every keyed kind from every sender in view `v`, with `variants`
+    // distinct payloads each (a forged copy first, to try to shadow).
+    let flood = |view: usize, variants: std::ops::Range<usize>| {
+        let mut ops = Vec::new();
+        for sender in 0..SENDERS.len() {
+            for kind in 0..6u8 {
+                for variant in variants.clone() {
+                    ops.push(Op::Deliver(MsgSpec { sender, kind, view, variant, forged: true }));
+                    ops.push(deliver(sender, kind, view, variant));
+                }
+            }
+        }
+        ops
+    };
+    let small_views = VIEWS.len() - 1;
+    let mut script = Vec::new();
+    for (i, &number) in VIEWS[..small_views].iter().enumerate() {
+        script.push(Op::SetLive(number));
+        script.extend(flood(i, 0..1));
+        if i > 0 {
+            // Late equivocations into the previous (by now possibly
+            // retired) view.
+            script.extend(flood(i - 1, 1..4));
+        }
+    }
+    script.push(Op::SetLive(LIVE_SPAN + 10));
+    for (i, &number) in VIEWS[..small_views].iter().enumerate().rev() {
+        script.push(Op::SetLive(number));
+        script.extend(flood(i, 0..5));
+    }
+    for &number in &VIEWS[..small_views] {
+        script.push(Op::SetLive(number + 1));
+    }
+    for op in &script {
+        diff.step(op).unwrap();
+    }
+    diff.check_membership().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -213,66 +355,10 @@ proptest! {
     fn dedup_table_answers_like_the_two_flat_sets_composed(
         ops in proptest::collection::vec(op(), 1..400),
     ) {
-        let store = BlockStore::new();
-        let g = Log::genesis(&store);
-        let fork = |proposer: u32| g.extend_empty(&store, ValidatorId::new(proposer), View::new(1));
-        let logs = [g, fork(0), fork(1), fork(2), fork(3)];
-        let mut ctx =
-            Context::new(Time::ZERO, ValidatorId::new(0), Delta::default(), store, Mempool::new());
-
-        let mut gossip = GossipState::new();
-        let (mut flat_gossip, mut flat_verified) = (FlatGossip::default(), FlatVerified::default());
-        let mut probes: Vec<SignedMessage> = Vec::new();
-        let mut raw_probes: BTreeSet<Digest> = BTreeSet::new();
-
+        let mut diff = Differential::new();
         for op in &ops {
-            match op {
-                Op::Deliver(spec) => {
-                    let m = build(spec, &logs);
-                    probes.push(m);
-                    // `on_message` at the parent: the verification gate
-                    // (fetch ids not retained), fetch payloads served
-                    // without touching gossip, then the seen set.
-                    let keyed = !m.payload().is_sync();
-                    let want = flat_verified.admit(&m, keyed).then(|| match keyed {
-                        true => flat_gossip.on_receive(&m),
-                        false => Reception { fresh: true, forward: false },
-                    });
-                    prop_assert_eq!(gossip.admit(&m, &mut ctx), want);
-                }
-                Op::Poison { msg, garbage } => {
-                    let id = match msg {
-                        Some(spec) => {
-                            let m = build(spec, &logs);
-                            probes.push(m);
-                            m.id()
-                        }
-                        None => Digest::from_bytes(garbage_bytes(*garbage, 0)),
-                    };
-                    raw_probes.insert(id);
-                    gossip.poison(id);
-                    flat_verified.ids.insert(id);
-                }
-                Op::Quarantine => {
-                    let before = flat_verified.ids.len();
-                    flat_verified.ids.retain(|id| flat_gossip.seen.contains(id));
-                    prop_assert_eq!(gossip.quarantine(), before - flat_verified.ids.len());
-                }
-                Op::SetLive(view) => gossip.set_live(*view),
-            }
-            prop_assert_eq!(gossip.seen_count(), flat_gossip.seen.len());
-            prop_assert_eq!(gossip.verified_count(), flat_verified.ids.len());
-            prop_assert_eq!(
-                (ctx.crypto_ops.sig_verifies, ctx.crypto_ops.sig_verify_skips),
-                (flat_verified.verifies, flat_verified.skips)
-            );
+            diff.step(op)?;
         }
-        for m in &probes {
-            prop_assert_eq!(gossip.has_seen(&m.id()), flat_gossip.seen.contains(&m.id()));
-            prop_assert_eq!(gossip.is_verified(m), flat_verified.ids.contains(&m.id()));
-        }
-        for id in &raw_probes {
-            prop_assert_eq!(gossip.has_seen(id), flat_gossip.seen.contains(id));
-        }
+        diff.check_membership()?;
     }
 }
