@@ -32,10 +32,12 @@ use crate::leader::{Priority, ProposalTracker};
 struct VoteGroup {
     instance: InstanceId,
     log: Log,
-    /// Individually received (and verified) votes, in arrival order.
-    /// One entry per sender: gossip dedups ids, and a sender's two
-    /// conflicting logs land in two different groups.
-    votes: Vec<SignedMessage>,
+    /// Individually received (and verified) votes as `(sender,
+    /// signature)`, in arrival order — the group's `(instance, log)` is
+    /// the rest of each vote, so a vote relayed on its own is rebuilt
+    /// byte for byte. One entry per sender: gossip dedups ids, and a
+    /// sender's two conflicting logs land in two different groups.
+    votes: Vec<(ValidatorId, Signature)>,
     /// Senders of `votes` as a bitmap (the signer set of our own
     /// certificate).
     have_votes: SignerSet,
@@ -54,8 +56,11 @@ struct VoteGroup {
     /// broadcast (at most one per group, so the per-sender gossip cap
     /// can never drop a later emission that would carry new signers).
     own_cert_emitted: bool,
-    /// Verified received certificates queued for boundary forwarding.
-    pending_certs: Vec<SignedMessage>,
+    /// Verified received certificates queued for boundary forwarding,
+    /// as `(sender, signers, aggregate, signature)`: with the group's
+    /// `(instance, log)` that is the whole message, rebuilt when
+    /// forwarded.
+    pending_certs: Vec<(ValidatorId, SignerSet, AggregateSignature, Signature)>,
 }
 
 impl VoteGroup {
@@ -110,10 +115,13 @@ impl VoteGroup {
 /// [`ProposalTracker::relays`], which checks VRFs on demand.
 #[derive(Default)]
 struct ProposalRelay {
-    /// Proposal receptions since the last boundary flush, as recorded
-    /// (VRFs not yet checked). Bounded by the gossip cap: at most two
-    /// distinct messages per sender per view survive `on_receive`.
-    pending: Vec<SignedMessage>,
+    /// Proposal receptions since the last boundary flush, as `(sender,
+    /// slot)` references to the claims the view's tracker recorded (VRFs
+    /// not yet checked). Bounded by the gossip cap: at most two distinct
+    /// messages per sender per view survive `on_receive`. A view's
+    /// tracker is kept at least as long as its relay (`Validator::prune`),
+    /// so a reference never outlives its claim.
+    pending: Vec<(ValidatorId, usize)>,
     /// Highest priority already relayed for this view — the same total
     /// order [`ProposalTracker`] uses to pick the vote input, so a
     /// relayed proposal is outranked only by one that would also
@@ -210,14 +218,15 @@ impl AggregationPlane {
             ctx.forward(*msg);
             return;
         }
-        g.votes.push(*msg);
+        g.votes.push((msg.sender(), *msg.signature()));
     }
 
-    /// Buffers a fresh, in-window proposal the view's tracker recorded:
-    /// the relay decision is deferred to the boundary flush, where the
-    /// tracker checks the VRFs it needs and knows the equivocators.
-    pub(crate) fn note_proposal(&mut self, view: View, msg: &SignedMessage) {
-        self.prop_relays.entry(view).or_default().pending.push(*msg);
+    /// Buffers a reference to a fresh, in-window proposal the view's
+    /// tracker recorded in `slot`: the relay decision is deferred to the
+    /// boundary flush, where the tracker checks the VRFs it needs, knows
+    /// the equivocators and rebuilds the message it relays.
+    pub(crate) fn note_proposal(&mut self, view: View, sender: ValidatorId, slot: usize) {
+        self.prop_relays.entry(view).or_default().pending.push((sender, slot));
     }
 
     /// Handles a fresh, resolved, in-window quorum certificate and
@@ -276,7 +285,7 @@ impl AggregationPlane {
             // paper's graded-delivery guarantee for votes we never saw
             // individually.
             if !signers.is_subset(&g.relayed_by_us()) {
-                g.pending_certs.push(*msg);
+                g.pending_certs.push((msg.sender(), signers, agg, *msg.signature()));
             }
         }
         // Duplicates no-op in the GA, and conflicting logs across
@@ -296,13 +305,11 @@ impl AggregationPlane {
         for g in self.groups.values_mut().flatten() {
             // Received certificates first: maximal coverage means
             // fewer individual forwards below.
-            for cert in std::mem::take(&mut g.pending_certs) {
-                let Payload::Certificate { signers, .. } = cert.payload() else {
-                    continue;
-                };
+            for (sender, signers, agg, sig) in std::mem::take(&mut g.pending_certs) {
                 if !signers.is_subset(&g.relayed_by_us()) {
-                    ctx.forward(cert);
-                    g.covered.union_with(signers);
+                    let cert = Payload::Certificate { instance: g.instance, log: g.log, signers, agg };
+                    ctx.forward(SignedMessage::from_parts(sender, cert, sig));
+                    g.covered.union_with(&signers);
                 }
             }
             // Our own certificate, at most once per group, and only
@@ -311,9 +318,9 @@ impl AggregationPlane {
                 && g.votes.len() > quorum
                 && !g.have_votes.is_subset(&g.covered)
             {
-                let mut votes: Vec<&SignedMessage> = g.votes.iter().collect();
-                votes.sort_by_key(|m| m.sender());
-                let sigs: Vec<&Signature> = votes.iter().map(|m| m.signature()).collect();
+                let mut votes: Vec<&(ValidatorId, Signature)> = g.votes.iter().collect();
+                votes.sort_by_key(|(sender, _)| *sender);
+                let sigs: Vec<&Signature> = votes.iter().map(|(_, sig)| sig).collect();
                 // A quorate group is non-empty, so aggregation always
                 // succeeds; on the impossible `Err` the group simply
                 // falls through to per-vote forwarding below.
@@ -335,10 +342,11 @@ impl AggregationPlane {
             // Whatever is still unflushed goes out individually —
             // the sub-quorum (or late-vote) fallback, identical to
             // the paper's per-receiver forwarding.
-            while let Some(vote) = g.votes.get(g.flushed).copied() {
+            let vote = Payload::Log { instance: g.instance, log: g.log };
+            while let Some(&(sender, sig)) = g.votes.get(g.flushed) {
                 g.flushed += 1;
-                if !g.covered.contains(vote.sender()) {
-                    ctx.forward(vote);
+                if !g.covered.contains(sender) {
+                    ctx.forward(SignedMessage::from_parts(sender, vote, sig));
                 }
             }
         }
@@ -355,5 +363,110 @@ impl AggregationPlane {
                 ctx.forward(msg);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tobsvd_sim::{Mempool, Outgoing};
+    use tobsvd_types::{BlockStore, Delta, Time};
+
+    fn vote(sender: u32, instance: InstanceId, log: Log) -> SignedMessage {
+        let v = ValidatorId::new(sender);
+        SignedMessage::sign(&Keypair::from_seed(v.key_seed()), v, Payload::Log { instance, log })
+    }
+
+    /// One boundary flush of `plane`: what it sent.
+    fn flush(plane: &mut AggregationPlane, store: &BlockStore) -> Vec<Outgoing> {
+        let mut ctx = Context::new(Time::new(8), plane.me, Delta::new(8), store.clone(), Mempool::new());
+        plane.flush(&mut BTreeMap::new(), &mut ctx);
+        ctx.take_outbox()
+    }
+
+    fn plane(n: usize) -> AggregationPlane {
+        let me = ValidatorId::new(0);
+        AggregationPlane::new(me, KeyCache::keypair(me.key_seed()), n)
+    }
+
+    fn note(plane: &mut AggregationPlane, votes: &[SignedMessage], store: &BlockStore) {
+        let mut ctx = Context::new(Time::new(3), plane.me, Delta::new(8), store.clone(), Mempool::new());
+        for m in votes {
+            let Payload::Log { instance, log } = *m.payload() else { unreachable!() };
+            plane.note_vote(m, instance, log, &mut ctx);
+        }
+        assert!(ctx.outbox().is_empty(), "votes are deferred to the boundary");
+    }
+
+    #[test]
+    fn sub_quorum_votes_are_relayed_as_the_received_messages() {
+        let store = BlockStore::new();
+        let log = Log::genesis(&store).extend_empty(&store, ValidatorId::new(1), View::ZERO);
+        let received: Vec<_> = [5, 2, 7].map(|s| vote(s, InstanceId(0), log)).to_vec();
+        let mut plane = plane(8);
+        note(&mut plane, &received, &store);
+        let relayed: Vec<_> = flush(&mut plane, &store)
+            .into_iter()
+            .map(|o| match o {
+                Outgoing::Forward(m) => m,
+                other => panic!("expected a forward, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(relayed, received, "same ids, signatures and payloads, in arrival order");
+        assert!(flush(&mut plane, &store).is_empty(), "each vote is relayed once");
+    }
+
+    #[test]
+    fn quorate_certificate_aggregates_the_received_signatures_then_late_votes_relay_as_received() {
+        let store = BlockStore::new();
+        let log = Log::genesis(&store).extend_empty(&store, ValidatorId::new(1), View::ZERO);
+        let instance = InstanceId(0);
+        let received: Vec<_> = [6, 1, 4, 3, 0].map(|s| vote(s, instance, log)).to_vec();
+        let mut plane = plane(8);
+        note(&mut plane, &received, &store);
+        let sent = flush(&mut plane, &store);
+        let [Outgoing::Broadcast(cert)] = sent.as_slice() else { panic!("expected one certificate, got {sent:?}") };
+        let mut sorted = received.clone();
+        sorted.sort_by_key(|m| m.sender());
+        let sigs: Vec<&Signature> = sorted.iter().map(|m| m.signature()).collect();
+        let mut signers = SignerSet::empty();
+        for m in &received {
+            signers.insert(m.sender());
+        }
+        let agg = AggregateSignature::aggregate(&sigs).expect("non-empty");
+        let want = Payload::Certificate { instance, log, signers, agg };
+        assert_eq!(*cert.payload(), want);
+        assert_eq!(plane.certificates_emitted, 1);
+
+        let late = vote(7, instance, log);
+        note(&mut plane, &[late], &store);
+        assert!(matches!(flush(&mut plane, &store).as_slice(), [Outgoing::Forward(m)] if *m == late));
+    }
+
+    #[test]
+    fn a_received_certificate_is_forwarded_as_received() {
+        let store = BlockStore::new();
+        let log = Log::genesis(&store).extend_empty(&store, ValidatorId::new(1), View::ZERO);
+        let instance = InstanceId(0);
+        let votes: Vec<_> = [1, 2, 3, 4, 5].map(|s| vote(s, instance, log)).to_vec();
+        let mut aggregator = plane(8);
+        aggregator.me = ValidatorId::new(6);
+        aggregator.keypair = KeyCache::keypair(aggregator.me.key_seed());
+        note(&mut aggregator, &votes, &store);
+        let [Outgoing::Broadcast(cert)] = flush(&mut aggregator, &store)[..] else { panic!("one certificate") };
+        let Payload::Certificate { signers, agg, .. } = *cert.payload() else { unreachable!() };
+
+        let mut plane = plane(8);
+        let mut ctx = Context::new(Time::new(3), plane.me, Delta::new(8), store.clone(), Mempool::new());
+        let absorbed = plane.on_certificate(&cert, instance, log, signers, agg, &mut ctx);
+        assert_eq!(absorbed, signers.iter().collect::<Vec<_>>());
+        let forwarded = flush(&mut plane, &store);
+        assert!(matches!(forwarded.as_slice(), [Outgoing::Forward(m)] if *m == cert), "{forwarded:?}");
+    }
+
+    /// The retained bytes per buffered vote: a sender and a signature.
+    #[test]
+    fn a_buffered_vote_is_36_bytes() {
+        assert!(std::mem::size_of::<(ValidatorId, Signature)>() <= 36);
     }
 }

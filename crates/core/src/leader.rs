@@ -14,11 +14,11 @@
 //! the consequences (Lemmas 3–4).
 
 use std::cmp::Reverse;
-use std::collections::{btree_map::Entry, BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
-use tobsvd_crypto::{KeyCache, Vrf, VrfOutput, VrfProof};
+use tobsvd_crypto::{KeyCache, Signature, Vrf, VrfOutput, VrfProof};
 use tobsvd_sim::CryptoOps;
-use tobsvd_types::{BlockStore, Log, Payload, SignedMessage, ValidatorId, View};
+use tobsvd_types::{BlockStore, Log, Payload, SignedMessage, SignerSet, ValidatorId, View};
 
 /// Evaluates validator `v`'s VRF for `view` using the conventional
 /// deterministic key derivation (cached per process — evaluation costs
@@ -72,18 +72,28 @@ enum Verdict {
     Forged,
 }
 
-/// One proposal as received: the log and the VRF pair it *claims*.
+/// One proposal as received: the log and the VRF pair it *claims*, and
+/// the envelope signature, so the received message can be rebuilt byte
+/// for byte when it is relayed.
 #[derive(Clone, Copy, Debug)]
 struct Claim {
     log: Log,
     vrf: VrfOutput,
     proof: VrfProof,
+    sig: Signature,
     verdict: Verdict,
 }
 
 impl Claim {
     fn is(&self, log: &Log, vrf: &VrfOutput, proof: &VrfProof) -> bool {
         self.log == *log && self.vrf == *vrf && self.proof == *proof
+    }
+
+    /// The message this claim was recorded from: same payload, same
+    /// signature, hence the same id and the same bytes.
+    fn message(&self, sender: ValidatorId, view: View) -> SignedMessage {
+        let payload = Payload::Proposal { view, log: self.log, vrf: self.vrf, proof: self.proof };
+        SignedMessage::from_parts(sender, payload, self.sig)
     }
 }
 
@@ -168,45 +178,76 @@ impl Claims {
 /// receipt and dropping the forged ones: a sender is an equivocator iff
 /// it has two distinct VRF-valid logs, and only VRF-valid claims are
 /// ever picked or relayed.
+///
+/// Claims sit in a seat table indexed by validator, with the rule
+/// `tobsvd_ga::LogTracker` uses: a seat per index below
+/// [`SignerSet::CAPACITY`], an ordered side map at or beyond it. A claim
+/// is addressed by `(sender, slot)` (slot 0 or 1, in arrival order),
+/// which is all the relay buffer keeps.
 #[derive(Clone, Debug)]
 pub struct ProposalTracker {
     view: View,
-    claims: BTreeMap<ValidatorId, Claims>,
+    /// `seats[i]`: validator `i`'s claims, for `i < SignerSet::CAPACITY`;
+    /// grows to the highest index heard from.
+    seats: Vec<Option<Claims>>,
+    /// Claims of senders at or beyond `SignerSet::CAPACITY`.
+    far: BTreeMap<ValidatorId, Option<Claims>>,
 }
 
 impl ProposalTracker {
     /// Creates an empty tracker for `view` (the view the VRFs are
     /// verified against).
     pub fn new(view: View) -> Self {
-        ProposalTracker { view, claims: BTreeMap::new() }
+        ProposalTracker { view, seats: Vec::new(), far: BTreeMap::new() }
     }
 
-    /// Records `sender`'s proposal of `log` with its claimed VRF pair,
-    /// unverified. Returns whether the claim is new: a claim already
-    /// held, or a third distinct one from the sender (the gossip cap
-    /// lets neither through), is not recorded.
-    pub fn record(&mut self, sender: ValidatorId, log: Log, vrf: VrfOutput, proof: VrfProof) -> bool {
-        let claim = Claim { log, vrf, proof, verdict: Verdict::Unchecked };
-        match self.claims.entry(sender) {
-            Entry::Vacant(e) => {
-                e.insert(Claims { first: claim, second: None });
-                true
-            }
-            Entry::Occupied(mut e) => {
-                let held = e.get_mut();
-                if held.second.is_some() || held.slot(&log, &vrf, &proof).is_some() {
-                    return false;
-                }
-                // Same pair as the first claim: same verdict (see `check`).
-                let verdict = if (held.first.vrf, held.first.proof) == (vrf, proof) {
-                    held.first.verdict
-                } else {
-                    Verdict::Unchecked
-                };
-                held.second = Some(Box::new(Claim { verdict, ..claim }));
-                true
-            }
+    fn seat_mut(&mut self, v: ValidatorId) -> &mut Option<Claims> {
+        let i = v.index();
+        if i < SignerSet::CAPACITY && self.seats.len() <= i {
+            self.seats.resize_with(i + 1, || None);
         }
+        match self.seats.get_mut(i) {
+            Some(seat) => seat,
+            None => self.far.entry(v).or_default(),
+        }
+    }
+
+    fn held_mut(&mut self, v: ValidatorId) -> Option<&mut Claims> {
+        match self.seats.get_mut(v.index()) {
+            Some(seat) => seat.as_mut(),
+            None => self.far.get_mut(&v)?.as_mut(),
+        }
+    }
+
+    /// Records `msg`, a proposal for this tracker's view, as an
+    /// unverified claim. Returns the claim's slot if it is new: a claim
+    /// already held, a third distinct one from the sender (the gossip
+    /// cap lets neither through), or a message that is not a proposal
+    /// for this view is not recorded.
+    pub fn record(&mut self, msg: &SignedMessage) -> Option<usize> {
+        let Payload::Proposal { view, log, vrf, proof } = *msg.payload() else { return None };
+        if view != self.view {
+            return None;
+        }
+        let claim = Claim { log, vrf, proof, sig: *msg.signature(), verdict: Verdict::Unchecked };
+        let held = match self.seat_mut(msg.sender()) {
+            Some(held) => held,
+            vacant @ None => {
+                *vacant = Some(Claims { first: claim, second: None });
+                return Some(0);
+            }
+        };
+        if held.second.is_some() || held.slot(&log, &vrf, &proof).is_some() {
+            return None;
+        }
+        // Same pair as the first claim: same verdict (see `check`).
+        let verdict = if (held.first.vrf, held.first.proof) == (vrf, proof) {
+            held.first.verdict
+        } else {
+            Verdict::Unchecked
+        };
+        held.second = Some(Box::new(Claim { verdict, ..claim }));
+        Some(1)
     }
 
     /// Whether `sender`'s recorded claim of `(log, vrf, proof)` carries
@@ -221,7 +262,7 @@ impl ProposalTracker {
         ops: &mut CryptoOps,
     ) -> bool {
         let view = self.view;
-        let Some(held) = self.claims.get_mut(&sender) else {
+        let Some(held) = self.held_mut(sender) else {
             return false;
         };
         held.slot(log, vrf, proof).is_some_and(|slot| held.check(slot, sender, view, ops))
@@ -231,29 +272,36 @@ impl ProposalTracker {
     /// VRF-valid logs.
     pub fn is_equivocator(&mut self, v: ValidatorId, ops: &mut CryptoOps) -> bool {
         let view = self.view;
-        self.claims.get_mut(&v).is_some_and(|held| held.equivocate(v, view, ops))
+        self.held_mut(v).is_some_and(|held| held.equivocate(v, view, ops))
     }
 
     /// The valid proposal with the highest VRF value whose log extends
     /// `lock`, among non-equivocating proposers. Claims are tried
-    /// top-first out of a heap (no full sort), so the usual cost is the
-    /// top claim's one check.
+    /// top-first out of a heap (no full sort), and both the `extends`
+    /// walk and the VRF check are paid only for a claim that is tried:
+    /// the usual cost is the top claim's one walk and one check.
     pub fn best_extending(
         &mut self,
         lock: &Log,
         store: &BlockStore,
         ops: &mut CryptoOps,
     ) -> Option<(ValidatorId, Log)> {
-        let mut ranked: BinaryHeap<(Priority, Reverse<usize>)> = self
-            .claims
-            .iter()
-            .flat_map(|(v, held)| held.iter().map(move |(slot, c)| (*v, slot, c)))
-            .filter(|(_, _, c)| c.verdict != Verdict::Forged && c.log.extends(lock, store))
+        let dense = self.seats.iter().enumerate().map(|(i, seat)| (ValidatorId::new(i as u32), seat));
+        let mut ranked: BinaryHeap<(Priority, Reverse<usize>)> = dense
+            .chain(self.far.iter().map(|(v, seat)| (*v, seat)))
+            .filter_map(|(v, seat)| Some((v, seat.as_ref()?)))
+            .flat_map(|(v, held)| held.iter().map(move |(slot, c)| (v, slot, c)))
+            .filter(|(_, _, c)| c.verdict != Verdict::Forged)
             .map(|(v, slot, c)| ((c.vrf, Reverse(v)), Reverse(slot)))
             .collect();
         let view = self.view;
         while let Some(((_, Reverse(v)), Reverse(slot))) = ranked.pop() {
-            let Some(held) = self.claims.get_mut(&v) else { continue };
+            let Some(held) = self.held_mut(v) else { continue };
+            // Off the lock: skipped before its VRF is checked, exactly
+            // as a claim the eager `extends` filter dropped.
+            if !held.get(slot).is_some_and(|claim| claim.log.extends(lock, store)) {
+                continue;
+            }
             if held.check(slot, v, view, ops) && !held.equivocate(v, view, ops) {
                 return held.get(slot).map(|claim| (v, claim.log));
             }
@@ -262,42 +310,41 @@ impl ProposalTracker {
     }
 
     /// The proposal relays of a boundary flush over `pending` (the
-    /// view's proposal receptions since the last flush, in arrival
-    /// order), in forwarding order: every pending copy from an
-    /// equivocator (the evidence peers need to discard it too), then
-    /// the highest-priority valid pending proposal from a
-    /// non-equivocator if it outranks `best_relayed`, which it then
-    /// becomes. Candidates at or below `best_relayed` are never checked,
-    /// and the rest are tried top-first. Copies that are not recorded
-    /// claims are never relayed.
+    /// view's claims recorded since the last flush, as `(sender, slot)`
+    /// in arrival order), in forwarding order: every pending claim from
+    /// an equivocator (the evidence peers need to discard it too), then
+    /// the highest-priority valid pending claim from a non-equivocator
+    /// if it outranks `best_relayed`, which it then becomes. Candidates
+    /// at or below `best_relayed` are never checked, and the rest are
+    /// tried top-first. A relay is the received message rebuilt from
+    /// its claim; a reference to no claim is never relayed.
     pub fn relays(
         &mut self,
-        pending: &[SignedMessage],
+        pending: &[(ValidatorId, usize)],
         best_relayed: &mut Option<Priority>,
         ops: &mut CryptoOps,
     ) -> Vec<SignedMessage> {
         let view = self.view;
         let mut out = Vec::new();
         let mut ranked: BinaryHeap<(Priority, Reverse<usize>, usize)> = BinaryHeap::new();
-        for (i, msg) in pending.iter().enumerate() {
-            let Payload::Proposal { log, vrf, proof, .. } = msg.payload() else { continue };
-            let sender = msg.sender();
-            let Some(held) = self.claims.get_mut(&sender) else { continue };
-            let Some(slot) = held.slot(log, vrf, proof) else { continue };
+        for (i, &(sender, slot)) in pending.iter().enumerate() {
+            let Some(held) = self.held_mut(sender) else { continue };
+            let Some(vrf) = held.get(slot).map(|claim| claim.vrf) else { continue };
             if held.equivocate(sender, view, ops) {
-                out.push(*msg); // both of an equivocator's claims are valid
+                // Both of an equivocator's claims are valid.
+                out.extend(held.get(slot).map(|claim| claim.message(sender, view)));
                 continue;
             }
-            let prio = (*vrf, Reverse(sender));
+            let prio = (vrf, Reverse(sender));
             if best_relayed.map_or(true, |best| prio > best) {
                 ranked.push((prio, Reverse(i), slot));
             }
         }
-        while let Some((prio, Reverse(i), slot)) = ranked.pop() {
+        while let Some((prio, _, slot)) = ranked.pop() {
             let sender = prio.1 .0;
-            let held = self.claims.get_mut(&sender);
-            if held.is_some_and(|held| held.check(slot, sender, view, ops)) {
-                out.extend(pending.get(i).copied());
+            let Some(held) = self.held_mut(sender) else { continue };
+            if held.check(slot, sender, view, ops) {
+                out.extend(held.get(slot).map(|claim| claim.message(sender, view)));
                 *best_relayed = Some(prio);
                 break;
             }
@@ -379,6 +426,11 @@ mod tests {
         SignedMessage::sign(&kp, sender, Payload::Proposal { view, log, vrf, proof })
     }
 
+    /// Records a signed proposal of `log` for the tracker's view.
+    fn record(tr: &mut ProposalTracker, sender: ValidatorId, log: Log, vrf: VrfOutput, proof: VrfProof) -> Option<usize> {
+        tr.record(&proposal(sender, tr.view, log, vrf, proof))
+    }
+
     /// A claim above every genuine output, with a proof that cannot verify.
     fn forged_top() -> (VrfOutput, VrfProof) {
         let garbage = tobsvd_crypto::Digest::from_bytes([0xab; 32]);
@@ -396,12 +448,12 @@ mod tests {
         for i in 1..6 {
             let log = lock.extend_empty(&store, v(i), view);
             let (vrf, proof) = vrf_for(v(i), view);
-            assert!(tr.record(v(i), log, vrf, proof));
+            assert_eq!(record(&mut tr, v(i), log, vrf, proof), Some(0));
             genuine.push((vrf, v(i), log));
         }
         // Off the lock and claiming the top priority: never checked.
         let (vrf, proof) = forged_top();
-        tr.record(v(9), g.extend_empty(&store, v(9), view), vrf, proof);
+        record(&mut tr, v(9), g.extend_empty(&store, v(9), view), vrf, proof);
         let mut ops = CryptoOps::default();
         let (_, winner, log) = genuine.iter().copied().max_by_key(|(vrf, ..)| *vrf).unwrap();
         assert_eq!(tr.best_extending(&lock, &store, &mut ops), Some((winner, log)));
@@ -416,19 +468,16 @@ mod tests {
         let g = Log::genesis(&store);
         let view = View::new(1);
         let mut tr = ProposalTracker::new(view);
-        let mut pending = Vec::new();
+        let mut received = Vec::new();
         let (vrf, proof) = forged_top();
         let forged = proposal(v(7), view, g.extend_empty(&store, v(7), view), vrf, proof);
         for i in 1..4 {
             let (vrf, proof) = vrf_for(v(i), view);
-            pending.push(proposal(v(i), view, g.extend_empty(&store, v(i), view), vrf, proof));
+            received.push(proposal(v(i), view, g.extend_empty(&store, v(i), view), vrf, proof));
         }
-        pending.insert(1, forged);
-        for m in &pending {
-            let Payload::Proposal { log, vrf, proof, .. } = m.payload() else { unreachable!() };
-            assert!(tr.record(m.sender(), *log, *vrf, *proof));
-        }
-        let best = pending
+        received.insert(1, forged);
+        let pending: Vec<_> = received.iter().map(|m| (m.sender(), tr.record(m).unwrap())).collect();
+        let best = received
             .iter()
             .filter(|m| m.sender() != v(7))
             .max_by_key(|m| vrf_for(m.sender(), view).0)
@@ -437,7 +486,7 @@ mod tests {
         let mut ops = CryptoOps::default();
         let mut best_relayed = None;
         let relays = tr.relays(&pending, &mut best_relayed, &mut ops);
-        assert_eq!(relays, vec![best], "the forged claim is never relayed");
+        assert_eq!(relays, vec![best], "the forged claim is never relayed; the winner is the received copy");
         assert_eq!(ops.vrf_verifies, 2, "one check for the forger, one for the winner");
         let picked = tr.best_extending(&g, &store, &mut ops);
         assert_eq!(picked, best.payload().log().map(|log| (best.sender(), log)));
@@ -454,15 +503,15 @@ mod tests {
         let (vrf, proof) = vrf_for(v(1), view);
         let garbage = VrfProof(tobsvd_crypto::Digest::from_bytes([0xab; 32]));
         let mut tr = ProposalTracker::new(view);
-        assert!(tr.record(v(1), a, vrf, proof));
-        assert!(tr.record(v(1), b, vrf, garbage), "a second distinct claim is held");
+        assert_eq!(record(&mut tr, v(1), a, vrf, proof), Some(0));
+        assert_eq!(record(&mut tr, v(1), b, vrf, garbage), Some(1), "a second distinct claim is held");
         let mut ops = CryptoOps::default();
         assert!(!tr.is_equivocator(v(1), &mut ops));
         assert_eq!(ops.vrf_verifies, 2, "both logs are checked once");
         assert_eq!(tr.best_extending(&g, &store, &mut ops), Some((v(1), a)));
         assert_eq!(ops.vrf_verifies, 2);
         assert!(!tr.verify(v(1), &b, &vrf, &garbage, &mut ops), "the forged copy stays forged");
-        assert!(!tr.record(v(1), g, vrf, proof), "a third distinct claim is dropped");
+        assert_eq!(record(&mut tr, v(1), g, vrf, proof), None, "a third distinct claim is dropped");
     }
 
     #[test]
@@ -475,20 +524,65 @@ mod tests {
         let (vrf, proof) = vrf_for(v(1), view);
         let mut ops = CryptoOps::default();
         let mut tr = ProposalTracker::new(view);
-        tr.record(v(1), a, vrf, proof);
-        tr.record(v(1), b, vrf, proof);
+        let received = [proposal(v(1), view, a, vrf, proof), proposal(v(1), view, b, vrf, proof)];
+        let pending: Vec<_> = received.iter().map(|m| (m.sender(), tr.record(m).unwrap())).collect();
         assert!(tr.is_equivocator(v(1), &mut ops));
         assert_eq!(tr.best_extending(&g, &store, &mut ops), None);
         // Both copies are relayed as evidence, never as a best pick.
-        let pending = [proposal(v(1), view, a, vrf, proof), proposal(v(1), view, b, vrf, proof)];
         let mut best_relayed = None;
-        assert_eq!(tr.relays(&pending, &mut best_relayed, &mut ops), pending.to_vec());
+        assert_eq!(tr.relays(&pending, &mut best_relayed, &mut ops), received.to_vec());
         assert_eq!((best_relayed, ops.vrf_verifies), (None, 1), "one pair, one check");
         // A duplicate of the same proposal is not equivocation.
         let mut tr = ProposalTracker::new(view);
-        assert!(tr.record(v(1), a, vrf, proof));
-        assert!(!tr.record(v(1), a, vrf, proof), "already held");
+        assert_eq!(tr.record(&received[0]), Some(0));
+        assert_eq!(tr.record(&received[0]), None, "already held");
         assert!(!tr.is_equivocator(v(1), &mut ops));
         assert_eq!(tr.best_extending(&g, &store, &mut ops), Some((v(1), a)));
+    }
+
+    #[test]
+    fn a_proposal_for_another_view_is_not_recorded() {
+        let store = BlockStore::new();
+        let log = Log::genesis(&store).extend_empty(&store, v(1), View::new(4));
+        let (vrf, proof) = vrf_for(v(1), View::new(4));
+        let mut tr = ProposalTracker::new(View::new(5));
+        assert_eq!(tr.record(&proposal(v(1), View::new(4), log, vrf, proof)), None);
+        let kp = tobsvd_crypto::Keypair::from_seed(v(1).key_seed());
+        let vote = SignedMessage::sign(&kp, v(1), Payload::Log { instance: tobsvd_types::InstanceId(5), log });
+        assert_eq!(tr.record(&vote), None);
+        assert!(tr.seats.is_empty() && tr.far.is_empty());
+    }
+
+    #[test]
+    fn far_senders_are_claims_like_any_other() {
+        // Seats below `SignerSet::CAPACITY`, the side map at and beyond
+        // it: the same answers, and a relay rebuilds the received copy.
+        let store = BlockStore::new();
+        let g = Log::genesis(&store);
+        let view = View::new(2);
+        let mut tr = ProposalTracker::new(view);
+        let senders = [510u32, 511, 512, 513, 70_000].map(v);
+        let received: Vec<_> = senders
+            .iter()
+            .map(|s| {
+                let (vrf, proof) = vrf_for(*s, view);
+                proposal(*s, view, g.extend_empty(&store, *s, view), vrf, proof)
+            })
+            .collect();
+        let pending: Vec<_> = received.iter().map(|m| (m.sender(), tr.record(m).unwrap())).collect();
+        assert_eq!((tr.seats.len(), tr.far.len()), (512, 3));
+        let best = *received.iter().max_by_key(|m| vrf_for(m.sender(), view).0).unwrap();
+        let mut ops = CryptoOps::default();
+        assert_eq!(tr.relays(&pending, &mut None, &mut ops), vec![best]);
+        assert_eq!(tr.best_extending(&g, &store, &mut ops), best.payload().log().map(|l| (best.sender(), l)));
+        assert_eq!(ops.vrf_verifies, 1);
+    }
+
+    /// The retained bytes per sender: a claim holds the proposal's
+    /// fields once, signature included, and a second claim is boxed.
+    #[test]
+    fn a_seat_is_one_claim_wide() {
+        let fields = std::mem::size_of::<(Log, VrfOutput, VrfProof, Signature)>();
+        assert!(std::mem::size_of::<Option<Claims>>() <= fields + 16);
     }
 }

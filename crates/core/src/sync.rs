@@ -205,28 +205,31 @@ impl SyncState {
         if self.knows(log.tip()) {
             return Resolution::Resolved;
         }
-        let len = log.len();
-        let k = (len - 1).min(wire::INLINE_WINDOW);
-        let base_height = len - 1 - k;
-        let base = match store.ancestor_at(log.tip(), base_height) {
-            Some(id) => id,
-            // The reference does not resolve in the local store at all
-            // (runtime decode normally prevents this): everything below
-            // the tip is missing.
-            None => return Resolution::Missing(log.tip()),
-        };
+        // Walk the window down by parent links, one store lookup per
+        // window block; the block below it is the base. `Log` keeps
+        // `len == height(tip) + 1`, and the store holds no block without
+        // its parent, so the walk ends at height `len − 1 − k`.
+        let k = (log.len() - 1).min(wire::INLINE_WINDOW) as usize;
+        let mut window = [log.tip(); wire::INLINE_WINDOW as usize];
+        let mut base = log.tip();
+        for slot in window.iter_mut().take(k) {
+            *slot = base;
+            match store.get(base) {
+                Some(block) => base = block.parent(),
+                // The reference does not resolve in the local store at
+                // all (runtime decode normally prevents this):
+                // everything below the tip is missing.
+                None => return Resolution::Missing(log.tip()),
+            }
+        }
         if !self.knows(base) {
             return Resolution::Missing(base);
         }
         // Absorb the window, newest-last so the chain-known invariant
         // holds at every insertion. A block learned this way needs no
         // outstanding fetch anymore.
-        if k > 0 {
-            if let Some(ids) = store.chain_range(log.tip(), base_height + 1) {
-                for id in ids {
-                    self.learn(id);
-                }
-            }
+        for id in window.iter().take(k).rev() {
+            self.learn(*id);
         }
         Resolution::Resolved
     }

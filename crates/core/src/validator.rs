@@ -954,7 +954,7 @@ impl Validator {
                     self.ensure_ga(w).on_log(signer, *log);
                 }
             }
-            Payload::Proposal { view, log, vrf, proof } => {
+            Payload::Proposal { view, .. } => {
                 // An out-of-window proposal is dropped before it touches
                 // the per-view tracker, which only exists for live views.
                 if view.number() + 1 < current.number() || view.number() > current.number() + 1 {
@@ -967,12 +967,10 @@ impl Validator {
                 // no crypto at all.
                 let tracker =
                     self.proposals.entry(*view).or_insert_with(|| ProposalTracker::new(*view));
-                if !tracker.record(msg.sender(), *log, *vrf, *proof) {
-                    return;
-                }
+                let Some(slot) = tracker.record(msg) else { return };
                 self.archive_message(msg);
                 if let Some(plane) = self.agg.as_mut() {
-                    plane.note_proposal(*view, msg);
+                    plane.note_proposal(*view, msg.sender(), slot);
                 }
             }
             Payload::Vote { .. } => {} // not part of TOB-SVD

@@ -27,7 +27,7 @@ use tobsvd_types::{BlockStore, Delta, InstanceId, Log, Time, ValidatorId};
 
 use crate::ga2::deltas_since;
 use crate::support::{distinct_supporter_counts, highest_supported, maximal_passing};
-use crate::tracker::{LogTracker, TrackOutcome, VSnapshot};
+use crate::tracker::{LogTracker, TrackOutcome};
 
 /// Protocol duration in Δ.
 pub const MR_DURATION_DELTAS: u64 = 3;
@@ -45,7 +45,10 @@ pub struct MrGa {
     /// Received VOTE messages: (sender, voted log), up to two per sender.
     votes: Vec<(ValidatorId, Log)>,
     votes_per_sender: BTreeMap<ValidatorId, u8>,
-    snap_delta: Option<VSnapshot>,
+    /// `V^Δ`'s logs. Grade 1 counts them as they were at Δ, with no
+    /// intersection, so they are copied rather than kept as a
+    /// [`crate::VSnapshot`].
+    snap_delta: Option<Vec<(ValidatorId, Log)>>,
     /// Votes this validator should send, computed at 2Δ.
     pending_votes: Option<Vec<Log>>,
     /// Grade-0 outputs (maximal vote-supported logs — possibly several
@@ -117,7 +120,7 @@ impl MrGa {
         match k {
             1 => {
                 if self.snap_delta.is_none() {
-                    self.snap_delta = Some(self.tracker.snapshot());
+                    self.snap_delta = Some(self.tracker.v_entries().collect());
                 }
                 Vec::new()
             }
@@ -138,9 +141,7 @@ impl MrGa {
                 // Grade 1: |V^Δ_Λ| > |S^{3Δ}|/2 (no intersection with the
                 // current V — this is MR, not Figure 1).
                 if let Some(snap) = self.snap_delta.as_ref() {
-                    let entries: Vec<_> = snap.entries().collect();
-                    self.out1 =
-                        Some(highest_supported(&entries, self.tracker.s_len(), store));
+                    self.out1 = Some(highest_supported(snap, self.tracker.s_len(), store));
                 }
                 // Grade 0: majority of voters. A voter counts toward Λ if
                 // *any* of its (up to two) votes extends Λ — equivocating
@@ -282,6 +283,25 @@ mod tests {
         ga.on_vote(v(0), b);
         ga.on_vote(v(0), g); // third distinct vote ignored
         assert_eq!(ga.votes.len(), 2);
+    }
+
+    #[test]
+    fn equivocation_after_delta_still_counts_in_grade1() {
+        // MR's grade 1 is |V^Δ_Λ| > |S^{3Δ}|/2 with no intersection: a
+        // sender in V^Δ exposed as an equivocator after Δ still counts
+        // (Figure 1's grade 1 would drop it).
+        let (store, _, a, b) = setup();
+        let mut ga = MrGa::new(InstanceId(0), Time::ZERO);
+        for i in 0..3 {
+            ga.on_log(v(i), a);
+        }
+        ga.on_phase(t(1), delta(), &store);
+        ga.on_log(v(0), b);
+        ga.on_log(v(1), b);
+        assert!(ga.tracker().is_equivocator(v(0)) && ga.tracker().is_equivocator(v(1)));
+        ga.on_phase(t(2), delta(), &store);
+        ga.on_phase(t(3), delta(), &store);
+        assert_eq!(ga.output_grade1(), Some(a), "3 of S = 3 at Δ, equivocators included");
     }
 
     #[test]

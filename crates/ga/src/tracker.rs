@@ -15,6 +15,16 @@
 //! (no committee member, but §3.3 counts every `LOG` sender in `S`)
 //! sits in an ordered side map instead: no message can buy a large
 //! allocation.
+//!
+//! Figure 2 also stores two copies of `V` (`V^Δ`, `V^{2Δ}`) and later
+//! intersects each with the current `V`. A copy of the logs is not
+//! needed for that: a seat only ever moves Silent → One(Λ) →
+//! Equivocator, so a sender in `V^snap` that is not an equivocator now
+//! is still in `V` with the same Λ. A [`VSnapshot`] is therefore just
+//! *who* was in `V` — the running bitmap of `One` seats (64 bytes for
+//! the whole committee) plus the ids of far senders — and
+//! `V^snap ∩ V^now` is a word-wise AND with the current bitmap
+//! followed by one seat read per surviving sender.
 
 use std::collections::BTreeMap;
 
@@ -34,33 +44,32 @@ pub enum TrackOutcome {
     FromEquivocator,
 }
 
-/// An immutable snapshot of `V` at a point in time (`V^Δ`, `V^{2Δ}` …).
+/// Who was in `V` at a point in time (`V^Δ`, `V^{2Δ}` …); the logs are
+/// read back from the tracker by
+/// [`LogTracker::intersect_with_current`] (see the module docs for why
+/// that is exact).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VSnapshot {
-    /// Sorted by validator.
-    entries: Vec<(ValidatorId, Log)>,
+    /// Senders below [`SignerSet::CAPACITY`] in `V`.
+    ones: SignerSet,
+    /// Senders at or beyond the bound in `V`, ascending.
+    far: Vec<ValidatorId>,
 }
 
 impl VSnapshot {
-    /// The recorded (validator, log) pairs, in validator order.
-    pub fn entries(&self) -> impl Iterator<Item = (ValidatorId, Log)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// Number of recorded validators.
+    /// Number of validators in `V` at the snapshot.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ones.len() + self.far.len()
     }
 
-    /// Whether no log was recorded.
+    /// Whether `V` was empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ones.is_empty() && self.far.is_empty()
     }
 
-    /// The log recorded for `v`, if any.
-    pub fn get(&self, v: ValidatorId) -> Option<Log> {
-        let i = self.entries.binary_search_by_key(&v, |(w, _)| *w).ok()?;
-        self.entries.get(i).map(|(_, log)| *log)
+    /// Whether `v` was in `V`.
+    pub fn contains(&self, v: ValidatorId) -> bool {
+        self.ones.contains(v) || self.far.binary_search(&v).is_ok()
     }
 }
 
@@ -98,6 +107,8 @@ pub struct LogTracker {
     /// `seats[i]`: validator `i`'s seat, for `i < SignerSet::CAPACITY`;
     /// grows to the highest index heard from.
     seats: Vec<Seat>,
+    /// The indices of `seats` in state `One`: `V` as a bitmap.
+    ones: SignerSet,
     /// Seats of senders at or beyond `SignerSet::CAPACITY`.
     far: BTreeMap<ValidatorId, Seat>,
     v_len: usize,
@@ -117,23 +128,22 @@ impl LogTracker {
         }
     }
 
-    fn seat_mut(&mut self, v: ValidatorId) -> &mut Seat {
-        let i = v.index();
-        if i >= SignerSet::CAPACITY {
-            return self.far.entry(v).or_default();
-        }
-        if self.seats.len() <= i {
-            self.seats.resize(i + 1, Seat::Silent);
-        }
-        &mut self.seats[i]
-    }
-
     /// Records a `LOG` message from `sender` carrying `log`.
     pub fn on_log(&mut self, sender: ValidatorId, log: Log) -> TrackOutcome {
-        let seat = self.seat_mut(sender);
+        let i = sender.index();
+        // A far sender has no bit: `insert` declines it, `remove` skips it.
+        let seat = if i < SignerSet::CAPACITY {
+            if self.seats.len() <= i {
+                self.seats.resize(i + 1, Seat::Silent);
+            }
+            &mut self.seats[i]
+        } else {
+            self.far.entry(sender).or_default()
+        };
         match *seat {
             Seat::Silent => {
                 *seat = Seat::One(log);
+                self.ones.insert(sender);
                 self.v_len += 1;
                 self.s_len += 1;
                 TrackOutcome::Recorded
@@ -141,6 +151,7 @@ impl LogTracker {
             Seat::One(existing) if existing == log => TrackOutcome::Duplicate,
             Seat::One(_) => {
                 *seat = Seat::Equivocator;
+                self.ones.remove(sender);
                 self.v_len -= 1;
                 TrackOutcome::NewEquivocation
             }
@@ -148,21 +159,31 @@ impl LogTracker {
         }
     }
 
-    /// Takes an immutable snapshot of the current `V`.
+    /// Takes a snapshot of who is in `V` now.
     pub fn snapshot(&self) -> VSnapshot {
-        let mut entries = Vec::with_capacity(self.v_len);
-        entries.extend(self.v_entries());
-        VSnapshot { entries }
+        let far = self.far.iter().filter(|(_, seat)| matches!(seat, Seat::One(_))).map(|(v, _)| *v);
+        VSnapshot { ones: self.ones, far: far.collect() }
+    }
+
+    /// The current logs of `dense` (a subset of `ones`) and of those of
+    /// `far` still in `V`, in validator order.
+    fn logs_of<'a>(
+        &'a self,
+        dense: SignerSet,
+        far: impl Iterator<Item = ValidatorId> + 'a,
+    ) -> impl Iterator<Item = (ValidatorId, Log)> + 'a {
+        let one = |v: ValidatorId, seat: Option<&Seat>| match seat {
+            Some(Seat::One(log)) => Some((v, *log)),
+            _ => None,
+        };
+        let dense = dense.iter().filter_map(move |v| one(v, self.seats.get(v.index())));
+        dense.chain(far.filter_map(move |v| one(v, self.far.get(&v))))
     }
 
     /// Current `V` entries (non-equivocating unique logs), in validator
     /// order.
     pub fn v_entries(&self) -> impl Iterator<Item = (ValidatorId, Log)> + '_ {
-        let dense = self.seats.iter().enumerate().map(|(i, seat)| (ValidatorId::new(i as u32), seat));
-        dense.chain(self.far.iter().map(|(v, seat)| (*v, seat))).filter_map(|(v, seat)| match seat {
-            Seat::One(log) => Some((v, *log)),
-            _ => None,
-        })
+        self.logs_of(self.ones, self.far.keys().copied())
     }
 
     /// `|V|`.
@@ -181,15 +202,17 @@ impl LogTracker {
         self.seat(v) == Seat::Equivocator
     }
 
-    /// The pairs of `snapshot` whose senders are still in `V` now —
-    /// i.e. `V^snap ∩ V^now` as used by the time-shifted quorum on the
-    /// equivocator set (a pair survives iff its sender has not been
-    /// exposed as an equivocator since the snapshot).
+    /// The pairs of `V^snap ∩ V^now` as used by the time-shifted quorum
+    /// on the equivocator set: a sender of `snapshot` survives iff it
+    /// has not been exposed as an equivocator since, and then still
+    /// holds the log it held at the snapshot. In validator order.
     pub fn intersect_with_current<'a>(
         &'a self,
         snapshot: &'a VSnapshot,
     ) -> impl Iterator<Item = (ValidatorId, Log)> + 'a {
-        snapshot.entries().filter(move |(v, _)| !self.is_equivocator(*v))
+        let mut both = snapshot.ones;
+        both.intersect_with(&self.ones);
+        self.logs_of(both, snapshot.far.iter().copied())
     }
 }
 
@@ -247,7 +270,7 @@ mod tests {
         // Later equivocation does not alter the snapshot…
         t.on_log(ValidatorId::new(0), b);
         assert_eq!(snap.len(), 2);
-        assert_eq!(snap.get(ValidatorId::new(0)), Some(a));
+        assert!(snap.contains(ValidatorId::new(0)));
         // …but does filter the intersection with the current V.
         let alive: Vec<_> = t.intersect_with_current(&snap).collect();
         assert_eq!(alive, vec![(ValidatorId::new(1), g)]);
@@ -308,8 +331,10 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
         /// Random `on_log` streams (duplicates, equivocations, senders
-        /// ≥ 512): every answer and every snapshot equals the ordered
-        /// reference model's, after every step.
+        /// ≥ 512), after every step: every answer equals the ordered
+        /// reference model's, the running `One` bitmap equals the seats,
+        /// and every snapshot taken so far intersects with the current
+        /// `V` exactly as the reference's copied `V^snap ∩ V^now`.
         #[test]
         fn seats_answer_like_the_ordered_reference(
             stream in proptest::collection::vec((0..SENDERS.len(), 0usize..3, 0usize..4), 1..120),
@@ -323,6 +348,14 @@ mod tests {
                 proptest::prop_assert_eq!(t.on_log(v, logs[log]), r.on_log(v, logs[log]));
                 proptest::prop_assert_eq!(t.v_entries().collect::<Vec<_>>(), r.entries());
                 proptest::prop_assert_eq!((t.v_len(), t.s_len()), (r.v.len(), r.senders.len()));
+                let dense_ones: Vec<ValidatorId> = t
+                    .seats
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, seat)| matches!(seat, Seat::One(_)))
+                    .map(|(i, _)| ValidatorId::new(i as u32))
+                    .collect();
+                proptest::prop_assert_eq!(t.ones.iter().collect::<Vec<_>>(), dense_ones);
                 for w in SENDERS {
                     let w = ValidatorId::new(w);
                     proptest::prop_assert_eq!(t.is_equivocator(w), r.equivocators.contains(&w));
@@ -330,21 +363,30 @@ mod tests {
                 if snap_every == 0 {
                     snaps.push((t.snapshot(), r.entries()));
                 }
-                for (snap, want) in &snaps {
-                    proptest::prop_assert_eq!(snap.entries().collect::<Vec<_>>(), want.clone());
+                for (snap, copied) in &snaps {
+                    proptest::prop_assert_eq!(snap.len(), copied.len());
                     for w in SENDERS {
                         let w = ValidatorId::new(w);
-                        let got = want.iter().find(|(x, _)| *x == w).map(|(_, l)| *l);
-                        proptest::prop_assert_eq!(snap.get(w), got);
+                        proptest::prop_assert_eq!(snap.contains(w), copied.iter().any(|(x, _)| *x == w));
                     }
-                    let alive: Vec<_> = want
-                        .iter()
-                        .copied()
-                        .filter(|(w, _)| !r.equivocators.contains(w))
-                        .collect();
-                    proptest::prop_assert_eq!(t.intersect_with_current(snap).collect::<Vec<_>>(), alive);
+                    let now = r.entries();
+                    let both: Vec<_> = copied.iter().copied().filter(|pair| now.contains(pair)).collect();
+                    proptest::prop_assert_eq!(t.intersect_with_current(snap).collect::<Vec<_>>(), both);
                 }
             }
         }
+    }
+
+    /// The retained bytes of a snapshot: one bitmap for the whole
+    /// committee, plus the far senders' ids (none in a committee run).
+    #[test]
+    fn snapshot_is_a_bitmap_plus_far_ids() {
+        assert!(std::mem::size_of::<VSnapshot>() <= 64 + std::mem::size_of::<Vec<ValidatorId>>());
+        let (_, g, _, _) = fixtures();
+        let mut t = LogTracker::new();
+        for i in 0..SignerSet::CAPACITY as u32 {
+            t.on_log(ValidatorId::new(i), g);
+        }
+        assert_eq!(t.snapshot().far.capacity(), 0, "no far sender, no allocation");
     }
 }

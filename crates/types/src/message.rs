@@ -93,6 +93,14 @@ impl SignerSet {
         }
     }
 
+    /// Removes `v` (a no-op when absent or beyond the capacity).
+    pub fn remove(&mut self, v: ValidatorId) {
+        let i = v.index();
+        if let Some(w) = self.words.get_mut(i / 64) {
+            *w &= !(1u64 << (i % 64));
+        }
+    }
+
     /// Whether `v` is in the set.
     pub fn contains(&self, v: ValidatorId) -> bool {
         let i = v.index();
@@ -121,6 +129,13 @@ impl SignerSet {
         }
     }
 
+    /// Keeps only the signers also in `other`.
+    pub fn intersect_with(&mut self, other: &SignerSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= *b;
+        }
+    }
+
     /// Whether every signer's index is below `n` (a committee of `n`
     /// validators): the words are masked, no bit is walked.
     pub fn within(&self, n: usize) -> bool {
@@ -136,9 +151,10 @@ impl SignerSet {
 
     /// Ascending iterator over the member validator ids: per word, the
     /// lowest set bit is read off and cleared, so the cost follows the
-    /// number of signers, not the capacity.
-    pub fn iter(&self) -> impl Iterator<Item = ValidatorId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+    /// number of signers, not the capacity. It iterates a copy of the
+    /// words, so it does not borrow the set.
+    pub fn iter(&self) -> impl Iterator<Item = ValidatorId> {
+        self.words.into_iter().enumerate().flat_map(|(wi, word)| {
             std::iter::successors(Some(word), |w| Some(w & w.wrapping_sub(1)))
                 .take_while(|w| *w != 0)
                 .map(move |w| ValidatorId::new((wi * 64) as u32 + w.trailing_zeros()))
@@ -524,6 +540,23 @@ mod tests {
             assert!(got.windows(2).all(|w| w[0] < w[1]), "ascending");
             assert_eq!(got.len(), set.len());
         }
+    }
+
+    #[test]
+    fn remove_and_intersect_match_the_bitwise_definition() {
+        let a = SignerSet::from_words([0xf0f0, 0, u64::MAX, 1, 0, 7, 0, 1 << 63]);
+        let b = SignerSet::from_words([0x0ff0, 5, 1 << 7, 1, 0, 0, 3, u64::MAX]);
+        let mut both = a;
+        both.intersect_with(&b);
+        let want: Vec<_> = members_bit_by_bit(&a).into_iter().filter(|v| b.contains(*v)).collect();
+        assert_eq!(both.iter().collect::<Vec<_>>(), want);
+        let mut rest = a;
+        for v in members_bit_by_bit(&b) {
+            rest.remove(v);
+        }
+        rest.remove(ValidatorId::new(SignerSet::CAPACITY as u32));
+        let want: Vec<_> = members_bit_by_bit(&a).into_iter().filter(|v| !b.contains(*v)).collect();
+        assert_eq!(rest.iter().collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -372,14 +372,13 @@ pub fn encoded_len(msg: &SignedMessage, store: &BlockStore) -> Result<u64, WireE
             let mut n = 8 + 32 + 1 + 1 + 32 * a;
             if k > 0 {
                 n += 32;
-                let base_height = log.len() - 1 - k;
-                let ids = store
-                    .chain_range(log.tip(), base_height + 1)
-                    .ok_or(WireError::UnstoredChain)?;
-                for id in ids {
-                    let block = store.get(id).ok_or(WireError::UnstoredChain)?;
-                    n += block_body_len(&block);
-                }
+            }
+            // The window's blocks, by parent links from the tip.
+            let mut cur = log.tip();
+            for _ in 0..k {
+                let block = store.get(cur).ok_or(WireError::UnstoredChain)?;
+                n += block_body_len(&block);
+                cur = block.parent();
             }
             n
         }

@@ -11,8 +11,16 @@
 //! equivocation status and the flush's relay choice must agree — in a
 //! random order, so each query also meets claims the others have not
 //! checked yet. The streams mix genuine, forged-output, forged-proof,
-//! duplicate and equivocating claims for n ∈ {4, 64, 256}. The
-//! on-demand check count must never exceed the eager one.
+//! duplicate and equivocating claims for n ∈ {4, 64, 256}, from
+//! committees starting at 0 or straddling `SignerSet::CAPACITY` (the
+//! tracker's seats end there). The on-demand check count must never
+//! exceed the eager one. The flush relays from `(sender, slot)`
+//! references and must hand back the received messages themselves:
+//! same id, signature and payload.
+//!
+//! The vote input also checks `extends(lock)` lazily, claim by claim in
+//! the same top-first order; the fork test pins that this picks what
+//! the up-front `extends` filter picked, for the same VRF checks.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
@@ -22,7 +30,7 @@ use tob_svd::crypto::{Digest, Keypair, VrfOutput, VrfProof};
 use tob_svd::protocol::leader::{verify_vrf, vrf_for, Priority};
 use tob_svd::protocol::ProposalTracker;
 use tob_svd::sim::{garbage_bytes, CryptoOps};
-use tob_svd::types::{BlockStore, Log, Payload, SignedMessage, ValidatorId, View};
+use tob_svd::types::{BlockStore, Log, Payload, SignedMessage, SignerSet, ValidatorId, View};
 
 /// The view every claim is for.
 fn view() -> View {
@@ -166,9 +174,9 @@ fn logs(store: &BlockStore) -> Vec<Log> {
     vec![g, a, b, a2, b2, c]
 }
 
-/// Feeds `steps` through both trackers; returns the on-demand and the
-/// eager VRF check counts.
-fn run(n: u32, steps: &[Step]) -> Result<(u64, u64), TestCaseError> {
+/// Feeds `steps` from validators `first..first + n` through both
+/// trackers; returns the on-demand and the eager VRF check counts.
+fn run(first: u32, n: u32, steps: &[Step]) -> Result<(u64, u64), TestCaseError> {
     let store = BlockStore::new();
     let logs = logs(&store);
     let mut eager = EagerTracker::default();
@@ -181,7 +189,7 @@ fn run(n: u32, steps: &[Step]) -> Result<(u64, u64), TestCaseError> {
     let (mut eager_pending, mut pending) = (Vec::new(), Vec::new());
     let (mut eager_best, mut best) = (None, None);
     for (i, s) in steps.iter().enumerate() {
-        let sender = ValidatorId::new(s.sender % n);
+        let sender = ValidatorId::new(first + s.sender % n);
         // A proposal proposes a block on one of the set's logs.
         let log = logs[s.log].extend_empty(&store, sender, view());
         let (vrf, proof) = vrf_for(sender, view());
@@ -199,9 +207,9 @@ fn run(n: u32, steps: &[Step]) -> Result<(u64, u64), TestCaseError> {
             if eager.receive(&msg) {
                 eager_pending.push(msg);
             }
-            let Payload::Proposal { log, vrf, proof, .. } = *msg.payload() else { unreachable!() };
-            prop_assert!(tracker.record(sender, log, vrf, proof), "a fresh claim is new");
-            pending.push(msg);
+            let slot = tracker.record(&msg);
+            prop_assert!(slot.is_some(), "a fresh claim is new");
+            pending.extend(slot.map(|slot| (sender, slot)));
         }
         if !(s.boundary || i + 1 == steps.len()) {
             continue;
@@ -242,9 +250,10 @@ proptest! {
     #[test]
     fn on_demand_tracker_answers_like_the_eager_one(
         n in prop_oneof![Just(4u32), Just(64), Just(256)],
+        first in prop_oneof![Just(0u32), Just(SignerSet::CAPACITY as u32 - 2)],
         steps in proptest::collection::vec(step(), 1..400),
     ) {
-        run(n, &steps)?;
+        run(first, n, &steps)?;
     }
 }
 
@@ -263,6 +272,94 @@ fn honest_view_costs_one_check_instead_of_n() {
             first: 0,
         })
         .collect();
-    let checks = run(256, &steps).expect("agrees with the eager tracker");
+    let checks = run(0, 256, &steps).expect("agrees with the eager tracker");
     assert_eq!(checks, (1, 256));
+}
+
+/// The vote input with `extends` filtered up front, the parent's way:
+/// keep the unforged claims that extend the lock, then try them
+/// top-first — check the VRF, then the sender's equivocation.
+fn eager_filter_best_extending(
+    claims: &[SignedMessage],
+    lock: &Log,
+    store: &BlockStore,
+    ops: &mut CryptoOps,
+) -> Option<(ValidatorId, Log)> {
+    let mut verdicts: BTreeMap<(ValidatorId, VrfOutput, Digest), bool> = BTreeMap::new();
+    let mut valid = |sender: ValidatorId, vrf: VrfOutput, proof: VrfProof, ops: &mut CryptoOps| {
+        *verdicts.entry((sender, vrf, proof.0)).or_insert_with(|| {
+            ops.vrf_verifies += 1;
+            verify_vrf(sender, view(), &vrf, &proof)
+        })
+    };
+    let mut ranked: Vec<(Priority, Log, VrfProof)> = claims
+        .iter()
+        .filter_map(|m| match *m.payload() {
+            Payload::Proposal { log, vrf, proof, .. } => Some(((vrf, Reverse(m.sender())), log, proof)),
+            _ => None,
+        })
+        .filter(|(_, log, _)| log.extends(lock, store))
+        .collect();
+    ranked.sort_by_key(|(prio, ..)| Reverse(*prio));
+    for ((vrf, Reverse(sender)), log, proof) in ranked {
+        if !valid(sender, vrf, proof, ops) {
+            continue;
+        }
+        let mut own = claims.iter().filter(|m| m.sender() == sender).filter_map(|m| match *m.payload() {
+            Payload::Proposal { log, vrf, proof, .. } => Some((log, vrf, proof)),
+            _ => None,
+        });
+        let (Some(a), Some(b)) = (own.next(), own.next()) else { return Some((sender, log)) };
+        if a.0 == b.0 || !valid(sender, a.1, a.2, ops) || !valid(sender, b.1, b.2, ops) {
+            return Some((sender, log));
+        }
+    }
+    None
+}
+
+/// Forks where the top claims do not extend the lock: the lazy check
+/// walks past them without checking their VRFs, and picks the same vote
+/// input as the up-front filter for the same number of checks — with a
+/// forged claim and an equivocator among the extending ones, and off
+/// the lock.
+#[test]
+fn lazy_extends_picks_like_the_eager_filter_on_forks() {
+    let store = BlockStore::new();
+    let logs = logs(&store);
+    let (g, a, b, a2) = (logs[0], logs[1], logs[2], logs[3]);
+    for (n, off_lock) in [(8u32, 3usize), (64, 20), (256, 200)] {
+        let mut ranked: Vec<ValidatorId> = (0..n).map(ValidatorId::new).collect();
+        ranked.sort_by_key(|v| Reverse(vrf_for(*v, view()).0));
+        let mut claims = Vec::new();
+        for (rank, sender) in ranked.iter().copied().enumerate() {
+            let (vrf, proof) = vrf_for(sender, view());
+            // The top `off_lock` claims sit on fork b, the rest on a.
+            let parent = if rank < off_lock { b } else { a };
+            claims.push(proposal(sender, parent.extend_empty(&store, sender, view()), vrf, proof));
+            if rank == off_lock {
+                // The best extending sender equivocates on the lock.
+                claims.push(proposal(sender, a2.extend_empty(&store, sender, view()), vrf, proof));
+            }
+        }
+        // A forged top claim, once off the lock and once on it.
+        let garbage = Digest::from_bytes(garbage_bytes(n.into(), 1));
+        let top = VrfOutput(Digest::from_bytes([0xff; 32]));
+        let forger = ValidatorId::new(n);
+        claims.push(proposal(forger, b.extend_empty(&store, forger, view()), top, VrfProof(garbage)));
+        let forger = ValidatorId::new(n + 1);
+        claims.push(proposal(forger, a.extend_empty(&store, forger, view()), top, VrfProof(garbage)));
+
+        for lock in [a, g, b] {
+            let mut tracker = ProposalTracker::new(view());
+            for m in &claims {
+                assert!(tracker.record(m).is_some());
+            }
+            let (mut lazy_ops, mut eager_ops) = (CryptoOps::default(), CryptoOps::default());
+            let got = tracker.best_extending(&lock, &store, &mut lazy_ops);
+            let want = eager_filter_best_extending(&claims, &lock, &store, &mut eager_ops);
+            assert!(want.is_some(), "n = {n}: some claim extends {lock:?}");
+            assert_eq!(got, want, "n = {n}, lock {lock:?}: vote input");
+            assert_eq!(lazy_ops.vrf_verifies, eager_ops.vrf_verifies, "n = {n}, lock {lock:?}: VRF checks");
+        }
+    }
 }
