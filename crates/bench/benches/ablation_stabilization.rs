@@ -17,7 +17,7 @@
 //! The measured votes-per-view of the napping group quantifies the
 //! stabilization requirement.
 
-use tobsvd_analysis::Table;
+use tobsvd_bench::analysis::Table;
 use tobsvd_core::{TobSimulationBuilder, TxWorkload};
 use tobsvd_sim::{ParticipationSchedule, WorstCaseDelay};
 use tobsvd_types::{Delta, Time, ValidatorId};

@@ -16,7 +16,7 @@
 //! reflects (printed from the spec, not measured — they are not
 //! implemented as full message-passing protocols; see DESIGN.md §4).
 
-use tobsvd_analysis::{fit_power_law, Table};
+use tobsvd_bench::analysis::{fit_power_law, Table};
 use tobsvd_bench::run_tobsvd;
 use tobsvd_core::TxWorkload;
 

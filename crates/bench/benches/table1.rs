@@ -16,9 +16,9 @@
 //!   case (reported at the run's actual good-leader fraction, alongside
 //!   the model evaluated at that same fraction for validation).
 
-use tobsvd_analysis::{Summary, Table};
-use tobsvd_baselines::{
-    closed_form_expected, closed_form_tx_expected, phases_per_block, spec::all_specs,
+use tobsvd_bench::analysis::{Summary, Table};
+use tobsvd_bench::baselines::{
+    all_specs, closed_form_expected, closed_form_tx_expected, phases_per_block,
 };
 use tobsvd_bench::{mean, run_tobsvd};
 use tobsvd_core::TxWorkload;

@@ -1,4 +1,4 @@
-//! Shared helpers of the paper-artifact regenerators.
+//! The paper-artifact regenerators and what they share.
 //!
 //! The `benches/` targets of this crate regenerate the tables and
 //! figures of the paper — and nothing else; performance is measured by
@@ -12,9 +12,15 @@
 //! | `ablation_stabilization` | §2/§6.3 stabilization-period ablation |
 //!
 //! Run them with `cargo bench -p tobsvd-bench` (or a specific
-//! `--bench` target).
+//! `--bench` target). Each prints its artifact and then asserts its
+//! shape. [`baselines`] holds the six compared protocols' Table 1
+//! constants and the view process that regenerates them, [`analysis`]
+//! the summary, table and power-law fit they print through.
 
 #![forbid(unsafe_code)]
+
+pub mod analysis;
+pub mod baselines;
 
 use tobsvd_adversary::SplitBrainNode;
 use tobsvd_core::{TobConfig, TobReport, TobSimulationBuilder, TxWorkload};

@@ -3,12 +3,12 @@
 //! Every execution index `i` derives its own RNG from
 //! `splitmix(master_seed, i)`, samples one [`CheckScenario`] from the
 //! configured [`ScenarioSpace`] and runs it with the invariant bundle
-//! installed. Indices are distributed over `tobsvd-sweep`'s scoped
-//! work-stealing threads ([`tobsvd_sweep::run_indexed`]); since each
-//! execution is a pure function of `(master_seed, i)`, the report — and
-//! its order-sensitive fingerprint — is bit-identical for any thread
-//! count.
+//! installed. Indices are distributed over scoped work-stealing threads
+//! (`run_indexed`); since each execution is a pure function of
+//! `(master_seed, i)`, the report — and its order-sensitive fingerprint
+//! — is bit-identical for any thread count.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -138,6 +138,53 @@ fn fold_fingerprint(acc: u64, verdict: &ExecutionVerdict) -> u64 {
 /// folds from.
 const FINGERPRINT_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// Deterministic parallel fan-out over an index range: computes `f(i)`
+/// for every `i in 0..count` on `threads` scoped worker threads (`0` =
+/// one per available core) and returns the results in index order.
+///
+/// Workers pull the next index from an atomic counter and keep
+/// `(i, f(i))` pairs; sorting the pairs by index restores order, so as
+/// long as `f` is a pure function of `i` the output is bit-identical
+/// for any thread count. The counter publishes nothing (results come
+/// back through `join`), hence `Relaxed`. A panic in `f` resumes on the
+/// caller.
+fn run_indexed<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut pairs: Vec<(usize, T)> = std::thread::scope(|s| {
+        let workers: Vec<_> =
+            (0..effective_threads(threads, count)).map(|_| s.spawn(work)).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    });
+    pairs.sort_unstable_by_key(|(i, _)| *i);
+    pairs.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Resolves a requested worker count (`0` = one per available core)
+/// against the amount of work, exactly as [`run_indexed`] will: at
+/// least 1, at most one per work item.
+fn effective_threads(requested: usize, work: usize) -> usize {
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = if requested == 0 { available } else { requested };
+    threads.clamp(1, work.max(1))
+}
+
 /// Runs executions `start..start + count` of the (conceptually
 /// unbounded) exploration stream defined by `cfg.seed` and `cfg.space`,
 /// folding verdicts into a fingerprint starting from `basis` (so
@@ -150,12 +197,11 @@ fn run_range(cfg: &CheckConfig, start: usize, count: usize, basis: u64) -> Check
     // digests and never observe it.
     #[allow(clippy::disallowed_methods)]
     let t0 = Instant::now();
-    let outcomes: Vec<(CheckScenario, ExecutionVerdict)> =
-        tobsvd_sweep::run_indexed(count, cfg.threads, |i| {
-            let scenario = scenario_at(cfg, start + i);
-            let verdict = scenario.run();
-            (scenario, verdict)
-        });
+    let outcomes: Vec<(CheckScenario, ExecutionVerdict)> = run_indexed(count, cfg.threads, |i| {
+        let scenario = scenario_at(cfg, start + i);
+        let verdict = scenario.run();
+        (scenario, verdict)
+    });
 
     let mut failures = Vec::new();
     let mut total_decided_blocks = 0;
@@ -175,7 +221,7 @@ fn run_range(cfg: &CheckConfig, start: usize, count: usize, basis: u64) -> Check
         total_decided_blocks,
         total_executed_ticks,
         fingerprint,
-        threads: tobsvd_sweep::effective_threads(cfg.threads, count),
+        threads: effective_threads(cfg.threads, count),
         wall: t0.elapsed(),
     }
 }
@@ -222,7 +268,7 @@ pub fn run_until_failure(cfg: &CheckConfig, batch: usize, max_executions: usize)
         total_decided_blocks,
         total_executed_ticks,
         fingerprint,
-        threads: tobsvd_sweep::effective_threads(cfg.threads, batch.max(1)),
+        threads: effective_threads(cfg.threads, batch.max(1)),
         wall: t0.elapsed(),
     }
 }
@@ -230,6 +276,25 @@ pub fn run_until_failure(cfg: &CheckConfig, batch: usize, max_executions: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_indexed_preserves_order_for_any_thread_count() {
+        let f = |i: usize| i * i + 1;
+        let serial: Vec<usize> = run_indexed(37, 1, f);
+        for threads in [0, 2, 5, 64] {
+            assert_eq!(run_indexed(37, threads, f), serial, "threads={threads}");
+        }
+        assert_eq!(serial[6], 37);
+        assert!(run_indexed(0, 4, f).is_empty());
+    }
+
+    #[test]
+    fn thread_count_is_clamped_to_work() {
+        assert_eq!(effective_threads(16, 3), 3);
+        assert_eq!(effective_threads(2, 10), 2);
+        assert!(effective_threads(0, 100) >= 1);
+        assert_eq!(effective_threads(4, 0), 1);
+    }
 
     #[test]
     fn clean_space_produces_no_failures() {

@@ -31,9 +31,9 @@
 //!   self-stabilization plane's per-phase local audits must detect and
 //!   repair the damage — guarded by the end-of-run
 //!   [`Reconvergence::STATE`] check.
-//! * [`checker::run`] explores on `tobsvd-sweep`'s scoped-thread
-//!   work-stealing runner — one derived RNG per execution, so reports
-//!   (and their fingerprints) are bit-identical for any thread count.
+//! * [`checker::run`] explores on scoped work-stealing threads — one
+//!   derived RNG per execution, so reports (and their fingerprints) are
+//!   bit-identical for any thread count.
 //! * Executions carry the first-class `Invariant` bundle from
 //!   `tobsvd-sim` (prefix agreement, decision monotonicity, conflicting
 //!   anchor) plus [`BoundedDecisionLatency`] on fault-free scenarios,

@@ -51,8 +51,7 @@ pub enum TxWorkload {
     /// [`tobsvd_sim::Mempool::admit`] with real fees and client
     /// identities, so combining this with
     /// [`TobSimulationBuilder::admission`] exercises capacity
-    /// shedding, priority eviction and per-client rate caps — the
-    /// overload rows of the sweep matrix.
+    /// shedding, priority eviction and per-client rate caps.
     ///
     /// The generator draws from its own dedicated RNG stream
     /// (`seed ^ 0x0c11_e475`), leaving the legacy workload stream
@@ -715,7 +714,8 @@ mod tests {
 
     #[test]
     fn open_loop_overload_sheds_at_bounded_capacity() {
-        let spec = OpenLoopSpec {
+        // Mempool saturation: arrivals far beyond a small capacity.
+        let saturation = OpenLoopSpec {
             users: 100_000,
             zipf_milli: 1_100,
             rate_milli: 6_000,
@@ -725,21 +725,40 @@ mod tests {
             tx_bytes: 32,
             fee_levels: 8,
         };
-        let report = TobSimulationBuilder::new(5)
-            .views(8)
-            .seed(11)
-            .workload(TxWorkload::OpenLoop(spec))
-            .admission(AdmissionPolicy { capacity: 256, rate_cap: 0, rate_window: 1 })
-            .run()
-            .expect("runs");
-        report.assert_safety();
-        let adm = report.admission();
-        // Overload: shedding and/or priority eviction must kick in, and
-        // pending occupancy never exceeded the hard capacity.
-        assert!(adm.busy + adm.evicted > 0, "no backpressure under overload: {adm:?}");
-        assert!(adm.pending_peak <= 256, "capacity breached: {adm:?}");
-        // The system still makes progress and confirms transactions.
-        assert!(!report.tx_latencies_deltas().is_empty());
+        // Slow clients: a small population whose bursts outrun a
+        // per-client rate cap long before the pool fills.
+        let slow_clients = OpenLoopSpec {
+            users: 64,
+            rate_milli: 8_000,
+            burst_every: 32,
+            burst_len: 16,
+            burst_mult: 16,
+            ..OpenLoopSpec::default()
+        };
+        for (spec, policy) in [
+            (saturation, AdmissionPolicy { capacity: 256, rate_cap: 0, rate_window: 1 }),
+            (slow_clients, AdmissionPolicy { capacity: 4096, rate_cap: 4, rate_window: 16 }),
+        ] {
+            let report = TobSimulationBuilder::new(5)
+                .views(8)
+                .seed(11)
+                .workload(TxWorkload::OpenLoop(spec))
+                .admission(policy)
+                .run()
+                .expect("runs");
+            report.assert_safety();
+            let adm = report.admission();
+            // Overload: the policy's lever must shed, and pending
+            // occupancy never exceeded the hard capacity.
+            if policy.rate_cap > 0 {
+                assert!(adm.rate_limited > 0, "per-client rate cap never tripped: {adm:?}");
+            } else {
+                assert!(adm.busy + adm.evicted > 0, "no backpressure under overload: {adm:?}");
+            }
+            assert!(adm.pending_peak <= policy.capacity as u64, "capacity breached: {adm:?}");
+            // The system still makes progress and confirms transactions.
+            assert!(!report.tx_latencies_deltas().is_empty());
+        }
     }
 
     #[test]

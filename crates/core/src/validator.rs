@@ -283,8 +283,8 @@ impl Validator {
     }
 
     /// Whether `msg` has passed signature verification at this validator
-    /// (layered protocols — e.g. the finality gadget — reuse the base
-    /// validator's verification instead of re-checking signatures).
+    /// (its id is filed in the dedup table, which files only verified
+    /// ids).
     pub fn is_verified(&self, msg: &SignedMessage) -> bool {
         self.gossip.is_verified(msg)
     }
@@ -977,8 +977,7 @@ impl Validator {
             Payload::Recovery { from_view, .. } => {
                 self.serve_recovery(msg.sender(), *from_view, ctx);
             }
-            // Finality votes belong to the gadget layered on top
-            // (tobsvd-finality); the base protocol ignores them.
+            // Not part of TOB-SVD: decoded like any payload, then ignored.
             Payload::FinalityVote { .. } => {}
             // Handled one layer up, before the resolution gate.
             Payload::BlockRequest { .. } | Payload::BlockResponse { .. } => {}

@@ -10,7 +10,7 @@
 //!
 //! A *global* cache is sound here precisely because derivation is pure:
 //! two lookups of the same seed can never disagree, so sharing the table
-//! across validators (and across simulations in a parallel sweep) only
+//! across validators (and across the model checker's parallel runs) only
 //! deduplicates work. The cache is append-only and read-mostly: the hot
 //! path is a shared-lock hash lookup; the miss path derives outside any
 //! lock and publishes under the write lock (idempotent on races).

@@ -272,7 +272,6 @@ pub struct SimulationBuilder {
     crashes: Vec<(ValidatorId, Time, Time)>,
     state_faults: Vec<(ValidatorId, Time, StateFault)>,
     drop_while_asleep: bool,
-    max_delay_factor: u64,
     advance: AdvanceMode,
     invariants: Vec<Box<dyn Invariant>>,
 }
@@ -298,7 +297,6 @@ impl SimulationBuilder {
             nodes: (0..n).map(|_| None).collect(),
             byz_at_start: vec![false; n],
             drop_while_asleep: false,
-            max_delay_factor: 1,
             advance: AdvanceMode::default(),
             invariants: Vec::new(),
             cfg,
@@ -326,17 +324,6 @@ impl SimulationBuilder {
     /// protocol to catch up.
     pub fn drop_while_asleep(mut self, drop: bool) -> Self {
         self.drop_while_asleep = drop;
-        self
-    }
-
-    /// Lifts the synchrony clamp: delay policies may return up to
-    /// `factor`·Δ. With `factor > 1` the network is (temporarily)
-    /// *asynchronous* — the setting of the ebb-and-flow experiments,
-    /// where the dynamically available chain loses its guarantees and
-    /// only the finality gadget's checkpoints remain safe.
-    pub fn max_delay_factor(mut self, factor: u64) -> Self {
-        assert!(factor >= 1, "factor must be at least 1");
-        self.max_delay_factor = factor;
         self
     }
 
@@ -502,7 +489,6 @@ impl SimulationBuilder {
             sent_this_tick: Vec::new(),
             target_marks: vec![false; self.cfg.n],
             drop_while_asleep: self.drop_while_asleep,
-            max_delay_factor: self.max_delay_factor,
             advance: self.advance,
             pruned_len: 1,
             invariants: self.invariants,
@@ -569,8 +555,6 @@ pub struct Simulation {
     /// When set, messages delivered to asleep validators are dropped
     /// instead of buffered (the §2 practical setting).
     drop_while_asleep: bool,
-    /// Delay clamp ceiling as a multiple of Δ (1 = synchronous).
-    max_delay_factor: u64,
     /// Time-advancement strategy (see [`AdvanceMode`]).
     advance: AdvanceMode,
     /// Length of the decided-anchor prefix already pruned from the
@@ -1156,7 +1140,7 @@ impl Simulation {
             }
             self.delay
                 .delay(msg, from, to, self.time, delta, &mut self.rng)
-                .clamp(1, delta.ticks().saturating_mul(self.max_delay_factor))
+                .clamp(1, delta.ticks())
         };
         // Appending is scheduling: bucket order is event order.
         let spare = &mut self.spare_buckets;
@@ -1730,7 +1714,7 @@ mod tests {
 
     /// A deliberately out-of-spec delay policy: returns `0` for copies to
     /// even validators and `u64::MAX` for odd ones. The engine must clamp
-    /// both into `[1, Δ·max_delay_factor]`.
+    /// both into `[1, Δ]`.
     struct OutOfSpecDelay;
     impl crate::network::DelayPolicy for OutOfSpecDelay {
         fn delay(
@@ -1777,25 +1761,6 @@ mod tests {
             // the message past the horizon.
             assert_eq!(ping_received(&sim, v).len(), 3);
         }
-    }
-
-    #[test]
-    fn out_of_spec_delays_respect_lifted_clamp_ceiling() {
-        let cfg = SimConfig::new(2).with_seed(9);
-        let factor = 3;
-        let mut b = Simulation::builder(cfg)
-            .max_delay_factor(factor)
-            .delay(Box::new(OutOfSpecDelay));
-        for v in ValidatorId::all(2) {
-            b = b.node(v, Box::new(PingNode::new(v)));
-        }
-        let mut sim = b.build();
-        sim.run_until(Time::new(8 * factor + 8));
-        // v1 receives v0's copy at exactly Δ·factor.
-        let recv = ping_received(&sim, ValidatorId::new(1));
-        let from_v0: Vec<_> = recv.iter().filter(|(_, s)| s.index() == 0).collect();
-        assert_eq!(from_v0.len(), 1);
-        assert_eq!(from_v0[0].0.ticks(), 8 * factor);
     }
 
     fn build_ping_sim_mode(n: usize, seed: u64, mode: AdvanceMode) -> Simulation {

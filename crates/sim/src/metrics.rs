@@ -32,7 +32,7 @@ pub enum MessageKind {
     Vote,
     /// `RECOVERY` request (§2 recovery protocol).
     Recovery,
-    /// Finality-gadget vote (ebb-and-flow extension).
+    /// Finality vote (`Payload::FinalityVote`; no validator sends one).
     FinalityVote,
     /// Delta-sync block fetch request.
     BlockRequest,

@@ -15,10 +15,9 @@ pub trait DelayPolicy: Send {
     /// Delay for the copy of `msg` sent by `from` to `to` at time `at`.
     ///
     /// Implementations must return a value in `[1, delta.ticks()]`; the
-    /// engine clamps out-of-range values defensively into
-    /// `[1, Δ · max_delay_factor]` (factor 1 unless the builder lifted
-    /// the synchrony clamp), so a buggy policy returning `0` or
-    /// `u64::MAX` cannot produce same-tick or unbounded delivery.
+    /// engine clamps out-of-range values defensively into `[1, Δ]`, so a
+    /// buggy policy returning `0` or `u64::MAX` cannot produce same-tick
+    /// or unbounded delivery.
     fn delay(
         &mut self,
         msg: &SignedMessage,

@@ -28,9 +28,8 @@ use rand::{Rng, SeedableRng};
 use tobsvd_types::{Time, Transaction};
 
 /// Parameters of an open-loop workload. All-integer (fixed-point in
-/// milli-units where fractional values are useful) so specs are `Copy`,
-/// `Eq` and hashable — sweep matrices and scenario labels need that.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// milli-units where fractional values are useful) so specs are `Copy`.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OpenLoopSpec {
     /// Distinct users in the population (sampled, never materialized).
     pub users: u64,
@@ -68,21 +67,6 @@ impl Default for OpenLoopSpec {
 }
 
 impl OpenLoopSpec {
-    /// Compact human-readable label for sweep rows and scenario names.
-    pub fn label(&self) -> String {
-        format!(
-            "open{}u-z{}-r{}{}",
-            self.users,
-            self.zipf_milli,
-            self.rate_milli,
-            if self.burst_every > 0 {
-                format!("-b{}x{}", self.burst_every, self.burst_mult)
-            } else {
-                String::new()
-            }
-        )
-    }
-
     /// Arrival rate (milli-tx per tick) in effect at `tick`, accounting
     /// for bursts.
     pub fn rate_milli_at(&self, tick: u64) -> u64 {

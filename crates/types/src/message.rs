@@ -210,10 +210,10 @@ pub enum Payload {
         /// The requester's highest decided log.
         log: Log,
     },
-    /// Finality-gadget vote (the ebb-and-flow construction the paper's
-    /// introduction points to): a vote to finalize the sender's decided
-    /// log as the checkpoint of `epoch`. Two different votes for one
-    /// epoch are equivocation evidence.
+    /// A vote to finalize `log` as the checkpoint of `epoch`, as an
+    /// ebb-and-flow finality layer (the paper's introduction) would send.
+    /// Nothing in this workspace sends one and the base protocol ignores
+    /// it; the variant keeps its wire tag 4 in the codec.
     FinalityVote {
         /// The finality epoch.
         epoch: u64,

@@ -10,19 +10,25 @@ use tob_svd::sim::compliance::{check, SleepyParams};
 use tob_svd::sim::{CorruptionSchedule, WorstCaseDelay};
 use tob_svd::types::{Delta, View};
 
+/// Run at n = 6 and, for 3 views, at n = 128 and 256: the committee
+/// sizes the aggregation plane exists for. Certificates (on by default)
+/// keep a view's traffic at O(n²), so those runs cost seconds.
 #[test]
 fn fault_free_chain_grows_every_view() {
-    let report = TobSimulationBuilder::new(6)
-        .views(15)
-        .seed(1)
-        .delay(Box::new(WorstCaseDelay))
-        .run()
-        .expect("runs");
-    report.assert_safety();
-    // Every view has a good leader; decisions lag proposals by 6Δ, so at
-    // least views − 1 blocks are decided within the horizon.
-    assert!(report.decided_blocks() >= report.views - 1);
-    assert!((report.good_leader_fraction() - 1.0).abs() < f64::EPSILON);
+    for (n, views) in [(6, 15), (128, 3), (256, 3)] {
+        let report = TobSimulationBuilder::new(n)
+            .views(views)
+            .seed(1)
+            .delay(Box::new(WorstCaseDelay))
+            .run()
+            .expect("runs");
+        report.assert_safety();
+        // Every view has a good leader; decisions lag proposals by 6Δ, so
+        // at least views − 1 blocks are decided within the horizon.
+        assert!(report.decided_blocks() >= report.views - 1, "n = {n}");
+        assert!((report.good_leader_fraction() - 1.0).abs() < f64::EPSILON, "n = {n}");
+        assert!(report.report.metrics.certificate_broadcasts > 0, "n = {n}");
+    }
 }
 
 #[test]
