@@ -8,17 +8,18 @@
 //! **is** the paper's protocol (Table 1's O(L·n³)); `Some` defers the
 //! relay-heavy payloads ([`AggregationPlane::defers`]) to the next
 //! phase boundary and collapses quorate vote groups into certificates.
-//! All state that only means something in certificate mode lives here.
+//! Its per-view state, the vote groups and the proposal relay buffer,
+//! lives in the validator's window (`crate::window::ViewState`) and is
+//! retired with the rest of the view; only this module sees inside it.
 //! GA state stays with the validator: [`AggregationPlane::on_certificate`]
 //! returns the signers it authenticated and the caller absorbs them.
 
-use std::collections::BTreeMap;
-
 use tobsvd_crypto::{AggregateSignature, Digest, KeyCache, Keypair, PublicKey, Signature};
 use tobsvd_sim::Context;
-use tobsvd_types::{InstanceId, Log, Payload, SignedMessage, SignerSet, ValidatorId, View};
+use tobsvd_types::{InstanceId, Log, Payload, SignedMessage, SignerSet, ValidatorId};
 
-use crate::leader::{Priority, ProposalTracker};
+use crate::leader::Priority;
+use crate::window::Window;
 
 /// Aggregation state for one `(instance, log)` vote group.
 ///
@@ -29,7 +30,7 @@ use crate::leader::{Priority, ProposalTracker};
 /// validator by `(k+1)Δ` — exactly the graded-delivery guarantee the
 /// paper obtains from immediate per-receiver forwarding, at O(n²)
 /// instead of O(n³) deliveries per view.
-struct VoteGroup {
+pub(crate) struct VoteGroup {
     instance: InstanceId,
     log: Log,
     /// Individually received (and verified) votes as `(sender,
@@ -112,21 +113,48 @@ impl VoteGroup {
 /// best VRF-valid proposal seen (once per priority improvement) and
 /// every buffered copy from a detected equivocator, and drops the
 /// rest: O(n) relays per view instead of O(n²). The choice is
-/// [`ProposalTracker::relays`], which checks VRFs on demand.
+/// [`crate::ProposalTracker::relays`], which checks VRFs on demand.
 #[derive(Default)]
-struct ProposalRelay {
+pub(crate) struct ProposalRelay {
     /// Proposal receptions since the last boundary flush, as `(sender,
     /// slot)` references to the claims the view's tracker recorded (VRFs
     /// not yet checked). Bounded by the gossip cap: at most two distinct
-    /// messages per sender per view survive `on_receive`. A view's
-    /// tracker is kept at least as long as its relay (`Validator::prune`),
-    /// so a reference never outlives its claim.
+    /// messages per sender per view survive `on_receive`.
     pending: Vec<(ValidatorId, usize)>,
     /// Highest priority already relayed for this view — the same total
-    /// order [`ProposalTracker`] uses to pick the vote input, so a
+    /// order [`crate::ProposalTracker`] uses to pick the vote input, so a
     /// relayed proposal is outranked only by one that would also
     /// outrank it there.
     best_relayed: Option<Priority>,
+}
+
+impl ProposalRelay {
+    /// Buffers a reference to a fresh, in-window proposal the view's
+    /// tracker recorded in `slot`: the relay decision is deferred to the
+    /// boundary flush, where the tracker checks the VRFs it needs, knows
+    /// the equivocators and rebuilds the message it relays.
+    pub(crate) fn note(&mut self, sender: ValidatorId, slot: usize) {
+        self.pending.push((sender, slot));
+    }
+}
+
+/// The vote group for `(instance, log)` in `window`, created on first
+/// use. Groups per instance are few (honestly at most two — the gossip
+/// cap drops further distinct logs per sender), so a linear scan in
+/// arrival order keeps the flush deterministic.
+///
+/// `None` is unreachable in practice (the group is created on demand);
+/// the `Option` keeps the accessor total without an unreachable panic
+/// arm, and the caller degrades to the baseline per-vote forward.
+fn group_mut(window: &mut Window, instance: InstanceId, log: Log) -> Option<&mut VoteGroup> {
+    let groups = &mut window.entry(instance.view()).or_default().groups;
+    match groups.iter().position(|g| g.instance == instance && g.log == log) {
+        Some(i) => groups.get_mut(i),
+        None => {
+            groups.push(VoteGroup::new(instance, log));
+            groups.last_mut()
+        }
+    }
 }
 
 /// The certificate-mode relay strategy of one validator (see the module
@@ -136,26 +164,13 @@ pub(crate) struct AggregationPlane {
     keypair: Keypair,
     /// Committee size: bounds certificate signer ids, sets the quorum.
     n: usize,
-    /// Per-view vote groups awaiting the boundary flush (certificate
-    /// emission or individual relay). Pruned with the GA window.
-    groups: BTreeMap<View, Vec<VoteGroup>>,
-    /// Proposal relays buffered since the last boundary plus per-view
-    /// relay coverage. Pruned with the proposal window.
-    prop_relays: BTreeMap<View, ProposalRelay>,
     /// Instrumentation: own certificates broadcast.
     pub(crate) certificates_emitted: u64,
 }
 
 impl AggregationPlane {
     pub(crate) fn new(me: ValidatorId, keypair: Keypair, n: usize) -> Self {
-        AggregationPlane {
-            me,
-            keypair,
-            n,
-            groups: BTreeMap::new(),
-            prop_relays: BTreeMap::new(),
-            certificates_emitted: 0,
-        }
+        AggregationPlane { me, keypair, n, certificates_emitted: 0 }
     }
 
     /// Whether the plane takes over relaying of `payload`: votes and
@@ -170,44 +185,16 @@ impl AggregationPlane {
         )
     }
 
-    /// Drops state of instances finished before view `v`: relay buffers
-    /// follow the proposal window, vote groups the GA window (a
-    /// finished instance takes no more snapshots, so nothing is owed a
-    /// relay).
-    pub(crate) fn prune(&mut self, v: View) {
-        self.prop_relays.retain(|w, _| w.number() + 1 >= v.number());
-        self.groups.retain(|w, _| w.number() + 2 >= v.number());
-    }
-
-    /// The vote group for `(instance, log)`, created on first use.
-    /// Groups per instance are few (honestly at most two — the gossip
-    /// cap drops further distinct logs per sender), so a linear scan in
-    /// arrival order keeps the flush deterministic.
-    ///
-    /// `None` is unreachable in practice (the group is created on
-    /// demand); the `Option` keeps the accessor total without an
-    /// unreachable panic arm, and the caller degrades to the baseline
-    /// per-vote forward.
-    fn group_mut(&mut self, instance: InstanceId, log: Log) -> Option<&mut VoteGroup> {
-        let groups = self.groups.entry(instance.view()).or_default();
-        match groups.iter().position(|g| g.instance == instance && g.log == log) {
-            Some(i) => groups.get_mut(i),
-            None => {
-                groups.push(VoteGroup::new(instance, log));
-                groups.last_mut()
-            }
-        }
-    }
-
     /// Buffers a fresh, resolved, in-window vote for the boundary flush.
     pub(crate) fn note_vote(
         &mut self,
+        window: &mut Window,
         msg: &SignedMessage,
         instance: InstanceId,
         log: Log,
         ctx: &mut Context,
     ) {
-        let Some(g) = self.group_mut(instance, log) else {
+        let Some(g) = group_mut(window, instance, log) else {
             // No group handle: keep the relay guarantee the simple way.
             ctx.forward(*msg);
             return;
@@ -219,14 +206,6 @@ impl AggregationPlane {
             return;
         }
         g.votes.push((msg.sender(), *msg.signature()));
-    }
-
-    /// Buffers a reference to a fresh, in-window proposal the view's
-    /// tracker recorded in `slot`: the relay decision is deferred to the
-    /// boundary flush, where the tracker checks the VRFs it needs, knows
-    /// the equivocators and rebuilds the message it relays.
-    pub(crate) fn note_proposal(&mut self, view: View, sender: ValidatorId, slot: usize) {
-        self.prop_relays.entry(view).or_default().pending.push((sender, slot));
     }
 
     /// Handles a fresh, resolved, in-window quorum certificate and
@@ -243,19 +222,19 @@ impl AggregationPlane {
     /// any absorption or forwarding.
     pub(crate) fn on_certificate(
         &mut self,
+        window: &mut Window,
         msg: &SignedMessage,
-        instance: InstanceId,
-        log: Log,
-        signers: SignerSet,
-        agg: AggregateSignature,
         ctx: &mut Context,
     ) -> Vec<ValidatorId> {
+        let Payload::Certificate { instance, log, signers, agg } = *msg.payload() else {
+            return Vec::new();
+        };
         // A certificate naming validators outside the committee claims
         // votes that cannot exist; drop it outright.
         if signers.is_empty() || !signers.within(self.n) {
             return Vec::new();
         }
-        let Some(g) = self.group_mut(instance, log) else { return Vec::new() };
+        let Some(g) = group_mut(window, instance, log) else { return Vec::new() };
         if signers.is_subset(&g.vouched()) {
             // Every attested vote is already authenticated here; the
             // certificate adds no claims and needs no relay from us
@@ -278,15 +257,12 @@ impl AggregationPlane {
         if !agg.aggregate_verify(&msgs, &pk_refs) {
             return Vec::new(); // forged aggregate: no absorption, no forward
         }
-        if let Some(g) = self.group_mut(instance, log) {
-            g.cert_verified.union_with(&signers);
-            // Queue for boundary forwarding iff it vouches signers we
-            // could not otherwise relay — this is what preserves the
-            // paper's graded-delivery guarantee for votes we never saw
-            // individually.
-            if !signers.is_subset(&g.relayed_by_us()) {
-                g.pending_certs.push((msg.sender(), signers, agg, *msg.signature()));
-            }
+        g.cert_verified.union_with(&signers);
+        // Queue for boundary forwarding iff it vouches signers we could
+        // not otherwise relay — this is what preserves the paper's
+        // graded-delivery guarantee for votes we never saw individually.
+        if !signers.is_subset(&g.relayed_by_us()) {
+            g.pending_certs.push((msg.sender(), signers, agg, *msg.signature()));
         }
         // Duplicates no-op in the GA, and conflicting logs across
         // certificates surface as equivocation in its tracker, exactly
@@ -297,12 +273,13 @@ impl AggregationPlane {
     /// Boundary flush (every Δ while awake): forward verified
     /// certificates that extend our coverage, emit our own certificate
     /// once a group turns quorate (> n/2 distinct voters), relay the
-    /// remaining buffered votes individually, then the proposal side.
-    /// `proposals` is the validator's per-view tracking (best VRF,
-    /// equivocators), which checks VRFs into `ctx.crypto_ops`.
-    pub(crate) fn flush(&mut self, proposals: &mut BTreeMap<View, ProposalTracker>, ctx: &mut Context) {
+    /// remaining buffered votes individually — every view's groups in
+    /// view order — then the proposal side of every view, in view order.
+    /// Each view's tracker (best VRF, equivocators) checks VRFs into
+    /// `ctx.crypto_ops`.
+    pub(crate) fn flush(&mut self, window: &mut Window, ctx: &mut Context) {
         let quorum = self.n / 2;
-        for g in self.groups.values_mut().flatten() {
+        for g in window.values_mut().flat_map(|state| state.groups.iter_mut()) {
             // Received certificates first: maximal coverage means
             // fewer individual forwards below.
             for (sender, signers, agg, sig) in std::mem::take(&mut g.pending_certs) {
@@ -356,10 +333,10 @@ impl AggregationPlane {
         // before) — the two relays that carry information. The rest of
         // the echo is dropped; see [`ProposalRelay`] for why votes never
         // depend on it.
-        for (view, relay) in self.prop_relays.iter_mut() {
-            let pending = std::mem::take(&mut relay.pending);
-            let Some(tracker) = proposals.get_mut(view) else { continue };
-            for msg in tracker.relays(&pending, &mut relay.best_relayed, &mut ctx.crypto_ops) {
+        for side in window.values_mut().filter_map(|state| state.proposals.as_mut()) {
+            let pending = std::mem::take(&mut side.relay.pending);
+            let best = &mut side.relay.best_relayed;
+            for msg in side.tracker.relays(&pending, best, &mut ctx.crypto_ops) {
                 ctx.forward(msg);
             }
         }
@@ -370,30 +347,33 @@ impl AggregationPlane {
 mod tests {
     use super::*;
     use tobsvd_sim::{Mempool, Outgoing};
-    use tobsvd_types::{BlockStore, Delta, Time};
+    use tobsvd_types::{BlockStore, Delta, Time, View};
 
     fn vote(sender: u32, instance: InstanceId, log: Log) -> SignedMessage {
         let v = ValidatorId::new(sender);
         SignedMessage::sign(&Keypair::from_seed(v.key_seed()), v, Payload::Log { instance, log })
     }
 
-    /// One boundary flush of `plane`: what it sent.
-    fn flush(plane: &mut AggregationPlane, store: &BlockStore) -> Vec<Outgoing> {
+    /// A plane and the window holding its per-view state.
+    type Rig = (AggregationPlane, Window);
+
+    /// One boundary flush of the rig: what it sent.
+    fn flush((plane, window): &mut Rig, store: &BlockStore) -> Vec<Outgoing> {
         let mut ctx = Context::new(Time::new(8), plane.me, Delta::new(8), store.clone(), Mempool::new());
-        plane.flush(&mut BTreeMap::new(), &mut ctx);
+        plane.flush(window, &mut ctx);
         ctx.take_outbox()
     }
 
-    fn plane(n: usize) -> AggregationPlane {
+    fn plane(n: usize) -> Rig {
         let me = ValidatorId::new(0);
-        AggregationPlane::new(me, KeyCache::keypair(me.key_seed()), n)
+        (AggregationPlane::new(me, KeyCache::keypair(me.key_seed()), n), Window::new())
     }
 
-    fn note(plane: &mut AggregationPlane, votes: &[SignedMessage], store: &BlockStore) {
+    fn note((plane, window): &mut Rig, votes: &[SignedMessage], store: &BlockStore) {
         let mut ctx = Context::new(Time::new(3), plane.me, Delta::new(8), store.clone(), Mempool::new());
         for m in votes {
             let Payload::Log { instance, log } = *m.payload() else { unreachable!() };
-            plane.note_vote(m, instance, log, &mut ctx);
+            plane.note_vote(window, m, instance, log, &mut ctx);
         }
         assert!(ctx.outbox().is_empty(), "votes are deferred to the boundary");
     }
@@ -436,7 +416,7 @@ mod tests {
         let agg = AggregateSignature::aggregate(&sigs).expect("non-empty");
         let want = Payload::Certificate { instance, log, signers, agg };
         assert_eq!(*cert.payload(), want);
-        assert_eq!(plane.certificates_emitted, 1);
+        assert_eq!(plane.0.certificates_emitted, 1);
 
         let late = vote(7, instance, log);
         note(&mut plane, &[late], &store);
@@ -450,15 +430,15 @@ mod tests {
         let instance = InstanceId(0);
         let votes: Vec<_> = [1, 2, 3, 4, 5].map(|s| vote(s, instance, log)).to_vec();
         let mut aggregator = plane(8);
-        aggregator.me = ValidatorId::new(6);
-        aggregator.keypair = KeyCache::keypair(aggregator.me.key_seed());
+        aggregator.0.me = ValidatorId::new(6);
+        aggregator.0.keypair = KeyCache::keypair(aggregator.0.me.key_seed());
         note(&mut aggregator, &votes, &store);
         let [Outgoing::Broadcast(cert)] = flush(&mut aggregator, &store)[..] else { panic!("one certificate") };
-        let Payload::Certificate { signers, agg, .. } = *cert.payload() else { unreachable!() };
+        let Payload::Certificate { signers, .. } = *cert.payload() else { unreachable!() };
 
         let mut plane = plane(8);
-        let mut ctx = Context::new(Time::new(3), plane.me, Delta::new(8), store.clone(), Mempool::new());
-        let absorbed = plane.on_certificate(&cert, instance, log, signers, agg, &mut ctx);
+        let mut ctx = Context::new(Time::new(3), plane.0.me, Delta::new(8), store.clone(), Mempool::new());
+        let absorbed = plane.0.on_certificate(&mut plane.1, &cert, &mut ctx);
         assert_eq!(absorbed, signers.iter().collect::<Vec<_>>());
         let forwarded = flush(&mut plane, &store);
         assert!(matches!(forwarded.as_slice(), [Outgoing::Forward(m)] if *m == cert), "{forwarded:?}");

@@ -54,6 +54,9 @@ mod protocol;
 mod schedule;
 pub mod sync;
 mod validator;
+// Raw `+ - * / %` denied, as in `tobsvd_types`' `time` and `view`.
+#[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+mod window;
 
 pub use config::TobConfig;
 pub use leader::ProposalTracker;

@@ -213,6 +213,28 @@ mod tests {
         assert_eq!(to, s.decide_time(v.next()));
     }
 
+    /// `View::live_range` from `GA_w`'s span: at `t_v` one instance behind
+    /// `v` is still running and the range keeps the newest finished one
+    /// too; ahead, it admits the one instance that starts within the next
+    /// view.
+    #[test]
+    fn live_range_derives_from_the_ga_span() {
+        let s = sched();
+        for v in 3..10u64 {
+            let t_v = s.view_start(View::new(v));
+            let running = (1..=v).filter(|k| s.ga_end(View::new(v - k)) >= t_v).count() as u64;
+            assert_eq!(running, 1, "GA_(v-1) runs at t_v, GA_(v-2) is over");
+            assert_eq!(View::LIVE_BEHIND, running + 1);
+            let next_view_end = s.view_start(View::new(v + 2));
+            let starting = (1..4).filter(|k| s.ga_start(View::new(v + k)) < next_view_end).count();
+            assert_eq!(View::LIVE_AHEAD, starting as u64);
+            let range = View::new(v).live_range();
+            assert_eq!(range, View::new(v - View::LIVE_BEHIND)..=View::new(v + View::LIVE_AHEAD));
+            assert_eq!(range.end().number() - range.start().number() + 1, View::LIVE_VIEWS);
+            assert_eq!(*View::new(v).proposal_range().start(), View::new(v - View::PROPOSALS_BEHIND));
+        }
+    }
+
     #[test]
     fn phase_classification() {
         let s = sched();

@@ -7,8 +7,6 @@
 //! the `Option<AggregationPlane>` of `aggregation.rs`, built once from
 //! [`TobConfig::certificates`] — no other line reads the flag.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use bytes::Bytes;
 use tobsvd_crypto::{Digest, KeyCache, Keypair};
 use tobsvd_ga::Ga3;
@@ -21,9 +19,10 @@ use tobsvd_types::{
 
 use crate::aggregation::AggregationPlane;
 use crate::config::TobConfig;
-use crate::leader::{vrf_for, ProposalTracker};
+use crate::leader::vrf_for;
 use crate::schedule::{ViewSchedule, ViewPhase};
 use crate::sync::{Pending, Resolution, SyncState};
+use crate::window::{self, ProposalSide, Window};
 
 /// An honest TOB-SVD validator.
 ///
@@ -41,15 +40,9 @@ pub struct Validator {
     cfg: TobConfig,
     keypair: Keypair,
     sched: ViewSchedule,
-    /// Live GA instances by view (`GA_v` spans views v and v+1).
-    gas: BTreeMap<View, Ga3>,
-    /// GA instances that were live at a phase boundary this validator
-    /// reached late (see [`Validator::note_late_boundary`]): their
-    /// grade-2 outputs are not decided. Pruned with `gas`.
-    late_gas: BTreeSet<View>,
-    /// Per-view proposal tracking with equivocation discarding; VRFs
-    /// are verified on demand (see [`ProposalTracker`]).
-    proposals: BTreeMap<View, ProposalTracker>,
+    /// Per-view state of the live views: GA instances, late marks,
+    /// proposal tracking, vote groups, the recovery archive.
+    window: Window,
     /// The dedup / authenticity gate: one table, one probe per delivery
     /// (see [`GossipState`]). Fetch-plane ids are deliberately *not*
     /// retained (point-to-point transport an adversary can mint without
@@ -58,9 +51,6 @@ pub struct Validator {
     gossip: GossipState,
     /// Highest decided log.
     decided: Log,
-    /// Bounded archive of recent messages, served to recovering peers
-    /// (§2 recovery protocol). Keyed by the view the message belongs to.
-    archive: BTreeMap<View, ArchivedView>,
     /// Delta-sync state: block knowledge, bounded pending set, fetches.
     sync: SyncState,
     /// The relay strategy: the aggregation plane, or `None` for the
@@ -111,12 +101,9 @@ impl Validator {
             me,
             keypair,
             sched: ViewSchedule::new(cfg.delta),
-            gas: BTreeMap::new(),
-            late_gas: BTreeSet::new(),
-            proposals: BTreeMap::new(),
+            window: Window::new(),
             gossip: GossipState::new(),
             decided: Log::genesis(store),
-            archive: BTreeMap::new(),
             sync: SyncState::new(store),
             agg: cfg.certificates.then(|| AggregationPlane::new(me, keypair, cfg.n)),
             started: false,
@@ -256,8 +243,9 @@ impl Validator {
     pub fn note_late_boundary(&mut self, now: Time) {
         let v = View::of_time(now, self.cfg.delta);
         self.late_boundaries += 1;
-        self.late_gas.extend(v.prev());
-        self.late_gas.insert(v);
+        for w in v.prev().into_iter().chain([v]) {
+            self.window.entry(w).or_default().late = true;
+        }
     }
 
     /// Own quorum certificates this validator has broadcast.
@@ -302,14 +290,12 @@ impl Validator {
 
     /// The GA instance for view `v`, if currently live.
     pub fn ga(&self, v: View) -> Option<&Ga3> {
-        self.gas.get(&v)
+        self.window.get(&v)?.ga.as_ref()
     }
 
     fn ensure_ga(&mut self, v: View) -> &mut Ga3 {
         let start = self.sched.ga_start(v);
-        self.gas
-            .entry(v)
-            .or_insert_with(|| Ga3::new(InstanceId::for_view(v), start))
+        self.window.entry(v).or_default().ga.get_or_insert_with(|| Ga3::new(InstanceId::for_view(v), start))
     }
 
     /// Grade-`g` output of `GA_{v−1}`, with the Figure 4 convention that
@@ -317,13 +303,7 @@ impl Validator {
     fn prev_ga_output(&self, v: View, grade: u8, store: &BlockStore) -> Option<Log> {
         match v.prev() {
             None => Some(Log::genesis(store)),
-            Some(prev) => {
-                let ga = self.gas.get(&prev)?;
-                if !ga.participated(grade) {
-                    return None;
-                }
-                ga.output(grade)
-            }
+            Some(prev) => self.ga(prev).filter(|ga| ga.participated(grade))?.output(grade),
         }
     }
 
@@ -358,12 +338,9 @@ impl Validator {
             self.ensure_ga(v);
             return;
         };
-        let input = self
-            .proposals
-            .get_mut(&v)
-            .and_then(|tr| tr.best_extending(&lock, &ctx.store, &mut ctx.crypto_ops))
-            .map(|(_, log)| log)
-            .unwrap_or(lock);
+        let side = self.window.get_mut(&v).and_then(|state| state.proposals.as_mut());
+        let best = side.and_then(|side| side.tracker.best_extending(&lock, &ctx.store, &mut ctx.crypto_ops));
+        let input = best.map_or(lock, |(_, log)| log);
         let ga = self.ensure_ga(v);
         ga.set_input(input);
         let msg = SignedMessage::sign(
@@ -383,7 +360,7 @@ impl Validator {
         let Some(d) = self.prev_ga_output(v, 2, &ctx.store) else {
             return;
         };
-        if v.prev().is_some_and(|prev| self.late_gas.contains(&prev)) {
+        if v.prev().and_then(|prev| self.window.get(&prev)).is_some_and(|state| state.late) {
             self.decisions_withheld += 1;
             return;
         }
@@ -521,35 +498,11 @@ impl Validator {
         repairs
     }
 
-    fn prune(&mut self, v: View) {
-        // GA_w ends at t_{w+1} + 2Δ: anything older than v−2 is finished.
-        self.gas.retain(|w, _| w.number() + 2 >= v.number());
-        self.late_gas.retain(|w| w.number() + 2 >= v.number());
-        // The archive follows the GA window: recovering validators can
-        // only act on still-live instances anyway.
-        self.archive.retain(|w, _| w.number() + 2 >= v.number());
-        // Proposals for view w matter to the vote until t_w + Δ. The
-        // archive (recovery only) serves them by their tracker's
-        // verdicts, so there the trackers follow the archive.
-        let proposal_views = if self.cfg.recovery { 2 } else { 1 };
-        self.proposals.retain(|w, _| w.number() + proposal_views >= v.number());
-        self.gossip.set_live(v.number());
-        if let Some(plane) = self.agg.as_mut() {
-            plane.prune(v);
+    /// Records a fresh message for `view` in the recovery archive.
+    fn archive_message(&mut self, view: View, msg: &SignedMessage) {
+        if self.cfg.recovery {
+            self.window.entry(view).or_default().archive.msgs.push(*msg);
         }
-    }
-
-    /// Records a fresh message in the recovery archive.
-    fn archive_message(&mut self, msg: &SignedMessage) {
-        if !self.cfg.recovery {
-            return;
-        }
-        let view = match msg.payload() {
-            Payload::Log { instance, .. } => instance.view(),
-            Payload::Proposal { view, .. } => *view,
-            _ => return,
-        };
-        self.archive.entry(view).or_default().msgs.push(*msg);
     }
 
     /// Serves a recovery request: re-send every archived message from
@@ -564,12 +517,13 @@ impl Validator {
         }
         let cap = SyncState::RECOVERY_RESPONSE_CAP;
         let mut served: Vec<&SignedMessage> = Vec::new();
-        for (view, archived) in self.archive.range_mut(from_view..) {
+        for (_, state) in self.window.range_mut(from_view..) {
             if served.len() >= cap {
                 break;
             }
+            let archived = &mut state.archive;
             if archived.vetted < archived.msgs.len() {
-                let mut tracker = self.proposals.get_mut(view);
+                let mut tracker = state.proposals.as_mut().map(|side| &mut side.tracker);
                 let fresh = archived.msgs.split_off(archived.vetted);
                 archived.msgs.extend(fresh.into_iter().filter(|msg| match msg.payload() {
                     Payload::Proposal { log, vrf, proof, .. } => tracker
@@ -589,7 +543,7 @@ impl Validator {
     /// Broadcasts the §2 `RECOVERY` request at view `current`, asking
     /// for everything affecting still-live GA instances.
     fn broadcast_recovery(&mut self, current: View, ctx: &mut Context) {
-        let from_view = View::new(current.number().saturating_sub(2));
+        let from_view = *current.live_range().start();
         let payload = Payload::Recovery { from_view, log: self.decided };
         ctx.broadcast(SignedMessage::sign(&self.keypair, self.me, payload));
     }
@@ -747,14 +701,6 @@ impl Validator {
     }
 }
 
-/// One view's recovery archive, in arrival order. The first `vetted`
-/// messages have had their proposals' VRFs checked, forged ones removed.
-#[derive(Default)]
-struct ArchivedView {
-    msgs: Vec<SignedMessage>,
-    vetted: usize,
-}
-
 /// The durable [`BlockRecord`] for a stored block, `None` for genesis
 /// (whose content is implicit) or an unknown id.
 fn block_record(store: &BlockStore, id: BlockId) -> Option<BlockRecord> {
@@ -814,18 +760,19 @@ impl Node for Validator {
         // since the previous boundary go out now, as one quorum
         // certificate where a group is quorate.
         if let Some(plane) = self.agg.as_mut() {
-            plane.flush(&mut self.proposals, ctx);
+            plane.flush(&mut self.window, ctx);
         }
         // Drive the ongoing GA instances: the TOB phase at this
         // boundary consumes outputs computed at this very time (Figure 3
         // arrows land on the phase they feed).
         let (time, delta) = (ctx.time, ctx.delta);
-        for ga in self.gas.values_mut() {
+        for ga in self.window.values_mut().filter_map(|state| state.ga.as_mut()) {
             ga.on_phase(time, delta, &ctx.store);
         }
         match phase {
             ViewPhase::Propose => {
-                self.prune(v);
+                window::retire(&mut self.window, v, self.cfg.recovery);
+                self.gossip.set_live(v.number());
                 self.propose(v, ctx);
             }
             ViewPhase::Vote => self.vote(v, ctx),
@@ -929,35 +876,34 @@ impl Validator {
         match msg.payload() {
             Payload::Log { instance, log } => {
                 let w = instance.view();
-                // Accept instances in the live window: the previous view's
-                // GA is still running, the next view's cannot legitimately
-                // have inputs yet but a Δ of clock skew is tolerated.
-                if w.number() + 2 < current.number() || w.number() > current.number() + 1 {
+                // Only live instances take input; a view out of range,
+                // however large, is dropped here (`View::live_range`).
+                if !current.live_range().contains(&w) {
                     return;
                 }
-                self.archive_message(msg);
+                self.archive_message(w, msg);
                 self.ensure_ga(w).on_log(msg.sender(), *log);
                 if let Some(plane) = self.agg.as_mut() {
-                    plane.note_vote(msg, *instance, *log, ctx);
+                    plane.note_vote(&mut self.window, msg, *instance, *log, ctx);
                 }
             }
-            Payload::Certificate { instance, log, signers, agg } => {
+            Payload::Certificate { instance, log, .. } => {
                 let w = instance.view();
-                if w.number() + 2 < current.number() || w.number() > current.number() + 1 {
+                if !current.live_range().contains(&w) {
                     return;
                 }
                 // Certificates only exist under the aggregation plane;
                 // per-vote mode has no door through which one could
                 // reach the GA.
                 let Some(plane) = self.agg.as_mut() else { return };
-                for signer in plane.on_certificate(msg, *instance, *log, *signers, *agg, ctx) {
+                for signer in plane.on_certificate(&mut self.window, msg, ctx) {
                     self.ensure_ga(w).on_log(signer, *log);
                 }
             }
             Payload::Proposal { view, .. } => {
-                // An out-of-window proposal is dropped before it touches
+                // An out-of-range proposal is dropped before it touches
                 // the per-view tracker, which only exists for live views.
-                if view.number() + 1 < current.number() || view.number() > current.number() + 1 {
+                if !current.proposal_range().contains(view) {
                     return;
                 }
                 // Recorded as an unverified claim: its VRF is checked
@@ -965,13 +911,13 @@ impl Validator {
                 // boundary relay, a recovery serve — so a forged VRF is
                 // never picked or relayed, and the usual receipt costs
                 // no crypto at all.
-                let tracker =
-                    self.proposals.entry(*view).or_insert_with(|| ProposalTracker::new(*view));
-                let Some(slot) = tracker.record(msg) else { return };
-                self.archive_message(msg);
-                if let Some(plane) = self.agg.as_mut() {
-                    plane.note_proposal(*view, msg.sender(), slot);
+                let state = self.window.entry(*view).or_default();
+                let side = state.proposals.get_or_insert_with(|| ProposalSide::new(*view));
+                let Some(slot) = side.tracker.record(msg) else { return };
+                if self.agg.is_some() {
+                    side.relay.note(msg.sender(), slot);
                 }
+                self.archive_message(*view, msg);
             }
             Payload::Vote { .. } => {} // not part of TOB-SVD
             Payload::Recovery { from_view, .. } => {
@@ -1358,7 +1304,7 @@ mod tests {
         assert_eq!(forwards, [1, 1, 0], "the third distinct LOG is not forwarded");
         assert_eq!((ctx.crypto_ops.sig_verifies, ctx.crypto_ops.sig_verify_skips), (3, 0));
         assert_eq!((val.unique_messages_seen(), val.verified_ids()), (3, 3));
-        assert_eq!(val.archive[&View::ZERO].msgs.len(), 2, "only two were processed");
+        assert_eq!(val.window[&View::ZERO].archive.msgs.len(), 2, "only two were processed");
     }
 
     fn proposal(sender: ValidatorId, log: Log, vrf: VrfOutput, proof: VrfProof) -> SignedMessage {
@@ -1467,7 +1413,7 @@ mod tests {
         // A second vote and flush in the view answer from the verdicts.
         let mut ctx = ctx_at(8, &store);
         val.vote(View::ZERO, &mut ctx);
-        val.agg.as_mut().expect("certificate mode").flush(&mut val.proposals, &mut ctx);
+        val.agg.as_mut().expect("certificate mode").flush(&mut val.window, &mut ctx);
         assert_eq!(ctx.crypto_ops.vrf_verifies, 0);
     }
 
@@ -1568,5 +1514,93 @@ mod tests {
         let mut ctx = ctx_at(t, &store);
         val.on_message(&msg, &mut ctx);
         assert!(val.ga(View::new(1)).is_none());
+    }
+
+    #[test]
+    fn views_at_the_top_of_the_range_are_dropped_without_overflow() {
+        use tobsvd_crypto::AggregateSignature;
+        use tobsvd_types::SignerSet;
+
+        let store = BlockStore::new();
+        let cfg = TobConfig::new(4).with_recovery(true);
+        let mut val = Validator::new(ValidatorId::new(0), cfg, &store);
+        let g = Log::genesis(&store);
+        let peer = ValidatorId::new(1);
+        let kp = KeyCache::keypair(peer.key_seed());
+        let agg = AggregateSignature::aggregate(&[&kp.sign(b"vote")]).expect("one signature");
+        let mut signers = SignerSet::empty();
+        signers.insert(peer);
+        let mut ctx = ctx_at(3, &store);
+        for view in [u64::MAX - 1, u64::MAX].map(View::new) {
+            let instance = InstanceId::for_view(view);
+            let (vrf, proof) = vrf_for(peer, view);
+            for payload in [
+                Payload::Log { instance, log: g },
+                Payload::Certificate { instance, log: g, signers, agg },
+                Payload::Proposal { view, log: g, vrf, proof },
+            ] {
+                val.on_message(&SignedMessage::sign(&kp, peer, payload), &mut ctx);
+                assert!(val.window.is_empty(), "{view}: {payload:?} must be dropped");
+            }
+        }
+        let ops = ctx.crypto_ops;
+        assert_eq!((ops.sig_verifies, ops.vrf_verifies, ops.agg_verifies), (6, 0, 0));
+    }
+
+    /// Peers' traffic at tick `t`: a `LOG` for every instance of the
+    /// live range and a proposal for every view of the proposal range.
+    fn live_traffic(val: &mut Validator, t: u64, store: &BlockStore) {
+        let mut ctx = ctx_at(t, store);
+        let current = View::of_time(Time::new(t), Delta::new(8));
+        let (live, proposals) = (current.live_range(), current.proposal_range());
+        let g = Log::genesis(store);
+        for peer in [1, 2, 3].map(ValidatorId::new) {
+            let kp = KeyCache::keypair(peer.key_seed());
+            for w in (live.start().number()..=live.end().number()).map(View::new) {
+                let vote = Payload::Log { instance: InstanceId::for_view(w), log: g };
+                val.on_message(&SignedMessage::sign(&kp, peer, vote), &mut ctx);
+                if proposals.contains(&w) {
+                    let (vrf, proof) = vrf_for(peer, w);
+                    let log = g.extend_empty(store, peer, w);
+                    let proposal = Payload::Proposal { view: w, log, vrf, proof };
+                    val.on_message(&SignedMessage::sign(&kp, peer, proposal), &mut ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_window_holds_the_live_range_and_a_sleepers_state_leaves_at_its_next_propose() {
+        // Asleep from view 20's Propose boundary to view 25's Vote
+        // boundary: no phase callbacks, no traffic.
+        let asleep = 20 * 32..25 * 32 + 8;
+        for recovery in [false, true] {
+            let store = BlockStore::new();
+            let cfg = TobConfig::new(4).with_recovery(recovery);
+            let mut val = Validator::new(ValidatorId::new(0), cfg, &store);
+            let side_cap = if recovery { 4 } else { 3 };
+            let (mut widest, mut most_sides) = (0, 0);
+            for t in (0..48 * 32).step_by(8).filter(|t| !asleep.contains(t)) {
+                // Deliveries at a boundary's tick precede its callback.
+                live_traffic(&mut val, t, &store);
+                if t % 56 == 16 {
+                    val.note_late_boundary(Time::new(t));
+                }
+                val.on_phase(&mut ctx_at(t, &store));
+                if t == asleep.end {
+                    let mut stale = (17..=20).map(View::new);
+                    assert!(stale.all(|w| val.window.contains_key(&w)), "kept until a Propose");
+                }
+                let (v, phase) = val.sched.phase_at(Time::new(t));
+                if phase != ViewPhase::Propose {
+                    continue;
+                }
+                let sides = val.window.values().filter(|state| state.proposals.is_some()).count();
+                assert!(val.window.keys().all(|w| v.live_range().contains(w)), "{v}");
+                assert!(val.window.len() as u64 <= View::LIVE_VIEWS && sides <= side_cap, "{v}");
+                (widest, most_sides) = (widest.max(val.window.len()), most_sides.max(sides));
+            }
+            assert_eq!((widest, most_sides), (4, side_cap), "both bounds are reached");
+        }
     }
 }

@@ -34,8 +34,8 @@
 //!   key has overflow entries only if its slot is occupied, so an empty
 //!   slot means "nothing filed" without a descent. A fault-free run
 //!   leaves it empty.
-//! * **Live range.** Fresh tables are made only for the four views from
-//!   `v − 2`, `v` being the view of the last [`GossipState::set_live`],
+//! * **Live range.** Fresh tables are made only for the four views of
+//!   [`View::live_range`] at the view of the last [`GossipState::set_live`],
 //!   and a slot vector grows only when a *verified* id is filed into it:
 //!   no message can buy an O(n) allocation. Moving the range moves each
 //!   table that left it into `retired` whole, hands a retired table back
@@ -54,14 +54,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use tobsvd_crypto::{Digest, KeyCache, PublicKey};
-use tobsvd_types::{SignedMessage, SignerSet, ValidatorId};
+use tobsvd_types::{SignedMessage, SignerSet, ValidatorId, View};
 
 use crate::node::Context;
 
 /// Equivocation kinds 0–5 of [`tobsvd_types::Payload::equivocation_key`].
 const KINDS: usize = 6;
-/// Width of the live range: at view `v`, GA input for `v − 2 ..= v + 1`.
-const LIVE_VIEWS: u64 = 4;
+/// Width of the live range ([`View::live_range`]).
+const LIVE_VIEWS: u64 = View::LIVE_VIEWS;
 /// `(view number, kind, sender)`: what an id is filed under.
 type Key = (u64, u8, u32);
 /// One view's first ids: `[kind][sender]`.
@@ -185,12 +185,12 @@ impl GossipState {
         if self.place(key, id) { IGNORED } else { ACCEPTED }
     }
 
-    /// Moves the live range to the four views from `view − 2` (the
-    /// validator's GA window): tables that left it retire whole, a view
+    /// Moves the live range to [`View::live_range`] of `view` (the
+    /// validator's window): tables that left it retire whole, a view
     /// that enters takes its retired table back or, without one, has its
     /// overflow entries take their slots.
     pub fn set_live(&mut self, view: u64) {
-        let (old, new) = (self.live_from, view.saturating_sub(2));
+        let (old, new) = (self.live_from, View::new(view).live_range().start().number());
         let range = |from: u64| (0..LIVE_VIEWS).map(move |i| from.wrapping_add(i));
         for w in range(old).filter(|w| w.wrapping_sub(new) >= LIVE_VIEWS) {
             let table = std::mem::take(&mut self.live[(w % LIVE_VIEWS) as usize]);

@@ -1,6 +1,7 @@
 //! Protocol views.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 use serde::{Deserialize, Serialize};
 
@@ -31,6 +32,37 @@ pub const DELTAS_PER_VIEW: u64 = 4;
 impl View {
     /// The first view, `v = 0`.
     pub const ZERO: View = View(0);
+
+    /// How far the live range reaches behind the current view `v`.
+    /// `GA_{v−1}` still runs at `t_v` (it ends at `t_v + 2Δ`), and
+    /// `GA_{v−2}`, the newest instance already over, is kept one view
+    /// more: late traffic for it is still taken in and archived.
+    pub const LIVE_BEHIND: u64 = 2;
+    /// How far the proposal side reaches behind: a proposal for view `w`
+    /// feeds only the vote at `t_w + Δ`, so it trails the GA side by one.
+    pub const PROPOSALS_BEHIND: u64 = 1;
+    /// How far the live range reaches ahead: `GA_{v+1}` has no input
+    /// before `t_{v+1} + Δ`, but a Δ of clock skew is tolerated.
+    pub const LIVE_AHEAD: u64 = 1;
+    /// Width of the live range: at most this many views hold state.
+    pub const LIVE_VIEWS: u64 = Self::LIVE_BEHIND + 1 + Self::LIVE_AHEAD;
+
+    /// The live range at current view `self`, `self − LIVE_BEHIND ..=
+    /// self + LIVE_AHEAD`, saturating at both ends: the views whose GA
+    /// instance takes input and whose per-view state is kept.
+    pub fn live_range(self) -> RangeInclusive<View> {
+        self.range_behind(Self::LIVE_BEHIND)
+    }
+
+    /// The proposal side of the live range, `self − PROPOSALS_BEHIND ..=
+    /// self + LIVE_AHEAD`, saturating at both ends.
+    pub fn proposal_range(self) -> RangeInclusive<View> {
+        self.range_behind(Self::PROPOSALS_BEHIND)
+    }
+
+    fn range_behind(self, behind: u64) -> RangeInclusive<View> {
+        View(self.0.saturating_sub(behind))..=View(self.0.saturating_add(Self::LIVE_AHEAD))
+    }
 
     /// Creates view `v`.
     pub fn new(v: u64) -> Self {
@@ -115,6 +147,19 @@ mod tests {
         // finite times into view 0.
         assert_eq!(View::of_time(Time::new(u64::MAX - 1), d), View::ZERO);
         assert_eq!(View::new(u64::MAX).next(), View::new(u64::MAX));
+    }
+
+    #[test]
+    fn live_ranges_saturate_at_both_ends() {
+        assert_eq!(View::new(7).live_range(), View::new(5)..=View::new(8));
+        assert_eq!(View::new(7).proposal_range(), View::new(6)..=View::new(8));
+        assert_eq!(View::new(1).live_range(), View::ZERO..=View::new(2));
+        let top = View::new(u64::MAX);
+        assert_eq!(top.live_range(), View::new(u64::MAX - 2)..=top);
+        for far in [u64::MAX - 1, u64::MAX].map(View::new) {
+            assert!(!View::ZERO.live_range().contains(&far));
+            assert!(!View::ZERO.proposal_range().contains(&far));
+        }
     }
 
     #[test]

@@ -128,7 +128,8 @@ enum Op {
     Poison { msg: Option<MsgSpec>, garbage: u64 },
     /// The stabilization audit's reconciliation pass.
     Quarantine,
-    /// `Validator::prune(v)`: the live range moves to `[v − 2, v + 2)`.
+    /// The validator's Propose step at `v`: the live range moves to
+    /// `View::live_range`, `[v − 2, v + 2)`.
     SetLive(u64),
 }
 
