@@ -193,7 +193,7 @@ impl SplitBrainNode {
                     _ => ctx.broadcast(msg),
                 },
                 Outgoing::Forward(m) => ctx.forward(m),
-                Outgoing::ForwardTo(targets, m) => ctx.forward_to(targets, m),
+                Outgoing::ForwardTo(to, batch) => ctx.forward_to(to, batch),
                 Outgoing::Multicast(targets, m) => ctx.multicast(targets, m),
             }
         }
@@ -263,7 +263,7 @@ impl Node for LateVoter {
                     _ => ctx.broadcast(msg),
                 },
                 Outgoing::Forward(m) => ctx.forward(m),
-                Outgoing::ForwardTo(t, m) => ctx.forward_to(t, m),
+                Outgoing::ForwardTo(to, batch) => ctx.forward_to(to, batch),
                 Outgoing::Multicast(t, m) => ctx.multicast(t, m),
             }
         }
@@ -276,7 +276,7 @@ impl Node for LateVoter {
         for action in scratch.take_outbox() {
             match action {
                 Outgoing::Broadcast(m) | Outgoing::Forward(m) => ctx.forward(m),
-                Outgoing::ForwardTo(t, m) => ctx.forward_to(t, m),
+                Outgoing::ForwardTo(to, batch) => ctx.forward_to(to, batch),
                 Outgoing::Multicast(t, m) => ctx.multicast(t, m),
             }
         }

@@ -7,6 +7,8 @@
 //! the `Option<AggregationPlane>` of `aggregation.rs`, built once from
 //! [`TobConfig::certificates`] — no other line reads the flag.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use tobsvd_crypto::{Digest, KeyCache, Keypair};
 use tobsvd_ga::Ga3;
@@ -501,22 +503,24 @@ impl Validator {
     /// Records a fresh message for `view` in the recovery archive.
     fn archive_message(&mut self, view: View, msg: &SignedMessage) {
         if self.cfg.recovery {
-            self.window.entry(view).or_default().archive.msgs.push(*msg);
+            self.window.entry(view).or_default().archive.msgs.push(Arc::new(*msg));
         }
     }
 
     /// Serves a recovery request: re-send every archived message from
-    /// `from_view` onward to the requester, up to the response cap.
+    /// `from_view` onward to the requester, up to the response cap, as
+    /// one batch of the archive's handles (none when nothing is held).
     /// Proposals are archived as unverified claims, so a view's newly
     /// archived ones are vetted first through their tracker's verdicts
     /// (checked at most once per claim) and the forged ones dropped: a
-    /// forged VRF is never relayed, and a repeated serve only copies.
+    /// forged VRF is never relayed, and a repeated serve only clones
+    /// handles.
     fn serve_recovery(&mut self, requester: tobsvd_types::ValidatorId, from_view: View, ctx: &mut Context) {
         if !self.cfg.recovery || requester == self.me {
             return;
         }
         let cap = SyncState::RECOVERY_RESPONSE_CAP;
-        let mut served: Vec<&SignedMessage> = Vec::new();
+        let mut served: Vec<Arc<SignedMessage>> = Vec::new();
         for (_, state) in self.window.range_mut(from_view..) {
             if served.len() >= cap {
                 break;
@@ -533,10 +537,10 @@ impl Validator {
                 }));
                 archived.vetted = archived.msgs.len();
             }
-            served.extend(archived.msgs.iter().take(cap - served.len()));
+            served.extend(archived.msgs.iter().take(cap - served.len()).cloned());
         }
-        for msg in served {
-            ctx.forward_to(vec![requester], *msg);
+        if !served.is_empty() {
+            ctx.forward_to(requester, served);
         }
     }
 
@@ -1460,12 +1464,72 @@ mod tests {
             .outbox()
             .iter()
             .filter_map(|o| match o {
-                tobsvd_sim::Outgoing::ForwardTo(_, m) => Some(m.id()),
+                tobsvd_sim::Outgoing::ForwardTo(to, batch) => Some((*to, batch)),
                 _ => None,
             })
             .collect();
-        assert!(served.contains(&genuine.id()) && !served.contains(&forged.id()), "{served:?}");
+        let [(to, batch)] = served.as_slice() else { panic!("one reply per serve: {served:?}") };
+        let ids: Vec<_> = batch.iter().map(|m| m.id()).collect();
+        assert_eq!(*to, peer);
+        assert!(ids.contains(&genuine.id()) && !ids.contains(&forged.id()), "{ids:?}");
         assert_eq!(ctx.crypto_ops.vrf_verifies, 0, "served from the flush's verdicts");
+    }
+
+    #[test]
+    fn a_recovery_serve_is_one_batch_of_the_archives_first_cap_handles() {
+        let store = BlockStore::new();
+        let cfg = TobConfig::new(4).with_recovery(true);
+        let mut val = Validator::new(ValidatorId::new(0), cfg, &store);
+        let g = Log::genesis(&store);
+        let peer = ValidatorId::new(1);
+        let mut ctx = ctx_at(1, &store);
+        val.serve_recovery(peer, View::ZERO, &mut ctx);
+        assert!(ctx.outbox().is_empty(), "an empty archive emits nothing");
+
+        // Over the cap across three views, archived with the views
+        // interleaved: the serve is in view order, then arrival order.
+        let cap = SyncState::RECOVERY_RESPONSE_CAP;
+        let per_view = cap / 2 + 100;
+        let views = [View::new(2), View::ZERO, View::new(1)];
+        for i in 0..per_view {
+            let sender = ValidatorId::new(i as u32);
+            let kp = KeyCache::keypair(sender.key_seed());
+            for view in views {
+                let payload = Payload::Log { instance: InstanceId::for_view(view), log: g };
+                val.archive_message(view, &SignedMessage::sign(&kp, sender, payload));
+            }
+        }
+        let archived: Vec<_> =
+            val.window.values().flat_map(|state| state.archive.msgs.iter().cloned()).collect();
+        assert_eq!(archived.len(), 3 * per_view);
+        assert!(archived.len() > cap);
+        let mut ctx = ctx_at(1, &store);
+        val.serve_recovery(peer, View::ZERO, &mut ctx);
+        let [tobsvd_sim::Outgoing::ForwardTo(to, batch)] = ctx.outbox() else {
+            panic!("one ForwardTo per serve, got {:?}", ctx.outbox())
+        };
+        assert_eq!(*to, peer);
+        assert_eq!(batch.len(), cap);
+        for (sent, kept) in batch.iter().zip(&archived) {
+            assert!(Arc::ptr_eq(sent, kept), "a serve hands out the archive's own handles");
+        }
+        let order: Vec<_> = batch
+            .iter()
+            .map(|m| match m.payload() {
+                Payload::Log { instance, .. } => (instance.view(), m.sender().index()),
+                p => panic!("only LOGs were archived, got {p:?}"),
+            })
+            .collect();
+        let expected: Vec<_> = (0..per_view)
+            .map(|i| (View::ZERO, i))
+            .chain((0..cap - per_view).map(|i| (View::new(1), i)))
+            .collect();
+        assert_eq!(order, expected, "view order, then arrival order, cut at the cap");
+
+        // From a view past everything archived: nothing to send.
+        let mut ctx = ctx_at(1, &store);
+        val.serve_recovery(peer, View::new(3), &mut ctx);
+        assert!(ctx.outbox().is_empty());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! last Propose boundary. Gossip's dedup tables stay outside it.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use tobsvd_ga::Ga3;
 use tobsvd_types::{SignedMessage, View};
@@ -46,9 +47,11 @@ impl ProposalSide {
 
 /// One view's recovery archive, in arrival order. The first `vetted`
 /// messages have had their proposals' VRFs checked, forged ones removed.
+/// Each message is allocated once, when archived; a serve hands out
+/// clones of the handles.
 #[derive(Default)]
 pub(crate) struct ArchivedView {
-    pub(crate) msgs: Vec<SignedMessage>,
+    pub(crate) msgs: Vec<Arc<SignedMessage>>,
     pub(crate) vetted: usize,
 }
 

@@ -329,21 +329,37 @@ impl NodeState {
         self.outbound.keys().copied().collect()
     }
 
-    /// Sends a context's collected actions over the mesh. Self-copies go
-    /// through the loopback channel.
+    /// Sends a context's collected actions over the mesh.
     fn flush(&mut self, ctx: &mut Context) {
         for action in ctx.take_outbox() {
-            let (targets, msg): (Vec<ValidatorId>, SignedMessage) = match action {
-                Outgoing::Broadcast(m) => (self.peers().into_iter().chain([self.me]).collect(), m),
+            match action {
+                Outgoing::Broadcast(m) => {
+                    let targets: Vec<_> = self.peers().into_iter().chain([self.me]).collect();
+                    self.transmit(&m, &targets);
+                }
                 // Forwards skip self: already processed.
-                Outgoing::Forward(m) => (self.peers(), m),
-                Outgoing::ForwardTo(t, m) | Outgoing::Multicast(t, m) => (t, m),
-            };
-            if self.send(&msg, &targets) && targets.contains(&self.me) {
-                // Self-copies never cross the network: charge 0
-                // bytes so per-kind in/out stats reconcile.
-                let _ = self.loopback.send(Inbound::Msg(msg, 0));
+                Outgoing::Forward(m) => {
+                    let peers = self.peers();
+                    self.transmit(&m, &peers);
+                }
+                // A recovery reply leaves message by message, in order.
+                Outgoing::ForwardTo(to, batch) => {
+                    for m in &batch {
+                        self.transmit(m, &[to]);
+                    }
+                }
+                Outgoing::Multicast(targets, m) => self.transmit(&m, &targets),
             }
+        }
+    }
+
+    /// [`NodeState::send`], with the self-copy (if `targets` names us)
+    /// through the loopback channel.
+    fn transmit(&mut self, msg: &SignedMessage, targets: &[ValidatorId]) {
+        if self.send(msg, targets) && targets.contains(&self.me) {
+            // Self-copies never cross the network: charge 0 bytes so
+            // per-kind in/out stats reconcile.
+            let _ = self.loopback.send(Inbound::Msg(*msg, 0));
         }
     }
 }

@@ -968,9 +968,9 @@ impl Simulation {
             node.on_message(msg, ctx);
             self.metrics.record_crypto(std::mem::take(&mut ctx.crypto_ops));
             if !ctx.outbox.is_empty() || !ctx.decisions.is_empty() {
-                // Held until the bucket is done: a recovery reply's
-                // hundreds of 288-byte actions should not also hold
-                // their `Vec`'s growth slack.
+                // Held until the bucket is done: in per-vote mode every
+                // call emits its own forwards, and each held outbox
+                // should not also keep its `Vec`'s growth slack.
                 ctx.outbox.shrink_to_fit();
                 self.effects.push(Effect {
                     tag,
@@ -1030,22 +1030,26 @@ impl Simulation {
             match out {
                 Outgoing::Broadcast(msg) => {
                     self.metrics.record_broadcast(kind_of(msg.payload()));
-                    let delivery = self.share(msg);
+                    let delivery = self.share(Arc::new(msg));
                     self.deliver_to_all(from, &delivery);
                 }
                 Outgoing::Forward(msg) => {
                     self.metrics.forwards += 1;
-                    let delivery = self.share(msg);
+                    let delivery = self.share(Arc::new(msg));
                     self.deliver_to_all(from, &delivery);
                 }
-                Outgoing::ForwardTo(targets, msg) => {
-                    self.metrics.forwards += 1;
-                    let delivery = self.share(msg);
-                    self.deliver_to_each(from, &targets, &delivery);
+                // A recovery reply arrives with its handles: scheduled
+                // copy by copy, in batch order, with no allocation.
+                Outgoing::ForwardTo(to, batch) => {
+                    for msg in batch {
+                        self.metrics.forwards += 1;
+                        let delivery = self.share(msg);
+                        self.deliver_one(from, to, &delivery);
+                    }
                 }
                 Outgoing::Multicast(targets, msg) => {
                     self.metrics.record_broadcast(kind_of(msg.payload()));
-                    let delivery = self.share(msg);
+                    let delivery = self.share(Arc::new(msg));
                     self.deliver_to_each(from, &targets, &delivery);
                 }
             }
@@ -1088,15 +1092,14 @@ impl Simulation {
         }
     }
 
-    /// Wraps an outgoing message into its shared per-broadcast handle,
-    /// computing both byte accountings exactly once.
-    fn share(&mut self, msg: SignedMessage) -> Delivery {
+    /// Pairs an outgoing message's handle with both byte accountings,
+    /// computed once per send from one read of its tip.
+    fn share(&mut self, msg: Arc<SignedMessage>) -> Delivery {
         // The sim's store is the single shared source of truth, so a
         // constructed message always has its chain stored; a failure here
         // is a sim bug and must not be silently charged as 0 bytes.
-        let wire_len = wire::encoded_len(&msg, &self.store).expect("sim store holds every chain");
-        let inline_len = wire::inline_equivalent_len(&msg, &self.store);
-        let msg = Arc::new(msg);
+        let (wire_len, inline_len) =
+            wire::encoded_and_inline_len(&msg, &self.store).expect("sim store holds every chain");
         self.sent_this_tick.push(Arc::clone(&msg));
         Delivery { msg, wire_len, inline_len }
     }
@@ -1108,9 +1111,9 @@ impl Simulation {
     }
 
     /// Delivers to each distinct target once, in first-occurrence order.
-    /// Recovery replies and fetch responses take this path once per
-    /// message, so the dedup marks live in a scratch buffer that is
-    /// wiped target by target instead of being allocated per call.
+    /// Every fetch request and response takes this path, so the dedup
+    /// marks live in a scratch buffer that is wiped target by target
+    /// instead of being allocated per call.
     fn deliver_to_each(&mut self, from: ValidatorId, targets: &[ValidatorId], delivery: &Delivery) {
         let mut marks = std::mem::take(&mut self.target_marks);
         for &to in targets {
@@ -1634,6 +1637,93 @@ mod tests {
             scheduled.lock().unwrap().iter().filter(|s| s.0 == Time::new(8)).map(|s| s.1).collect();
         assert_eq!(forwarders, vec![1, 1, 2, 2, 0, 0, 2, 2, 0, 0, 1, 1]);
         assert_eq!(sim.metrics().forwards, 6);
+    }
+
+    /// `k` LOGs over ever longer chains with ever larger transactions,
+    /// so no two have the same encoded length.
+    fn growing_logs(store: &BlockStore, k: usize) -> Vec<SignedMessage> {
+        let me = ValidatorId::new(0);
+        let kp = Keypair::from_seed(me.key_seed());
+        let mut log = Log::genesis(store);
+        (0..k as u64)
+            .map(|i| {
+                let tx = tobsvd_types::Transaction::synthetic(i, 8 * (i as usize + 1));
+                log = log.extend(store, me, View::new(i), vec![tx]);
+                SignedMessage::sign(&kp, me, Payload::Log { instance: InstanceId(i), log })
+            })
+            .collect()
+    }
+
+    /// At t = 0 validator 0 sends [`growing_logs`] to validator 1, as one
+    /// `ForwardTo` batch or as one single-target `Multicast` per message;
+    /// every node logs `(arrival, id)` of what it receives.
+    struct BatchSender {
+        batched: bool,
+        sent: Vec<SignedMessage>,
+        received: Vec<(Time, tobsvd_crypto::Digest)>,
+    }
+
+    impl Node for BatchSender {
+        fn on_phase(&mut self, ctx: &mut Context) {
+            if ctx.me.index() != 0 || ctx.time != Time::ZERO {
+                return;
+            }
+            self.sent = growing_logs(&ctx.store, 12);
+            let to = ValidatorId::new(1);
+            if self.batched {
+                ctx.forward_to(to, self.sent.iter().copied().map(Arc::new).collect());
+            } else {
+                for m in &self.sent {
+                    ctx.multicast(vec![to], *m);
+                }
+            }
+        }
+        fn on_message(&mut self, msg: &SignedMessage, ctx: &mut Context) {
+            self.received.push((ctx.time, msg.id()));
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_forward_batch_is_scheduled_copy_by_copy_in_batch_order() {
+        let run = |batched: bool| {
+            let mut b = Simulation::builder(SimConfig::new(2).with_seed(11));
+            for v in ValidatorId::all(2) {
+                b = b.node(v, Box::new(BatchSender { batched, sent: Vec::new(), received: Vec::new() }));
+            }
+            let mut sim = b.build();
+            sim.run_until(Time::new(9));
+            let sender = sim.node(ValidatorId::new(0)).as_any().downcast_ref::<BatchSender>().unwrap();
+            let receiver = sim.node(ValidatorId::new(1)).as_any().downcast_ref::<BatchSender>().unwrap();
+            (sim.metrics().clone(), sender.sent.clone(), receiver.received.clone(), sim.store.clone())
+        };
+        let (metrics, sent, received, store) = run(true);
+        let k = sent.len() as u64;
+        assert_eq!((metrics.forwards, metrics.deliveries), (k, k));
+        assert_eq!(metrics.log_broadcasts, 0, "a batch is forwards only");
+        // Each copy is charged its own lengths, not its batch's.
+        let lens: Vec<u64> = sent.iter().map(|m| wire::encoded_len(m, &store).unwrap()).collect();
+        assert!(lens.windows(2).all(|w| w[0] < w[1]), "{lens:?}");
+        assert_eq!(metrics.bytes_delivered, lens.iter().sum::<u64>());
+        assert_eq!(metrics.log_bytes, metrics.bytes_delivered);
+        let inline: u64 = sent.iter().map(|m| wire::inline_equivalent_len(m, &store)).sum();
+        assert_eq!(metrics.inline_equiv_bytes, inline);
+        // One delay draw per copy, in batch order: arrivals are the
+        // batch stably sorted by arrival tick, and match what one
+        // single-target send per message draws.
+        let ids: Vec<_> = received.iter().map(|r| r.1).collect();
+        let mut by_arrival: Vec<_> = sent.iter().map(|m| m.id()).collect();
+        by_arrival.sort_by_key(|id| received.iter().find(|r| r.1 == *id).map(|r| r.0));
+        assert_eq!(ids, by_arrival);
+        assert!(received.windows(2).any(|w| w[0].0 != w[1].0), "the draws spread: {received:?}");
+        let (per_message, _, per_message_received, _) = run(false);
+        assert_eq!(received, per_message_received);
+        assert_eq!(metrics.bytes_delivered, per_message.bytes_delivered);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The sans-io protocol interface: [`Node`] and [`Context`].
 
+use std::sync::Arc;
+
 use tobsvd_types::{Delta, Log, SignedMessage, Time, ValidatorId};
 
 use crate::mempool::Mempool;
@@ -14,11 +16,14 @@ pub enum Outgoing {
     /// separately from originals in the metrics and never counts as a
     /// voting phase.
     Forward(SignedMessage),
-    /// Re-send a stored message to specific validators (the §2 recovery
-    /// protocol's response path). Counted as a forward.
-    ForwardTo(Vec<ValidatorId>, SignedMessage),
-    /// Send a message only to the given validators. Honest protocol code
-    /// never uses this; Byzantine strategies do (e.g. split equivocation).
+    /// Re-send stored messages, in order, to one validator: the §2
+    /// recovery protocol's reply, one action per serve. The handles are
+    /// the sender's own stored copies, so a reply copies no message.
+    /// Each message counts as one forward.
+    ForwardTo(ValidatorId, Vec<Arc<SignedMessage>>),
+    /// Send a message only to the given validators: the fetch plane's
+    /// targeted block requests and responses, and Byzantine strategies
+    /// (e.g. split equivocation).
     Multicast(Vec<ValidatorId>, SignedMessage),
 }
 
@@ -121,13 +126,13 @@ impl Context {
         self.outbox.push(Outgoing::Forward(msg));
     }
 
-    /// Re-sends a stored message to specific validators (recovery
-    /// responses).
-    pub fn forward_to(&mut self, targets: Vec<ValidatorId>, msg: SignedMessage) {
-        self.outbox.push(Outgoing::ForwardTo(targets, msg));
+    /// Re-sends stored messages, in order, to `to` (a recovery reply).
+    pub fn forward_to(&mut self, to: ValidatorId, msgs: Vec<Arc<SignedMessage>>) {
+        self.outbox.push(Outgoing::ForwardTo(to, msgs));
     }
 
-    /// Sends a message to a subset of validators (Byzantine strategies).
+    /// Sends a message to a subset of validators (the fetch plane,
+    /// Byzantine strategies).
     pub fn multicast(&mut self, targets: Vec<ValidatorId>, msg: SignedMessage) {
         self.outbox.push(Outgoing::Multicast(targets, msg));
     }

@@ -347,6 +347,32 @@ fn block_body_len(block: &Block) -> u64 {
 ///
 /// Fails under the same conditions as [`encode_message`].
 pub fn encoded_len(msg: &SignedMessage, store: &BlockStore) -> Result<u64, WireError> {
+    measure(msg, store).map(|(len, _)| len)
+}
+
+/// [`encoded_len`] and [`inline_equivalent_len`] together, reading a
+/// log's tip block from `store` once for both (the simulator charges
+/// every copy both amounts).
+///
+/// # Errors
+///
+/// Fails under the same conditions as [`encode_message`].
+pub fn encoded_and_inline_len(msg: &SignedMessage, store: &BlockStore) -> Result<(u64, u64), WireError> {
+    let (wire_len, tip_size) = measure(msg, store)?;
+    let inline_len = match msg.payload().log() {
+        Some(log) => {
+            let size = tip_size.unwrap_or_else(|| log.nominal_size(store));
+            crate::ENVELOPE_NOMINAL_BYTES + size
+        }
+        None => 0,
+    };
+    Ok((wire_len, inline_len))
+}
+
+/// [`encoded_len`], plus the tip block's cumulative size when the
+/// inline-window walk read that block (a log with `k > 0`).
+fn measure(msg: &SignedMessage, store: &BlockStore) -> Result<(u64, Option<u64>), WireError> {
+    let mut tip_size = None;
     let header = match msg.payload() {
         Payload::Log { .. }
         | Payload::Vote { .. }
@@ -377,6 +403,7 @@ pub fn encoded_len(msg: &SignedMessage, store: &BlockStore) -> Result<u64, WireE
             let mut cur = log.tip();
             for _ in 0..k {
                 let block = store.get(cur).ok_or(WireError::UnstoredChain)?;
+                tip_size.get_or_insert(block.cumulative_size());
                 n += block_body_len(&block);
                 cur = block.parent();
             }
@@ -397,7 +424,7 @@ pub fn encoded_len(msg: &SignedMessage, store: &BlockStore) -> Result<u64, WireE
     };
     // version + sender + tag + header + body (+ certificate trailer) +
     // signature.
-    Ok(1 + 4 + 1 + header + body + trailer + 32)
+    Ok((1 + 4 + 1 + header + body + trailer + 32, tip_size))
 }
 
 /// Nominal wire length of the same message under the pre-delta-sync
@@ -1117,5 +1144,37 @@ mod tests {
                 assert_eq!(peek_header(&frame[..cut]), None, "{cut}-byte prefix");
             }
         }
+    }
+
+    #[test]
+    fn both_lengths_at_once_agree_with_each_length_alone() {
+        let store = BlockStore::new();
+        let genesis = Log::genesis(&store);
+        let over_genesis = [
+            Payload::Log { instance: InstanceId(0), log: genesis },
+            Payload::Proposal {
+                view: View::ZERO,
+                log: genesis,
+                vrf: VrfOutput(tobsvd_crypto::sha256(b"vrf")),
+                proof: VrfProof(tobsvd_crypto::sha256(b"proof")),
+            },
+            Payload::Recovery { from_view: View::ZERO, log: genesis },
+        ];
+        for payload in all_variants(&store).into_iter().chain(over_genesis) {
+            let msg = signed(payload);
+            let (wire_len, inline_len) = encoded_and_inline_len(&msg, &store).expect("lengths");
+            assert_eq!(wire_len, encoded_len(&msg, &store).expect("len"), "{payload:?}");
+            assert_eq!(wire_len, encode_message(&msg, &store).expect("encode").len() as u64, "{payload:?}");
+            assert_eq!(inline_len, inline_equivalent_len(&msg, &store), "{payload:?}");
+            if payload.log().is_some() {
+                assert!(inline_len >= crate::ENVELOPE_NOMINAL_BYTES, "{payload:?}");
+            } else {
+                assert_eq!(inline_len, 0, "fetch traffic has no inline counterpart: {payload:?}");
+            }
+        }
+        let elsewhere = BlockStore::new();
+        let log = Log::genesis(&elsewhere).extend_empty(&elsewhere, ValidatorId::new(7), View::new(7));
+        let unstored = signed(Payload::Vote { instance: InstanceId(1), log });
+        assert_eq!(encoded_and_inline_len(&unstored, &store), Err(WireError::UnstoredChain));
     }
 }
