@@ -12,7 +12,10 @@
 //! lives in the validator's window (`crate::window::ViewState`) and is
 //! retired with the rest of the view; only this module sees inside it.
 //! GA state stays with the validator: [`AggregationPlane::on_certificate`]
-//! returns the signers it authenticated and the caller absorbs them.
+//! returns the signers it authenticated and the caller absorbs them, and
+//! a §2 recovery serve asks [`served_votes`] which vote messages to send.
+
+use std::sync::Arc;
 
 use tobsvd_crypto::{AggregateSignature, Digest, KeyCache, Keypair, PublicKey, Signature};
 use tobsvd_sim::Context;
@@ -50,6 +53,10 @@ pub(crate) struct VoteGroup {
     /// count: coverage is what upholds the relay guarantee through this
     /// validator.
     covered: SignerSet,
+    /// Every certificate the flush sent for the group, own or
+    /// forwarded, in sending order, when recovery is on: their signers
+    /// are `covered`. A recovery serve re-sends these handles.
+    sent: Vec<Arc<SignedMessage>>,
     /// Signers vouched by a received certificate whose aggregate this
     /// validator fully verified.
     cert_verified: SignerSet,
@@ -73,6 +80,7 @@ impl VoteGroup {
             have_votes: SignerSet::empty(),
             flushed: 0,
             covered: SignerSet::empty(),
+            sent: Vec::new(),
             cert_verified: SignerSet::empty(),
             own_cert_emitted: false,
             pending_certs: Vec::new(),
@@ -86,6 +94,12 @@ impl VoteGroup {
         let mut s = self.have_votes;
         s.union_with(&self.cert_verified);
         s
+    }
+
+    /// The certificates the flush sent for the group.
+    #[cfg(test)]
+    pub(crate) fn sent(&self) -> &[Arc<SignedMessage>] {
+        &self.sent
     }
 
     /// Signers already guaranteed to be relayed by this validator: held
@@ -157,6 +171,28 @@ fn group_mut(window: &mut Window, instance: InstanceId, log: Log) -> Option<&mut
     }
 }
 
+/// What a §2 recovery serve sends of one view's votes, given the view's
+/// vote groups and its archived `LOG`s: every certificate the flush sent,
+/// then, in arrival order, each archived vote whose sender no sent
+/// certificate of its group covers. Those are the votes that arrived
+/// since the last flush, the sub-quorum groups' and the senders beyond
+/// the bitmap. Each `(sender, log)` the validator relayed is carried
+/// once and no message is built: a covered vote's signature is in a
+/// sent certificate's aggregate. With no groups (per-vote mode) every
+/// archived vote is sent.
+pub(crate) fn served_votes<'a>(
+    groups: &'a [VoteGroup],
+    archive: &'a [Arc<SignedMessage>],
+) -> impl Iterator<Item = &'a Arc<SignedMessage>> {
+    let covered = |msg: &SignedMessage| match *msg.payload() {
+        Payload::Log { instance, log } => groups
+            .iter()
+            .any(|g| g.instance == instance && g.log == log && g.covered.contains(msg.sender())),
+        _ => false,
+    };
+    groups.iter().flat_map(|g| &g.sent).chain(archive.iter().filter(move |msg| !covered(msg)))
+}
+
 /// The certificate-mode relay strategy of one validator (see the module
 /// docs).
 pub(crate) struct AggregationPlane {
@@ -164,13 +200,16 @@ pub(crate) struct AggregationPlane {
     keypair: Keypair,
     /// Committee size: bounds certificate signer ids, sets the quorum.
     n: usize,
+    /// Whether §2 recovery serves read the certificates a flush sends
+    /// ([`crate::TobConfig::recovery`]): only then are their handles kept.
+    recovery: bool,
     /// Instrumentation: own certificates broadcast.
     pub(crate) certificates_emitted: u64,
 }
 
 impl AggregationPlane {
-    pub(crate) fn new(me: ValidatorId, keypair: Keypair, n: usize) -> Self {
-        AggregationPlane { me, keypair, n, certificates_emitted: 0 }
+    pub(crate) fn new(me: ValidatorId, keypair: Keypair, n: usize, recovery: bool) -> Self {
+        AggregationPlane { me, keypair, n, recovery, certificates_emitted: 0 }
     }
 
     /// Whether the plane takes over relaying of `payload`: votes and
@@ -285,7 +324,11 @@ impl AggregationPlane {
             for (sender, signers, agg, sig) in std::mem::take(&mut g.pending_certs) {
                 if !signers.is_subset(&g.relayed_by_us()) {
                     let cert = Payload::Certificate { instance: g.instance, log: g.log, signers, agg };
-                    ctx.forward(SignedMessage::from_parts(sender, cert, sig));
+                    let cert = SignedMessage::from_parts(sender, cert, sig);
+                    ctx.forward(cert);
+                    if self.recovery {
+                        g.sent.push(Arc::new(cert));
+                    }
                     g.covered.union_with(&signers);
                 }
             }
@@ -308,7 +351,11 @@ impl AggregationPlane {
                         signers: g.have_votes,
                         agg,
                     };
-                    ctx.broadcast(SignedMessage::sign(&self.keypair, self.me, payload));
+                    let cert = SignedMessage::sign(&self.keypair, self.me, payload);
+                    ctx.broadcast(cert);
+                    if self.recovery {
+                        g.sent.push(Arc::new(cert));
+                    }
                     self.certificates_emitted += 1;
                     g.own_cert_emitted = true;
                     let have = g.have_votes;
@@ -366,7 +413,7 @@ mod tests {
 
     fn plane(n: usize) -> Rig {
         let me = ValidatorId::new(0);
-        (AggregationPlane::new(me, KeyCache::keypair(me.key_seed()), n), Window::new())
+        (AggregationPlane::new(me, KeyCache::keypair(me.key_seed()), n, false), Window::new())
     }
 
     fn note((plane, window): &mut Rig, votes: &[SignedMessage], store: &BlockStore) {

@@ -12,9 +12,10 @@ pub struct TobConfig {
     /// Maximum transactions batched into one proposed block.
     pub max_txs_per_block: usize,
     /// Enables the §2 recovery protocol: on waking, broadcast a
-    /// `RECOVERY` request and serve peers' requests from a bounded
-    /// archive of recent messages. Required for liveness when the
-    /// network does not buffer for asleep validators.
+    /// `RECOVERY` request, and serve peers' requests from a bounded
+    /// archive of recent messages and the certificates already sent.
+    /// Required for liveness when the network does not buffer for
+    /// asleep validators.
     pub recovery: bool,
     /// Enables the aggregation plane: vote relaying is deferred to the
     /// next phase boundary and quorate vote groups cross the wire as one

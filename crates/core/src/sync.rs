@@ -136,8 +136,10 @@ impl SyncState {
     /// An unanswered fetch is re-broadcast after this many Δ.
     pub const RETRY_AFTER_DELTAS: u64 = 2;
 
-    /// Cap on archived messages re-sent per §2 `RECOVERY` request
-    /// served (block content beyond them moves over the fetch plane).
+    /// Cap on the messages one §2 `RECOVERY` serve re-sends: sent
+    /// certificates, uncovered archived votes and in-range vetted
+    /// proposals together, in view order (block content beyond them
+    /// moves over the fetch plane).
     pub const RECOVERY_RESPONSE_CAP: usize = 1024;
 
     /// Fresh state: only genesis is known.

@@ -19,7 +19,7 @@ use tobsvd_types::{
     wire, BlockId, BlockStore, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
 };
 
-use crate::aggregation::AggregationPlane;
+use crate::aggregation::{self, AggregationPlane};
 use crate::config::TobConfig;
 use crate::leader::vrf_for;
 use crate::schedule::{ViewSchedule, ViewPhase};
@@ -107,7 +107,7 @@ impl Validator {
             gossip: GossipState::new(),
             decided: Log::genesis(store),
             sync: SyncState::new(store),
-            agg: cfg.certificates.then(|| AggregationPlane::new(me, keypair, cfg.n)),
+            agg: cfg.certificates.then(|| AggregationPlane::new(me, keypair, cfg.n, cfg.recovery)),
             started: false,
             durable: None,
             persisted_len: 1,
@@ -500,44 +500,38 @@ impl Validator {
         repairs
     }
 
-    /// Records a fresh message for `view` in the recovery archive.
-    fn archive_message(&mut self, view: View, msg: &SignedMessage) {
+    /// Records a fresh vote for `view` in the recovery archive.
+    fn archive_vote(&mut self, view: View, msg: &SignedMessage) {
         if self.cfg.recovery {
-            self.window.entry(view).or_default().archive.msgs.push(Arc::new(*msg));
+            self.window.entry(view).or_default().archive.push(Arc::new(*msg));
         }
     }
 
-    /// Serves a recovery request: re-send every archived message from
-    /// `from_view` onward to the requester, up to the response cap, as
-    /// one batch of the archive's handles (none when nothing is held).
-    /// Proposals are archived as unverified claims, so a view's newly
-    /// archived ones are vetted first through their tracker's verdicts
-    /// (checked at most once per claim) and the forged ones dropped: a
-    /// forged VRF is never relayed, and a repeated serve only clones
-    /// handles.
-    fn serve_recovery(&mut self, requester: tobsvd_types::ValidatorId, from_view: View, ctx: &mut Context) {
-        if !self.cfg.recovery || requester == self.me {
+    /// Serves a recovery request from a committee member: one batch, up
+    /// to the response cap, of handles the validator already holds (none
+    /// when it holds nothing to send). For each view from `from_view` on,
+    /// in view order, that is the view's [`aggregation::served_votes`]
+    /// (the certificates the flush sent, then the archived votes none of
+    /// them covers), then, for a view in this validator's own
+    /// [`View::proposal_range`], its vetted archived proposals. No
+    /// message is built or signed. The requester's clock is at or past
+    /// ours when a copy arrives, so a proposal outside that range would
+    /// be dropped by its `process`: it is not sent.
+    fn serve_recovery(&mut self, requester: ValidatorId, from_view: View, ctx: &mut Context) {
+        if !self.cfg.recovery || requester == self.me || requester.index() >= self.cfg.n {
             return;
         }
+        let proposal_range = View::of_time(ctx.time, ctx.delta).proposal_range();
         let cap = SyncState::RECOVERY_RESPONSE_CAP;
         let mut served: Vec<Arc<SignedMessage>> = Vec::new();
-        for (_, state) in self.window.range_mut(from_view..) {
+        for (w, state) in self.window.range_mut(from_view..) {
             if served.len() >= cap {
                 break;
             }
-            let archived = &mut state.archive;
-            if archived.vetted < archived.msgs.len() {
-                let mut tracker = state.proposals.as_mut().map(|side| &mut side.tracker);
-                let fresh = archived.msgs.split_off(archived.vetted);
-                archived.msgs.extend(fresh.into_iter().filter(|msg| match msg.payload() {
-                    Payload::Proposal { log, vrf, proof, .. } => tracker
-                        .as_mut()
-                        .is_some_and(|tr| tr.verify(msg.sender(), log, vrf, proof, &mut ctx.crypto_ops)),
-                    _ => true,
-                }));
-                archived.vetted = archived.msgs.len();
-            }
-            served.extend(archived.msgs.iter().take(cap - served.len()).cloned());
+            let votes = aggregation::served_votes(&state.groups, &state.archive);
+            let side = state.proposals.as_mut().filter(|_| proposal_range.contains(w));
+            let proposals = side.map(|side| side.vetted(&mut ctx.crypto_ops)).unwrap_or_default();
+            served.extend(votes.chain(proposals).take(cap - served.len()).cloned());
         }
         if !served.is_empty() {
             ctx.forward_to(requester, served);
@@ -577,10 +571,10 @@ impl Validator {
         self.sync.note_requested(missing, ctx.time, from_height);
     }
 
-    /// Serves a fetch: responds with the requested chain range if we
-    /// know (can vouch for) the tip. Responses are capped at
-    /// [`wire::MAX_FETCH_BLOCKS`]; a longer gap is served lowest-first
-    /// and the requester re-requests the rest once its knowledge grows.
+    /// Serves a fetch from a committee member: responds with the
+    /// requested chain range if we know (can vouch for) the tip.
+    /// Responses are capped at [`wire::MAX_FETCH_BLOCKS`]; a longer gap
+    /// is served top-first and the requester fetches the rest below it.
     fn serve_fetch(
         &mut self,
         requester: ValidatorId,
@@ -588,7 +582,7 @@ impl Validator {
         from_height: u64,
         ctx: &mut Context,
     ) {
-        if requester == self.me || !self.sync.knows(tip) {
+        if requester == self.me || requester.index() >= self.cfg.n || !self.sync.knows(tip) {
             return;
         }
         let Some(tip_height) = ctx.store.height(tip) else {
@@ -775,7 +769,7 @@ impl Node for Validator {
         }
         match phase {
             ViewPhase::Propose => {
-                window::retire(&mut self.window, v, self.cfg.recovery);
+                window::retire(&mut self.window, v);
                 self.gossip.set_live(v.number());
                 self.propose(v, ctx);
             }
@@ -885,7 +879,7 @@ impl Validator {
                 if !current.live_range().contains(&w) {
                     return;
                 }
-                self.archive_message(w, msg);
+                self.archive_vote(w, msg);
                 self.ensure_ga(w).on_log(msg.sender(), *log);
                 if let Some(plane) = self.agg.as_mut() {
                     plane.note_vote(&mut self.window, msg, *instance, *log, ctx);
@@ -921,7 +915,9 @@ impl Validator {
                 if self.agg.is_some() {
                     side.relay.note(msg.sender(), slot);
                 }
-                self.archive_message(*view, msg);
+                if self.cfg.recovery {
+                    side.archive.push(Arc::new(*msg));
+                }
             }
             Payload::Vote { .. } => {} // not part of TOB-SVD
             Payload::Recovery { from_view, .. } => {
@@ -1308,7 +1304,7 @@ mod tests {
         assert_eq!(forwards, [1, 1, 0], "the third distinct LOG is not forwarded");
         assert_eq!((ctx.crypto_ops.sig_verifies, ctx.crypto_ops.sig_verify_skips), (3, 0));
         assert_eq!((val.unique_messages_seen(), val.verified_ids()), (3, 3));
-        assert_eq!(val.window[&View::ZERO].archive.msgs.len(), 2, "only two were processed");
+        assert_eq!(val.window[&View::ZERO].archive.len(), 2, "only two were processed");
     }
 
     fn proposal(sender: ValidatorId, log: Log, vrf: VrfOutput, proof: VrfProof) -> SignedMessage {
@@ -1450,8 +1446,9 @@ mod tests {
             })
             .collect();
         assert_eq!(relayed, vec![genuine.id()]);
-        // A recovering peer gets the genuine proposal (and our vote),
-        // never the forged claim, and no claim is checked twice.
+        // A recovering peer gets the archived genuine proposal, never the
+        // forged claim, and no claim is checked twice. (Our own vote was
+        // never received back, so no vote is archived.)
         let peer = ValidatorId::new(2);
         let request = SignedMessage::sign(
             &Keypair::from_seed(peer.key_seed()),
@@ -1464,14 +1461,15 @@ mod tests {
             .outbox()
             .iter()
             .filter_map(|o| match o {
-                tobsvd_sim::Outgoing::ForwardTo(to, batch) => Some((*to, batch)),
+                tobsvd_sim::Outgoing::ForwardTo(to, batch) => Some((*to, batch.as_slice())),
                 _ => None,
             })
             .collect();
-        let [(to, batch)] = served.as_slice() else { panic!("one reply per serve: {served:?}") };
-        let ids: Vec<_> = batch.iter().map(|m| m.id()).collect();
+        let [(to, [sent])] = served.as_slice() else { panic!("one reply of one proposal: {served:?}") };
+        let side = val.window[&View::ZERO].proposals.as_ref().expect("a proposal side");
         assert_eq!(*to, peer);
-        assert!(ids.contains(&genuine.id()) && !ids.contains(&forged.id()), "{ids:?}");
+        assert_eq!(sent.id(), genuine.id());
+        assert!(Arc::ptr_eq(sent, &side.archive[0]) && side.archive.len() == 1, "the forged claim is gone");
         assert_eq!(ctx.crypto_ops.vrf_verifies, 0, "served from the flush's verdicts");
     }
 
@@ -1486,8 +1484,9 @@ mod tests {
         val.serve_recovery(peer, View::ZERO, &mut ctx);
         assert!(ctx.outbox().is_empty(), "an empty archive emits nothing");
 
-        // Over the cap across three views, archived with the views
-        // interleaved: the serve is in view order, then arrival order.
+        // Votes over the cap across three views, archived with the views
+        // interleaved and in no vote group (so none is covered): the
+        // serve is in view order, then arrival order.
         let cap = SyncState::RECOVERY_RESPONSE_CAP;
         let per_view = cap / 2 + 100;
         let views = [View::new(2), View::ZERO, View::new(1)];
@@ -1496,11 +1495,11 @@ mod tests {
             let kp = KeyCache::keypair(sender.key_seed());
             for view in views {
                 let payload = Payload::Log { instance: InstanceId::for_view(view), log: g };
-                val.archive_message(view, &SignedMessage::sign(&kp, sender, payload));
+                val.archive_vote(view, &SignedMessage::sign(&kp, sender, payload));
             }
         }
         let archived: Vec<_> =
-            val.window.values().flat_map(|state| state.archive.msgs.iter().cloned()).collect();
+            val.window.values().flat_map(|state| state.archive.iter().cloned()).collect();
         assert_eq!(archived.len(), 3 * per_view);
         assert!(archived.len() > cap);
         let mut ctx = ctx_at(1, &store);
@@ -1642,7 +1641,9 @@ mod tests {
             let store = BlockStore::new();
             let cfg = TobConfig::new(4).with_recovery(recovery);
             let mut val = Validator::new(ValidatorId::new(0), cfg, &store);
-            let side_cap = if recovery { 4 } else { 3 };
+            // The proposal range's three views, with or without the
+            // archive: archived proposals leave with their side.
+            let side_cap = 3;
             let (mut widest, mut most_sides) = (0, 0);
             for t in (0..48 * 32).step_by(8).filter(|t| !asleep.contains(t)) {
                 // Deliveries at a boundary's tick precede its callback.
@@ -1665,6 +1666,120 @@ mod tests {
                 (widest, most_sides) = (widest.max(val.window.len()), most_sides.max(sides));
             }
             assert_eq!((widest, most_sides), (4, side_cap), "both bounds are reached");
+        }
+    }
+
+    fn sign_as(from: u32, payload: Payload) -> SignedMessage {
+        let v = ValidatorId::new(from);
+        SignedMessage::sign(&KeyCache::keypair(v.key_seed()), v, payload)
+    }
+
+    /// A server (n = 10, so a quorum is 6 votes) at tick 96, the Propose
+    /// boundary of view 3, before that boundary's callback runs. View 2
+    /// holds a quorate group for `a` whose own certificate the flush at
+    /// 80 sent, validator 3's second log `b` alone in a sub-quorum
+    /// group, and two late votes after that flush. Validators 1 and 2
+    /// proposed for views 1 to 4, and view 1's side is not retired yet.
+    /// Returns the server and what it sent at the boundaries 80 and 88.
+    fn scripted_server(store: &BlockStore, certificates: bool) -> (Validator, Vec<tobsvd_sim::Outgoing>) {
+        let cfg = TobConfig::new(10).with_recovery(true).with_certificates(certificates);
+        let mut val = Validator::new(ValidatorId::new(0), cfg, store);
+        let g = Log::genesis(store);
+        let fork = |proposer: u32| g.extend_empty(store, ValidatorId::new(proposer), View::new(1));
+        let (a, b) = (fork(1), fork(2));
+        let vote = |from: u32, log: Log| sign_as(from, Payload::Log { instance: InstanceId(2), log });
+        let proposal = |from: u32, w: u64| {
+            let (view, proposer) = (View::new(w), ValidatorId::new(from));
+            let (vrf, proof) = vrf_for(proposer, view);
+            sign_as(from, Payload::Proposal { view, log: g.extend_empty(store, proposer, view), vrf, proof })
+        };
+        let mut sent = Vec::new();
+        for t in 70..=96 {
+            let mut ctx = ctx_at(t, store);
+            let arrivals: Vec<SignedMessage> = match t {
+                70 => (1..=3).flat_map(|w| [proposal(1, w), proposal(2, w)]).collect(),
+                73 => (1..=6).map(|from| vote(from, a)).collect(),
+                75 => vec![vote(3, b)],
+                83 => vec![vote(7, a)],
+                90 => vec![vote(8, a)],
+                96 => vec![proposal(1, 4), proposal(2, 4)],
+                _ => Vec::new(),
+            };
+            for msg in &arrivals {
+                val.on_message(msg, &mut ctx);
+            }
+            if t == 80 || t == 88 {
+                val.on_phase(&mut ctx);
+                sent.extend(ctx.take_outbox());
+            }
+        }
+        (val, sent)
+    }
+
+    /// `peer`'s recovery request reaches `val` at tick 96: the reply.
+    fn serve_at_96(val: &mut Validator, store: &BlockStore, peer: u32) -> Vec<Arc<SignedMessage>> {
+        let request = Payload::Recovery { from_view: View::new(1), log: Log::genesis(store) };
+        let mut ctx = ctx_at(96, store);
+        val.on_message(&sign_as(peer, request), &mut ctx);
+        // The request itself is gossiped on; the reply is the one
+        // `ForwardTo`.
+        match ctx.take_outbox().as_slice() {
+            [tobsvd_sim::Outgoing::Forward(_), tobsvd_sim::Outgoing::ForwardTo(to, batch)]
+                if *to == ValidatorId::new(peer) =>
+            {
+                batch.clone()
+            }
+            other => panic!("one reply per serve, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_serve_is_the_sent_certificates_then_the_uncovered_votes_then_the_in_range_proposals() {
+        let store = BlockStore::new();
+        let (mut val, sent) = scripted_server(&store, true);
+        let batch = serve_at_96(&mut val, &store, 9);
+        let w2 = &val.window[&View::new(2)];
+        let [own] = w2.groups[0].sent() else { panic!("one certificate sent for `a`") };
+        assert!(sent.iter().any(|o| matches!(o, tobsvd_sim::Outgoing::Broadcast(m) if m == &**own)));
+        assert!(matches!(own.payload(), Payload::Certificate { signers, .. } if signers.len() == 6));
+        assert!(w2.groups[1].sent().is_empty(), "`b` never reached a quorum");
+        // The archive is a1..a6, b3, a7, a8: the certificate covers a1..a6.
+        let uncovered = &w2.archive[6..];
+        let proposals = (2..=4).flat_map(|w| &val.window[&View::new(w)].proposals.as_ref().expect("a side").archive);
+        let expected: Vec<_> = [own].into_iter().chain(uncovered).chain(proposals).collect();
+        assert_eq!(batch.len(), expected.len(), "{batch:?}");
+        for (got, want) in batch.iter().zip(expected) {
+            assert!(Arc::ptr_eq(got, want), "every entry is a held handle: {got:?}");
+        }
+        let uncovered: Vec<_> = batch[1..4].iter().map(|m| m.sender().index()).collect();
+        assert_eq!(uncovered, [3, 7, 8], "the equivocator's second log, then the late votes");
+        assert!(val.window[&View::new(1)].proposals.is_some(), "view 1's side is held but not served");
+    }
+
+    #[test]
+    fn every_served_proposal_reaches_the_requesters_tracker_at_every_arrival_tick() {
+        for certificates in [true, false] {
+            let store = BlockStore::new();
+            let (mut val, _) = scripted_server(&store, certificates);
+            let batch = serve_at_96(&mut val, &store, 9);
+            let trimmed: Vec<_> = val.window[&View::new(1)].proposals.as_ref().expect("a side").archive.clone();
+            let is_proposal = |m: &&Arc<SignedMessage>| matches!(m.payload(), Payload::Proposal { .. });
+            assert_eq!(batch.iter().filter(is_proposal).count(), 6, "two per view, views 2 to 4");
+            for arrive in 97..=104 {
+                let cfg = TobConfig::new(10).with_recovery(true).with_certificates(certificates);
+                let mut requester = Validator::new(ValidatorId::new(9), cfg, &store);
+                let mut ctx = ctx_at(arrive, &store);
+                for msg in batch.iter().chain(&trimmed) {
+                    requester.on_message(msg, &mut ctx);
+                }
+                let mut reached = |msg: &SignedMessage| {
+                    let Payload::Proposal { view, log, vrf, proof } = msg.payload() else { return true };
+                    let side = requester.window.get_mut(view).and_then(|state| state.proposals.as_mut());
+                    side.is_some_and(|side| side.tracker.verify(msg.sender(), log, vrf, proof, &mut ctx.crypto_ops))
+                };
+                assert!(batch.iter().all(|m| reached(m)), "arrival {arrive}: a served proposal was dropped");
+                assert!(!trimmed.iter().any(|m| reached(m)), "arrival {arrive}: a trimmed one would be dropped");
+            }
         }
     }
 }

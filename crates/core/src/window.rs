@@ -7,7 +7,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tobsvd_ga::Ga3;
-use tobsvd_types::{SignedMessage, View};
+use tobsvd_sim::CryptoOps;
+use tobsvd_types::{Payload, SignedMessage, View};
 
 use crate::aggregation::{ProposalRelay, VoteGroup};
 use crate::leader::ProposalTracker;
@@ -28,41 +29,60 @@ pub(crate) struct ViewState {
     /// The aggregation plane's vote groups, in arrival order (empty in
     /// per-vote mode).
     pub(crate) groups: Vec<VoteGroup>,
-    /// The §2 recovery archive (empty without `cfg.recovery`).
-    pub(crate) archive: ArchivedView,
+    /// The §2 recovery archive's votes: every `LOG` taken in, in
+    /// arrival order, each allocated once (empty without
+    /// `cfg.recovery`). A serve hands out clones of the handles.
+    pub(crate) archive: Vec<Arc<SignedMessage>>,
 }
 
-/// A view's proposal tracking and the aggregation plane's relay buffer
-/// of references into it: one lifetime, so no reference outlives its claim.
+/// A view's proposal tracking, the aggregation plane's relay buffer of
+/// references into it and the §2 archive of its proposals, which the
+/// tracker vets: one lifetime, so no reference outlives its claim.
 pub(crate) struct ProposalSide {
     pub(crate) tracker: ProposalTracker,
     pub(crate) relay: ProposalRelay,
+    /// The proposals taken in, in arrival order (empty without
+    /// `cfg.recovery`). The first `vetted` have had their VRFs checked,
+    /// forged ones removed.
+    pub(crate) archive: Vec<Arc<SignedMessage>>,
+    vetted: usize,
 }
 
 impl ProposalSide {
     pub(crate) fn new(view: View) -> Self {
-        ProposalSide { tracker: ProposalTracker::new(view), relay: ProposalRelay::default() }
+        ProposalSide {
+            tracker: ProposalTracker::new(view),
+            relay: ProposalRelay::default(),
+            archive: Vec::new(),
+            vetted: 0,
+        }
+    }
+
+    /// The archived proposals with a valid VRF, in arrival order. Those
+    /// archived since the last call are vetted first through the
+    /// tracker's verdicts (checked at most once per claim) and the
+    /// forged ones dropped, so a forged VRF is never served.
+    pub(crate) fn vetted(&mut self, ops: &mut CryptoOps) -> &[Arc<SignedMessage>] {
+        if self.vetted < self.archive.len() {
+            let fresh = self.archive.split_off(self.vetted);
+            let tracker = &mut self.tracker;
+            self.archive.extend(fresh.into_iter().filter(|msg| match msg.payload() {
+                Payload::Proposal { log, vrf, proof, .. } => tracker.verify(msg.sender(), log, vrf, proof, ops),
+                _ => false,
+            }));
+            self.vetted = self.archive.len();
+        }
+        &self.archive
     }
 }
 
-/// One view's recovery archive, in arrival order. The first `vetted`
-/// messages have had their proposals' VRFs checked, forged ones removed.
-/// Each message is allocated once, when archived; a serve hands out
-/// clones of the handles.
-#[derive(Default)]
-pub(crate) struct ArchivedView {
-    pub(crate) msgs: Vec<Arc<SignedMessage>>,
-    pub(crate) vetted: usize,
-}
-
 /// The retention step, run at the Propose boundary of view `v`: views
-/// behind [`View::live_range`] leave whole. The proposal side leaves at
-/// [`View::proposal_range`] instead, unless `recovery` is on: then the
-/// archive's vetting reads the tracker until the archive entry leaves.
-pub(crate) fn retire(window: &mut Window, v: View, recovery: bool) {
+/// behind [`View::live_range`] leave whole, and a proposal side, with
+/// its archive, leaves once behind [`View::proposal_range`].
+pub(crate) fn retire(window: &mut Window, v: View) {
     let (live, proposals) = (v.live_range(), v.proposal_range());
     window.retain(|w, state| {
-        if !recovery && w < proposals.start() {
+        if w < proposals.start() {
             state.proposals = None;
         }
         w >= live.start()

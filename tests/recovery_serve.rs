@@ -5,12 +5,13 @@
 //! every archived `LOG` leaves it: the same seats, the same snapshots
 //! and the same outputs at every later phase boundary. It must do so
 //! one hop on too, when the requester serves what it recovered to a
-//! second one.
+//! second one. And a request signed by an id outside the committee must
+//! not be served at all.
 
 use std::sync::Arc;
 
 use tob_svd::crypto::KeyCache;
-use tob_svd::protocol::{TobConfig, Validator};
+use tob_svd::protocol::{TobConfig, TobSimulationBuilder, Validator};
 use tob_svd::sim::{Context, Mempool, Node, Outgoing};
 use tob_svd::types::{
     BlockStore, Delta, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
@@ -141,9 +142,9 @@ fn scripts(store: &BlockStore) -> Vec<(&'static str, Vec<(u64, SignedMessage)>)>
 fn a_serve_leaves_the_requesters_gas_where_a_resend_of_every_archived_vote_does() {
     let store = BlockStore::new();
     for (what, script) in scripts(&store) {
-        // The requester heard the first four votes of view 2 before it
+        // The requester heard four of the votes sent at 73 before it
         // went to sleep at 81, so `GA_2`'s first snapshot is not empty.
-        let heard: Vec<_> = script.iter().filter(|(at, m)| *at < 81 && m.sender().raw() <= 4).cloned().collect();
+        let heard: Vec<_> = script.iter().filter(|(at, m)| *at == 73 && m.sender().raw() <= 4).cloned().collect();
         for serve_at in [81, 86, 91, 99, 106] {
             let mut server = validator(SERVER, &store);
             drive(&mut server, &store, 0..serve_at, &script);
@@ -197,4 +198,56 @@ fn a_requester_that_recovered_serves_a_second_one_the_same_seats() {
             assert!(seats(&second, 2).is_some(), "{what}: the second hop carried view 2");
         }
     }
+}
+
+/// Slot 3 of a four-validator run: at `t = 2Δ`, once the honest
+/// validators hold votes and proposals, it sends one request signed as
+/// validator 9. The stand-in keys derive from public seeds, so anyone
+/// can sign for an id beyond the committee.
+struct Outsider {
+    request: fn(Log) -> Payload,
+    heard: Option<Log>,
+}
+
+impl Node for Outsider {
+    fn on_phase(&mut self, ctx: &mut Context) {
+        let Some(log) = self.heard.filter(|_| ctx.time == Time::new(2 * DELTA)) else { return };
+        ctx.broadcast(sign(9, (self.request)(log)));
+    }
+
+    fn on_message(&mut self, msg: &SignedMessage, _ctx: &mut Context) {
+        if let Payload::Proposal { log, .. } = msg.payload() {
+            self.heard.get_or_insert(*log);
+        }
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+fn run_with_outsider(request: fn(Log) -> Payload) {
+    let report = TobSimulationBuilder::new(4)
+        .views(4)
+        .seed(5)
+        .recovery(true)
+        .byzantine(ValidatorId::new(3), Box::new(move |_| Box::new(Outsider { request, heard: None })))
+        .run()
+        .expect("valid configuration");
+    report.assert_safety();
+    assert!(report.decided_blocks() > 0);
+}
+
+#[test]
+fn a_recovery_request_from_outside_the_committee_is_not_served() {
+    run_with_outsider(|log| Payload::Recovery { from_view: View::ZERO, log });
+}
+
+#[test]
+fn a_block_request_from_outside_the_committee_is_not_served() {
+    run_with_outsider(|log| Payload::BlockRequest { tip: log.tip(), from_height: 1 });
 }
