@@ -373,7 +373,7 @@ fn per_vote_transcript_fingerprint_is_pinned() {
     }
     assert_eq!(
         h.finalize().to_hex(),
-        "1cbab163033a098c57f2ab958cf25c0d7833c2f8c4cf1630197e2069412724f8",
+        "64a6d6e007febb3a747d8a680761378cf661ce4fecdfa0d6df1b0775926127c7",
         "the per-vote (certificates = false) run changed"
     );
 }
