@@ -12,7 +12,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use tobsvd_crypto::{Digest, KeyCache, Keypair};
 use tobsvd_ga::Ga3;
-use tobsvd_sim::gossip::GossipState;
+use tobsvd_sim::gossip::{Admission, GossipState};
 use tobsvd_sim::{garbage_bytes, Context, Node, StateFault};
 use tobsvd_storage::{replay_into, BlockRecord, SharedDurable, Snapshot, WalError, WalRecord};
 use tobsvd_types::{
@@ -643,6 +643,19 @@ impl Validator {
         self.drain_pending(ctx);
     }
 
+    /// A message the range gate dropped unverified still carries its
+    /// inline window, and blocks are content-addressed, so the window is
+    /// absorbed without a signature and any parked entry it unblocks
+    /// drains. One whose window does not resolve parks nothing and
+    /// fetches nothing: the message itself would be dropped.
+    fn absorb_window(&mut self, msg: &SignedMessage, ctx: &mut Context) {
+        if let Some(log) = msg.payload().log() {
+            if self.sync.resolve(&log, &ctx.store) == Resolution::Resolved {
+                self.drain_pending(ctx);
+            }
+        }
+    }
+
     fn handle_or_park(&mut self, msg: &SignedMessage, ctx: &mut Context) {
         let Some(log) = msg.payload().log() else {
             return;
@@ -820,8 +833,13 @@ impl Node for Validator {
     }
 
     fn on_message(&mut self, msg: &SignedMessage, ctx: &mut Context) {
-        let Some(reception) = self.gossip.admit(msg, ctx) else {
-            return; // forged signature
+        let reception = match self.gossip.admit_live(msg, ctx) {
+            Admission::Admitted(reception) => reception,
+            Admission::Forged => return,
+            Admission::OutOfRange => {
+                self.absorb_window(msg, ctx);
+                return;
+            }
         };
         // Fetch traffic is verified but never filed: it is point-to-point
         // transport (never re-broadcast), serving is idempotent, and a
@@ -870,15 +888,18 @@ impl Validator {
     /// The protocol state machine proper, entered only with fully
     /// resolved messages (every referenced block known).
     fn process(&mut self, msg: &SignedMessage, ctx: &mut Context) {
-        let current = View::of_time(ctx.time, ctx.delta);
+        // Only live instances take input: a LOG or certificate for a
+        // view out of `View::live_range`, however large, and a proposal
+        // out of `View::proposal_range`, is dropped here, before it
+        // touches any per-view state. The gossip gate drops such a first
+        // sighting before its signature check; this catches one parked
+        // while in range that resolved after its view left.
+        if !msg.payload().is_live_at(View::of_time(ctx.time, ctx.delta)) {
+            return;
+        }
         match msg.payload() {
             Payload::Log { instance, log } => {
                 let w = instance.view();
-                // Only live instances take input; a view out of range,
-                // however large, is dropped here (`View::live_range`).
-                if !current.live_range().contains(&w) {
-                    return;
-                }
                 self.archive_vote(w, msg);
                 self.ensure_ga(w).on_log(msg.sender(), *log);
                 if let Some(plane) = self.agg.as_mut() {
@@ -887,9 +908,6 @@ impl Validator {
             }
             Payload::Certificate { instance, log, .. } => {
                 let w = instance.view();
-                if !current.live_range().contains(&w) {
-                    return;
-                }
                 // Certificates only exist under the aggregation plane;
                 // per-vote mode has no door through which one could
                 // reach the GA.
@@ -899,11 +917,6 @@ impl Validator {
                 }
             }
             Payload::Proposal { view, .. } => {
-                // An out-of-range proposal is dropped before it touches
-                // the per-view tracker, which only exists for live views.
-                if !current.proposal_range().contains(view) {
-                    return;
-                }
                 // Recorded as an unverified claim: its VRF is checked
                 // only where its priority is used — the vote, the
                 // boundary relay, a recovery serve — so a forged VRF is
@@ -1606,8 +1619,64 @@ mod tests {
                 assert!(val.window.is_empty(), "{view}: {payload:?} must be dropped");
             }
         }
+        // The range gate drops all six before their signature check.
         let ops = ctx.crypto_ops;
-        assert_eq!((ops.sig_verifies, ops.vrf_verifies, ops.agg_verifies), (6, 0, 0));
+        assert_eq!((ops.sig_verifies, ops.vrf_verifies, ops.agg_verifies), (0, 0, 0));
+        assert_eq!(ops.dropped_out_of_range, 6);
+        assert_eq!(val.unique_messages_seen(), 0);
+    }
+
+    /// A stale `LOG` whose window does not resolve costs nothing: the
+    /// range gate drops it before its signature check, and nothing is
+    /// parked or fetched for a message that would be dropped anyway.
+    #[test]
+    fn stale_traffic_with_an_unknown_base_is_neither_verified_nor_fetched() {
+        let store = BlockStore::new();
+        let mut val = Validator::new(ValidatorId::new(0), TobConfig::new(4), &store);
+        let peer = ValidatorId::new(1);
+        let proposer = ValidatorId::new(2);
+        // A height-2 log whose base (height 1) the validator never
+        // learned; the store holds both blocks, as a decoded frame does.
+        let g = Log::genesis(&store);
+        let base = g.extend_empty(&store, proposer, View::new(0));
+        let log = base.extend_empty(&store, proposer, View::new(1));
+        let stale = Payload::Log { instance: InstanceId::for_view(View::new(1)), log };
+        let msg = SignedMessage::sign(&KeyCache::keypair(peer.key_seed()), peer, stale);
+        // Tick 200 is view 6: view 1 left the live range long ago.
+        let mut ctx = ctx_at(200, &store);
+        assert_eq!(View::of_time(ctx.time, ctx.delta), View::new(6));
+        val.on_message(&msg, &mut ctx);
+        assert_eq!(ctx.crypto_ops.sig_verifies, 0, "no signature check");
+        assert_eq!(ctx.crypto_ops.dropped_out_of_range, 1);
+        assert!(ctx.outbox().is_empty(), "no block request, no forward");
+        assert_eq!((val.sync().parked_total(), val.sync().requests_sent()), (0, 0), "nothing parked");
+        assert!(!val.sync().knows(log.tip()));
+    }
+
+    /// The window of a dropped stale message is still absorbed, without
+    /// a signature, and drains what it unblocks: here a live `LOG`
+    /// parked on the very block the stale one carries.
+    #[test]
+    fn a_dropped_stale_message_still_unblocks_a_parked_one() {
+        let store = BlockStore::new();
+        let mut val = Validator::new(ValidatorId::new(0), TobConfig::new(4), &store);
+        let (peer, proposer) = (ValidatorId::new(1), ValidatorId::new(2));
+        let kp = KeyCache::keypair(peer.key_seed());
+        let g = Log::genesis(&store);
+        let base = g.extend_empty(&store, proposer, View::new(0));
+        let log = base.extend_empty(&store, proposer, View::new(1));
+        let mut ctx = ctx_at(200, &store);
+        let live = Payload::Log { instance: InstanceId::for_view(View::new(6)), log };
+        val.on_message(&SignedMessage::sign(&kp, peer, live), &mut ctx);
+        assert_eq!((val.sync().pending_len(), ctx.crypto_ops.sig_verifies), (1, 1), "parked");
+        assert!(val.ga(View::new(6)).is_none());
+        // A stale LOG whose one-block window is the missing base.
+        let stale = Payload::Log { instance: InstanceId::for_view(View::new(1)), log: base };
+        val.on_message(&SignedMessage::sign(&kp, peer, stale), &mut ctx);
+        assert_eq!(ctx.crypto_ops.dropped_out_of_range, 1);
+        assert_eq!(ctx.crypto_ops.sig_verifies, 1, "the stale LOG is not verified");
+        assert!(val.sync().knows(base.tip()) && val.sync().pending_len() == 0, "drained");
+        assert!(val.ga(View::new(6)).is_some(), "the parked LOG reached GA_6");
     }
 
     /// Peers' traffic at tick `t`: a `LOG` for every instance of the

@@ -21,28 +21,41 @@
 //!
 //! * **Slot tables.** The first id a sender files under a key sits in
 //!   its view's table at `[kind][sender]`; a duplicate of it — almost
-//!   all traffic — costs one array index and one 32-byte compare. The
-//!   four live views' tables sit in `live[view % 4]`; a view that left
-//!   the live range keeps its table whole in `retired`, one ordered
-//!   descent by view number away, and is addressed exactly like a live
-//!   one.
+//!   all traffic — costs one array index and one 32-byte compare. Only
+//!   the four views of the live range have tables, in a ring
+//!   `live[view % 4]`.
 //! * **Overflow.** One ordered set of `(key, id)` holds the rest: later
 //!   distinct ids of a key, senders at or beyond [`SignerSet::CAPACITY`],
-//!   and every view that never had a table (attacker-chosen numbers,
-//!   `RECOVERY` start views, finality epochs, views filed before they
-//!   became live) — one ordered descent each. In a view with a table a
-//!   key has overflow entries only if its slot is occupied, so an empty
-//!   slot means "nothing filed" without a descent. A fault-free run
-//!   leaves it empty.
-//! * **Live range.** Fresh tables are made only for the four views of
-//!   [`View::live_range`] at the view of the last [`GossipState::set_live`],
-//!   and a slot vector grows only when a *verified* id is filed into it:
-//!   no message can buy an O(n) allocation. Moving the range moves each
-//!   table that left it into `retired` whole, hands a retired table back
-//!   to a view that re-enters, and lets overflow entries of a view that
-//!   enters without one take their slots — a pure re-indexing, every
-//!   answer is the one a flat id set gives. What is retained stays one
-//!   slot or entry per filed id.
+//!   and ids of views ahead of the range (`RECOVERY` start views,
+//!   finality epochs, views filed before they became live) — one
+//!   ordered descent each. In a view with a table a key has overflow
+//!   entries only if its slot is occupied, so an empty slot means
+//!   "nothing filed" without a descent. A fault-free run leaves it
+//!   empty.
+//!
+//! # Live range
+//!
+//! The ring holds the four views of [`View::live_range`] at the view of
+//! the last [`GossipState::set_live`] (the validator's Propose step, the
+//! same step and range at which its per-view window retires), and a
+//! slot vector grows only when a *verified* id is filed into it: no
+//! message can buy an O(n) allocation. Moving the range frees each table
+//! that left it, with its overflow entries, and every overflow entry of
+//! a view behind the range; a view that enters has its overflow entries
+//! take their slots. A view that left the range is forgotten: a later
+//! copy of one of its ids is a first sighting again. So what is retained
+//! is one slot per sender and kind for four views, plus the overflow of
+//! views at or ahead of the range.
+//!
+//! [`GossipState::admit_live`], the validator's gate, drops a first
+//! sighting of a `LOG`, certificate or proposal that no live instance
+//! takes at the context's clock
+//! ([`tobsvd_types::Payload::is_live_at`]) after the slot probe and
+//! before any crypto: it is neither verified, filed nor forwarded, and
+//! counts as [`crate::CryptoOps::dropped_out_of_range`]. The validator
+//! would drop it unprocessed anyway, so the gate changes no honest
+//! output, and with it a message for a forgotten view costs no
+//! verification.
 //!
 //! Ids bind `(sender, payload)` and are filed only after their signature
 //! verified, so a forged frame can never occupy a slot, and "verified"
@@ -51,7 +64,7 @@
 //! verified unsighted and waits in `raw` (empty in an uncorrupted node)
 //! until a delivery files it or the audit evicts it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use tobsvd_crypto::{Digest, KeyCache, PublicKey};
 use tobsvd_types::{SignedMessage, SignerSet, ValidatorId, View};
@@ -83,6 +96,18 @@ const IGNORED: Reception = Reception { fresh: false, forward: false };
 /// Fetch traffic: served every time, never relayed.
 const POINT_TO_POINT: Reception = Reception { fresh: true, forward: false };
 
+/// What [`GossipState::admit_live`] makes of a delivery.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Admission {
+    /// Authentic: a copy of a filed id, or a first sighting that verified.
+    Admitted(Reception),
+    /// A first sighting whose signature check failed.
+    Forged,
+    /// A first sighting no live instance takes at the context's clock:
+    /// neither verified nor filed (module docs, "Live range").
+    OutOfRange,
+}
+
 /// Per-node dedup-before-verify gate and gossip state (layout and the
 /// filing rule: module docs). A repeat sighting of a filed id is a copy
 /// of a message already proven authentic and is dropped whatever
@@ -95,8 +120,6 @@ pub struct GossipState {
     live_from: u64,
     /// `live[view % LIVE_VIEWS][kind][sender]`: first id filed per key.
     live: [Table; LIVE_VIEWS as usize],
-    /// Tables of views that left the live range, by view number.
-    retired: BTreeMap<u64, Table>,
     overflow: BTreeSet<(Key, Digest)>,
     /// Fault-injected ids that pass for verified but were never sighted.
     raw: BTreeSet<Digest>,
@@ -116,32 +139,30 @@ impl GossipState {
         msg.payload().equivocation_key().map(|(kind, view)| (view, kind, msg.sender().raw()))
     }
 
-    fn is_live(&self, view: u64) -> bool {
-        view.wrapping_sub(self.live_from) < LIVE_VIEWS
+    /// The views of the ring when it starts at `from` (three at the top
+    /// of the number space, where [`View::live_range`] saturates).
+    fn ring(from: u64) -> impl Iterator<Item = u64> {
+        (0..LIVE_VIEWS).filter_map(move |i| from.checked_add(i))
     }
 
-    /// The slot vector `key` addresses, if its view has a table (live or
-    /// retired) and the key fits one.
+    fn is_live(&self, view: u64) -> bool {
+        view.checked_sub(self.live_from).is_some_and(|d| d < LIVE_VIEWS)
+    }
+
+    /// The slot vector `key` addresses, if its view is live and the key
+    /// fits a table.
     fn slots(&self, (view, kind, sender): Key) -> Option<&Vec<Option<Digest>>> {
-        if sender as usize >= SignerSet::CAPACITY {
+        if sender as usize >= SignerSet::CAPACITY || !self.is_live(view) {
             return None;
         }
-        let table = match self.is_live(view) {
-            true => &self.live[(view % LIVE_VIEWS) as usize],
-            false => self.retired.get(&view)?,
-        };
-        table.get(usize::from(kind))
+        self.live[(view % LIVE_VIEWS) as usize].get(usize::from(kind))
     }
 
     fn slots_mut(&mut self, (view, kind, sender): Key) -> Option<&mut Vec<Option<Digest>>> {
-        if sender as usize >= SignerSet::CAPACITY {
+        if sender as usize >= SignerSet::CAPACITY || !self.is_live(view) {
             return None;
         }
-        let table = match self.is_live(view) {
-            true => &mut self.live[(view % LIVE_VIEWS) as usize],
-            false => self.retired.get_mut(&view)?,
-        };
-        table.get_mut(usize::from(kind))
+        self.live[(view % LIVE_VIEWS) as usize].get_mut(usize::from(kind))
     }
 
     fn is_filed(&self, key: Key, id: &Digest) -> bool {
@@ -185,42 +206,47 @@ impl GossipState {
         if self.place(key, id) { IGNORED } else { ACCEPTED }
     }
 
+    /// Removes and returns view `w`'s overflow entries.
+    fn take_spilled(&mut self, w: u64) -> Vec<(Key, Digest)> {
+        let spilled = self.overflow.range(((w, 0, 0), Digest::ZERO)..);
+        let spilled: Vec<_> = spilled.take_while(|(k, _)| k.0 == w).copied().collect();
+        for entry in &spilled {
+            self.overflow.remove(entry);
+        }
+        spilled
+    }
+
     /// Moves the live range to [`View::live_range`] of `view` (the
-    /// validator's window): tables that left it retire whole, a view
-    /// that enters takes its retired table back or, without one, has its
-    /// overflow entries take their slots.
+    /// validator's window): each table that left it is freed with its
+    /// overflow entries, so are the overflow entries of every view
+    /// behind it, and a view that enters has its overflow entries take
+    /// their slots.
     pub fn set_live(&mut self, view: u64) {
         let (old, new) = (self.live_from, View::new(view).live_range().start().number());
-        let range = |from: u64| (0..LIVE_VIEWS).map(move |i| from.wrapping_add(i));
-        for w in range(old).filter(|w| w.wrapping_sub(new) >= LIVE_VIEWS) {
-            let table = std::mem::take(&mut self.live[(w % LIVE_VIEWS) as usize]);
-            if table.iter().any(|slots| !slots.is_empty()) {
-                self.retired.insert(w, table);
-            }
+        let outside = |from: u64| move |w: &u64| w.checked_sub(from).map_or(true, |d| d >= LIVE_VIEWS);
+        for w in Self::ring(old).filter(outside(new)) {
+            self.live[(w % LIVE_VIEWS) as usize] = Table::default();
+            self.take_spilled(w);
         }
+        self.overflow = self.overflow.split_off(&((new, 0, 0), Digest::ZERO));
         self.live_from = new;
-        for w in range(new).filter(|w| w.wrapping_sub(old) >= LIVE_VIEWS) {
-            if let Some(table) = self.retired.remove(&w) {
-                self.live[(w % LIVE_VIEWS) as usize] = table;
-                continue;
-            }
-            let spilled = self.overflow.range(((w, 0, 0), Digest::ZERO)..);
-            let spilled: Vec<_> = spilled.take_while(|(k, _)| k.0 == w).copied().collect();
-            for (key, id) in spilled {
-                self.overflow.remove(&(key, id));
+        for w in Self::ring(new).filter(outside(old)) {
+            for (key, id) in self.take_spilled(w) {
                 self.place(key, id);
             }
         }
     }
 
-    /// The one probe per delivery. `None`: the signature check failed.
-    /// Otherwise: a copy of a filed id skips verification and is ignored;
-    /// a first sighting is verified, filed, and accepted unless it is the
-    /// sender's third distinct payload for its key. Every decision counts
-    /// into the context's [`crate::CryptoOps`], and only there.
-    pub fn admit(&mut self, msg: &SignedMessage, ctx: &mut Context) -> Option<Reception> {
-        let (key, id) = (Self::key(msg), msg.id());
-        let filed = key.is_some_and(|key| self.is_filed(key, &id));
+    /// The slot probe and, for a first sighting, the signature check and
+    /// filing: [`GossipState::admit`] with the probe's answer in hand.
+    fn verify_and_file(
+        &mut self,
+        msg: &SignedMessage,
+        key: Option<Key>,
+        filed: bool,
+        ctx: &mut Context,
+    ) -> Option<Reception> {
+        let id = msg.id();
         if filed || self.raw.contains(&id) {
             ctx.crypto_ops.sig_verify_skips += 1;
         } else {
@@ -234,6 +260,38 @@ impl GossipState {
             Some(_) => IGNORED,
             None => POINT_TO_POINT,
         })
+    }
+
+    fn probe(&self, msg: &SignedMessage) -> (Option<Key>, bool) {
+        let key = Self::key(msg);
+        (key, key.is_some_and(|key| self.is_filed(key, &msg.id())))
+    }
+
+    /// The one probe per delivery. `None`: the signature check failed.
+    /// Otherwise: a copy of a filed id skips verification and is ignored;
+    /// a first sighting is verified, filed, and accepted unless it is the
+    /// sender's third distinct payload for its key. Every decision counts
+    /// into the context's [`crate::CryptoOps`], and only there. Every
+    /// view is admitted: this is the gate of a node with no live range.
+    pub fn admit(&mut self, msg: &SignedMessage, ctx: &mut Context) -> Option<Reception> {
+        let (key, filed) = self.probe(msg);
+        self.verify_and_file(msg, key, filed, ctx)
+    }
+
+    /// [`GossipState::admit`] behind the range gate (module docs, "Live
+    /// range"): a first sighting the current view at the context's clock
+    /// does not take is dropped between the probe and the signature
+    /// check. A copy of a filed id pays the probe only.
+    pub fn admit_live(&mut self, msg: &SignedMessage, ctx: &mut Context) -> Admission {
+        let (key, filed) = self.probe(msg);
+        if !filed && !msg.payload().is_live_at(View::of_time(ctx.time, ctx.delta)) {
+            ctx.crypto_ops.dropped_out_of_range += 1;
+            return Admission::OutOfRange;
+        }
+        match self.verify_and_file(msg, key, filed, ctx) {
+            Some(reception) => Admission::Admitted(reception),
+            None => Admission::Forged,
+        }
     }
 
     /// [`GossipState::admit`] for a caller that vouches for the message
@@ -264,19 +322,21 @@ impl GossipState {
             || self.raw.contains(&msg.id())
     }
 
-    /// Whether a bare id has been filed — a scan of every entry: fault
+    /// Whether a bare id is filed — a scan of every entry: fault
     /// injection and diagnostics only; receive paths use [`Self::is_verified`].
     pub fn has_seen(&self, id: &Digest) -> bool {
-        let mut slots = self.live.iter().chain(self.retired.values()).flatten().flatten();
+        let mut slots = self.live.iter().flatten().flatten();
         slots.any(|slot| slot.as_ref() == Some(id)) || self.overflow.iter().any(|(_, i)| i == id)
     }
 
-    /// Number of distinct messages filed (diagnostics).
+    /// Number of first sightings filed, a forgotten id filed again
+    /// counting again (diagnostics).
     pub fn seen_count(&self) -> usize {
         self.filed
     }
 
-    /// Number of ids that pass for verified: filed plus fault-injected.
+    /// [`Self::seen_count`] plus the fault-injected ids: one per
+    /// signature check the filed ids cost.
     pub fn verified_count(&self) -> usize {
         self.filed + self.raw.len()
     }
@@ -407,15 +467,22 @@ mod tests {
     #[test]
     fn far_future_views_buy_no_dense_table() {
         // One Byzantine sender signs 10 000 distinct far-future view
-        // numbers: every id is genuine, so every id is filed — in the
-        // ordered overflow, at a constant cost per id.
+        // numbers. The range gate drops each before its signature check;
+        // a node with no range files each genuine id in the ordered
+        // overflow, at a constant cost per id, until the range passes it.
         let store = BlockStore::new();
         let (mut ctx, g) = (ctx(&store), Log::genesis(&store));
         let mut gossip = GossipState::new();
         gossip.set_live(7);
-        for k in 0..10_000u64 {
-            let m = msg(&store, 3, 1_000_000 + 977 * k, g);
-            assert_eq!(gossip.admit(&m, &mut ctx), Some(ACCEPTED));
+        let far: Vec<_> = (0..10_000u64).map(|k| msg(&store, 3, 1_000_000 + 977 * k, g)).collect();
+        for m in &far {
+            assert_eq!(gossip.admit_live(m, &mut ctx), Admission::OutOfRange);
+        }
+        let ops = ctx.crypto_ops;
+        assert_eq!((ops.sig_verifies, ops.sig_verify_skips, ops.dropped_out_of_range), (0, 0, 10_000));
+        assert_eq!((gossip.seen_count(), gossip.overflow.len()), (0, 0), "nothing filed");
+        for m in &far {
+            assert_eq!(gossip.admit(m, &mut ctx), Some(ACCEPTED));
         }
         let slots: usize = gossip.live.iter().flatten().map(Vec::capacity).sum();
         assert_eq!(slots, 0, "no dense table was allocated");
@@ -423,43 +490,54 @@ mod tests {
         assert!(std::mem::size_of::<(Key, Digest)>() <= 48, "bytes retained per filed id");
         // A sender index at or beyond the dense bound is overflow-filed
         // even in a live view.
-        let far = msg(&store, SignerSet::CAPACITY as u32, 7, g);
-        assert_eq!(gossip.admit(&far, &mut ctx), Some(ACCEPTED));
-        assert_eq!(gossip.admit(&far, &mut ctx), Some(IGNORED));
+        let wide = msg(&store, SignerSet::CAPACITY as u32, 7, g);
+        assert_eq!(gossip.admit(&wide, &mut ctx), Some(ACCEPTED));
+        assert_eq!(gossip.admit(&wide, &mut ctx), Some(IGNORED));
         assert_eq!(gossip.live.iter().flatten().map(Vec::capacity).sum::<usize>(), 0);
+        // Once the range has passed them, every one is forgotten.
+        gossip.set_live(1_000_000 + 977 * 10_000);
+        assert!(gossip.overflow.is_empty());
+        assert!(!gossip.is_verified(&far[0]) && !gossip.has_seen(&wide.id()));
     }
 
     #[test]
-    fn live_range_moves_change_no_answer() {
+    fn a_view_that_left_the_range_is_forgotten() {
         let store = BlockStore::new();
         let g = Log::genesis(&store);
         let l1 = g.extend_empty(&store, ValidatorId::new(9), View::new(1));
         let l2 = g.extend_empty(&store, ValidatorId::new(8), View::new(1));
         let (a, b, c) = (msg(&store, 2, 9, g), msg(&store, 2, 9, l1), msg(&store, 2, 9, l2));
         let mut gossip = GossipState::new();
-        // Filed while view 9 is not live.
+        // Filed while view 9 is ahead of the range.
         assert_eq!(gossip.on_receive(&a), ACCEPTED);
-        // View 9 becomes live: the id is still found and still counts
-        // toward the two-distinct cap.
+        // View 9 becomes live: the id takes its slot, is still found and
+        // still counts toward the two-distinct cap.
         gossip.set_live(9);
         assert_eq!(gossip.on_receive(&a), IGNORED);
         assert_eq!(gossip.on_receive(&b), ACCEPTED);
         assert_eq!(gossip.on_receive(&c), IGNORED);
-        // View 9 leaves the range, then re-enters: all three ids are
-        // still members every time.
-        for view in [40, 10, 200] {
+        assert!(gossip.overflow.len() == 2 && gossip.has_seen(&c.id()), "b and c spill");
+        // While view 9 stays in the range, nothing is forgotten.
+        gossip.set_live(10);
+        assert!([&a, &b, &c].iter().all(|m| gossip.is_verified(m)));
+        // View 9 leaves the range: its table and its overflow entry go,
+        // and coming back finds nothing.
+        for view in [40, 10] {
             gossip.set_live(view);
             for m in [&a, &b, &c] {
-                assert_eq!(gossip.on_receive(m), IGNORED);
-                assert!(gossip.is_verified(m) && gossip.has_seen(&m.id()));
+                assert!(!gossip.is_verified(m) && !gossip.has_seen(&m.id()));
             }
         }
-        assert_eq!(gossip.seen_count(), 3);
+        assert!(gossip.overflow.is_empty());
+        // A later copy is a first sighting again, and filed again.
+        assert_eq!(gossip.on_receive(&c), ACCEPTED);
+        assert_eq!(gossip.seen_count(), 4);
     }
 
-    /// A fault-free run — every sender files one id per kind in the live
-    /// range, and late copies arrive after their view retired — never
-    /// touches the overflow, however long it runs.
+    /// A long run — every sender files one id per kind in the live range,
+    /// late copies arrive after their view left it, and spare ids land
+    /// ahead of it and behind it — keeps at most [`LIVE_VIEWS`] tables
+    /// and an overflow that the next range move empties.
     #[test]
     fn fault_free_views_leave_the_overflow_empty() {
         let store = BlockStore::new();
@@ -467,14 +545,19 @@ mod tests {
         let mut gossip = GossipState::new();
         for view in 0..1_000u64 {
             gossip.set_live(view);
+            assert!(gossip.overflow.is_empty(), "view {view}");
             for sender in 0..4 {
                 assert_eq!(gossip.on_receive(&msg(&store, sender, view + 1, g)), ACCEPTED);
                 if view >= 5 {
-                    // A late first sighting in a retired view.
+                    // A late first sighting: filed behind the range,
+                    // forgotten at the next move.
                     assert_eq!(gossip.on_receive(&msg(&store, sender + 4, view - 4, g)), ACCEPTED);
                 }
             }
+            let tables = gossip.live.iter().filter(|t| t.iter().any(|s| !s.is_empty())).count();
+            assert!(tables as u64 <= LIVE_VIEWS);
         }
+        gossip.set_live(1_000);
         assert!(gossip.overflow.is_empty());
         assert_eq!(gossip.seen_count(), 4 * 1_000 + 4 * 995);
     }

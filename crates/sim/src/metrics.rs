@@ -114,6 +114,12 @@ pub struct Metrics {
     /// because every claimed signer was already individually
     /// authenticated at the receiver.
     pub agg_verify_skips: u64,
+    /// First sightings of a `LOG`, certificate or proposal that no live
+    /// instance of the receiver took, dropped before any crypto
+    /// (neither verified nor filed, so counted in neither
+    /// `sig_verifies` nor `sig_verify_skips`).
+    #[serde(default)]
+    pub dropped_out_of_range: u64,
     /// Messages buffered for asleep validators.
     pub buffered: u64,
     /// Messages dropped because the recipient was asleep (only in
@@ -189,6 +195,7 @@ impl Metrics {
         self.vrf_verify_skips += ops.vrf_verify_skips;
         self.agg_verifies += ops.agg_verifies;
         self.agg_verify_skips += ops.agg_verify_skips;
+        self.dropped_out_of_range += ops.dropped_out_of_range;
     }
 
     /// Total fetch-subprotocol sends (requests + responses).

@@ -53,6 +53,10 @@ pub struct CryptoOps {
     /// signer was already individually authenticated (vote in hand or a
     /// previously verified certificate).
     pub agg_verify_skips: u64,
+    /// First sightings the range gate dropped before any crypto
+    /// ([`crate::gossip::GossipState::admit_live`]): no live instance
+    /// takes them, so they were neither verified nor filed.
+    pub dropped_out_of_range: u64,
 }
 
 /// Per-callback execution context handed to a [`Node`].

@@ -282,6 +282,21 @@ impl Payload {
         matches!(self, Payload::BlockRequest { .. } | Payload::BlockResponse { .. })
     }
 
+    /// Whether a validator whose current view is `current` takes this
+    /// payload in: a `LOG` or certificate for a view of
+    /// [`View::live_range`], a proposal for one of
+    /// [`View::proposal_range`]. Every other payload carries no view
+    /// those ranges bound.
+    pub fn is_live_at(&self, current: View) -> bool {
+        match self {
+            Payload::Log { instance, .. } | Payload::Certificate { instance, .. } => {
+                current.live_range().contains(&instance.view())
+            }
+            Payload::Proposal { view, .. } => current.proposal_range().contains(view),
+            _ => true,
+        }
+    }
+
     /// A stable digest of the payload, used as the signing target.
     pub fn signing_digest(&self) -> Digest {
         let mut h = Hasher::new("tobsvd/payload");
@@ -618,6 +633,24 @@ mod tests {
         // Same key, different payload => equivocation evidence.
         assert_eq!(p1.equivocation_key(), p4.equivocation_key());
         assert_ne!(p1, p4);
+    }
+
+    #[test]
+    fn live_payloads_follow_the_two_ranges() {
+        let g = Log::genesis(&BlockStore::new());
+        let current = View::new(10);
+        let log = |w| Payload::Log { instance: InstanceId(w), log: g };
+        let proposal = |w| {
+            let (vrf, proof) = (VrfOutput(Digest::ZERO), VrfProof(Digest::ZERO));
+            Payload::Proposal { view: View::new(w), log: g, vrf, proof }
+        };
+        let live: Vec<u64> = (0..20).filter(|&w| log(w).is_live_at(current)).collect();
+        assert_eq!(live, [8, 9, 10, 11]);
+        let live: Vec<u64> = (0..20).filter(|&w| proposal(w).is_live_at(current)).collect();
+        assert_eq!(live, [9, 10, 11]);
+        // No view bounds a recovery request or a fetch.
+        assert!(Payload::Recovery { from_view: View::new(0), log: g }.is_live_at(current));
+        assert!(Payload::BlockRequest { tip: g.tip(), from_height: 1 }.is_live_at(current));
     }
 
     #[test]

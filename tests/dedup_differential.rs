@@ -1,65 +1,78 @@
 //! Differential test of the dedup / authenticity gate.
 //!
-//! `GossipState` files message ids in sender-indexed slot tables (four
-//! live, the rest retired whole) with an ordered overflow and a moving
-//! live range. That is meant to be a
-//! pure re-indexing of what it replaced — a verified-id set probed
-//! before a seen-id set, both flat — so random streams are fed through
-//! the real type and through that pair of `BTreeSet<Digest>`s composed
-//! exactly as `Validator::on_message` composed them, and every
-//! observable answer must agree. The streams hold duplicates, up to
-//! five-way equivocation per `(sender, key)`, views that enter and
-//! leave the live range between operations — forward and backward
-//! across more than 64 views, so retired tables take second ids and
-//! re-enter — sender indices at and
-//! beyond the dense bound, fetch payloads that carry no key, forged
-//! signatures before and after the genuine copy, and fault-injected raw
-//! ids with the audit's quarantine pass.
+//! `GossipState` files message ids in sender-indexed slot tables (a
+//! ring of four, one per view of the live range) with an ordered
+//! overflow, drops out-of-range first sightings before their signature
+//! check, and forgets every view that leaves the live range. That is
+//! meant to be a pure re-indexing of a plainer gate — a verified-id set
+//! probed before a seen-id set, both flat, behind the range check and
+//! forgetting exactly what the contract says — so random streams are fed
+//! through the real type and through that model, and every observable
+//! answer must agree. The model spells the contract out on its own:
+//!
+//! * **the gate**: at current view `v`, a first sighting of a `LOG` or
+//!   certificate for a view outside `v − 2 ..= v + 1`, or of a proposal
+//!   outside `v − 1 ..= v + 1`, is dropped unverified and unfiled;
+//! * **forgetting**: moving the range from start `s` to start `s'`
+//!   forgets every id of a view behind `s'` and of a view of
+//!   `s ..= s + 3` outside `s' ..= s' + 3`. A forgotten id sighted again
+//!   is a first sighting again.
+//!
+//! `Op::SetLive` moves the range and the context's clock together, to
+//! the Propose step of its view, as the validator does. The streams hold
+//! duplicates, up to five-way equivocation per `(sender, key)`, views
+//! that enter and leave the live range between operations — forward and
+//! backward across more than 64 views, so forgotten views come back
+//! empty — sender indices at and beyond the dense bound, fetch payloads
+//! that carry no key, forged signatures before and after the genuine
+//! copy, and fault-injected raw ids with the audit's quarantine pass.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 use tob_svd::crypto::{AggregateSignature, Digest, KeyCache, Keypair};
 use tob_svd::protocol::leader::vrf_for;
-use tob_svd::sim::gossip::{GossipState, Reception};
+use tob_svd::sim::gossip::{Admission, GossipState, Reception};
 use tob_svd::sim::{garbage_bytes, Context, Mempool};
 use tob_svd::types::{
     BlockStore, Delta, InstanceId, Log, Payload, SignedMessage, SignerSet, Time, ValidatorId, View,
 };
 
-/// The flat seen-id set and distinct-payload counters.
+/// The flat seen-id set, by view, and distinct-payload counters.
 #[derive(Default)]
 struct FlatGossip {
-    seen: BTreeSet<Digest>,
+    seen: BTreeMap<Digest, u64>,
     distinct: BTreeMap<(ValidatorId, (u8, u64)), u8>,
+    /// First sightings filed, forgotten ones included.
+    filed: usize,
 }
 
 impl FlatGossip {
     fn on_receive(&mut self, msg: &SignedMessage) -> Reception {
-        if !self.seen.insert(msg.id()) {
-            return Reception {
-                fresh: false,
-                forward: false,
-            };
-        }
         let Some(key) = msg.payload().equivocation_key() else {
-            return Reception {
-                fresh: true,
-                forward: true,
-            };
+            return Reception { fresh: true, forward: false };
         };
+        if self.seen.insert(msg.id(), key.1).is_some() {
+            return Reception { fresh: false, forward: false };
+        }
+        self.filed += 1;
         let count = self.distinct.entry((msg.sender(), key)).or_insert(0);
         if *count >= 2 {
-            return Reception {
-                fresh: false,
-                forward: false,
-            };
+            return Reception { fresh: false, forward: false };
         }
         *count += 1;
-        Reception {
-            fresh: true,
-            forward: true,
+        Reception { fresh: true, forward: true }
+    }
+
+    /// Forgets every id and counter of a view `gone` names; returns the
+    /// forgotten ids.
+    fn forget(&mut self, gone: impl Fn(u64) -> bool) -> Vec<Digest> {
+        self.distinct.retain(|(_, (_, w)), _| !gone(*w));
+        let forgotten: Vec<Digest> = self.seen.iter().filter(|(_, w)| gone(**w)).map(|(id, _)| *id).collect();
+        for id in &forgotten {
+            self.seen.remove(id);
         }
+        forgotten
     }
 }
 
@@ -69,6 +82,7 @@ struct FlatVerified {
     ids: BTreeSet<Digest>,
     verifies: u64,
     skips: u64,
+    dropped: u64,
 }
 
 impl FlatVerified {
@@ -86,6 +100,17 @@ impl FlatVerified {
         }
         true
     }
+}
+
+/// The range gate, spelled out: whether, at current view `v`, a first
+/// sighting of kind `kind` for view `w` is dropped unverified.
+fn out_of_range(kind: u8, w: u64, v: u64) -> bool {
+    let behind = match kind {
+        0 | 5 => 2, // LOG, certificate: `View::live_range`
+        1 => 1,     // proposal: `View::proposal_range`
+        _ => return false,
+    };
+    w < v.saturating_sub(behind) || w > v + 1
 }
 
 /// Names one message of a small domain, so that random streams repeat
@@ -129,7 +154,7 @@ enum Op {
     /// The stabilization audit's reconciliation pass.
     Quarantine,
     /// The validator's Propose step at `v`: the live range moves to
-    /// `View::live_range`, `[v − 2, v + 2)`.
+    /// `View::live_range`, `[v − 2, v + 2)`, and the clock to `t_v`.
     SetLive(u64),
 }
 
@@ -220,9 +245,14 @@ struct Differential {
     gossip: GossipState,
     flat_gossip: FlatGossip,
     flat_verified: FlatVerified,
+    /// The model's range start, `v − 2` at the last `SetLive(v)`.
+    live_from: u64,
     probes: Vec<SignedMessage>,
     raw_probes: BTreeSet<Digest>,
 }
+
+/// A view lasts 4Δ: `SetLive(v)` puts the clock at `4Δ · v`.
+const DELTAS_PER_VIEW: u64 = 4;
 
 impl Differential {
     fn new() -> Self {
@@ -236,6 +266,7 @@ impl Differential {
             gossip: GossipState::new(),
             flat_gossip: FlatGossip::default(),
             flat_verified: FlatVerified::default(),
+            live_from: 0,
             probes: Vec::new(),
             raw_probes: BTreeSet::new(),
         }
@@ -246,15 +277,26 @@ impl Differential {
             Op::Deliver(spec) => {
                 let m = build(spec, &self.logs);
                 self.probes.push(m);
-                // `on_message` at the parent: the verification gate
-                // (fetch ids not retained), fetch payloads served
-                // without touching gossip, then the seen set.
+                // The range gate in front of a first sighting, then the
+                // verification gate (fetch ids not retained), fetch
+                // payloads served without touching gossip, then the
+                // seen set.
                 let keyed = !m.payload().is_sync();
-                let want = self.flat_verified.admit(&m, keyed).then(|| match keyed {
-                    true => self.flat_gossip.on_receive(&m),
-                    false => Reception { fresh: true, forward: false },
-                });
-                prop_assert_eq!(self.gossip.admit(&m, &mut self.ctx), want);
+                let current = View::of_time(self.ctx.time, self.ctx.delta).number();
+                let want = if !self.flat_gossip.seen.contains_key(&m.id())
+                    && out_of_range(spec.kind, VIEWS[spec.view], current)
+                {
+                    self.flat_verified.dropped += 1;
+                    Admission::OutOfRange
+                } else if self.flat_verified.admit(&m, keyed) {
+                    Admission::Admitted(match keyed {
+                        true => self.flat_gossip.on_receive(&m),
+                        false => Reception { fresh: true, forward: false },
+                    })
+                } else {
+                    Admission::Forged
+                };
+                prop_assert_eq!(self.gossip.admit_live(&m, &mut self.ctx), want);
             }
             Op::Poison { msg, garbage } => {
                 let id = match msg {
@@ -272,38 +314,51 @@ impl Differential {
             Op::Quarantine => {
                 let before = self.flat_verified.ids.len();
                 let seen = &self.flat_gossip.seen;
-                self.flat_verified.ids.retain(|id| seen.contains(id));
+                self.flat_verified.ids.retain(|id| seen.contains_key(id));
                 prop_assert_eq!(self.gossip.quarantine(), before - self.flat_verified.ids.len());
             }
-            Op::SetLive(view) => self.gossip.set_live(*view),
+            Op::SetLive(view) => {
+                self.gossip.set_live(*view);
+                self.ctx.time = Time::new(view * DELTAS_PER_VIEW * self.ctx.delta.ticks());
+                let (old, new) = (self.live_from, view.saturating_sub(2));
+                self.live_from = new;
+                let left = |w: u64| (old..old + 4).contains(&w) && !(new..new + 4).contains(&w);
+                for id in self.flat_gossip.forget(|w| w < new || left(w)) {
+                    self.flat_verified.ids.remove(&id);
+                }
+                self.check_membership()?;
+            }
         }
-        prop_assert_eq!(self.gossip.seen_count(), self.flat_gossip.seen.len());
-        prop_assert_eq!(self.gossip.verified_count(), self.flat_verified.ids.len());
+        prop_assert_eq!(self.gossip.seen_count(), self.flat_gossip.filed);
+        let raw = self.flat_verified.ids.iter().filter(|id| !self.flat_gossip.seen.contains_key(*id));
+        prop_assert_eq!(self.gossip.verified_count(), self.flat_gossip.filed + raw.count());
         let ops = &self.ctx.crypto_ops;
         prop_assert_eq!(
-            (ops.sig_verifies, ops.sig_verify_skips),
-            (self.flat_verified.verifies, self.flat_verified.skips)
+            (ops.sig_verifies, ops.sig_verify_skips, ops.dropped_out_of_range),
+            (self.flat_verified.verifies, self.flat_verified.skips, self.flat_verified.dropped)
         );
         Ok(())
     }
 
     fn check_membership(&self) -> Result<(), TestCaseError> {
         for m in &self.probes {
-            prop_assert_eq!(self.gossip.has_seen(&m.id()), self.flat_gossip.seen.contains(&m.id()));
+            prop_assert_eq!(self.gossip.has_seen(&m.id()), self.flat_gossip.seen.contains_key(&m.id()));
             prop_assert_eq!(self.gossip.is_verified(m), self.flat_verified.ids.contains(&m.id()));
         }
         for id in &self.raw_probes {
-            prop_assert_eq!(self.gossip.has_seen(id), self.flat_gossip.seen.contains(id));
+            prop_assert_eq!(self.gossip.has_seen(id), self.flat_gossip.seen.contains_key(id));
         }
         Ok(())
     }
 }
 
-/// A scripted sweep that hits every retirement path at least once: the
+/// A scripted sweep that hits every range-move path at least once: the
 /// live range walks forward over all of [`VIEWS`]' small numbers, each
 /// view collecting first ids, equivocating second and third ids and
-/// out-of-table senders while live *and* after it retired, then walks
-/// back so every retired table re-enters, then forward again.
+/// out-of-table senders while live *and* after it left (gated kinds
+/// dropped, the others filed behind the range and forgotten at the next
+/// move), then walks back so every forgotten view re-enters empty, then
+/// forward again.
 #[test]
 fn sweep_forward_back_and_forward_answers_like_the_flat_sets() {
     let mut diff = Differential::new();

@@ -22,14 +22,23 @@
 //!   dodge the accounting (or sneak in an unverified processing path);
 //! * VRF verifications are linear, not quadratic: about one per
 //!   validator per view (the vote input's), where verifying on receipt
-//!   cost one per `(sender, view)` pair per validator.
+//!   cost one per `(sender, view)` pair per validator;
+//! * **a far-view flood is free**: correctly signed `LOG`s,
+//!   certificates and proposals for views outside the live range are
+//!   dropped before their signature check, so a flooded run verifies,
+//!   files and forwards exactly what the same run without the flood
+//!   does, in both relay modes.
 //!
 //! A regression that re-verifies per delivery breaks the first equality
 //! by an order of magnitude (gossip fan-out makes duplicates dominate);
 //! a regression that skips verification of *fresh* ids breaks it the
 //! other way, and the tiling too.
 
+use tob_svd::crypto::{AggregateSignature, KeyCache};
+use tob_svd::protocol::leader::vrf_for;
 use tob_svd::protocol::{TobReport, TobSimulationBuilder, TxWorkload};
+use tob_svd::sim::{Context, Node};
+use tob_svd::types::{InstanceId, Log, Payload, SignedMessage, SignerSet, ValidatorId, View};
 
 const N: usize = 8;
 const VIEWS: u64 = 50;
@@ -174,6 +183,105 @@ fn certificate_counters_tile_under_churn() {
         report.honest_validators().map(|v| v.certificates_emitted()).sum::<u64>(),
         "every certificate broadcast is one validator's emission, counted once"
     );
+}
+
+/// A Byzantine validator that, at every phase boundary, sends each
+/// honest validator a correctly signed `LOG`, certificate and proposal
+/// for views just outside and far outside both ends of the live range.
+/// A copy arrives within Δ, in the sender's view `v` or in `v + 1`, so
+/// views `v + 3` and up and `v − 3` and down (`v − 2` for a proposal)
+/// are out of range on arrival: no live instance ever takes one.
+struct FarViewFlooder {
+    me: ValidatorId,
+    honest: Vec<ValidatorId>,
+    flood: bool,
+}
+
+impl Node for FarViewFlooder {
+    fn on_phase(&mut self, ctx: &mut Context) {
+        if !self.flood {
+            return;
+        }
+        let v = View::of_time(ctx.time, ctx.delta).number();
+        let kp = KeyCache::keypair(self.me.key_seed());
+        let log = Log::genesis(&ctx.store);
+        let mut signers = SignerSet::empty();
+        signers.insert(self.me);
+        let agg = AggregateSignature::aggregate(&[&kp.sign(b"far")]).expect("one signature");
+        let behind = [v.checked_sub(3), v.checked_sub(1_000)].into_iter().flatten();
+        for w in behind.chain([v + 3, v + 1_000, u64::MAX]) {
+            let instance = InstanceId(w);
+            // Behind, a proposal is out of range one view later than a LOG.
+            let view = View::new(if w < v { w + 1 } else { w });
+            let (vrf, proof) = vrf_for(self.me, view);
+            for payload in [
+                Payload::Log { instance, log },
+                Payload::Certificate { instance, log, signers, agg },
+                Payload::Proposal { view, log, vrf, proof },
+            ] {
+                ctx.multicast(self.honest.clone(), SignedMessage::sign(&kp, self.me, payload));
+            }
+        }
+    }
+
+    fn on_message(&mut self, _msg: &SignedMessage, _ctx: &mut Context) {}
+
+    fn label(&self) -> &'static str {
+        "byz-far-view-flooder"
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// A far-view flood costs an honest validator nothing but the drop: in
+/// both relay modes, every honest validator verifies, files and forwards
+/// exactly what it does in the same run without the flood, and each
+/// flooded delivery is counted once in `dropped_out_of_range`. Delays
+/// are fixed at Δ so the flood draws nothing from the run's RNG and
+/// the honest traffic of the two runs is the same.
+#[test]
+fn a_far_view_flood_costs_no_crypto_no_filing_and_no_forward() {
+    use tob_svd::sim::WorstCaseDelay;
+
+    let byz = ValidatorId::new(N as u32 - 1);
+    let run = |certificates: bool, flood: bool| {
+        let honest: Vec<ValidatorId> = ValidatorId::all(N).filter(|v| *v != byz).collect();
+        let flooder = FarViewFlooder { me: byz, honest, flood };
+        let report = TobSimulationBuilder::new(N)
+            .views(20)
+            .seed(13)
+            .certificates(certificates)
+            .delay(Box::new(WorstCaseDelay))
+            .byzantine(byz, Box::new(move |_| Box::new(flooder)))
+            .run()
+            .expect("flood run");
+        report.assert_safety();
+        report
+    };
+    for certificates in [false, true] {
+        let (quiet, flooded) = (run(certificates, false), run(certificates, true));
+        let (q, f) = (&quiet.report.metrics, &flooded.report.metrics);
+        let flood = f.deliveries - q.deliveries;
+        assert!(flood > 1_000, "the flood was delivered ({flood} copies)");
+        assert_eq!((q.dropped_out_of_range, f.dropped_out_of_range), (0, flood), "{certificates}");
+        assert_eq!((f.sig_verifies, f.forwards), (q.sig_verifies, q.forwards), "{certificates}");
+        // No fetch traffic, so each validator verified exactly the ids it
+        // filed (the tiling argument of the first test), and each filed
+        // the same ids as without the flood.
+        assert_eq!(f.block_request_broadcasts, 0);
+        assert_eq!(f.sig_verifies, verified_ids(&flooded));
+        for (a, b) in quiet.honest_validators().zip(flooded.honest_validators()) {
+            assert_eq!(a.unique_messages_seen(), b.unique_messages_seen(), "{}", a.id());
+            assert_eq!(a.verified_ids(), b.verified_ids(), "{}", a.id());
+            assert_eq!(a.decided(), b.decided(), "{}", a.id());
+        }
+    }
 }
 
 /// Distinct ids that pass for verified, summed over the validators.
