@@ -119,7 +119,7 @@ fn golden_transcripts_are_pinned_across_builds() {
             "n=16 rotating sleep + drop + recovery + crash/restart",
             churn_and_crash,
             "d8a5208749e8ef2c11bff6a47d138ad389832d8b10c006d987e018ca2a59bab8",
-            [33124, 7900, 13486342, 6533, 19787, 6804, 110],
+            [33124, 7900, 13486342, 6533, 19679, 6804, 110],
         ),
         (
             "per-vote n=8",
