@@ -26,9 +26,9 @@
 //!   `live[view % 4]`.
 //! * **Overflow.** One ordered set of `(key, id)` holds the rest: later
 //!   distinct ids of a key, senders at or beyond [`SignerSet::CAPACITY`],
-//!   and ids of views ahead of the range (`RECOVERY` start views,
-//!   finality epochs, views filed before they became live) — one
-//!   ordered descent each. In a view with a table a key has overflow
+//!   and ids of views without a table (views filed before they became
+//!   live, `RECOVERY` start views and finality epochs out of the range)
+//!   until the range passes them — one ordered descent each. In a view with a table a key has overflow
 //!   entries only if its slot is occupied, so an empty slot means
 //!   "nothing filed" without a descent. A fault-free run leaves it
 //!   empty.
@@ -237,17 +237,15 @@ impl GossipState {
         }
     }
 
-    /// The slot probe and, for a first sighting, the signature check and
-    /// filing: [`GossipState::admit`] with the probe's answer in hand.
-    fn verify_and_file(
+    /// A first sighting: verified unless fault-injected, then filed.
+    fn first_sighting(
         &mut self,
         msg: &SignedMessage,
         key: Option<Key>,
-        filed: bool,
         ctx: &mut Context,
     ) -> Option<Reception> {
         let id = msg.id();
-        if filed || self.raw.contains(&id) {
+        if self.raw.contains(&id) {
             ctx.crypto_ops.sig_verify_skips += 1;
         } else {
             ctx.crypto_ops.sig_verifies += 1;
@@ -256,15 +254,9 @@ impl GossipState {
             }
         }
         Some(match key {
-            Some(key) if !filed => self.file(key, id),
-            Some(_) => IGNORED,
+            Some(key) => self.file(key, id),
             None => POINT_TO_POINT,
         })
-    }
-
-    fn probe(&self, msg: &SignedMessage) -> (Option<Key>, bool) {
-        let key = Self::key(msg);
-        (key, key.is_some_and(|key| self.is_filed(key, &msg.id())))
     }
 
     /// The one probe per delivery. `None`: the signature check failed.
@@ -274,8 +266,12 @@ impl GossipState {
     /// into the context's [`crate::CryptoOps`], and only there. Every
     /// view is admitted: this is the gate of a node with no live range.
     pub fn admit(&mut self, msg: &SignedMessage, ctx: &mut Context) -> Option<Reception> {
-        let (key, filed) = self.probe(msg);
-        self.verify_and_file(msg, key, filed, ctx)
+        let key = Self::key(msg);
+        if key.is_some_and(|key| self.is_filed(key, &msg.id())) {
+            ctx.crypto_ops.sig_verify_skips += 1;
+            return Some(IGNORED);
+        }
+        self.first_sighting(msg, key, ctx)
     }
 
     /// [`GossipState::admit`] behind the range gate (module docs, "Live
@@ -283,12 +279,16 @@ impl GossipState {
     /// does not take is dropped between the probe and the signature
     /// check. A copy of a filed id pays the probe only.
     pub fn admit_live(&mut self, msg: &SignedMessage, ctx: &mut Context) -> Admission {
-        let (key, filed) = self.probe(msg);
-        if !filed && !msg.payload().is_live_at(View::of_time(ctx.time, ctx.delta)) {
+        let key = Self::key(msg);
+        if key.is_some_and(|key| self.is_filed(key, &msg.id())) {
+            ctx.crypto_ops.sig_verify_skips += 1;
+            return Admission::Admitted(IGNORED);
+        }
+        if !msg.payload().is_live_at(View::of_time(ctx.time, ctx.delta)) {
             ctx.crypto_ops.dropped_out_of_range += 1;
             return Admission::OutOfRange;
         }
-        match self.verify_and_file(msg, key, filed, ctx) {
+        match self.first_sighting(msg, key, ctx) {
             Some(reception) => Admission::Admitted(reception),
             None => Admission::Forged,
         }
