@@ -266,8 +266,9 @@ impl Validator {
         self.audit_repairs
     }
 
-    /// Number of distinct protocol message ids that passed verification
-    /// (fetch-plane ids are never retained).
+    /// Number of protocol message ids that passed verification (fetch-
+    /// plane ids are never retained; an id of a view that left the live
+    /// range is forgotten, and counts again if it verifies again).
     pub fn verified_ids(&self) -> usize {
         self.gossip.verified_count()
     }
@@ -279,7 +280,8 @@ impl Validator {
         self.gossip.is_verified(msg)
     }
 
-    /// Number of distinct message ids the gossip layer has seen.
+    /// Number of message ids the gossip layer has filed (an id of a view
+    /// that left the live range counts again if it is filed again).
     pub fn unique_messages_seen(&self) -> usize {
         self.gossip.seen_count()
     }

@@ -335,8 +335,8 @@ impl GossipState {
         self.filed
     }
 
-    /// [`Self::seen_count`] plus the fault-injected ids: one per
-    /// signature check the filed ids cost.
+    /// [`Self::seen_count`] plus the fault-injected ids that pass for
+    /// verified.
     pub fn verified_count(&self) -> usize {
         self.filed + self.raw.len()
     }

@@ -68,7 +68,8 @@ impl FlatGossip {
     /// forgotten ids.
     fn forget(&mut self, gone: impl Fn(u64) -> bool) -> Vec<Digest> {
         self.distinct.retain(|(_, (_, w)), _| !gone(*w));
-        let forgotten: Vec<Digest> = self.seen.iter().filter(|(_, w)| gone(**w)).map(|(id, _)| *id).collect();
+        let forgotten: Vec<Digest> =
+            self.seen.iter().filter(|(_, w)| gone(**w)).map(|(id, _)| *id).collect();
         for id in &forgotten {
             self.seen.remove(id);
         }
