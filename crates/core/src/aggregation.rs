@@ -175,11 +175,10 @@ fn group_mut(window: &mut Window, instance: InstanceId, log: Log) -> Option<&mut
 /// vote groups and its archived `LOG`s: every certificate the flush sent,
 /// then, in arrival order, each archived vote whose sender no sent
 /// certificate of its group covers. Those are the votes that arrived
-/// since the last flush, the sub-quorum groups' and the senders beyond
-/// the bitmap. Each `(sender, log)` the validator relayed is carried
-/// once and no message is built: a covered vote's signature is in a
-/// sent certificate's aggregate. With no groups (per-vote mode) every
-/// archived vote is sent.
+/// since the last flush and the sub-quorum groups'. Each `(sender, log)`
+/// the validator relayed is carried once and no message is built: a
+/// covered vote's signature is in a sent certificate's aggregate. With
+/// no groups (per-vote mode) every archived vote is sent.
 pub(crate) fn served_votes<'a>(
     groups: &'a [VoteGroup],
     archive: &'a [Arc<SignedMessage>],
@@ -238,12 +237,8 @@ impl AggregationPlane {
             ctx.forward(*msg);
             return;
         };
-        if !g.have_votes.insert(msg.sender()) {
-            // Beyond the bitmap capacity: fall back to the baseline
-            // immediate forward so the relay guarantee still holds.
-            ctx.forward(*msg);
-            return;
-        }
+        // A committee member (the gossip gate admits no other) has a bit.
+        g.have_votes.insert(msg.sender());
         g.votes.push((msg.sender(), *msg.signature()));
     }
 

@@ -14,7 +14,7 @@
 //! the consequences (Lemmas 3–4).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use tobsvd_crypto::{KeyCache, Signature, Vrf, VrfOutput, VrfProof};
 use tobsvd_sim::CryptoOps;
@@ -179,44 +179,28 @@ impl Claims {
 /// it has two distinct VRF-valid logs, and only VRF-valid claims are
 /// ever picked or relayed.
 ///
-/// Claims sit in a seat table indexed by validator, with the rule
-/// `tobsvd_ga::LogTracker` uses: a seat per index below
-/// [`SignerSet::CAPACITY`], an ordered side map at or beyond it. A claim
-/// is addressed by `(sender, slot)` (slot 0 or 1, in arrival order),
-/// which is all the relay buffer keeps.
+/// Claims sit in a seat table indexed by validator, like
+/// `tobsvd_ga::LogTracker`'s, and with its precondition: a sender is
+/// below [`SignerSet::CAPACITY`] (the gossip gate admits committee
+/// members only). A claim is addressed by `(sender, slot)` (slot 0 or 1,
+/// in arrival order), which is all the relay buffer keeps.
 #[derive(Clone, Debug)]
 pub struct ProposalTracker {
     view: View,
-    /// `seats[i]`: validator `i`'s claims, for `i < SignerSet::CAPACITY`;
-    /// grows to the highest index heard from.
+    /// `seats[i]`: validator `i`'s claims; grows to the highest index
+    /// heard from.
     seats: Vec<Option<Claims>>,
-    /// Claims of senders at or beyond `SignerSet::CAPACITY`.
-    far: BTreeMap<ValidatorId, Option<Claims>>,
 }
 
 impl ProposalTracker {
     /// Creates an empty tracker for `view` (the view the VRFs are
     /// verified against).
     pub fn new(view: View) -> Self {
-        ProposalTracker { view, seats: Vec::new(), far: BTreeMap::new() }
-    }
-
-    fn seat_mut(&mut self, v: ValidatorId) -> &mut Option<Claims> {
-        let i = v.index();
-        if i < SignerSet::CAPACITY && self.seats.len() <= i {
-            self.seats.resize_with(i + 1, || None);
-        }
-        match self.seats.get_mut(i) {
-            Some(seat) => seat,
-            None => self.far.entry(v).or_default(),
-        }
+        ProposalTracker { view, seats: Vec::new() }
     }
 
     fn held_mut(&mut self, v: ValidatorId) -> Option<&mut Claims> {
-        match self.seats.get_mut(v.index()) {
-            Some(seat) => seat.as_mut(),
-            None => self.far.get_mut(&v)?.as_mut(),
-        }
+        self.seats.get_mut(v.index())?.as_mut()
     }
 
     /// Records `msg`, a proposal for this tracker's view, as an
@@ -230,7 +214,12 @@ impl ProposalTracker {
             return None;
         }
         let claim = Claim { log, vrf, proof, sig: *msg.signature(), verdict: Verdict::Unchecked };
-        let held = match self.seat_mut(msg.sender()) {
+        let i = msg.sender().index();
+        debug_assert!(i < SignerSet::CAPACITY, "{} is outside every committee", msg.sender());
+        if self.seats.len() <= i {
+            self.seats.resize_with(i + 1, || None);
+        }
+        let held = match self.seats.get_mut(i)? {
             Some(held) => held,
             vacant @ None => {
                 *vacant = Some(Claims { first: claim, second: None });
@@ -286,10 +275,9 @@ impl ProposalTracker {
         store: &BlockStore,
         ops: &mut CryptoOps,
     ) -> Option<(ValidatorId, Log)> {
-        let dense = self.seats.iter().enumerate().map(|(i, seat)| (ValidatorId::new(i as u32), seat));
-        let mut ranked: BinaryHeap<(Priority, Reverse<usize>)> = dense
-            .chain(self.far.iter().map(|(v, seat)| (*v, seat)))
-            .filter_map(|(v, seat)| Some((v, seat.as_ref()?)))
+        let seats = self.seats.iter().enumerate();
+        let mut ranked: BinaryHeap<(Priority, Reverse<usize>)> = seats
+            .filter_map(|(i, seat)| Some((ValidatorId::new(i as u32), seat.as_ref()?)))
             .flat_map(|(v, held)| held.iter().map(move |(slot, c)| (v, slot, c)))
             .filter(|(_, _, c)| c.verdict != Verdict::Forged)
             .map(|(v, slot, c)| ((c.vrf, Reverse(v)), Reverse(slot)))
@@ -550,32 +538,7 @@ mod tests {
         let kp = tobsvd_crypto::Keypair::from_seed(v(1).key_seed());
         let vote = SignedMessage::sign(&kp, v(1), Payload::Log { instance: tobsvd_types::InstanceId(5), log });
         assert_eq!(tr.record(&vote), None);
-        assert!(tr.seats.is_empty() && tr.far.is_empty());
-    }
-
-    #[test]
-    fn far_senders_are_claims_like_any_other() {
-        // Seats below `SignerSet::CAPACITY`, the side map at and beyond
-        // it: the same answers, and a relay rebuilds the received copy.
-        let store = BlockStore::new();
-        let g = Log::genesis(&store);
-        let view = View::new(2);
-        let mut tr = ProposalTracker::new(view);
-        let senders = [510u32, 511, 512, 513, 70_000].map(v);
-        let received: Vec<_> = senders
-            .iter()
-            .map(|s| {
-                let (vrf, proof) = vrf_for(*s, view);
-                proposal(*s, view, g.extend_empty(&store, *s, view), vrf, proof)
-            })
-            .collect();
-        let pending: Vec<_> = received.iter().map(|m| (m.sender(), tr.record(m).unwrap())).collect();
-        assert_eq!((tr.seats.len(), tr.far.len()), (512, 3));
-        let best = *received.iter().max_by_key(|m| vrf_for(m.sender(), view).0).unwrap();
-        let mut ops = CryptoOps::default();
-        assert_eq!(tr.relays(&pending, &mut None, &mut ops), vec![best]);
-        assert_eq!(tr.best_extending(&g, &store, &mut ops), best.payload().log().map(|l| (best.sender(), l)));
-        assert_eq!(ops.vrf_verifies, 1);
+        assert!(tr.seats.is_empty());
     }
 
     /// The retained bytes per sender: a claim holds the proposal's

@@ -11,7 +11,7 @@ use tobsvd_sim::{
 };
 use tobsvd_storage::{shared, MemDurable, SharedDurable};
 use tobsvd_types::{
-    BlockStore, Delta, Time, Transaction, ValidatorId, View,
+    BlockStore, Delta, SignerSet, Time, Transaction, ValidatorId, View,
 };
 
 use crate::config::TobConfig;
@@ -112,6 +112,8 @@ pub struct TobSimulationBuilder {
 pub enum TobError {
     /// `n` must be at least 1.
     NoValidators,
+    /// `n` exceeds [`SignerSet::CAPACITY`], the signer bitmap's width.
+    TooManyValidators(usize),
     /// At least one view must be simulated.
     NoViews,
     /// A Byzantine slot index is out of range.
@@ -127,6 +129,7 @@ impl std::fmt::Display for TobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TobError::NoValidators => write!(f, "n must be at least 1"),
+            TobError::TooManyValidators(n) => write!(f, "n = {n} exceeds {}", SignerSet::CAPACITY),
             TobError::NoViews => write!(f, "must simulate at least one view"),
             TobError::BadByzantineSlot(v) => write!(f, "byzantine slot {v} out of range"),
             TobError::BadCrash(v) => write!(f, "malformed crash/restart fault for {v}"),
@@ -315,6 +318,9 @@ impl TobSimulationBuilder {
     pub fn run(self) -> Result<TobReport, TobError> {
         if self.n == 0 {
             return Err(TobError::NoValidators);
+        }
+        if self.n > SignerSet::CAPACITY {
+            return Err(TobError::TooManyValidators(self.n));
         }
         if self.views == 0 {
             return Err(TobError::NoViews);
@@ -849,6 +855,10 @@ mod tests {
             TobSimulationBuilder::new(0).run().unwrap_err(),
             TobError::NoValidators
         ));
+        assert_eq!(
+            TobSimulationBuilder::new(SignerSet::CAPACITY + 1).run().unwrap_err(),
+            TobError::TooManyValidators(SignerSet::CAPACITY + 1)
+        );
         assert!(matches!(
             TobSimulationBuilder::new(3).views(0).run().unwrap_err(),
             TobError::NoViews

@@ -104,7 +104,7 @@ impl Validator {
             keypair,
             sched: ViewSchedule::new(cfg.delta),
             window: Window::new(),
-            gossip: GossipState::new(),
+            gossip: GossipState::for_committee(cfg.n),
             decided: Log::genesis(store),
             sync: SyncState::new(store),
             agg: cfg.certificates.then(|| AggregationPlane::new(me, keypair, cfg.n, cfg.recovery)),
@@ -520,7 +520,7 @@ impl Validator {
     /// ours when a copy arrives, so a proposal outside that range would
     /// be dropped by its `process`: it is not sent.
     fn serve_recovery(&mut self, requester: ValidatorId, from_view: View, ctx: &mut Context) {
-        if !self.cfg.recovery || requester == self.me || requester.index() >= self.cfg.n {
+        if !self.cfg.recovery || requester == self.me {
             return;
         }
         let proposal_range = View::of_time(ctx.time, ctx.delta).proposal_range();
@@ -584,7 +584,7 @@ impl Validator {
         from_height: u64,
         ctx: &mut Context,
     ) {
-        if requester == self.me || requester.index() >= self.cfg.n || !self.sync.knows(tip) {
+        if requester == self.me || !self.sync.knows(tip) {
             return;
         }
         let Some(tip_height) = ctx.store.height(tip) else {

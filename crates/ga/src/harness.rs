@@ -71,10 +71,11 @@ pub struct GaNode {
 }
 
 impl GaNode {
-    /// Creates a node for `me` running `kind`, inputting `input` at
+    /// Creates validator `me` of `n` running `kind`, inputting `input` at
     /// `start` (`None` = no input, e.g. asleep at the input phase).
     pub fn new(
         me: ValidatorId,
+        n: usize,
         kind: GaKind,
         instance: InstanceId,
         start: Time,
@@ -93,7 +94,7 @@ impl GaNode {
             input,
             input_sent: false,
             ga,
-            gossip: GossipState::new(),
+            gossip: GossipState::for_committee(n),
         }
     }
 
@@ -323,7 +324,7 @@ impl GaHarness {
                 byz_flags[v.index()] = true;
                 builder = builder.byzantine_node(v, node);
             } else {
-                let node = GaNode::new(v, kind, instance, self.start, inputs[v.index()]);
+                let node = GaNode::new(v, n, kind, instance, self.start, inputs[v.index()]);
                 builder = builder.node(v, Box::new(node));
             }
         }

@@ -9,24 +9,20 @@
 //! LOG messages."
 //!
 //! `V` is a dense table indexed by validator — one [`Seat`] per
-//! validator index below [`SignerSet::CAPACITY`] — with running `|V|`
-//! and `|S|` counts, so recording a log and both counts are O(1) and
-//! iteration is in validator order. A sender at or beyond the bound
-//! (no committee member, but §3.3 counts every `LOG` sender in `S`)
-//! sits in an ordered side map instead: no message can buy a large
-//! allocation.
+//! validator index — with running `|V|` and `|S|` counts, so recording a
+//! log and both counts are O(1) and iteration is in validator order.
+//! Every sender is a committee member below [`SignerSet::CAPACITY`]:
+//! the gossip gate (`tobsvd_sim::gossip`) drops any other before it
+//! reaches a tracker, so a table is at most one bitmap wide.
 //!
 //! Figure 2 also stores two copies of `V` (`V^Δ`, `V^{2Δ}`) and later
 //! intersects each with the current `V`. A copy of the logs is not
 //! needed for that: a seat only ever moves Silent → One(Λ) →
 //! Equivocator, so a sender in `V^snap` that is not an equivocator now
 //! is still in `V` with the same Λ. A [`VSnapshot`] is therefore just
-//! *who* was in `V` — the running bitmap of `One` seats (64 bytes for
-//! the whole committee) plus the ids of far senders — and
-//! `V^snap ∩ V^now` is a word-wise AND with the current bitmap
-//! followed by one seat read per surviving sender.
-
-use std::collections::BTreeMap;
+//! *who* was in `V` — the running bitmap of `One` seats, 64 bytes for
+//! the whole committee — and `V^snap ∩ V^now` is a word-wise AND with
+//! the current bitmap followed by one seat read per surviving sender.
 
 use tobsvd_types::{Log, SignerSet, ValidatorId};
 
@@ -50,34 +46,31 @@ pub enum TrackOutcome {
 /// that is exact).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VSnapshot {
-    /// Senders below [`SignerSet::CAPACITY`] in `V`.
+    /// The senders in `V`.
     ones: SignerSet,
-    /// Senders at or beyond the bound in `V`, ascending.
-    far: Vec<ValidatorId>,
 }
 
 impl VSnapshot {
     /// Number of validators in `V` at the snapshot.
     pub fn len(&self) -> usize {
-        self.ones.len() + self.far.len()
+        self.ones.len()
     }
 
     /// Whether `V` was empty.
     pub fn is_empty(&self) -> bool {
-        self.ones.is_empty() && self.far.is_empty()
+        self.ones.is_empty()
     }
 
     /// Whether `v` was in `V`.
     pub fn contains(&self, v: ValidatorId) -> bool {
-        self.ones.contains(v) || self.far.binary_search(&v).is_ok()
+        self.ones.contains(v)
     }
 }
 
 /// What one validator contributed to an instance.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Seat {
     /// No `LOG` received (not in `S`).
-    #[default]
     Silent,
     /// Exactly one distinct log: `V(i)`.
     One(Log),
@@ -85,7 +78,8 @@ enum Seat {
     Equivocator,
 }
 
-/// Tracks `V`, `E` and `S` for one GA instance.
+/// Tracks `V`, `E` and `S` for one GA instance. Precondition of every
+/// method: a sender is below [`SignerSet::CAPACITY`] (module docs).
 ///
 /// ```
 /// use tobsvd_ga::{LogTracker, TrackOutcome};
@@ -104,13 +98,11 @@ enum Seat {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LogTracker {
-    /// `seats[i]`: validator `i`'s seat, for `i < SignerSet::CAPACITY`;
-    /// grows to the highest index heard from.
+    /// `seats[i]`: validator `i`'s seat; grows to the highest index
+    /// heard from.
     seats: Vec<Seat>,
     /// The indices of `seats` in state `One`: `V` as a bitmap.
     ones: SignerSet,
-    /// Seats of senders at or beyond `SignerSet::CAPACITY`.
-    far: BTreeMap<ValidatorId, Seat>,
     v_len: usize,
     s_len: usize,
 }
@@ -121,25 +113,14 @@ impl LogTracker {
         Self::default()
     }
 
-    fn seat(&self, v: ValidatorId) -> Seat {
-        match self.seats.get(v.index()) {
-            Some(seat) => *seat,
-            None => self.far.get(&v).copied().unwrap_or_default(),
-        }
-    }
-
     /// Records a `LOG` message from `sender` carrying `log`.
     pub fn on_log(&mut self, sender: ValidatorId, log: Log) -> TrackOutcome {
         let i = sender.index();
-        // A far sender has no bit: `insert` declines it, `remove` skips it.
-        let seat = if i < SignerSet::CAPACITY {
-            if self.seats.len() <= i {
-                self.seats.resize(i + 1, Seat::Silent);
-            }
-            &mut self.seats[i]
-        } else {
-            self.far.entry(sender).or_default()
-        };
+        debug_assert!(i < SignerSet::CAPACITY, "{sender} is outside every committee");
+        if self.seats.len() <= i {
+            self.seats.resize(i + 1, Seat::Silent);
+        }
+        let seat = &mut self.seats[i];
         match *seat {
             Seat::Silent => {
                 *seat = Seat::One(log);
@@ -161,29 +142,22 @@ impl LogTracker {
 
     /// Takes a snapshot of who is in `V` now.
     pub fn snapshot(&self) -> VSnapshot {
-        let far = self.far.iter().filter(|(_, seat)| matches!(seat, Seat::One(_))).map(|(v, _)| *v);
-        VSnapshot { ones: self.ones, far: far.collect() }
+        VSnapshot { ones: self.ones }
     }
 
-    /// The current logs of `dense` (a subset of `ones`) and of those of
-    /// `far` still in `V`, in validator order.
-    fn logs_of<'a>(
-        &'a self,
-        dense: SignerSet,
-        far: impl Iterator<Item = ValidatorId> + 'a,
-    ) -> impl Iterator<Item = (ValidatorId, Log)> + 'a {
-        let one = |v: ValidatorId, seat: Option<&Seat>| match seat {
+    /// The current logs of `senders` (a subset of `ones`), in validator
+    /// order.
+    fn logs_of(&self, senders: SignerSet) -> impl Iterator<Item = (ValidatorId, Log)> + '_ {
+        senders.iter().filter_map(move |v| match self.seats.get(v.index()) {
             Some(Seat::One(log)) => Some((v, *log)),
             _ => None,
-        };
-        let dense = dense.iter().filter_map(move |v| one(v, self.seats.get(v.index())));
-        dense.chain(far.filter_map(move |v| one(v, self.far.get(&v))))
+        })
     }
 
     /// Current `V` entries (non-equivocating unique logs), in validator
     /// order.
     pub fn v_entries(&self) -> impl Iterator<Item = (ValidatorId, Log)> + '_ {
-        self.logs_of(self.ones, self.far.keys().copied())
+        self.logs_of(self.ones)
     }
 
     /// `|V|`.
@@ -199,7 +173,7 @@ impl LogTracker {
 
     /// Whether `v` is a known equivocator (`v ∈ E`).
     pub fn is_equivocator(&self, v: ValidatorId) -> bool {
-        self.seat(v) == Seat::Equivocator
+        self.seats.get(v.index()) == Some(&Seat::Equivocator)
     }
 
     /// The pairs of `V^snap ∩ V^now` as used by the time-shifted quorum
@@ -212,7 +186,7 @@ impl LogTracker {
     ) -> impl Iterator<Item = (ValidatorId, Log)> + 'a {
         let mut both = snapshot.ones;
         both.intersect_with(&self.ones);
-        self.logs_of(both, snapshot.far.iter().copied())
+        self.logs_of(both)
     }
 }
 
@@ -293,7 +267,7 @@ mod tests {
     /// the seat table must answer like.
     #[derive(Default)]
     struct Reference {
-        v: BTreeMap<ValidatorId, Log>,
+        v: std::collections::BTreeMap<ValidatorId, Log>,
         equivocators: std::collections::BTreeSet<ValidatorId>,
         senders: std::collections::BTreeSet<ValidatorId>,
     }
@@ -323,18 +297,17 @@ mod tests {
         }
     }
 
-    /// Dense senders, the last dense index, and senders at and beyond
-    /// the bound.
-    const SENDERS: [u32; 8] = [0, 1, 2, 7, 511, 512, 513, 70_000];
+    /// Low senders and the last index the bitmap holds.
+    const SENDERS: [u32; 5] = [0, 1, 2, 7, 511];
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// Random `on_log` streams (duplicates, equivocations, senders
-        /// ≥ 512), after every step: every answer equals the ordered
-        /// reference model's, the running `One` bitmap equals the seats,
-        /// and every snapshot taken so far intersects with the current
-        /// `V` exactly as the reference's copied `V^snap ∩ V^now`.
+        /// Random `on_log` streams (duplicates, equivocations, the last
+        /// seat of the bitmap), after every step: every answer equals the
+        /// ordered reference model's, the running `One` bitmap equals the
+        /// seats, and every snapshot taken so far intersects with the
+        /// current `V` exactly as the reference's copied `V^snap ∩ V^now`.
         #[test]
         fn seats_answer_like_the_ordered_reference(
             stream in proptest::collection::vec((0..SENDERS.len(), 0usize..3, 0usize..4), 1..120),
@@ -378,15 +351,15 @@ mod tests {
     }
 
     /// The retained bytes of a snapshot: one bitmap for the whole
-    /// committee, plus the far senders' ids (none in a committee run).
+    /// committee, 64 bytes.
     #[test]
-    fn snapshot_is_a_bitmap_plus_far_ids() {
-        assert!(std::mem::size_of::<VSnapshot>() <= 64 + std::mem::size_of::<Vec<ValidatorId>>());
+    fn snapshot_is_one_bitmap() {
+        assert_eq!(std::mem::size_of::<VSnapshot>(), 64);
         let (_, g, _, _) = fixtures();
         let mut t = LogTracker::new();
         for i in 0..SignerSet::CAPACITY as u32 {
             t.on_log(ValidatorId::new(i), g);
         }
-        assert_eq!(t.snapshot().far.capacity(), 0, "no far sender, no allocation");
+        assert_eq!(t.snapshot().len(), SignerSet::CAPACITY);
     }
 }

@@ -7,7 +7,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
 use tobsvd_sim::AdmissionPolicy;
-use tobsvd_types::{Delta, Transaction, TxId, ValidatorId};
+use tobsvd_types::{Delta, SignerSet, Transaction, TxId, ValidatorId};
 
 use crate::clock::TickClock;
 use crate::node::{spawn_node, NodeConfig, NodeHandle, NodeOutcome};
@@ -246,6 +246,9 @@ impl LocalCluster {
         if cfg.n == 0 {
             return Err(ClusterError::BadConfig("n must be ≥ 1"));
         }
+        if cfg.n > SignerSet::CAPACITY {
+            return Err(ClusterError::BadConfig("n must be ≤ SignerSet::CAPACITY"));
+        }
         if cfg.views == 0 {
             return Err(ClusterError::BadConfig("views must be ≥ 1"));
         }
@@ -397,6 +400,10 @@ mod tests {
         ));
         assert!(matches!(
             LocalCluster::run(ClusterConfig::new(2).views(0)),
+            Err(ClusterError::BadConfig(_))
+        ));
+        assert!(matches!(
+            LocalCluster::run(ClusterConfig::new(SignerSet::CAPACITY + 1)),
             Err(ClusterError::BadConfig(_))
         ));
     }

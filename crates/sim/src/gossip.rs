@@ -25,13 +25,22 @@
 //!   the four views of the live range have tables, in a ring
 //!   `live[view % 4]`.
 //! * **Overflow.** One ordered set of `(key, id)` holds the rest: later
-//!   distinct ids of a key, senders at or beyond [`SignerSet::CAPACITY`],
-//!   and ids of views without a table (views filed before they became
-//!   live, `RECOVERY` start views and finality epochs out of the range)
-//!   until the range passes them — one ordered descent each. In a view with a table a key has overflow
-//!   entries only if its slot is occupied, so an empty slot means
-//!   "nothing filed" without a descent. A fault-free run leaves it
-//!   empty.
+//!   distinct ids of a key, and ids of views without a table (views
+//!   filed before they became live, `RECOVERY` start views and finality
+//!   epochs out of the range) until the range passes them — one ordered
+//!   descent each. In a view with a table a key has overflow entries
+//!   only if its slot is occupied, so an empty slot means "nothing
+//!   filed" without a descent. A fault-free run leaves it empty.
+//!
+//! # Committee gate
+//!
+//! The gate knows the committee, `0..n` ([`GossipState::for_committee`]).
+//! Stand-in keys derive from public seeds, so anyone can sign as an id at
+//! or beyond n: `admit` and `admit_live` drop a first sighting from one
+//! after the slot probe and before the range gate and the signature
+//! check, like a forgery — not verified, filed or forwarded, its window
+//! not absorbed. So every slot and cached key is a member's, and nothing
+//! behind the gate keeps a case for a sender beyond [`SignerSet::CAPACITY`].
 //!
 //! # Live range
 //!
@@ -101,7 +110,7 @@ const POINT_TO_POINT: Reception = Reception { fresh: true, forward: false };
 pub enum Admission {
     /// Authentic: a copy of a filed id, or a first sighting that verified.
     Admitted(Reception),
-    /// A first sighting whose signature check failed.
+    /// An outsider's first sighting, or a failed signature check.
     Forged,
     /// A first sighting no live instance takes at the context's clock:
     /// neither verified nor filed (module docs, "Live range").
@@ -115,8 +124,10 @@ pub enum Admission {
 /// ids (and all forgeries) verify. Fetch payloads carry no equivocation
 /// key and are never retained (an adversary can mint them without
 /// bound): each pays its own verification.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct GossipState {
+    /// Senders `0..committee` are admitted.
+    committee: usize,
     live_from: u64,
     /// `live[view % LIVE_VIEWS][kind][sender]`: first id filed per key.
     live: [Table; LIVE_VIEWS as usize],
@@ -129,10 +140,24 @@ pub struct GossipState {
     keys: Vec<Option<PublicKey>>,
 }
 
+impl Default for GossipState {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl GossipState {
-    /// Creates empty gossip state, live in views `0..4`.
+    /// Creates empty gossip state for the widest committee, live in views `0..4`.
     pub fn new() -> Self {
-        Self::default()
+        Self::for_committee(SignerSet::CAPACITY)
+    }
+
+    /// [`GossipState::new`] for a committee of `n` validators; allocates
+    /// nothing. Panics if `n` exceeds [`SignerSet::CAPACITY`].
+    pub fn for_committee(n: usize) -> Self {
+        assert!(n <= SignerSet::CAPACITY, "a committee of {n} exceeds {}", SignerSet::CAPACITY);
+        let (live, overflow, raw) = (Default::default(), BTreeSet::new(), BTreeSet::new());
+        GossipState { committee: n, live_from: 0, live, overflow, raw, filed: 0, keys: Vec::new() }
     }
 
     fn key(msg: &SignedMessage) -> Option<Key> {
@@ -149,17 +174,16 @@ impl GossipState {
         view.checked_sub(self.live_from).is_some_and(|d| d < LIVE_VIEWS)
     }
 
-    /// The slot vector `key` addresses, if its view is live and the key
-    /// fits a table.
-    fn slots(&self, (view, kind, sender): Key) -> Option<&Vec<Option<Digest>>> {
-        if sender as usize >= SignerSet::CAPACITY || !self.is_live(view) {
+    /// The slot vector `key` addresses, if its view is live.
+    fn slots(&self, (view, kind, _): Key) -> Option<&Vec<Option<Digest>>> {
+        if !self.is_live(view) {
             return None;
         }
         self.live[(view % LIVE_VIEWS) as usize].get(usize::from(kind))
     }
 
-    fn slots_mut(&mut self, (view, kind, sender): Key) -> Option<&mut Vec<Option<Digest>>> {
-        if sender as usize >= SignerSet::CAPACITY || !self.is_live(view) {
+    fn slots_mut(&mut self, (view, kind, _): Key) -> Option<&mut Vec<Option<Digest>>> {
+        if !self.is_live(view) {
             return None;
         }
         self.live[(view % LIVE_VIEWS) as usize].get_mut(usize::from(kind))
@@ -176,8 +200,8 @@ impl GossipState {
         self.overflow.contains(&(key, *id))
     }
 
-    /// Stores `id` under `key`, in its slot when that is addressable and
-    /// empty; returns whether the key already held two ids or more.
+    /// Stores `id` under `key`, in its slot when that is live and empty;
+    /// returns whether the key already held two ids or more.
     fn place(&mut self, key: Key, id: Digest) -> bool {
         let slotted = match self.slots_mut(key) {
             Some(slots) => {
@@ -259,30 +283,37 @@ impl GossipState {
         })
     }
 
-    /// The one probe per delivery. `None`: the signature check failed.
-    /// Otherwise: a copy of a filed id skips verification and is ignored;
-    /// a first sighting is verified, filed, and accepted unless it is the
-    /// sender's third distinct payload for its key. Every decision counts
-    /// into the context's [`crate::CryptoOps`], and only there. Every
-    /// view is admitted: this is the gate of a node with no live range.
+    /// The one probe per delivery. `None`: an outsider's first sighting,
+    /// or a failed signature check. Otherwise: a copy of a filed id skips
+    /// verification and is ignored; a first sighting is verified, filed,
+    /// and accepted unless it is the sender's third distinct payload for
+    /// its key. Every decision counts into the context's
+    /// [`crate::CryptoOps`], and only there. Every view is admitted: this
+    /// is the gate of a node with no live range.
     pub fn admit(&mut self, msg: &SignedMessage, ctx: &mut Context) -> Option<Reception> {
         let key = Self::key(msg);
         if key.is_some_and(|key| self.is_filed(key, &msg.id())) {
             ctx.crypto_ops.sig_verify_skips += 1;
             return Some(IGNORED);
         }
+        if msg.sender().index() >= self.committee {
+            return None;
+        }
         self.first_sighting(msg, key, ctx)
     }
 
     /// [`GossipState::admit`] behind the range gate (module docs, "Live
     /// range"): a first sighting the current view at the context's clock
-    /// does not take is dropped between the probe and the signature
-    /// check. A copy of a filed id pays the probe only.
+    /// does not take is dropped between the committee gate and the
+    /// signature check. A copy of a filed id pays the probe only.
     pub fn admit_live(&mut self, msg: &SignedMessage, ctx: &mut Context) -> Admission {
         let key = Self::key(msg);
         if key.is_some_and(|key| self.is_filed(key, &msg.id())) {
             ctx.crypto_ops.sig_verify_skips += 1;
             return Admission::Admitted(IGNORED);
+        }
+        if msg.sender().index() >= self.committee {
+            return Admission::Forged;
         }
         if !msg.payload().is_live_at(View::of_time(ctx.time, ctx.delta)) {
             ctx.crypto_ops.dropped_out_of_range += 1;
@@ -295,24 +326,22 @@ impl GossipState {
     }
 
     /// [`GossipState::admit`] for a caller that vouches for the message
-    /// itself: dedup and the two-distinct cap, no signature check.
+    /// itself: dedup, the committee gate and the two-distinct cap.
     pub fn on_receive(&mut self, msg: &SignedMessage) -> Reception {
         match Self::key(msg) {
             Some(key) if self.is_filed(key, &msg.id()) => IGNORED,
+            _ if msg.sender().index() >= self.committee => IGNORED,
             Some(key) => self.file(key, msg.id()),
             None => POINT_TO_POINT,
         }
     }
 
     fn public_key(&mut self, sender: ValidatorId) -> PublicKey {
-        let (i, seed) = (sender.index(), sender.key_seed());
-        if i >= SignerSet::CAPACITY {
-            return KeyCache::public(seed);
-        }
+        let i = sender.index();
         if self.keys.len() <= i {
             self.keys.resize(i + 1, None);
         }
-        *self.keys[i].get_or_insert_with(|| KeyCache::public(seed))
+        *self.keys[i].get_or_insert_with(|| KeyCache::public(sender.key_seed()))
     }
 
     /// Whether `msg`'s id passes for verified here: filed, or
@@ -454,6 +483,28 @@ mod tests {
     }
 
     #[test]
+    fn the_committee_gate_admits_members_only() {
+        let store = BlockStore::new();
+        let (mut ctx, g) = (ctx(&store), Log::genesis(&store));
+        let mut gossip = GossipState::for_committee(4);
+        let (member, outsider) = (msg(&store, 3, 1, g), msg(&store, 4, 1, g));
+        assert_eq!(gossip.admit_live(&outsider, &mut ctx), Admission::Forged);
+        assert_eq!(gossip.admit_live(&member, &mut ctx), Admission::Admitted(ACCEPTED));
+        // Fetch traffic passes the same gate.
+        let kp = Keypair::from_seed(ValidatorId::new(4).key_seed());
+        let fetch = Payload::BlockRequest { tip: store.genesis(), from_height: 1 };
+        let fetch = SignedMessage::sign(&kp, ValidatorId::new(4), fetch);
+        assert_eq!(gossip.admit_live(&fetch, &mut ctx), Admission::Forged);
+        assert_eq!((ctx.crypto_ops.sig_verifies, gossip.seen_count()), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn a_committee_the_bitmap_cannot_hold_is_refused() {
+        GossipState::for_committee(SignerSet::CAPACITY + 1);
+    }
+
+    #[test]
     fn duplicate_exact_message_ignored() {
         let store = BlockStore::new();
         let g = Log::genesis(&store);
@@ -488,12 +539,19 @@ mod tests {
         assert_eq!(slots, 0, "no dense table was allocated");
         assert_eq!((gossip.overflow.len(), gossip.seen_count()), (10_000, 10_000));
         assert!(std::mem::size_of::<(Key, Digest)>() <= 48, "bytes retained per filed id");
-        // A sender index at or beyond the dense bound is overflow-filed
-        // even in a live view.
+        // A sender outside the committee is rejected at admission, in a
+        // live view too: not verified, not filed, no table allocated.
+        let before = ctx.crypto_ops;
         let wide = msg(&store, SignerSet::CAPACITY as u32, 7, g);
-        assert_eq!(gossip.admit(&wide, &mut ctx), Some(ACCEPTED));
-        assert_eq!(gossip.admit(&wide, &mut ctx), Some(IGNORED));
+        for _ in 0..2 {
+            assert_eq!(gossip.admit(&wide, &mut ctx), None);
+            assert_eq!(gossip.admit_live(&wide, &mut ctx), Admission::Forged);
+            assert_eq!(gossip.on_receive(&wide), IGNORED);
+        }
+        assert_eq!(ctx.crypto_ops, before, "0 verifies, 0 skips, 0 drops");
+        assert_eq!((gossip.seen_count(), gossip.overflow.len()), (10_000, 10_000), "nothing filed");
         assert_eq!(gossip.live.iter().flatten().map(Vec::capacity).sum::<usize>(), 0);
+        assert_eq!(gossip.keys.len(), 4, "no key derived beyond sender 3");
         // Once the range has passed them, every one is forgotten.
         gossip.set_live(1_000_000 + 977 * 10_000);
         assert!(gossip.overflow.is_empty());

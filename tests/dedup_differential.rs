@@ -2,17 +2,23 @@
 //!
 //! `GossipState` files message ids in sender-indexed slot tables (a
 //! ring of four, one per view of the live range) with an ordered
-//! overflow, drops out-of-range first sightings before their signature
-//! check, and forgets every view that leaves the live range. That is
-//! meant to be a pure re-indexing of a plainer gate — a verified-id set
-//! probed before a seen-id set, both flat, behind the range check and
+//! overflow, drops first sightings from outside the committee and
+//! out-of-range ones before their signature check, and forgets every
+//! view that leaves the live range. That is meant to be a pure
+//! re-indexing of a plainer gate — a verified-id set probed before a
+//! seen-id set, both flat, behind the committee and range checks and
 //! forgetting exactly what the contract says — so random streams are fed
 //! through the real type and through that model, and every observable
 //! answer must agree. The model spells the contract out on its own:
 //!
-//! * **the gate**: at current view `v`, a first sighting of a `LOG` or
-//!   certificate for a view outside `v − 2 ..= v + 1`, or of a proposal
-//!   outside `v − 1 ..= v + 1`, is dropped unverified and unfiled;
+//! * **the committee gate**: the gate is built for a committee of
+//!   [`COMMITTEE`] validators, narrower than the signer bitmap; a
+//!   message from a sender at or beyond it is dropped as a forgery,
+//!   unverified, uncounted and unfiled;
+//! * **the range gate**: at current view `v`, a first sighting of a
+//!   `LOG` or certificate for a view outside `v − 2 ..= v + 1`, or of a
+//!   proposal outside `v − 1 ..= v + 1`, is dropped unverified and
+//!   unfiled;
 //! * **forgetting**: moving the range from start `s` to start `s'`
 //!   forgets every id of a view behind `s'` and of a view of
 //!   `s ..= s + 3` outside `s' ..= s' + 3`. A forgotten id sighted again
@@ -23,9 +29,10 @@
 //! duplicates, up to five-way equivocation per `(sender, key)`, views
 //! that enter and leave the live range between operations — forward and
 //! backward across more than 64 views, so forgotten views come back
-//! empty — sender indices at and beyond the dense bound, fetch payloads
-//! that carry no key, forged signatures before and after the genuine
-//! copy, and fault-injected raw ids with the audit's quarantine pass.
+//! empty — the last member and sender indices at the committee bound,
+//! at the bitmap's and far beyond, fetch payloads that carry no key,
+//! forged signatures before and after the genuine copy, and
+//! fault-injected raw ids with the audit's quarantine pass.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -130,12 +137,15 @@ struct MsgSpec {
     forged: bool,
 }
 
-/// Two ordinary senders, the last dense index, the first index beyond
-/// the dense bound, and one far beyond it.
-const SENDERS: [u32; 5] = [
+/// The committee the gate is built for: validators `0..COMMITTEE`.
+const COMMITTEE: usize = 100;
+/// Two ordinary senders, the last member, the first index outside the
+/// committee, the first beyond the signer bitmap, and one far beyond it.
+const SENDERS: [u32; 6] = [
     0,
     1,
-    SignerSet::CAPACITY as u32 - 1,
+    COMMITTEE as u32 - 1,
+    COMMITTEE as u32,
     SignerSet::CAPACITY as u32,
     70_000,
 ];
@@ -264,7 +274,7 @@ impl Differential {
         Differential {
             logs,
             ctx: Context::new(Time::ZERO, ValidatorId::new(0), Delta::default(), store, Mempool::new()),
-            gossip: GossipState::new(),
+            gossip: GossipState::for_committee(COMMITTEE),
             flat_gossip: FlatGossip::default(),
             flat_verified: FlatVerified::default(),
             live_from: 0,
@@ -278,13 +288,16 @@ impl Differential {
             Op::Deliver(spec) => {
                 let m = build(spec, &self.logs);
                 self.probes.push(m);
-                // The range gate in front of a first sighting, then the
+                // The committee gate (an outsider's id is never filed),
+                // the range gate in front of a first sighting, then the
                 // verification gate (fetch ids not retained), fetch
                 // payloads served without touching gossip, then the
                 // seen set.
                 let keyed = !m.payload().is_sync();
                 let current = View::of_time(self.ctx.time, self.ctx.delta).number();
-                let want = if !self.flat_gossip.seen.contains_key(&m.id())
+                let want = if m.sender().index() >= COMMITTEE {
+                    Admission::Forged
+                } else if !self.flat_gossip.seen.contains_key(&m.id())
                     && out_of_range(spec.kind, VIEWS[spec.view], current)
                 {
                     self.flat_verified.dropped += 1;
@@ -356,7 +369,7 @@ impl Differential {
 /// A scripted sweep that hits every range-move path at least once: the
 /// live range walks forward over all of [`VIEWS`]' small numbers, each
 /// view collecting first ids, equivocating second and third ids and
-/// out-of-table senders while live *and* after it left (gated kinds
+/// outsiders' ids while live *and* after it left (gated kinds
 /// dropped, the others filed behind the range and forgotten at the next
 /// move), then walks back so every forgotten view re-enters empty, then
 /// forward again.

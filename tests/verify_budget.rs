@@ -27,7 +27,12 @@
 //!   certificates and proposals for views outside the live range are
 //!   dropped before their signature check, so a flooded run verifies,
 //!   files and forwards exactly what the same run without the flood
-//!   does, in both relay modes.
+//!   does, in both relay modes;
+//! * **an outsider flood is free and cannot stall decisions**:
+//!   correctly signed `LOG`s from ids outside the committee are dropped
+//!   at admission, before their signature check, so they never count
+//!   in GA's `|S|`; the flooded run verifies, files, forwards and
+//!   decides exactly what the quiet run does, in both relay modes.
 //!
 //! A regression that re-verifies per delivery breaks the first equality
 //! by an order of magnitude (gossip fan-out makes duplicates dominate);
@@ -37,7 +42,7 @@
 use tob_svd::crypto::{AggregateSignature, KeyCache};
 use tob_svd::protocol::leader::vrf_for;
 use tob_svd::protocol::{TobReport, TobSimulationBuilder, TxWorkload};
-use tob_svd::sim::{Context, Node};
+use tob_svd::sim::{Context, Node, WorstCaseDelay};
 use tob_svd::types::{InstanceId, Log, Payload, SignedMessage, SignerSet, ValidatorId, View};
 
 const N: usize = 8;
@@ -242,45 +247,116 @@ impl Node for FarViewFlooder {
 /// A far-view flood costs an honest validator nothing but the drop: in
 /// both relay modes, every honest validator verifies, files and forwards
 /// exactly what it does in the same run without the flood, and each
-/// flooded delivery is counted once in `dropped_out_of_range`. Delays
-/// are fixed at Δ so the flood draws nothing from the run's RNG and
-/// the honest traffic of the two runs is the same.
+/// flooded delivery is counted once in `dropped_out_of_range`.
 #[test]
 fn a_far_view_flood_costs_no_crypto_no_filing_and_no_forward() {
-    use tob_svd::sim::WorstCaseDelay;
-
     let byz = ValidatorId::new(N as u32 - 1);
-    let run = |certificates: bool, flood: bool| {
-        let honest: Vec<ValidatorId> = ValidatorId::all(N).filter(|v| *v != byz).collect();
-        let flooder = FarViewFlooder { me: byz, honest, flood };
-        let report = TobSimulationBuilder::new(N)
-            .views(20)
-            .seed(13)
-            .certificates(certificates)
-            .delay(Box::new(WorstCaseDelay))
-            .byzantine(byz, Box::new(move |_| Box::new(flooder)))
-            .run()
-            .expect("flood run");
-        report.assert_safety();
-        report
-    };
     for certificates in [false, true] {
-        let (quiet, flooded) = (run(certificates, false), run(certificates, true));
+        let run = |flood: bool| flood_run(certificates, FarViewFlooder { me: byz, honest: honest(), flood });
+        let (quiet, flooded) = (run(false), run(true));
         let (q, f) = (&quiet.report.metrics, &flooded.report.metrics);
         let flood = f.deliveries - q.deliveries;
         assert!(flood > 1_000, "the flood was delivered ({flood} copies)");
         assert_eq!((q.dropped_out_of_range, f.dropped_out_of_range), (0, flood), "{certificates}");
-        assert_eq!((f.sig_verifies, f.forwards), (q.sig_verifies, q.forwards), "{certificates}");
-        // No fetch traffic, so each validator verified exactly the ids it
-        // filed (the tiling argument of the first test), and each filed
-        // the same ids as without the flood.
-        assert_eq!(f.block_request_broadcasts, 0);
-        assert_eq!(f.sig_verifies, verified_ids(&flooded));
-        for (a, b) in quiet.honest_validators().zip(flooded.honest_validators()) {
-            assert_eq!(a.unique_messages_seen(), b.unique_messages_seen(), "{}", a.id());
-            assert_eq!(a.verified_ids(), b.verified_ids(), "{}", a.id());
-            assert_eq!(a.decided(), b.decided(), "{}", a.id());
+        assert_same_honest_work(&quiet, &flooded, certificates);
+    }
+}
+
+/// A Byzantine validator that, at every phase boundary of view `v`,
+/// signs a `LOG` for instances `v` and `v + 1` as each of the seven ids
+/// `n ..= n + 6` outside the committee, each on its own fork of genesis,
+/// and sends them to every honest validator. The stand-in keys derive
+/// from public seeds, so anyone can sign as such an id. Counted in a GA
+/// instance's `|S|`, the seven would lift its `2·|V_Λ| > |S|` bar above
+/// what the seven honest votes can clear.
+struct OutsiderFlooder {
+    honest: Vec<ValidatorId>,
+    flood: bool,
+}
+
+impl Node for OutsiderFlooder {
+    fn on_phase(&mut self, ctx: &mut Context) {
+        if !self.flood {
+            return;
         }
+        let v = View::of_time(ctx.time, ctx.delta);
+        let genesis = Log::genesis(&ctx.store);
+        for outsider in (N as u32..=N as u32 + 6).map(ValidatorId::new) {
+            let kp = KeyCache::keypair(outsider.key_seed());
+            let log = genesis.extend_empty(&ctx.store, outsider, v);
+            for instance in [v.number(), v.number() + 1].map(InstanceId) {
+                let vote = SignedMessage::sign(&kp, outsider, Payload::Log { instance, log });
+                ctx.multicast(self.honest.clone(), vote);
+            }
+        }
+    }
+
+    fn on_message(&mut self, _msg: &SignedMessage, _ctx: &mut Context) {}
+
+    fn label(&self) -> &'static str {
+        "byz-outsider-flooder"
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// An outsider flood cannot stall decisions: in both relay modes the
+/// committee gate drops every flooded `LOG` at admission, unverified, so
+/// every honest validator verifies, files, forwards and decides exactly
+/// what it does in the quiet run. A gate that admitted outsiders decided
+/// 0 of the 20 blocks here.
+#[test]
+fn an_outsider_flood_cannot_stall_decisions() {
+    for certificates in [false, true] {
+        let run = |flood: bool| flood_run(certificates, OutsiderFlooder { honest: honest(), flood });
+        let (quiet, flooded) = (run(false), run(true));
+        let flood = flooded.report.metrics.deliveries - quiet.report.metrics.deliveries;
+        assert!(flood > 1_000, "the flood was delivered ({flood} copies)");
+        assert_eq!(quiet.decided_blocks(), 20, "{certificates}: the quiet run decides every block");
+        assert_same_honest_work(&quiet, &flooded, certificates);
+    }
+}
+
+/// The honest validators of the flood runs: all but the last.
+fn honest() -> Vec<ValidatorId> {
+    ValidatorId::all(N).take(N - 1).collect()
+}
+
+/// The 20-view flood run: seed 13, validator `N − 1` Byzantine running
+/// `byz`. Delays are fixed at Δ, so a flood draws nothing from the run's
+/// RNG and the honest traffic of a quiet and a flooded run is the same.
+fn flood_run(certificates: bool, byz: impl Node) -> TobReport {
+    let report = TobSimulationBuilder::new(N)
+        .views(20)
+        .seed(13)
+        .certificates(certificates)
+        .delay(Box::new(WorstCaseDelay))
+        .byzantine(ValidatorId::new(N as u32 - 1), Box::new(move |_| Box::new(byz)))
+        .run()
+        .expect("flood run");
+    report.assert_safety();
+    report
+}
+
+/// The flood bought nothing: the flooded run verified and forwarded what
+/// the quiet run did and, with no fetch traffic, each validator verified
+/// exactly the ids it filed (the tiling argument of the first test), the
+/// same ids as without the flood, and decided the same log.
+fn assert_same_honest_work(quiet: &TobReport, flooded: &TobReport, certificates: bool) {
+    let (q, f) = (&quiet.report.metrics, &flooded.report.metrics);
+    assert_eq!((f.sig_verifies, f.forwards), (q.sig_verifies, q.forwards), "{certificates}");
+    assert_eq!(f.block_request_broadcasts, 0);
+    assert_eq!(f.sig_verifies, verified_ids(flooded));
+    for (a, b) in quiet.honest_validators().zip(flooded.honest_validators()) {
+        assert_eq!(a.unique_messages_seen(), b.unique_messages_seen(), "{}", a.id());
+        assert_eq!(a.verified_ids(), b.verified_ids(), "{}", a.id());
+        assert_eq!(a.decided(), b.decided(), "{certificates}: {}", a.id());
     }
 }
 
