@@ -79,9 +79,12 @@ impl ClientConn {
     /// Queues one submission and returns the content-addressed id its
     /// ack will carry. Call [`ClientConn::pump`] to move bytes.
     pub fn submit(&mut self, fee: u64, payload: Vec<u8>) -> TxId {
-        let id = submit_transaction(payload.clone()).id();
-        let frame =
-            encode_client_frame(&ClientFrame::Submit { client: self.client, fee, payload });
+        let id = submit_transaction(&payload).id();
+        let frame = encode_client_frame(&ClientFrame::Submit {
+            client: self.client,
+            fee,
+            payload: payload.into(),
+        });
         // A payload too large to frame is not sent; its ack never comes,
         // which is what the node's own size cap would have made of it.
         frame::push(&mut self.outbuf, &frame);

@@ -396,7 +396,7 @@ fn handle_client_frame(
     };
     let (client, fee, payload) = submit;
     stats.submits += 1;
-    let tx = tobsvd_types::client::submit_transaction(payload);
+    let tx = tobsvd_types::client::submit_transaction(&payload);
     let id = tx.id();
     let now = cfg.clock.now_tick();
     let verdict = cfg.mempool.admit(tx, now, fee, Some(client));

@@ -115,7 +115,7 @@ fn read_block_payload(r: &mut Reader<'_>) -> Result<BlockRecord, WalError> {
             return Err(WalError::Limit("tx over wire bound"));
         }
         let payload = r.take(len as usize)?;
-        txs.push(Transaction::new(payload.to_vec()));
+        txs.push(Transaction::from_slice(payload));
     }
     Ok(BlockRecord { parent, expected_id, proposer, view, txs })
 }

@@ -91,8 +91,9 @@ pub enum ClientFrame {
         client: u64,
         /// Fee bid for priority eviction.
         fee: u64,
-        /// Raw transaction payload.
-        payload: Vec<u8>,
+        /// Raw transaction payload: on decode, a view into the frame
+        /// that [`submit_transaction`] copies out of.
+        payload: Bytes,
     },
     /// The node's admission verdict for a submitted transaction.
     SubmitAck {
@@ -180,7 +181,7 @@ pub fn decode_client_frame(raw: Bytes) -> Result<ClientFrame, ClientError> {
             if (buf.remaining() as u64) < len {
                 return Err(ClientError::Truncated);
             }
-            let payload = buf.copy_to_bytes(len as usize).to_vec();
+            let payload = buf.copy_to_bytes(len as usize);
             ClientFrame::Submit { client, fee, payload }
         }
         SUBMIT_ACK_TAG => {
@@ -210,9 +211,9 @@ pub fn is_client_frame(first_byte: u8) -> bool {
     first_byte == CLIENT_WIRE_VERSION
 }
 
-/// The transaction a `Submit` frame denotes.
-pub fn submit_transaction(payload: Vec<u8>) -> Transaction {
-    Transaction::new(payload)
+/// The transaction a `Submit` frame denotes, in its own buffer.
+pub fn submit_transaction(payload: &[u8]) -> Transaction {
+    Transaction::from_slice(payload)
 }
 
 fn get_u8(buf: &mut Bytes) -> Result<u8, ClientError> {
@@ -243,8 +244,8 @@ mod tests {
     fn sample_frames() -> Vec<ClientFrame> {
         let tx = Transaction::new(b"pay bob 3".to_vec());
         vec![
-            ClientFrame::Submit { client: 7, fee: 42, payload: b"pay bob 3".to_vec() },
-            ClientFrame::Submit { client: u64::MAX, fee: 0, payload: Vec::new() },
+            ClientFrame::Submit { client: 7, fee: 42, payload: Bytes::from(&b"pay bob 3"[..]) },
+            ClientFrame::Submit { client: u64::MAX, fee: 0, payload: Bytes::new() },
             ClientFrame::SubmitAck { tx: tx.id(), status: AckStatus::Accepted },
             ClientFrame::SubmitAck { tx: tx.id(), status: AckStatus::Duplicate },
             ClientFrame::SubmitAck { tx: tx.id(), status: AckStatus::Busy },
@@ -341,11 +342,11 @@ mod tests {
     #[test]
     fn submit_denotes_content_addressed_transaction() {
         let payload = b"transfer 9".to_vec();
-        let frame = ClientFrame::Submit { client: 1, fee: 5, payload: payload.clone() };
+        let frame = ClientFrame::Submit { client: 1, fee: 5, payload: Bytes::from(payload.clone()) };
         let raw = encode_client_frame(&frame);
         let Ok(ClientFrame::Submit { payload: decoded, .. }) = decode_client_frame(raw) else {
             panic!("submit frame must decode");
         };
-        assert_eq!(submit_transaction(decoded).id(), Transaction::new(payload).id());
+        assert_eq!(submit_transaction(&decoded).id(), Transaction::new(payload).id());
     }
 }

@@ -6,8 +6,13 @@
 //! are opaque byte strings with a content-derived identity; the pool
 //! itself (with submission-time tracking for latency experiments) lives in
 //! `tobsvd-sim::mempool`.
+//!
+//! The payload is one shared buffer: every validator proposes in every
+//! view (§3.3), so the same pending transaction sits in up to n stored
+//! blocks, and a clone is a reference-count bump rather than a copy.
 
 use std::fmt;
+use std::sync::Arc;
 
 use tobsvd_crypto::{Digest, Hasher};
 
@@ -30,6 +35,9 @@ impl fmt::Display for TxId {
 
 /// An opaque transaction: a payload plus its content-derived id.
 ///
+/// Clones share the payload buffer; equality, hashing and `Debug` see
+/// only its bytes.
+///
 /// ```
 /// use tobsvd_types::Transaction;
 /// let a = Transaction::new(b"pay alice 5".to_vec());
@@ -39,12 +47,23 @@ impl fmt::Display for TxId {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Transaction {
     id: TxId,
-    payload: Vec<u8>,
+    payload: Arc<[u8]>,
 }
 
 impl Transaction {
     /// Creates a transaction from its payload bytes.
     pub fn new(payload: Vec<u8>) -> Self {
+        Transaction::from_shared(payload.into())
+    }
+
+    /// Creates a transaction from a copy of `payload`: the one copy a
+    /// decoder makes out of its frame or read buffer, so no transaction
+    /// keeps that buffer alive.
+    pub fn from_slice(payload: &[u8]) -> Self {
+        Transaction::from_shared(payload.into())
+    }
+
+    fn from_shared(payload: Arc<[u8]>) -> Self {
         let mut h = Hasher::new("tobsvd/tx");
         h.update(&payload);
         Transaction { id: TxId(h.finalize()), payload }
@@ -55,14 +74,16 @@ impl Transaction {
     /// Workload generators use this to produce distinct transactions of a
     /// controlled size `L` for the communication-complexity experiments.
     pub fn synthetic(nonce: u64, size: usize) -> Self {
-        let mut payload = vec![0u8; size.max(8)];
-        // The payload was just allocated with `size.max(8)` ≥ 8 bytes.
-        #[allow(clippy::indexing_slicing)]
-        payload[..8].copy_from_slice(&nonce.to_be_bytes());
-        for (i, b) in payload.iter_mut().enumerate().skip(8) {
-            *b = (i % 251) as u8;
-        }
-        Transaction::new(payload)
+        // An exact-length iterator collects straight into the shared
+        // allocation, with no intermediate `Vec`.
+        let nonce = nonce.to_be_bytes();
+        let payload: Arc<[u8]> = (0..size.max(8))
+            .map(|i| match nonce.get(i) {
+                Some(&b) => b,
+                None => (i % 251) as u8,
+            })
+            .collect();
+        Transaction::from_shared(payload)
     }
 
     /// The transaction id.

@@ -628,8 +628,8 @@ fn decode_block_bodies(buf: &mut Bytes, count: u64) -> Result<Vec<BlockBody>, Wi
             if buf.remaining() < size as usize {
                 return Err(WireError::Truncated);
             }
-            let payload = buf.copy_to_bytes(size as usize).to_vec();
-            txs.push(Transaction::new(payload));
+            let payload = buf.copy_to_bytes(size as usize);
+            txs.push(Transaction::from_slice(&payload));
         }
         bodies.push(BlockBody { proposer, view, txs });
     }
