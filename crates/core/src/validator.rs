@@ -891,11 +891,12 @@ impl Validator {
     /// resolved messages (every referenced block known).
     fn process(&mut self, msg: &SignedMessage, ctx: &mut Context) {
         // Only live instances take input: a LOG or certificate for a
-        // view out of `View::live_range`, however large, and a proposal
-        // out of `View::proposal_range`, is dropped here, before it
-        // touches any per-view state. The gossip gate drops such a first
-        // sighting before its signature check; this catches one parked
-        // while in range that resolved after its view left.
+        // view out of `View::live_range`, however large, a proposal out
+        // of `View::proposal_range`, and every VOTE or finality vote,
+        // is dropped here, before it touches any per-view state. The
+        // gossip gate drops such a first sighting before its signature
+        // check; this catches one parked while in range that resolved
+        // after its view left.
         if !msg.payload().is_live_at(View::of_time(ctx.time, ctx.delta)) {
             return;
         }
@@ -934,12 +935,12 @@ impl Validator {
                     side.archive.push(Arc::new(*msg));
                 }
             }
-            Payload::Vote { .. } => {} // not part of TOB-SVD
             Payload::Recovery { from_view, .. } => {
                 self.serve_recovery(msg.sender(), *from_view, ctx);
             }
-            // Not part of TOB-SVD: decoded like any payload, then ignored.
-            Payload::FinalityVote { .. } => {}
+            // Not part of TOB-SVD: never live, so the range gate above
+            // has already dropped them.
+            Payload::Vote { .. } | Payload::FinalityVote { .. } => {}
             // Handled one layer up, before the resolution gate.
             Payload::BlockRequest { .. } | Payload::BlockResponse { .. } => {}
         }
@@ -1156,9 +1157,8 @@ mod tests {
             // Grow knowledge one block at a time (the inline window).
             let mut ctx = ctx_at(0, &store);
             let kp = Keypair::from_seed(ValidatorId::new(1).key_seed());
-            // Distinct instances: gossip allows only two distinct votes
-            // per (sender, instance), and the resolution gate runs for
-            // every fresh message regardless of the GA's view window.
+            // No instance takes a VOTE, so the range gate drops each one
+            // unverified; a dropped message's window is still absorbed.
             let msg = SignedMessage::sign(
                 &kp,
                 ValidatorId::new(1),
@@ -1214,7 +1214,8 @@ mod tests {
         let mut ctx = ctx_at(1, &store);
         val.on_message(&req, &mut ctx);
         assert!(ctx.outbox().is_empty(), "cannot serve an unknown tip");
-        // The peer learns the chain (a vote's inline window carries it).
+        // The peer learns the chain: a VOTE is dropped unprocessed, but
+        // its inline window, which carries the chain, is absorbed.
         let kp1 = Keypair::from_seed(ValidatorId::new(1).key_seed());
         let vote = SignedMessage::sign(
             &kp1,

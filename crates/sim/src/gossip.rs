@@ -58,7 +58,8 @@
 //!
 //! [`GossipState::admit_live`], the validator's gate, drops a first
 //! sighting of a `LOG`, certificate or proposal that no live instance
-//! takes at the context's clock
+//! takes at the context's clock, and of any `VOTE` or finality vote,
+//! which no instance takes at all
 //! ([`tobsvd_types::Payload::is_live_at`]) after the slot probe and
 //! before any crypto: it is neither verified, filed nor forwarded, and
 //! counts as [`crate::CryptoOps::dropped_out_of_range`]. The validator

@@ -285,15 +285,19 @@ impl Payload {
     /// Whether a validator whose current view is `current` takes this
     /// payload in: a `LOG` or certificate for a view of
     /// [`View::live_range`], a proposal for one of
-    /// [`View::proposal_range`]. Every other payload carries no view
-    /// those ranges bound.
+    /// [`View::proposal_range`]. No instance of TOB-SVD takes a `VOTE`
+    /// or a finality vote, at any view. A recovery request and the fetch
+    /// payloads carry no view those ranges bound.
     pub fn is_live_at(&self, current: View) -> bool {
         match self {
             Payload::Log { instance, .. } | Payload::Certificate { instance, .. } => {
                 current.live_range().contains(&instance.view())
             }
             Payload::Proposal { view, .. } => current.proposal_range().contains(view),
-            _ => true,
+            Payload::Vote { .. } | Payload::FinalityVote { .. } => false,
+            Payload::Recovery { .. }
+            | Payload::BlockRequest { .. }
+            | Payload::BlockResponse { .. } => true,
         }
     }
 
@@ -651,6 +655,11 @@ mod tests {
         // No view bounds a recovery request or a fetch.
         assert!(Payload::Recovery { from_view: View::new(0), log: g }.is_live_at(current));
         assert!(Payload::BlockRequest { tip: g.tip(), from_height: 1 }.is_live_at(current));
+        // Nothing takes a VOTE or a finality vote, in range or not.
+        for w in [8, 10, 11, u64::MAX] {
+            assert!(!Payload::Vote { instance: InstanceId(w), log: g }.is_live_at(current));
+            assert!(!Payload::FinalityVote { epoch: w, log: g }.is_live_at(current));
+        }
     }
 
     #[test]

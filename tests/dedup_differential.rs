@@ -116,6 +116,7 @@ fn out_of_range(kind: u8, w: u64, v: u64) -> bool {
     let behind = match kind {
         0 | 5 => 2, // LOG, certificate: `View::live_range`
         1 => 1,     // proposal: `View::proposal_range`
+        2 | 4 => return true, // VOTE, finality vote: never live
         _ => return false,
     };
     w < v.saturating_sub(behind) || w > v + 1

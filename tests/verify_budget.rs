@@ -28,6 +28,9 @@
 //!   dropped before their signature check, so a flooded run verifies,
 //!   files and forwards exactly what the same run without the flood
 //!   does, in both relay modes;
+//! * **a vote flood is free**: no instance of TOB-SVD takes a `VOTE` or
+//!   a finality vote, so correctly signed ones, in range or far ahead,
+//!   are dropped the same way;
 //! * **an outsider flood is free and cannot stall decisions**:
 //!   correctly signed `LOG`s from ids outside the committee are dropped
 //!   at admission, before their signature check, so they never count
@@ -190,41 +193,19 @@ fn certificate_counters_tile_under_churn() {
     );
 }
 
-/// A Byzantine validator that, at every phase boundary, sends each
-/// honest validator a correctly signed `LOG`, certificate and proposal
-/// for views just outside and far outside both ends of the live range.
-/// A copy arrives within Δ, in the sender's view `v` or in `v + 1`, so
-/// views `v + 3` and up and `v − 3` and down (`v − 2` for a proposal)
-/// are out of range on arrival: no live instance ever takes one.
-struct FarViewFlooder {
-    me: ValidatorId,
-    honest: Vec<ValidatorId>,
+/// A Byzantine validator that, at every phase boundary while `flood` is
+/// set, sends every honest validator the messages `messages` signs at
+/// that boundary.
+struct Flooder {
     flood: bool,
+    messages: fn(&Context) -> Vec<SignedMessage>,
 }
 
-impl Node for FarViewFlooder {
+impl Node for Flooder {
     fn on_phase(&mut self, ctx: &mut Context) {
-        if !self.flood {
-            return;
-        }
-        let v = View::of_time(ctx.time, ctx.delta).number();
-        let kp = KeyCache::keypair(self.me.key_seed());
-        let log = Log::genesis(&ctx.store);
-        let mut signers = SignerSet::empty();
-        signers.insert(self.me);
-        let agg = AggregateSignature::aggregate(&[&kp.sign(b"far")]).expect("one signature");
-        let behind = [v.checked_sub(3), v.checked_sub(1_000)].into_iter().flatten();
-        for w in behind.chain([v + 3, v + 1_000, u64::MAX]) {
-            let instance = InstanceId(w);
-            // Behind, a proposal is out of range one view later than a LOG.
-            let view = View::new(if w < v { w + 1 } else { w });
-            let (vrf, proof) = vrf_for(self.me, view);
-            for payload in [
-                Payload::Log { instance, log },
-                Payload::Certificate { instance, log, signers, agg },
-                Payload::Proposal { view, log, vrf, proof },
-            ] {
-                ctx.multicast(self.honest.clone(), SignedMessage::sign(&kp, self.me, payload));
+        if self.flood {
+            for msg in (self.messages)(ctx) {
+                ctx.multicast(honest(), msg);
             }
         }
     }
@@ -232,7 +213,7 @@ impl Node for FarViewFlooder {
     fn on_message(&mut self, _msg: &SignedMessage, _ctx: &mut Context) {}
 
     fn label(&self) -> &'static str {
-        "byz-far-view-flooder"
+        "byz-flooder"
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -244,15 +225,76 @@ impl Node for FarViewFlooder {
     }
 }
 
+/// A correctly signed `LOG`, certificate and proposal for views just
+/// outside and far outside both ends of the live range. A copy arrives
+/// within Δ, in the sender's view `v` or in `v + 1`, so views `v + 3` and
+/// up and `v − 3` and down (`v − 2` for a proposal) are out of range on
+/// arrival: no live instance ever takes one.
+fn far_view_flood(ctx: &Context) -> Vec<SignedMessage> {
+    let me = byzantine();
+    let v = View::of_time(ctx.time, ctx.delta).number();
+    let kp = KeyCache::keypair(me.key_seed());
+    let log = Log::genesis(&ctx.store);
+    let mut signers = SignerSet::empty();
+    signers.insert(me);
+    let agg = AggregateSignature::aggregate(&[&kp.sign(b"far")]).expect("one signature");
+    let behind = [v.checked_sub(3), v.checked_sub(1_000)].into_iter().flatten();
+    let mut out = Vec::new();
+    for w in behind.chain([v + 3, v + 1_000, u64::MAX]) {
+        let instance = InstanceId(w);
+        // Behind, a proposal is out of range one view later than a LOG.
+        let view = View::new(if w < v { w + 1 } else { w });
+        let (vrf, proof) = vrf_for(me, view);
+        for payload in [
+            Payload::Log { instance, log },
+            Payload::Certificate { instance, log, signers, agg },
+            Payload::Proposal { view, log, vrf, proof },
+        ] {
+            out.push(SignedMessage::sign(&kp, me, payload));
+        }
+    }
+    out
+}
+
 /// A far-view flood costs an honest validator nothing but the drop: in
 /// both relay modes, every honest validator verifies, files and forwards
 /// exactly what it does in the same run without the flood, and each
 /// flooded delivery is counted once in `dropped_out_of_range`.
 #[test]
 fn a_far_view_flood_costs_no_crypto_no_filing_and_no_forward() {
-    let byz = ValidatorId::new(N as u32 - 1);
+    assert_flood_is_dropped_unverified(far_view_flood);
+}
+
+/// A correctly signed `VOTE` for instances `v` and `v + 1`, which are in
+/// the live range, and for `v + 1_000` and `u64::MAX`, plus a finality
+/// vote for epochs `v` and `u64::MAX`. TOB-SVD takes neither payload at
+/// any view. Relayed, each one would cost n² deliveries, and a far
+/// instance would wait in gossip's overflow for a range it never reaches.
+fn vote_flood(ctx: &Context) -> Vec<SignedMessage> {
+    let me = byzantine();
+    let v = View::of_time(ctx.time, ctx.delta).number();
+    let kp = KeyCache::keypair(me.key_seed());
+    let log = Log::genesis(&ctx.store);
+    let votes = [v, v + 1, v + 1_000, u64::MAX]
+        .map(|w| Payload::Vote { instance: InstanceId(w), log });
+    let finality = [v, u64::MAX].map(|epoch| Payload::FinalityVote { epoch, log });
+    votes.into_iter().chain(finality).map(|p| SignedMessage::sign(&kp, me, p)).collect()
+}
+
+/// A VOTE and finality-vote flood, in range or not, is dropped like a
+/// far-view one: unverified, unfiled and unforwarded, in both relay
+/// modes.
+#[test]
+fn a_vote_flood_costs_no_crypto_no_filing_and_no_forward() {
+    assert_flood_is_dropped_unverified(vote_flood);
+}
+
+/// In both relay modes: the flood was delivered, every flooded delivery
+/// counts once in `dropped_out_of_range`, and the honest validators did
+/// the quiet run's work.
+fn assert_flood_is_dropped_unverified(messages: fn(&Context) -> Vec<SignedMessage>) {
     for certificates in [false, true] {
-        let run = |flood: bool| flood_run(certificates, FarViewFlooder { me: byz, honest: honest(), flood });
+        let run = |flood: bool| flood_run(certificates, Flooder { flood, messages });
         let (quiet, flooded) = (run(false), run(true));
         let (q, f) = (&quiet.report.metrics, &flooded.report.metrics);
         let flood = f.deliveries - q.deliveries;
@@ -262,48 +304,24 @@ fn a_far_view_flood_costs_no_crypto_no_filing_and_no_forward() {
     }
 }
 
-/// A Byzantine validator that, at every phase boundary of view `v`,
-/// signs a `LOG` for instances `v` and `v + 1` as each of the seven ids
-/// `n ..= n + 6` outside the committee, each on its own fork of genesis,
-/// and sends them to every honest validator. The stand-in keys derive
+/// For each instance `v` and `v + 1` of a phase boundary in view `v`, a
+/// `LOG` signed as each of the seven ids `n ..= n + 6` outside the
+/// committee, each on its own fork of genesis. The stand-in keys derive
 /// from public seeds, so anyone can sign as such an id. Counted in a GA
 /// instance's `|S|`, the seven would lift its `2·|V_Λ| > |S|` bar above
 /// what the seven honest votes can clear.
-struct OutsiderFlooder {
-    honest: Vec<ValidatorId>,
-    flood: bool,
-}
-
-impl Node for OutsiderFlooder {
-    fn on_phase(&mut self, ctx: &mut Context) {
-        if !self.flood {
-            return;
-        }
-        let v = View::of_time(ctx.time, ctx.delta);
-        let genesis = Log::genesis(&ctx.store);
-        for outsider in (N as u32..=N as u32 + 6).map(ValidatorId::new) {
-            let kp = KeyCache::keypair(outsider.key_seed());
-            let log = genesis.extend_empty(&ctx.store, outsider, v);
-            for instance in [v.number(), v.number() + 1].map(InstanceId) {
-                let vote = SignedMessage::sign(&kp, outsider, Payload::Log { instance, log });
-                ctx.multicast(self.honest.clone(), vote);
-            }
+fn outsider_flood(ctx: &Context) -> Vec<SignedMessage> {
+    let v = View::of_time(ctx.time, ctx.delta);
+    let genesis = Log::genesis(&ctx.store);
+    let mut out = Vec::new();
+    for outsider in (N as u32..=N as u32 + 6).map(ValidatorId::new) {
+        let kp = KeyCache::keypair(outsider.key_seed());
+        let log = genesis.extend_empty(&ctx.store, outsider, v);
+        for instance in [v.number(), v.number() + 1].map(InstanceId) {
+            out.push(SignedMessage::sign(&kp, outsider, Payload::Log { instance, log }));
         }
     }
-
-    fn on_message(&mut self, _msg: &SignedMessage, _ctx: &mut Context) {}
-
-    fn label(&self) -> &'static str {
-        "byz-outsider-flooder"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
+    out
 }
 
 /// An outsider flood cannot stall decisions: in both relay modes the
@@ -314,7 +332,8 @@ impl Node for OutsiderFlooder {
 #[test]
 fn an_outsider_flood_cannot_stall_decisions() {
     for certificates in [false, true] {
-        let run = |flood: bool| flood_run(certificates, OutsiderFlooder { honest: honest(), flood });
+        let run =
+            |flood: bool| flood_run(certificates, Flooder { flood, messages: outsider_flood });
         let (quiet, flooded) = (run(false), run(true));
         let flood = flooded.report.metrics.deliveries - quiet.report.metrics.deliveries;
         assert!(flood > 1_000, "the flood was delivered ({flood} copies)");
@@ -323,21 +342,26 @@ fn an_outsider_flood_cannot_stall_decisions() {
     }
 }
 
+/// The Byzantine validator of the flood runs: the last.
+fn byzantine() -> ValidatorId {
+    ValidatorId::new(N as u32 - 1)
+}
+
 /// The honest validators of the flood runs: all but the last.
 fn honest() -> Vec<ValidatorId> {
     ValidatorId::all(N).take(N - 1).collect()
 }
 
-/// The 20-view flood run: seed 13, validator `N − 1` Byzantine running
-/// `byz`. Delays are fixed at Δ, so a flood draws nothing from the run's
-/// RNG and the honest traffic of a quiet and a flooded run is the same.
+/// The 20-view flood run: seed 13, [`byzantine`] running `byz`. Delays
+/// are fixed at Δ, so a flood draws nothing from the run's RNG and the
+/// honest traffic of a quiet and a flooded run is the same.
 fn flood_run(certificates: bool, byz: impl Node) -> TobReport {
     let report = TobSimulationBuilder::new(N)
         .views(20)
         .seed(13)
         .certificates(certificates)
         .delay(Box::new(WorstCaseDelay))
-        .byzantine(ValidatorId::new(N as u32 - 1), Box::new(move |_| Box::new(byz)))
+        .byzantine(byzantine(), Box::new(move |_| Box::new(byz)))
         .run()
         .expect("flood run");
     report.assert_safety();
