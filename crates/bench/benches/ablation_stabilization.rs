@@ -54,9 +54,9 @@ fn run(name: &str, schedule: Option<ParticipationSchedule>, n: usize, views: u64
         .views(views)
         .seed(5)
         .workload(TxWorkload::PerView { count: 1, size: 32 })
-        .delay(Box::new(WorstCaseDelay));
+        .engine(|sim| sim.delay(Box::new(WorstCaseDelay)));
     if let Some(s) = schedule {
-        b = b.participation(s);
+        b = b.engine(|sim| sim.participation(s));
     }
     let report = b.run().expect("runs");
     report.assert_safety();

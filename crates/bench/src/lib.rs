@@ -60,7 +60,7 @@ pub fn run_tobsvd(
         .delta(delta)
         .workload(workload)
         .certificates(false)
-        .delay(Box::new(WorstCaseDelay));
+        .engine(|sim| sim.delay(Box::new(WorstCaseDelay)));
     for v in ValidatorId::all(n).skip(n - byz) {
         let (a, b) = (half_a.clone(), half_b.clone());
         let cfg = TobConfig::new(n).with_delta(delta).with_certificates(false);

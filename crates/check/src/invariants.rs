@@ -342,7 +342,9 @@ mod tests {
                 .views(scenario.views)
                 .seed(scenario.seed)
                 .delta(delta)
-                .invariant(Box::new(BoundedDecisionLatency::new(delta, max_deltas)))
+                .engine(move |sim| {
+                    sim.invariant(Box::new(BoundedDecisionLatency::new(delta, max_deltas)))
+                })
                 .run()
                 .expect("runs");
             report.report.invariant_violations.clone()

@@ -449,14 +449,12 @@ impl CheckScenario {
             .views(self.views)
             .seed(self.seed)
             .delta(delta)
-            .drop_while_asleep(drop_mode)
             .recovery(drop_mode)
             .workload(if self.txs_per_view == 0 {
                 TxWorkload::None
             } else {
                 TxWorkload::PerView { count: self.txs_per_view as usize, size: 32 }
-            })
-            .participation(self.participation());
+            });
 
         let base_delay: Box<dyn tobsvd_sim::DelayPolicy> = match self.delay {
             DelayKind::Uniform => Box::new(UniformDelay),
@@ -472,10 +470,10 @@ impl CheckScenario {
             .filter(|f| f.kind == FetchFaultKind::Delay)
             .copied()
             .collect();
-        builder = if delay_faults.is_empty() {
-            builder.delay(base_delay)
+        let delay: Box<dyn tobsvd_sim::DelayPolicy> = if delay_faults.is_empty() {
+            base_delay
         } else {
-            builder.delay(Box::new(FetchFaultDelay::new(base_delay, delay_faults)))
+            Box::new(FetchFaultDelay::new(base_delay, delay_faults))
         };
         let drop_faults: Vec<FetchFault> = self
             .fetch_faults
@@ -483,9 +481,7 @@ impl CheckScenario {
             .filter(|f| f.kind == FetchFaultKind::Drop)
             .copied()
             .collect();
-        if !drop_faults.is_empty() {
-            builder = builder.delivery_filter(Box::new(FetchFaultFilter::new(drop_faults)));
-        }
+        let filter = (!drop_faults.is_empty()).then(|| FetchFaultFilter::new(drop_faults));
 
         let half_a: Vec<ValidatorId> =
             ValidatorId::all(n).filter(|v| v.index() % 2 == 0).collect();
@@ -510,14 +506,9 @@ impl CheckScenario {
             };
         }
 
-        if !self.corruptions.is_empty() {
-            let mut corr = CorruptionSchedule::none();
-            for c in &self.corruptions {
-                corr.insert_effective(ValidatorId::new(c.validator), Time::new(c.at));
-            }
-            builder = builder
-                .corruption(corr)
-                .byzantine_replacements(Box::new(|_, _| Box::new(SilentNode)));
+        let mut corruption = CorruptionSchedule::none();
+        for c in &self.corruptions {
+            corruption.insert_effective(ValidatorId::new(c.validator), Time::new(c.at));
         }
 
         for c in &self.crashes {
@@ -532,15 +523,27 @@ impl CheckScenario {
             builder = builder.state_fault(ValidatorId::new(f.validator), Time::new(f.at), f.fault);
         }
 
-        for inv in standard_invariants() {
-            builder = builder.invariant(inv);
-        }
+        let mut invariants = standard_invariants();
         if self.is_fault_free() {
-            builder = builder.invariant(Box::new(BoundedDecisionLatency::good_case(delta)));
+            invariants.push(Box::new(BoundedDecisionLatency::good_case(delta)));
         }
         if self.is_fault_free() || self.overloaded() {
-            builder = builder.invariant(Box::new(ChainGrowth::new()));
+            invariants.push(Box::new(ChainGrowth::new()));
         }
+        let participation = self.participation();
+        builder = builder.engine(move |sim| {
+            let sim = sim
+                .drop_while_asleep(drop_mode)
+                .participation(participation)
+                .delay(delay)
+                .corruption(corruption)
+                .byzantine_factory(Box::new(|_, _| Box::new(SilentNode)));
+            let sim = match filter {
+                Some(filter) => sim.delivery_filter(Box::new(filter)),
+                None => sim,
+            };
+            invariants.into_iter().fold(sim, |sim, inv| sim.invariant(inv))
+        });
 
         let mut report = builder.run().expect("validated scenario");
         // End-of-run fetch-liveness check: no honest validator may end

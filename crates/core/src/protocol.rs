@@ -3,16 +3,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tobsvd_sim::{
-    AdmissionPolicy, AdmissionStats, AdvanceMode, AdversaryController, ByzantineFactory,
-    CorruptionSchedule, DecisionRecord, DelayPolicy, DeliveryFilter, IdleNode, Invariant, Mempool,
-    Node,
-    OpenLoopSpec, OpenLoopWorkload, ParticipationSchedule, SimConfig, SimReport, Simulation,
-    StateFault,
+    DecisionRecord, IdleNode, Node, SimConfig, SimReport, Simulation, SimulationBuilder, StateFault,
 };
 use tobsvd_storage::{shared, MemDurable, SharedDurable};
-use tobsvd_types::{
-    BlockStore, Delta, SignerSet, Time, Transaction, ValidatorId, View,
-};
+use tobsvd_types::{BlockStore, Delta, SignerSet, Time, Transaction, ValidatorId, View};
 
 use crate::config::TobConfig;
 use crate::leader::good_leader;
@@ -45,39 +39,29 @@ pub enum TxWorkload {
         /// Transaction payload size in bytes.
         size: usize,
     },
-    /// Open-loop client traffic: a Zipf-distributed user population
-    /// submitting at a configured aggregate rate with periodic bursts
-    /// (see [`OpenLoopSpec`]). Submissions go through
-    /// [`tobsvd_sim::Mempool::admit`] with real fees and client
-    /// identities, so combining this with
-    /// [`TobSimulationBuilder::admission`] exercises capacity
-    /// shedding, priority eviction and per-client rate caps.
-    ///
-    /// The generator draws from its own dedicated RNG stream
-    /// (`seed ^ 0x0c11_e475`), leaving the legacy workload stream
-    /// (`seed ^ 0x7a5c_3b1d`) and every other stream untouched:
-    /// fixed-seed fingerprints of existing scenarios are unaffected.
-    ///
-    /// Arrivals are admitted in arrival order *before* the run (with
-    /// their true submission times, which proposers honor). Relative to
-    /// live admission this is conservative: a bounded pool sees the
-    /// whole backlog at once and gets no credit for mid-run
-    /// confirmation pruning, so it sheds at least as much as a live
-    /// ingest plane would.
-    OpenLoop(OpenLoopSpec),
 }
 
 /// Factory building a Byzantine node once the shared store exists.
 pub type ByzantineNodeFactory = Box<dyn FnOnce(&BlockStore) -> Box<dyn Node> + Send>;
 
-/// Builder for a complete TOB-SVD network simulation.
+/// One engine setting, applied by [`TobSimulationBuilder::engine`].
+type EngineStep = Box<dyn FnOnce(SimulationBuilder) -> SimulationBuilder + Send>;
+
+/// Builder for a complete TOB-SVD network simulation: it builds the
+/// validators (with durable storage for crash and state-fault
+/// targets), injects the workload, runs to the horizon and records the
+/// good leader of each view. Engine settings — sleep schedule, delay,
+/// adversary, invariants, … — are [`SimulationBuilder`]'s own, set
+/// through [`TobSimulationBuilder::engine`].
 ///
 /// ```
 /// use tobsvd_core::TobSimulationBuilder;
+/// use tobsvd_sim::WorstCaseDelay;
 ///
 /// let report = TobSimulationBuilder::new(6)
 ///     .views(8)
 ///     .seed(3)
+///     .engine(|sim| sim.delay(Box::new(WorstCaseDelay)))
 ///     .run()
 ///     .expect("valid configuration");
 /// report.assert_safety();
@@ -89,22 +73,13 @@ pub struct TobSimulationBuilder {
     seed: u64,
     delta: Delta,
     workload: TxWorkload,
-    participation: Option<ParticipationSchedule>,
-    corruption: CorruptionSchedule,
     byzantine: Vec<(ValidatorId, ByzantineNodeFactory)>,
-    delay: Option<Box<dyn DelayPolicy>>,
-    filter: Option<Box<dyn DeliveryFilter>>,
-    controller: Option<Box<dyn AdversaryController>>,
-    byz_factory: Option<ByzantineFactory>,
     recovery: bool,
     certificates: bool,
-    drop_while_asleep: bool,
-    advance: AdvanceMode,
-    invariants: Vec<Box<dyn Invariant>>,
     crashes: Vec<(ValidatorId, Time, Time)>,
     state_faults: Vec<(ValidatorId, Time, StateFault)>,
     snapshot_every: u64,
-    admission: Option<AdmissionPolicy>,
+    engine: Vec<EngineStep>,
 }
 
 /// Errors from [`TobSimulationBuilder::run`].
@@ -149,23 +124,34 @@ impl TobSimulationBuilder {
             seed: 0,
             delta: Delta::default(),
             workload: TxWorkload::PerView { count: 2, size: 64 },
-            participation: None,
-            corruption: CorruptionSchedule::none(),
             byzantine: Vec::new(),
-            delay: None,
-            filter: None,
-            controller: None,
-            byz_factory: None,
             recovery: false,
             certificates: true,
-            drop_while_asleep: false,
-            advance: AdvanceMode::default(),
-            invariants: Vec::new(),
             crashes: Vec::new(),
             state_faults: Vec::new(),
             snapshot_every: 8,
-            admission: None,
+            engine: Vec::new(),
         }
+    }
+
+    /// Applies `f` to the engine's [`SimulationBuilder`]: every engine
+    /// setting (participation, corruption, delay, delivery filter,
+    /// controller, Byzantine factory, invariants, advance mode,
+    /// `drop_while_asleep`, mempool, store) is set there, under the
+    /// engine's own name. The steps run in call order, right after
+    /// `Simulation::builder`, before the workload reads the mempool and
+    /// the validators read the store, so `with_mempool` and `with_store`
+    /// take effect. Nodes, crashes and state faults stay here (the
+    /// facade installs them after the steps, over anything a step set):
+    /// use [`TobSimulationBuilder::byzantine`],
+    /// [`TobSimulationBuilder::crash_restart`] and
+    /// [`TobSimulationBuilder::state_fault`].
+    pub fn engine(
+        mut self,
+        f: impl FnOnce(SimulationBuilder) -> SimulationBuilder + Send + 'static,
+    ) -> Self {
+        self.engine.push(Box::new(f));
+        self
     }
 
     /// Schedules a kill/restart fault: validator `v` crashes at `at`
@@ -195,24 +181,10 @@ impl TobSimulationBuilder {
         self
     }
 
-    /// Installs a run-time [`Invariant`] on the underlying engine,
-    /// checked after every decision event; its end-of-run check fires
-    /// before the report is assembled. Violations land in
-    /// `TobReport::report.invariant_violations`.
-    pub fn invariant(mut self, inv: Box<dyn Invariant>) -> Self {
-        self.invariants.push(inv);
-        self
-    }
-
-    /// Selects the engine's time-advancement strategy (event-driven by
-    /// default; [`AdvanceMode::TickLoop`] is the reference oracle the
-    /// differential determinism suite compares against).
-    pub fn advance(mut self, mode: AdvanceMode) -> Self {
-        self.advance = mode;
-        self
-    }
-
     /// Enables the §2 recovery protocol on every honest validator.
+    /// Pair it with the engine's `drop_while_asleep` (practical sleep:
+    /// messages to a sleeper are dropped, not buffered) to restore
+    /// liveness there.
     pub fn recovery(mut self, on: bool) -> Self {
         self.recovery = on;
         self
@@ -223,14 +195,6 @@ impl TobSimulationBuilder {
     /// baseline whose communication is Table 1's cubic fit.
     pub fn certificates(mut self, on: bool) -> Self {
         self.certificates = on;
-        self
-    }
-
-    /// Uses the practical sleep semantics: messages to asleep validators
-    /// are dropped (no magic buffering). Combine with
-    /// [`TobSimulationBuilder::recovery`] to restore liveness.
-    pub fn drop_while_asleep(mut self, on: bool) -> Self {
-        self.drop_while_asleep = on;
         self
     }
 
@@ -258,54 +222,9 @@ impl TobSimulationBuilder {
         self
     }
 
-    /// Installs a bounded mempool [`AdmissionPolicy`] (unbounded by
-    /// default, preserving historical behavior). Shed/eviction counters
-    /// land in `TobReport::report.admission`.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.admission = Some(policy);
-        self
-    }
-
-    /// Sleep/wake schedule (defaults to always awake).
-    pub fn participation(mut self, p: ParticipationSchedule) -> Self {
-        self.participation = Some(p);
-        self
-    }
-
-    /// Pre-scheduled corruptions.
-    pub fn corruption(mut self, c: CorruptionSchedule) -> Self {
-        self.corruption = c;
-        self
-    }
-
     /// Installs a Byzantine-from-genesis node.
     pub fn byzantine(mut self, v: ValidatorId, factory: ByzantineNodeFactory) -> Self {
         self.byzantine.push((v, factory));
-        self
-    }
-
-    /// Network delay policy (defaults to uniform random in [1, Δ]).
-    pub fn delay(mut self, d: Box<dyn DelayPolicy>) -> Self {
-        self.delay = Some(d);
-        self
-    }
-
-    /// Per-copy delivery filter (lossy-network adversary; none by
-    /// default) — the model checker's fetch-dropping corruptions.
-    pub fn delivery_filter(mut self, f: Box<dyn DeliveryFilter>) -> Self {
-        self.filter = Some(f);
-        self
-    }
-
-    /// Live adversary controller.
-    pub fn controller(mut self, c: Box<dyn AdversaryController>) -> Self {
-        self.controller = Some(c);
-        self
-    }
-
-    /// Factory for Byzantine replacements at mid-run corruptions.
-    pub fn byzantine_replacements(mut self, f: ByzantineFactory) -> Self {
-        self.byz_factory = Some(f);
         self
     }
 
@@ -348,12 +267,7 @@ impl TobSimulationBuilder {
             .with_certificates(self.certificates)
             .with_snapshot_every(self.snapshot_every);
         let sched = ViewSchedule::new(self.delta);
-        let mut builder = Simulation::builder(cfg)
-            .drop_while_asleep(self.drop_while_asleep)
-            .advance_mode(self.advance);
-        if let Some(policy) = self.admission {
-            builder = builder.with_mempool(Mempool::bounded(policy));
-        }
+        let mut builder = self.engine.into_iter().fold(Simulation::builder(cfg), |b, f| f(b));
 
         // Workload: pre-submit with future submission times.
         let horizon = sched.view_start(View::new(self.views));
@@ -378,16 +292,6 @@ impl TobSimulationBuilder {
                         let t = Time::new(rng.gen_range(0..horizon.ticks().max(1)));
                         mempool.submit(Transaction::synthetic(nonce, size), t);
                         nonce += 1;
-                    }
-                }
-                TxWorkload::OpenLoop(spec) => {
-                    // Dedicated stream: must not perturb `rng` above.
-                    let mut gen =
-                        OpenLoopWorkload::new(spec, self.seed ^ 0x0c11_e475);
-                    for t in 0..horizon.ticks() {
-                        for a in gen.tick(Time::new(t)) {
-                            let _ = mempool.admit(a.tx, a.at, a.fee, Some(a.user));
-                        }
                     }
                 }
             }
@@ -444,25 +348,6 @@ impl TobSimulationBuilder {
         }
         if !self.state_faults.is_empty() {
             builder = builder.state_faults(self.state_faults.clone());
-        }
-        if let Some(p) = self.participation {
-            builder = builder.participation(p);
-        }
-        builder = builder.corruption(self.corruption);
-        if let Some(d) = self.delay {
-            builder = builder.delay(d);
-        }
-        if let Some(f) = self.filter {
-            builder = builder.delivery_filter(f);
-        }
-        if let Some(c) = self.controller {
-            builder = builder.controller(c);
-        }
-        if let Some(f) = self.byz_factory {
-            builder = builder.byzantine_factory(f);
-        }
-        for inv in self.invariants {
-            builder = builder.invariant(inv);
         }
 
         let mut sim = builder.build();
@@ -578,12 +463,6 @@ impl TobReport {
         Some(votes as f64 / honest as f64 / self.decided_blocks() as f64)
     }
 
-    /// Mempool admission counters of the run (all-zero unless a bounded
-    /// [`AdmissionPolicy`] was installed).
-    pub fn admission(&self) -> AdmissionStats {
-        self.report.admission
-    }
-
     /// Confirmation latencies of all confirmed transactions, in Δ.
     pub fn tx_latencies_deltas(&self) -> Vec<f64> {
         self.report
@@ -693,110 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_workload_confirms_and_reports_latency_stats() {
-        let spec = OpenLoopSpec {
-            users: 1_000_000,
-            zipf_milli: 900,
-            rate_milli: 1_500,
-            burst_every: 64,
-            burst_len: 8,
-            burst_mult: 4,
-            tx_bytes: 48,
-            fee_levels: 8,
-        };
-        let report = TobSimulationBuilder::new(5)
-            .views(8)
-            .seed(9)
-            .workload(TxWorkload::OpenLoop(spec))
-            .run()
-            .expect("runs");
-        report.assert_safety();
-        let confirmed = report.tx_latencies_deltas().len();
-        assert!(confirmed > 50, "only {confirmed} confirmations");
-        // Unbounded default: nothing shed.
-        assert_eq!(report.admission().busy, 0);
-        assert!(report.admission().accepted > 0);
-    }
-
-    #[test]
-    fn open_loop_overload_sheds_at_bounded_capacity() {
-        // Mempool saturation: arrivals far beyond a small capacity.
-        let saturation = OpenLoopSpec {
-            users: 100_000,
-            zipf_milli: 1_100,
-            rate_milli: 6_000,
-            burst_every: 32,
-            burst_len: 8,
-            burst_mult: 6,
-            tx_bytes: 32,
-            fee_levels: 8,
-        };
-        // Slow clients: a small population whose bursts outrun a
-        // per-client rate cap long before the pool fills.
-        let slow_clients = OpenLoopSpec {
-            users: 64,
-            rate_milli: 8_000,
-            burst_every: 32,
-            burst_len: 16,
-            burst_mult: 16,
-            ..OpenLoopSpec::default()
-        };
-        for (spec, policy) in [
-            (saturation, AdmissionPolicy { capacity: 256, rate_cap: 0, rate_window: 1 }),
-            (slow_clients, AdmissionPolicy { capacity: 4096, rate_cap: 4, rate_window: 16 }),
-        ] {
-            let report = TobSimulationBuilder::new(5)
-                .views(8)
-                .seed(11)
-                .workload(TxWorkload::OpenLoop(spec))
-                .admission(policy)
-                .run()
-                .expect("runs");
-            report.assert_safety();
-            let adm = report.admission();
-            // Overload: the policy's lever must shed, and pending
-            // occupancy never exceeded the hard capacity.
-            if policy.rate_cap > 0 {
-                assert!(adm.rate_limited > 0, "per-client rate cap never tripped: {adm:?}");
-            } else {
-                assert!(adm.busy + adm.evicted > 0, "no backpressure under overload: {adm:?}");
-            }
-            assert!(adm.pending_peak <= policy.capacity as u64, "capacity breached: {adm:?}");
-            // The system still makes progress and confirms transactions.
-            assert!(!report.tx_latencies_deltas().is_empty());
-        }
-    }
-
-    #[test]
-    fn open_loop_stream_does_not_perturb_legacy_fingerprints() {
-        // Two identical Random-workload runs, one executed after an
-        // OpenLoop run has consumed its own RNG stream: byte-identical
-        // decided logs prove stream isolation.
-        let run = || {
-            TobSimulationBuilder::new(4)
-                .views(6)
-                .seed(13)
-                .workload(TxWorkload::Random { total: 24, size: 16 })
-                .run()
-                .expect("runs")
-        };
-        let a = run();
-        let _interleaved = TobSimulationBuilder::new(4)
-            .views(4)
-            .seed(13)
-            .workload(TxWorkload::OpenLoop(OpenLoopSpec::default()))
-            .run()
-            .expect("runs");
-        let b = run();
-        assert_eq!(a.max_decided_len(), b.max_decided_len());
-        assert_eq!(
-            a.report.confirmed.len(),
-            b.report.confirmed.len(),
-            "legacy workload stream was perturbed"
-        );
-    }
-
-    #[test]
     fn crash_restart_recovers_durably_and_reconverges() {
         // Validator 2 is killed mid-view-5 and restarted at view 8's
         // start. Its restart incarnation recovers from the MemDurable
@@ -812,7 +587,7 @@ mod tests {
             .views(14)
             .seed(6)
             .recovery(true)
-            .drop_while_asleep(true)
+            .engine(|sim| sim.drop_while_asleep(true))
             .snapshot_every(4)
             .crash_restart(v, Time::new(5 * 32 + 3), Time::new(8 * 32))
             .crash_restart(down, Time::new(6 * 32), Time::new(1_000_000))

@@ -12,8 +12,8 @@
 //! exploring and report every violation of a schedule, not just the
 //! first.
 //!
-//! Invariants are installed with `SimulationBuilder::invariant` (or the
-//! `TobSimulationBuilder::invariant` passthrough one layer up) and are
+//! Invariants are installed with `SimulationBuilder::invariant` (one
+//! layer up, through `TobSimulationBuilder::engine`) and are
 //! deliberately *redundant* with the engine's built-in observer checks:
 //! the model checker in `tobsvd-check` uses them to cross-validate the
 //! observer with independent implementations of the paper's properties:

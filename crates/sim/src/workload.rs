@@ -17,9 +17,8 @@
 //! stream is the generator's own, wiring a workload into an existing
 //! simulation perturbs none of the simulation's other RNG streams.
 //!
-//! The same generator drives the sim engine (via
-//! `TxWorkload::OpenLoop`) and the TCP runtime's ingestion bench, so
-//! "the workload" means the same bytes in both worlds.
+//! It drives the TCP runtime's ingestion workload (`tcp_ingest` in the
+//! `perf/` ledger).
 
 use std::collections::BTreeMap;
 

@@ -44,7 +44,7 @@ fn below_threshold() {
         .views(40)
         .seed(17)
         .workload(TxWorkload::PerView { count: 1, size: 48 })
-        .delay(Box::new(WorstCaseDelay));
+        .engine(|sim| sim.delay(Box::new(WorstCaseDelay)));
     for v in ValidatorId::all(n).skip(n - byz) {
         let (a, b) = (half_a.clone(), half_b.clone());
         builder = builder.byzantine(

@@ -36,7 +36,7 @@ fn main() {
     let report = TobSimulationBuilder::new(n)
         .views(views)
         .seed(3)
-        .participation(rotating)
+        .engine(move |sim| sim.participation(rotating))
         .workload(TxWorkload::PerView { count: 2, size: 48 })
         .run()
         .expect("runs");
@@ -71,9 +71,8 @@ fn main() {
     let report = TobSimulationBuilder::new(n)
         .views(views)
         .seed(4)
-        .participation(random)
+        .engine(move |sim| sim.participation(random).drop_while_asleep(true))
         .workload(TxWorkload::PerView { count: 2, size: 48 })
-        .drop_while_asleep(true)
         .recovery(true)
         .run()
         .expect("runs");

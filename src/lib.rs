@@ -24,15 +24,19 @@
 //!
 //! # Quickstart
 //!
-//! Run a fault-free 8-validator network for 12 views and read back the
-//! decided log:
+//! Run an 8-validator network for 12 views, with every message taking
+//! the full Δ, and read back the decided log. Engine settings (delay,
+//! sleep schedule, adversary, invariants, …) are `SimulationBuilder`'s
+//! own, set through the `engine` hook:
 //!
 //! ```
 //! use tob_svd::protocol::TobSimulationBuilder;
+//! use tob_svd::sim::WorstCaseDelay;
 //!
 //! let report = TobSimulationBuilder::new(8)
 //!     .views(12)
 //!     .seed(7)
+//!     .engine(|sim| sim.delay(Box::new(WorstCaseDelay)))
 //!     .run()
 //!     .expect("simulation runs");
 //! assert!(report.max_decided_len() > 1);

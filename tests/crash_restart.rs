@@ -108,7 +108,7 @@ fn crash_run(seed: u64, at: u64, down: u64) -> tob_svd::protocol::TobReport {
         .views(14)
         .seed(seed)
         .recovery(true)
-        .drop_while_asleep(true)
+        .engine(|sim| sim.drop_while_asleep(true))
         .snapshot_every(4)
         .crash_restart(ValidatorId::new(1), Time::new(at), Time::new(at + down))
         .run()
@@ -149,7 +149,7 @@ fn corrupted_crash_run(seed: u64) -> tob_svd::protocol::TobReport {
         .views(14)
         .seed(seed)
         .recovery(true)
-        .drop_while_asleep(true)
+        .engine(|sim| sim.drop_while_asleep(true))
         .snapshot_every(4)
         .state_fault(v, Time::new(100), StateFault::SnapshotBitFlip { byte: 9, bit: 5 })
         .state_fault(v, Time::new(101), StateFault::WalBitFlip { byte: 40, bit: 2 })

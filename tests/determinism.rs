@@ -31,7 +31,7 @@ fn adversarial_run(seed: u64) -> TobReport {
         .views(12)
         .seed(seed)
         .workload(TxWorkload::PerView { count: 1, size: 32 })
-        .delay(Box::new(WorstCaseDelay));
+        .engine(|sim| sim.delay(Box::new(WorstCaseDelay)));
     for v in ValidatorId::all(n).skip(n - 3) {
         let (a, b) = (half_a.clone(), half_b.clone());
         let cfg = TobConfig::new(n);
@@ -165,10 +165,12 @@ fn randomized_sleepy_run(seed: u64, mode: AdvanceMode) -> TobReport {
     TobSimulationBuilder::new(n)
         .views(views)
         .seed(seed)
-        .advance(mode)
+        .engine(move |sim| {
+            sim.advance_mode(mode)
+                .participation(participation)
+                .corruption(corruption)
+        })
         .workload(TxWorkload::Random { total: 24, size: 32 })
-        .participation(participation)
-        .corruption(corruption)
         .run()
         .expect("valid configuration")
 }
@@ -189,9 +191,8 @@ fn adversarial_mode_run(seed: u64, mode: AdvanceMode) -> TobReport {
     let mut builder = TobSimulationBuilder::new(n)
         .views(8)
         .seed(seed)
-        .advance(mode)
-        .workload(TxWorkload::PerView { count: 1, size: 32 })
-        .delay(Box::new(WorstCaseDelay));
+        .engine(move |sim| sim.advance_mode(mode).delay(Box::new(WorstCaseDelay)))
+        .workload(TxWorkload::PerView { count: 1, size: 32 });
     for v in ValidatorId::all(n).skip(n - 3) {
         let (a, b) = (half_a.clone(), half_b.clone());
         let cfg = TobConfig::new(n);
@@ -219,9 +220,11 @@ fn live_controller_run(seed: u64, mode: AdvanceMode) -> TobReport {
     TobSimulationBuilder::new(7)
         .views(8)
         .seed(seed)
-        .advance(mode)
+        .engine(move |sim| {
+            sim.advance_mode(mode)
+                .controller(Box::new(AdaptiveLeaderCorruptor::new(Delta::default(), 2)))
+        })
         .workload(TxWorkload::PerView { count: 1, size: 24 })
-        .controller(Box::new(AdaptiveLeaderCorruptor::new(Delta::default(), 2)))
         .run()
         .expect("valid configuration")
 }
@@ -245,10 +248,12 @@ fn recovery_mode_run(seed: u64, mode: AdvanceMode) -> TobReport {
     TobSimulationBuilder::new(n)
         .views(views)
         .seed(seed)
-        .advance(mode)
-        .drop_while_asleep(true)
+        .engine(move |sim| {
+            sim.advance_mode(mode)
+                .drop_while_asleep(true)
+                .participation(participation)
+        })
         .recovery(true)
-        .participation(participation)
         .workload(TxWorkload::PerView { count: 1, size: 16 })
         .run()
         .expect("valid configuration")
@@ -283,10 +288,8 @@ fn fetch_heavy_run(seed: u64, mode: AdvanceMode) -> TobReport {
     TobSimulationBuilder::new(n)
         .views(views)
         .seed(seed)
-        .advance(mode)
-        .drop_while_asleep(true)
+        .engine(move |sim| sim.advance_mode(mode).drop_while_asleep(true).participation(sched))
         .recovery(true)
-        .participation(sched)
         .workload(TxWorkload::PerView { count: 1, size: 24 })
         .run()
         .expect("valid configuration")
@@ -335,9 +338,11 @@ fn per_vote_churn_run() -> TobReport {
         .views(views)
         .seed(17)
         .certificates(false)
-        .drop_while_asleep(true)
+        .engine(move |sim| {
+            sim.drop_while_asleep(true)
+                .participation(churn::rotating_sleep(n, 4, 4 * delta.ticks(), horizon))
+        })
         .recovery(true)
-        .participation(churn::rotating_sleep(n, 4, 4 * delta.ticks(), horizon))
         .workload(TxWorkload::PerView { count: 2, size: 32 })
         .run()
         .expect("valid configuration")

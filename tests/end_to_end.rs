@@ -50,11 +50,13 @@ fn combined_adversary_long_run() {
     let mut builder = TobSimulationBuilder::new(n)
         .views(views)
         .seed(99)
-        .participation(schedule)
-        .workload(TxWorkload::Random { total: 60, size: 48 })
-        .delay(Box::new(WorstCaseDelay))
-        .controller(Box::new(AdaptiveLeaderCorruptor::new(delta, adaptive_budget)))
-        .byzantine_replacements(Box::new(|_, _| Box::new(tob_svd::adversary::SilentNode)));
+        .engine(move |sim| {
+            sim.participation(schedule)
+                .delay(Box::new(WorstCaseDelay))
+                .controller(Box::new(AdaptiveLeaderCorruptor::new(delta, adaptive_budget)))
+                .byzantine_factory(Box::new(|_, _| Box::new(tob_svd::adversary::SilentNode)))
+        })
+        .workload(TxWorkload::Random { total: 60, size: 48 });
     for v in ValidatorId::all(n).skip(n - static_byz) {
         let (a, b) = (half_a.clone(), half_b.clone());
         builder = builder.byzantine(

@@ -53,7 +53,7 @@ fn all_asleep_views_run_without_panicking_and_have_no_leader() {
     let report = TobSimulationBuilder::new(n)
         .views(views)
         .seed(13)
-        .participation(part)
+        .engine(move |sim| sim.participation(part))
         .workload(TxWorkload::PerView { count: 1, size: 16 })
         .run()
         .expect("all-asleep views must not abort the run");
@@ -86,7 +86,9 @@ fn mild_adaptivity_lets_the_proposed_view_succeed() {
         .views(20)
         .seed(9)
         .workload(TxWorkload::PerView { count: 1, size: 32 })
-        .controller(Box::new(AdaptiveLeaderCorruptor::new(Delta::default(), budget)))
+        .engine(move |sim| {
+            sim.controller(Box::new(AdaptiveLeaderCorruptor::new(Delta::default(), budget)))
+        })
         .run()
         .expect("runs");
     report.assert_safety();

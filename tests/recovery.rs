@@ -61,10 +61,12 @@ fn run(views: u64, drop_mode: bool, recovery: bool) -> tob_svd::protocol::TobRep
     TobSimulationBuilder::new(n)
         .views(views)
         .seed(21)
-        .participation(napping_schedule(n, views, delta))
+        .engine(move |sim| {
+            sim.participation(napping_schedule(n, views, delta))
+                .delay(Box::new(fast_delay()))
+                .drop_while_asleep(drop_mode)
+        })
         .workload(TxWorkload::PerView { count: 1, size: 32 })
-        .delay(Box::new(fast_delay()))
-        .drop_while_asleep(drop_mode)
         .recovery(recovery)
         .run()
         .expect("runs")
@@ -173,10 +175,12 @@ fn deep_sleeper_catches_up_purely_via_fetches() {
     let report = TobSimulationBuilder::new(n)
         .views(views)
         .seed(9)
-        .participation(sched)
+        .engine(move |sim| {
+            sim.participation(sched)
+                .delay(Box::new(fast_delay()))
+                .drop_while_asleep(true)
+        })
         .workload(TxWorkload::PerView { count: 1, size: 32 })
-        .delay(Box::new(fast_delay()))
-        .drop_while_asleep(true)
         .recovery(true)
         .run()
         .expect("runs");
@@ -212,7 +216,7 @@ fn recovery_has_no_effect_when_nobody_sleeps() {
     let report = TobSimulationBuilder::new(n)
         .views(10)
         .seed(3)
-        .drop_while_asleep(true)
+        .engine(|sim| sim.drop_while_asleep(true))
         .recovery(true)
         .run()
         .expect("runs");

@@ -20,11 +20,8 @@ use tob_svd::types::{
 
 const N: usize = 8;
 
-fn with_invariants(mut builder: TobSimulationBuilder) -> TobSimulationBuilder {
-    for inv in standard_invariants() {
-        builder = builder.invariant(inv);
-    }
-    builder
+fn with_invariants(builder: TobSimulationBuilder) -> TobSimulationBuilder {
+    builder.engine(|sim| standard_invariants().into_iter().fold(sim, |sim, inv| sim.invariant(inv)))
 }
 
 fn fault_free(n: usize, certificates: bool) -> TobReport {
@@ -48,9 +45,11 @@ fn churn_recovery(certificates: bool) -> TobReport {
             .views(views)
             .seed(21)
             .certificates(certificates)
-            .drop_while_asleep(true)
+            .engine(move |sim| {
+                sim.drop_while_asleep(true)
+                    .participation(churn::rotating_sleep(N, 4, 4 * delta.ticks(), horizon))
+            })
             .recovery(true)
-            .participation(churn::rotating_sleep(N, 4, 4 * delta.ticks(), horizon))
             .workload(TxWorkload::PerView { count: 1, size: 24 }),
     )
     .run()

@@ -132,7 +132,7 @@ fn chain_halts_above_threshold() {
         .views(15)
         .seed(10)
         .workload(TxWorkload::PerView { count: 1, size: 32 })
-        .delay(Box::new(WorstCaseDelay));
+        .engine(|sim| sim.delay(Box::new(WorstCaseDelay)));
     for v in ValidatorId::all(n).skip(n - f) {
         let (a, b) = (half_a.clone(), half_b.clone());
         builder = builder.byzantine(
@@ -169,7 +169,7 @@ fn graceful_degradation_toward_the_bound() {
         let mut builder = TobSimulationBuilder::new(n)
             .views(views)
             .seed(31)
-            .delay(Box::new(WorstCaseDelay));
+            .engine(|sim| sim.delay(Box::new(WorstCaseDelay)));
         for v in ValidatorId::all(n).skip(n - f) {
             let (a, b) = (half_a.clone(), half_b.clone());
             builder = builder.byzantine(

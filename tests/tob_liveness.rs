@@ -19,7 +19,7 @@ fn fault_free_chain_grows_every_view() {
         let report = TobSimulationBuilder::new(n)
             .views(views)
             .seed(1)
-            .delay(Box::new(WorstCaseDelay))
+            .engine(|sim| sim.delay(Box::new(WorstCaseDelay)))
             .run()
             .expect("runs");
         report.assert_safety();
@@ -64,7 +64,7 @@ fn good_case_decisions_meet_phase_bound_without_tick_stepping() {
     let report = TobSimulationBuilder::new(6)
         .views(views)
         .seed(8)
-        .delay(Box::new(WorstCaseDelay))
+        .engine(|sim| sim.delay(Box::new(WorstCaseDelay)))
         .run()
         .expect("runs");
     report.assert_safety();
@@ -118,7 +118,7 @@ fn liveness_under_rotating_churn() {
     let report = TobSimulationBuilder::new(n)
         .views(views)
         .seed(3)
-        .participation(schedule)
+        .engine(move |sim| sim.participation(schedule))
         .workload(TxWorkload::PerView { count: 2, size: 32 })
         .run()
         .expect("runs");
@@ -154,7 +154,7 @@ fn liveness_under_compliant_random_churn() {
     let report = TobSimulationBuilder::new(n)
         .views(views)
         .seed(4)
-        .participation(schedule)
+        .engine(move |sim| sim.participation(schedule))
         .workload(TxWorkload::PerView { count: 1, size: 32 })
         .run()
         .expect("runs");
@@ -183,7 +183,7 @@ fn sleeping_validator_catches_up_after_waking() {
     let report = TobSimulationBuilder::new(n)
         .views(views)
         .seed(5)
-        .participation(schedule)
+        .engine(move |sim| sim.participation(schedule))
         .run()
         .expect("runs");
     report.assert_safety();
@@ -212,7 +212,7 @@ fn decisions_follow_good_leader_views() {
     let mut builder = TobSimulationBuilder::new(n)
         .views(40)
         .seed(6)
-        .delay(Box::new(WorstCaseDelay));
+        .engine(|sim| sim.delay(Box::new(WorstCaseDelay)));
     for v in ValidatorId::all(n).skip(n - byz) {
         let (a, b) = (half_a.clone(), half_b.clone());
         builder = builder.byzantine(

@@ -33,7 +33,7 @@ fn run_with_adversary(
         .views(views)
         .seed(seed)
         .workload(TxWorkload::PerView { count: 1, size: 32 })
-        .delay(delay);
+        .engine(move |sim| sim.delay(delay));
     for (k, v) in ValidatorId::all(n).skip(n - byz).enumerate() {
         let cfg = TobConfig::new(n);
         let (a, b) = (ha.clone(), hb.clone());

@@ -41,7 +41,7 @@ fn split_brain() -> TobReport {
         .views(12)
         .seed(42)
         .workload(TxWorkload::PerView { count: 1, size: 32 })
-        .delay(Box::new(WorstCaseDelay));
+        .engine(|sim| sim.delay(Box::new(WorstCaseDelay)));
     for v in ValidatorId::all(n).skip(n - 3) {
         let (a, b) = (half_a.clone(), half_b.clone());
         let cfg = TobConfig::new(n);
@@ -63,9 +63,11 @@ fn churn_and_crash() -> TobReport {
     TobSimulationBuilder::new(n)
         .views(views)
         .seed(23)
-        .drop_while_asleep(true)
+        .engine(move |sim| {
+            sim.drop_while_asleep(true)
+                .participation(churn::rotating_sleep(n, 4, 6 * delta.ticks(), horizon))
+        })
         .recovery(true)
-        .participation(churn::rotating_sleep(n, 4, 6 * delta.ticks(), horizon))
         .crash_restart(ValidatorId::new(5), Time::new(163), Time::new(227))
         .workload(TxWorkload::PerView { count: 2, size: 32 })
         .run()

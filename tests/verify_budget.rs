@@ -132,7 +132,7 @@ fn budget_holds_with_sleep_churn() {
     let report = TobSimulationBuilder::new(N)
         .views(VIEWS)
         .seed(9)
-        .participation(part)
+        .engine(move |sim| sim.participation(part))
         .run()
         .expect("churn run");
     report.assert_safety();
@@ -176,7 +176,7 @@ fn certificate_counters_tile_under_churn() {
     let report = TobSimulationBuilder::new(N)
         .views(VIEWS)
         .seed(11)
-        .participation(part)
+        .engine(move |sim| sim.participation(part))
         .run()
         .expect("churn run");
     report.assert_safety();
@@ -360,7 +360,7 @@ fn flood_run(certificates: bool, byz: impl Node) -> TobReport {
         .views(20)
         .seed(13)
         .certificates(certificates)
-        .delay(Box::new(WorstCaseDelay))
+        .engine(|sim| sim.delay(Box::new(WorstCaseDelay)))
         .byzantine(byzantine(), Box::new(move |_| Box::new(byz)))
         .run()
         .expect("flood run");
