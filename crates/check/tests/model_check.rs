@@ -10,6 +10,9 @@
 //!    and re-emitting reproduces the exact file bytes, the scenario
 //!    still violates the recorded invariants, and it is a shrink
 //!    fixpoint (re-shrinking changes nothing).
+//! 4. The two shrunk reproducers of a validator deciding right after a
+//!    drop-and-RECOVERY wake, recorded before the wake rule
+//!    (`Validator::on_wake`), replay clean.
 
 use tobsvd_check::{checker, shrink, CheckConfig, Reproducer, ScenarioSpace};
 
@@ -99,4 +102,23 @@ fn fixture_replays_byte_for_byte() {
     // It is a shrink fixpoint: re-shrinking cannot reduce it further.
     let reshrunk = shrink(&repro.scenario);
     assert_eq!(reshrunk.minimal, repro.scenario, "fixture is not minimal");
+}
+
+/// Found at 20 000 executions on seeds 1 and 3 and shrunk: n = 7, Δ = 4,
+/// worst-case delay, a split-brain validator 0 and one sleeper under
+/// drop-and-RECOVERY. The sleeper woke inside `GA_{v−1}` holding its
+/// V^Δ from before the sleep and decided a grade-2 log nobody else
+/// locked, before the RECOVERY replies brought the second branch.
+#[test]
+fn woken_validator_fixtures_replay_clean() {
+    for fixture in [
+        include_str!("fixtures/wake_before_recovery_seed1.json"),
+        include_str!("fixtures/wake_before_recovery_seed3.json"),
+    ] {
+        let repro = Reproducer::from_json(fixture).expect("fixture parses");
+        assert_eq!(repro.to_json(), fixture, "fixture is not in canonical form");
+        assert!(!repro.replay(), "a woken validator decided before its recovery arrived");
+        let verdict = repro.scenario.run();
+        assert!(verdict.passed(), "violations: {:?}", verdict.violations);
+    }
 }

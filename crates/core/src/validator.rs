@@ -738,9 +738,22 @@ impl Node for Validator {
         if !self.cfg.recovery {
             return;
         }
+        // Figure 2 grants grade 2 only to a validator "awake at Δ", in a
+        // model where a waker receives at once what was sent while it
+        // slept. Under §2's drop-and-RECOVERY practice the replies take
+        // up to 2Δ, so an instance holding a V^Δ from before the sleep
+        // could output grade 2 on a V^{5Δ} missing an equivocation:
+        // mark the live instances it holds, as a late boundary does. A
+        // restarted incarnation holds none (DESIGN.md § "Lateness").
+        let v = View::of_time(ctx.time, ctx.delta);
+        for w in v.prev().into_iter().chain([v]) {
+            if let Some(state) = self.window.get_mut(&w).filter(|state| state.ga.is_some()) {
+                state.late = true;
+            }
+        }
         // §2: "upon waking up, a validator sends a RECOVERY message to
         // other validators".
-        self.broadcast_recovery(View::of_time(ctx.time, ctx.delta), ctx);
+        self.broadcast_recovery(v, ctx);
     }
 
     fn on_phase(&mut self, ctx: &mut Context) {
@@ -1139,6 +1152,49 @@ mod tests {
         assert_eq!(val.persisted_len(), 3);
         let replayed = replay_into(&BlockStore::new(), &durable.lock().load().expect("loads"));
         assert_eq!((replayed.decided_tip, replayed.decided_len), (b2.tip(), 3));
+    }
+
+    #[test]
+    fn wake_marks_only_the_instances_held_from_before_the_sleep() {
+        use tobsvd_storage::{shared, MemDurable};
+
+        let store = BlockStore::new();
+        let late = |val: &Validator| -> Vec<View> {
+            val.window.iter().filter(|(_, state)| state.late).map(|(v, _)| *v).collect()
+        };
+        // Awake from genesis through view 1's vote (t = 40), so GA_0 and
+        // GA_1 are held; then asleep until t = 60, still in view 1.
+        let sleeper = |cfg: TobConfig| {
+            let mut val = Validator::new(ValidatorId::new(0), cfg, &store);
+            val.on_wake(&mut ctx_at(0, &store));
+            for t in (0..=40).step_by(8) {
+                val.on_phase(&mut ctx_at(t, &store));
+            }
+            assert!([View::ZERO, View::new(1)].iter().all(|v| val.ga(*v).is_some()));
+            val
+        };
+        let wake = |val: &mut Validator| {
+            let mut ctx = ctx_at(60, &store);
+            val.on_wake(&mut ctx);
+            ctx.outbox().len()
+        };
+
+        // Recovery on: both held instances are marked, and RECOVERY goes out.
+        let mut val = sleeper(TobConfig::new(4).with_recovery(true));
+        assert_eq!(wake(&mut val), 1);
+        assert_eq!(late(&val), [View::ZERO, View::new(1)]);
+
+        // A restarted incarnation holds no instance when it wakes: it
+        // asks for RECOVERY and marks nothing.
+        let (me, cfg) = (ValidatorId::new(0), TobConfig::new(4).with_recovery(true));
+        let mut val = Validator::recovered(me, cfg, &store, shared(MemDurable::new()));
+        assert_eq!(wake(&mut val), 1);
+        assert!(late(&val).is_empty());
+
+        // Recovery off (buffered sleep): nothing to mark, nothing sent.
+        let mut val = sleeper(TobConfig::new(4));
+        assert_eq!(wake(&mut val), 0);
+        assert!(late(&val).is_empty());
     }
 
     #[test]

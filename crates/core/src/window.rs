@@ -21,8 +21,11 @@ pub(crate) type Window = BTreeMap<View, ViewState>;
 pub(crate) struct ViewState {
     /// `GA_v`, once voted in or fed an in-window `LOG` or certificate.
     pub(crate) ga: Option<Ga3>,
-    /// Set by [`crate::Validator::note_late_boundary`]: `GA_v`'s grade-2
-    /// output is not decided.
+    /// `GA_v`'s grade-2 output is not decided. Two causes set it: a
+    /// phase boundary executed late
+    /// ([`crate::Validator::note_late_boundary`]), and a wake with §2
+    /// recovery on while `GA_v` is held from before the sleep
+    /// (`Validator::on_wake`).
     pub(crate) late: bool,
     /// The proposal side, once an in-window proposal arrived.
     pub(crate) proposals: Option<ProposalSide>,
