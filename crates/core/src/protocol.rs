@@ -141,11 +141,13 @@ impl TobSimulationBuilder {
     /// engine's own name. The steps run in call order, right after
     /// `Simulation::builder`, before the workload reads the mempool and
     /// the validators read the store, so `with_mempool` and `with_store`
-    /// take effect. Nodes, crashes and state faults stay here (the
-    /// facade installs them after the steps, over anything a step set):
-    /// use [`TobSimulationBuilder::byzantine`],
+    /// take effect. The `Send` bound asks nothing new: every trait
+    /// object the engine takes (delay, filter, controller, invariants,
+    /// factories) is already `Send`. Nodes, crashes and state faults
+    /// stay on the facade, which builds the validators and their
+    /// durable storage from them: use [`TobSimulationBuilder::byzantine`],
     /// [`TobSimulationBuilder::crash_restart`] and
-    /// [`TobSimulationBuilder::state_fault`].
+    /// [`TobSimulationBuilder::state_fault`], not the engine's setters.
     pub fn engine(
         mut self,
         f: impl FnOnce(SimulationBuilder) -> SimulationBuilder + Send + 'static,
@@ -510,6 +512,7 @@ impl TobReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tobsvd_sim::{AdmissionPolicy, Mempool};
 
     #[test]
     fn fault_free_run_decides_every_view() {
@@ -556,18 +559,32 @@ mod tests {
 
     #[test]
     fn transactions_confirm_with_bounded_latency() {
-        let report = TobSimulationBuilder::new(5)
-            .views(8)
-            .seed(4)
-            .workload(TxWorkload::PerView { count: 3, size: 32 })
-            .run()
-            .expect("runs");
-        report.assert_safety();
-        assert!(!report.report.confirmed.is_empty(), "txs must confirm");
-        for lat in report.tx_latencies_deltas() {
-            // Fault-free: submitted right before a proposal, decided 6Δ
-            // later (small slack for the tick discretization).
-            assert!(lat <= 7.0, "latency {lat}Δ too high for fault-free run");
+        // The default unbounded pool, then a bounded one installed
+        // through the engine hook: the hook runs before the workload
+        // fills the pool, so 24 submissions meet a capacity of 4 and
+        // the excess is shed while the chain still confirms.
+        let policy = AdmissionPolicy { capacity: 4, rate_cap: 0, rate_window: 1 };
+        for bounded in [false, true] {
+            let mut builder = TobSimulationBuilder::new(5)
+                .views(8)
+                .seed(4)
+                .workload(TxWorkload::PerView { count: 3, size: 32 });
+            if bounded {
+                builder = builder.engine(move |sim| sim.with_mempool(Mempool::bounded(policy)));
+            }
+            let report = builder.run().expect("runs");
+            report.assert_safety();
+            assert!(!report.report.confirmed.is_empty(), "txs must confirm");
+            for lat in report.tx_latencies_deltas() {
+                // Fault-free: submitted right before a proposal, decided
+                // 6Δ later (small slack for the tick discretization).
+                assert!(lat <= 7.0, "latency {lat}Δ too high for fault-free run");
+            }
+            let adm = report.report.admission;
+            assert_eq!(adm.busy + adm.evicted > 0, bounded, "{adm:?}");
+            if bounded {
+                assert!(adm.pending_peak <= policy.capacity as u64, "capacity breached: {adm:?}");
+            }
         }
     }
 
