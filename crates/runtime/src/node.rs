@@ -249,12 +249,14 @@ impl NodeState {
         Context::new(now, self.me, self.delta, self.store.clone(), self.mempool.clone())
     }
 
-    /// Records decision events a context collected and flushes its
-    /// outbox to the mesh.
+    /// Records decision events a context collected, prunes the pool at
+    /// each longer decision (as the engine does at its observer's
+    /// anchor), and flushes its outbox to the mesh.
     fn absorb(&mut self, mut ctx: Context, tick: u64) {
         for log in ctx.decisions() {
             if log.len() > self.decided_len_seen {
                 self.decided_len_seen = log.len();
+                self.mempool.prune_confirmed(log, &self.store);
                 self.out.decided_events.push(DecidedEvent {
                     tick,
                     tip: log.tip(),

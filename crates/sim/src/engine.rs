@@ -490,7 +490,6 @@ impl SimulationBuilder {
             target_marks: vec![false; self.cfg.n],
             drop_while_asleep: self.drop_while_asleep,
             advance: self.advance,
-            pruned_len: 1,
             invariants: self.invariants,
             invariant_violations: Vec::new(),
             end_violations: Vec::new(),
@@ -557,9 +556,6 @@ pub struct Simulation {
     drop_while_asleep: bool,
     /// Time-advancement strategy (see [`AdvanceMode`]).
     advance: AdvanceMode,
-    /// Length of the decided-anchor prefix already pruned from the
-    /// mempool (1 = genesis only, nothing pruned yet).
-    pruned_len: u64,
     /// Installed run-time invariants, checked after every decision.
     invariants: Vec<Box<dyn Invariant>>,
     /// Violations from per-decision checks (accumulated monotonically).
@@ -1077,17 +1073,13 @@ impl Simulation {
                 }
             }
         }
-        // Memory hygiene for long sweeps: whenever the decided anchor
-        // grows (which only a decision can cause — keep this off the
-        // per-message path), drop its transactions from the mempool
-        // (they can never be proposed again) and reset the inclusion
-        // memo behind it.
+        // Memory hygiene for long sweeps: the decided anchor only grows
+        // on a decision (keep this off the per-message path), and its
+        // transactions can never be proposed again. The pool ignores an
+        // anchor it has already pruned.
         if decided_something {
             if let Some(anchor) = self.observer.longest_decided() {
-                if anchor.len() > self.pruned_len {
-                    self.mempool.prune_confirmed(&anchor, &self.store);
-                    self.pruned_len = anchor.len();
-                }
+                self.mempool.prune_confirmed(&anchor, &self.store);
             }
         }
     }

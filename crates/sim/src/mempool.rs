@@ -36,27 +36,27 @@
 //! [`AdmissionPolicy::unbounded`] (the pool of every simulation that
 //! does not ask for admission control).
 //!
-//! Two mechanisms keep memory bounded over million-tick sweeps:
+//! # Retention
 //!
-//! * [`Mempool::prune_confirmed`] drops the full records (payloads) of
-//!   transactions confirmed in the common decided prefix — the engine
-//!   calls it whenever the decision observer's anchor grows. Only the
-//!   `TxId → submission time` index survives pruning, so duplicate
-//!   suppression and latency lookups keep working.
-//! * The per-block inclusion memo is FIFO-capped at
-//!   [`Mempool::INCLUSION_MEMO_CAP`] entries and reset to a fresh base
-//!   at the decided tip on every prune. The base entry itself is exempt
-//!   from eviction — admission-driven *pool* eviction never touches the
-//!   memo, so the decided-anchor base survives any admission churn —
-//!   and inclusion walks always stop there: memo entry count is bounded
-//!   by the cap, and memoized sets only grow with the chain *beyond the
-//!   last decided prefix*, not with the whole chain.
+//! One mechanism bounds what the pool holds: each driver calls
+//! [`Mempool::prune_confirmed`] at its longest decided log (the engine
+//! at the decision observer's anchor, the TCP node loop at its own
+//! decisions). Pruning drops the records (payloads) of the transactions
+//! that log includes and remembers that log; a log that is not longer
+//! is ignored. Only ids survive a prune — the `TxId → submission time`
+//! index, plus the decided ids this pool never admitted — so duplicate
+//! suppression and latency lookups keep working.
+//!
+//! Because nothing the pruned log includes is pending or admissible
+//! again, "not already included in `log`" only has to look at the
+//! blocks of `log` above its common prefix with the pruned log: one or
+//! two blocks when proposals extend the decided chain.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use tobsvd_types::{BlockId, BlockStore, Log, Time, Transaction, TxId};
+use tobsvd_types::{BlockStore, Log, Time, Transaction, TxId};
 
 /// A pooled transaction plus its submission time and fee bid.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -143,8 +143,6 @@ struct Inner {
     /// key order is submission order); pruned as the decided prefix
     /// advances, evicted under admission pressure.
     pool: BTreeMap<u64, TxRecord>,
-    /// Pending ids → their sequence number.
-    pending: BTreeMap<TxId, u64>,
     /// Priority index: (fee, seq). The weakest entry is the lowest fee
     /// with the highest seq — deterministic eviction order.
     priority: BTreeSet<(u64, u64)>,
@@ -154,45 +152,28 @@ struct Inner {
     /// retained after pruning for duplicate suppression and latency
     /// lookups; *removed* on eviction so clients can resubmit).
     submitted: BTreeMap<TxId, Time>,
+    /// Decided ids this pool never admitted (a peer's client submitted
+    /// them): duplicate-suppressed, with no submission time.
+    decided_elsewhere: BTreeSet<TxId>,
     /// Per-client rate-cap windows: client → (window index, accepted).
     rate: BTreeMap<u64, (u64, u32)>,
     /// Admission counters.
     stats: AdmissionStats,
-    /// Memoized set of tx ids included on the chain ending at each block.
-    inclusion: BTreeMap<BlockId, Arc<BTreeSet<TxId>>>,
-    /// Memo insertion order, for FIFO eviction.
-    inclusion_order: VecDeque<BlockId>,
+    /// The longest log pruned so far (`None`: nothing pruned yet).
+    pruned: Option<Log>,
 }
 
 impl Inner {
-    fn memoize(&mut self, id: BlockId, set: Arc<BTreeSet<TxId>>) {
-        if self.inclusion.insert(id, set).is_none() {
-            self.inclusion_order.push_back(id);
-        }
-        // Evict FIFO from the queue only; the prune base is never queued
-        // (see `memoize_base`), so it survives any amount of memo churn —
-        // evicting it would silently reopen the walk-to-genesis recompute
-        // path the base exists to close.
-        while self.inclusion.len() > Mempool::INCLUSION_MEMO_CAP {
-            if let Some(old) = self.inclusion_order.pop_front() {
-                self.inclusion.remove(&old);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Installs an eviction-exempt memo entry (the post-prune base).
-    fn memoize_base(&mut self, id: BlockId, set: Arc<BTreeSet<TxId>>) {
-        self.inclusion.insert(id, set);
-    }
-
-    /// Removes one pending record by sequence number (eviction path).
-    fn evict_seq(&mut self, seq: u64) -> Option<TxId> {
+    /// Removes one pending record by sequence number.
+    fn remove(&mut self, seq: u64) -> Option<TxRecord> {
         let rec = self.pool.remove(&seq)?;
-        let id = rec.tx.id();
-        self.pending.remove(&id);
         self.priority.remove(&(rec.fee, seq));
+        Some(rec)
+    }
+
+    /// Evicts one pending record under admission pressure.
+    fn evict_seq(&mut self, seq: u64) -> Option<TxId> {
+        let id = self.remove(seq)?.tx.id();
         // Forget the submission so the client may resubmit: a shed
         // transaction silently treated as a duplicate later would be a
         // liveness bug, not backpressure.
@@ -215,17 +196,29 @@ impl Inner {
         self.next_seq += 1;
         let id = tx.id();
         self.submitted.insert(id, now);
-        self.pending.insert(id, seq);
         self.priority.insert((fee, seq));
         self.pool.insert(seq, TxRecord { tx, submitted_at: now, fee });
         self.stats.accepted += 1;
         self.stats.pending_peak = self.stats.pending_peak.max(self.pool.len() as u64);
     }
+
+    /// The ids included in the blocks of `log` above its common prefix
+    /// with the pruned log. Everything at or below that prefix is in the
+    /// pruned log, so it is neither pending nor admissible again.
+    fn included_above_pruned(&self, log: &Log, store: &BlockStore) -> BTreeSet<TxId> {
+        let from = self.pruned.map_or(1, |p| p.common_prefix(log, store).len());
+        let mut ids = BTreeSet::new();
+        for id in store.chain_range(log.tip(), from).unwrap_or_default() {
+            if let Some(block) = store.get(id) {
+                ids.extend(block.txs().iter().map(Transaction::id));
+            }
+        }
+        ids
+    }
 }
 
 /// Shared transaction pool with submission-time tracking, bounded
-/// admission, and an inclusion index for efficient "not already
-/// included" filtering.
+/// admission, and pruning at the decided log.
 ///
 /// ```
 /// use tobsvd_sim::{Admission, AdmissionPolicy, Mempool};
@@ -254,12 +247,6 @@ impl Default for Mempool {
 }
 
 impl Mempool {
-    /// Maximum number of memoized inclusion sets kept at once. Old
-    /// entries are evicted FIFO — except the post-prune base entry,
-    /// which walks must be able to stop at; evicted blocks are simply
-    /// recomputed by walking to the nearest still-memoized ancestor.
-    pub const INCLUSION_MEMO_CAP: usize = 1024;
-
     /// Creates an empty pool with unbounded admission.
     pub fn new() -> Self {
         Self::bounded(AdmissionPolicy::unbounded())
@@ -290,7 +277,7 @@ impl Mempool {
         let mut inner = self.inner.lock();
         let policy = self.policy;
         let id = tx.id();
-        if inner.submitted.contains_key(&id) {
+        if inner.submitted.contains_key(&id) || inner.decided_elsewhere.contains(&id) {
             inner.stats.duplicates += 1;
             return Admission::Duplicate;
         }
@@ -352,11 +339,6 @@ impl Mempool {
         self.inner.lock().pool.len()
     }
 
-    /// Number of memoized inclusion sets currently held.
-    pub fn inclusion_memo_len(&self) -> usize {
-        self.inner.lock().inclusion.len()
-    }
-
     /// Whether the pool has never seen a transaction.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -366,8 +348,8 @@ impl Mempool {
     /// already included in `log` — the batch an honest proposer puts in
     /// its next block (in submission order).
     pub fn pending_for_at(&self, log: &Log, store: &BlockStore, now: Time) -> Vec<Transaction> {
-        let included = self.included_set(log.tip(), store);
         let inner = self.inner.lock();
+        let included = inner.included_above_pruned(log, store);
         inner
             .pool
             .values()
@@ -383,77 +365,35 @@ impl Mempool {
 
     /// Drops the records of every pending transaction included in
     /// `decided` (a log all honest validators' decisions are compatible
-    /// with — the engine passes the observer's anchor), and resets the
-    /// inclusion memo to an empty base at `decided.tip()`.
+    /// with: the engine passes the observer's anchor, a TCP node its own
+    /// decisions), and remembers `decided` as the pruned log. A log no
+    /// longer than the pruned one is ignored.
     ///
-    /// After the reset, memoized sets only track transactions beyond the
-    /// pruned prefix. That is sufficient: `pending_for` consults the
-    /// memo solely for membership of still-pending ids, and anything in
-    /// the pruned prefix has just left the pool for good.
+    /// Pruning keeps the ids: an admitted transaction keeps its
+    /// submission time, and a decided one this pool never admitted is
+    /// recorded, so a resubmission of either is a duplicate.
     pub fn prune_confirmed(&self, decided: &Log, store: &BlockStore) {
-        let included = self.included_set(decided.tip(), store);
         let mut inner = self.inner.lock();
-        let confirmed: Vec<(u64, TxId, u64)> = inner
+        if decided.len() <= inner.pruned.map_or(1, |p| p.len()) {
+            return;
+        }
+        let included = inner.included_above_pruned(decided, store);
+        let confirmed: Vec<u64> = inner
             .pool
             .iter()
             .filter(|(_, r)| included.contains(&r.tx.id()))
-            .map(|(seq, r)| (*seq, r.tx.id(), r.fee))
+            .map(|(seq, _)| *seq)
             .collect();
-        for (seq, id, fee) in confirmed {
-            // Unlike eviction, pruning keeps the `submitted` entry:
-            // confirmed txs stay duplicate-suppressed and latency-
-            // resolvable.
-            self_remove(&mut inner, seq, id, fee);
+        for seq in confirmed {
+            inner.remove(seq);
         }
-        inner.inclusion.clear();
-        inner.inclusion_order.clear();
-        inner.memoize_base(decided.tip(), Arc::new(BTreeSet::new()));
-    }
-
-    /// The set of tx ids included on the chain ending at `tip`, memoized
-    /// per block so repeated queries stay cheap as the chain grows.
-    ///
-    /// After a [`Mempool::prune_confirmed`] the sets are relative to the
-    /// pruned base block (they omit its, already unpoolable, prefix).
-    pub fn included_set(&self, tip: BlockId, store: &BlockStore) -> Arc<BTreeSet<TxId>> {
-        let mut inner = self.inner.lock();
-        if let Some(set) = inner.inclusion.get(&tip) {
-            return Arc::clone(set);
-        }
-        // Walk down to the nearest memoized ancestor, then build back up.
-        let mut stack = Vec::new();
-        let mut cur = tip;
-        let base = loop {
-            if let Some(set) = inner.inclusion.get(&cur) {
-                break Arc::clone(set);
+        for id in included {
+            if !inner.submitted.contains_key(&id) {
+                inner.decided_elsewhere.insert(id);
             }
-            let block = match store.get(cur) {
-                Some(b) => b,
-                None => break Arc::new(BTreeSet::new()),
-            };
-            stack.push(Arc::clone(&block));
-            if block.is_genesis() {
-                break Arc::new(BTreeSet::new());
-            }
-            cur = block.parent();
-        };
-        let mut acc = base;
-        while let Some(block) = stack.pop() {
-            let mut set: BTreeSet<TxId> = (*acc).clone();
-            set.extend(block.txs().iter().map(|t| t.id()));
-            acc = Arc::new(set);
-            inner.memoize(block.id(), Arc::clone(&acc));
         }
-        acc
+        inner.pruned = Some(*decided);
     }
-}
-
-/// Removes one pending record while keeping the `submitted` index (the
-/// prune path — confirmed txs remain duplicate-suppressed).
-fn self_remove(inner: &mut Inner, seq: u64, id: TxId, fee: u64) {
-    inner.pool.remove(&seq);
-    inner.pending.remove(&id);
-    inner.priority.remove(&(fee, seq));
 }
 
 #[cfg(test)]
@@ -514,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn inclusion_memoization_consistent_across_extensions() {
+    fn pending_shrinks_along_extensions() {
         let store = BlockStore::new();
         let pool = Mempool::new();
         let txs: Vec<Transaction> = (0..5).map(|i| Transaction::new(vec![i])).collect();
@@ -523,11 +463,10 @@ mod tests {
         }
         let mut log = Log::genesis(&store);
         for (i, tx) in txs.iter().enumerate() {
-            log = log.extend(&store, ValidatorId::new(0), View::new(i as u64 + 1), vec![tx.clone()]);
-            let included = pool.included_set(log.tip(), &store);
-            assert_eq!(included.len(), i + 1);
+            let view = View::new(i as u64 + 1);
+            log = log.extend(&store, ValidatorId::new(0), view, vec![tx.clone()]);
+            assert_eq!(pool.pending_for(&log, &store), txs[i + 1..]);
         }
-        assert!(pool.pending_for(&log, &store).is_empty());
     }
 
     #[test]
@@ -578,75 +517,66 @@ mod tests {
     }
 
     #[test]
-    fn inclusion_memo_is_capped() {
+    fn branches_off_and_below_the_pruned_log_filter_their_own_blocks() {
         let store = BlockStore::new();
         let pool = Mempool::new();
-        let mut log = Log::genesis(&store);
-        for i in 0..(Mempool::INCLUSION_MEMO_CAP + 50) {
-            let tx = Transaction::new(i.to_be_bytes().to_vec());
+        let [a, b, c, d] = [1, 2, 3, 4].map(|i| Transaction::new(vec![i]));
+        for tx in [&a, &b, &c, &d] {
             pool.submit(tx.clone(), Time::ZERO);
-            log = log.extend(&store, ValidatorId::new(0), View::new(i as u64 + 1), vec![tx]);
-            let _ = pool.included_set(log.tip(), &store);
         }
-        assert!(pool.inclusion_memo_len() <= Mempool::INCLUSION_MEMO_CAP);
-        // Evicted entries are recomputed correctly on demand.
-        let included = pool.included_set(log.tip(), &store);
-        assert_eq!(included.len(), Mempool::INCLUSION_MEMO_CAP + 50);
-    }
-
-    #[test]
-    fn prune_base_survives_memo_churn() {
-        // Regression: the post-prune base must be exempt from FIFO
-        // eviction. If it were evicted, later walks would fall through
-        // to genesis and rebuild *absolute* sets (containing pruned
-        // txs) — observable below as tx_a reappearing in the memo.
-        let store = BlockStore::new();
-        let pool = Mempool::new();
-        let tx_a = Transaction::new(vec![0xa]);
-        pool.submit(tx_a.clone(), Time::ZERO);
-        let base = Log::genesis(&store).extend(
-            &store,
-            ValidatorId::new(0),
-            View::new(1),
-            vec![tx_a.clone()],
-        );
+        let g = Log::genesis(&store);
+        let base = g.extend(&store, ValidatorId::new(0), View::new(1), vec![a]);
         pool.prune_confirmed(&base, &store);
-        // Churn far past the cap so FIFO eviction runs many times.
+        // A long chain above the pruned log changes nothing below it.
         let mut log = base;
-        for i in 0..(Mempool::INCLUSION_MEMO_CAP as u64 + 50) {
+        for i in 0..50 {
             log = log.extend_empty(&store, ValidatorId::new(0), View::new(i + 2));
-            let _ = pool.included_set(log.tip(), &store);
+            assert_eq!(pool.pending_for(&log, &store), [b.clone(), c.clone(), d.clone()]);
         }
-        assert!(pool.inclusion_memo_len() <= Mempool::INCLUSION_MEMO_CAP);
-        // A fresh branch off the base still resolves relative to it:
-        // the pruned tx must NOT resurface in its inclusion set.
-        let tx_b = Transaction::new(vec![0xb]);
-        pool.submit(tx_b.clone(), Time::ZERO);
-        let side = base.extend(&store, ValidatorId::new(1), View::new(9999), vec![tx_b.clone()]);
-        let included = pool.included_set(side.tip(), &store);
-        assert!(included.contains(&tx_b.id()));
-        assert!(
-            !included.contains(&tx_a.id()),
-            "base was evicted: walk fell through to genesis and rebuilt an absolute set"
-        );
+        // A branch off the pruned log: its own block is filtered, and
+        // the pruned transaction does not resurface.
+        let side = base.extend(&store, ValidatorId::new(1), View::new(999), vec![b.clone()]);
+        assert_eq!(pool.pending_for(&side, &store), [c.clone(), d.clone()]);
+        // A fork below the pruned log holds pending transactions too.
+        let fork = g.extend(&store, ValidatorId::new(2), View::new(1), vec![c.clone()]);
+        assert_eq!(pool.pending_for(&fork, &store), [b.clone(), d.clone()]);
+        let fork = fork.extend(&store, ValidatorId::new(2), View::new(2), vec![d]);
+        assert_eq!(pool.pending_for(&fork, &store), [b]);
     }
 
     #[test]
-    fn prune_resets_memo_to_single_base() {
+    fn prune_ignores_a_log_no_longer_than_the_pruned_one() {
         let store = BlockStore::new();
         let pool = Mempool::new();
-        let tx = Transaction::new(vec![9]);
-        pool.submit(tx.clone(), Time::ZERO);
-        let mut log = Log::genesis(&store);
-        for i in 0..10 {
-            log = log.extend_empty(&store, ValidatorId::new(0), View::new(i + 1));
-            let _ = pool.included_set(log.tip(), &store);
+        let [a, b] = [1, 2].map(|i| Transaction::new(vec![i]));
+        pool.submit(a.clone(), Time::ZERO);
+        pool.submit(b.clone(), Time::ZERO);
+        let g = Log::genesis(&store);
+        let decided = g.extend(&store, ValidatorId::new(0), View::new(1), vec![a]);
+        pool.prune_confirmed(&decided, &store);
+        let other = g.extend(&store, ValidatorId::new(1), View::new(1), vec![b.clone()]);
+        pool.prune_confirmed(&other, &store);
+        assert_eq!(pool.pending_for(&g, &store), [b]);
+    }
+
+    #[test]
+    fn a_transaction_decided_elsewhere_is_not_admitted_again() {
+        let store = BlockStore::new();
+        let pool = Mempool::bounded(AdmissionPolicy { capacity: 1, rate_cap: 0, rate_window: 1 });
+        // `peer` reached the chain through another node's pool; `shed`
+        // was evicted here before a peer's block decided it.
+        let [peer, shed, rich] = [1, 2, 3].map(|i| Transaction::new(vec![i]));
+        assert!(pool.admit(shed.clone(), Time::ZERO, 0, None).is_accepted());
+        assert!(pool.admit(rich, Time::ZERO, 1, None).is_accepted());
+        let batch = vec![peer.clone(), shed.clone()];
+        let decided = Log::genesis(&store).extend(&store, ValidatorId::new(0), View::new(1), batch);
+        pool.prune_confirmed(&decided, &store);
+        for tx in [peer, shed] {
+            assert_eq!(pool.admit(tx.clone(), Time::new(5), 9, None), Admission::Duplicate);
+            assert_eq!(pool.submitted_at(tx.id()), None, "it was never admitted here");
         }
-        assert!(pool.inclusion_memo_len() >= 10);
-        pool.prune_confirmed(&log, &store);
-        assert_eq!(pool.inclusion_memo_len(), 1);
-        // The base is empty and the pending tx still proposable.
-        assert_eq!(pool.pending_for(&log, &store), vec![tx]);
+        let next = decided.extend_empty(&store, ValidatorId::new(1), View::new(2));
+        assert_eq!(pool.pending_for(&next, &store).len(), 1);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Property tests for the mempool's pruning and inclusion-memo
-//! machinery under arbitrary churn:
+//! Property tests for the mempool's pruning and inclusion filtering
+//! under arbitrary churn:
 //!
 //! * transactions confirmed in a pruned decided prefix never reappear
 //!   in any later pending batch (not even after resubmission);
-//! * the inclusion memo never exceeds its FIFO cap, no matter how the
-//!   chain grows or branches;
-//! * the eviction-exempt post-prune base survives arbitrary memo churn
-//!   (sets stay relative to the base — pruned txs never resurface).
+//! * a pending batch for any log, on the pruned chain or on a fork
+//!   above or below it, is exactly the pending records that log does
+//!   not include (checked against the brute-force [`Log::contains_tx`]);
+//! * admission churn and bounded capacity leave both properties intact.
 
 use proptest::prelude::*;
 use tobsvd_sim::{Admission, AdmissionPolicy, Mempool};
@@ -59,6 +59,7 @@ proptest! {
     fn confirmed_records_never_reappear(
         decided_blocks in 1usize..8,
         extra_blocks in 0usize..6,
+        fork_blocks in 0usize..4,
         shape in any::<u64>(),
         resubmit in any::<bool>(),
     ) {
@@ -81,59 +82,44 @@ proptest! {
             prop_assert_eq!(pool.pending_len(), before - confirmed.len());
         }
 
-        // Grow further on top of the decided prefix: no pending batch,
-        // at the prune base or at the new tip, may contain a confirmed
-        // record.
-        let (tip, _fresh) =
+        // Grow further on top of the decided prefix, and fork below it
+        // with a block that includes some of the still-pending fresh
+        // transactions: no pending batch, at the prune base, at the new
+        // tip or on the fork, may contain a confirmed record, and each
+        // must be exactly the pending records its log does not include.
+        let (tip, fresh) =
             grow_chain(&store, &pool, decided, extra_blocks, shape.rotate_left(7), 2);
+        let cut = 1 + shape % (decided.len() - 1);
+        let below = decided.prefix(cut, &store).expect("a strict prefix of the decided log");
+        let taken = fresh.len() / 2;
+        let fork_base =
+            below.extend(&store, ValidatorId::new(3), View::new(1_000), fresh[..taken].to_vec());
+        let (fork, _) =
+            grow_chain(&store, &pool, fork_base, fork_blocks, shape.rotate_left(13), 5);
         let confirmed_ids: Vec<TxId> = confirmed.iter().map(Transaction::id).collect();
-        for log in [decided, tip] {
-            for tx in pool.pending_for(&log, &store) {
+        let all_pending = pool.pending_for(&Log::genesis(&store), &store);
+        for log in [decided, tip, fork] {
+            let batch = pool.pending_for(&log, &store);
+            for tx in &batch {
                 prop_assert!(
                     !confirmed_ids.contains(&tx.id()),
                     "confirmed tx resurfaced in a pending batch"
                 );
-                prop_assert!(
-                    !log.contains_tx(tx.id(), &store),
-                    "pending batch offered an already-included tx"
-                );
             }
+            let expected: Vec<Transaction> = all_pending
+                .iter()
+                .filter(|tx| !log.contains_tx(tx.id(), &store))
+                .cloned()
+                .collect();
+            prop_assert_eq!(batch, expected, "pending batch differs from the brute force");
         }
     }
 
-    /// The inclusion memo is bounded by its cap under arbitrary growth
-    /// and branching.
+    /// After a prune, any amount of chain growth above the pruned log
+    /// leaves it the base of every later query: a fresh branch off it
+    /// filters only its own blocks, and the pruned tx never resurfaces.
     #[test]
-    fn inclusion_memo_never_exceeds_cap(
-        main_blocks in 1usize..30,
-        branches in 0usize..6,
-        shape in any::<u64>(),
-    ) {
-        let store = BlockStore::new();
-        let pool = Mempool::new();
-        let genesis = Log::genesis(&store);
-        let (tip, _) = grow_chain(&store, &pool, genesis, main_blocks, shape, 3);
-        let _ = pool.included_set(tip.tip(), &store);
-        prop_assert!(pool.inclusion_memo_len() <= Mempool::INCLUSION_MEMO_CAP);
-
-        // Branch off random interior points; every query keeps the memo
-        // within the cap.
-        for b in 0..branches {
-            let cut = 1 + (shape.rotate_right(b as u32) % tip.len()).min(tip.len() - 1);
-            if let Some(prefix) = tip.prefix(cut, &store) {
-                let (side, _) = grow_chain(&store, &pool, prefix, 1 + b % 3, shape ^ b as u64, 4 + b as u64);
-                let _ = pool.included_set(side.tip(), &store);
-                prop_assert!(pool.inclusion_memo_len() <= Mempool::INCLUSION_MEMO_CAP);
-            }
-        }
-    }
-
-    /// The eviction-exempt base: after a prune, any amount of memo
-    /// churn (far beyond the cap) must not evict the base — walks from
-    /// fresh branches resolve relative to it, so pruned txs never
-    /// resurface in inclusion sets.
-    #[test]
-    fn eviction_exempt_base_survives_churn(
+    fn pruned_base_survives_chain_churn(
         churn_blocks in 0usize..80,
         shape in any::<u64>(),
     ) {
@@ -149,38 +135,27 @@ proptest! {
         );
         pool.prune_confirmed(&base, &store);
 
-        // Churn: the cap is small enough to overflow many times over.
-        let churn = Mempool::INCLUSION_MEMO_CAP / 8 + churn_blocks;
-        let mut log = base;
-        for i in 0..churn {
-            log = log.extend_empty(&store, ValidatorId::new(1), View::new(2 + i as u64));
-            if shape >> (i % 64) & 1 == 1 || i + 1 == churn {
-                let _ = pool.included_set(log.tip(), &store);
-            }
-        }
-        prop_assert!(pool.inclusion_memo_len() <= Mempool::INCLUSION_MEMO_CAP);
-
-        // A fresh branch off the base must resolve relative to it.
         let side_tx = Transaction::new(b"side".to_vec());
         pool.submit(side_tx.clone(), Time::ZERO);
+        let mut log = base;
+        for i in 0..128 + churn_blocks {
+            log = log.extend_empty(&store, ValidatorId::new(1), View::new(2 + i as u64));
+            if shape >> (i % 64) & 1 == 1 {
+                prop_assert_eq!(pool.pending_for(&log, &store), vec![side_tx.clone()]);
+            }
+        }
+
+        // A fresh branch off the base filters its own block.
         let side = base.extend(
             &store,
             ValidatorId::new(2),
             View::new(10_000),
             vec![side_tx.clone()],
         );
-        let included = pool.included_set(side.tip(), &store);
-        prop_assert!(included.contains(&side_tx.id()));
-        prop_assert!(
-            !included.contains(&pruned_tx.id()),
-            "base evicted: walk fell through to genesis and rebuilt an absolute set"
-        );
-        // And the pruned tx is still not proposable anywhere.
-        for tip in [base, side, log] {
-            prop_assert!(pool
-                .pending_for(&tip, &store)
-                .iter()
-                .all(|t| t.id() != pruned_tx.id()));
+        prop_assert!(pool.pending_for(&side, &store).is_empty());
+        // And the pruned tx is not proposable anywhere.
+        for tip in [base, log] {
+            prop_assert_eq!(pool.pending_for(&tip, &store), vec![side_tx.clone()]);
         }
     }
 
@@ -216,12 +191,11 @@ proptest! {
         prop_assert_eq!(&replays[0], &replays[1], "admission verdicts must be deterministic");
     }
 
-    /// Admission-pressure eviction never touches the decided-anchor
-    /// machinery: with a tiny capacity forcing constant eviction, a
-    /// pruned (confirmed) transaction stays suppressed as a duplicate
-    /// and never resurfaces in a pending batch — eviction frees the
-    /// *pending* record, not the confirmed-id memory or the
-    /// eviction-exempt memo base.
+    /// Admission-pressure eviction never touches what pruning keeps:
+    /// with a tiny capacity forcing constant eviction, a pruned
+    /// (confirmed) transaction stays suppressed as a duplicate and never
+    /// resurfaces in a pending batch — eviction frees the *pending*
+    /// record, not the confirmed-id memory.
     #[test]
     fn admission_churn_preserves_pruned_base(
         churn in 1usize..160,
@@ -269,12 +243,11 @@ proptest! {
         );
     }
 
-    /// The 1024-entry inclusion memo and the hard admission capacity are
-    /// independent bounds: growing a chain from a bounded pool keeps the
-    /// pending set under `capacity` and the memo under its cap, and no
-    /// pending batch ever offers an already-included transaction.
+    /// Growing a chain from a bounded pool, pruning at every tip, keeps
+    /// the pending set under `capacity`, and no pending batch ever
+    /// offers an already-included transaction.
     #[test]
-    fn memo_cap_and_capacity_bound_independently(
+    fn capacity_bounds_pending_as_the_chain_grows(
         capacity in 1usize..16,
         blocks in 1usize..40,
         shape in any::<u64>(),
@@ -307,8 +280,6 @@ proptest! {
                 batch,
             );
             pool.prune_confirmed(&log, &store);
-            let _ = pool.included_set(log.tip(), &store);
-            prop_assert!(pool.inclusion_memo_len() <= Mempool::INCLUSION_MEMO_CAP);
             prop_assert!(pool.pending_len() <= capacity);
         }
     }

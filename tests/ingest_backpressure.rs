@@ -7,7 +7,9 @@
 //! * never let slow or stalled clients head-of-line-block the peer
 //!   mesh (consensus keeps deciding at full speed), and
 //! * account for every accepted transaction: decided, explicitly
-//!   evicted, or still pending within the capacity bound at shutdown.
+//!   evicted, or still pending within the capacity bound at shutdown,
+//!
+//! and a node must free the capacity its decided transactions held.
 
 use std::io::Write;
 use std::time::Duration;
@@ -145,5 +147,69 @@ fn saturated_node_sheds_load_without_blocking_peers() {
         outcome.ingest.sessions_peak >= 10,
         "expected ≥ 10 concurrent sessions, saw {}",
         outcome.ingest.sessions_peak
+    );
+}
+
+#[test]
+fn decided_transactions_free_their_capacity() {
+    // Fee-0 submissions can displace nothing, so past the first 8
+    // admissions (the 4 seed transactions included) only pruning at the
+    // node's own decisions makes room.
+    const SMALL: usize = 8;
+    const VIEWS: u64 = 16;
+    let policy = AdmissionPolicy { capacity: SMALL, rate_cap: 0, rate_window: 64 };
+    let cfg = ClusterConfig::new(3)
+        .views(VIEWS)
+        .tick(Duration::from_millis(8))
+        .admission(policy);
+    let view_ticks = 4 * cfg.delta.ticks();
+    let cluster = LocalCluster::spawn(cfg).expect("cluster spawns");
+    let v0 = ValidatorId::new(0);
+    let addr = cluster.addr_of(v0).expect("node 0 listens");
+    let clock = cluster.clock();
+    let run_ticks = cluster.run_ticks();
+
+    // Two submissions per view from one client on node 0.
+    let mut conn = ClientConn::connect(addr, 0).expect("client connects");
+    let mut ids = Vec::new();
+    let mut next_view = 0;
+    while clock.now_tick().ticks() < run_ticks {
+        let view = clock.now_tick().ticks() / view_ticks;
+        if view >= next_view && view < VIEWS {
+            for k in 0..2 {
+                ids.push(conn.submit(0, format!("free-{view}-{k}").into_bytes()));
+            }
+            next_view = view + 1;
+        }
+        let _ = conn.pump().expect("pump");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    drop(conn);
+
+    let report = cluster.join().expect("cluster joins");
+    report.assert_agreement();
+    let outcome = report
+        .outcomes()
+        .into_iter()
+        .find(|o| o.me == v0)
+        .expect("node 0 outcome");
+    let decided_ticks = report.decided_tx_ticks(v0);
+    let decided = ids.iter().filter(|id| decided_ticks.contains_key(id)).count();
+
+    assert!(
+        outcome.admission.accepted > SMALL as u64,
+        "decided transactions kept their slots: {:?}",
+        outcome.admission
+    );
+    assert_eq!(outcome.admission.evicted, 0, "fee-0 submissions must evict nothing");
+    assert!(
+        outcome.admission.pending_peak as usize <= SMALL,
+        "pending peak {} exceeds capacity {SMALL}",
+        outcome.admission.pending_peak
+    );
+    assert!(
+        decided > SMALL,
+        "only {decided} of the client's {} transactions decided",
+        ids.len()
     );
 }
