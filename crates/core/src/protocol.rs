@@ -355,7 +355,6 @@ impl TobSimulationBuilder {
         let mut sim = builder.build();
         let end = horizon + self.delta * 2;
         sim.run_until(end);
-        sim.check_end_invariants();
 
         // Ground-truth good-leader record per view.
         let eff = sim.effective_participation();

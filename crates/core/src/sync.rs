@@ -35,11 +35,11 @@
 //! iterated — so neither probe grows with the blocks ever announced.
 //!
 //! The pending set is capped at [`SyncState::PENDING_CAP`] with FIFO
-//! eviction (like the mempool's inclusion-memo cap), so a Byzantine
-//! flood of messages referencing never-resolvable chains cannot grow
-//! memory without bound; an evicted message's fetch is cancelled unless
-//! another parked message still needs it. Outstanding fetches are
-//! retried — re-broadcast to all peers — every
+//! eviction, so a Byzantine flood of messages referencing
+//! never-resolvable chains cannot grow memory without bound; an evicted
+//! message's fetch is cancelled unless another parked message still
+//! needs it. Outstanding fetches are retried — re-broadcast to all
+//! peers — every
 //! [`SyncState::RETRY_AFTER_DELTAS`]·Δ until answered, so a dropped
 //! request or response only delays resolution.
 //!
