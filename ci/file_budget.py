@@ -5,9 +5,9 @@ Counts each Rust source file's non-test lines: every line before its first
 `#[cfg(test)]`. The files are those under `crates/*/src` and `src/`, so
 `vendor/` and `perf/` are never counted. A file over LIMIT lines must be
 listed in ci/file_budget.txt ("<path> <ceiling>" per line), and a listed
-file must stay at or under its ceiling. Any breach fails. When a listed
-file shrinks, lower its ceiling to the new count in the same change; when
-it drops to LIMIT or below, delete its line.
+file's count must equal its ceiling. Any breach fails: a listed file over
+its ceiling, under it (the stale ceiling must be lowered to the new count
+in the same change), or at LIMIT or below (its line must be deleted).
 """
 import glob
 import sys
@@ -33,10 +33,17 @@ files = sorted({p for pattern in PATTERNS for p in glob.glob(pattern, recursive=
 breaches = []
 for path in files:
     lines = non_test_lines(path)
-    ceiling = ceilings.get(path, LIMIT)
-    if lines > ceiling:
-        breaches.append(f"{path}: {lines} non-test lines, ceiling {ceiling}")
-breaches += [f"{path}: listed in {BUDGET} but not found" for path in ceilings if path not in files]
+    ceiling = ceilings.get(path)
+    if ceiling is None:
+        if lines > LIMIT:
+            breaches.append(f"OVER BUDGET {path}: {lines} non-test lines, unlisted, limit {LIMIT}")
+    elif lines > ceiling:
+        breaches.append(f"OVER BUDGET {path}: {lines} non-test lines, ceiling {ceiling}")
+    elif lines <= LIMIT:
+        breaches.append(f"DELIST {path}: {lines} non-test lines, at or under {LIMIT}")
+    elif lines < ceiling:
+        breaches.append(f"STALE CEILING {path}: {lines} non-test lines, ceiling {ceiling}")
+breaches += [f"MISSING {path}: listed in {BUDGET} but not found" for path in ceilings if path not in files]
 for breach in breaches:
-    print(f"OVER BUDGET {breach}")
+    print(breach)
 sys.exit(1 if breaches else 0)

@@ -31,8 +31,12 @@
 //! window included, is known already — the steady state, where the tip
 //! arrived over another path first), and an unknown tip needs a single
 //! membership test at the base of the inline window. The known set is
-//! hashed — keyed lookups, insertions, `retain` and `clear` only, never
-//! iterated — so neither probe grows with the blocks ever announced.
+//! one bit per stored block, addressed by the block's dense
+//! [`BlockStore::index`]: a probe is one keyed lookup in the store plus
+//! a bit test, so neither probe grows with the blocks ever announced,
+//! and knowledge costs one bit per (validator, stored block). An id with
+//! no stored block enters only through fault injection
+//! ([`SyncState::poison_known`]) and sits in a small ordered side set.
 //!
 //! The pending set is capped at [`SyncState::PENDING_CAP`] with FIFO
 //! eviction, so a Byzantine flood of messages referencing
@@ -47,12 +51,12 @@
 //! stabilization audit at every phase boundary, the drain probe after
 //! every protocol message — so both are O(1) and kept current at the
 //! single honest door into the known set (`learn`): a shadow count of
-//! honest insertions gates the audit's full `known ⊆ store` scan (see
-//! [`SyncState::audit`]), and a flag records that a parked message's
-//! gap was just learned (see [`SyncState::has_resolvable`]). Neither
-//! cost depends on how many blocks were ever announced.
+//! honest insertions gates the audit's `known ⊆ store` scan of the side
+//! set (see [`SyncState::audit`]), and a flag records that a parked
+//! message's gap was just learned (see [`SyncState::has_resolvable`]).
+//! Neither cost depends on how many blocks were ever announced.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use tobsvd_types::{wire, BlockId, BlockStore, Log, SignedMessage, Time};
@@ -98,17 +102,29 @@ struct Inflight {
     from_height: Option<u64>,
 }
 
+/// Bit 0 of `SyncState::known`'s first word: genesis, stored first.
+const GENESIS_BIT: u64 = 1;
+
 /// Delta-sync bookkeeping for one validator.
-#[derive(Debug)]
 pub struct SyncState {
-    /// Std's keyed SipHash, not an identity hash over the digest bytes:
-    /// a Byzantine proposer can grind block ids into one bucket.
-    known: HashSet<BlockId>,
-    /// Shadow count of the ids the honest paths put into `known`
-    /// (genesis, [`SyncState::mark_own`], [`SyncState::resolve`],
-    /// [`SyncState::accept_response`]). It equals `known.len()` unless
+    /// The store handed to [`SyncState::new`], whose dense block indices
+    /// address `known`; every call that takes a store must pass this
+    /// one.
+    store: BlockStore,
+    /// The known stored blocks: bit `i` is the block at
+    /// [`BlockStore::index`] `i`. Grows on demand, never shrinks.
+    known: Vec<u64>,
+    /// Known ids that had no stored block when they were forced in by
+    /// [`SyncState::poison_known`] (the honest paths learn stored
+    /// blocks only). Ordered, like every protocol-path collection.
+    poisoned: BTreeSet<BlockId>,
+    /// How many ids are known: the set bits of `known` plus `poisoned`.
+    known_len: usize,
+    /// Shadow count of the ids the honest paths made known (genesis,
+    /// [`SyncState::mark_own`], [`SyncState::resolve`],
+    /// [`SyncState::accept_response`]). It equals `known_len` unless
     /// something else wrote to the set — the O(1) trigger in front of
-    /// [`SyncState::audit`]'s full scan.
+    /// [`SyncState::audit`]'s scan.
     honest_known: usize,
     /// Some parked message's missing block may have become known since
     /// the last [`SyncState::take_resolved`]. Never `false` while a
@@ -144,14 +160,14 @@ impl SyncState {
 
     /// Fresh state: only genesis is known.
     pub fn new(store: &BlockStore) -> Self {
-        let genesis = store.genesis();
-        let mut known = HashSet::new();
-        known.insert(genesis);
         SyncState {
-            known,
+            store: store.clone(),
+            known: vec![GENESIS_BIT],
+            poisoned: BTreeSet::new(),
+            known_len: 1,
             honest_known: 1,
             drainable: false,
-            genesis,
+            genesis: store.genesis(),
             pending: VecDeque::new(),
             inflight: BTreeMap::new(),
             requests_sent: 0,
@@ -168,7 +184,7 @@ impl SyncState {
     /// it. Returns whether `id` is newly known.
     fn learn(&mut self, id: BlockId) -> bool {
         self.inflight.remove(&id);
-        let newly = self.known.insert(id);
+        let newly = self.insert(id);
         if newly {
             self.honest_known += 1;
             self.note_if_awaited(id);
@@ -182,9 +198,47 @@ impl SyncState {
         }
     }
 
+    /// Puts `id` into the known set: its bit when it is stored, the
+    /// side set otherwise. Returns whether `id` is newly known.
+    fn insert(&mut self, id: BlockId) -> bool {
+        let index = self.store.index(id);
+        if self.holds(index, id) {
+            return false;
+        }
+        match index {
+            Some(index) => self.set_bit(index),
+            None => {
+                self.poisoned.insert(id);
+            }
+        }
+        self.known_len += 1;
+        true
+    }
+
+    /// Whether `id`, stored at `index` if it is stored, is known.
+    fn holds(&self, index: Option<usize>, id: BlockId) -> bool {
+        let bit = |i: usize| self.known.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1);
+        index.is_some_and(bit) || self.poisoned.contains(&id)
+    }
+
+    fn set_bit(&mut self, index: usize) {
+        let word = index / 64;
+        if word >= self.known.len() {
+            // Grow by an eighth beyond the need: amortized O(1) per
+            // block, and never more than an eighth over one bit per
+            // stored block (std's doubling can waste half).
+            let len = word + 1;
+            self.known.reserve_exact(len + len / 8 - self.known.len());
+            self.known.resize(len, 0);
+        }
+        if let Some(w) = self.known.get_mut(word) {
+            *w |= 1 << (index % 64);
+        }
+    }
+
     /// Whether this validator knows the content of `id`.
     pub fn knows(&self, id: BlockId) -> bool {
-        id == self.genesis || self.known.contains(&id)
+        id == self.genesis || self.holds(self.store.index(id), id)
     }
 
     /// Marks a locally-built block (own proposal extension) as known.
@@ -401,7 +455,7 @@ impl SyncState {
     /// ancestry need not exist anywhere). Exists only for the
     /// stabilization plane's state-corruption experiments.
     pub fn poison_known(&mut self, id: BlockId) {
-        if self.known.insert(id) {
+        if self.insert(id) {
             self.note_if_awaited(id);
         }
     }
@@ -411,10 +465,12 @@ impl SyncState {
     /// erased, as if the sync plane's memory arena was wiped.
     pub fn forget_all(&mut self) {
         self.known.clear();
-        self.known.insert(self.genesis);
+        self.known.push(GENESIS_BIT);
+        self.poisoned.clear();
+        self.known_len = 1;
         // The shadow count sits in the same arena and is wiped with it
-        // (not re-seeded for genesis): the next audit runs one full
-        // scan, and ids forged on top of the wipe cannot cancel it out.
+        // (not re-seeded for genesis): the next audit runs one scan,
+        // and ids forged on top of the wipe cannot cancel it out.
         self.honest_known = 0;
         self.pending.clear();
         self.drainable = false;
@@ -426,15 +482,17 @@ impl SyncState {
     /// returns how many anomalies were repaired. Runs at every phase
     /// boundary, so its cost must not depend on the horizon.
     ///
-    /// * Every known id (except genesis) must have its content in the
-    ///   store — honest ids enter `known` only via store-backed
-    ///   resolution, so an absent body is corruption; the id is
-    ///   quarantined (dropped) and, if truly needed, re-learned through
-    ///   the ordinary fetch path. The scan over `known` (one store
-    ///   lookup per block ever announced) sits behind an O(1) trigger:
-    ///   it runs only when `known.len()` disagrees with the shadow
-    ///   count of honest insertions, i.e. when something other than the
-    ///   honest paths wrote to the set, and re-syncs the count.
+    /// * Every known id must have its content in the store — honest ids
+    ///   become known only via store-backed resolution, so an absent
+    ///   body is corruption; the id is quarantined (dropped) and, if
+    ///   truly needed, re-learned through the ordinary fetch path. A
+    ///   known stored block is one bit and cannot lack its body (the
+    ///   store is append-only), so the scan covers only the side set of
+    ///   forced ids that had no stored block, one store lookup each. It
+    ///   sits behind an O(1) trigger: it runs only when the number of
+    ///   known ids disagrees with the shadow count of honest
+    ///   insertions, i.e. when something other than the honest paths
+    ///   wrote to the set, and re-syncs the count.
     /// * No in-flight fetch may target an already-known id (the honest
     ///   paths clear these on resolution). Checked every time: the
     ///   in-flight map holds outstanding fetches only.
@@ -453,19 +511,35 @@ impl SyncState {
     /// those is in the fault model.
     pub fn audit(&mut self, store: &BlockStore) -> u64 {
         let mut repaired = 0u64;
-        if self.known.len() != self.honest_known {
+        if self.known_len != self.honest_known {
             self.audit_scans += 1;
-            let genesis = self.genesis;
-            let before = self.known.len();
-            self.known.retain(|id| *id == genesis || store.contains(*id));
-            repaired += (before - self.known.len()) as u64;
-            self.honest_known = self.known.len();
+            let before = self.poisoned.len();
+            self.poisoned.retain(|id| store.contains(*id));
+            let dropped = before - self.poisoned.len();
+            repaired += dropped as u64;
+            self.known_len -= dropped;
+            self.honest_known = self.known_len;
         }
-        let known = &self.known;
-        let before = self.inflight.len();
-        self.inflight.retain(|id, _| !known.contains(id));
-        repaired += (before - self.inflight.len()) as u64;
-        repaired
+        let settled: Vec<BlockId> =
+            self.inflight.keys().copied().filter(|id| self.knows(*id)).collect();
+        for id in &settled {
+            self.inflight.remove(id);
+        }
+        repaired + settled.len() as u64
+    }
+}
+
+impl std::fmt::Debug for SyncState {
+    /// Counts in place of the known set, and no store.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SyncState")
+            .field("known_len", &self.known_len)
+            .field("poisoned", &self.poisoned)
+            .field("honest_known", &self.honest_known)
+            .field("drainable", &self.drainable)
+            .field("pending", &self.pending)
+            .field("inflight", &self.inflight)
+            .finish_non_exhaustive()
     }
 }
 

@@ -63,7 +63,25 @@ pub struct BlockStore {
 
 #[derive(Debug)]
 struct Inner {
-    blocks: HashMap<BlockId, Arc<Block>>,
+    /// Each block with its dense insertion index (genesis is 0), which
+    /// per-validator knowledge addresses as one bit per stored block.
+    /// Indices are never reused: the store is append-only, so the next
+    /// index is the current length. Std's keyed SipHash, not an
+    /// identity hash over the digest bytes: a Byzantine proposer can
+    /// grind block ids into one bucket.
+    blocks: HashMap<BlockId, (usize, Arc<Block>)>,
+}
+
+impl Inner {
+    fn block(&self, id: &BlockId) -> Option<&Arc<Block>> {
+        self.blocks.get(id).map(|(_, block)| block)
+    }
+
+    /// Stores `block` under the next index unless `id` is stored.
+    fn put(&mut self, id: BlockId, block: Block) {
+        let index = self.blocks.len();
+        self.blocks.entry(id).or_insert_with(|| (index, Arc::new(block)));
+    }
 }
 
 impl BlockStore {
@@ -71,9 +89,9 @@ impl BlockStore {
     pub fn new() -> Self {
         let genesis = Block::genesis();
         let gid = genesis.id();
-        let mut blocks = HashMap::new();
-        blocks.insert(gid, Arc::new(genesis));
-        BlockStore { inner: Arc::new(RwLock::new(Inner { blocks })), genesis: gid }
+        let mut inner = Inner { blocks: HashMap::new() };
+        inner.put(gid, genesis);
+        BlockStore { inner: Arc::new(RwLock::new(inner)), genesis: gid }
     }
 
     /// The genesis block id.
@@ -95,13 +113,12 @@ impl BlockStore {
     ) -> Result<BlockId, StoreError> {
         let mut inner = self.inner.write();
         let parent_block = inner
-            .blocks
-            .get(&parent)
+            .block(&parent)
             .cloned()
             .ok_or(StoreError::UnknownParent(parent))?;
         let block = Block::child(&parent_block, proposer, view, txs);
         let id = block.id();
-        inner.blocks.entry(id).or_insert_with(|| Arc::new(block));
+        inner.put(id, block);
         Ok(id)
     }
 
@@ -123,8 +140,7 @@ impl BlockStore {
             return Ok(block.id());
         }
         let parent = inner
-            .blocks
-            .get(&block.parent())
+            .block(&block.parent())
             .cloned()
             .ok_or(StoreError::UnknownParent(block.parent()))?;
         // Checked: adversarial blocks can claim heights / cumulative
@@ -137,13 +153,19 @@ impl BlockStore {
             return Err(StoreError::InconsistentLinkage(block.id()));
         }
         let id = block.id();
-        inner.blocks.insert(id, Arc::new(block));
+        inner.put(id, block);
         Ok(id)
     }
 
     /// Fetches a block by id.
     pub fn get(&self, id: BlockId) -> Option<Arc<Block>> {
-        self.inner.read().blocks.get(&id).cloned()
+        self.inner.read().block(&id).cloned()
+    }
+
+    /// The dense index `id` was stored under: genesis is 0, and each
+    /// newly stored block takes the next one. An index is never reused.
+    pub fn index(&self, id: BlockId) -> Option<usize> {
+        self.inner.read().blocks.get(&id).map(|(index, _)| *index)
     }
 
     /// Whether the store contains `id`.
@@ -163,7 +185,7 @@ impl BlockStore {
 
     /// Height of a block, if known.
     pub fn height(&self, id: BlockId) -> Option<u64> {
-        self.inner.read().blocks.get(&id).map(|b| b.height())
+        self.inner.read().block(&id).map(|b| b.height())
     }
 
     /// The ancestor of `id` at `height`, walking parent links.
@@ -171,12 +193,12 @@ impl BlockStore {
     /// Returns `None` if `id` is unknown or `height` exceeds its height.
     pub fn ancestor_at(&self, id: BlockId, height: u64) -> Option<BlockId> {
         let inner = self.inner.read();
-        let mut cur = inner.blocks.get(&id)?;
+        let mut cur = inner.block(&id)?;
         if height > cur.height() {
             return None;
         }
         while cur.height() > height {
-            cur = inner.blocks.get(&cur.parent())?;
+            cur = inner.block(&cur.parent())?;
         }
         Some(cur.id())
     }
@@ -199,17 +221,17 @@ impl BlockStore {
         // Walk by borrowed handles: no per-step `Arc` clone (refcount
         // traffic) on what is an inner loop of the GA support counting.
         let inner = self.inner.read();
-        let mut x = inner.blocks.get(&a)?;
-        let mut y = inner.blocks.get(&b)?;
+        let mut x = inner.block(&a)?;
+        let mut y = inner.block(&b)?;
         while x.height() > y.height() {
-            x = inner.blocks.get(&x.parent())?;
+            x = inner.block(&x.parent())?;
         }
         while y.height() > x.height() {
-            y = inner.blocks.get(&y.parent())?;
+            y = inner.block(&y.parent())?;
         }
         while x.id() != y.id() {
-            x = inner.blocks.get(&x.parent())?;
-            y = inner.blocks.get(&y.parent())?;
+            x = inner.block(&x.parent())?;
+            y = inner.block(&y.parent())?;
         }
         Some(x.id())
     }
@@ -218,7 +240,7 @@ impl BlockStore {
     /// (inclusive), in increasing height order.
     pub fn chain_range(&self, tip: BlockId, from_height: u64) -> Option<Vec<BlockId>> {
         let inner = self.inner.read();
-        let mut cur = inner.blocks.get(&tip)?;
+        let mut cur = inner.block(&tip)?;
         if from_height > cur.height() {
             return Some(Vec::new());
         }
@@ -232,7 +254,7 @@ impl BlockStore {
             if cur.height() == from_height {
                 break;
             }
-            cur = inner.blocks.get(&cur.parent())?;
+            cur = inner.block(&cur.parent())?;
         }
         out.reverse();
         Some(out)
@@ -244,7 +266,7 @@ impl BlockStore {
         // Single parent walk under one read lock — no id materialization
         // or re-lookup pass.
         let inner = self.inner.read();
-        let Some(mut cur) = inner.blocks.get(&tip) else {
+        let Some(mut cur) = inner.block(&tip) else {
             return Vec::new();
         };
         let mut per_block: Vec<&Arc<Block>> = Vec::with_capacity(cur.height() as usize + 1);
@@ -253,7 +275,7 @@ impl BlockStore {
             if cur.height() == 0 {
                 break;
             }
-            match inner.blocks.get(&cur.parent()) {
+            match inner.block(&cur.parent()) {
                 Some(parent) => cur = parent,
                 None => return Vec::new(),
             }
@@ -443,6 +465,23 @@ mod tests {
             matches!(store.insert(forged_height), Err(StoreError::InconsistentLinkage(_))),
             "height u64::MAX over a height-0 parent must be rejected"
         );
+    }
+
+    #[test]
+    fn indices_are_dense_in_insertion_order_and_never_reused() {
+        let store = BlockStore::new();
+        assert_eq!(store.index(store.genesis()), Some(0));
+        let main = chain(&store, store.genesis(), 3, 0);
+        let fork = chain(&store, main[1], 2, 1);
+        let indices: Vec<_> = main.iter().chain(&fork[1..]).map(|id| store.index(*id)).collect();
+        assert_eq!(indices, [0, 1, 2, 3, 4, 5].map(Some));
+        // A re-append keeps the first index and takes no new one.
+        assert_eq!(store.append(main[0], ValidatorId::new(0), View::new(1), vec![]), Ok(main[1]));
+        let other = BlockStore::new();
+        let id = other.append(other.genesis(), ValidatorId::new(7), View::new(1), vec![]).unwrap();
+        assert_eq!(store.index(id), None);
+        assert_eq!(store.insert(other.get(id).unwrap().as_ref().clone()), Ok(id));
+        assert_eq!(store.index(id), Some(6));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The per-phase audit discipline, pinned by counters.
 //!
 //! Every audit that runs at a phase boundary is an O(1) trigger with
-//! the scan behind it. `SyncState::audit`'s `known ⊆ store` scan costs
-//! one store lookup per block ever announced, so it must not run at all
-//! in a healthy run — and must still run, at the same boundary and with
-//! the same repair count as the unconditional scan it replaced, when
-//! sync knowledge is corrupted.
+//! the scan behind it. `SyncState::audit`'s `known ⊆ store` scan (one
+//! store lookup per fault-forced id) must not run at all in a healthy
+//! run — and must still run, at the same boundary and with the same
+//! repair count as the unconditional scan it replaced, when sync
+//! knowledge is corrupted.
 
 use tob_svd::protocol::{TobReport, TobSimulationBuilder};
 use tob_svd::sim::StateFault;
