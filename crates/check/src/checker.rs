@@ -14,7 +14,8 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::scenario::{CheckScenario, ExecutionVerdict, ScenarioSpace};
+use crate::scenario::{CheckScenario, ExecutionVerdict};
+use crate::space::ScenarioSpace;
 
 /// Configuration of one exploration run.
 #[derive(Clone, Debug)]

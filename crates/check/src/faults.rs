@@ -19,24 +19,30 @@ use rand::rngs::StdRng;
 use tobsvd_sim::{DelayPolicy, DeliveryFilter};
 use tobsvd_types::{Delta, SignedMessage, Time, ValidatorId};
 
-use crate::scenario::{FetchFault, FetchFaultKind};
-
-fn fault_applies(f: &FetchFault, from: ValidatorId, to: ValidatorId, at: Time) -> bool {
-    let v = ValidatorId::new(f.validator);
-    (from == v || to == v) && f.from <= at.ticks() && at.ticks() < f.until
+/// Whether a copy `from → to` sent at `at` touches one of the
+/// `(validator, from, until)` windows: the validator is either end and
+/// `at` lies in `[from, until)`.
+fn in_window(
+    windows: &[(ValidatorId, u64, u64)],
+    from: ValidatorId,
+    to: ValidatorId,
+    at: Time,
+) -> bool {
+    windows.iter().any(|&(v, start, until)| {
+        (from == v || to == v) && start <= at.ticks() && at.ticks() < until
+    })
 }
 
 /// Drops targeted fetch-subprotocol copies (see module doc).
 #[derive(Clone, Debug)]
 pub struct FetchFaultFilter {
-    faults: Vec<FetchFault>,
+    windows: Vec<(ValidatorId, u64, u64)>,
 }
 
 impl FetchFaultFilter {
-    /// Creates the filter from the scenario's `Drop`-kind faults.
-    pub fn new(faults: Vec<FetchFault>) -> Self {
-        debug_assert!(faults.iter().all(|f| f.kind == FetchFaultKind::Drop));
-        FetchFaultFilter { faults }
+    /// Creates the filter from the scenario's `Drop`-kind windows.
+    pub fn new(windows: Vec<(ValidatorId, u64, u64)>) -> Self {
+        FetchFaultFilter { windows }
     }
 }
 
@@ -51,7 +57,7 @@ impl DeliveryFilter for FetchFaultFilter {
         if !msg.payload().is_sync() {
             return true;
         }
-        !self.faults.iter().any(|f| fault_applies(f, from, to, at))
+        !in_window(&self.windows, from, to, at)
     }
 }
 
@@ -59,14 +65,13 @@ impl DeliveryFilter for FetchFaultFilter {
 /// everything else to the wrapped base policy.
 pub struct FetchFaultDelay {
     inner: Box<dyn DelayPolicy>,
-    faults: Vec<FetchFault>,
+    windows: Vec<(ValidatorId, u64, u64)>,
 }
 
 impl FetchFaultDelay {
-    /// Wraps `inner` with the scenario's `Delay`-kind faults.
-    pub fn new(inner: Box<dyn DelayPolicy>, faults: Vec<FetchFault>) -> Self {
-        debug_assert!(faults.iter().all(|f| f.kind == FetchFaultKind::Delay));
-        FetchFaultDelay { inner, faults }
+    /// Wraps `inner` with the scenario's `Delay`-kind windows.
+    pub fn new(inner: Box<dyn DelayPolicy>, windows: Vec<(ValidatorId, u64, u64)>) -> Self {
+        FetchFaultDelay { inner, windows }
     }
 }
 
@@ -80,7 +85,7 @@ impl DelayPolicy for FetchFaultDelay {
         delta: Delta,
         rng: &mut StdRng,
     ) -> u64 {
-        if msg.payload().is_sync() && self.faults.iter().any(|f| fault_applies(f, from, to, at)) {
+        if msg.payload().is_sync() && in_window(&self.windows, from, to, at) {
             return delta.ticks();
         }
         self.inner.delay(msg, from, to, at, delta, rng)
@@ -115,14 +120,14 @@ mod tests {
         )
     }
 
-    fn fault(kind: FetchFaultKind) -> FetchFault {
-        FetchFault { validator: 1, from: 10, until: 20, kind }
+    fn window() -> Vec<(ValidatorId, u64, u64)> {
+        vec![(ValidatorId::new(1), 10, 20)]
     }
 
     #[test]
     fn filter_drops_only_targeted_sync_copies_in_window() {
         let store = BlockStore::new();
-        let mut f = FetchFaultFilter::new(vec![fault(FetchFaultKind::Drop)]);
+        let mut f = FetchFaultFilter::new(window());
         let sync = sync_msg(&store);
         let ann = announce_msg(&store);
         let (v0, v1, v2) = (ValidatorId::new(0), ValidatorId::new(1), ValidatorId::new(2));
@@ -138,10 +143,7 @@ mod tests {
     #[test]
     fn delay_stretches_only_targeted_sync_copies() {
         let store = BlockStore::new();
-        let mut p = FetchFaultDelay::new(
-            Box::new(BestCaseDelay),
-            vec![fault(FetchFaultKind::Delay)],
-        );
+        let mut p = FetchFaultDelay::new(Box::new(BestCaseDelay), window());
         let mut rng = StdRng::seed_from_u64(1);
         let delta = Delta::new(8);
         let sync = sync_msg(&store);

@@ -5,7 +5,7 @@ use tobsvd_core::{TobReport, ViewSchedule};
 use tobsvd_sim::{DecisionEvent, DecisionObserver, Invariant, InvariantViolation};
 use tobsvd_types::{BlockStore, Delta, Time, ValidatorId};
 
-use crate::scenario::CheckScenario;
+use crate::scenario::{CheckScenario, LeverKind};
 
 /// Bounded decision latency under good leaders: every block that enters
 /// the decided anchor must do so within `max_deltas`·Δ of its proposal
@@ -161,17 +161,11 @@ impl NoStalledFetch {
     /// fetch-fault window and longest sleep window — while either
     /// lasts, a fetch may legitimately hang.
     pub fn for_scenario(scenario: &CheckScenario) -> Self {
-        let fault_w =
-            scenario.fetch_faults.iter().map(|f| f.until - f.from).max().unwrap_or(0);
-        let sleep_w = scenario.sleeps.iter().map(|w| w.until - w.from).max().unwrap_or(0);
         // Saturating throughout: shrinker-explored scenarios may carry a
         // Δ (or fault windows) near u64::MAX, and an overflowed bound
         // would wrap small and flag healthy runs.
-        let bound_ticks = scenario
-            .delta
-            .saturating_mul(8)
-            .saturating_add(fault_w)
-            .saturating_add(sleep_w);
+        let bound_ticks =
+            scenario.delta.saturating_mul(8).saturating_add(scenario.longest_windows());
         NoStalledFetch { bound_ticks }
     }
 
@@ -255,28 +249,33 @@ impl Reconvergence {
 
     /// The check of every scheduled restart, from its restart tick.
     pub fn after_restarts(scenario: &CheckScenario) -> Self {
-        let targets = scenario.crashes.iter().map(|c| (c.validator, c.restart_at)).collect();
-        Self::for_scenario(Self::CRASH, targets, scenario)
+        Self::for_scenario(Self::CRASH, scenario, |kind| match kind {
+            LeverKind::Crash { restart_at, .. } => Some(restart_at),
+            _ => None,
+        })
     }
 
     /// The check of every scheduled state corruption, from its tick.
     pub fn after_state_faults(scenario: &CheckScenario) -> Self {
-        let targets = scenario.state_faults.iter().map(|f| (f.validator, f.at)).collect();
-        Self::for_scenario(Self::STATE, targets, scenario)
+        Self::for_scenario(Self::STATE, scenario, |kind| match kind {
+            LeverKind::State { at, .. } => Some(at),
+            _ => None,
+        })
     }
 
-    fn for_scenario(name: &'static str, targets: Vec<(u32, u64)>, scenario: &CheckScenario) -> Self {
-        let fault_w =
-            scenario.fetch_faults.iter().map(|f| f.until - f.from).max().unwrap_or(0);
-        let sleep_w = scenario.sleeps.iter().map(|w| w.until - w.from).max().unwrap_or(0);
+    /// Judges every lever `since` maps to the tick its fault took effect.
+    fn for_scenario(
+        name: &'static str,
+        scenario: &CheckScenario,
+        since: fn(LeverKind) -> Option<u64>,
+    ) -> Self {
+        let targets =
+            scenario.levers.iter().filter_map(|l| Some((l.validator, since(l.kind)?))).collect();
         // Saturating: shrinker-explored scenarios may carry extreme
         // deltas or windows, and a wrapped grace would judge faults
         // that never had time to heal.
-        let grace_ticks = scenario
-            .delta
-            .saturating_mul(12)
-            .saturating_add(fault_w)
-            .saturating_add(sleep_w);
+        let grace_ticks =
+            scenario.delta.saturating_mul(12).saturating_add(scenario.longest_windows());
         Reconvergence { name, targets, grace_ticks }
     }
 
@@ -317,10 +316,7 @@ impl Reconvergence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{
-        CheckScenario, CrashRestart, FetchFault, FetchFaultKind, SleepWindow, StateCorruption,
-        SyncMode,
-    };
+    use crate::scenario::{CheckScenario, FetchFaultKind, Lever, SyncMode};
     use tobsvd_sim::StateFault;
 
     #[test]
@@ -362,11 +358,30 @@ mod tests {
     #[test]
     fn stall_bound_saturates_at_extreme_delta() {
         let scenario = CheckScenario {
-            sleeps: vec![SleepWindow { validator: 0, from: 0, until: u64::MAX }],
+            levers: vec![Lever {
+                validator: 0,
+                kind: LeverKind::Sleep { from: 0, until: u64::MAX },
+            }],
             ..CheckScenario::fault_free(4, u64::MAX / 4, 5, 3)
         };
         let inv = NoStalledFetch::for_scenario(&scenario);
         assert_eq!(inv.bound_ticks, u64::MAX, "8Δ + windows must clamp, not wrap");
+    }
+
+    /// Validator 0 naps from 3Δ to 24Δ, then its fetch traffic is
+    /// dropped until the end of the run.
+    fn napper_with_dead_fetch_plane(delta: u64) -> Vec<Lever> {
+        vec![
+            Lever { validator: 0, kind: LeverKind::Sleep { from: 3 * delta, until: 24 * delta } },
+            Lever {
+                validator: 0,
+                kind: LeverKind::Fetch {
+                    from: 24 * delta,
+                    until: 1_000_000,
+                    kind: FetchFaultKind::Drop,
+                },
+            },
+        ]
     }
 
     /// A napper that sleeps past the recovery archive's window (so
@@ -381,14 +396,8 @@ mod tests {
         let scenario = CheckScenario {
             // Views span 4Δ; the archive retains ~3 views, so a 5-view
             // nap leaves a gap only the fetch subprotocol could close.
-            sleeps: vec![SleepWindow { validator: 0, from: 3 * delta, until: 24 * delta }],
+            levers: napper_with_dead_fetch_plane(delta),
             sync: SyncMode::DropRecover,
-            fetch_faults: vec![FetchFault {
-                validator: 0,
-                from: 24 * delta,
-                until: 1_000_000,
-                kind: FetchFaultKind::Drop,
-            }],
             ..CheckScenario::fault_free(6, delta, 12, 3)
         };
         let report = scenario.run_report();
@@ -408,12 +417,13 @@ mod tests {
     #[test]
     fn reconvergence_grace_saturates_at_extreme_delta() {
         let scenario = CheckScenario {
-            crashes: vec![CrashRestart { validator: 0, at: 0, restart_at: 1 }],
-            state_faults: vec![StateCorruption {
-                validator: 1,
-                at: 3,
-                fault: StateFault::DecidedReset,
-            }],
+            levers: vec![
+                Lever { validator: 0, kind: LeverKind::Crash { at: 0, restart_at: 1 } },
+                Lever {
+                    validator: 1,
+                    kind: LeverKind::State { at: 3, fault: StateFault::DecidedReset },
+                },
+            ],
             ..CheckScenario::fault_free(4, u64::MAX / 4, 5, 3)
         };
         let crash = Reconvergence::after_restarts(&scenario);
@@ -432,14 +442,8 @@ mod tests {
     fn reconvergence_flags_a_laggard_and_respects_grace() {
         let delta = 4u64;
         let scenario = CheckScenario {
-            sleeps: vec![SleepWindow { validator: 0, from: 3 * delta, until: 24 * delta }],
+            levers: napper_with_dead_fetch_plane(delta),
             sync: SyncMode::DropRecover,
-            fetch_faults: vec![FetchFault {
-                validator: 0,
-                from: 24 * delta,
-                until: 1_000_000,
-                kind: FetchFaultKind::Drop,
-            }],
             ..CheckScenario::fault_free(6, delta, 12, 3)
         };
         let report = scenario.run_report();

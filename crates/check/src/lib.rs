@@ -11,26 +11,26 @@
 //! al.:
 //!
 //! * [`CheckScenario`] pins a complete execution — n, Δ, horizon, seed
-//!   (which fixes every per-copy delay), churn events, equivocators,
-//!   late voters, mid-run corruptions — so every run is replayable.
+//!   (which fixes every per-copy delay), sync mode and one list of
+//!   fault [`Lever`]s — so every run is replayable. Each lever targets
+//!   one validator with one [`LeverKind`]: a Byzantine strategy
+//!   (equivocator, late voter, silent), a sleep window, a mid-run
+//!   corruption, a *fetch corruption* (a drop/delay window over the
+//!   delta-sync `BlockRequest`/`BlockResponse` traffic, guarded by the
+//!   end-of-run [`NoStalledFetch`] check), a *kill/restart fault* (the
+//!   validator loses all volatile state and is rebuilt from its durable
+//!   store, guarded by [`Reconvergence::CRASH`]) or a *state
+//!   corruption* (decided log, durability counters, verified cache or
+//!   delta-sync knowledge mutated in place, which the
+//!   self-stabilization plane's per-phase audits must detect and
+//!   repair, guarded by [`Reconvergence::STATE`]). Validity, sampling,
+//!   shrinking and the reproducer codec each walk the one list.
 //! * [`ScenarioSpace`] samples scenarios *inside* the sleepy model
 //!   (misbehaving set capped at `⌊(n−1)/2⌋`), where every invariant
 //!   must hold; [`ScenarioSpace::hostile`] samples beyond the bound to
 //!   manufacture genuine violations. Churny samples may flip to the
-//!   practical drop+recover semantics and gain *fetch corruptions*
-//!   (drop/delay windows over the delta-sync `BlockRequest` /
-//!   `BlockResponse` traffic), with the end-of-run [`NoStalledFetch`]
-//!   check guarding the catch-up machinery's liveness. Samples may
-//!   also schedule *kill/restart faults* ([`CrashRestart`]): the
-//!   validator loses all volatile state and is rebuilt from its
-//!   durable store (snapshot + WAL), with the end-of-run
-//!   [`Reconvergence::CRASH`] check guarding recovery. Finally, samples
-//!   may schedule *state corruptions* ([`StateCorruption`]): a
-//!   validator's in-memory state (decided log, durability counters,
-//!   verified cache, delta-sync knowledge) is mutated in place, and the
-//!   self-stabilization plane's per-phase local audits must detect and
-//!   repair the damage — guarded by the end-of-run
-//!   [`Reconvergence::STATE`] check.
+//!   practical drop+recover semantics and gain fetch corruptions;
+//!   crashes and state corruptions each take a validator of their own.
 //! * [`checker::run`] explores on scoped work-stealing threads — one
 //!   derived RNG per execution, so reports (and their fingerprints) are
 //!   bit-identical for any thread count.
@@ -39,10 +39,11 @@
 //!   anchor) plus [`BoundedDecisionLatency`] on fault-free scenarios,
 //!   checked after every decision event.
 //! * On failure, [`shrink`] delta-debugs the schedule — horizon first,
-//!   then Byzantine cast, churn events, corruptions, workload, Δ, n,
-//!   delay policy and seed — down to a locally-minimal scenario, and
-//!   [`Reproducer`] serializes it as a canonical JSON artifact a
-//!   `#[test]` replays byte for byte.
+//!   then the levers kind by kind (Byzantine cast, churn events,
+//!   corruptions, fetch, crash and state faults), the sync mode,
+//!   workload, Δ, n, delay policy and seed — down to a locally-minimal
+//!   scenario, and [`Reproducer`] serializes it as a canonical JSON
+//!   artifact a `#[test]` replays byte for byte.
 //!
 //! # Workflow
 //!
@@ -81,13 +82,15 @@ mod invariants;
 mod repro;
 mod scenario;
 mod shrink;
+mod space;
 
 pub use checker::{derive_seed, scenario_at, CheckConfig, CheckReport, Failure};
 pub use faults::{FetchFaultDelay, FetchFaultFilter};
 pub use invariants::{BoundedDecisionLatency, ChainGrowth, NoStalledFetch, Reconvergence};
 pub use repro::{Reproducer, REPRO_VERSION};
 pub use scenario::{
-    ByzStrategy, CheckScenario, Corruption, CrashRestart, DelayKind, ExecutionVerdict, FetchFault,
-    FetchFaultKind, ScenarioSpace, SleepWindow, StateCorruption, SyncMode, OBSERVER_SAFETY,
+    ByzStrategy, CheckScenario, DelayKind, ExecutionVerdict, FetchFaultKind, Lever, LeverKind,
+    SyncMode, OBSERVER_SAFETY,
 };
 pub use shrink::{shrink, ShrinkResult};
+pub use space::ScenarioSpace;

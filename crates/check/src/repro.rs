@@ -19,12 +19,75 @@ use std::fmt::Write as _;
 use tobsvd_sim::StateFault;
 
 use crate::scenario::{
-    ByzStrategy, CheckScenario, Corruption, CrashRestart, DelayKind, FetchFault, FetchFaultKind,
-    SleepWindow, StateCorruption, SyncMode,
+    ByzStrategy, CheckScenario, DelayKind, FetchFaultKind, Lever, LeverKind, SyncMode,
 };
+use json::Value;
 
 /// Current artifact format version.
 pub const REPRO_VERSION: u64 = 1;
+
+/// The scenario's JSON section for each lever kind, in
+/// [`LeverKind::rank`] order (which is also emission order). Sections
+/// from `fetch_faults` on are optional on parse: artifacts that predate
+/// the sync, storage and stabilization planes lack them.
+const SECTIONS: [&str; LeverKind::COUNT] =
+    ["byz", "sleeps", "corruptions", "fetch_faults", "crashes", "state_faults"];
+const REQUIRED_SECTIONS: usize = 3;
+
+/// A lever as one entry of its section: `validator`, then the kind's
+/// fields in emission order.
+fn lever_json(lever: &Lever) -> Value {
+    let num = Value::Num;
+    let tag = |t: &str| Value::Str(t.to_owned());
+    let fields = match lever.kind {
+        LeverKind::Byzantine(strategy) => vec![("strategy", tag(strategy.tag()))],
+        LeverKind::Sleep { from, until } => vec![("from", num(from)), ("until", num(until))],
+        LeverKind::Corrupt { at } => vec![("at", num(at))],
+        LeverKind::Fetch { from, until, kind } => {
+            vec![("from", num(from)), ("until", num(until)), ("kind", tag(kind.tag()))]
+        }
+        LeverKind::Crash { at, restart_at } => {
+            vec![("at", num(at)), ("restart_at", num(restart_at))]
+        }
+        LeverKind::State { at, fault } => {
+            let (a, b) = fault.params();
+            vec![("at", num(at)), ("fault", tag(fault.tag())), ("a", num(a)), ("b", num(b))]
+        }
+    };
+    let validator = ("validator", num(u64::from(lever.validator)));
+    Value::Obj(std::iter::once(validator).chain(fields).map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
+/// Parses one entry of section `SECTIONS[rank]`: the inverse of
+/// [`lever_json`].
+fn parse_lever(rank: usize, o: json::Obj<'_>) -> Result<Lever, String> {
+    let num = |key: &str| o.req(key)?.as_u64(key);
+    let tag = |key: &str| o.req(key)?.as_str(key);
+    let unknown = |what: &str, tag: &str| format!("unknown {what} {tag:?}");
+    let kind = match rank {
+        0 => {
+            let t = tag("strategy")?;
+            LeverKind::Byzantine(
+                ByzStrategy::from_tag(t).ok_or_else(|| unknown("byzantine strategy", t))?,
+            )
+        }
+        1 => LeverKind::Sleep { from: num("from")?, until: num("until")? },
+        2 => LeverKind::Corrupt { at: num("at")? },
+        3 => {
+            let t = tag("kind")?;
+            let kind = FetchFaultKind::from_tag(t).ok_or_else(|| unknown("fetch fault kind", t))?;
+            LeverKind::Fetch { from: num("from")?, until: num("until")?, kind }
+        }
+        4 => LeverKind::Crash { at: num("at")?, restart_at: num("restart_at")? },
+        _ => {
+            let t = tag("fault")?;
+            let fault = StateFault::from_parts(t, num("a")?, num("b")?)
+                .ok_or_else(|| unknown("state fault", t))?;
+            LeverKind::State { at: num("at")?, fault }
+        }
+    };
+    Ok(Lever { validator: o.req("validator")?.as_u32("validator")?, kind })
+}
 
 /// A serialized-failure artifact: the minimal scenario and what it
 /// breaks.
@@ -54,14 +117,8 @@ impl Reproducer {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"version\": {REPRO_VERSION},");
-        let _ = write!(out, "  \"invariants\": [");
-        for (i, inv) in self.invariants.iter().enumerate() {
-            if i > 0 {
-                let _ = write!(out, ", ");
-            }
-            let _ = write!(out, "\"{}\"", json::escape(inv));
-        }
-        let _ = writeln!(out, "],");
+        let invariants = self.invariants.iter().map(|i| Value::Str(i.clone())).collect();
+        let _ = writeln!(out, "  \"invariants\": {},", Value::Arr(invariants));
         let _ = writeln!(out, "  \"scenario\": {{");
         let _ = writeln!(out, "    \"n\": {},", s.n);
         let _ = writeln!(out, "    \"delta\": {},", s.delta);
@@ -70,78 +127,11 @@ impl Reproducer {
         let _ = writeln!(out, "    \"delay\": \"{}\",", s.delay.tag());
         let _ = writeln!(out, "    \"sync\": \"{}\",", s.sync.tag());
         let _ = writeln!(out, "    \"txs_per_view\": {},", s.txs_per_view);
-        let _ = write!(out, "    \"byz\": [");
-        for (i, (v, strat)) in s.byz.iter().enumerate() {
-            if i > 0 {
-                let _ = write!(out, ", ");
-            }
-            let _ = write!(out, "{{\"validator\": {v}, \"strategy\": \"{}\"}}", strat.tag());
+        for (rank, section) in SECTIONS.iter().enumerate() {
+            let levers = s.levers.iter().filter(|l| l.kind.rank() == rank).map(lever_json);
+            let comma = if rank + 1 < SECTIONS.len() { "," } else { "" };
+            let _ = writeln!(out, "    \"{section}\": {}{comma}", Value::Arr(levers.collect()));
         }
-        let _ = writeln!(out, "],");
-        let _ = write!(out, "    \"sleeps\": [");
-        for (i, w) in s.sleeps.iter().enumerate() {
-            if i > 0 {
-                let _ = write!(out, ", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"validator\": {}, \"from\": {}, \"until\": {}}}",
-                w.validator, w.from, w.until
-            );
-        }
-        let _ = writeln!(out, "],");
-        let _ = write!(out, "    \"corruptions\": [");
-        for (i, c) in s.corruptions.iter().enumerate() {
-            if i > 0 {
-                let _ = write!(out, ", ");
-            }
-            let _ = write!(out, "{{\"validator\": {}, \"at\": {}}}", c.validator, c.at);
-        }
-        let _ = writeln!(out, "],");
-        let _ = write!(out, "    \"fetch_faults\": [");
-        for (i, f) in s.fetch_faults.iter().enumerate() {
-            if i > 0 {
-                let _ = write!(out, ", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"validator\": {}, \"from\": {}, \"until\": {}, \"kind\": \"{}\"}}",
-                f.validator,
-                f.from,
-                f.until,
-                f.kind.tag()
-            );
-        }
-        let _ = writeln!(out, "],");
-        let _ = write!(out, "    \"crashes\": [");
-        for (i, c) in s.crashes.iter().enumerate() {
-            if i > 0 {
-                let _ = write!(out, ", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"validator\": {}, \"at\": {}, \"restart_at\": {}}}",
-                c.validator, c.at, c.restart_at
-            );
-        }
-        let _ = writeln!(out, "],");
-        let _ = write!(out, "    \"state_faults\": [");
-        for (i, f) in s.state_faults.iter().enumerate() {
-            if i > 0 {
-                let _ = write!(out, ", ");
-            }
-            let (a, b) = f.fault.params();
-            let _ = write!(
-                out,
-                "{{\"validator\": {}, \"at\": {}, \"fault\": \"{}\", \"a\": {}, \"b\": {}}}",
-                f.validator,
-                f.at,
-                f.fault.tag(),
-                a,
-                b
-            );
-        }
-        let _ = writeln!(out, "]");
         let _ = writeln!(out, "  }}");
         let _ = writeln!(out, "}}");
         out
@@ -152,7 +142,10 @@ impl Reproducer {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first syntactic or schema problem.
+    /// Returns a description of the first syntactic or schema problem,
+    /// or of the scenario not being valid ([`CheckScenario::is_valid`]):
+    /// an artifact is outside input, and an invalid scenario would
+    /// panic on replay.
     pub fn from_json(input: &str) -> Result<Reproducer, String> {
         let value = json::parse(input)?;
         let root = value.as_obj("top level")?;
@@ -171,34 +164,8 @@ impl Reproducer {
         let delay_tag = s.req("delay")?.as_str("delay")?;
         let delay = DelayKind::from_tag(delay_tag)
             .ok_or_else(|| format!("unknown delay kind {delay_tag:?}"))?;
-
-        let mut byz = Vec::new();
-        for item in s.req("byz")?.as_arr("byz")? {
-            let o = item.as_obj("byz entry")?;
-            let tag = o.req("strategy")?.as_str("strategy")?;
-            let strategy = ByzStrategy::from_tag(tag)
-                .ok_or_else(|| format!("unknown byzantine strategy {tag:?}"))?;
-            byz.push((o.req("validator")?.as_u32("byz validator")?, strategy));
-        }
-        let mut sleeps = Vec::new();
-        for item in s.req("sleeps")?.as_arr("sleeps")? {
-            let o = item.as_obj("sleep window")?;
-            sleeps.push(SleepWindow {
-                validator: o.req("validator")?.as_u32("sleep validator")?,
-                from: o.req("from")?.as_u64("sleep from")?,
-                until: o.req("until")?.as_u64("sleep until")?,
-            });
-        }
-        let mut corruptions = Vec::new();
-        for item in s.req("corruptions")?.as_arr("corruptions")? {
-            let o = item.as_obj("corruption")?;
-            corruptions.push(Corruption {
-                validator: o.req("validator")?.as_u32("corruption validator")?,
-                at: o.req("at")?.as_u64("corruption at")?,
-            });
-        }
-        // Delta-sync fields are optional (artifacts predating the sync
-        // plane default to the buffered model with no faults).
+        // The sync mode is optional too (artifacts predating the sync
+        // plane run the buffered model).
         let sync = match s.opt("sync") {
             None => SyncMode::Buffered,
             Some(v) => {
@@ -206,71 +173,35 @@ impl Reproducer {
                 SyncMode::from_tag(tag).ok_or_else(|| format!("unknown sync mode {tag:?}"))?
             }
         };
-        let mut fetch_faults = Vec::new();
-        if let Some(arr) = s.opt("fetch_faults") {
-            for item in arr.as_arr("fetch_faults")? {
-                let o = item.as_obj("fetch fault")?;
-                let tag = o.req("kind")?.as_str("fetch fault kind")?;
-                let kind = FetchFaultKind::from_tag(tag)
-                    .ok_or_else(|| format!("unknown fetch fault kind {tag:?}"))?;
-                fetch_faults.push(FetchFault {
-                    validator: o.req("validator")?.as_u32("fetch fault validator")?,
-                    from: o.req("from")?.as_u64("fetch fault from")?,
-                    until: o.req("until")?.as_u64("fetch fault until")?,
-                    kind,
-                });
-            }
-        }
-        // Crash faults are likewise optional (artifacts predating the
-        // durable storage plane have none).
-        let mut crashes = Vec::new();
-        if let Some(arr) = s.opt("crashes") {
-            for item in arr.as_arr("crashes")? {
-                let o = item.as_obj("crash fault")?;
-                crashes.push(CrashRestart {
-                    validator: o.req("validator")?.as_u32("crash validator")?,
-                    at: o.req("at")?.as_u64("crash at")?,
-                    restart_at: o.req("restart_at")?.as_u64("crash restart_at")?,
-                });
-            }
-        }
-        // State-corruption faults are optional too (artifacts predating
-        // the self-stabilization plane have none).
-        let mut state_faults = Vec::new();
-        if let Some(arr) = s.opt("state_faults") {
-            for item in arr.as_arr("state_faults")? {
-                let o = item.as_obj("state fault")?;
-                let tag = o.req("fault")?.as_str("state fault kind")?;
-                let a = o.req("a")?.as_u64("state fault a")?;
-                let b = o.req("b")?.as_u64("state fault b")?;
-                let fault = StateFault::from_parts(tag, a, b)
-                    .ok_or_else(|| format!("unknown state fault {tag:?}"))?;
-                state_faults.push(StateCorruption {
-                    validator: o.req("validator")?.as_u32("state fault validator")?,
-                    at: o.req("at")?.as_u64("state fault at")?,
-                    fault,
-                });
+        let mut levers = Vec::new();
+        for (rank, section) in SECTIONS.iter().enumerate() {
+            let items = match s.opt(section) {
+                Some(items) => items.as_arr(section)?,
+                None if rank < REQUIRED_SECTIONS => {
+                    return Err(format!("missing field {section:?}"))
+                }
+                None => continue,
+            };
+            for item in items {
+                let lever = parse_lever(rank, item.as_obj(section)?);
+                levers.push(lever.map_err(|e| format!("{section}: {e}"))?);
             }
         }
 
-        Ok(Reproducer {
-            scenario: CheckScenario {
-                n: s.req("n")?.as_u32("n")?,
-                delta: s.req("delta")?.as_u64("delta")?,
-                views: s.req("views")?.as_u64("views")?,
-                seed: s.req("seed")?.as_u64("seed")?,
-                delay,
-                txs_per_view: s.req("txs_per_view")?.as_u32("txs_per_view")?,
-                byz,
-                sleeps,
-                corruptions,
-                sync,
-                fetch_faults,
-                crashes,
-                state_faults,
-            },
-            invariants,
-        })
+        let scenario = CheckScenario {
+            n: s.req("n")?.as_u32("n")?,
+            delta: s.req("delta")?.as_u64("delta")?,
+            views: s.req("views")?.as_u64("views")?,
+            seed: s.req("seed")?.as_u64("seed")?,
+            delay,
+            txs_per_view: s.req("txs_per_view")?.as_u32("txs_per_view")?,
+            levers,
+            sync,
+        };
+        if !scenario.is_valid() {
+            return Err(format!("invalid scenario: {scenario:?}"));
+        }
+        Ok(Reproducer { scenario, invariants })
     }
 }
 
@@ -305,6 +236,32 @@ mod json {
         Arr(Vec<Value>),
         /// Object (insertion-ordered).
         Obj(Vec<(String, Value)>),
+    }
+
+    /// Compact one-line JSON: `", "` between items, `": "` after keys —
+    /// the reproducer's canonical form for lists and their entries.
+    impl std::fmt::Display for Value {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            match self {
+                Value::Num(n) => write!(f, "{n}"),
+                Value::Str(s) => write!(f, "\"{}\"", escape(s)),
+                Value::Arr(items) => {
+                    write!(f, "[")?;
+                    for (i, item) in items.iter().enumerate() {
+                        write!(f, "{}{item}", if i > 0 { ", " } else { "" })?;
+                    }
+                    write!(f, "]")
+                }
+                Value::Obj(fields) => {
+                    write!(f, "{{")?;
+                    for (i, (key, value)) in fields.iter().enumerate() {
+                        let sep = if i > 0 { ", " } else { "" };
+                        write!(f, "{sep}\"{}\": {value}", escape(key))?;
+                    }
+                    write!(f, "}}")
+                }
+            }
+        }
     }
 
     impl Value {
@@ -518,6 +475,13 @@ mod json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::ScenarioSpace;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn lever(validator: u32, kind: LeverKind) -> Lever {
+        Lever { validator, kind }
+    }
 
     fn sample() -> Reproducer {
         Reproducer {
@@ -528,22 +492,19 @@ mod tests {
                 seed: 17,
                 delay: DelayKind::WorstCase,
                 txs_per_view: 1,
-                byz: vec![(3, ByzStrategy::SplitBrain), (4, ByzStrategy::Silent)],
-                sleeps: vec![SleepWindow { validator: 1, from: 4, until: 9 }],
-                corruptions: vec![Corruption { validator: 2, at: 6 }],
+                levers: vec![
+                    lever(3, LeverKind::Byzantine(ByzStrategy::SplitBrain)),
+                    lever(4, LeverKind::Byzantine(ByzStrategy::Silent)),
+                    lever(1, LeverKind::Sleep { from: 4, until: 9 }),
+                    lever(2, LeverKind::Corrupt { at: 6 }),
+                    lever(1, LeverKind::Fetch { from: 9, until: 14, kind: FetchFaultKind::Drop }),
+                    lever(0, LeverKind::Crash { at: 6, restart_at: 11 }),
+                    lever(
+                        2,
+                        LeverKind::State { at: 7, fault: StateFault::CounterSkew { skew: 12 } },
+                    ),
+                ],
                 sync: SyncMode::DropRecover,
-                fetch_faults: vec![FetchFault {
-                    validator: 1,
-                    from: 9,
-                    until: 14,
-                    kind: FetchFaultKind::Drop,
-                }],
-                crashes: vec![CrashRestart { validator: 0, at: 6, restart_at: 11 }],
-                state_faults: vec![StateCorruption {
-                    validator: 2,
-                    at: 7,
-                    fault: StateFault::CounterSkew { skew: 12 },
-                }],
             },
             invariants: vec!["prefix-agreement".into(), "no-conflicting-anchor".into()],
         }
@@ -556,6 +517,30 @@ mod tests {
         let parsed = Reproducer::from_json(&json).expect("parses");
         assert_eq!(parsed, repro);
         assert_eq!(parsed.to_json(), json, "re-emission must reproduce the bytes");
+    }
+
+    /// Every scenario the explorer can sample survives the codec: parse
+    /// of emit is the identity and re-emission reproduces the bytes.
+    /// Both spaces together must exercise every lever kind, so no
+    /// section of the codec goes untested.
+    #[test]
+    fn every_sampled_scenario_round_trips() {
+        let mut per_kind = [0usize; LeverKind::COUNT];
+        for (seed, space) in [(3, ScenarioSpace::default()), (4, ScenarioSpace::hostile())] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..2000 {
+                let scenario = space.sample(&mut rng);
+                for l in &scenario.levers {
+                    per_kind[l.kind.rank()] += 1;
+                }
+                let repro = Reproducer { scenario, invariants: vec!["chain-growth".into()] };
+                let json = repro.to_json();
+                let parsed = Reproducer::from_json(&json).expect("sampled scenario parses");
+                assert_eq!(parsed, repro);
+                assert_eq!(parsed.to_json(), json);
+            }
+        }
+        assert!(per_kind.iter().all(|&c| c > 0), "lever kind never sampled: {per_kind:?}");
     }
 
     #[test]
@@ -609,9 +594,7 @@ mod tests {
         assert_ne!(legacy, json, "test must actually strip the new fields");
         let parsed = Reproducer::from_json(&legacy).expect("legacy artifact parses");
         assert_eq!(parsed.scenario.sync, SyncMode::Buffered);
-        assert!(parsed.scenario.fetch_faults.is_empty());
-        assert!(parsed.scenario.crashes.is_empty());
-        assert!(parsed.scenario.state_faults.is_empty());
+        assert_eq!(parsed.scenario.levers, sample().scenario.levers[..4]);
         assert!(parsed.to_json().contains("\"sync\": \"buffered\""));
     }
 
@@ -620,11 +603,13 @@ mod tests {
         for kind in 0..StateFault::KINDS {
             let repro = Reproducer {
                 scenario: CheckScenario {
-                    state_faults: vec![StateCorruption {
-                        validator: 1,
-                        at: 9,
-                        fault: StateFault::from_draws(kind, 0x5eed_f00d),
-                    }],
+                    levers: vec![lever(
+                        1,
+                        LeverKind::State {
+                            at: 9,
+                            fault: StateFault::from_draws(kind, 0x5eed_f00d),
+                        },
+                    )],
                     ..CheckScenario::fault_free(4, 4, 5, 0)
                 },
                 invariants: vec!["state-reconvergence".into()],
@@ -636,6 +621,28 @@ mod tests {
         }
         let bad = sample().to_json().replace("counter-skew", "psychic-skew");
         assert!(Reproducer::from_json(&bad).unwrap_err().contains("state fault"));
+    }
+
+    /// Each vocabulary enum's one tag table round-trips every member,
+    /// and an unknown tag parses to nothing.
+    #[test]
+    fn every_vocabulary_tag_round_trips() {
+        for s in ByzStrategy::ALL {
+            assert_eq!(ByzStrategy::from_tag(s.tag()), Some(s));
+        }
+        for k in DelayKind::ALL {
+            assert_eq!(DelayKind::from_tag(k.tag()), Some(k));
+        }
+        for m in SyncMode::ALL {
+            assert_eq!(SyncMode::from_tag(m.tag()), Some(m));
+        }
+        for k in FetchFaultKind::ALL {
+            assert_eq!(FetchFaultKind::from_tag(k.tag()), Some(k));
+        }
+        assert_eq!(ByzStrategy::from_tag("psychic"), None);
+        assert_eq!(DelayKind::from_tag("psychic"), None);
+        assert_eq!(SyncMode::from_tag("psychic"), None);
+        assert_eq!(FetchFaultKind::from_tag("psychic"), None);
     }
 
     #[test]
@@ -656,5 +663,24 @@ mod tests {
         // silently mojibaked (e.g. a Unicode dash pasted into a name).
         let unicode = sample().to_json().replace("prefix-agreement", "prefix\u{2013}agreement");
         assert!(Reproducer::from_json(&unicode).unwrap_err().contains("non-ASCII"));
+    }
+
+    /// An artifact is outside input: a well-formed one whose scenario
+    /// could not run (n past the signer bitmap, a validator out of
+    /// range, an empty window) is an error, not a replay-time panic.
+    #[test]
+    fn parse_rejects_scenarios_that_cannot_run() {
+        let json = sample().to_json();
+        for (from, to) in [
+            ("\"n\": 5,", "\"n\": 513,"),
+            ("{\"validator\": 4, \"strategy\"", "{\"validator\": 5, \"strategy\""),
+            ("\"from\": 4, \"until\": 9", "\"from\": 9, \"until\": 9"),
+            ("\"at\": 6, \"restart_at\": 11", "\"at\": 11, \"restart_at\": 6"),
+        ] {
+            let bad = json.replace(from, to);
+            assert_ne!(bad, json, "test must actually edit {from:?}");
+            let err = Reproducer::from_json(&bad).expect_err(to);
+            assert!(err.contains("invalid scenario"), "{to}: {err}");
+        }
     }
 }

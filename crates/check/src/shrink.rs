@@ -2,15 +2,14 @@
 //!
 //! Given a scenario that violates some invariant, [`shrink`] searches
 //! for a smaller scenario that still violates one of the *same*
-//! invariants: it shortens the horizon, drops Byzantine cast members,
-//! delta-debugs the churn event list (dropping halves before
-//! singletons), removes mid-run corruptions, fetch-corruption
-//! windows, kill/restart faults and state-corruption faults (falling
-//! back to the buffered sync mode when none of the fetch, crash or
-//! stabilization dimensions is load-bearing), strips the workload,
-//! shrinks Δ,
-//! compacts validator ids and shrinks `n`, and canonicalizes the delay
-//! policy and seed.
+//! invariants: it shortens the horizon, delta-debugs the levers of each
+//! kind in turn (Byzantine cast, churn events, mid-run corruptions,
+//! fetch-corruption windows, kill/restart faults and state-corruption
+//! faults — dropping halves before singletons), falls back to the
+//! buffered sync mode when none of the fetch, crash or stabilization
+//! dimensions is load-bearing, strips the workload, shrinks Δ, compacts
+//! validator ids and shrinks `n`, and canonicalizes the delay policy
+//! and seed.
 //! Candidates are re-executed to confirm the failure survives; the
 //! result is a locally-minimal reproducer — removing any single
 //! remaining ingredient makes the violation disappear.
@@ -19,7 +18,7 @@
 //! seed-driven, so the same failing scenario always shrinks to the same
 //! minimal reproducer.
 
-use crate::scenario::{CheckScenario, DelayKind, SyncMode};
+use crate::scenario::{CheckScenario, DelayKind, LeverKind, SyncMode};
 
 /// The outcome of a shrink search.
 #[derive(Clone, Debug)]
@@ -74,19 +73,28 @@ impl Search {
     }
 }
 
-/// Delta-debugs a list-valued field: tries dropping chunks of halving
-/// sizes until no chunk can be removed without losing the failure.
-fn ddmin_list<F>(search: &mut Search, current: &mut CheckScenario, len_of: fn(&CheckScenario) -> usize, drop_range: F) -> bool
-where
-    F: Fn(&mut CheckScenario, usize, usize),
-{
+/// Delta-debugs the levers of one kind (`rank`, see
+/// [`LeverKind::rank`]): tries dropping chunks of halving sizes until no
+/// chunk can be removed without losing the failure.
+fn ddmin(search: &mut Search, current: &mut CheckScenario, rank: usize) -> bool {
+    let len_of = |c: &CheckScenario| c.levers.iter().filter(|l| l.kind.rank() == rank).count();
     let mut progressed = false;
     let mut chunk = len_of(current).max(1);
     while chunk >= 1 {
         let mut start = 0;
         while start < len_of(current) {
             let end = (start + chunk).min(len_of(current));
-            let removed = search.attempt(current, |c| drop_range(c, start, end));
+            let removed = search.attempt(current, |c| {
+                // Drop this kind's levers number `start..end`.
+                let mut i = 0;
+                c.levers.retain(|l| {
+                    if l.kind.rank() != rank {
+                        return true;
+                    }
+                    i += 1;
+                    !(start..end).contains(&(i - 1))
+                });
+            });
             if removed {
                 progressed = true;
                 // Same start now addresses the next chunk.
@@ -139,88 +147,37 @@ pub fn shrink(failing: &CheckScenario) -> ShrinkResult {
             progressed = true;
         }
 
-        // 2. Drop Byzantine cast members (delta-debugged).
-        progressed |= ddmin_list(
-            &mut search,
-            &mut current,
-            |c| c.byz.len(),
-            |c, a, b| {
-                c.byz.drain(a..b);
-            },
-        );
-
-        // 3. Delta-debug the churn event list.
-        progressed |= ddmin_list(
-            &mut search,
-            &mut current,
-            |c| c.sleeps.len(),
-            |c, a, b| {
-                c.sleeps.drain(a..b);
-            },
-        );
-
-        // 4. Drop mid-run corruptions.
-        progressed |= ddmin_list(
-            &mut search,
-            &mut current,
-            |c| c.corruptions.len(),
-            |c, a, b| {
-                c.corruptions.drain(a..b);
-            },
-        );
-
-        // 4b. Drop fetch-corruption windows, then simplify the sync
-        //     mode back to the buffered model (which removes the whole
-        //     fetch dimension when it is not load-bearing).
-        progressed |= ddmin_list(
-            &mut search,
-            &mut current,
-            |c| c.fetch_faults.len(),
-            |c, a, b| {
-                c.fetch_faults.drain(a..b);
-            },
-        );
-        // 4c. Drop kill/restart faults. Only a crash-free scenario may
-        //     fall back to the buffered model: a restart's recovery
-        //     runs over the drop+recover sync plane, so clearing the
-        //     mode first would silently change what the crashes test.
-        progressed |= ddmin_list(
-            &mut search,
-            &mut current,
-            |c| c.crashes.len(),
-            |c, a, b| {
-                c.crashes.drain(a..b);
-            },
-        );
-        // 4d. Drop state-corruption faults. Like crashes, they keep the
-        //     scenario on the drop+recover plane: stabilization repairs
-        //     run over the recovery broadcast and the fetch plane, so
-        //     clearing the mode first would change what they test.
-        progressed |= ddmin_list(
-            &mut search,
-            &mut current,
-            |c| c.state_faults.len(),
-            |c, a, b| {
-                c.state_faults.drain(a..b);
-            },
-        );
+        // 2. Delta-debug each lever kind in canonical order: Byzantine
+        //    cast, churn events, mid-run corruptions, fetch-corruption
+        //    windows, kill/restart faults, state-corruption faults.
+        for rank in 0..LeverKind::COUNT {
+            progressed |= ddmin(&mut search, &mut current, rank);
+        }
+        // 3. Fall back to the buffered model (which removes the whole
+        //    fetch dimension when it is not load-bearing). Only a
+        //    scenario without crashes or state faults may: a restart's
+        //    recovery and a stabilization repair run over the
+        //    drop+recover sync plane, so clearing the mode would
+        //    silently change what they test.
         if current.sync != SyncMode::Buffered
-            && current.crashes.is_empty()
-            && current.state_faults.is_empty()
+            && !current
+                .levers
+                .iter()
+                .any(|l| matches!(l.kind, LeverKind::Crash { .. } | LeverKind::State { .. }))
             && search.attempt(&mut current, |c| {
                 c.sync = SyncMode::Buffered;
-                c.fetch_faults.clear();
+                c.levers.retain(|l| !matches!(l.kind, LeverKind::Fetch { .. }));
             })
         {
             progressed = true;
         }
 
-        // 5. Strip the workload.
+        // 4. Strip the workload.
         if current.txs_per_view > 0 && search.attempt(&mut current, |c| c.txs_per_view = 0) {
             progressed = true;
         }
 
-        // 6. Shrink Δ.
+        // 5. Shrink Δ.
         while current.delta > 1 {
             let half = (current.delta / 2).max(1);
             if search.attempt(&mut current, |c| c.delta = half) {
@@ -230,55 +187,31 @@ pub fn shrink(failing: &CheckScenario) -> ShrinkResult {
             }
         }
 
-        // 7. Compact validator ids: remap the misbehaving cast onto the
+        // 6. Compact validator ids: remap the misbehaving cast onto the
         //    lowest ids (order-preserving), so the n-shrink below can
         //    cut the now-unreferenced tail.
-        let mut referenced: Vec<u32> = current
-            .byz
-            .iter()
-            .map(|(v, _)| *v)
-            .chain(current.sleeps.iter().map(|w| w.validator))
-            .chain(current.corruptions.iter().map(|c| c.validator))
-            .chain(current.fetch_faults.iter().map(|f| f.validator))
-            .chain(current.crashes.iter().map(|c| c.validator))
-            .chain(current.state_faults.iter().map(|f| f.validator))
-            .collect();
+        let mut referenced: Vec<u32> = current.levers.iter().map(|l| l.validator).collect();
         referenced.sort_unstable();
         referenced.dedup();
         let compact: Vec<u32> = (0..referenced.len() as u32).collect();
         if referenced != compact {
             let rank = |v: u32| referenced.iter().position(|r| *r == v).unwrap() as u32;
             if search.attempt(&mut current, |c| {
-                for (v, _) in &mut c.byz {
-                    *v = rank(*v);
-                }
-                for w in &mut c.sleeps {
-                    w.validator = rank(w.validator);
-                }
-                for corr in &mut c.corruptions {
-                    corr.validator = rank(corr.validator);
-                }
-                for f in &mut c.fetch_faults {
-                    f.validator = rank(f.validator);
-                }
-                for cr in &mut c.crashes {
-                    cr.validator = rank(cr.validator);
-                }
-                for f in &mut c.state_faults {
-                    f.validator = rank(f.validator);
+                for lever in &mut c.levers {
+                    lever.validator = rank(lever.validator);
                 }
             }) {
                 progressed = true;
             }
         }
 
-        // 8. Shrink n (only when no ingredient references the removed
+        // 7. Shrink n (only when no ingredient references the removed
         //    validator — is_valid() rejects the rest).
         while current.n > 2 && search.attempt(&mut current, |c| c.n -= 1) {
             progressed = true;
         }
 
-        // 9. Canonicalize the delay policy and seed.
+        // 8. Canonicalize the delay policy and seed.
         if current.delay != DelayKind::Uniform
             && search.attempt(&mut current, |c| c.delay = DelayKind::Uniform)
         {
@@ -301,7 +234,7 @@ pub fn shrink(failing: &CheckScenario) -> ShrinkResult {
 mod tests {
     use super::*;
     use crate::checker::{run_until_failure, CheckConfig};
-    use crate::scenario::ScenarioSpace;
+    use crate::space::ScenarioSpace;
 
     #[test]
     fn shrinks_a_hostile_failure_to_a_local_minimum() {
@@ -337,20 +270,10 @@ mod tests {
             c.views -= 1;
             assert!(!still_fails(&c), "views still shrinkable: {c:?}");
         }
-        for i in 0..min.byz.len() {
+        for i in 0..min.levers.len() {
             let mut c = min.clone();
-            c.byz.remove(i);
-            assert!(!still_fails(&c), "byz[{i}] still droppable: {c:?}");
-        }
-        for i in 0..min.sleeps.len() {
-            let mut c = min.clone();
-            c.sleeps.remove(i);
-            assert!(!still_fails(&c), "sleeps[{i}] still droppable: {c:?}");
-        }
-        for i in 0..min.corruptions.len() {
-            let mut c = min.clone();
-            c.corruptions.remove(i);
-            assert!(!still_fails(&c), "corruptions[{i}] still droppable: {c:?}");
+            c.levers.remove(i);
+            assert!(!still_fails(&c), "levers[{i}] still droppable: {c:?}");
         }
 
         // Shrinking is deterministic end to end.

@@ -12,8 +12,8 @@
 //!    byte-for-byte and is a shrink fixpoint.
 
 use tobsvd_check::{
-    checker, shrink, CheckConfig, CheckScenario, CrashRestart, Reconvergence, Reproducer,
-    ScenarioSpace, StateCorruption, SyncMode,
+    checker, shrink, CheckConfig, CheckScenario, Lever, LeverKind, Reconvergence, Reproducer,
+    ScenarioSpace, SyncMode,
 };
 use tobsvd_sim::StateFault;
 
@@ -49,12 +49,13 @@ fn stabilization_space() -> ScenarioSpace {
 fn torn_wal_restart() -> CheckScenario {
     CheckScenario {
         sync: SyncMode::DropRecover,
-        crashes: vec![CrashRestart { validator: 0, at: 60, restart_at: 94 }],
-        state_faults: vec![StateCorruption {
-            validator: 0,
-            at: 50,
-            fault: StateFault::WalTear { bytes: 1_000_000 },
-        }],
+        levers: vec![
+            Lever { validator: 0, kind: LeverKind::Crash { at: 60, restart_at: 94 } },
+            Lever {
+                validator: 0,
+                kind: LeverKind::State { at: 50, fault: StateFault::WalTear { bytes: 1_000_000 } },
+            },
+        ],
         ..CheckScenario::fault_free(4, 2, 12, 9)
     }
 }
@@ -80,7 +81,10 @@ fn thousand_state_corruption_executions_all_pass() {
     // The exploration genuinely exercised the lever: a healthy share of
     // the sampled scenarios carry at least one state fault.
     let with_faults = (0..executions)
-        .filter(|i| !checker::scenario_at(&cfg, *i).state_faults.is_empty())
+        .filter(|i| {
+            let levers = checker::scenario_at(&cfg, *i).levers;
+            levers.iter().any(|l| matches!(l.kind, LeverKind::State { .. }))
+        })
         .count();
     assert!(with_faults >= 100, "only {with_faults} of {executions} samples corrupt state");
 }
@@ -100,7 +104,7 @@ fn torn_wal_restart_fails_state_reconvergence_and_shrinks_to_fixture() {
     assert!(result.violated.contains(&Reconvergence::STATE));
     assert!(result.minimal.complexity() <= scenario.complexity());
     assert_eq!(
-        result.minimal.state_faults.len(),
+        result.minimal.levers.iter().filter(|l| matches!(l.kind, LeverKind::State { .. })).count(),
         1,
         "the state fault is load-bearing: {:?}",
         result.minimal

@@ -14,10 +14,11 @@
 //!
 //! Exit status: `0` when the run matched expectations (no failures in a
 //! compliant exploration; failure found+shrunk in `--hostile` mode;
-//! reproducer still failing in `--replay` mode), `1` otherwise. A
-//! failing compliant exploration shrinks its first failure and writes
-//! the artifact to `--out` (default `target/model-check/reproducer.json`)
-//! so CI can upload it.
+//! reproducer still failing in `--replay` mode), `1` otherwise, an
+//! unreadable or invalid artifact included. A failing compliant
+//! exploration shrinks its first failure and writes the artifact to
+//! `--out` (default `target/model-check/reproducer.json`) so CI can
+//! upload it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -52,8 +53,16 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = arg_value(&args, "--replay") {
-        let text = std::fs::read_to_string(&path).expect("reproducer file readable");
-        let repro = Reproducer::from_json(&text).expect("valid reproducer artifact");
+        let parsed = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| Reproducer::from_json(&text));
+        let repro = match parsed {
+            Ok(repro) => repro,
+            Err(e) => {
+                eprintln!("cannot replay {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         eprintln!("replaying {path}: {:?}", repro.scenario);
         if repro.replay() {
             eprintln!("reproduced: invariants {:?} still fail", repro.invariants);
