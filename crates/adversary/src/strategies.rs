@@ -275,7 +275,8 @@ impl Node for LateVoter {
         self.inner.on_message(msg, &mut scratch);
         for action in scratch.take_outbox() {
             match action {
-                Outgoing::Broadcast(m) | Outgoing::Forward(m) => ctx.forward(m),
+                Outgoing::Broadcast(m) => ctx.forward(m),
+                Outgoing::Forward(m) => ctx.forward(m),
                 Outgoing::ForwardTo(to, batch) => ctx.forward_to(to, batch),
                 Outgoing::Multicast(t, m) => ctx.multicast(t, m),
             }

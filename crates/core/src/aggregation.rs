@@ -22,6 +22,7 @@ use tobsvd_sim::Context;
 use tobsvd_types::{InstanceId, Log, Payload, SignedMessage, SignerSet, ValidatorId};
 
 use crate::leader::Priority;
+use crate::sync::Received;
 use crate::window::Window;
 
 /// Aggregation state for one `(instance, log)` vote group.
@@ -36,12 +37,12 @@ use crate::window::Window;
 pub(crate) struct VoteGroup {
     instance: InstanceId,
     log: Log,
-    /// Individually received (and verified) votes as `(sender,
-    /// signature)`, in arrival order — the group's `(instance, log)` is
-    /// the rest of each vote, so a vote relayed on its own is rebuilt
-    /// byte for byte. One entry per sender: gossip dedups ids, and a
-    /// sender's two conflicting logs land in two different groups.
-    votes: Vec<(ValidatorId, Signature)>,
+    /// Individually received (and verified) votes, as the handles they
+    /// were delivered under, in arrival order: a vote relayed on its own
+    /// is the received message. One entry per sender: gossip dedups
+    /// ids, and a sender's two conflicting logs land in two different
+    /// groups.
+    votes: Vec<Arc<SignedMessage>>,
     /// Senders of `votes` as a bitmap (the signer set of our own
     /// certificate).
     have_votes: SignerSet,
@@ -65,10 +66,9 @@ pub(crate) struct VoteGroup {
     /// can never drop a later emission that would carry new signers).
     own_cert_emitted: bool,
     /// Verified received certificates queued for boundary forwarding,
-    /// as `(sender, signers, aggregate, signature)`: with the group's
-    /// `(instance, log)` that is the whole message, rebuilt when
-    /// forwarded.
-    pending_certs: Vec<(ValidatorId, SignerSet, AggregateSignature, Signature)>,
+    /// as their signers and the handles they were delivered under, which
+    /// the flush forwards.
+    pending_certs: Vec<(SignerSet, Arc<SignedMessage>)>,
 }
 
 impl VoteGroup {
@@ -146,7 +146,7 @@ impl ProposalRelay {
     /// Buffers a reference to a fresh, in-window proposal the view's
     /// tracker recorded in `slot`: the relay decision is deferred to the
     /// boundary flush, where the tracker checks the VRFs it needs, knows
-    /// the equivocators and rebuilds the message it relays.
+    /// the equivocators and hands out the handle it relays.
     pub(crate) fn note(&mut self, sender: ValidatorId, slot: usize) {
         self.pending.push((sender, slot));
     }
@@ -227,19 +227,19 @@ impl AggregationPlane {
     pub(crate) fn note_vote(
         &mut self,
         window: &mut Window,
-        msg: &SignedMessage,
+        rx: Received<'_>,
         instance: InstanceId,
         log: Log,
         ctx: &mut Context,
     ) {
         let Some(g) = group_mut(window, instance, log) else {
             // No group handle: keep the relay guarantee the simple way.
-            ctx.forward(*msg);
+            ctx.forward(rx.handle());
             return;
         };
         // A committee member (the gossip gate admits no other) has a bit.
-        g.have_votes.insert(msg.sender());
-        g.votes.push((msg.sender(), *msg.signature()));
+        g.have_votes.insert(rx.msg().sender());
+        g.votes.push(rx.handle());
     }
 
     /// Handles a fresh, resolved, in-window quorum certificate and
@@ -257,10 +257,10 @@ impl AggregationPlane {
     pub(crate) fn on_certificate(
         &mut self,
         window: &mut Window,
-        msg: &SignedMessage,
+        rx: Received<'_>,
         ctx: &mut Context,
     ) -> Vec<ValidatorId> {
-        let Payload::Certificate { instance, log, signers, agg } = *msg.payload() else {
+        let Payload::Certificate { instance, log, signers, agg } = *rx.msg().payload() else {
             return Vec::new();
         };
         // A certificate naming validators outside the committee claims
@@ -296,7 +296,7 @@ impl AggregationPlane {
         // not otherwise relay — this is what preserves the paper's
         // graded-delivery guarantee for votes we never saw individually.
         if !signers.is_subset(&g.relayed_by_us()) {
-            g.pending_certs.push((msg.sender(), signers, agg, *msg.signature()));
+            g.pending_certs.push((signers, rx.handle()));
         }
         // Duplicates no-op in the GA, and conflicting logs across
         // certificates surface as equivocation in its tracker, exactly
@@ -316,14 +316,12 @@ impl AggregationPlane {
         for g in window.values_mut().flat_map(|state| state.groups.iter_mut()) {
             // Received certificates first: maximal coverage means
             // fewer individual forwards below.
-            for (sender, signers, agg, sig) in std::mem::take(&mut g.pending_certs) {
+            for (signers, cert) in std::mem::take(&mut g.pending_certs) {
                 if !signers.is_subset(&g.relayed_by_us()) {
-                    let cert = Payload::Certificate { instance: g.instance, log: g.log, signers, agg };
-                    let cert = SignedMessage::from_parts(sender, cert, sig);
-                    ctx.forward(cert);
                     if self.recovery {
-                        g.sent.push(Arc::new(cert));
+                        g.sent.push(Arc::clone(&cert));
                     }
+                    ctx.forward(cert);
                     g.covered.union_with(&signers);
                 }
             }
@@ -333,9 +331,9 @@ impl AggregationPlane {
                 && g.votes.len() > quorum
                 && !g.have_votes.is_subset(&g.covered)
             {
-                let mut votes: Vec<&(ValidatorId, Signature)> = g.votes.iter().collect();
-                votes.sort_by_key(|(sender, _)| *sender);
-                let sigs: Vec<&Signature> = votes.iter().map(|(_, sig)| sig).collect();
+                let mut votes: Vec<&SignedMessage> = g.votes.iter().map(|msg| &**msg).collect();
+                votes.sort_by_key(|msg| msg.sender());
+                let sigs: Vec<&Signature> = votes.iter().map(|msg| msg.signature()).collect();
                 // A quorate group is non-empty, so aggregation always
                 // succeeds; on the impossible `Err` the group simply
                 // falls through to per-vote forwarding below.
@@ -361,11 +359,10 @@ impl AggregationPlane {
             // Whatever is still unflushed goes out individually —
             // the sub-quorum (or late-vote) fallback, identical to
             // the paper's per-receiver forwarding.
-            let vote = Payload::Log { instance: g.instance, log: g.log };
-            while let Some(&(sender, sig)) = g.votes.get(g.flushed) {
+            while let Some(vote) = g.votes.get(g.flushed) {
                 g.flushed += 1;
-                if !g.covered.contains(sender) {
-                    ctx.forward(SignedMessage::from_parts(sender, vote, sig));
+                if !g.covered.contains(vote.sender()) {
+                    ctx.forward(Arc::clone(vote));
                 }
             }
         }
@@ -415,7 +412,7 @@ mod tests {
         let mut ctx = Context::new(Time::new(3), plane.me, Delta::new(8), store.clone(), Mempool::new());
         for m in votes {
             let Payload::Log { instance, log } = *m.payload() else { unreachable!() };
-            plane.note_vote(window, m, instance, log, &mut ctx);
+            plane.note_vote(window, Received::borrowed(m), instance, log, &mut ctx);
         }
         assert!(ctx.outbox().is_empty(), "votes are deferred to the boundary");
     }
@@ -430,7 +427,7 @@ mod tests {
         let relayed: Vec<_> = flush(&mut plane, &store)
             .into_iter()
             .map(|o| match o {
-                Outgoing::Forward(m) => m,
+                Outgoing::Forward(m) => *m,
                 other => panic!("expected a forward, got {other:?}"),
             })
             .collect();
@@ -462,7 +459,7 @@ mod tests {
 
         let late = vote(7, instance, log);
         note(&mut plane, &[late], &store);
-        assert!(matches!(flush(&mut plane, &store).as_slice(), [Outgoing::Forward(m)] if *m == late));
+        assert!(matches!(flush(&mut plane, &store).as_slice(), [Outgoing::Forward(m)] if **m == late));
     }
 
     #[test]
@@ -480,15 +477,9 @@ mod tests {
 
         let mut plane = plane(8);
         let mut ctx = Context::new(Time::new(3), plane.0.me, Delta::new(8), store.clone(), Mempool::new());
-        let absorbed = plane.0.on_certificate(&mut plane.1, &cert, &mut ctx);
+        let absorbed = plane.0.on_certificate(&mut plane.1, Received::borrowed(&cert), &mut ctx);
         assert_eq!(absorbed, signers.iter().collect::<Vec<_>>());
         let forwarded = flush(&mut plane, &store);
-        assert!(matches!(forwarded.as_slice(), [Outgoing::Forward(m)] if *m == cert), "{forwarded:?}");
-    }
-
-    /// The retained bytes per buffered vote: a sender and a signature.
-    #[test]
-    fn a_buffered_vote_is_36_bytes() {
-        assert!(std::mem::size_of::<(ValidatorId, Signature)>() <= 36);
+        assert!(matches!(forwarded.as_slice(), [Outgoing::Forward(m)] if **m == cert), "{forwarded:?}");
     }
 }

@@ -12,11 +12,20 @@
 //! probability > ½; [`good_leader`] computes the ground truth for a
 //! concrete schedule so experiments can verify both the probability and
 //! the consequences (Lemmas 3–4).
+//!
+//! [`ProposalTracker`] keeps every proposal of a view until the vote, as
+//! the vote input must be the highest-VRF non-equivocating one. Each of
+//! its claims is the delivered message's handle (`Arc<SignedMessage>`)
+//! plus a VRF verdict: a committee of n holds n² claims per live view,
+//! and they share the view's n messages instead of copying one each. A
+//! relay or a recovery serve hands out the recorded handle, so what is
+//! sent is the received message itself.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-use tobsvd_crypto::{KeyCache, Signature, Vrf, VrfOutput, VrfProof};
+use tobsvd_crypto::{KeyCache, Vrf, VrfOutput, VrfProof};
 use tobsvd_sim::CryptoOps;
 use tobsvd_types::{BlockStore, Log, Payload, SignedMessage, SignerSet, ValidatorId, View};
 
@@ -72,39 +81,45 @@ enum Verdict {
     Forged,
 }
 
-/// One proposal as received: the log and the VRF pair it *claims*, and
-/// the envelope signature, so the received message can be rebuilt byte
-/// for byte when it is relayed.
-#[derive(Clone, Copy, Debug)]
+/// One proposal as received: the handle it was delivered under, shared
+/// with every other holder of the message, and what is known of its VRF.
+/// The log and the VRF pair it *claims* are read from the message, and a
+/// relay or a recovery serve hands out the handle itself.
+#[derive(Clone, Debug)]
 struct Claim {
-    log: Log,
-    vrf: VrfOutput,
-    proof: VrfProof,
-    sig: Signature,
+    msg: Arc<SignedMessage>,
     verdict: Verdict,
 }
 
 impl Claim {
-    fn is(&self, log: &Log, vrf: &VrfOutput, proof: &VrfProof) -> bool {
-        self.log == *log && self.vrf == *vrf && self.proof == *proof
+    /// The claimed `(log, vrf, proof)`; `None` only for a message that
+    /// is not a proposal, which [`ProposalTracker::record`] never keeps.
+    fn parts(&self) -> Option<(&Log, &VrfOutput, &VrfProof)> {
+        match self.msg.payload() {
+            Payload::Proposal { log, vrf, proof, .. } => Some((log, vrf, proof)),
+            _ => None,
+        }
     }
 
-    /// The message this claim was recorded from: same payload, same
-    /// signature, hence the same id and the same bytes.
-    fn message(&self, sender: ValidatorId, view: View) -> SignedMessage {
-        let payload = Payload::Proposal { view, log: self.log, vrf: self.vrf, proof: self.proof };
-        SignedMessage::from_parts(sender, payload, self.sig)
+    fn is(&self, log: &Log, vrf: &VrfOutput, proof: &VrfProof) -> bool {
+        self.parts() == Some((log, vrf, proof))
+    }
+
+    fn log(&self) -> Option<&Log> {
+        self.parts().map(|(log, ..)| log)
+    }
+
+    fn pair(&self) -> Option<(&VrfOutput, &VrfProof)> {
+        self.parts().map(|(_, vrf, proof)| (vrf, proof))
     }
 }
 
 /// A sender's claims for one view. The gossip cap lets at most two
-/// distinct proposals per `(sender, view)` reach the tracker, and a
-/// second one is rare (an equivocator or a forger), so it lives behind
-/// a pointer and the common case is one inline claim.
+/// distinct proposals per `(sender, view)` reach the tracker.
 #[derive(Clone, Debug)]
 struct Claims {
     first: Claim,
-    second: Option<Box<Claim>>,
+    second: Option<Claim>,
 }
 
 impl Claims {
@@ -118,12 +133,12 @@ impl Claims {
     fn get(&self, slot: usize) -> Option<&Claim> {
         match slot {
             0 => Some(&self.first),
-            _ => self.second.as_deref(),
+            _ => self.second.as_ref(),
         }
     }
 
     fn iter(&self) -> impl Iterator<Item = (usize, &Claim)> {
-        std::iter::once(&self.first).chain(self.second.as_deref()).enumerate()
+        std::iter::once(&self.first).chain(self.second.as_ref()).enumerate()
     }
 
     /// The VRF verdict of the claim in `slot`: one [`verify_vrf`] the
@@ -132,21 +147,20 @@ impl Claims {
     /// same pair takes the same verdict: an equivocation burst costs one
     /// check, as a memo keyed by the pair would.
     fn check(&mut self, slot: usize, sender: ValidatorId, view: View, ops: &mut CryptoOps) -> bool {
-        let Some(claim) = self.get(slot).copied() else {
+        let Some(claim) = self.get(slot) else {
             return false;
         };
         if claim.verdict != Verdict::Unchecked {
             ops.vrf_verify_skips += 1;
             return claim.verdict == Verdict::Valid;
         }
-        ops.vrf_verifies += 1;
-        let verdict = if verify_vrf(sender, view, &claim.vrf, &claim.proof) {
-            Verdict::Valid
-        } else {
-            Verdict::Forged
+        let Some((vrf, proof)) = claim.pair().map(|(vrf, proof)| (*vrf, *proof)) else {
+            return false;
         };
-        let same_pair = |c: &&mut Claim| c.vrf == claim.vrf && c.proof == claim.proof;
-        for c in std::iter::once(&mut self.first).chain(self.second.as_deref_mut()).filter(same_pair) {
+        ops.vrf_verifies += 1;
+        let verdict = if verify_vrf(sender, view, &vrf, &proof) { Verdict::Valid } else { Verdict::Forged };
+        let same_pair = |c: &&mut Claim| c.pair() == Some((&vrf, &proof));
+        for c in std::iter::once(&mut self.first).chain(self.second.as_mut()).filter(same_pair) {
             c.verdict = verdict;
         }
         verdict == Verdict::Valid
@@ -155,7 +169,7 @@ impl Claims {
     /// Two distinct VRF-valid logs. Checks only a sender that sent two
     /// different logs.
     fn equivocate(&mut self, sender: ValidatorId, view: View, ops: &mut CryptoOps) -> bool {
-        self.second.as_ref().is_some_and(|second| second.log != self.first.log)
+        self.second.as_ref().is_some_and(|second| second.log() != self.first.log())
             && self.check(0, sender, view, ops)
             && self.check(1, sender, view, ops)
     }
@@ -204,16 +218,16 @@ impl ProposalTracker {
     }
 
     /// Records `msg`, a proposal for this tracker's view, as an
-    /// unverified claim. Returns the claim's slot if it is new: a claim
-    /// already held, a third distinct one from the sender (the gossip
-    /// cap lets neither through), or a message that is not a proposal
-    /// for this view is not recorded.
-    pub fn record(&mut self, msg: &SignedMessage) -> Option<usize> {
-        let Payload::Proposal { view, log, vrf, proof } = *msg.payload() else { return None };
-        if view != self.view {
+    /// unverified claim that keeps a clone of its handle. Returns the
+    /// claim's slot if it is new: a claim already held, a third distinct
+    /// one from the sender (the gossip cap lets neither through), or a
+    /// message that is not a proposal for this view is not recorded.
+    pub fn record(&mut self, msg: &Arc<SignedMessage>) -> Option<usize> {
+        let Payload::Proposal { view, log, vrf, proof } = msg.payload() else { return None };
+        if *view != self.view {
             return None;
         }
-        let claim = Claim { log, vrf, proof, sig: *msg.signature(), verdict: Verdict::Unchecked };
+        let claim = |verdict| Claim { msg: Arc::clone(msg), verdict };
         let i = msg.sender().index();
         debug_assert!(i < SignerSet::CAPACITY, "{} is outside every committee", msg.sender());
         if self.seats.len() <= i {
@@ -222,20 +236,16 @@ impl ProposalTracker {
         let held = match self.seats.get_mut(i)? {
             Some(held) => held,
             vacant @ None => {
-                *vacant = Some(Claims { first: claim, second: None });
+                *vacant = Some(Claims { first: claim(Verdict::Unchecked), second: None });
                 return Some(0);
             }
         };
-        if held.second.is_some() || held.slot(&log, &vrf, &proof).is_some() {
+        if held.second.is_some() || held.slot(log, vrf, proof).is_some() {
             return None;
         }
         // Same pair as the first claim: same verdict (see `check`).
-        let verdict = if (held.first.vrf, held.first.proof) == (vrf, proof) {
-            held.first.verdict
-        } else {
-            Verdict::Unchecked
-        };
-        held.second = Some(Box::new(Claim { verdict, ..claim }));
+        let verdict = if held.first.pair() == Some((vrf, proof)) { held.first.verdict } else { Verdict::Unchecked };
+        held.second = Some(claim(verdict));
         Some(1)
     }
 
@@ -280,18 +290,18 @@ impl ProposalTracker {
             .filter_map(|(i, seat)| Some((ValidatorId::new(i as u32), seat.as_ref()?)))
             .flat_map(|(v, held)| held.iter().map(move |(slot, c)| (v, slot, c)))
             .filter(|(_, _, c)| c.verdict != Verdict::Forged)
-            .map(|(v, slot, c)| ((c.vrf, Reverse(v)), Reverse(slot)))
+            .filter_map(|(v, slot, c)| Some(((*c.pair()?.0, Reverse(v)), Reverse(slot))))
             .collect();
         let view = self.view;
         while let Some(((_, Reverse(v)), Reverse(slot))) = ranked.pop() {
             let Some(held) = self.held_mut(v) else { continue };
             // Off the lock: skipped before its VRF is checked, exactly
             // as a claim the eager `extends` filter dropped.
-            if !held.get(slot).is_some_and(|claim| claim.log.extends(lock, store)) {
+            if !held.get(slot).and_then(Claim::log).is_some_and(|log| log.extends(lock, store)) {
                 continue;
             }
             if held.check(slot, v, view, ops) && !held.equivocate(v, view, ops) {
-                return held.get(slot).map(|claim| (v, claim.log));
+                return held.get(slot).and_then(Claim::log).map(|log| (v, *log));
             }
         }
         None
@@ -304,23 +314,23 @@ impl ProposalTracker {
     /// the highest-priority valid pending claim from a non-equivocator
     /// if it outranks `best_relayed`, which it then becomes. Candidates
     /// at or below `best_relayed` are never checked, and the rest are
-    /// tried top-first. A relay is the received message rebuilt from
-    /// its claim; a reference to no claim is never relayed.
+    /// tried top-first. A relay is the handle its claim recorded; a
+    /// reference to no claim is never relayed.
     pub fn relays(
         &mut self,
         pending: &[(ValidatorId, usize)],
         best_relayed: &mut Option<Priority>,
         ops: &mut CryptoOps,
-    ) -> Vec<SignedMessage> {
+    ) -> Vec<Arc<SignedMessage>> {
         let view = self.view;
         let mut out = Vec::new();
         let mut ranked: BinaryHeap<(Priority, Reverse<usize>, usize)> = BinaryHeap::new();
         for (i, &(sender, slot)) in pending.iter().enumerate() {
             let Some(held) = self.held_mut(sender) else { continue };
-            let Some(vrf) = held.get(slot).map(|claim| claim.vrf) else { continue };
+            let Some(&vrf) = held.get(slot).and_then(Claim::pair).map(|(vrf, _)| vrf) else { continue };
             if held.equivocate(sender, view, ops) {
                 // Both of an equivocator's claims are valid.
-                out.extend(held.get(slot).map(|claim| claim.message(sender, view)));
+                out.extend(held.get(slot).map(|claim| Arc::clone(&claim.msg)));
                 continue;
             }
             let prio = (vrf, Reverse(sender));
@@ -332,7 +342,7 @@ impl ProposalTracker {
             let sender = prio.1 .0;
             let Some(held) = self.held_mut(sender) else { continue };
             if held.check(slot, sender, view, ops) {
-                out.extend(held.get(slot).map(|claim| claim.message(sender, view)));
+                out.extend(held.get(slot).map(|claim| Arc::clone(&claim.msg)));
                 *best_relayed = Some(prio);
                 break;
             }
@@ -416,7 +426,7 @@ mod tests {
 
     /// Records a signed proposal of `log` for the tracker's view.
     fn record(tr: &mut ProposalTracker, sender: ValidatorId, log: Log, vrf: VrfOutput, proof: VrfProof) -> Option<usize> {
-        tr.record(&proposal(sender, tr.view, log, vrf, proof))
+        tr.record(&Arc::new(proposal(sender, tr.view, log, vrf, proof)))
     }
 
     /// A claim above every genuine output, with a proof that cannot verify.
@@ -458,10 +468,10 @@ mod tests {
         let mut tr = ProposalTracker::new(view);
         let mut received = Vec::new();
         let (vrf, proof) = forged_top();
-        let forged = proposal(v(7), view, g.extend_empty(&store, v(7), view), vrf, proof);
+        let forged = Arc::new(proposal(v(7), view, g.extend_empty(&store, v(7), view), vrf, proof));
         for i in 1..4 {
             let (vrf, proof) = vrf_for(v(i), view);
-            received.push(proposal(v(i), view, g.extend_empty(&store, v(i), view), vrf, proof));
+            received.push(Arc::new(proposal(v(i), view, g.extend_empty(&store, v(i), view), vrf, proof)));
         }
         received.insert(1, forged);
         let pending: Vec<_> = received.iter().map(|m| (m.sender(), tr.record(m).unwrap())).collect();
@@ -469,12 +479,13 @@ mod tests {
             .iter()
             .filter(|m| m.sender() != v(7))
             .max_by_key(|m| vrf_for(m.sender(), view).0)
-            .copied()
+            .cloned()
             .unwrap();
         let mut ops = CryptoOps::default();
         let mut best_relayed = None;
         let relays = tr.relays(&pending, &mut best_relayed, &mut ops);
-        assert_eq!(relays, vec![best], "the forged claim is never relayed; the winner is the received copy");
+        assert_eq!(relays, vec![best.clone()], "the forged claim is never relayed");
+        assert!(Arc::ptr_eq(&relays[0], &best), "the winner is the received handle");
         assert_eq!(ops.vrf_verifies, 2, "one check for the forger, one for the winner");
         let picked = tr.best_extending(&g, &store, &mut ops);
         assert_eq!(picked, best.payload().log().map(|log| (best.sender(), log)));
@@ -512,7 +523,7 @@ mod tests {
         let (vrf, proof) = vrf_for(v(1), view);
         let mut ops = CryptoOps::default();
         let mut tr = ProposalTracker::new(view);
-        let received = [proposal(v(1), view, a, vrf, proof), proposal(v(1), view, b, vrf, proof)];
+        let received = [proposal(v(1), view, a, vrf, proof), proposal(v(1), view, b, vrf, proof)].map(Arc::new);
         let pending: Vec<_> = received.iter().map(|m| (m.sender(), tr.record(m).unwrap())).collect();
         assert!(tr.is_equivocator(v(1), &mut ops));
         assert_eq!(tr.best_extending(&g, &store, &mut ops), None);
@@ -534,18 +545,17 @@ mod tests {
         let log = Log::genesis(&store).extend_empty(&store, v(1), View::new(4));
         let (vrf, proof) = vrf_for(v(1), View::new(4));
         let mut tr = ProposalTracker::new(View::new(5));
-        assert_eq!(tr.record(&proposal(v(1), View::new(4), log, vrf, proof)), None);
+        assert_eq!(tr.record(&Arc::new(proposal(v(1), View::new(4), log, vrf, proof))), None);
         let kp = tobsvd_crypto::Keypair::from_seed(v(1).key_seed());
         let vote = SignedMessage::sign(&kp, v(1), Payload::Log { instance: tobsvd_types::InstanceId(5), log });
-        assert_eq!(tr.record(&vote), None);
+        assert_eq!(tr.record(&Arc::new(vote)), None);
         assert!(tr.seats.is_empty());
     }
 
-    /// The retained bytes per sender: a claim holds the proposal's
-    /// fields once, signature included, and a second claim is boxed.
+    /// The retained bytes per sender: a claim is a handle and a verdict,
+    /// and a seat holds two claims inline.
     #[test]
-    fn a_seat_is_one_claim_wide() {
-        let fields = std::mem::size_of::<(Log, VrfOutput, VrfProof, Signature)>();
-        assert!(std::mem::size_of::<Option<Claims>>() <= fields + 16);
+    fn a_seat_is_two_handles_wide() {
+        assert!(std::mem::size_of::<Option<Claims>>() <= 2 * std::mem::size_of::<(Arc<SignedMessage>, usize)>());
     }
 }

@@ -57,6 +57,7 @@
 //! Neither cost depends on how many blocks were ever announced.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use tobsvd_types::{wire, BlockId, BlockStore, Log, SignedMessage, Time};
@@ -73,17 +74,58 @@ pub enum Resolution {
 /// What waits in the pending set for a missing block.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Pending {
-    /// A decoded message whose chain this validator cannot vouch for.
-    Msg(Box<SignedMessage>),
+    /// A decoded message whose chain this validator cannot vouch for:
+    /// the handle it was delivered under, so parking copies nothing.
+    Msg(Arc<SignedMessage>),
     /// A peer frame that does not decode against the local store yet
     /// ([`wire::WireError::MissingBlocks`]); its fetch carries the
     /// codec's start hint.
     Frame(Bytes),
 }
 
+/// A message on a validator's receive path: the message, and the handle
+/// it was delivered under when the caller had one
+/// ([`tobsvd_sim::Node::on_delivery`]). Whatever keeps the message past
+/// the callback (a claim, an archive, a parked entry, a forward) takes
+/// [`Received::handle`]: a clone of that handle, or one allocation of a
+/// copy when the caller passed the message by reference.
+#[derive(Clone, Copy)]
+pub(crate) struct Received<'a> {
+    msg: &'a SignedMessage,
+    shared: Option<&'a Arc<SignedMessage>>,
+}
+
+impl<'a> Received<'a> {
+    /// A message passed by reference, with no handle.
+    pub(crate) fn borrowed(msg: &'a SignedMessage) -> Self {
+        Received { msg, shared: None }
+    }
+
+    /// A message delivered under `handle`.
+    pub(crate) fn shared(handle: &'a Arc<SignedMessage>) -> Self {
+        Received { msg: handle, shared: Some(handle) }
+    }
+
+    /// The message.
+    pub(crate) fn msg(self) -> &'a SignedMessage {
+        self.msg
+    }
+
+    /// A handle to keep: the delivered one, or a new one of a copy.
+    pub(crate) fn handle(self) -> Arc<SignedMessage> {
+        self.shared.map_or_else(|| Arc::new(*self.msg), Arc::clone)
+    }
+}
+
+impl From<Arc<SignedMessage>> for Pending {
+    fn from(msg: Arc<SignedMessage>) -> Self {
+        Pending::Msg(msg)
+    }
+}
+
 impl From<SignedMessage> for Pending {
     fn from(msg: SignedMessage) -> Self {
-        Pending::Msg(Box::new(msg))
+        Pending::Msg(Arc::new(msg))
     }
 }
 

@@ -28,7 +28,7 @@
 //!   share the content-addressed
 //!   [`BlockStore`](tobsvd_types::BlockStore), where insertion order
 //!   cannot change what an id resolves to, and the
-//!   [`Mempool`](crate::Mempool), which `on_message` does not write and
+//!   [`Mempool`](crate::Mempool), which a delivery does not write and
 //!   the engine prunes only when it applies a decision.
 //! * *The engine replays.* Everything order-sensitive on its side —
 //!   which bucket a copy joins and where, the delivery filter, the
@@ -149,7 +149,7 @@ impl Simulation {
             if end > start {
                 let run = order[start..end].iter().map(|&i| {
                     let (_, share) = bucket.entries[i as usize];
-                    (i, &*bucket.shares[share as usize].msg)
+                    (i, &bucket.shares[share as usize].msg)
                 });
                 self.receive_run(idx, &mut ctx, run);
             }
@@ -168,25 +168,26 @@ impl Simulation {
     pub(super) fn deliver_buffered(&mut self, idx: usize) {
         let buffered = std::mem::take(&mut self.slots[idx].buffer);
         let mut ctx = self.context(idx);
-        self.receive_run(idx, &mut ctx, (0..).zip(buffered.iter().map(|msg| &**msg)));
+        self.receive_run(idx, &mut ctx, (0..).zip(buffered.iter()));
         self.apply_effects();
     }
 
     /// Checks the node of slot `idx` out once and hands it `msgs` in
-    /// order through the reused `ctx`. Whatever a call emits is set
+    /// order, by their shared handles ([`Node::on_delivery`]), through
+    /// the reused `ctx`. Whatever a call emits is set
     /// aside in `self.effects` under the call's tag, for
     /// [`Simulation::apply_effects`].
     fn receive_run<'a>(
         &mut self,
         idx: usize,
         ctx: &mut Context,
-        msgs: impl Iterator<Item = (u32, &'a SignedMessage)>,
+        msgs: impl Iterator<Item = (u32, &'a Arc<SignedMessage>)>,
     ) {
         let from = ValidatorId::new(idx as u32);
         ctx.me = from;
         let mut node: Box<dyn Node> = std::mem::replace(&mut self.slots[idx].node, Box::new(IdleNode));
         for (tag, msg) in msgs {
-            node.on_message(msg, ctx);
+            node.on_delivery(msg, ctx);
             self.metrics.record_crypto(std::mem::take(&mut ctx.crypto_ops));
             if !ctx.outbox.is_empty() || !ctx.decisions.is_empty() {
                 // Held until the bucket is done: in per-vote mode every
@@ -229,9 +230,10 @@ impl Simulation {
                     let delivery = self.share(Arc::new(msg));
                     self.deliver_to_all(from, &delivery);
                 }
+                // A forward arrives with its handle: no allocation.
                 Outgoing::Forward(msg) => {
                     self.metrics.forwards += 1;
-                    let delivery = self.share(Arc::new(msg));
+                    let delivery = self.share(msg);
                     self.deliver_to_all(from, &delivery);
                 }
                 // A recovery reply arrives with its handles: scheduled

@@ -14,8 +14,9 @@ pub enum Outgoing {
     Broadcast(SignedMessage),
     /// Re-broadcast a received message (honest forwarding). Counted
     /// separately from originals in the metrics and never counts as a
-    /// voting phase.
-    Forward(SignedMessage),
+    /// voting phase. The handle is the one the message was delivered
+    /// under when the forwarder kept it, so a forward copies no message.
+    Forward(Arc<SignedMessage>),
     /// Re-send stored messages, in order, to one validator: the §2
     /// recovery protocol's reply, one action per serve. The handles are
     /// the sender's own stored copies, so a reply copies no message.
@@ -125,9 +126,10 @@ impl Context {
         self.outbox.push(Outgoing::Broadcast(msg));
     }
 
-    /// Forwards a received message to all validators.
-    pub fn forward(&mut self, msg: SignedMessage) {
-        self.outbox.push(Outgoing::Forward(msg));
+    /// Forwards a received message to all validators: its delivered
+    /// handle, or a message that is wrapped in one here.
+    pub fn forward(&mut self, msg: impl Into<Arc<SignedMessage>>) {
+        self.outbox.push(Outgoing::Forward(msg.into()));
     }
 
     /// Re-sends stored messages, in order, to `to` (a recovery reply).
@@ -155,7 +157,7 @@ impl Context {
 pub trait Node: Send + 'static {
     /// Called once when the node first starts (time of its first awake
     /// tick) and on every wake-up after sleep, *after* buffered messages
-    /// have been delivered via [`Node::on_message`].
+    /// have been delivered via [`Node::on_delivery`].
     fn on_wake(&mut self, ctx: &mut Context) {
         let _ = ctx;
     }
@@ -163,9 +165,27 @@ pub trait Node: Send + 'static {
     /// Called at every Δ-multiple tick while awake (phase boundary).
     fn on_phase(&mut self, ctx: &mut Context);
 
-    /// Called for every delivered message while awake (or buffered
-    /// messages at wake time).
+    /// Receives one message by reference: what [`Node::on_delivery`]
+    /// does by default, and the entry point of callers that hold no
+    /// shared handle (the TCP runtime's decoded frames, tests, wrapper
+    /// nodes).
     fn on_message(&mut self, msg: &SignedMessage, ctx: &mut Context);
+
+    /// Called by the simulation engine for every message delivered while
+    /// awake (or buffered for the node while it slept, at wake time),
+    /// with the one handle all of a broadcast's copies share. A node that
+    /// keeps or forwards the message keeps this handle instead of a copy
+    /// of its own, so a message is one allocation for the whole run.
+    /// Default: [`Node::on_message`].
+    ///
+    /// `on_message` keeps its by-reference signature because most nodes
+    /// keep nothing and the runtime, tests and wrapper nodes hold no
+    /// handle; taking an `Arc` there would make each of them allocate
+    /// one per message. The engine does not clone the handle per
+    /// delivery: a node clones it only for what it stores.
+    fn on_delivery(&mut self, msg: &Arc<SignedMessage>, ctx: &mut Context) {
+        self.on_message(msg, ctx);
+    }
 
     /// Called when a scheduled [`crate::StateFault`] strikes this
     /// validator: the node must apply the corruption to its own state

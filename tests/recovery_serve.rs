@@ -5,16 +5,18 @@
 //! every archived `LOG` leaves it: the same seats, the same snapshots
 //! and the same outputs at every later phase boundary. It must do so
 //! one hop on too, when the requester serves what it recovered to a
-//! second one. And a request signed by an id outside the committee must
-//! not be served at all.
+//! second one. A served proposal is the handle it was delivered under.
+//! And a request signed by an id outside the committee must not be
+//! served at all.
 
 use std::sync::Arc;
 
 use tob_svd::crypto::KeyCache;
+use tob_svd::protocol::leader::vrf_for;
 use tob_svd::protocol::{TobConfig, TobSimulationBuilder, Validator};
 use tob_svd::sim::{Context, Mempool, Node, Outgoing};
 use tob_svd::types::{
-    BlockStore, Delta, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
+    wire, BlockStore, Delta, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
 };
 
 const N: usize = 16;
@@ -198,6 +200,27 @@ fn a_requester_that_recovered_serves_a_second_one_the_same_seats() {
             assert!(seats(&second, 2).is_some(), "{what}: the second hop carried view 2");
         }
     }
+}
+
+/// A serve hands out the proposal's delivered handle itself, vetted
+/// through the tracker's claim: the same `Arc`, so the same wire bytes
+/// as the received message.
+#[test]
+fn a_served_proposal_is_the_delivered_handle() {
+    let store = BlockStore::new();
+    let (proposer, view) = (ValidatorId::new(3), View::new(1));
+    let (vrf, proof) = vrf_for(proposer, view);
+    let log = Log::genesis(&store).extend_empty(&store, proposer, view);
+    let delivered = Arc::new(sign(proposer.raw(), Payload::Proposal { view, log, vrf, proof }));
+    let mut server = validator(SERVER, &store);
+    // View 1 starts at 4Δ = 32.
+    server.on_delivery(&delivered, &mut ctx(&store, 33, SERVER));
+    let served = request(&mut server, &store, REQUESTERS[0], 34);
+    let proposals: Vec<_> = served.iter().filter(|m| matches!(m.payload(), Payload::Proposal { .. })).collect();
+    let [proposal] = proposals.as_slice() else { panic!("one served proposal, got {served:?}") };
+    assert!(Arc::ptr_eq(proposal, &delivered), "the serve is the delivered handle");
+    let bytes = |m: &SignedMessage| wire::encode_message(m, &store).expect("stored chain");
+    assert_eq!(bytes(proposal), bytes(&delivered));
 }
 
 /// Slot 3 of a four-validator run: at `t = 2Δ`, once the honest

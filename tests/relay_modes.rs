@@ -6,15 +6,19 @@
 //! The strategy decides *how votes and proposals travel*, never what is
 //! decided: fault-free, both must decide the identical chain; under
 //! churn with the §2 recovery protocol both must stay safe and within
-//! one block of each other. And the per-vote validator must have no
-//! door through which a certificate could reach its GA.
+//! one block of each other. The per-vote validator must have no door
+//! through which a certificate could reach its GA. And either way a
+//! relayed proposal is the handle it was delivered under.
+
+use std::sync::Arc;
 
 use tob_svd::adversary::churn;
 use tob_svd::crypto::{AggregateSignature, Keypair, Signature};
+use tob_svd::protocol::leader::vrf_for;
 use tob_svd::protocol::{TobConfig, TobReport, TobSimulationBuilder, TxWorkload, Validator};
 use tob_svd::sim::{standard_invariants, Context, Mempool, Node, Outgoing};
 use tob_svd::types::{
-    BlockId, BlockStore, Delta, InstanceId, Log, Payload, SignedMessage, SignerSet, Time,
+    wire, BlockId, BlockStore, Delta, InstanceId, Log, Payload, SignedMessage, SignerSet, Time,
     ValidatorId, View,
 };
 
@@ -227,4 +231,45 @@ fn per_vote_validator_neither_absorbs_nor_buffers_a_certificate() {
     }
     assert!(per_vote.ga(View::ZERO).is_none());
     assert_eq!(per_vote.certificates_emitted(), 0);
+}
+
+/// Both strategies relay a proposal as the handle it was delivered
+/// under ([`Node::on_delivery`]): the per-vote echo on reception and the
+/// plane's boundary relay of the best VRF-valid claim hand out that `Arc`
+/// itself, so what goes on the wire is the received message, byte for
+/// byte.
+#[test]
+fn a_relayed_proposal_is_the_delivered_handle() {
+    let store = BlockStore::new();
+    let (proposer, view) = (ValidatorId::new(3), View::ZERO);
+    let (vrf, proof) = vrf_for(proposer, view);
+    let log = Log::genesis(&store).extend_empty(&store, proposer, view);
+    let payload = Payload::Proposal { view, log, vrf, proof };
+    let delivered = Arc::new(SignedMessage::sign(&Keypair::from_seed(proposer.key_seed()), proposer, payload));
+    let received_bytes = wire::encode_message(&delivered, &store).expect("stored chain");
+    let ctx_at = |t: u64| {
+        Context::new(Time::new(t), ValidatorId::new(0), Delta::new(8), store.clone(), Mempool::new())
+    };
+    let proposal_relays = |ctx: &Context| -> Vec<Arc<SignedMessage>> {
+        let relays = ctx.outbox().iter().filter_map(|o| match o {
+            Outgoing::Forward(m) if matches!(m.payload(), Payload::Proposal { .. }) => Some(Arc::clone(m)),
+            _ => None,
+        });
+        relays.collect()
+    };
+    for certificates in [false, true] {
+        let cfg = TobConfig::new(N).with_delta(Delta::new(8)).with_certificates(certificates);
+        let mut val = Validator::new(ValidatorId::new(0), cfg, &store);
+        let mut ctx = ctx_at(1);
+        val.on_delivery(&delivered, &mut ctx);
+        if certificates {
+            assert!(proposal_relays(&ctx).is_empty(), "the plane defers the relay to the boundary");
+            ctx = ctx_at(8);
+            val.on_phase(&mut ctx);
+        }
+        let relays = proposal_relays(&ctx);
+        let [relay] = relays.as_slice() else { panic!("certificates {certificates}: one relay, got {relays:?}") };
+        assert!(Arc::ptr_eq(relay, &delivered), "certificates {certificates}: the relay is the delivered handle");
+        assert_eq!(wire::encode_message(relay, &store).expect("stored chain"), received_bytes);
+    }
 }
