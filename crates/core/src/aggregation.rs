@@ -22,7 +22,6 @@ use tobsvd_sim::Context;
 use tobsvd_types::{InstanceId, Log, Payload, SignedMessage, SignerSet, ValidatorId};
 
 use crate::leader::Priority;
-use crate::sync::Received;
 use crate::window::Window;
 
 /// Aggregation state for one `(instance, log)` vote group.
@@ -37,12 +36,12 @@ use crate::window::Window;
 pub(crate) struct VoteGroup {
     instance: InstanceId,
     log: Log,
-    /// Individually received (and verified) votes, as the handles they
-    /// were delivered under, in arrival order: a vote relayed on its own
-    /// is the received message. One entry per sender: gossip dedups
-    /// ids, and a sender's two conflicting logs land in two different
-    /// groups.
-    votes: Vec<Arc<SignedMessage>>,
+    /// Individually received (and verified) votes as `(sender,
+    /// signature)`, in arrival order — the group's `(instance, log)` is
+    /// the rest of each vote, so a vote relayed on its own is rebuilt
+    /// byte for byte. One entry per sender: gossip dedups ids, and a
+    /// sender's two conflicting logs land in two different groups.
+    votes: Vec<(ValidatorId, Signature)>,
     /// Senders of `votes` as a bitmap (the signer set of our own
     /// certificate).
     have_votes: SignerSet,
@@ -67,7 +66,8 @@ pub(crate) struct VoteGroup {
     own_cert_emitted: bool,
     /// Verified received certificates queued for boundary forwarding,
     /// as their signers and the handles they were delivered under, which
-    /// the flush forwards.
+    /// the flush forwards: a certificate's parts are nearly all of it,
+    /// so keeping the handle costs no more than keeping the parts.
     pending_certs: Vec<(SignerSet, Arc<SignedMessage>)>,
 }
 
@@ -227,19 +227,19 @@ impl AggregationPlane {
     pub(crate) fn note_vote(
         &mut self,
         window: &mut Window,
-        rx: Received<'_>,
+        msg: &Arc<SignedMessage>,
         instance: InstanceId,
         log: Log,
         ctx: &mut Context,
     ) {
         let Some(g) = group_mut(window, instance, log) else {
             // No group handle: keep the relay guarantee the simple way.
-            ctx.forward(rx.handle());
+            ctx.forward(Arc::clone(msg));
             return;
         };
         // A committee member (the gossip gate admits no other) has a bit.
-        g.have_votes.insert(rx.msg().sender());
-        g.votes.push(rx.handle());
+        g.have_votes.insert(msg.sender());
+        g.votes.push((msg.sender(), *msg.signature()));
     }
 
     /// Handles a fresh, resolved, in-window quorum certificate and
@@ -257,10 +257,10 @@ impl AggregationPlane {
     pub(crate) fn on_certificate(
         &mut self,
         window: &mut Window,
-        rx: Received<'_>,
+        msg: &Arc<SignedMessage>,
         ctx: &mut Context,
     ) -> Vec<ValidatorId> {
-        let Payload::Certificate { instance, log, signers, agg } = *rx.msg().payload() else {
+        let Payload::Certificate { instance, log, signers, agg } = *msg.payload() else {
             return Vec::new();
         };
         // A certificate naming validators outside the committee claims
@@ -296,7 +296,7 @@ impl AggregationPlane {
         // not otherwise relay — this is what preserves the paper's
         // graded-delivery guarantee for votes we never saw individually.
         if !signers.is_subset(&g.relayed_by_us()) {
-            g.pending_certs.push((signers, rx.handle()));
+            g.pending_certs.push((signers, Arc::clone(msg)));
         }
         // Duplicates no-op in the GA, and conflicting logs across
         // certificates surface as equivocation in its tracker, exactly
@@ -331,9 +331,9 @@ impl AggregationPlane {
                 && g.votes.len() > quorum
                 && !g.have_votes.is_subset(&g.covered)
             {
-                let mut votes: Vec<&SignedMessage> = g.votes.iter().map(|msg| &**msg).collect();
-                votes.sort_by_key(|msg| msg.sender());
-                let sigs: Vec<&Signature> = votes.iter().map(|msg| msg.signature()).collect();
+                let mut votes: Vec<&(ValidatorId, Signature)> = g.votes.iter().collect();
+                votes.sort_by_key(|(sender, _)| *sender);
+                let sigs: Vec<&Signature> = votes.iter().map(|(_, sig)| sig).collect();
                 // A quorate group is non-empty, so aggregation always
                 // succeeds; on the impossible `Err` the group simply
                 // falls through to per-vote forwarding below.
@@ -359,10 +359,11 @@ impl AggregationPlane {
             // Whatever is still unflushed goes out individually —
             // the sub-quorum (or late-vote) fallback, identical to
             // the paper's per-receiver forwarding.
-            while let Some(vote) = g.votes.get(g.flushed) {
+            let vote = Payload::Log { instance: g.instance, log: g.log };
+            while let Some(&(sender, sig)) = g.votes.get(g.flushed) {
                 g.flushed += 1;
-                if !g.covered.contains(vote.sender()) {
-                    ctx.forward(Arc::clone(vote));
+                if !g.covered.contains(sender) {
+                    ctx.forward(SignedMessage::from_parts(sender, vote, sig));
                 }
             }
         }
@@ -412,7 +413,7 @@ mod tests {
         let mut ctx = Context::new(Time::new(3), plane.me, Delta::new(8), store.clone(), Mempool::new());
         for m in votes {
             let Payload::Log { instance, log } = *m.payload() else { unreachable!() };
-            plane.note_vote(window, Received::borrowed(m), instance, log, &mut ctx);
+            plane.note_vote(window, &Arc::new(*m), instance, log, &mut ctx);
         }
         assert!(ctx.outbox().is_empty(), "votes are deferred to the boundary");
     }
@@ -477,9 +478,15 @@ mod tests {
 
         let mut plane = plane(8);
         let mut ctx = Context::new(Time::new(3), plane.0.me, Delta::new(8), store.clone(), Mempool::new());
-        let absorbed = plane.0.on_certificate(&mut plane.1, Received::borrowed(&cert), &mut ctx);
+        let absorbed = plane.0.on_certificate(&mut plane.1, &Arc::new(cert), &mut ctx);
         assert_eq!(absorbed, signers.iter().collect::<Vec<_>>());
         let forwarded = flush(&mut plane, &store);
         assert!(matches!(forwarded.as_slice(), [Outgoing::Forward(m)] if **m == cert), "{forwarded:?}");
+    }
+
+    /// The retained bytes per buffered vote: a sender and a signature.
+    #[test]
+    fn a_buffered_vote_is_36_bytes() {
+        assert!(std::mem::size_of::<(ValidatorId, Signature)>() <= 36);
     }
 }

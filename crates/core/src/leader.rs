@@ -92,25 +92,28 @@ struct Claim {
 }
 
 impl Claim {
-    /// The claimed `(log, vrf, proof)`; `None` only for a message that
-    /// is not a proposal, which [`ProposalTracker::record`] never keeps.
-    fn parts(&self) -> Option<(&Log, &VrfOutput, &VrfProof)> {
+    /// The claimed `(log, vrf, proof)`.
+    // `ProposalTracker::record` keeps proposals only, so the other arm
+    // cannot be reached.
+    #[allow(clippy::unreachable)]
+    fn parts(&self) -> (&Log, &VrfOutput, &VrfProof) {
         match self.msg.payload() {
-            Payload::Proposal { log, vrf, proof, .. } => Some((log, vrf, proof)),
-            _ => None,
+            Payload::Proposal { log, vrf, proof, .. } => (log, vrf, proof),
+            _ => unreachable!("a claim is recorded from a proposal"),
         }
     }
 
     fn is(&self, log: &Log, vrf: &VrfOutput, proof: &VrfProof) -> bool {
-        self.parts() == Some((log, vrf, proof))
+        self.parts() == (log, vrf, proof)
     }
 
-    fn log(&self) -> Option<&Log> {
-        self.parts().map(|(log, ..)| log)
+    fn log(&self) -> &Log {
+        self.parts().0
     }
 
-    fn pair(&self) -> Option<(&VrfOutput, &VrfProof)> {
-        self.parts().map(|(_, vrf, proof)| (vrf, proof))
+    fn pair(&self) -> (&VrfOutput, &VrfProof) {
+        let (_, vrf, proof) = self.parts();
+        (vrf, proof)
     }
 }
 
@@ -154,12 +157,10 @@ impl Claims {
             ops.vrf_verify_skips += 1;
             return claim.verdict == Verdict::Valid;
         }
-        let Some((vrf, proof)) = claim.pair().map(|(vrf, proof)| (*vrf, *proof)) else {
-            return false;
-        };
+        let (&vrf, &proof) = claim.pair();
         ops.vrf_verifies += 1;
         let verdict = if verify_vrf(sender, view, &vrf, &proof) { Verdict::Valid } else { Verdict::Forged };
-        let same_pair = |c: &&mut Claim| c.pair() == Some((&vrf, &proof));
+        let same_pair = |c: &&mut Claim| c.pair() == (&vrf, &proof);
         for c in std::iter::once(&mut self.first).chain(self.second.as_mut()).filter(same_pair) {
             c.verdict = verdict;
         }
@@ -244,7 +245,7 @@ impl ProposalTracker {
             return None;
         }
         // Same pair as the first claim: same verdict (see `check`).
-        let verdict = if held.first.pair() == Some((vrf, proof)) { held.first.verdict } else { Verdict::Unchecked };
+        let verdict = if held.first.pair() == (vrf, proof) { held.first.verdict } else { Verdict::Unchecked };
         held.second = Some(claim(verdict));
         Some(1)
     }
@@ -290,18 +291,18 @@ impl ProposalTracker {
             .filter_map(|(i, seat)| Some((ValidatorId::new(i as u32), seat.as_ref()?)))
             .flat_map(|(v, held)| held.iter().map(move |(slot, c)| (v, slot, c)))
             .filter(|(_, _, c)| c.verdict != Verdict::Forged)
-            .filter_map(|(v, slot, c)| Some(((*c.pair()?.0, Reverse(v)), Reverse(slot))))
+            .map(|(v, slot, c)| ((*c.pair().0, Reverse(v)), Reverse(slot)))
             .collect();
         let view = self.view;
         while let Some(((_, Reverse(v)), Reverse(slot))) = ranked.pop() {
             let Some(held) = self.held_mut(v) else { continue };
             // Off the lock: skipped before its VRF is checked, exactly
             // as a claim the eager `extends` filter dropped.
-            if !held.get(slot).and_then(Claim::log).is_some_and(|log| log.extends(lock, store)) {
+            if !held.get(slot).is_some_and(|claim| claim.log().extends(lock, store)) {
                 continue;
             }
             if held.check(slot, v, view, ops) && !held.equivocate(v, view, ops) {
-                return held.get(slot).and_then(Claim::log).map(|log| (v, *log));
+                return held.get(slot).map(|claim| (v, *claim.log()));
             }
         }
         None
@@ -327,7 +328,7 @@ impl ProposalTracker {
         let mut ranked: BinaryHeap<(Priority, Reverse<usize>, usize)> = BinaryHeap::new();
         for (i, &(sender, slot)) in pending.iter().enumerate() {
             let Some(held) = self.held_mut(sender) else { continue };
-            let Some(&vrf) = held.get(slot).and_then(Claim::pair).map(|(vrf, _)| vrf) else { continue };
+            let Some(vrf) = held.get(slot).map(|claim| *claim.pair().0) else { continue };
             if held.equivocate(sender, view, ops) {
                 // Both of an equivocator's claims are valid.
                 out.extend(held.get(slot).map(|claim| Arc::clone(&claim.msg)));

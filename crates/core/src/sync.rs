@@ -83,40 +83,6 @@ pub enum Pending {
     Frame(Bytes),
 }
 
-/// A message on a validator's receive path: the message, and the handle
-/// it was delivered under when the caller had one
-/// ([`tobsvd_sim::Node::on_delivery`]). Whatever keeps the message past
-/// the callback (a claim, an archive, a parked entry, a forward) takes
-/// [`Received::handle`]: a clone of that handle, or one allocation of a
-/// copy when the caller passed the message by reference.
-#[derive(Clone, Copy)]
-pub(crate) struct Received<'a> {
-    msg: &'a SignedMessage,
-    shared: Option<&'a Arc<SignedMessage>>,
-}
-
-impl<'a> Received<'a> {
-    /// A message passed by reference, with no handle.
-    pub(crate) fn borrowed(msg: &'a SignedMessage) -> Self {
-        Received { msg, shared: None }
-    }
-
-    /// A message delivered under `handle`.
-    pub(crate) fn shared(handle: &'a Arc<SignedMessage>) -> Self {
-        Received { msg: handle, shared: Some(handle) }
-    }
-
-    /// The message.
-    pub(crate) fn msg(self) -> &'a SignedMessage {
-        self.msg
-    }
-
-    /// A handle to keep: the delivered one, or a new one of a copy.
-    pub(crate) fn handle(self) -> Arc<SignedMessage> {
-        self.shared.map_or_else(|| Arc::new(*self.msg), Arc::clone)
-    }
-}
-
 impl From<Arc<SignedMessage>> for Pending {
     fn from(msg: Arc<SignedMessage>) -> Self {
         Pending::Msg(msg)

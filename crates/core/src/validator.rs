@@ -23,7 +23,7 @@ use crate::aggregation::{self, AggregationPlane};
 use crate::config::TobConfig;
 use crate::leader::vrf_for;
 use crate::schedule::{ViewSchedule, ViewPhase};
-use crate::sync::{Pending, Received, Resolution, SyncState};
+use crate::sync::{Pending, Resolution, SyncState};
 use crate::window::{self, ProposalSide, Window};
 
 /// An honest TOB-SVD validator.
@@ -400,7 +400,7 @@ impl Validator {
         let store = &ctx.store;
         let mut write = || -> Result<(), WalError> {
             for id in &suffix {
-                let Some(record) = BlockRecord::of(store, *id) else {
+                let Some(record) = block_record(store, *id) else {
                     continue; // genesis (or vanished): nothing to log
                 };
                 durable.append(&WalRecord::Block(record))?;
@@ -423,7 +423,7 @@ impl Validator {
             return;
         };
         let blocks: Vec<BlockRecord> =
-            chain.iter().filter_map(|id| BlockRecord::of(store, *id)).collect();
+            chain.iter().filter_map(|id| block_record(store, *id)).collect();
         let snapshot = Snapshot { tip: d.tip(), len: d.len(), blocks };
         match durable.install_snapshot(&snapshot) {
             Ok(()) => self.last_snapshot_len = d.len(),
@@ -633,8 +633,8 @@ impl Validator {
     /// (its inline window), so the pending set is drained afterwards —
     /// a parked message's gap can close through ordinary announcements,
     /// not just fetch responses.
-    fn on_protocol_message(&mut self, rx: Received<'_>, ctx: &mut Context) {
-        self.handle_or_park(rx, ctx);
+    fn on_protocol_message(&mut self, msg: &Arc<SignedMessage>, ctx: &mut Context) {
+        self.handle_or_park(msg, ctx);
         self.drain_pending(ctx);
     }
 
@@ -651,15 +651,15 @@ impl Validator {
         }
     }
 
-    fn handle_or_park(&mut self, rx: Received<'_>, ctx: &mut Context) {
-        let Some(log) = rx.msg().payload().log() else {
+    fn handle_or_park(&mut self, msg: &Arc<SignedMessage>, ctx: &mut Context) {
+        let Some(log) = msg.payload().log() else {
             return;
         };
         match self.sync.resolve(&log, &ctx.store) {
-            Resolution::Resolved => self.process(rx, ctx),
+            Resolution::Resolved => self.process(msg, ctx),
             Resolution::Missing(missing) => {
-                if self.sync.park(missing, rx.handle(), ctx.time) {
-                    self.request_blocks(missing, None, Some(rx.msg().sender()), ctx);
+                if self.sync.park(missing, Arc::clone(msg), ctx.time) {
+                    self.request_blocks(missing, None, Some(msg.sender()), ctx);
                 }
             }
         }
@@ -683,7 +683,7 @@ impl Validator {
     /// Replays parked entries whose gaps have closed, to a fixpoint
     /// (a replay may absorb a window that unblocks the next one; it may
     /// also re-park on a deeper gap, issuing the next fetch). A frame
-    /// enters through [`Node::on_message`], so the admit gate verifies
+    /// enters through [`Node::on_delivery`], so the admit gate verifies
     /// its signature first; one that still misses a block the knowledge
     /// set claims (corruption the audit repairs), or fails otherwise,
     /// is dropped.
@@ -691,9 +691,9 @@ impl Validator {
         while self.sync.has_resolvable() {
             for entry in self.sync.take_resolved() {
                 match entry {
-                    Pending::Msg(msg) => self.handle_or_park(Received::shared(&msg), ctx),
+                    Pending::Msg(msg) => self.handle_or_park(&msg, ctx),
                     Pending::Frame(raw) => match wire::decode_message(raw.clone(), &ctx.store) {
-                        Ok(msg) => self.on_message(&msg, ctx),
+                        Ok(msg) => self.on_delivery(&Arc::new(msg), ctx),
                         Err(wire::WireError::MissingBlocks { missing, from_height })
                             if !self.sync.knows(missing) =>
                         {
@@ -705,6 +705,20 @@ impl Validator {
             }
         }
     }
+}
+
+/// The durable [`BlockRecord`] for a stored block, `None` for genesis
+/// (whose content is implicit) or an unknown id.
+fn block_record(store: &BlockStore, id: BlockId) -> Option<BlockRecord> {
+    let block = store.get(id)?;
+    let proposer = block.proposer()?;
+    Some(BlockRecord {
+        parent: block.parent(),
+        expected_id: block.id(),
+        proposer,
+        view: block.view(),
+        txs: block.txs().to_vec(),
+    })
 }
 
 impl Node for Validator {
@@ -826,32 +840,12 @@ impl Node for Validator {
         }
     }
 
+    /// Wraps `msg` in one handle, shared by whatever keeps or forwards it.
     fn on_message(&mut self, msg: &SignedMessage, ctx: &mut Context) {
-        self.receive(Received::borrowed(msg), ctx);
+        self.on_delivery(&Arc::new(*msg), ctx);
     }
 
     fn on_delivery(&mut self, msg: &Arc<SignedMessage>, ctx: &mut Context) {
-        self.receive(Received::shared(msg), ctx);
-    }
-
-    fn label(&self) -> &'static str {
-        "tob-svd"
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-impl Validator {
-    /// The receive path of both entry points: admission, fetch traffic,
-    /// the gossip forward, then the resolution gate.
-    fn receive(&mut self, rx: Received<'_>, ctx: &mut Context) {
-        let msg = rx.msg();
         let reception = match self.gossip.admit_live(msg, ctx) {
             Admission::Admitted(reception) => reception,
             Admission::Forged => return,
@@ -882,18 +876,31 @@ impl Validator {
         // it defers to the next phase boundary.
         let deferred = self.agg.is_some() && AggregationPlane::defers(msg.payload());
         if reception.forward && !deferred {
-            ctx.forward(rx.handle());
+            ctx.forward(Arc::clone(msg));
         }
         if !reception.fresh {
             return;
         }
-        self.on_protocol_message(rx, ctx);
+        self.on_protocol_message(msg, ctx);
     }
 
+    fn label(&self) -> &'static str {
+        "tob-svd"
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+impl Validator {
     /// The protocol state machine proper, entered only with fully
     /// resolved messages (every referenced block known).
-    fn process(&mut self, rx: Received<'_>, ctx: &mut Context) {
-        let msg = rx.msg();
+    fn process(&mut self, msg: &Arc<SignedMessage>, ctx: &mut Context) {
         // Only live instances take input: a LOG or certificate for a
         // view out of `View::live_range`, however large, a proposal out
         // of `View::proposal_range`, and every VOTE or finality vote,
@@ -908,11 +915,11 @@ impl Validator {
             Payload::Log { instance, log } => {
                 let w = instance.view();
                 if self.cfg.recovery {
-                    self.window.entry(w).or_default().archive.push(rx.handle());
+                    self.window.entry(w).or_default().archive.push(Arc::clone(msg));
                 }
                 self.ensure_ga(w).on_log(msg.sender(), *log);
                 if let Some(plane) = self.agg.as_mut() {
-                    plane.note_vote(&mut self.window, rx, *instance, *log, ctx);
+                    plane.note_vote(&mut self.window, msg, *instance, *log, ctx);
                 }
             }
             Payload::Certificate { instance, log, .. } => {
@@ -921,7 +928,7 @@ impl Validator {
                 // per-vote mode has no door through which one could
                 // reach the GA.
                 let Some(plane) = self.agg.as_mut() else { return };
-                for signer in plane.on_certificate(&mut self.window, rx, ctx) {
+                for signer in plane.on_certificate(&mut self.window, msg, ctx) {
                     self.ensure_ga(w).on_log(signer, *log);
                 }
             }
@@ -933,13 +940,12 @@ impl Validator {
                 // no crypto at all.
                 let state = self.window.entry(*view).or_default();
                 let side = state.proposals.get_or_insert_with(|| ProposalSide::new(*view));
-                let handle = rx.handle();
-                let Some(slot) = side.tracker.record(&handle) else { return };
+                let Some(slot) = side.tracker.record(msg) else { return };
                 if self.agg.is_some() {
                     side.relay.note(msg.sender(), slot);
                 }
                 if self.cfg.recovery {
-                    side.archive.push(handle);
+                    side.archive.push(Arc::clone(msg));
                 }
             }
             Payload::Recovery { from_view, .. } => {

@@ -1,7 +1,7 @@
 //! WAL record and snapshot types with their binary codecs.
 
 use tobsvd_crypto::Digest;
-use tobsvd_types::{wire, BlockId, BlockStore, Transaction, ValidatorId, View};
+use tobsvd_types::{wire, BlockId, Transaction, ValidatorId, View};
 
 use crate::codec::{put_frame, Reader};
 use crate::WalError;
@@ -34,21 +34,6 @@ pub struct BlockRecord {
     pub view: View,
     /// The batched transactions.
     pub txs: Vec<Transaction>,
-}
-
-impl BlockRecord {
-    /// The record of a stored block, `None` for genesis (whose content
-    /// is implicit) or an id the store lacks.
-    pub fn of(store: &BlockStore, id: BlockId) -> Option<Self> {
-        let block = store.get(id)?;
-        Some(BlockRecord {
-            parent: block.parent(),
-            expected_id: block.id(),
-            proposer: block.proposer()?,
-            view: block.view(),
-            txs: block.txs().to_vec(),
-        })
-    }
 }
 
 /// One WAL entry.
