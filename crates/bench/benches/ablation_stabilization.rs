@@ -18,8 +18,7 @@
 //! stabilization requirement.
 
 use tobsvd_bench::analysis::Table;
-use tobsvd_core::{TobSimulationBuilder, TxWorkload};
-use tobsvd_sim::{ParticipationSchedule, WorstCaseDelay};
+use tobsvd_sim::{ParticipationSchedule, TobSimulationBuilder, TxWorkload, WorstCaseDelay};
 use tobsvd_types::{Delta, Time, ValidatorId};
 
 fn blink_schedule(

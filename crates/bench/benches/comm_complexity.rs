@@ -18,7 +18,7 @@
 
 use tobsvd_bench::analysis::{fit_power_law, Table};
 use tobsvd_bench::run_tobsvd;
-use tobsvd_core::TxWorkload;
+use tobsvd_sim::TxWorkload;
 
 fn main() {
     println!("=== Communication complexity (Table 1, last row) ===\n");

@@ -21,7 +21,7 @@ use tobsvd_bench::baselines::{
     all_specs, closed_form_expected, closed_form_tx_expected, phases_per_block,
 };
 use tobsvd_bench::{mean, run_tobsvd};
-use tobsvd_core::TxWorkload;
+use tobsvd_sim::TxWorkload;
 
 fn main() {
     println!("=== Table 1 reproduction — dynamically available TOB protocols ===\n");

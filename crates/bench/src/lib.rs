@@ -23,8 +23,8 @@ pub mod analysis;
 pub mod baselines;
 
 use tobsvd_adversary::SplitBrainNode;
-use tobsvd_core::{TobConfig, TobReport, TobSimulationBuilder, TxWorkload};
-use tobsvd_sim::WorstCaseDelay;
+use tobsvd_core::TobConfig;
+use tobsvd_sim::{TobReport, TobSimulationBuilder, TxWorkload, WorstCaseDelay};
 use tobsvd_types::{Delta, ValidatorId};
 
 /// Even/odd split of the validator set — the two halves a split-brain

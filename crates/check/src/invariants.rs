@@ -1,8 +1,8 @@
-//! Protocol-aware invariants (they need `tobsvd-core`'s view timing,
-//! so they live here rather than in `tobsvd-sim`).
+//! Protocol-aware invariants: they read `tobsvd-core`'s view timing and
+//! are built from the checker's scenario, so they live here.
 
-use tobsvd_core::{TobReport, ViewSchedule};
-use tobsvd_sim::{DecisionEvent, DecisionObserver, Invariant, InvariantViolation};
+use tobsvd_core::ViewSchedule;
+use tobsvd_sim::{DecisionEvent, DecisionObserver, Invariant, InvariantViolation, TobReport};
 use tobsvd_types::{BlockStore, Delta, Time, ValidatorId};
 
 use crate::scenario::{CheckScenario, LeverKind};
@@ -333,7 +333,7 @@ mod tests {
         let report_builder = |max_deltas| {
             let scenario = CheckScenario::fault_free(4, 4, 5, 3);
             let delta = Delta::new(scenario.delta);
-            use tobsvd_core::TobSimulationBuilder;
+            use tobsvd_sim::TobSimulationBuilder;
             let report = TobSimulationBuilder::new(scenario.n as usize)
                 .views(scenario.views)
                 .seed(scenario.seed)

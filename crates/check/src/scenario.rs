@@ -11,10 +11,11 @@
 //! can replay a serialized scenario byte-for-byte.
 
 use tobsvd_adversary::{LateVoter, SilentNode, SplitBrainNode, SplitDelay};
-use tobsvd_core::{TobConfig, TobReport, TobSimulationBuilder, TxWorkload, ViewSchedule};
+use tobsvd_core::{TobConfig, ViewSchedule};
 use tobsvd_sim::{
     standard_invariants, BestCaseDelay, CorruptionSchedule, InvariantViolation,
-    ParticipationSchedule, StateFault, UniformDelay, WorstCaseDelay,
+    ParticipationSchedule, StateFault, TobReport, TobSimulationBuilder, TxWorkload, UniformDelay,
+    WorstCaseDelay,
 };
 use tobsvd_types::{Delta, SignerSet, Time, ValidatorId, View};
 
@@ -490,8 +491,7 @@ impl CheckScenario {
                 TxWorkload::PerView { count: self.txs_per_view as usize, size: 32 }
             });
 
-        let half_a: Vec<ValidatorId> = ValidatorId::all(n).filter(|v| v.index() % 2 == 0).collect();
-        let half_b: Vec<ValidatorId> = ValidatorId::all(n).filter(|v| v.index() % 2 == 1).collect();
+        let (half_a, half_b): (Vec<_>, Vec<_>) = ValidatorId::all(n).partition(|v| v.index() % 2 == 0);
         let mut corruption = CorruptionSchedule::none();
         let (mut drop_windows, mut delay_windows) = (Vec::new(), Vec::new());
         for lever in &self.levers {

@@ -18,11 +18,11 @@
 use std::sync::Arc;
 
 use tobsvd_crypto::{AggregateSignature, Digest, KeyCache, Keypair, PublicKey, Signature};
-use tobsvd_sim::Context;
 use tobsvd_types::{InstanceId, Log, Payload, SignedMessage, SignerSet, ValidatorId};
 
 use crate::leader::Priority;
 use crate::window::Window;
+use crate::Context;
 
 /// Aggregation state for one `(instance, log)` vote group.
 ///
@@ -386,7 +386,7 @@ impl AggregationPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tobsvd_sim::{Mempool, Outgoing};
+    use crate::{Mempool, Outgoing};
     use tobsvd_types::{BlockStore, Delta, Time, View};
 
     fn vote(sender: u32, instance: InstanceId, log: Log) -> SignedMessage {

@@ -180,14 +180,14 @@ impl GossipState {
         if !self.is_live(view) {
             return None;
         }
-        self.live[(view % LIVE_VIEWS) as usize].get(usize::from(kind))
+        self.live.get((view % LIVE_VIEWS) as usize)?.get(usize::from(kind))
     }
 
     fn slots_mut(&mut self, (view, kind, _): Key) -> Option<&mut Vec<Option<Digest>>> {
         if !self.is_live(view) {
             return None;
         }
-        self.live[(view % LIVE_VIEWS) as usize].get_mut(usize::from(kind))
+        self.live.get_mut((view % LIVE_VIEWS) as usize)?.get_mut(usize::from(kind))
     }
 
     fn is_filed(&self, key: Key, id: &Digest) -> bool {
@@ -210,8 +210,8 @@ impl GossipState {
                 if slots.len() <= sender {
                     slots.resize(sender + 1, None);
                 }
-                if slots[sender].is_none() {
-                    slots[sender] = Some(id);
+                if let Some(slot @ None) = slots.get_mut(sender) {
+                    *slot = Some(id);
                     return false;
                 }
                 true
@@ -250,7 +250,9 @@ impl GossipState {
         let (old, new) = (self.live_from, View::new(view).live_range().start().number());
         let outside = |from: u64| move |w: &u64| w.checked_sub(from).map_or(true, |d| d >= LIVE_VIEWS);
         for w in Self::ring(old).filter(outside(new)) {
-            self.live[(w % LIVE_VIEWS) as usize] = Table::default();
+            if let Some(table) = self.live.get_mut((w % LIVE_VIEWS) as usize) {
+                *table = Table::default();
+            }
             self.take_spilled(w);
         }
         self.overflow = self.overflow.split_off(&((new, 0, 0), Digest::ZERO));
@@ -342,7 +344,8 @@ impl GossipState {
         if self.keys.len() <= i {
             self.keys.resize(i + 1, None);
         }
-        *self.keys[i].get_or_insert_with(|| KeyCache::public(sender.key_seed()))
+        let key = || KeyCache::public(sender.key_seed());
+        self.keys.get_mut(i).map_or_else(key, |slot| *slot.get_or_insert_with(key))
     }
 
     /// Whether `msg`'s id passes for verified here: filed, or

@@ -26,8 +26,9 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use tobsvd_crypto::{KeyCache, Vrf, VrfOutput, VrfProof};
-use tobsvd_sim::CryptoOps;
 use tobsvd_types::{BlockStore, Log, Payload, SignedMessage, SignerSet, ValidatorId, View};
+
+use crate::CryptoOps;
 
 /// Evaluates validator `v`'s VRF for `view` using the conventional
 /// deterministic key derivation (cached per process — evaluation costs

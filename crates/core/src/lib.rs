@@ -20,14 +20,16 @@
 //! name — suffices to decide a block in the best case; the protocol
 //! works in the (5Δ, 2Δ, ½)-sleepy model.
 //!
-//! [`Validator`] is the sans-io state machine (also a simulator
-//! [`tobsvd_sim::Node`]); [`TobSimulationBuilder`] assembles whole-network
-//! simulations; [`ViewSchedule`] carries the Figure 3 timing algebra;
-//! [`leader`] has the VRF election helpers used by the Lemma 2
-//! experiments; [`sync`] implements the content-addressed delta-sync
-//! plane (block knowledge tracking, the bounded pending set, and the
-//! `BlockRequest`/`BlockResponse` fetch subprotocol that also carries
-//! the §2 recovery path's block content).
+//! [`Validator`] is the sans-io state machine; [`ViewSchedule`] carries
+//! the Figure 3 timing algebra; [`leader`] has the VRF election helpers
+//! used by the Lemma 2 experiments; [`sync`] implements the
+//! content-addressed delta-sync plane (block knowledge tracking, the
+//! bounded pending set, and the `BlockRequest`/`BlockResponse` fetch
+//! subprotocol that also carries the §2 recovery path's block content).
+//!
+//! The crate also owns the sans-io interface, [`Node`] and its [`Context`],
+//! with the [`gossip`] gate, the [`Mempool`] and [`StateFault`]: the
+//! simulator (`tobsvd-sim`) and the TCP runtime both sit on top of it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,8 +51,11 @@
 
 mod aggregation;
 mod config;
+mod fault;
+pub mod gossip;
 pub mod leader;
-mod protocol;
+mod mempool;
+mod node;
 mod schedule;
 pub mod sync;
 mod validator;
@@ -59,8 +64,10 @@ mod validator;
 mod window;
 
 pub use config::TobConfig;
+pub use fault::{garbage_bytes, StateFault};
 pub use leader::ProposalTracker;
-pub use protocol::{TobError, TobReport, TobSimulationBuilder, TxWorkload};
+pub use mempool::{Admission, AdmissionPolicy, AdmissionStats, Mempool, TxRecord};
+pub use node::{Context, CryptoOps, IdleNode, Node, Outgoing};
 pub use schedule::ViewSchedule;
 pub use sync::{Resolution, SyncState};
 pub use validator::Validator;

@@ -221,7 +221,7 @@ impl Inner {
 /// admission, and pruning at the decided log.
 ///
 /// ```
-/// use tobsvd_sim::{Admission, AdmissionPolicy, Mempool};
+/// use tobsvd_core::{Admission, AdmissionPolicy, Mempool};
 /// use tobsvd_types::{BlockStore, Log, Time, Transaction};
 ///
 /// let store = BlockStore::new();

@@ -2,10 +2,9 @@
 
 use std::sync::Arc;
 
-use tobsvd_types::{Delta, Log, SignedMessage, Time, ValidatorId};
+use tobsvd_types::{BlockStore, Delta, Log, SignedMessage, Time, ValidatorId};
 
 use crate::mempool::Mempool;
-use tobsvd_types::BlockStore;
 
 /// Outgoing network actions emitted by a node during a callback.
 #[derive(Clone, Debug)]
@@ -31,7 +30,7 @@ pub enum Outgoing {
 /// Crypto-operation counts a node reports through its [`Context`]: how
 /// many signature/VRF verifications it actually performed vs answered
 /// from its verified-id table or its per-claim VRF verdicts. The engine
-/// folds these into [`crate::Metrics`] after every callback, so a whole
+/// folds these into `tobsvd_sim::Metrics` after every callback, so a whole
 /// run's crypto budget is observable without instrumenting node
 /// internals. This is
 /// the only place crypto work is counted: the code that verifies (or
@@ -78,8 +77,8 @@ pub struct Context {
     pub mempool: Mempool,
     /// Crypto-operation counts for this callback (see [`CryptoOps`]).
     pub crypto_ops: CryptoOps,
-    pub(crate) outbox: Vec<Outgoing>,
-    pub(crate) decisions: Vec<Log>,
+    outbox: Vec<Outgoing>,
+    decisions: Vec<Log>,
 }
 
 impl Context {
@@ -105,20 +104,29 @@ impl Context {
     }
 
     /// Actions collected so far (tests and custom harnesses).
+    #[inline]
     pub fn outbox(&self) -> &[Outgoing] {
         &self.outbox
     }
 
-    /// Drains the collected actions (used by wrapper nodes — e.g.
-    /// Byzantine strategies that run honest logic in a scratch context
-    /// and rewrite its output).
+    /// Drains the collected actions (the engine, and wrapper nodes —
+    /// e.g. Byzantine strategies that run honest logic in a scratch
+    /// context and rewrite its output).
+    #[inline]
     pub fn take_outbox(&mut self) -> Vec<Outgoing> {
         std::mem::take(&mut self.outbox)
     }
 
     /// Decisions collected so far (tests and custom harnesses).
+    #[inline]
     pub fn decisions(&self) -> &[Log] {
         &self.decisions
+    }
+
+    /// Drains the collected decisions (the engine).
+    #[inline]
+    pub fn take_decisions(&mut self) -> Vec<Log> {
+        std::mem::take(&mut self.decisions)
     }
 
     /// Broadcasts an original message to all validators.

@@ -12,8 +12,6 @@ use std::sync::Arc;
 use bytes::Bytes;
 use tobsvd_crypto::{Digest, KeyCache, Keypair};
 use tobsvd_ga::Ga3;
-use tobsvd_sim::gossip::{Admission, GossipState};
-use tobsvd_sim::{garbage_bytes, Context, Node, StateFault};
 use tobsvd_storage::{replay_into, BlockRecord, SharedDurable, Snapshot, WalError, WalRecord};
 use tobsvd_types::{
     wire, BlockId, BlockStore, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
@@ -21,10 +19,12 @@ use tobsvd_types::{
 
 use crate::aggregation::{self, AggregationPlane};
 use crate::config::TobConfig;
+use crate::gossip::{Admission, GossipState};
 use crate::leader::vrf_for;
 use crate::schedule::{ViewSchedule, ViewPhase};
 use crate::sync::{Pending, Resolution, SyncState};
 use crate::window::{self, ProposalSide, Window};
+use crate::{garbage_bytes, Context, Node, StateFault};
 
 /// An honest TOB-SVD validator.
 ///
@@ -964,7 +964,7 @@ impl Validator {
 mod tests {
     use super::*;
     use tobsvd_crypto::{VrfOutput, VrfProof};
-    use tobsvd_sim::Mempool;
+    use crate::Mempool;
     use tobsvd_types::{Delta, Time, ValidatorId};
 
     fn ctx_at(t: u64, store: &BlockStore) -> Context {
@@ -994,7 +994,7 @@ mod tests {
         val.on_phase(&mut ctx);
         assert_eq!(val.votes_cast(), 1);
         let vote = match ctx.outbox() {
-            [tobsvd_sim::Outgoing::Broadcast(m)] => *m,
+            [crate::Outgoing::Broadcast(m)] => *m,
             other => panic!("expected one broadcast, got {other:?}"),
         };
         match vote.payload() {
@@ -1037,7 +1037,7 @@ mod tests {
         // The boundary flush relays exactly the winning proposal (the
         // loser's echo is dropped), then the vote adopts its log.
         match ctx.outbox() {
-            [tobsvd_sim::Outgoing::Forward(relay), tobsvd_sim::Outgoing::Broadcast(m)] => {
+            [crate::Outgoing::Forward(relay), crate::Outgoing::Broadcast(m)] => {
                 assert!(matches!(relay.payload(), Payload::Proposal { .. }));
                 assert_eq!(relay.sender(), winner, "only the best-VRF proposal is relayed");
                 match m.payload() {
@@ -1075,7 +1075,7 @@ mod tests {
         val.on_phase(&mut ctx);
         assert_eq!(ctx.crypto_ops.vrf_verifies, 1, "the forger pays its one check");
         match ctx.outbox() {
-            [tobsvd_sim::Outgoing::Broadcast(m)] => {
+            [crate::Outgoing::Broadcast(m)] => {
                 let log = m.payload().log().expect("LOG carries a log");
                 assert!(log.is_genesis(&store), "forged proposal ignored");
             }
@@ -1231,7 +1231,7 @@ mod tests {
         let mut ctx = ctx_at(8, &store);
         val.on_message(&req, &mut ctx);
         match ctx.outbox() {
-            [tobsvd_sim::Outgoing::Multicast(targets, m)] => {
+            [crate::Outgoing::Multicast(targets, m)] => {
                 assert_eq!(targets, &vec![ValidatorId::new(1)]);
                 match m.payload() {
                     Payload::BlockResponse { tip, from_height, count } => {
@@ -1286,7 +1286,7 @@ mod tests {
         assert!(
             ctx.outbox().iter().any(|o| matches!(
                 o,
-                tobsvd_sim::Outgoing::Multicast(_, m)
+                crate::Outgoing::Multicast(_, m)
                     if matches!(m.payload(), Payload::BlockResponse { .. })
             )),
             "retry swallowed: {:?}",
@@ -1370,7 +1370,7 @@ mod tests {
         for log in [g, fork(2), fork(3)] {
             let payload = Payload::Log { instance: InstanceId(0), log };
             val.on_message(&SignedMessage::sign(&kp, sender, payload), &mut ctx);
-            let relayed = |o: &tobsvd_sim::Outgoing| matches!(o, tobsvd_sim::Outgoing::Forward(_));
+            let relayed = |o: &crate::Outgoing| matches!(o, crate::Outgoing::Forward(_));
             forwards.push(ctx.take_outbox().iter().filter(|o| relayed(o)).count());
         }
         assert_eq!(forwards, [1, 1, 0], "the third distinct LOG is not forwarded");
@@ -1412,7 +1412,7 @@ mod tests {
         val.on_phase(&mut ctx);
         assert_eq!(ctx.crypto_ops.vrf_verifies, 1);
         match ctx.outbox() {
-            [tobsvd_sim::Outgoing::Forward(e1), tobsvd_sim::Outgoing::Forward(e2), tobsvd_sim::Outgoing::Broadcast(m)] =>
+            [crate::Outgoing::Forward(e1), crate::Outgoing::Forward(e2), crate::Outgoing::Broadcast(m)] =>
             {
                 for evidence in [e1, e2] {
                     assert!(matches!(evidence.payload(), Payload::Proposal { .. }));
@@ -1447,7 +1447,7 @@ mod tests {
         val.on_phase(&mut ctx);
         assert_eq!(ctx.crypto_ops.vrf_verifies, 2, "two logs from one sender: both checked once");
         match ctx.outbox() {
-            [tobsvd_sim::Outgoing::Forward(relay), tobsvd_sim::Outgoing::Broadcast(m)] => {
+            [crate::Outgoing::Forward(relay), crate::Outgoing::Broadcast(m)] => {
                 assert_eq!(relay.id(), p1.id(), "only the genuine proposal is relayed");
                 assert_eq!(m.payload().log(), p1.payload().log(), "p1 survives: no equivocation");
             }
@@ -1477,7 +1477,7 @@ mod tests {
         val.on_phase(&mut ctx);
         assert_eq!(ctx.crypto_ops.vrf_verifies, 2, "one check for the forger, one for the winner");
         let voted = ctx.outbox().iter().find_map(|o| match o {
-            tobsvd_sim::Outgoing::Broadcast(m) => m.payload().log(),
+            crate::Outgoing::Broadcast(m) => m.payload().log(),
             _ => None,
         });
         let proposer = voted.and_then(|log| store.get(log.tip())).and_then(|b| b.proposer());
@@ -1513,7 +1513,7 @@ mod tests {
             .outbox()
             .iter()
             .filter_map(|o| match o {
-                tobsvd_sim::Outgoing::Forward(m) => Some(m.id()),
+                crate::Outgoing::Forward(m) => Some(m.id()),
                 _ => None,
             })
             .collect();
@@ -1533,7 +1533,7 @@ mod tests {
             .outbox()
             .iter()
             .filter_map(|o| match o {
-                tobsvd_sim::Outgoing::ForwardTo(to, batch) => Some((*to, batch.as_slice())),
+                crate::Outgoing::ForwardTo(to, batch) => Some((*to, batch.as_slice())),
                 _ => None,
             })
             .collect();
@@ -1577,7 +1577,7 @@ mod tests {
         assert!(archived.len() > cap);
         let mut ctx = ctx_at(1, &store);
         val.serve_recovery(peer, View::ZERO, &mut ctx);
-        let [tobsvd_sim::Outgoing::ForwardTo(to, batch)] = ctx.outbox() else {
+        let [crate::Outgoing::ForwardTo(to, batch)] = ctx.outbox() else {
             panic!("one ForwardTo per serve, got {:?}", ctx.outbox())
         };
         assert_eq!(*to, peer);
@@ -1810,7 +1810,7 @@ mod tests {
     /// group, and two late votes after that flush. Validators 1 and 2
     /// proposed for views 1 to 4, and view 1's side is not retired yet.
     /// Returns the server and what it sent at the boundaries 80 and 88.
-    fn scripted_server(store: &BlockStore, certificates: bool) -> (Validator, Vec<tobsvd_sim::Outgoing>) {
+    fn scripted_server(store: &BlockStore, certificates: bool) -> (Validator, Vec<crate::Outgoing>) {
         let cfg = TobConfig::new(10).with_recovery(true).with_certificates(certificates);
         let mut val = Validator::new(ValidatorId::new(0), cfg, store);
         let g = Log::genesis(store);
@@ -1853,7 +1853,7 @@ mod tests {
         // The request itself is gossiped on; the reply is the one
         // `ForwardTo`.
         match ctx.take_outbox().as_slice() {
-            [tobsvd_sim::Outgoing::Forward(_), tobsvd_sim::Outgoing::ForwardTo(to, batch)]
+            [crate::Outgoing::Forward(_), crate::Outgoing::ForwardTo(to, batch)]
                 if *to == ValidatorId::new(peer) =>
             {
                 batch.clone()
@@ -1869,7 +1869,7 @@ mod tests {
         let batch = serve_at_96(&mut val, &store, 9);
         let w2 = &val.window[&View::new(2)];
         let [own] = w2.groups[0].sent() else { panic!("one certificate sent for `a`") };
-        assert!(sent.iter().any(|o| matches!(o, tobsvd_sim::Outgoing::Broadcast(m) if m == &**own)));
+        assert!(sent.iter().any(|o| matches!(o, crate::Outgoing::Broadcast(m) if m == &**own)));
         assert!(matches!(own.payload(), Payload::Certificate { signers, .. } if signers.len() == 6));
         assert!(w2.groups[1].sent().is_empty(), "`b` never reached a quorum");
         // The archive is a1..a6, b3, a7, a8: the certificate covers a1..a6.

@@ -7,14 +7,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tobsvd_ga::Ga3;
-use tobsvd_sim::CryptoOps;
 use tobsvd_types::{Payload, SignedMessage, View};
 
 use crate::aggregation::{ProposalRelay, VoteGroup};
 use crate::leader::ProposalTracker;
+use crate::CryptoOps;
 
-/// A validator's per-view state, by view.
-pub(crate) type Window = BTreeMap<View, ViewState>;
+/// A validator's per-view state, by view, boxed: only 2–3 views are live,
+/// so the map's first leaf holds pointers, not eleven 640-byte states.
+pub(crate) type Window = BTreeMap<View, Box<ViewState>>;
 
 /// What a validator keeps about one view.
 #[derive(Default)]

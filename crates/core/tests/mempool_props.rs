@@ -9,7 +9,7 @@
 //! * admission churn and bounded capacity leave both properties intact.
 
 use proptest::prelude::*;
-use tobsvd_sim::{Admission, AdmissionPolicy, Mempool};
+use tobsvd_core::{Admission, AdmissionPolicy, Mempool};
 use tobsvd_types::{BlockStore, Log, Time, Transaction, TxId, ValidatorId, View};
 
 /// Deterministically builds a chain of `blocks` blocks on top of `base`,

@@ -15,7 +15,7 @@
 //! time-shifted quorum technique to the equivocator set itself via the
 //! intersection `V^Δ ∩ V^{3Δ}`.
 //!
-//! This type is the sans-io state machine; the owner (a [`crate::GaNode`]
+//! This type is the sans-io state machine; the owner (a `tobsvd_sim::GaNode`
 //! or the TOB-SVD validator) broadcasts the input, feeds received `LOG`
 //! messages through [`Ga2::on_log`] and drives the schedule by calling
 //! [`Ga2::on_phase`] at every phase boundary at which the validator is

@@ -27,22 +27,21 @@
 //!   demonstrates.
 //!
 //! All three are sans-io state machines driven by `on_log` / `on_vote` /
-//! `on_phase`; [`GaNode`] adapts any of them to the simulator's
-//! [`tobsvd_sim::Node`] interface, and `tobsvd-core` embeds [`Ga3`]
-//! directly inside the TOB-SVD validator.
+//! `on_phase`, and this crate depends only on `tobsvd-types` and
+//! `tobsvd-crypto`. `tobsvd-core` embeds [`Ga3`] directly inside the
+//! TOB-SVD validator; `tobsvd_sim::GaNode` adapts any of the three to
+//! the protocol's `Node` interface for standalone GA experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ga2;
 mod ga3;
-pub mod harness;
 mod mr;
 pub mod support;
 mod tracker;
 
-pub use ga2::Ga2;
-pub use ga3::Ga3;
-pub use harness::{GaHarness, GaKind, GaNode, GaRunResult};
-pub use mr::MrGa;
+pub use ga2::{Ga2, GA2_DURATION_DELTAS, GA2_GRADES};
+pub use ga3::{Ga3, GA3_DURATION_DELTAS, GA3_GRADES};
+pub use mr::{MrGa, MR_DURATION_DELTAS};
 pub use tracker::{LogTracker, TrackOutcome, VSnapshot};

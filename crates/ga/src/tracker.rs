@@ -12,7 +12,7 @@
 //! validator index — with running `|V|` and `|S|` counts, so recording a
 //! log and both counts are O(1) and iteration is in validator order.
 //! Every sender is a committee member below [`SignerSet::CAPACITY`]:
-//! the gossip gate (`tobsvd_sim::gossip`) drops any other before it
+//! the gossip gate (`tobsvd_core::gossip`) drops any other before it
 //! reaches a tracker, so a table is at most one bitmap wide.
 //!
 //! Figure 2 also stores two copies of `V` (`V^Δ`, `V^{2Δ}`) and later

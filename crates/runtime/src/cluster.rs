@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-use tobsvd_sim::AdmissionPolicy;
+use tobsvd_core::AdmissionPolicy;
 use tobsvd_types::{Delta, SignerSet, Transaction, TxId, ValidatorId};
 
 use crate::clock::TickClock;

@@ -25,7 +25,7 @@
 //!
 //! Overload is shed explicitly, never by unbounded queueing:
 //!
-//! * the mempool's [`AdmissionPolicy`](tobsvd_sim::AdmissionPolicy)
+//! * the mempool's [`AdmissionPolicy`](tobsvd_core::AdmissionPolicy)
 //!   bounds pending transactions; `Busy`/`RateLimited` verdicts travel
 //!   back as acks;
 //! * a client whose submission was shed is **read-throttled**: its
@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use mio::{Events, Interest, Poll, Token};
-use tobsvd_sim::Mempool;
+use tobsvd_core::Mempool;
 use tobsvd_types::client::{
     decode_client_frame, encode_client_frame, is_client_frame, AckStatus, ClientFrame,
     MAX_SUBMIT_FRAME_BYTES,
@@ -401,19 +401,19 @@ fn handle_client_frame(
     let now = cfg.clock.now_tick();
     let verdict = cfg.mempool.admit(tx, now, fee, Some(client));
     let status = match verdict {
-        tobsvd_sim::Admission::Accepted { .. } => {
+        tobsvd_core::Admission::Accepted { .. } => {
             stats.acks_accepted += 1;
             AckStatus::Accepted
         }
-        tobsvd_sim::Admission::Duplicate => {
+        tobsvd_core::Admission::Duplicate => {
             stats.acks_duplicate += 1;
             AckStatus::Duplicate
         }
-        tobsvd_sim::Admission::Busy => {
+        tobsvd_core::Admission::Busy => {
             stats.acks_busy += 1;
             AckStatus::Busy
         }
-        tobsvd_sim::Admission::RateLimited => {
+        tobsvd_core::Admission::RateLimited => {
             stats.acks_rate_limited += 1;
             AckStatus::RateLimited
         }

@@ -13,7 +13,7 @@
 //! same listener (classified by the first payload byte) through
 //! [`client::ClientConn`]. A shared-epoch tick clock stands in for the
 //! model's synchronized clocks, and a bounded
-//! [`tobsvd_sim::AdmissionPolicy`] mempool acknowledges every
+//! [`tobsvd_core::AdmissionPolicy`] mempool acknowledges every
 //! submission with explicit backpressure instead of unbounded queueing.
 //!
 //! This crate is the "would a downstream user actually deploy this?"

@@ -41,8 +41,8 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use tobsvd_core::{AdmissionPolicy, AdmissionStats, Context, Mempool, Node, Outgoing};
 use tobsvd_core::{TobConfig, Validator};
-use tobsvd_sim::{AdmissionPolicy, AdmissionStats, Context, Mempool, Node as SimNode, Outgoing};
 use tobsvd_storage::{shared, FileDurable};
 use tobsvd_types::wire::{self, MessageClass};
 use tobsvd_types::{BlockId, BlockStore, Delta, SignedMessage, Time, Transaction, ValidatorId};

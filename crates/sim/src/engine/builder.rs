@@ -5,17 +5,15 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tobsvd_core::{IdleNode, Mempool, Node, StateFault};
 use tobsvd_types::{BlockStore, Time, ValidatorId};
 
 use super::{AdvanceMode, EventKind, Simulation, Slot};
 use crate::config::SimConfig;
 use crate::controller::{AdversaryController, NullController};
-use crate::fault::StateFault;
 use crate::invariant::Invariant;
-use crate::mempool::Mempool;
 use crate::metrics::Metrics;
 use crate::network::{DelayPolicy, DeliveryFilter, UniformDelay};
-use crate::node::{IdleNode, Node};
 use crate::observer::DecisionObserver;
 use crate::schedule::{CorruptionSchedule, ParticipationSchedule};
 

@@ -44,12 +44,12 @@
 
 use std::sync::Arc;
 
+use tobsvd_core::{Context, IdleNode, Node, Outgoing};
 use tobsvd_types::{wire, Log, Payload, SignedMessage, ValidatorId};
 
 use super::Simulation;
 use crate::invariant::{DecisionEvent, InvariantViolation};
 use crate::metrics::MessageKind;
-use crate::node::{Context, IdleNode, Node, Outgoing};
 use crate::observer::DecisionRecord;
 
 /// One broadcast's shared delivery payload: the `Arc`'d message plus
@@ -189,17 +189,13 @@ impl Simulation {
         for (tag, msg) in msgs {
             node.on_delivery(msg, ctx);
             self.metrics.record_crypto(std::mem::take(&mut ctx.crypto_ops));
-            if !ctx.outbox.is_empty() || !ctx.decisions.is_empty() {
+            if !ctx.outbox().is_empty() || !ctx.decisions().is_empty() {
                 // Held until the bucket is done: in per-vote mode every
                 // call emits its own forwards, and each held outbox
                 // should not also keep its `Vec`'s growth slack.
-                ctx.outbox.shrink_to_fit();
-                self.effects.push(Effect {
-                    tag,
-                    from,
-                    outbox: std::mem::take(&mut ctx.outbox),
-                    decisions: std::mem::take(&mut ctx.decisions),
-                });
+                let mut outbox = ctx.take_outbox();
+                outbox.shrink_to_fit();
+                self.effects.push(Effect { tag, from, outbox, decisions: ctx.take_decisions() });
             }
         }
         self.slots[idx].node = node;

@@ -63,6 +63,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
+use tobsvd_core::{Context, IdleNode, Mempool, Node, StateFault};
 use tobsvd_types::{BlockStore, SignedMessage, Time, ValidatorId};
 
 pub use builder::{ByzantineFactory, RestartFactory, SimulationBuilder};
@@ -71,12 +72,9 @@ pub use report::SimReport;
 
 use crate::config::SimConfig;
 use crate::controller::{AdversaryCommand, AdversaryController, TickView};
-use crate::fault::StateFault;
 use crate::invariant::{Invariant, InvariantViolation};
-use crate::mempool::Mempool;
 use crate::metrics::Metrics;
 use crate::network::{DelayPolicy, DeliveryFilter};
-use crate::node::{Context, IdleNode, Node};
 use crate::observer::DecisionObserver;
 use crate::schedule::{CorruptionSchedule, ParticipationSchedule};
 
@@ -457,7 +455,7 @@ impl Simulation {
         f(&mut node, &mut ctx);
         self.slots[idx].node = node;
         self.metrics.record_crypto(ctx.crypto_ops);
-        self.apply_actions(ValidatorId::new(idx as u32), ctx.outbox, ctx.decisions);
+        self.apply_actions(ValidatorId::new(idx as u32), ctx.take_outbox(), ctx.take_decisions());
     }
 
     fn apply_command(&mut self, cmd: AdversaryCommand) {

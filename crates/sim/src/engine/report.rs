@@ -1,11 +1,11 @@
 //! [`SimReport`]: the run's summary, and the one place end-of-run
 //! invariants are evaluated.
 
+use tobsvd_core::AdmissionStats;
 use tobsvd_types::{BlockStore, Log, Time};
 
 use super::Simulation;
 use crate::invariant::InvariantViolation;
-use crate::mempool::AdmissionStats;
 use crate::metrics::Metrics;
 use crate::observer::{ConfirmedTx, DecisionRecord, SafetyViolation};
 
@@ -139,8 +139,8 @@ impl SimReport {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use crate::node::{Context, Node};
     use crate::observer::DecisionObserver;
+    use tobsvd_core::{Context, Node};
     use tobsvd_types::{SignedMessage, ValidatorId, View};
 
     /// Decides a fixed sequence of logs at successive phase boundaries

@@ -8,17 +8,16 @@
 //! validator's outputs, which is what the Theorem 1/2 property tests
 //! check the GA properties against.
 
+use tobsvd_core::gossip::GossipState;
+use tobsvd_core::{Context, Node};
 use tobsvd_crypto::{KeyCache, Keypair};
-use tobsvd_sim::gossip::GossipState;
-use tobsvd_sim::{
-    Context, DelayPolicy, Node, ParticipationSchedule, SimConfig, SimReport, Simulation,
-    UniformDelay,
+use tobsvd_ga::{
+    Ga2, Ga3, MrGa, GA2_DURATION_DELTAS, GA2_GRADES, GA3_DURATION_DELTAS, GA3_GRADES,
+    MR_DURATION_DELTAS,
 };
 use tobsvd_types::{BlockStore, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId};
 
-use crate::ga2::{Ga2, GA2_DURATION_DELTAS, GA2_GRADES};
-use crate::ga3::{Ga3, GA3_DURATION_DELTAS, GA3_GRADES};
-use crate::mr::{MrGa, MR_DURATION_DELTAS};
+use crate::{DelayPolicy, ParticipationSchedule, SimConfig, SimReport, Simulation, UniformDelay};
 
 /// Which GA protocol to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -187,17 +186,12 @@ impl Node for GaNode {
         }
         match msg.payload() {
             Payload::Log { instance, log } if *instance == self.instance => {
+                let (sender, log) = (msg.sender(), *log);
                 match &mut self.ga {
-                    AnyGa::Two(ga) => {
-                        ga.on_log(msg.sender(), *log);
-                    }
-                    AnyGa::Three(ga) => {
-                        ga.on_log(msg.sender(), *log);
-                    }
-                    AnyGa::Mr(ga) => {
-                        ga.on_log(msg.sender(), *log);
-                    }
-                }
+                    AnyGa::Two(ga) => ga.on_log(sender, log),
+                    AnyGa::Three(ga) => ga.on_log(sender, log),
+                    AnyGa::Mr(ga) => ga.on_log(sender, log),
+                };
             }
             Payload::Vote { instance, log } if *instance == self.instance => {
                 if let AnyGa::Mr(ga) = &mut self.ga {

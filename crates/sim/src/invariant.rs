@@ -228,7 +228,7 @@ pub fn standard_invariants() -> Vec<Box<dyn Invariant>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mempool::Mempool;
+    use tobsvd_core::Mempool;
     use tobsvd_types::View;
 
     fn store_and_logs() -> (BlockStore, Log, Log, Log) {

@@ -25,12 +25,12 @@
 //!   experiments can assert they operate inside the (T_b, T_s, ρ)-sleepy
 //!   model before drawing conclusions.
 //!
-//! Protocol logic plugs in through the sans-io [`Node`] trait; the
-//! engine ([`Simulation`]) owns the event loop, gossip bookkeeping
-//! helpers live in [`gossip`], transaction pooling (with bounded
-//! [`AdmissionPolicy`]-controlled admission) in [`Mempool`], open-loop
-//! client traffic generation in [`OpenLoopWorkload`], and
-//! measurement in [`Metrics`] and [`DecisionObserver`]. The network
+//! Protocol logic plugs in through `tobsvd-core`'s sans-io [`Node`]
+//! trait (with its [`gossip`] gate and [`Mempool`], re-exported here);
+//! the engine ([`Simulation`]) owns the event loop, open-loop client
+//! traffic generation is [`OpenLoopWorkload`], measurement is [`Metrics`]
+//! and [`DecisionObserver`], [`TobSimulationBuilder`] assembles whole
+//! TOB-SVD networks and [`GaHarness`] one standalone GA instance. The network
 //! stores one `Arc`'d message per broadcast — delivery events carry the
 //! shared handle, not deep copies — and charges every delivered copy
 //! its exact delta-sync wire length, per message kind, alongside the
@@ -59,15 +59,13 @@ pub mod compliance;
 mod config;
 mod controller;
 mod engine;
-mod fault;
-pub mod gossip;
+mod harness;
 pub mod invariant;
-mod mempool;
 mod metrics;
 mod network;
-mod node;
 mod observer;
 mod schedule;
+mod tob;
 mod workload;
 
 pub use config::SimConfig;
@@ -75,15 +73,18 @@ pub use controller::{AdversaryCommand, AdversaryController, NullController, Tick
 pub use engine::{
     AdvanceMode, ByzantineFactory, RestartFactory, SimReport, Simulation, SimulationBuilder,
 };
-pub use fault::{garbage_bytes, StateFault};
+pub use harness::{GaHarness, GaKind, GaNode, GaRunResult};
 pub use invariant::{
     standard_invariants, DecisionEvent, DecisionMonotonicity, Invariant, InvariantViolation,
     NoConflictingAnchor, PrefixAgreement,
 };
-pub use mempool::{Admission, AdmissionPolicy, AdmissionStats, Mempool, TxRecord};
 pub use metrics::{MessageKind, Metrics};
 pub use network::{BestCaseDelay, DelayPolicy, DeliveryFilter, UniformDelay, WorstCaseDelay};
-pub use node::{Context, CryptoOps, IdleNode, Node, Outgoing};
 pub use observer::{ConfirmedTx, DecisionObserver, DecisionRecord, SafetyViolation};
 pub use schedule::{CorruptionSchedule, ParticipationSchedule};
+pub use tob::{TobError, TobReport, TobSimulationBuilder, TxWorkload};
 pub use workload::{Arrival, OpenLoopSpec, OpenLoopWorkload};
+pub use tobsvd_core::{
+    garbage_bytes, gossip, Admission, AdmissionPolicy, AdmissionStats, Context, CryptoOps,
+    IdleNode, Mempool, Node, Outgoing, StateFault, TxRecord,
+};

@@ -188,7 +188,7 @@ impl Metrics {
 
     /// Folds one callback's (or one run of callbacks') crypto-operation
     /// counts into the run totals.
-    pub fn record_crypto(&mut self, ops: crate::node::CryptoOps) {
+    pub fn record_crypto(&mut self, ops: tobsvd_core::CryptoOps) {
         self.sig_verifies += ops.sig_verifies;
         self.sig_verify_skips += ops.sig_verify_skips;
         self.vrf_verifies += ops.vrf_verifies;

@@ -10,9 +10,8 @@
 
 use std::collections::BTreeMap;
 
+use tobsvd_core::Mempool;
 use tobsvd_types::{BlockStore, Log, Time, TxId, ValidatorId};
-
-use crate::mempool::Mempool;
 
 /// One decision event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

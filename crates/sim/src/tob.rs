@@ -2,16 +2,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tobsvd_sim::{
-    DecisionRecord, IdleNode, Node, SimConfig, SimReport, Simulation, SimulationBuilder, StateFault,
-};
+use tobsvd_core::leader::good_leader;
+use tobsvd_core::{IdleNode, Node, StateFault, TobConfig, Validator, ViewSchedule};
 use tobsvd_storage::{shared, MemDurable, SharedDurable};
 use tobsvd_types::{BlockStore, Delta, SignerSet, Time, Transaction, ValidatorId, View};
 
-use crate::config::TobConfig;
-use crate::leader::good_leader;
-use crate::schedule::ViewSchedule;
-use crate::validator::Validator;
+use crate::{DecisionRecord, SimConfig, SimReport, Simulation, SimulationBuilder};
 
 /// Transaction workload injected into the shared mempool before the run.
 ///
@@ -55,8 +51,7 @@ type EngineStep = Box<dyn FnOnce(SimulationBuilder) -> SimulationBuilder + Send>
 /// through [`TobSimulationBuilder::engine`].
 ///
 /// ```
-/// use tobsvd_core::TobSimulationBuilder;
-/// use tobsvd_sim::WorstCaseDelay;
+/// use tobsvd_sim::{TobSimulationBuilder, WorstCaseDelay};
 ///
 /// let report = TobSimulationBuilder::new(6)
 ///     .views(8)
@@ -511,7 +506,7 @@ impl TobReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tobsvd_sim::{AdmissionPolicy, Mempool};
+    use tobsvd_core::{AdmissionPolicy, Mempool};
 
     #[test]
     fn fault_free_run_decides_every_view() {
@@ -657,7 +652,7 @@ mod tests {
         let err = TobSimulationBuilder::new(3)
             .byzantine(
                 ValidatorId::new(9),
-                Box::new(|_| Box::new(tobsvd_sim::IdleNode)),
+                Box::new(|_| Box::new(IdleNode)),
             )
             .run()
             .unwrap_err();

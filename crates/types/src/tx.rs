@@ -5,7 +5,7 @@
 //! predicate `P`, and batch them into blocks (§2, §3.2). Transactions here
 //! are opaque byte strings with a content-derived identity; the pool
 //! itself (with submission-time tracking for latency experiments) lives in
-//! `tobsvd-sim::mempool`.
+//! `tobsvd-core`'s `Mempool`.
 //!
 //! The payload is one shared buffer: every validator proposes in every
 //! view (§3.3), so the same pending transaction sits in up to n stored

@@ -23,9 +23,8 @@
 //! power to veto outputs, which kills Validity, locks and decisions.)
 
 use tob_svd::adversary::{GaEquivocator, SplitBrainNode};
-use tob_svd::ga::{GaHarness, GaKind};
-use tob_svd::protocol::{TobConfig, TobSimulationBuilder, TxWorkload};
-use tob_svd::sim::{SimConfig, WorstCaseDelay};
+use tob_svd::protocol::TobConfig;
+use tob_svd::sim::{GaHarness, GaKind, SimConfig, TobSimulationBuilder, TxWorkload, WorstCaseDelay};
 use tob_svd::types::{InstanceId, Log, Time, ValidatorId, View};
 
 fn main() {

@@ -8,7 +8,7 @@
 //! the decided log, per-validator agreement and the vote/decision
 //! counters that make TOB-SVD a *single-vote* protocol.
 
-use tob_svd::protocol::{TobSimulationBuilder, TxWorkload};
+use tob_svd::sim::{TobSimulationBuilder, TxWorkload};
 
 fn main() {
     let report = TobSimulationBuilder::new(8)

@@ -10,9 +10,8 @@
 //! safe *and* live, which this example verifies by running it.
 
 use tob_svd::adversary::churn;
-use tob_svd::protocol::{TobSimulationBuilder, TxWorkload};
 use tob_svd::sim::compliance::{check, SleepyParams};
-use tob_svd::sim::CorruptionSchedule;
+use tob_svd::sim::{CorruptionSchedule, TobSimulationBuilder, TxWorkload};
 use tob_svd::types::{Delta, Time, View};
 
 fn main() {

@@ -12,15 +12,15 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`types`] | `tobsvd-types` | time, logs, blocks, views, messages, wire codec |
 //! | [`crypto`] | `tobsvd-crypto` | SHA-256, simulated signatures, hash VRF |
-//! | [`sim`] | `tobsvd-sim` | discrete-event sleepy-model simulator |
-//! | [`ga`] | `tobsvd-ga` | Graded Agreement primitives (Figures 1–2, §4) |
-//! | [`protocol`] | `tobsvd-core` | the TOB-SVD protocol (Figure 4) |
-//! | [`adversary`] | `tobsvd-adversary` | Byzantine strategies and churn generators |
-//! | [`runtime`] | `tobsvd-runtime` | real TCP multi-node deployment |
+//! | [`types`] | `tobsvd-types` | time, logs, blocks, views, messages, wire codec |
 //! | [`storage`] | `tobsvd-storage` | durable WAL + snapshot checkpoints + crash recovery |
+//! | [`ga`] | `tobsvd-ga` | Graded Agreement primitives (Figures 1–2, §4) |
+//! | [`protocol`] | `tobsvd-core` | the TOB-SVD protocol (Figure 4) and its sans-io interface: `Node`, `Context`, the gossip gate, the mempool |
+//! | [`sim`] | `tobsvd-sim` | discrete-event sleepy-model simulator, whole-network assembly (`TobSimulationBuilder`), the standalone GA harness (`GaHarness`) |
+//! | [`adversary`] | `tobsvd-adversary` | Byzantine strategies and churn generators |
 //! | [`check`] | `tobsvd-check` | randomized schedule-exploration model checker + shrinker |
+//! | [`runtime`] | `tobsvd-runtime` | real TCP multi-node deployment (on `protocol`, not `sim`) |
 //!
 //! # Quickstart
 //!
@@ -30,8 +30,7 @@
 //! own, set through the `engine` hook:
 //!
 //! ```
-//! use tob_svd::protocol::TobSimulationBuilder;
-//! use tob_svd::sim::WorstCaseDelay;
+//! use tob_svd::sim::{TobSimulationBuilder, WorstCaseDelay};
 //!
 //! let report = TobSimulationBuilder::new(8)
 //!     .views(12)

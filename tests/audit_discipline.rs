@@ -7,8 +7,7 @@
 //! repair count as the unconditional scan it replaced, when sync
 //! knowledge is corrupted.
 
-use tob_svd::protocol::{TobReport, TobSimulationBuilder};
-use tob_svd::sim::StateFault;
+use tob_svd::sim::{StateFault, TobReport, TobSimulationBuilder};
 use tob_svd::types::{Time, ValidatorId};
 
 const N: usize = 6;

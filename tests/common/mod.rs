@@ -1,6 +1,6 @@
 //! The canonical decision transcript shared by the determinism suites.
 
-use tob_svd::protocol::TobReport;
+use tob_svd::sim::TobReport;
 use tob_svd::types::{BlockStore, Log};
 
 /// Serializes a decided log into a canonical byte transcript: length,

@@ -16,8 +16,7 @@
 //! * whole crash-restart simulations are deterministic: two executions
 //!   of the same configuration agree on every per-validator counter.
 
-use tob_svd::protocol::TobSimulationBuilder;
-use tob_svd::sim::StateFault;
+use tob_svd::sim::{StateFault, TobSimulationBuilder};
 use tob_svd::storage::{
     replay_into, BlockRecord, DurableStore, FileDurable, MemDurable, Snapshot, WalRecord,
 };
@@ -103,7 +102,7 @@ fn identical_write_sequences_yield_byte_identical_images() {
 
 /// One simulated kill/restart: validator 1 goes down at `at` for
 /// `down` ticks, restarting from its durable snapshot + WAL.
-fn crash_run(seed: u64, at: u64, down: u64) -> tob_svd::protocol::TobReport {
+fn crash_run(seed: u64, at: u64, down: u64) -> tob_svd::sim::TobReport {
     let report = TobSimulationBuilder::new(5)
         .views(14)
         .seed(seed)
@@ -143,7 +142,7 @@ fn killed_validator_resumes_from_snapshot_plus_wal_and_reconverges() {
 /// recover the clean prefix — corrupt checkpoint dropped, undecodable
 /// WAL suffix truncated — and close the rest of the gap over the §2
 /// recovery broadcast and the delta-sync fetch plane.
-fn corrupted_crash_run(seed: u64) -> tob_svd::protocol::TobReport {
+fn corrupted_crash_run(seed: u64) -> tob_svd::sim::TobReport {
     let v = ValidatorId::new(1);
     let report = TobSimulationBuilder::new(5)
         .views(14)

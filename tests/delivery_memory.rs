@@ -72,12 +72,16 @@ static ALLOCATOR: Counting = Counting;
 const N: usize = 64;
 
 /// Heap bytes one (validator, proposal) record may grow by, averaged
-/// over the 64 × 64. Measured at 225 when the seat holds the handle:
-/// about 114 at the margin (the 33-byte gossip slot, the 32-byte seat,
-/// the 16-byte relay reference, each in a doubling `Vec`) plus about
-/// 7.4 KiB of per-view state per validator. A seat that copies the
-/// proposal's fields (152 bytes) measured 345. The bound lies between.
-const BOUND_PER_RECORD: isize = 280;
+/// over the 64 × 64. Measured at 127 when the seat holds the handle and
+/// the window boxes its per-view state: about 114 at the margin (the
+/// 33-byte gossip slot, the 32-byte seat, the 16-byte relay reference,
+/// each in a doubling `Vec`) plus about 0.8 KiB of per-view state per
+/// validator (a map leaf of eleven 8-byte keys and eleven box pointers,
+/// ≈ 0.2 KiB, and the 640-byte `ViewState` box). With the state inline
+/// the leaf alone is ≈ 7.1 KiB, and the record measured 225; a seat
+/// that copies the proposal's fields (152 bytes) measured 345. The
+/// bound lies between 127 and 225.
+const BOUND_PER_RECORD: isize = 170;
 
 /// 64 validators on one store each receive the same 64 signed proposals
 /// for view 0, in range at t = 1, through [`Node::on_delivery`]: the

@@ -6,8 +6,7 @@
 //! panics here; what saturates instead must still terminate and stay
 //! safe (with Δ ≥ 2⁶⁰ the 18Δ horizon itself saturates at `u64::MAX`).
 
-use tob_svd::protocol::{TobReport, TobSimulationBuilder};
-use tob_svd::sim::StateFault;
+use tob_svd::sim::{StateFault, TobReport, TobSimulationBuilder};
 use tob_svd::types::{Delta, Time, ValidatorId};
 
 const DELTAS: [u64; 4] = [1 << 32, 1 << 57, 1 << 60, u64::MAX / 4];

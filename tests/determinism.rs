@@ -7,8 +7,10 @@
 //! in a flaky downstream experiment.
 
 use tob_svd::adversary::{churn, AdaptiveLeaderCorruptor, SplitBrainNode};
-use tob_svd::protocol::{TobConfig, TobReport, TobSimulationBuilder, TxWorkload};
-use tob_svd::sim::{AdvanceMode, CorruptionSchedule, WorstCaseDelay};
+use tob_svd::protocol::TobConfig;
+use tob_svd::sim::{
+    AdvanceMode, CorruptionSchedule, TobReport, TobSimulationBuilder, TxWorkload, WorstCaseDelay,
+};
 use tob_svd::types::{Delta, Time, ValidatorId, View};
 
 mod common;

@@ -4,9 +4,9 @@
 //! schedules verified against Condition (1).
 
 use tob_svd::adversary::{churn, AdaptiveLeaderCorruptor, SplitBrainNode};
-use tob_svd::protocol::{TobConfig, TobSimulationBuilder, TxWorkload};
+use tob_svd::protocol::TobConfig;
 use tob_svd::sim::compliance::{check, SleepyParams};
-use tob_svd::sim::{CorruptionSchedule, WorstCaseDelay};
+use tob_svd::sim::{CorruptionSchedule, TobSimulationBuilder, TxWorkload, WorstCaseDelay};
 use tob_svd::types::{Delta, ValidatorId, View};
 
 #[test]

@@ -14,8 +14,7 @@
 //! another learns of equivocations only at the last allowed moment.
 
 use tob_svd::adversary::{FnDelay, GaEquivocator};
-use tob_svd::ga::{GaHarness, GaKind};
-use tob_svd::sim::SimConfig;
+use tob_svd::sim::{GaHarness, GaKind, SimConfig};
 use tob_svd::types::{InstanceId, Log, Time, ValidatorId, View};
 
 const N: usize = 4;

@@ -10,11 +10,10 @@
 
 use proptest::prelude::*;
 use tob_svd::adversary::{GaEquivocator, SplitDelay};
-use tob_svd::ga::{GaHarness, GaKind, GaRunResult};
 use tob_svd::sim::compliance::{check, SleepyParams};
 use tob_svd::sim::{
-    BestCaseDelay, CorruptionSchedule, DelayPolicy, ParticipationSchedule, SimConfig,
-    UniformDelay, WorstCaseDelay,
+    BestCaseDelay, CorruptionSchedule, DelayPolicy, GaHarness, GaKind, GaRunResult,
+    ParticipationSchedule, SimConfig, UniformDelay, WorstCaseDelay,
 };
 use tob_svd::types::{InstanceId, Log, Time, ValidatorId, View};
 

@@ -2,8 +2,8 @@
 //! ½" — and the mild-adaptivity requirement behind it.
 
 use tob_svd::adversary::AdaptiveLeaderCorruptor;
-use tob_svd::protocol::{leader, TobSimulationBuilder, TxWorkload};
-use tob_svd::sim::{CorruptionSchedule, ParticipationSchedule};
+use tob_svd::protocol::leader;
+use tob_svd::sim::{CorruptionSchedule, ParticipationSchedule, TobSimulationBuilder, TxWorkload};
 use tob_svd::types::{Delta, Time, ValidatorId, View};
 
 #[test]

@@ -6,13 +6,12 @@
 //! set. Both claims are exhibited on the same adversarial scenario.
 
 use tob_svd::adversary::GaEquivocator;
-use tob_svd::ga::{GaHarness, GaKind};
-use tob_svd::sim::{BestCaseDelay, SimConfig};
+use tob_svd::sim::{BestCaseDelay, GaHarness, GaKind, SimConfig};
 use tob_svd::types::{InstanceId, Log, Time, ValidatorId, View};
 
 /// Two honest validators split across branches + two Byzantine
 /// validators that equivocate both branches to everyone.
-fn build(kind: GaKind, seed: u64) -> (tob_svd::ga::GaRunResult, Log, Log) {
+fn build(kind: GaKind, seed: u64) -> (tob_svd::sim::GaRunResult, Log, Log) {
     let n = 4;
     let cfg = SimConfig::new(n).with_seed(seed);
     let mut h = GaHarness::new(cfg, kind);

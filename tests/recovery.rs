@@ -18,8 +18,7 @@
 //! measure.
 
 use tob_svd::adversary::FnDelay;
-use tob_svd::protocol::{TobSimulationBuilder, TxWorkload};
-use tob_svd::sim::ParticipationSchedule;
+use tob_svd::sim::{ParticipationSchedule, TobSimulationBuilder, TxWorkload};
 use tob_svd::types::{Delta, SignedMessage, Time, ValidatorId};
 
 fn napper() -> ValidatorId {
@@ -55,7 +54,7 @@ fn fast_delay() -> FnDelay<impl FnMut(&SignedMessage, ValidatorId, ValidatorId, 
     FnDelay(|_m: &SignedMessage, _from, _to: ValidatorId, _at, _d| 1)
 }
 
-fn run(views: u64, drop_mode: bool, recovery: bool) -> tob_svd::protocol::TobReport {
+fn run(views: u64, drop_mode: bool, recovery: bool) -> tob_svd::sim::TobReport {
     let n = 6;
     let delta = Delta::default();
     TobSimulationBuilder::new(n)
@@ -73,7 +72,7 @@ fn run(views: u64, drop_mode: bool, recovery: bool) -> tob_svd::protocol::TobRep
 }
 
 /// (votes, proposals, decisions) of the napper.
-fn napper_stats(report: &tob_svd::protocol::TobReport) -> (u64, u64, u64) {
+fn napper_stats(report: &tob_svd::sim::TobReport) -> (u64, u64, u64) {
     let s = report.validator(ValidatorId::new(0)).expect("napper is honest");
     (s.votes_cast(), s.proposals_made(), s.decisions_made())
 }

@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use tob_svd::crypto::KeyCache;
 use tob_svd::protocol::leader::vrf_for;
-use tob_svd::protocol::{TobConfig, TobSimulationBuilder, Validator};
-use tob_svd::sim::{Context, Mempool, Node, Outgoing};
+use tob_svd::protocol::{TobConfig, Validator};
+use tob_svd::sim::{Context, Mempool, Node, Outgoing, TobSimulationBuilder};
 use tob_svd::types::{
     wire, BlockStore, Delta, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
 };

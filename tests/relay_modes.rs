@@ -15,8 +15,11 @@ use std::sync::Arc;
 use tob_svd::adversary::churn;
 use tob_svd::crypto::{AggregateSignature, Keypair, Signature};
 use tob_svd::protocol::leader::vrf_for;
-use tob_svd::protocol::{TobConfig, TobReport, TobSimulationBuilder, TxWorkload, Validator};
-use tob_svd::sim::{standard_invariants, Context, Mempool, Node, Outgoing};
+use tob_svd::protocol::{TobConfig, Validator};
+use tob_svd::sim::{
+    standard_invariants, Context, Mempool, Node, Outgoing, TobReport, TobSimulationBuilder,
+    TxWorkload,
+};
 use tob_svd::types::{
     wire, BlockId, BlockStore, Delta, InstanceId, Log, Payload, SignedMessage, SignerSet, Time,
     ValidatorId, View,

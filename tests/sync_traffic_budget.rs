@@ -19,7 +19,7 @@
 //! headroom. The inline-equivalent accounting measures ~23 MB/block, so
 //! the two bounds cannot both hold for an inlining regression.
 
-use tob_svd::protocol::{TobSimulationBuilder, TxWorkload};
+use tob_svd::sim::{TobSimulationBuilder, TxWorkload};
 
 /// Wire bytes per decided block allowed at this configuration.
 const BYTES_PER_BLOCK_BUDGET: f64 = 1.7e6;

@@ -2,10 +2,12 @@
 //! the ½ corruption bound of the (T_b, T_s, ½)-sleepy model.
 
 use tob_svd::adversary::{GaEquivocator, SplitBrainNode};
-use tob_svd::ga::{GaHarness, GaKind};
-use tob_svd::protocol::{TobConfig, TobSimulationBuilder, TxWorkload};
+use tob_svd::protocol::TobConfig;
 use tob_svd::sim::compliance::{check, SleepyParams};
-use tob_svd::sim::{CorruptionSchedule, ParticipationSchedule, SimConfig, WorstCaseDelay};
+use tob_svd::sim::{
+    CorruptionSchedule, GaHarness, GaKind, ParticipationSchedule, SimConfig, TobSimulationBuilder,
+    TxWorkload, WorstCaseDelay,
+};
 use tob_svd::types::{Delta, InstanceId, Log, Time, ValidatorId, View};
 
 /// f = ⌊(n−1)/2⌋ is compliant with everyone awake; f = ⌈n/2⌉ is not.

@@ -5,9 +5,8 @@
 //! deliver a log that includes tx."
 
 use tob_svd::adversary::churn;
-use tob_svd::protocol::{TobSimulationBuilder, TxWorkload};
 use tob_svd::sim::compliance::{check, SleepyParams};
-use tob_svd::sim::{CorruptionSchedule, WorstCaseDelay};
+use tob_svd::sim::{CorruptionSchedule, TobSimulationBuilder, TxWorkload, WorstCaseDelay};
 use tob_svd::types::{Delta, View};
 
 /// Run at n = 6 and, for 3 views, at n = 128 and 256: the committee

@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use tob_svd::adversary::{LateVoter, SilentNode, SplitBrainNode, SplitDelay};
-use tob_svd::protocol::{TobConfig, TobSimulationBuilder, TxWorkload};
-use tob_svd::sim::{DelayPolicy, UniformDelay, WorstCaseDelay};
+use tob_svd::protocol::TobConfig;
+use tob_svd::sim::{DelayPolicy, TobSimulationBuilder, TxWorkload, UniformDelay, WorstCaseDelay};
 use tob_svd::types::ValidatorId;
 
 fn halves(n: usize) -> (Vec<ValidatorId>, Vec<ValidatorId>) {
@@ -27,7 +27,7 @@ fn run_with_adversary(
     seed: u64,
     delay: Box<dyn DelayPolicy>,
     views: u64,
-) -> tob_svd::protocol::TobReport {
+) -> tob_svd::sim::TobReport {
     let (ha, hb) = halves(n);
     let mut builder = TobSimulationBuilder::new(n)
         .views(views)

@@ -10,8 +10,8 @@
 
 use tob_svd::adversary::{churn, SplitBrainNode};
 use tob_svd::crypto::sha256;
-use tob_svd::protocol::{TobConfig, TobReport, TobSimulationBuilder, TxWorkload};
-use tob_svd::sim::WorstCaseDelay;
+use tob_svd::protocol::TobConfig;
+use tob_svd::sim::{TobReport, TobSimulationBuilder, TxWorkload, WorstCaseDelay};
 use tob_svd::types::{Delta, Time, ValidatorId, View};
 
 mod common;

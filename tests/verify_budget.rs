@@ -44,8 +44,7 @@
 
 use tob_svd::crypto::{AggregateSignature, KeyCache};
 use tob_svd::protocol::leader::vrf_for;
-use tob_svd::protocol::{TobReport, TobSimulationBuilder, TxWorkload};
-use tob_svd::sim::{Context, Node, WorstCaseDelay};
+use tob_svd::sim::{Context, Node, TobReport, TobSimulationBuilder, TxWorkload, WorstCaseDelay};
 use tob_svd::types::{InstanceId, Log, Payload, SignedMessage, SignerSet, ValidatorId, View};
 
 const N: usize = 8;
