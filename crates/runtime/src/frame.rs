@@ -103,8 +103,10 @@ pub(crate) fn fill(stream: &mut impl Read, inbuf: &mut Vec<u8>, budget: usize) -
 }
 
 /// Writes as much of `outbuf[*pos..]` as a nonblocking `stream` accepts,
-/// advancing `pos`; a fully written buffer is reset. `Ok(true)` when
-/// the peer closed the stream.
+/// advancing `pos`. A fully written buffer is reset, and a written
+/// prefix at least as long as what is left is cut off, so a buffer that
+/// never quite drains still holds at most about twice its pending bytes.
+/// `Ok(true)` when the peer closed the stream.
 ///
 /// # Errors
 ///
@@ -125,6 +127,9 @@ pub(crate) fn flush(stream: &mut impl Write, outbuf: &mut Vec<u8>, pos: &mut usi
     };
     if *pos >= outbuf.len() {
         outbuf.clear();
+        *pos = 0;
+    } else if *pos >= outbuf.len().saturating_sub(*pos) {
+        outbuf.drain(..*pos);
         *pos = 0;
     }
     Ok(closed)
@@ -194,6 +199,43 @@ mod tests {
             take(&bytes, &mut cursor, MAX_FRAME_BYTES),
             FrameStep::Frame(Bytes::copy_from_slice(b"hello"))
         );
+    }
+
+    /// Takes at most `room` bytes into `got`, then would block.
+    struct Trickle {
+        room: usize,
+        got: Vec<u8>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.room);
+            if n == 0 {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            self.room -= n;
+            self.got.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_buffer_that_never_drains_holds_under_twice_its_pending_bytes() {
+        let (mut outbuf, mut pos, mut sent) = (Vec::new(), 0, Vec::new());
+        let pushed: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        for chunk in pushed.chunks(100) {
+            outbuf.extend_from_slice(chunk);
+            let mut sink = Trickle { room: 90, got: Vec::new() };
+            assert!(!flush(&mut sink, &mut outbuf, &mut pos).expect("would block, not fail"));
+            sent.extend_from_slice(&sink.got);
+            assert!(pos == 0 || outbuf.len() < 2 * (outbuf.len() - pos), "{pos} of {}", outbuf.len());
+        }
+        sent.extend_from_slice(&outbuf[pos..]);
+        assert_eq!(sent, pushed, "what was written, then what is left, in order");
     }
 
     proptest! {

@@ -1,11 +1,14 @@
-//! Readiness-based inbound session layer: one I/O thread per node
-//! serving every inbound socket — the peer mesh *and* thousands of
-//! client connections — through a single `mio`-style poll loop.
+//! Inbound session layer: the node's listener and every inbound socket
+//! — the peer mesh *and* thousands of client connections — served by
+//! one nonblocking pass, [`Ingest::scan`], that the node thread makes
+//! once per tick.
 //!
-//! Per-connection cost is one registered poll source and two small
-//! buffers, so a node comfortably holds thousands of concurrent client
-//! sockets within a fixed two-thread budget (this I/O loop + the
-//! tick-driven node loop).
+//! Per-connection cost is one nonblocking socket and two small
+//! buffers, so a node holds thousands of concurrent client sockets on
+//! its one tick-paced thread (`node` module). Nothing waits on a
+//! socket: the protocol reads its inbox only at tick boundaries, so a
+//! pass per tick, late in the tick, delivers every frame by the tick
+//! that would have read it anyway, without polling in between.
 //!
 //! # Session model
 //!
@@ -13,13 +16,13 @@
 //! payload byte of a session's first frame classifies it:
 //!
 //! * [`tobsvd_types::wire::WIRE_VERSION`] — a **peer** session carrying
-//!   consensus frames, decoded and handed to the node loop (including
-//!   the park-and-fetch `MissingBlocks` path);
+//!   consensus frames, decoded into the node's inbox (including the
+//!   park-and-fetch `MissingBlocks` path);
 //! * [`tobsvd_types::client::CLIENT_WIRE_VERSION`] — a **client**
 //!   session carrying `Submit` frames. Submissions go through the
-//!   shared bounded mempool ([`Mempool::admit`]) *on this thread* —
-//!   admission is cheap and ack turnaround must not wait for the next
-//!   tick — and every submission is answered with a `SubmitAck`.
+//!   shared bounded mempool ([`Mempool::admit`]) during the pass, and
+//!   every submission is answered with a `SubmitAck` flushed by the
+//!   same pass.
 //!
 //! # Backpressure
 //!
@@ -28,24 +31,21 @@
 //! * the mempool's [`AdmissionPolicy`](tobsvd_core::AdmissionPolicy)
 //!   bounds pending transactions; `Busy`/`RateLimited` verdicts travel
 //!   back as acks;
-//! * a client whose submission was shed is **read-throttled**: its
-//!   socket is deregistered from the poll for a short window, so the
-//!   kernel receive buffer fills and TCP pushes back to the sender;
+//! * a client whose submission was shed is **read-throttled**: the
+//!   passes skip its socket for a short window, so the kernel receive
+//!   buffer fills and TCP pushes back to the sender;
 //! * ack bytes a client refuses to read are buffered only up to
 //!   [`CLIENT_OUTBUF_CAP`]; beyond that the session is closed as a slow
 //!   client;
-//! * each session gets a bounded read budget per poll cycle, so one
+//! * each session gets a bounded read budget per pass, so one
 //!   fire-hosing socket cannot head-of-line-block peers or other
-//!   clients sharing the loop.
+//!   clients sharing the pass.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::Sender;
-use mio::{Events, Interest, Poll, Token};
 use tobsvd_core::Mempool;
 use tobsvd_types::client::{
     decode_client_frame, encode_client_frame, is_client_frame, AckStatus, ClientFrame,
@@ -56,13 +56,10 @@ use tobsvd_types::{wire, BlockId, BlockStore, SignedMessage};
 use crate::clock::TickClock;
 use crate::frame::{self, FrameStep, MAX_FRAME_BYTES};
 
-/// Token of the listener; sessions get tokens from 1 upward.
-const LISTENER: Token = Token(0);
-
-/// Per-cycle read budget of a client session (bytes).
+/// Per-pass read budget of a client session (bytes).
 const CLIENT_READ_BUDGET: usize = 16 * 1024;
 
-/// Per-cycle read budget of a peer session (bytes) — peers ship block
+/// Per-pass read budget of a peer session (bytes) — peers ship block
 /// fetch responses that dwarf client submits.
 const PEER_READ_BUDGET: usize = 256 * 1024;
 
@@ -70,11 +67,7 @@ const PEER_READ_BUDGET: usize = 256 * 1024;
 /// as a slow client.
 pub const CLIENT_OUTBUF_CAP: usize = 256 * 1024;
 
-/// Poll timeout per cycle: short enough that throttle expiry and the
-/// stop flag are observed promptly.
-const POLL_TIMEOUT: Duration = Duration::from_millis(1);
-
-/// What a reader hands the node loop.
+/// What a pass hands the node loop.
 pub(crate) enum Inbound {
     /// A fully decoded message (`u64` = frame payload length).
     Msg(SignedMessage, u64),
@@ -93,6 +86,9 @@ pub(crate) enum Inbound {
 /// Counters of one node's ingest plane over a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IngestStats {
+    /// Passes over the sockets (`Ingest::scan`): one per tick the
+    /// node visits, plus one per tick duration of warm-up before tick 0.
+    pub scans: u64,
     /// Connections accepted.
     pub sessions_accepted: u64,
     /// Peak concurrent sessions.
@@ -101,7 +97,7 @@ pub struct IngestStats {
     pub peer_sessions: u64,
     /// Sessions classified as clients.
     pub client_sessions: u64,
-    /// Peer frames decoded and forwarded to the node loop.
+    /// Peer frames decoded and handed to the node loop.
     pub peer_frames: u64,
     /// Client `Submit` frames processed.
     pub submits: u64,
@@ -135,13 +131,13 @@ enum SessionKind {
 }
 
 struct Session {
-    stream: mio::net::TcpStream,
+    stream: TcpStream,
     kind: SessionKind,
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
     out_pos: usize,
-    /// While set, the session is deregistered from the poll and its
-    /// socket is not read — kernel-level backpressure.
+    /// While set, passes before this instant skip the session's socket
+    /// — kernel-level backpressure.
     throttled_until: Option<Instant>,
     closed: bool,
 }
@@ -152,121 +148,74 @@ impl Session {
     }
 }
 
-/// Everything the I/O loop needs from the node.
+/// What the passes need from the node.
 pub(crate) struct IngestConfig {
     pub store: BlockStore,
     pub mempool: Mempool,
-    pub to_node: Sender<Inbound>,
     pub clock: TickClock,
-    /// How long a shed client's socket stays deregistered.
+    /// How long a shed client's socket goes unread.
     pub throttle: Duration,
 }
 
-/// Runs the readiness loop until `stop` is set. Returns the run's
-/// [`IngestStats`]; all sockets are dropped on exit.
-pub(crate) fn io_loop(
-    listener: std::net::TcpListener,
+/// The node's listener and its inbound sessions, in accept order.
+pub(crate) struct Ingest {
+    listener: TcpListener,
+    sessions: Vec<Session>,
     cfg: IngestConfig,
-    stop: Arc<AtomicBool>,
-) -> IngestStats {
-    let mut stats = IngestStats::default();
-    let Ok(mut poll) = Poll::new() else {
-        return stats;
-    };
-    let Ok(mut listener) = mio::net::TcpListener::from_std_checked(listener) else {
-        return stats;
-    };
-    if poll.registry().register(&mut listener, LISTENER, Interest::READABLE).is_err() {
-        return stats;
+    stats: IngestStats,
+}
+
+impl Ingest {
+    /// Takes over `listener`, switching it to nonblocking accepts.
+    ///
+    /// # Errors
+    ///
+    /// The OS error if the listener cannot be made nonblocking.
+    pub(crate) fn new(listener: TcpListener, cfg: IngestConfig) -> std::io::Result<Ingest> {
+        listener.set_nonblocking(true)?;
+        Ok(Ingest { listener, sessions: Vec::new(), cfg, stats: IngestStats::default() })
     }
-    let mut events = Events::with_capacity(1024);
-    let mut sessions: HashMap<usize, Session> = HashMap::new();
-    let mut next_token = 1usize;
 
-    while !stop.load(Ordering::Relaxed) {
-        // Lift expired read-throttles back into the poll set.
-        lift_throttles(&mut sessions, &poll);
+    /// The run's counters so far.
+    pub(crate) fn stats(&self) -> IngestStats {
+        self.stats
+    }
 
-        if poll.poll(&mut events, Some(POLL_TIMEOUT)).is_err() {
-            break;
-        }
-
-        let mut ready: Vec<usize> = Vec::with_capacity(16);
-        let mut accept_ready = false;
-        for event in &events {
-            if event.token() == LISTENER {
-                accept_ready = true;
-            } else if event.is_readable() {
-                ready.push(event.token().0);
-            }
-        }
-
-        if accept_ready {
-            accept_all(&listener, &poll, &mut sessions, &mut next_token, &mut stats);
-        }
-
-        for token in ready {
-            let Some(session) = sessions.get_mut(&token) else {
-                continue;
-            };
-            if session.throttled_until.is_some() {
+    /// One nonblocking pass at `now`: accepts what the listener holds,
+    /// reads every session that is not throttled (up to its budget),
+    /// hands decoded peer frames to `inbox`, admits and acks client
+    /// submissions, flushes acks and reaps closed sessions.
+    pub(crate) fn scan(&mut self, inbox: &mut VecDeque<Inbound>, now: Instant) {
+        let Ingest { listener, sessions, cfg, stats } = self;
+        stats.scans += 1;
+        accept_all(listener, sessions, stats);
+        for session in sessions.iter_mut() {
+            if session.throttled_until.is_some_and(|until| now < until) {
                 continue;
             }
-            service_read(session, &cfg, &poll, &mut stats);
+            session.throttled_until = None;
+            service_read(session, cfg, inbox, now, stats);
         }
-
-        // Flush pending acks and reap finished sessions.
         let mut buffered_total = 0u64;
-        sessions.retain(|_, session| {
+        sessions.retain_mut(|session| {
             if !session.closed {
                 flush_out(session);
             }
             buffered_total += session.buffered() as u64;
-            if session.closed {
-                let _ = poll.registry().deregister(&mut session.stream);
-                false
-            } else {
-                true
-            }
+            !session.closed
         });
         stats.buffer_bytes_peak = stats.buffer_bytes_peak.max(buffered_total);
     }
-    stats
 }
 
-/// Re-registers sessions whose throttle window expired.
-fn lift_throttles(sessions: &mut HashMap<usize, Session>, poll: &Poll) {
-    let now = Instant::now();
-    // `sessions` stays hashed (one token lookup per readiness event,
-    // thousands of clients); its order only sequences the throttle
-    // releases of one poll cycle, which no peer or client can observe.
-    #[allow(clippy::iter_over_hash_type)]
-    for (token, session) in sessions.iter_mut() {
-        if session.throttled_until.is_some_and(|until| now >= until) {
-            session.throttled_until = None;
-            if poll
-                .registry()
-                .register(&mut session.stream, Token(*token), Interest::READABLE)
-                .is_err()
-            {
-                session.closed = true;
-            }
-        }
-    }
-}
-
-/// Drains the accept queue, registering each new session.
-fn accept_all(
-    listener: &mio::net::TcpListener,
-    poll: &Poll,
-    sessions: &mut HashMap<usize, Session>,
-    next_token: &mut usize,
-    stats: &mut IngestStats,
-) {
+/// Drains the accept queue into nonblocking sessions.
+fn accept_all(listener: &TcpListener, sessions: &mut Vec<Session>, stats: &mut IngestStats) {
     while let Ok((stream, _addr)) = listener.accept() {
-        let token = *next_token;
-        *next_token += 1;
-        let mut session = Session {
+        if stream.set_nonblocking(true).is_err() {
+            continue;
+        }
+        let _ = stream.set_nodelay(true);
+        sessions.push(Session {
             stream,
             kind: SessionKind::Unknown,
             inbuf: Vec::new(),
@@ -274,25 +223,18 @@ fn accept_all(
             out_pos: 0,
             throttled_until: None,
             closed: false,
-        };
-        let _ = session.stream.set_nodelay(true);
-        if poll
-            .registry()
-            .register(&mut session.stream, Token(token), Interest::READABLE)
-            .is_ok()
-        {
-            stats.sessions_accepted += 1;
-            sessions.insert(token, session);
-            stats.sessions_peak = stats.sessions_peak.max(sessions.len() as u64);
-        }
+        });
+        stats.sessions_accepted += 1;
+        stats.sessions_peak = stats.sessions_peak.max(sessions.len() as u64);
     }
 }
 
-/// Reads up to the session's cycle budget and processes complete frames.
+/// Reads up to the session's pass budget and processes complete frames.
 fn service_read(
     session: &mut Session,
     cfg: &IngestConfig,
-    poll: &Poll,
+    inbox: &mut VecDeque<Inbound>,
+    now: Instant,
     stats: &mut IngestStats,
 ) {
     let budget = match session.kind {
@@ -324,10 +266,8 @@ fn service_read(
                     classify(session, &frame, stats);
                 }
                 match session.kind {
-                    SessionKind::Peer => handle_peer_frame(frame, cfg, stats),
-                    SessionKind::Client => {
-                        handle_client_frame(session, frame, cfg, poll, stats);
-                    }
+                    SessionKind::Peer => handle_peer_frame(frame, &cfg.store, inbox, stats),
+                    SessionKind::Client => handle_client_frame(session, frame, cfg, now, stats),
                     SessionKind::Unknown => {
                         // Unclassifiable first frame: drop the session.
                         stats.malformed += 1;
@@ -357,18 +297,22 @@ fn classify(session: &mut Session, frame: &Bytes, stats: &mut IngestStats) {
     }
 }
 
-/// Decodes one peer frame and forwards it to the node loop (the same
-/// contract the per-connection reader threads used to fulfil).
-fn handle_peer_frame(frame: Bytes, cfg: &IngestConfig, stats: &mut IngestStats) {
+/// Decodes one peer frame into the node loop's inbox.
+fn handle_peer_frame(
+    frame: Bytes,
+    store: &BlockStore,
+    inbox: &mut VecDeque<Inbound>,
+    stats: &mut IngestStats,
+) {
     let n = frame.len() as u64;
-    match wire::decode_message(frame.clone(), &cfg.store) {
+    match wire::decode_message(frame.clone(), store) {
         Ok(msg) => {
             stats.peer_frames += 1;
-            let _ = cfg.to_node.send(Inbound::Msg(msg, n));
+            inbox.push_back(Inbound::Msg(msg, n));
         }
         Err(wire::WireError::MissingBlocks { missing, from_height }) => {
             stats.peer_frames += 1;
-            let _ = cfg.to_node.send(Inbound::NeedBlocks { raw: frame, missing, from_height });
+            inbox.push_back(Inbound::NeedBlocks { raw: frame, missing, from_height });
         }
         Err(_) => {
             stats.malformed += 1;
@@ -382,10 +326,10 @@ fn handle_client_frame(
     session: &mut Session,
     frame: Bytes,
     cfg: &IngestConfig,
-    poll: &Poll,
+    now: Instant,
     stats: &mut IngestStats,
 ) {
-    let submit = match decode_client_frame(frame) {
+    let (client, fee, payload) = match decode_client_frame(frame) {
         Ok(ClientFrame::Submit { client, fee, payload }) => (client, fee, payload),
         Ok(ClientFrame::SubmitAck { .. }) | Err(_) => {
             // Acks flow node→client only; anything else is malformed.
@@ -394,12 +338,10 @@ fn handle_client_frame(
             return;
         }
     };
-    let (client, fee, payload) = submit;
     stats.submits += 1;
     let tx = tobsvd_types::client::submit_transaction(&payload);
     let id = tx.id();
-    let now = cfg.clock.now_tick();
-    let verdict = cfg.mempool.admit(tx, now, fee, Some(client));
+    let verdict = cfg.mempool.admit(tx, cfg.clock.now_tick(), fee, Some(client));
     let status = match verdict {
         tobsvd_core::Admission::Accepted { .. } => {
             stats.acks_accepted += 1;
@@ -420,10 +362,9 @@ fn handle_client_frame(
     };
     queue_ack(session, id, status, stats);
     if matches!(status, AckStatus::Busy | AckStatus::RateLimited) {
-        // Read-throttle: stop polling the socket so TCP pushes back.
+        // Read-throttle: leave the socket unread so TCP pushes back.
         stats.throttles += 1;
-        session.throttled_until = Some(Instant::now() + cfg.throttle);
-        let _ = poll.registry().deregister(&mut session.stream);
+        session.throttled_until = Some(now + cfg.throttle);
     }
 }
 
@@ -448,4 +389,150 @@ fn queue_ack(
 fn flush_out(session: &mut Session) {
     let Session { stream, outbuf, out_pos, .. } = session;
     session.closed |= frame::flush(stream, outbuf, out_pos).unwrap_or(true);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::SocketAddr;
+    use tobsvd_core::AdmissionPolicy;
+    use tobsvd_crypto::KeyCache;
+    use tobsvd_types::client::submit_transaction;
+    use tobsvd_types::{InstanceId, Log, Payload, ValidatorId};
+
+    const THROTTLE: Duration = Duration::from_secs(60);
+
+    /// An ingest plane on an ephemeral port whose pool holds at most
+    /// `capacity` transactions.
+    fn plane(capacity: usize) -> (Ingest, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let cfg = IngestConfig {
+            store: BlockStore::new(),
+            mempool: Mempool::bounded(AdmissionPolicy { capacity, rate_cap: 0, rate_window: 64 }),
+            clock: TickClock::new(Instant::now(), Duration::from_millis(1)),
+            throttle: THROTTLE,
+        };
+        (Ingest::new(listener, cfg).expect("nonblocking listener"), addr)
+    }
+
+    /// A connection to `addr` that has written `bytes`. The pause lets
+    /// loopback deliver them before the caller's next pass.
+    fn connect_and_write(addr: SocketAddr, bytes: &[u8]) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(bytes).expect("write");
+        settle();
+        stream
+    }
+
+    fn settle() {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame::push(&mut out, payload);
+        out
+    }
+
+    fn submit(client: u64, tag: u8) -> Vec<u8> {
+        let payload = Bytes::from(vec![tag; 32]);
+        framed(&encode_client_frame(&ClientFrame::Submit { client, fee: 1, payload }))
+    }
+
+    /// The client frames `stream` has received, and whether the node
+    /// closed it (waits up to 200 ms for more).
+    fn received(stream: &mut TcpStream) -> (Vec<ClientFrame>, bool) {
+        stream.set_read_timeout(Some(Duration::from_millis(200))).expect("timeout");
+        let mut buf = Vec::new();
+        let closed = frame::fill(stream, &mut buf, usize::MAX).expect("read");
+        let (mut frames, mut cursor) = (Vec::new(), 0);
+        while let FrameStep::Frame(f) = frame::take(&buf, &mut cursor, MAX_SUBMIT_FRAME_BYTES) {
+            frames.push(decode_client_frame(f).expect("a client frame"));
+        }
+        (frames, closed)
+    }
+
+    #[test]
+    fn a_submit_written_before_a_pass_is_admitted_and_acked_by_it() {
+        let (mut ingest, addr) = plane(16);
+        let mut client = connect_and_write(addr, &submit(7, 1));
+        ingest.scan(&mut VecDeque::new(), Instant::now());
+        let stats = ingest.stats();
+        assert_eq!((stats.scans, stats.sessions_accepted, stats.client_sessions), (1, 1, 1));
+        assert_eq!((stats.submits, stats.acks_accepted), (1, 1));
+        let tx = submit_transaction(&[1; 32]).id();
+        let ack = ClientFrame::SubmitAck { tx, status: AckStatus::Accepted };
+        assert_eq!(received(&mut client), (vec![ack], false));
+    }
+
+    #[test]
+    fn a_shed_client_is_not_read_again_until_its_throttle_expires() {
+        let (mut ingest, addr) = plane(1);
+        let burst = [submit(7, 1), submit(7, 2), submit(7, 3)].concat();
+        let _client = connect_and_write(addr, &burst);
+        let t0 = Instant::now();
+        // The second submit finds the pool full: shed, and the rest of
+        // the burst waits unread.
+        ingest.scan(&mut VecDeque::new(), t0);
+        let stats = ingest.stats();
+        assert_eq!((stats.submits, stats.acks_accepted, stats.acks_busy), (2, 1, 1));
+        assert_eq!(stats.throttles, 1);
+        ingest.scan(&mut VecDeque::new(), t0 + THROTTLE / 2);
+        assert_eq!(ingest.stats().submits, 2, "a throttled session is skipped");
+        ingest.scan(&mut VecDeque::new(), t0 + THROTTLE);
+        let stats = ingest.stats();
+        assert_eq!((stats.submits, stats.acks_busy, stats.throttles), (3, 2, 2));
+    }
+
+    #[test]
+    fn a_half_frame_stays_buffered_and_costs_nothing() {
+        let (mut ingest, addr) = plane(16);
+        let whole = submit(7, 1);
+        let (head, tail) = whole.split_at(5);
+        let mut client = connect_and_write(addr, head);
+        ingest.scan(&mut VecDeque::new(), Instant::now());
+        let stats = ingest.stats();
+        assert_eq!((stats.submits, stats.malformed, stats.client_sessions), (0, 0, 0));
+        assert_eq!((ingest.sessions.len(), stats.buffer_bytes_peak), (1, 5));
+        client.write_all(tail).expect("rest of the frame");
+        settle();
+        ingest.scan(&mut VecDeque::new(), Instant::now());
+        assert_eq!((ingest.stats().submits, ingest.stats().acks_accepted), (1, 1));
+    }
+
+    #[test]
+    fn a_peer_frame_that_fails_to_decode_is_counted_and_the_link_stays() {
+        let (mut ingest, addr) = plane(16);
+        let mut client = connect_and_write(addr, &framed(&[wire::WIRE_VERSION, 0xFF, 0xFF]));
+        let mut inbox = VecDeque::new();
+        ingest.scan(&mut inbox, Instant::now());
+        let stats = ingest.stats();
+        assert_eq!((stats.peer_sessions, stats.malformed, stats.peer_frames), (1, 1, 0));
+        assert_eq!((ingest.sessions.len(), inbox.len()), (1, 0));
+
+        let me = ValidatorId::new(1);
+        let store = BlockStore::new();
+        let payload = Payload::Log { instance: InstanceId(0), log: Log::genesis(&store) };
+        let msg = SignedMessage::sign(&KeyCache::keypair(me.key_seed()), me, payload);
+        let bytes = wire::encode_message(&msg, &store).expect("genesis encodes");
+        client.write_all(&framed(&bytes)).expect("write");
+        settle();
+        ingest.scan(&mut inbox, Instant::now());
+        assert_eq!((ingest.stats().peer_frames, ingest.stats().malformed), (1, 1));
+        assert!(matches!(inbox.pop_front(), Some(Inbound::Msg(m, n)) if m == msg && n == bytes.len() as u64));
+    }
+
+    #[test]
+    fn an_unclassifiable_first_frame_closes_its_session() {
+        let (mut ingest, addr) = plane(16);
+        let mut client = connect_and_write(addr, &framed(&[0x00, 1, 2]));
+        ingest.scan(&mut VecDeque::new(), Instant::now());
+        let stats = ingest.stats();
+        assert_eq!((stats.sessions_accepted, stats.malformed), (1, 1));
+        assert_eq!((stats.peer_sessions, stats.client_sessions), (0, 0));
+        assert!(ingest.sessions.is_empty(), "the session is reaped");
+        assert_eq!(received(&mut client), (vec![], true), "the client sees the close");
+    }
 }

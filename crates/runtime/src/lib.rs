@@ -2,10 +2,10 @@
 //!
 //! The same sans-io [`tobsvd_core::Validator`] that runs under the
 //! discrete-event simulator runs here against a real network: per node,
-//! one protocol thread plus one readiness-polled I/O thread (the
-//! [`IngestStats`]-instrumented event loop in `ingest`) that serves
-//! every inbound socket — peers *and* thousands of client sessions —
-//! without a thread per connection. The mesh speaks length-prefixed
+//! one thread paced by the tick clock, which once per tick makes one
+//! nonblocking pass (the [`IngestStats`]-instrumented `ingest` module)
+//! over every inbound socket — peers *and* thousands of client sessions
+//! — without a thread per connection and without polling between ticks. The mesh speaks length-prefixed
 //! frames encoded by [`tobsvd_types::wire`] (content-addressed delta
 //! sync: hash announcements plus `BlockRequest`/`BlockResponse`
 //! fetches, so wire bytes per message are O(1) in chain length);

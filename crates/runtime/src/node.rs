@@ -1,16 +1,24 @@
 //! A single TOB-SVD node over TCP.
 //!
-//! Thread layout per node (fixed — independent of connection count):
+//! One thread per node, paced by the tick clock (independent of
+//! connection count). At every tick it
 //!
-//! * the **I/O loop** (`ingest` module) — one readiness-polled thread
-//!   serving the node's listener and every inbound socket: peer mesh
-//!   sessions are decoded into the node's inbox, client sessions get
-//!   their submissions admitted into the shared bounded mempool and
-//!   acknowledged inline;
-//! * the **node loop** (this module) — wakes at every tick, drains the
-//!   inbox into [`Validator::on_message`], fires `on_phase` on
-//!   Δ-boundaries, and writes the collected outgoing messages to the
-//!   peer mesh.
+//! 1. waits for the tick's instant;
+//! 2. drains the inbox into [`Validator::on_message`];
+//! 3. fires `on_phase` on a Δ-boundary, writing the collected outgoing
+//!    messages to the peer mesh;
+//! 4. three quarters into the tick, makes one nonblocking pass over its
+//!    sockets ([`Ingest::scan`]): the listener and every inbound
+//!    session — peer frames are decoded into the inbox, client
+//!    submissions are admitted into the shared bounded mempool and
+//!    acknowledged — then over the peer links' unsent bytes.
+//!
+//! A frame a peer sends at tick k is therefore handled at tick k + 1,
+//! never in the tick it was sent: peers send at their boundaries, early
+//! in the tick, and the pass comes late in it. Writes never block the
+//! thread: each dialed peer is a [`Link`] with a bounded out-buffer
+//! (blocking writes to a peer blocked writing to us would deadlock two
+//! single-threaded nodes).
 //!
 //! Each node owns a private [`BlockStore`], and the message plane is
 //! **content-addressed delta sync**: log-carrying frames are hash
@@ -32,15 +40,10 @@
 //! ([`wire::peek_header`] is all this module reads of a frame it
 //! cannot decode yet: its byte class).
 
-use std::collections::BTreeMap;
-use std::io::Write;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use tobsvd_core::{AdmissionPolicy, AdmissionStats, Context, Mempool, Node, Outgoing};
 use tobsvd_core::{TobConfig, Validator};
 use tobsvd_storage::{shared, FileDurable};
@@ -49,8 +52,12 @@ use tobsvd_types::{BlockId, BlockStore, Delta, SignedMessage, Time, Transaction,
 
 use crate::clock::TickClock;
 use crate::cluster::ClusterError;
-use crate::frame;
-use crate::ingest::{io_loop, Inbound, IngestConfig, IngestStats};
+use crate::frame::{self, MAX_FRAME_BYTES};
+use crate::ingest::{Inbound, Ingest, IngestConfig, IngestStats};
+
+/// Unsent bytes a peer link may hold before it is closed as a peer that
+/// stopped reading: room for two frames of the largest size.
+const PEER_OUTBUF_CAP: usize = 2 * MAX_FRAME_BYTES;
 
 /// Configuration of one node.
 #[derive(Clone, Debug)]
@@ -133,6 +140,9 @@ pub struct NodeOutcome {
     /// Grade-2 outputs not decided because their GA instance was live
     /// at a late boundary ([`Validator::note_late_boundary`]).
     pub decisions_withheld: u64,
+    /// Peer links closed for holding more than `PEER_OUTBUF_CAP`
+    /// unsent bytes: the peer stopped reading.
+    pub slow_peer_closes: u64,
     /// Ingest-plane counters (sessions, submits, acks, backpressure).
     pub ingest: IngestStats,
     /// Mempool admission counters.
@@ -165,6 +175,7 @@ impl NodeOutcome {
             wal_errors: 0,
             late_boundaries: 0,
             decisions_withheld: 0,
+            slow_peer_closes: 0,
             ingest: IngestStats::default(),
             admission: AdmissionStats::default(),
             decided_events: Vec::new(),
@@ -230,6 +241,26 @@ pub fn spawn_node(
     Ok(NodeHandle { join })
 }
 
+/// A dialed peer: its nonblocking socket and the frame bytes the
+/// socket has not taken yet.
+struct Link {
+    stream: TcpStream,
+    outbuf: Vec<u8>,
+    out_pos: usize,
+}
+
+impl Link {
+    fn new(stream: TcpStream) -> Link {
+        Link { stream, outbuf: Vec::new(), out_pos: 0 }
+    }
+
+    /// Writes what the socket takes of the unsent bytes; `false` once
+    /// the peer is gone.
+    fn flush(&mut self) -> bool {
+        !frame::flush(&mut self.stream, &mut self.outbuf, &mut self.out_pos).unwrap_or(true)
+    }
+}
+
 /// The node loop's long-lived state, threaded through message handling
 /// and phase boundaries.
 struct NodeState {
@@ -238,8 +269,9 @@ struct NodeState {
     store: BlockStore,
     mempool: Mempool,
     validator: Validator,
-    outbound: BTreeMap<ValidatorId, Arc<Mutex<TcpStream>>>,
-    loopback: Sender<Inbound>,
+    outbound: BTreeMap<ValidatorId, Link>,
+    /// Decoded peer frames from the passes, and our own self-copies.
+    inbox: VecDeque<Inbound>,
     out: NodeOutcome,
     decided_len_seen: u64,
 }
@@ -296,10 +328,11 @@ impl NodeState {
         self.absorb(ctx, now.ticks());
     }
 
-    /// Encodes and frames `msg` once, then writes it to each of
-    /// `targets` that is a dialed peer: one `write_all` per peer under
-    /// its mutex, so the length prefix never leaves as a segment of its
-    /// own. Returns `false` when the message cannot be encoded —
+    /// Encodes and frames `msg` once, then queues it on the link of
+    /// each of `targets` that is a dialed peer and writes what the
+    /// socket takes at once; the rest leaves at the next pass. A link
+    /// whose peer is gone or stopped reading is closed, the latter
+    /// counted. Returns `false` when the message cannot be encoded —
     /// refusing it beats crashing the node, and the counter makes the
     /// drop observable in the run report.
     fn send(&mut self, msg: &SignedMessage, targets: &[ValidatorId]) -> bool {
@@ -316,13 +349,26 @@ impl NodeState {
         }
         let class = MessageClass::of(msg.payload());
         for target in targets {
-            let Some(stream) = self.outbound.get(target) else { continue };
-            if stream.lock().write_all(&framed).is_ok() {
+            let Some(link) = self.outbound.get_mut(target) else { continue };
+            link.outbuf.extend_from_slice(&framed);
+            let open = link.flush();
+            if open && link.outbuf.len() - link.out_pos <= PEER_OUTBUF_CAP {
                 self.out.charge(class, Dir::Out, payload.len() as u64);
                 self.out.frames.1 += 1;
+            } else {
+                // The peer is gone, or it stopped reading.
+                self.out.slow_peer_closes += u64::from(open);
+                self.outbound.remove(target);
             }
         }
         true
+    }
+
+    /// The tick's pass over the sockets: inbound sessions into the
+    /// inbox, then the unsent bytes of every peer link.
+    fn scan(&mut self, ingest: &mut Ingest) {
+        ingest.scan(&mut self.inbox, Instant::now());
+        self.outbound.retain(|_, link| link.flush());
     }
 
     /// Fan-out order of every `Broadcast`/`Forward`: ascending validator
@@ -356,12 +402,12 @@ impl NodeState {
     }
 
     /// [`NodeState::send`], with the self-copy (if `targets` names us)
-    /// through the loopback channel.
+    /// straight into the inbox.
     fn transmit(&mut self, msg: &SignedMessage, targets: &[ValidatorId]) {
         if self.send(msg, targets) && targets.contains(&self.me) {
             // Self-copies never cross the network: charge 0 bytes so
             // per-kind in/out stats reconcile.
-            let _ = self.loopback.send(Inbound::Msg(*msg, 0));
+            self.inbox.push_back(Inbound::Msg(*msg, 0));
         }
     }
 }
@@ -390,32 +436,24 @@ fn run_node(
         None => Validator::new(cfg.me, tob_cfg, &store),
     };
 
-    // Inbox fed by the I/O loop (and by our own loopback).
-    let (tx_in, rx_in): (Sender<Inbound>, Receiver<Inbound>) = unbounded();
-
-    // The I/O loop thread: owns the listener and every inbound session.
-    let stop = Arc::new(AtomicBool::new(false));
-    let ingest_cfg = IngestConfig {
-        store: store.clone(),
-        mempool: mempool.clone(),
-        to_node: tx_in.clone(),
-        clock,
-        // Shed clients stay unread for about one Δ: long enough for TCP
-        // backpressure to bite, short enough to observe recovery.
-        throttle: clock.tick_duration().saturating_mul(cfg.delta.ticks().max(1) as u32),
-    };
-    let io_stop = Arc::clone(&stop);
-    let io_handle = std::thread::Builder::new()
-        .name(format!("tobsvd-io-{}", cfg.me))
-        .spawn(move || io_loop(listener, ingest_cfg, io_stop))
-        .map_err(|e| format!("spawn io thread: {e}"))?;
+    let mut ingest = Ingest::new(
+        listener,
+        IngestConfig {
+            store: store.clone(),
+            mempool: mempool.clone(),
+            clock,
+            // Shed clients stay unread for about one Δ: long enough for
+            // TCP backpressure to bite, short enough to observe recovery.
+            throttle: clock.tick_duration().saturating_mul(cfg.delta.ticks().max(1) as u32),
+        },
+    )
+    .map_err(|e| format!("nonblocking listener: {e}"))?;
 
     // Outbound mesh: dial every peer.
-    let mut outbound: BTreeMap<ValidatorId, Arc<Mutex<TcpStream>>> = BTreeMap::new();
+    let mut outbound = BTreeMap::new();
     for (peer, addr) in &peers {
-        let stream = dial_with_retry(*addr, clock.instant_of(cfg.run_ticks));
-        if let Some(s) = stream {
-            outbound.insert(*peer, Arc::new(Mutex::new(s)));
+        if let Some(s) = dial_with_retry(*addr, clock.instant_of(cfg.run_ticks)) {
+            outbound.insert(*peer, Link::new(s));
         }
     }
 
@@ -426,34 +464,41 @@ fn run_node(
         mempool: mempool.clone(),
         validator,
         outbound,
-        loopback: tx_in,
+        inbox: VecDeque::new(),
         out: NodeOutcome::new(cfg.me, store),
         decided_len_seen: 1,
     };
+
+    // Warm-up (`ClusterConfig::warmup`): until tick 0 the listener
+    // keeps accepting, one pass per tick duration.
+    let tick_len = clock.tick_duration();
+    while Instant::now() + tick_len < clock.instant_of(0) {
+        std::thread::sleep(tick_len);
+        state.scan(&mut ingest);
+    }
 
     // The node loop. It visits every tick even when it has fallen
     // behind the wall clock (a descheduled thread), so proposals, votes
     // and GA bookkeeping continue — but two things differ while behind:
     //
-    // * missed ticks are replayed at 8× real time, not in one instant.
-    //   Peers stalled by the same host replay the same boundaries at the
-    //   same moment; with no time between a replayed vote and the next
-    //   replayed snapshots, every node's V^{2Δ} holds its own vote only,
-    //   nobody gets a grade-1 output, nobody votes again, and the
-    //   cluster never recovers;
+    // * missed ticks are replayed at 8× real time, not in one instant:
+    //   the pass comes one replay step after the tick's boundary instead
+    //   of three quarters into it. Peers stalled by the same host replay
+    //   the same boundaries at the same moment; with no time between a
+    //   replayed vote and the next replayed snapshots, every node's
+    //   V^{2Δ} holds its own vote only, nobody gets a grade-1 output,
+    //   nobody votes again, and the cluster never recovers;
     // * a boundary executed more than Δ/2 after its instant is reported
     //   to the validator, which then decides nothing from the GA
     //   instances live at it (synchrony's "awake at" did not hold).
     let late_after = cfg.delta.ticks() / 2;
-    let replay_step = clock.tick_duration() / 8;
+    let replay_step = tick_len / 8;
+    let scan_offset = tick_len * 3 / 4;
     for tick in 0..=cfg.run_ticks {
         clock.wait_for(tick);
         let behind = clock.now_tick().ticks().saturating_sub(tick);
-        if behind > 0 {
-            std::thread::sleep(replay_step);
-        }
         let now = Time::new(tick);
-        while let Ok(inbound) = rx_in.try_recv() {
+        while let Some(inbound) = state.inbox.pop_front() {
             state.handle_inbound(inbound, now);
         }
         if now.is_phase_boundary(cfg.delta) {
@@ -462,16 +507,19 @@ fn run_node(
             }
             state.phase_boundary(now);
         }
+        // The tick's pass: three quarters into it, or one replay step on.
+        let to_scan = (clock.instant_of(tick) + scan_offset).saturating_duration_since(Instant::now());
+        std::thread::sleep(if behind > 0 { replay_step } else { to_scan });
+        state.scan(&mut ingest);
     }
 
-    // Close outbound so peers' sessions observe EOF, then stop the I/O
-    // loop and collect its stats.
-    for s in state.outbound.values() {
-        let _ = s.lock().shutdown(std::net::Shutdown::Both);
+    // Close outbound so peers' sessions observe EOF; the listener and
+    // the inbound sessions close when `ingest` drops.
+    for link in state.outbound.values() {
+        let _ = link.stream.shutdown(std::net::Shutdown::Both);
     }
-    stop.store(true, Ordering::Relaxed);
     let (val, mut out) = (&state.validator, state.out);
-    out.ingest = io_handle.join().unwrap_or_default();
+    out.ingest = ingest.stats();
     out.admission = mempool.admission_stats();
     (out.decided_tip, out.decided_len) = (val.decided().tip(), val.decided().len());
     out.votes_cast = val.votes_cast();
@@ -483,14 +531,14 @@ fn run_node(
     Ok(out)
 }
 
-fn dial_with_retry(addr: SocketAddr, until: std::time::Instant) -> Option<TcpStream> {
+fn dial_with_retry(addr: SocketAddr, until: Instant) -> Option<TcpStream> {
     loop {
         match TcpStream::connect(addr) {
             Ok(s) => {
                 s.set_nodelay(true).ok();
-                return Some(s);
+                return s.set_nonblocking(true).is_ok().then_some(s);
             }
-            Err(_) if std::time::Instant::now() < until => {
+            Err(_) if Instant::now() < until => {
                 std::thread::sleep(Duration::from_millis(10));
             }
             Err(_) => return None,
@@ -504,29 +552,73 @@ mod tests {
     use tobsvd_crypto::KeyCache;
     use tobsvd_types::{InstanceId, Log, Payload, View};
 
-    #[test]
-    fn a_message_whose_chain_the_store_lacks_is_counted_not_sent() {
-        let (me, store) = (ValidatorId::new(0), BlockStore::new());
-        let (loopback, _inbox) = unbounded();
-        let mut state = NodeState {
+    /// A one-validator node with no peer links yet.
+    fn node_state(me: ValidatorId) -> NodeState {
+        let store = BlockStore::new();
+        NodeState {
             me,
             delta: Delta::new(4),
             store: store.clone(),
             mempool: Mempool::new(),
             validator: Validator::new(me, TobConfig::new(1), &store),
             outbound: BTreeMap::new(),
-            loopback,
+            inbox: VecDeque::new(),
             out: NodeOutcome::new(me, store),
             decided_len_seen: 1,
-        };
+        }
+    }
+
+    fn log_message(me: ValidatorId, log: Log) -> SignedMessage {
+        let payload = Payload::Log { instance: InstanceId(0), log };
+        SignedMessage::sign(&KeyCache::keypair(me.key_seed()), me, payload)
+    }
+
+    #[test]
+    fn a_message_whose_chain_the_store_lacks_is_counted_not_sent() {
+        let me = ValidatorId::new(0);
+        let mut state = node_state(me);
         // The tip lives in another store only: encoding cannot read the
         // chain back, so the message is refused and the refusal counted.
         let elsewhere = BlockStore::new();
-        let log = Log::genesis(&elsewhere).extend_empty(&elsewhere, me, View::ZERO);
-        let payload = Payload::Log { instance: InstanceId(0), log };
-        let msg = SignedMessage::sign(&KeyCache::keypair(me.key_seed()), me, payload);
+        let msg = log_message(me, Log::genesis(&elsewhere).extend_empty(&elsewhere, me, View::ZERO));
         assert!(!state.send(&msg, &[me]));
         assert_eq!(state.out.encode_failures, 1);
         assert_eq!(state.out.frames, (0, 0));
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_is_closed_and_counted_not_waited_for() {
+        let (me, peer) = (ValidatorId::new(0), ValidatorId::new(1));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let link = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        link.set_nonblocking(true).expect("nonblocking link");
+        // The peer's end of the link: accepted, never read.
+        let (_unread, _) = listener.accept().expect("accept");
+
+        // A blocked write would hang the sender, so it runs on its own
+        // thread and the test waits for it with a deadline.
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut state = node_state(me);
+            state.outbound.insert(peer, Link::new(link));
+            // About 4 MiB per frame: the tip block inlines four 1 MiB
+            // transactions.
+            let txs = (0..4).map(|i| Transaction::synthetic(i, 1 << 20)).collect();
+            let log = Log::genesis(&state.store).extend(&state.store, me, View::ZERO, txs);
+            let msg = log_message(me, log);
+            let mut sends = 0u64;
+            while state.outbound.contains_key(&peer) && sends < 64 {
+                assert!(state.send(&msg, &[peer]));
+                sends += 1;
+            }
+            let _ = done.send((sends, state.outbound.contains_key(&peer), state.out));
+        });
+        let (sends, still_linked, out) =
+            outcome.recv_timeout(Duration::from_secs(60)).expect("every send returns");
+        assert!(!still_linked, "the link is closed after {sends} unread frames");
+        assert_eq!(out.slow_peer_closes, 1);
+        // Every frame but the one that broke the bound was queued.
+        assert_eq!(out.frames, (0, sends - 1));
+        assert!(sends * (4 << 20) > PEER_OUTBUF_CAP as u64);
     }
 }

@@ -13,6 +13,10 @@
 //! clock. The per-kind byte report at the end shows the delta-sync
 //! saving end to end: announcement bytes stay flat as the chain grows,
 //! and a healthy steady-state cluster needs no fetch traffic at all.
+//!
+//! Stdout carries what the run decides: blocks, votes and agreement.
+//! Frame and byte counts depend on socket timing, so they go to
+//! stderr, and two runs print the same stdout.
 
 use std::time::Duration;
 
@@ -29,22 +33,17 @@ fn main() {
 
     println!("per-node outcomes:");
     for o in report.outcomes() {
-        println!(
-            "  {}: decided {} blocks, {} votes, {} frames in / {} frames out",
-            o.me,
-            o.decided_len - 1,
-            o.votes_cast,
-            o.frames.0,
-            o.frames.1
-        );
+        println!("  {}: decided {} blocks, {} votes", o.me, o.decided_len - 1, o.votes_cast);
     }
 
-    println!("\nwire bytes per kind (delta-sync message plane):");
+    eprintln!("\nmesh frames and wire bytes per kind (delta-sync message plane):");
     let mut totals = (0u64, 0u64, 0u64, 0u64);
     for o in report.outcomes() {
-        println!(
-            "  {}: announcements {} B in / {} B out, fetch {} B in / {} B out, {} blocks fetched",
+        eprintln!(
+            "  {}: {} frames in / {} frames out; announcements {} B in / {} B out, fetch {} B in / {} B out, {} blocks fetched",
             o.me,
+            o.frames.0,
+            o.frames.1,
             o.announce_bytes.0,
             o.announce_bytes.1,
             o.sync_bytes.0,
@@ -59,7 +58,7 @@ fn main() {
     // Sum one direction only: every wire frame is counted once by its
     // sender and once by its receiver, so in+out would double-count.
     let decided = report.max_decided_len().saturating_sub(1).max(1);
-    println!(
+    eprintln!(
         "  total on the wire: announcements {} B, fetch {} B — {} announcement bytes per decided block",
         totals.1,
         totals.3,

@@ -36,7 +36,7 @@ fn saturated_node_sheds_load_without_blocking_peers() {
 
     // A stalled client: sends half a frame and then goes silent. Under
     // the old thread-per-connection layout this pinned a reader thread;
-    // under the readiness loop it must cost nothing.
+    // under the node's once-per-tick pass it must cost nothing.
     let mut stalled = std::net::TcpStream::connect(addr).expect("stalled client connects");
     stalled.write_all(&[0, 0, 0, 40, 0xC5]).expect("partial frame");
 
@@ -140,7 +140,7 @@ fn saturated_node_sheds_load_without_blocking_peers() {
         outcome.admission.evicted
     );
 
-    // The readiness loop served every socket in one thread: sessions
+    // The node's pass served every socket in one thread: sessions
     // were concurrent (8 floods + 1 stalled + 2 peers) and per-session
     // buffers stayed within the slow-client budget.
     assert!(

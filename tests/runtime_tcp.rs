@@ -2,7 +2,7 @@
 //! deciding over actual sockets, with agreement across processes'
 //! independent stores.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tob_svd::runtime::{ClusterConfig, LocalCluster, NodeOutcome};
 use tob_svd::sim::invariant::{DecisionEvent, DecisionMonotonicity, Invariant};
@@ -71,4 +71,32 @@ fn nodes_progress_in_lockstep() {
     );
     assert!(report.outcomes().iter().all(|o| o.encode_failures == 0));
     report.outcomes().iter().for_each(assert_decisions_append_only);
+}
+
+/// One pass over the sockets per tick, none in between: each node's
+/// scans are its visited ticks (tick 0 through the last) plus at most
+/// one per tick duration of warm-up before tick 0. A return to polling
+/// the sockets between ticks fails here, not only in a CPU benchmark.
+#[test]
+fn each_node_reads_its_sockets_once_per_tick() {
+    // Wall time only bounds the warm-up before tick 0; the assertion
+    // compares pass counts.
+    #[allow(clippy::disallowed_methods)]
+    let spawned = Instant::now();
+    let cluster = LocalCluster::spawn(ClusterConfig::new(3).views(3).tick(Duration::from_millis(8)))
+        .expect("cluster spawns");
+    let (clock, run_ticks) = (cluster.clock(), cluster.run_ticks());
+    let report = cluster.join().expect("cluster runs");
+    report.assert_agreement();
+    let warmup = clock.instant_of(0).saturating_duration_since(spawned);
+    let warmup_ticks = (warmup.as_nanos() / clock.tick_duration().as_nanos()) as u64;
+    let visited = run_ticks + 1;
+    for o in report.outcomes() {
+        assert!(
+            (visited..=visited + warmup_ticks).contains(&o.ingest.scans),
+            "{}: {} scans over {visited} ticks and {warmup_ticks} of warm-up",
+            o.me,
+            o.ingest.scans
+        );
+    }
 }
