@@ -24,7 +24,7 @@ use bytes::Bytes;
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// Bytes of the length prefix.
-const PREFIX: usize = 4;
+pub(crate) const PREFIX: usize = 4;
 
 /// Appends `len ‖ payload` to `out` — or nothing at all for exactly the
 /// frames no reader accepts: an empty payload or one above

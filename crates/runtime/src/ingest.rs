@@ -13,7 +13,8 @@
 //! # Session model
 //!
 //! All inbound connections arrive on the node's one listener. The first
-//! payload byte of a session's first frame classifies it:
+//! payload byte of a session's first frame classifies it, as soon as it
+//! arrives (a peer's first frame may be megabytes long):
 //!
 //! * [`tobsvd_types::wire::WIRE_VERSION`] — a **peer** session carrying
 //!   consensus frames, decoded into the node's inbox (including the
@@ -39,14 +40,16 @@
 //!   client;
 //! * each session gets a bounded read budget per pass, so one
 //!   fire-hosing socket cannot head-of-line-block peers or other
-//!   clients sharing the pass.
+//!   clients sharing the pass. The budget is a rate per 500 µs of tick
+//!   (`READ_CYCLE`), so a session's bandwidth does not shrink as ticks
+//!   lengthen: a peer gets 5 MiB per pass at a 10 ms tick.
 
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use tobsvd_core::Mempool;
+use tobsvd_core::{Admission, Mempool};
 use tobsvd_types::client::{
     decode_client_frame, encode_client_frame, is_client_frame, AckStatus, ClientFrame,
     MAX_SUBMIT_FRAME_BYTES,
@@ -56,11 +59,15 @@ use tobsvd_types::{wire, BlockId, BlockStore, SignedMessage};
 use crate::clock::TickClock;
 use crate::frame::{self, FrameStep, MAX_FRAME_BYTES};
 
-/// Per-pass read budget of a client session (bytes).
+/// Tick time per read budget: a pass reads a session in up to
+/// `tick / READ_CYCLE` rounds of its budget.
+const READ_CYCLE: Duration = Duration::from_micros(500);
+
+/// Read budget of a client session per `READ_CYCLE` (bytes).
 const CLIENT_READ_BUDGET: usize = 16 * 1024;
 
-/// Per-pass read budget of a peer session (bytes) — peers ship block
-/// fetch responses that dwarf client submits.
+/// Read budget of a peer session per `READ_CYCLE` (bytes) — peers ship
+/// blocks that dwarf client submits.
 const PEER_READ_BUDGET: usize = 256 * 1024;
 
 /// Unread ack bytes a client session may accumulate before it is closed
@@ -182,24 +189,30 @@ impl Ingest {
     }
 
     /// One nonblocking pass at `now`: accepts what the listener holds,
-    /// reads every session that is not throttled (up to its budget),
+    /// reads every session that is not throttled (up to its budgets),
     /// hands decoded peer frames to `inbox`, admits and acks client
     /// submissions, flushes acks and reaps closed sessions.
     pub(crate) fn scan(&mut self, inbox: &mut VecDeque<Inbound>, now: Instant) {
         let Ingest { listener, sessions, cfg, stats } = self;
         stats.scans += 1;
+        let rounds = cfg.clock.tick_duration().as_micros() / READ_CYCLE.as_micros();
         accept_all(listener, sessions, stats);
         for session in sessions.iter_mut() {
             if session.throttled_until.is_some_and(|until| now < until) {
                 continue;
             }
             session.throttled_until = None;
-            service_read(session, cfg, inbox, now, stats);
+            for _ in 0..rounds.max(1) {
+                if !service_read(session, cfg, inbox, now, stats) {
+                    break;
+                }
+            }
         }
         let mut buffered_total = 0u64;
         sessions.retain_mut(|session| {
             if !session.closed {
-                flush_out(session);
+                let Session { stream, outbuf, out_pos, .. } = session;
+                session.closed = frame::flush(stream, outbuf, out_pos).unwrap_or(true);
             }
             buffered_total += session.buffered() as u64;
             !session.closed
@@ -229,30 +242,34 @@ fn accept_all(listener: &TcpListener, sessions: &mut Vec<Session>, stats: &mut I
     }
 }
 
-/// Reads up to the session's pass budget and processes complete frames.
+/// One read round: reads up to the session's budget and processes
+/// complete frames; `true` if the budget ran out and the session is
+/// open and unthrottled, so more may wait.
 fn service_read(
     session: &mut Session,
     cfg: &IngestConfig,
     inbox: &mut VecDeque<Inbound>,
     now: Instant,
     stats: &mut IngestStats,
-) {
+) -> bool {
     let budget = match session.kind {
         SessionKind::Peer => PEER_READ_BUDGET,
         _ => CLIENT_READ_BUDGET,
     };
+    let before = session.inbuf.len();
     // Any socket error ends the session, like an orderly close.
     session.closed |= frame::fill(&mut session.stream, &mut session.inbuf, budget).unwrap_or(true);
+    let spent = session.inbuf.len().saturating_sub(before) >= budget;
+    if matches!(session.kind, SessionKind::Unknown) && !classify(session, stats) {
+        return false;
+    }
 
-    // Parse complete frames. Classification happens on the first one.
     let mut consumed = 0;
     loop {
         let max_len = match session.kind {
-            SessionKind::Peer => MAX_FRAME_BYTES,
             SessionKind::Client => MAX_SUBMIT_FRAME_BYTES,
-            // Unclassified: allow the larger bound until the first byte
-            // tells us what this is.
-            SessionKind::Unknown => MAX_FRAME_BYTES,
+            // Unclassified: no payload byte yet, no frame to find.
+            SessionKind::Peer | SessionKind::Unknown => MAX_FRAME_BYTES,
         };
         match frame::take(&session.inbuf, &mut consumed, max_len) {
             FrameStep::Incomplete => break,
@@ -262,17 +279,10 @@ fn service_read(
                 break;
             }
             FrameStep::Frame(frame) => {
-                if matches!(session.kind, SessionKind::Unknown) {
-                    classify(session, &frame, stats);
-                }
                 match session.kind {
                     SessionKind::Peer => handle_peer_frame(frame, &cfg.store, inbox, stats),
                     SessionKind::Client => handle_client_frame(session, frame, cfg, now, stats),
-                    SessionKind::Unknown => {
-                        // Unclassifiable first frame: drop the session.
-                        stats.malformed += 1;
-                        session.closed = true;
-                    }
+                    SessionKind::Unknown => {}
                 }
                 if session.closed || session.throttled_until.is_some() {
                     break;
@@ -281,10 +291,15 @@ fn service_read(
         }
     }
     session.inbuf.drain(..consumed);
+    spent && !session.closed && session.throttled_until.is_none()
 }
 
-fn classify(session: &mut Session, frame: &Bytes, stats: &mut IngestStats) {
-    match frame.first() {
+/// Classifies an unclassified session by its first payload byte, once
+/// buffered; `false`, and the session malformed and closed, if that
+/// byte names neither a peer nor a client.
+fn classify(session: &mut Session, stats: &mut IngestStats) -> bool {
+    match session.inbuf.get(frame::PREFIX) {
+        None => {}
         Some(&b) if b == wire::WIRE_VERSION => {
             session.kind = SessionKind::Peer;
             stats.peer_sessions += 1;
@@ -293,8 +308,13 @@ fn classify(session: &mut Session, frame: &Bytes, stats: &mut IngestStats) {
             session.kind = SessionKind::Client;
             stats.client_sessions += 1;
         }
-        _ => { /* stays Unknown; caller closes it */ }
+        Some(_) => {
+            stats.malformed += 1;
+            session.closed = true;
+            return false;
+        }
     }
+    true
 }
 
 /// Decodes one peer frame into the node loop's inbox.
@@ -341,25 +361,13 @@ fn handle_client_frame(
     stats.submits += 1;
     let tx = tobsvd_types::client::submit_transaction(&payload);
     let id = tx.id();
-    let verdict = cfg.mempool.admit(tx, cfg.clock.now_tick(), fee, Some(client));
-    let status = match verdict {
-        tobsvd_core::Admission::Accepted { .. } => {
-            stats.acks_accepted += 1;
-            AckStatus::Accepted
-        }
-        tobsvd_core::Admission::Duplicate => {
-            stats.acks_duplicate += 1;
-            AckStatus::Duplicate
-        }
-        tobsvd_core::Admission::Busy => {
-            stats.acks_busy += 1;
-            AckStatus::Busy
-        }
-        tobsvd_core::Admission::RateLimited => {
-            stats.acks_rate_limited += 1;
-            AckStatus::RateLimited
-        }
+    let (status, acks) = match cfg.mempool.admit(tx, cfg.clock.now_tick(), fee, Some(client)) {
+        Admission::Accepted { .. } => (AckStatus::Accepted, &mut stats.acks_accepted),
+        Admission::Duplicate => (AckStatus::Duplicate, &mut stats.acks_duplicate),
+        Admission::Busy => (AckStatus::Busy, &mut stats.acks_busy),
+        Admission::RateLimited => (AckStatus::RateLimited, &mut stats.acks_rate_limited),
     };
+    *acks += 1;
     queue_ack(session, id, status, stats);
     if matches!(status, AckStatus::Busy | AckStatus::RateLimited) {
         // Read-throttle: leave the socket unread so TCP pushes back.
@@ -385,52 +393,64 @@ fn queue_ack(
     }
 }
 
-/// Writes as much pending out-buffer as the socket accepts.
-fn flush_out(session: &mut Session) {
-    let Session { stream, outbuf, out_pos, .. } = session;
-    session.closed |= frame::flush(stream, outbuf, out_pos).unwrap_or(true);
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::Write;
     use std::net::SocketAddr;
     use tobsvd_core::AdmissionPolicy;
     use tobsvd_crypto::KeyCache;
     use tobsvd_types::client::submit_transaction;
-    use tobsvd_types::{InstanceId, Log, Payload, ValidatorId};
+    use tobsvd_types::{InstanceId, Log, Payload, Transaction, ValidatorId, View};
 
     const THROTTLE: Duration = Duration::from_secs(60);
 
+    /// The default tick of a cluster.
+    pub(crate) const TICK: Duration = Duration::from_millis(10);
+
+    /// How long a test waits for loopback to deliver before failing.
+    const DEADLINE: Duration = Duration::from_secs(10);
+
     /// An ingest plane on an ephemeral port whose pool holds at most
     /// `capacity` transactions.
-    fn plane(capacity: usize) -> (Ingest, SocketAddr) {
+    pub(crate) fn plane(capacity: usize) -> (Ingest, SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let cfg = IngestConfig {
             store: BlockStore::new(),
             mempool: Mempool::bounded(AdmissionPolicy { capacity, rate_cap: 0, rate_window: 64 }),
-            clock: TickClock::new(Instant::now(), Duration::from_millis(1)),
+            clock: TickClock::new(Instant::now(), TICK),
             throttle: THROTTLE,
         };
         (Ingest::new(listener, cfg).expect("nonblocking listener"), addr)
     }
 
-    /// A connection to `addr` that has written `bytes`. The pause lets
-    /// loopback deliver them before the caller's next pass.
+    /// Passes at `now` until `done` holds, failing after [`DEADLINE`]:
+    /// loopback delivers written bytes soon, not at once.
+    pub(crate) fn scan_until(
+        ingest: &mut Ingest,
+        inbox: &mut VecDeque<Inbound>,
+        now: Instant,
+        done: impl Fn(&Ingest) -> bool,
+    ) {
+        let deadline = Instant::now() + DEADLINE;
+        loop {
+            ingest.scan(inbox, now);
+            if done(ingest) {
+                return;
+            }
+            assert!(Instant::now() < deadline, "not done after {DEADLINE:?}: {:?}", ingest.stats());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     fn connect_and_write(addr: SocketAddr, bytes: &[u8]) -> TcpStream {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.write_all(bytes).expect("write");
-        settle();
         stream
     }
 
-    fn settle() {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    fn framed(payload: &[u8]) -> Vec<u8> {
+    pub(crate) fn framed(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         frame::push(&mut out, payload);
         out
@@ -441,30 +461,49 @@ mod tests {
         framed(&encode_client_frame(&ClientFrame::Submit { client, fee: 1, payload }))
     }
 
-    /// The client frames `stream` has received, and whether the node
-    /// closed it (waits up to 200 ms for more).
-    fn received(stream: &mut TcpStream) -> (Vec<ClientFrame>, bool) {
-        stream.set_read_timeout(Some(Duration::from_millis(200))).expect("timeout");
-        let mut buf = Vec::new();
-        let closed = frame::fill(stream, &mut buf, usize::MAX).expect("read");
-        let (mut frames, mut cursor) = (Vec::new(), 0);
-        while let FrameStep::Frame(f) = frame::take(&buf, &mut cursor, MAX_SUBMIT_FRAME_BYTES) {
-            frames.push(decode_client_frame(f).expect("a client frame"));
+    /// A signed log announcement whose tip block inlines `txs`, and its
+    /// wire encoding.
+    pub(crate) fn log_frame(txs: Vec<Transaction>) -> (SignedMessage, Vec<u8>) {
+        let me = ValidatorId::new(1);
+        let store = BlockStore::new();
+        let log = Log::genesis(&store).extend(&store, me, View::ZERO, txs);
+        let payload = Payload::Log { instance: InstanceId(0), log };
+        let msg = SignedMessage::sign(&KeyCache::keypair(me.key_seed()), me, payload);
+        let bytes = wire::encode_message(&msg, &store).expect("a chain in its own store encodes");
+        (msg, bytes.to_vec())
+    }
+
+    /// The first `want` client frames `stream` receives.
+    fn acks(stream: &mut TcpStream, want: usize) -> Vec<ClientFrame> {
+        stream.set_read_timeout(Some(DEADLINE)).expect("timeout");
+        let (mut buf, mut frames, mut cursor) = (Vec::new(), Vec::new(), 0);
+        while frames.len() < want {
+            assert!(!frame::fill(stream, &mut buf, 1).expect("read"), "closed by the node");
+            while let FrameStep::Frame(f) = frame::take(&buf, &mut cursor, MAX_SUBMIT_FRAME_BYTES) {
+                frames.push(decode_client_frame(f).expect("a client frame"));
+            }
         }
-        (frames, closed)
+        frames
+    }
+
+    /// Whether the node closes `stream` within [`DEADLINE`].
+    fn closed_by_node(stream: &mut TcpStream) -> bool {
+        stream.set_read_timeout(Some(DEADLINE)).expect("timeout");
+        frame::fill(stream, &mut Vec::new(), usize::MAX).expect("read")
     }
 
     #[test]
     fn a_submit_written_before_a_pass_is_admitted_and_acked_by_it() {
         let (mut ingest, addr) = plane(16);
         let mut client = connect_and_write(addr, &submit(7, 1));
-        ingest.scan(&mut VecDeque::new(), Instant::now());
+        scan_until(&mut ingest, &mut VecDeque::new(), Instant::now(), |i| i.stats().submits > 0);
         let stats = ingest.stats();
-        assert_eq!((stats.scans, stats.sessions_accepted, stats.client_sessions), (1, 1, 1));
+        assert_eq!((stats.sessions_accepted, stats.client_sessions), (1, 1));
         assert_eq!((stats.submits, stats.acks_accepted), (1, 1));
+        // No further pass: the admitting pass flushed the ack.
         let tx = submit_transaction(&[1; 32]).id();
-        let ack = ClientFrame::SubmitAck { tx, status: AckStatus::Accepted };
-        assert_eq!(received(&mut client), (vec![ack], false));
+        assert_eq!(acks(&mut client, 1), vec![ClientFrame::SubmitAck { tx, status: AckStatus::Accepted }]);
+        assert_eq!(ingest.sessions.len(), 1, "the session stays open");
     }
 
     #[test]
@@ -475,13 +514,13 @@ mod tests {
         let t0 = Instant::now();
         // The second submit finds the pool full: shed, and the rest of
         // the burst waits unread.
-        ingest.scan(&mut VecDeque::new(), t0);
+        scan_until(&mut ingest, &mut VecDeque::new(), t0, |i| i.stats().submits >= 2);
         let stats = ingest.stats();
         assert_eq!((stats.submits, stats.acks_accepted, stats.acks_busy), (2, 1, 1));
         assert_eq!(stats.throttles, 1);
         ingest.scan(&mut VecDeque::new(), t0 + THROTTLE / 2);
         assert_eq!(ingest.stats().submits, 2, "a throttled session is skipped");
-        ingest.scan(&mut VecDeque::new(), t0 + THROTTLE);
+        scan_until(&mut ingest, &mut VecDeque::new(), t0 + THROTTLE, |i| i.stats().submits >= 3);
         let stats = ingest.stats();
         assert_eq!((stats.submits, stats.acks_busy, stats.throttles), (3, 2, 2));
     }
@@ -492,13 +531,13 @@ mod tests {
         let whole = submit(7, 1);
         let (head, tail) = whole.split_at(5);
         let mut client = connect_and_write(addr, head);
-        ingest.scan(&mut VecDeque::new(), Instant::now());
+        scan_until(&mut ingest, &mut VecDeque::new(), Instant::now(), |i| i.stats().buffer_bytes_peak >= 5);
         let stats = ingest.stats();
-        assert_eq!((stats.submits, stats.malformed, stats.client_sessions), (0, 0, 0));
+        assert_eq!((stats.submits, stats.malformed), (0, 0));
+        assert_eq!(stats.client_sessions, 1, "classified by its first payload byte");
         assert_eq!((ingest.sessions.len(), stats.buffer_bytes_peak), (1, 5));
         client.write_all(tail).expect("rest of the frame");
-        settle();
-        ingest.scan(&mut VecDeque::new(), Instant::now());
+        scan_until(&mut ingest, &mut VecDeque::new(), Instant::now(), |i| i.stats().submits > 0);
         assert_eq!((ingest.stats().submits, ingest.stats().acks_accepted), (1, 1));
     }
 
@@ -507,19 +546,14 @@ mod tests {
         let (mut ingest, addr) = plane(16);
         let mut client = connect_and_write(addr, &framed(&[wire::WIRE_VERSION, 0xFF, 0xFF]));
         let mut inbox = VecDeque::new();
-        ingest.scan(&mut inbox, Instant::now());
+        scan_until(&mut ingest, &mut inbox, Instant::now(), |i| i.stats().malformed > 0);
         let stats = ingest.stats();
         assert_eq!((stats.peer_sessions, stats.malformed, stats.peer_frames), (1, 1, 0));
         assert_eq!((ingest.sessions.len(), inbox.len()), (1, 0));
 
-        let me = ValidatorId::new(1);
-        let store = BlockStore::new();
-        let payload = Payload::Log { instance: InstanceId(0), log: Log::genesis(&store) };
-        let msg = SignedMessage::sign(&KeyCache::keypair(me.key_seed()), me, payload);
-        let bytes = wire::encode_message(&msg, &store).expect("genesis encodes");
+        let (msg, bytes) = log_frame(Vec::new());
         client.write_all(&framed(&bytes)).expect("write");
-        settle();
-        ingest.scan(&mut inbox, Instant::now());
+        scan_until(&mut ingest, &mut inbox, Instant::now(), |i| i.stats().peer_frames > 0);
         assert_eq!((ingest.stats().peer_frames, ingest.stats().malformed), (1, 1));
         assert!(matches!(inbox.pop_front(), Some(Inbound::Msg(m, n)) if m == msg && n == bytes.len() as u64));
     }
@@ -528,11 +562,35 @@ mod tests {
     fn an_unclassifiable_first_frame_closes_its_session() {
         let (mut ingest, addr) = plane(16);
         let mut client = connect_and_write(addr, &framed(&[0x00, 1, 2]));
-        ingest.scan(&mut VecDeque::new(), Instant::now());
+        scan_until(&mut ingest, &mut VecDeque::new(), Instant::now(), |i| i.stats().malformed > 0);
         let stats = ingest.stats();
         assert_eq!((stats.sessions_accepted, stats.malformed), (1, 1));
         assert_eq!((stats.peer_sessions, stats.client_sessions), (0, 0));
         assert!(ingest.sessions.is_empty(), "the session is reaped");
-        assert_eq!(received(&mut client), (vec![], true), "the client sees the close");
+        assert!(closed_by_node(&mut client), "the client sees the close");
+    }
+
+    #[test]
+    fn a_mebibyte_peer_frame_is_read_in_one_pass() {
+        let (mut ingest, addr) = plane(16);
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        let mut inbox = VecDeque::new();
+        scan_until(&mut ingest, &mut inbox, Instant::now(), |i| i.sessions.len() == 1);
+
+        let (msg, bytes) = log_frame(vec![Transaction::synthetic(0, 1 << 20)]);
+        assert!(bytes.len() > 1 << 20);
+        // The frame outgrows the receive buffer, so the write completes
+        // only once the kernel holds the rest on the sending side.
+        let (written, wrote) = std::sync::mpsc::channel();
+        let frame = framed(&bytes);
+        std::thread::spawn(move || {
+            let _ = written.send(peer.write_all(&frame).map(|()| peer));
+        });
+        let _peer = wrote.recv_timeout(DEADLINE).expect("the kernel takes the frame").expect("write");
+
+        ingest.scan(&mut inbox, Instant::now());
+        let stats = ingest.stats();
+        assert_eq!((stats.peer_sessions, stats.peer_frames, stats.malformed), (1, 1, 0));
+        assert!(matches!(inbox.pop_front(), Some(Inbound::Msg(m, n)) if m == msg && n == bytes.len() as u64));
     }
 }

@@ -621,4 +621,41 @@ mod tests {
         assert_eq!(out.frames, (0, sends - 1));
         assert!(sends * (4 << 20) > PEER_OUTBUF_CAP as u64);
     }
+
+    #[test]
+    fn a_link_carrying_mebibytes_per_tick_to_a_peer_that_reads_stays_open() {
+        use crate::ingest::tests::{plane, TICK};
+        const TICKS: u64 = 40;
+        let (me, peer) = (ValidatorId::new(0), ValidatorId::new(1));
+        let (mut theirs, addr) = plane(16);
+        let (mut ours, _) = plane(16);
+        let link = TcpStream::connect(addr).expect("dial");
+        link.set_nonblocking(true).expect("nonblocking link");
+        let mut state = node_state(me);
+        state.outbound.insert(peer, Link::new(link));
+        // About 2 MiB per tick: the tip block inlines two 1 MiB
+        // transactions. The run carries 80 MiB, over twice the link's
+        // bound, so a reader slower than the sender closes the link.
+        let txs = (0..2).map(|i| Transaction::synthetic(i, 1 << 20)).collect();
+        let log = Log::genesis(&state.store).extend(&state.store, me, View::ZERO, txs);
+        let msg = log_message(me, log);
+        let mut inbox = VecDeque::new();
+        for _ in 0..TICKS {
+            assert!(state.send(&msg, &[peer]));
+            std::thread::sleep(TICK);
+            // Each side's pass of the tick.
+            theirs.scan(&mut inbox, Instant::now());
+            state.scan(&mut ours);
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while theirs.stats().peer_frames < TICKS && Instant::now() < deadline {
+            theirs.scan(&mut inbox, Instant::now());
+            state.scan(&mut ours);
+        }
+        assert_eq!(state.out.slow_peer_closes, 0);
+        assert!(state.outbound.contains_key(&peer), "the link stays open");
+        assert_eq!(state.out.frames, (0, TICKS));
+        assert_eq!((theirs.stats().peer_frames, theirs.stats().malformed), (TICKS, 0));
+        assert_eq!(inbox.len() as u64, TICKS);
+    }
 }
