@@ -31,12 +31,15 @@
 //! window included, is known already — the steady state, where the tip
 //! arrived over another path first), and an unknown tip needs a single
 //! membership test at the base of the inline window. The known set is
-//! one bit per stored block, addressed by the block's dense
-//! [`BlockStore::index`]: a probe is one keyed lookup in the store plus
-//! a bit test, so neither probe grows with the blocks ever announced,
-//! and knowledge costs one bit per (validator, stored block). An id with
-//! no stored block enters only through fault injection
-//! ([`SyncState::poison_known`]) and sits in a small ordered side set.
+//! one bit per stored block, addressed by the block's dense index: a
+//! probe is one [`BlockStore::locate`] plus a bit test, so neither probe
+//! grows with the blocks ever announced, and knowledge costs one bit per
+//! (validator, stored block). The lookup also names the block's parent,
+//! so each step of the window walk is one lookup too, and a recently
+//! stored block (the common tip) is found in the store's table of recent
+//! blocks without hashing its id. An id with no stored block enters only
+//! through fault injection ([`SyncState::poison_known`]) and sits in a
+//! small ordered side set.
 //!
 //! The pending set is capped at [`SyncState::PENDING_CAP`] with FIFO
 //! eviction, so a Byzantine flood of messages referencing
@@ -110,6 +113,10 @@ struct Inflight {
     from_height: Option<u64>,
 }
 
+/// A block's [`BlockStore::locate`] answer: its dense index and its
+/// parent, `None` when it is not stored.
+type Located = Option<(usize, BlockId)>;
+
 /// Bit 0 of `SyncState::known`'s first word: genesis, stored first.
 const GENESIS_BIT: u64 = 1;
 
@@ -120,7 +127,7 @@ pub struct SyncState {
     /// one.
     store: BlockStore,
     /// The known stored blocks: bit `i` is the block at
-    /// [`BlockStore::index`] `i`. Grows on demand, never shrinks.
+    /// [`BlockStore::locate`] index `i`. Grows on demand, never shrinks.
     known: Vec<u64>,
     /// Known ids that had no stored block when they were forced in by
     /// [`SyncState::poison_known`] (the honest paths learn stored
@@ -191,8 +198,13 @@ impl SyncState {
     /// the fetch for `id`, and notes whether a parked message waits on
     /// it. Returns whether `id` is newly known.
     fn learn(&mut self, id: BlockId) -> bool {
+        self.learn_at(self.store.locate(id), id)
+    }
+
+    /// [`SyncState::learn`] with `id`'s store lookup already made.
+    fn learn_at(&mut self, at: Located, id: BlockId) -> bool {
         self.inflight.remove(&id);
-        let newly = self.insert(id);
+        let newly = self.insert(at, id);
         if newly {
             self.honest_known += 1;
             self.note_if_awaited(id);
@@ -206,15 +218,15 @@ impl SyncState {
         }
     }
 
-    /// Puts `id` into the known set: its bit when it is stored, the
-    /// side set otherwise. Returns whether `id` is newly known.
-    fn insert(&mut self, id: BlockId) -> bool {
-        let index = self.store.index(id);
-        if self.holds(index, id) {
+    /// Puts `id`, found `at` in the store, into the known set: its bit
+    /// when it is stored, the side set otherwise. Returns whether `id`
+    /// is newly known.
+    fn insert(&mut self, at: Located, id: BlockId) -> bool {
+        if self.holds(at, id) {
             return false;
         }
-        match index {
-            Some(index) => self.set_bit(index),
+        match at {
+            Some((index, _)) => self.set_bit(index),
             None => {
                 self.poisoned.insert(id);
             }
@@ -223,10 +235,10 @@ impl SyncState {
         true
     }
 
-    /// Whether `id`, stored at `index` if it is stored, is known.
-    fn holds(&self, index: Option<usize>, id: BlockId) -> bool {
+    /// Whether `id`, found `at` in the store, is known.
+    fn holds(&self, at: Located, id: BlockId) -> bool {
         let bit = |i: usize| self.known.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1);
-        index.is_some_and(bit) || self.poisoned.contains(&id)
+        at.is_some_and(|(i, _)| bit(i)) || self.poisoned.contains(&id)
     }
 
     fn set_bit(&mut self, index: usize) {
@@ -246,7 +258,7 @@ impl SyncState {
 
     /// Whether this validator knows the content of `id`.
     pub fn knows(&self, id: BlockId) -> bool {
-        id == self.genesis || self.holds(self.store.index(id), id)
+        id == self.genesis || self.holds(self.store.locate(id), id)
     }
 
     /// Marks a locally-built block (own proposal extension) as known.
@@ -266,34 +278,38 @@ impl SyncState {
     /// on success.
     pub fn resolve(&mut self, log: &Log, store: &BlockStore) -> Resolution {
         // A known tip has its whole ancestry known, window included.
-        if self.knows(log.tip()) {
+        let mut base = log.tip();
+        let mut at = store.locate(base);
+        if self.holds(at, base) {
             return Resolution::Resolved;
         }
         // Walk the window down by parent links, one store lookup per
-        // window block; the block below it is the base. `Log` keeps
-        // `len == height(tip) + 1`, and the store holds no block without
-        // its parent, so the walk ends at height `len − 1 − k`.
+        // block: each lookup answers whether the block is known and
+        // names its parent. The block below the window is the base.
+        // `Log` keeps `len == height(tip) + 1`, and the store holds no
+        // block without its parent, so the walk ends at height
+        // `len − 1 − k`.
         let k = (log.len() - 1).min(wire::INLINE_WINDOW) as usize;
-        let mut window = [log.tip(); wire::INLINE_WINDOW as usize];
-        let mut base = log.tip();
+        let mut window = [(at, base); wire::INLINE_WINDOW as usize];
         for slot in window.iter_mut().take(k) {
-            *slot = base;
-            match store.get(base) {
-                Some(block) => base = block.parent(),
+            let Some((_, parent)) = at else {
                 // The reference does not resolve in the local store at
                 // all (runtime decode normally prevents this):
                 // everything below the tip is missing.
-                None => return Resolution::Missing(log.tip()),
-            }
+                return Resolution::Missing(log.tip());
+            };
+            *slot = (at, base);
+            base = parent;
+            at = store.locate(base);
         }
-        if !self.knows(base) {
+        if !self.holds(at, base) {
             return Resolution::Missing(base);
         }
         // Absorb the window, newest-last so the chain-known invariant
         // holds at every insertion. A block learned this way needs no
         // outstanding fetch anymore.
-        for id in window.iter().take(k).rev() {
-            self.learn(*id);
+        for (at, id) in window.iter().take(k).rev() {
+            self.learn_at(*at, *id);
         }
         Resolution::Resolved
     }
@@ -304,11 +320,12 @@ impl SyncState {
     pub fn fetch_start(&self, missing: BlockId, store: &BlockStore) -> u64 {
         let mut cur = missing;
         loop {
-            if self.knows(cur) {
+            let at = store.locate(cur);
+            if self.holds(at, cur) {
                 return store.height(cur).map_or(1, |h| h + 1);
             }
-            match store.get(cur) {
-                Some(block) => cur = block.parent(),
+            match at {
+                Some((_, parent)) => cur = parent,
                 None => return 1,
             }
         }
@@ -463,7 +480,7 @@ impl SyncState {
     /// ancestry need not exist anywhere). Exists only for the
     /// stabilization plane's state-corruption experiments.
     pub fn poison_known(&mut self, id: BlockId) {
-        if self.insert(id) {
+        if self.insert(self.store.locate(id), id) {
             self.note_if_awaited(id);
         }
     }

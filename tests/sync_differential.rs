@@ -25,7 +25,10 @@
 //!
 //! The local store grows during a stream from a fork tree built in a
 //! second store, so logs reference blocks that are stored, not yet
-//! stored, or stored only after they were forced in.
+//! stored, or stored only after they were forced in. One stream stores
+//! more blocks than the store's table of recent blocks has slots, so
+//! lookups answer from the table and from the keyed map behind it: the
+//! table must not be observable.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::OnceLock;
@@ -401,6 +404,48 @@ fn scripted_stream_answers_like_the_flat_set() {
         diff.step(op).unwrap();
     }
     assert_eq!(diff.sync.audit_scans(), 4);
+}
+
+/// A store that outgrows the store's table of recent blocks: a
+/// 1 200-block chain and a 100-block fork off block 700, 1 250 of them
+/// stored before the stream starts. Old blocks mostly lost their table
+/// slot to newer ones, so `resolve`, `fetch_start`, `accept_response`
+/// and every `knows` of `check` look blocks up both through the table
+/// and through the keyed map; the flat model sees neither.
+#[test]
+fn store_past_the_table_answers_like_the_flat_set() {
+    let parents: Vec<u16> = (0..1300).map(|i| if i == 1200 { 700 } else { i }).collect();
+    let mut diff = Differential::new(&parents, 1250);
+    let mut script = vec![
+        Op::Resolve(1200),     // base unknown
+        Op::Park(1200, 0),     // fetch walks down to genesis
+        Op::Accept(600, 1),    // learns blocks 1–600
+        Op::Resolve(601),      // window learned over a known base
+        Op::Park(1200, 1),     // fetch walks down to block 601
+        Op::Accept(1200, 602), // learns 602–1200, arms the flag
+        Op::TakeResolved,
+        Op::Resolve(1201),     // the fork's first block, on block 700
+        Op::Park(1250, 2),     // fetch walks the fork down to 1201
+        Op::Park(1290, 3),     // not stored: fetch from height 1
+    ];
+    script.extend((0..60).map(|_| Op::Store));
+    script.extend((1202..1260).map(Op::Resolve));
+    script.extend([
+        Op::Accept(1300, 760), // the fork's last blocks, heights 760–800
+        Op::TakeResolved,
+        Op::Poison(Some(5), 0),
+        Op::Poison(None, 2),
+        Op::Audit,
+        Op::ForgetAll,
+        Op::Accept(1300, 1),   // the fork's whole chain again, one range
+        Op::Accept(1200, 1),
+        Op::Audit,
+    ]);
+    for op in script {
+        diff.step(op).unwrap();
+    }
+    assert_eq!(diff.stored, 1301);
+    assert!(diff.sync.knows(diff.block(1300).tip()));
 }
 
 proptest! {
