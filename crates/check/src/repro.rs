@@ -7,7 +7,7 @@
 //! fixes the execution, and [`Reproducer::replay`] confirms the same
 //! invariants still fail.
 //!
-//! The offline `serde` stand-in has no real serializer, so the codec is
+//! The workspace has no serialization dependency, so the codec is
 //! hand-rolled: a fixed-field-order emitter and a minimal JSON parser
 //! (objects, arrays, strings, unsigned integers — the whole schema).
 //! Emission is canonical: `parse(emit(x)) == x` and re-emitting a

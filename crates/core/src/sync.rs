@@ -62,7 +62,6 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use tobsvd_types::{wire, BlockId, BlockStore, Log, SignedMessage, Time};
 
 /// Outcome of [`SyncState::resolve`].
@@ -82,8 +81,9 @@ pub enum Pending {
     Msg(Arc<SignedMessage>),
     /// A peer frame that does not decode against the local store yet
     /// ([`wire::WireError::MissingBlocks`]); its fetch carries the
-    /// codec's start hint.
-    Frame(Bytes),
+    /// codec's start hint. The one copy of a peer frame the node
+    /// makes, out of its session buffer.
+    Frame(Vec<u8>),
 }
 
 impl From<Arc<SignedMessage>> for Pending {

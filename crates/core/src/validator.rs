@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use tobsvd_crypto::{Digest, KeyCache, Keypair};
 use tobsvd_ga::Ga3;
 use tobsvd_storage::{replay_into, BlockRecord, SharedDurable, Snapshot, WalError, WalRecord};
@@ -670,7 +669,7 @@ impl Validator {
     /// fetches the gap from the sender its header claims. The fetch and
     /// its retries ask from the codec's hint: [`SyncState::fetch_start`]
     /// cannot walk a chain the store lacks and would ask from 1.
-    pub fn park_frame(&mut self, raw: Bytes, missing: BlockId, from_height: u64, ctx: &mut Context) {
+    pub fn park_frame(&mut self, raw: Vec<u8>, missing: BlockId, from_height: u64, ctx: &mut Context) {
         let claimed = wire::peek_header(&raw).map(|(sender, _)| sender);
         // The gap may have closed since the decode: then the frame
         // drains at once, with no fetch.
@@ -692,7 +691,7 @@ impl Validator {
             for entry in self.sync.take_resolved() {
                 match entry {
                     Pending::Msg(msg) => self.handle_or_park(&msg, ctx),
-                    Pending::Frame(raw) => match wire::decode_message(raw.clone(), &ctx.store) {
+                    Pending::Frame(raw) => match wire::decode_message(&raw, &ctx.store) {
                         Ok(msg) => self.on_delivery(&Arc::new(msg), ctx),
                         Err(wire::WireError::MissingBlocks { missing, from_height })
                             if !self.sync.knows(missing) =>

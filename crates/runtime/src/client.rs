@@ -11,10 +11,9 @@
 use std::net::SocketAddr;
 
 use tobsvd_types::client::{
-    decode_client_frame, encode_client_frame, submit_transaction, AckStatus, ClientFrame,
-    MAX_SUBMIT_FRAME_BYTES,
+    decode_client_frame, encode_client_frame, AckStatus, ClientFrame, MAX_SUBMIT_FRAME_BYTES,
 };
-use tobsvd_types::TxId;
+use tobsvd_types::{Transaction, TxId};
 
 use crate::frame::{self, FrameStep};
 
@@ -79,12 +78,9 @@ impl ClientConn {
     /// Queues one submission and returns the content-addressed id its
     /// ack will carry. Call [`ClientConn::pump`] to move bytes.
     pub fn submit(&mut self, fee: u64, payload: Vec<u8>) -> TxId {
-        let id = submit_transaction(&payload).id();
-        let frame = encode_client_frame(&ClientFrame::Submit {
-            client: self.client,
-            fee,
-            payload: payload.into(),
-        });
+        let tx = Transaction::new(payload);
+        let id = tx.id();
+        let frame = encode_client_frame(&ClientFrame::Submit { client: self.client, fee, payload: tx });
         // A payload too large to frame is not sent; its ack never comes,
         // which is what the node's own size cap would have made of it.
         frame::push(&mut self.outbuf, &frame);

@@ -8,9 +8,10 @@
 //! client sessions), marks the stream corrupt: nothing sane can follow
 //! a garbled prefix.
 //!
-//! [`take`] only advances a read cursor; the caller drains the consumed
-//! prefix once per read cycle, so a burst of k frames costs one
-//! memmove, not k.
+//! [`take`] only advances a read cursor and lends the frame out of the
+//! caller's buffer: a frame is decoded where it was read, and the
+//! caller drains the consumed prefix once per read cycle, so a burst of
+//! k frames costs one memmove, not k copies.
 //!
 //! [`fill`] and [`flush`] are the nonblocking socket ends of the same
 //! buffers: every session, node-side or client-side, reads and writes
@@ -18,7 +19,7 @@
 
 use std::io::{self, ErrorKind, Read, Write};
 
-use bytes::Bytes;
+use tobsvd_types::codec::Reader;
 
 /// Upper bound on frame payload size (16 MiB).
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
@@ -43,32 +44,30 @@ pub(crate) fn push(out: &mut Vec<u8>, payload: &[u8]) {
 
 /// Outcome of one [`take`].
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum FrameStep {
+pub(crate) enum FrameStep<'a> {
     /// No complete frame buffered yet.
     Incomplete,
-    /// One frame extracted.
-    Frame(Bytes),
+    /// One frame's payload, borrowed from the buffer.
+    Frame(&'a [u8]),
     /// The stream is unsalvageable (zero or oversize length).
     Corrupt,
 }
 
 /// Extracts the frame starting at `buf[*cursor]`, if complete, and
 /// advances `cursor` past it; `max` is the session's payload cap.
-pub(crate) fn take(buf: &[u8], cursor: &mut usize, max: usize) -> FrameStep {
-    let rest = buf.get(*cursor..).unwrap_or_default();
-    let Some(Ok(prefix)) = rest.get(..PREFIX).map(<[u8; PREFIX]>::try_from) else {
+pub(crate) fn take<'a>(buf: &'a [u8], cursor: &mut usize, max: usize) -> FrameStep<'a> {
+    let mut r = Reader::new(buf.get(*cursor..).unwrap_or_default());
+    let Ok(len) = r.u32().map(|len| len as usize) else {
         return FrameStep::Incomplete;
     };
-    let len = u32::from_be_bytes(prefix) as usize;
     if len == 0 || len > max {
         return FrameStep::Corrupt;
     }
-    let end = PREFIX.saturating_add(len);
-    let Some(payload) = rest.get(PREFIX..end) else {
+    let Ok(payload) = r.take(len) else {
         return FrameStep::Incomplete;
     };
-    *cursor = cursor.saturating_add(end);
-    FrameStep::Frame(Bytes::copy_from_slice(payload))
+    *cursor = cursor.saturating_add(PREFIX + len);
+    FrameStep::Frame(payload)
 }
 
 /// Whether an I/O error means the peer is gone, not a local fault.
@@ -151,7 +150,7 @@ mod tests {
     }
 
     /// Takes frames off `buf` until `take` stops yielding them.
-    fn drain(buf: &[u8], cursor: &mut usize, max: usize) -> (Vec<Vec<u8>>, FrameStep) {
+    fn drain<'a>(buf: &'a [u8], cursor: &mut usize, max: usize) -> (Vec<Vec<u8>>, FrameStep<'a>) {
         let mut got = Vec::new();
         loop {
             match take(buf, cursor, max) {
@@ -195,10 +194,7 @@ mod tests {
         let cut = &bytes[..bytes.len() - 2];
         assert_eq!(take(cut, &mut cursor, MAX_FRAME_BYTES), FrameStep::Incomplete);
         assert_eq!(cursor, 0);
-        assert_eq!(
-            take(&bytes, &mut cursor, MAX_FRAME_BYTES),
-            FrameStep::Frame(Bytes::copy_from_slice(b"hello"))
-        );
+        assert_eq!(take(&bytes, &mut cursor, MAX_FRAME_BYTES), FrameStep::Frame(b"hello"));
     }
 
     /// Takes at most `room` bytes into `got`, then would block.
@@ -267,9 +263,9 @@ mod tests {
                 fed += n;
                 let mut cursor = 0;
                 let (now, end) = drain(&inbuf, &mut cursor, MAX_FRAME_BYTES);
+                prop_assert_eq!(end, FrameStep::Incomplete);
                 inbuf.drain(..cursor);
                 got.extend(now);
-                prop_assert_eq!(end, FrameStep::Incomplete);
                 prop_assert_eq!(got.len(), ends.iter().filter(|e| **e <= fed).count());
             }
             prop_assert_eq!(got, frames);

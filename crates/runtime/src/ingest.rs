@@ -48,7 +48,6 @@ use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use tobsvd_core::{Admission, Mempool};
 use tobsvd_types::client::{
     decode_client_frame, encode_client_frame, is_client_frame, AckStatus, ClientFrame,
@@ -81,8 +80,9 @@ pub(crate) enum Inbound {
     /// A well-formed frame referencing blocks the store lacks, for
     /// [`tobsvd_core::Validator::park_frame`].
     NeedBlocks {
-        /// The raw frame to re-decode once blocks arrive.
-        raw: Bytes,
+        /// The raw frame to re-decode once blocks arrive: the one copy
+        /// made of a peer frame, out of its session buffer.
+        raw: Vec<u8>,
         /// The block id whose arrival unblocks the frame.
         missing: BlockId,
         /// Fetch start-height hint.
@@ -264,6 +264,9 @@ fn service_read(
         return false;
     }
 
+    // Frames are decoded in place, borrowed from the buffer, which is
+    // lent out of the session while its frames are handled.
+    let inbuf = std::mem::take(&mut session.inbuf);
     let mut consumed = 0;
     loop {
         let max_len = match session.kind {
@@ -271,7 +274,7 @@ fn service_read(
             // Unclassified: no payload byte yet, no frame to find.
             SessionKind::Peer | SessionKind::Unknown => MAX_FRAME_BYTES,
         };
-        match frame::take(&session.inbuf, &mut consumed, max_len) {
+        match frame::take(&inbuf, &mut consumed, max_len) {
             FrameStep::Incomplete => break,
             FrameStep::Corrupt => {
                 stats.malformed += 1;
@@ -290,6 +293,7 @@ fn service_read(
             }
         }
     }
+    session.inbuf = inbuf;
     session.inbuf.drain(..consumed);
     spent && !session.closed && session.throttled_until.is_none()
 }
@@ -319,20 +323,20 @@ fn classify(session: &mut Session, stats: &mut IngestStats) -> bool {
 
 /// Decodes one peer frame into the node loop's inbox.
 fn handle_peer_frame(
-    frame: Bytes,
+    frame: &[u8],
     store: &BlockStore,
     inbox: &mut VecDeque<Inbound>,
     stats: &mut IngestStats,
 ) {
     let n = frame.len() as u64;
-    match wire::decode_message(frame.clone(), store) {
+    match wire::decode_message(frame, store) {
         Ok(msg) => {
             stats.peer_frames += 1;
             inbox.push_back(Inbound::Msg(msg, n));
         }
         Err(wire::WireError::MissingBlocks { missing, from_height }) => {
             stats.peer_frames += 1;
-            inbox.push_back(Inbound::NeedBlocks { raw: frame, missing, from_height });
+            inbox.push_back(Inbound::NeedBlocks { raw: frame.to_vec(), missing, from_height });
         }
         Err(_) => {
             stats.malformed += 1;
@@ -344,12 +348,12 @@ fn handle_peer_frame(
 /// impose a read-throttle window on the session.
 fn handle_client_frame(
     session: &mut Session,
-    frame: Bytes,
+    frame: &[u8],
     cfg: &IngestConfig,
     now: Instant,
     stats: &mut IngestStats,
 ) {
-    let (client, fee, payload) = match decode_client_frame(frame) {
+    let (client, fee, tx) = match decode_client_frame(frame) {
         Ok(ClientFrame::Submit { client, fee, payload }) => (client, fee, payload),
         Ok(ClientFrame::SubmitAck { .. }) | Err(_) => {
             // Acks flow node→client only; anything else is malformed.
@@ -359,7 +363,6 @@ fn handle_client_frame(
         }
     };
     stats.submits += 1;
-    let tx = tobsvd_types::client::submit_transaction(&payload);
     let id = tx.id();
     let (status, acks) = match cfg.mempool.admit(tx, cfg.clock.now_tick(), fee, Some(client)) {
         Admission::Accepted { .. } => (AckStatus::Accepted, &mut stats.acks_accepted),
@@ -400,7 +403,6 @@ pub(crate) mod tests {
     use std::net::SocketAddr;
     use tobsvd_core::AdmissionPolicy;
     use tobsvd_crypto::KeyCache;
-    use tobsvd_types::client::submit_transaction;
     use tobsvd_types::{InstanceId, Log, Payload, Transaction, ValidatorId, View};
 
     const THROTTLE: Duration = Duration::from_secs(60);
@@ -457,7 +459,7 @@ pub(crate) mod tests {
     }
 
     fn submit(client: u64, tag: u8) -> Vec<u8> {
-        let payload = Bytes::from(vec![tag; 32]);
+        let payload = Transaction::new(vec![tag; 32]);
         framed(&encode_client_frame(&ClientFrame::Submit { client, fee: 1, payload }))
     }
 
@@ -501,7 +503,7 @@ pub(crate) mod tests {
         assert_eq!((stats.sessions_accepted, stats.client_sessions), (1, 1));
         assert_eq!((stats.submits, stats.acks_accepted), (1, 1));
         // No further pass: the admitting pass flushed the ack.
-        let tx = submit_transaction(&[1; 32]).id();
+        let tx = Transaction::new(vec![1; 32]).id();
         assert_eq!(acks(&mut client, 1), vec![ClientFrame::SubmitAck { tx, status: AckStatus::Accepted }]);
         assert_eq!(ingest.sessions.len(), 1, "the session stays open");
     }

@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-use serde::{Deserialize, Serialize};
 use tobsvd_types::Delta;
 
 /// Static parameters of a simulation run.
@@ -10,7 +9,7 @@ use tobsvd_types::Delta;
 /// let cfg = SimConfig::new(16).with_seed(42);
 /// assert_eq!(cfg.n, 16);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Number of validators `n`.
     pub n: usize,

@@ -19,8 +19,6 @@
 //! would have shipped (`wire::inline_equivalent_len`). The ratio of the
 //! two is the delta-sync saving, measurable in a single run.
 
-use serde::{Deserialize, Serialize};
-
 /// Classification of a message for accounting purposes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MessageKind {
@@ -43,7 +41,7 @@ pub enum MessageKind {
 }
 
 /// Aggregated counters for one simulation run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// Original (non-forward) broadcasts of `LOG` payloads.
     pub log_broadcasts: u64,
@@ -118,7 +116,6 @@ pub struct Metrics {
     /// instance of the receiver took, dropped before any crypto
     /// (neither verified nor filed, so counted in neither
     /// `sig_verifies` nor `sig_verify_skips`).
-    #[serde(default)]
     pub dropped_out_of_range: u64,
     /// Messages buffered for asleep validators.
     pub buffered: u64,
@@ -128,12 +125,10 @@ pub struct Metrics {
     pub dropped: u64,
     /// Kill/restart faults applied (process crashes, not sleeps:
     /// volatile state is lost and only durable storage survives).
-    #[serde(default)]
     pub crashes: u64,
     /// State-corruption faults applied ([`crate::StateFault`]: bit rot
     /// in decided logs, counters, caches, sync knowledge, or the
     /// durable image — the stabilization plane's adversary).
-    #[serde(default)]
     pub state_corruptions: u64,
     /// Message copies suppressed by an installed
     /// [`crate::DeliveryFilter`] (fetch-corruption experiments).

@@ -1,6 +1,5 @@
 //! Participation (sleep/wake) and corruption schedules.
 
-use serde::{Deserialize, Serialize};
 use tobsvd_types::{Delta, Time, ValidatorId};
 
 /// Per-validator awake intervals.
@@ -19,7 +18,7 @@ use tobsvd_types::{Delta, Time, ValidatorId};
 /// assert!(!sched.is_awake(ValidatorId::new(1), Time::new(10)));
 /// assert!(sched.is_awake(ValidatorId::new(0), Time::new(999))); // default
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ParticipationSchedule {
     n: usize,
     /// `None` = always awake; `Some(intervals)` = awake exactly during
@@ -104,7 +103,7 @@ impl ParticipationSchedule {
 /// Entries record when each corruption was *scheduled*; it becomes
 /// *effective* Δ later (mildly adaptive adversary, paper §3.1). The
 /// Byzantine set is monotone non-decreasing by construction.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CorruptionSchedule {
     /// `(validator, effective_time)`, sorted by effective time.
     entries: Vec<(ValidatorId, Time)>,

@@ -1,10 +1,11 @@
-//! Byte-level primitives shared by the WAL and snapshot codecs: CRC32
-//! framing and panic-free checked reads.
+//! CRC32 framing of the WAL and snapshot images. Reads go through the
+//! shared checked [`Reader`] of `tobsvd_types::codec`.
 //!
-//! Integers are big-endian, matching the wire codec. The CRC is the
-//! reflected IEEE-802.3 polynomial (the ubiquitous `crc32` of zlib and
-//! friends), table-driven with a compile-time-built table so the
-//! per-record cost is one lookup per byte.
+//! The CRC is the reflected IEEE-802.3 polynomial (the ubiquitous
+//! `crc32` of zlib and friends), table-driven with a compile-time-built
+//! table so the per-record cost is one lookup per byte.
+
+use tobsvd_types::codec::Reader;
 
 use crate::WalError;
 
@@ -55,83 +56,21 @@ pub fn put_frame(out: &mut Vec<u8>, body: &[u8]) -> Result<(), WalError> {
     Ok(())
 }
 
-/// A panic-free cursor over an in-memory byte image.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Starts a cursor at the beginning of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+/// Reads one `len | crc | body` frame off `r`, validating length and
+/// CRC.
+///
+/// # Errors
+///
+/// [`WalError::Corrupt`] on a truncated header/body or a CRC mismatch
+/// (a torn or bit-flipped frame).
+pub fn read_frame<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], WalError> {
+    let len = r.u32()? as usize;
+    let crc = r.u32()?;
+    let body = r.take(len)?;
+    if crc32(body) != crc {
+        return Err(WalError::Corrupt("frame crc mismatch"));
     }
-
-    /// Current byte offset.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    /// Reads `n` raw bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::Corrupt`] when fewer than `n` bytes remain.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WalError> {
-        let end = self.pos.checked_add(n).ok_or(WalError::Corrupt("length overflow"))?;
-        let slice = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(WalError::Corrupt("truncated record"))?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, WalError> {
-        Ok(self.take(1)?.first().copied().unwrap_or(0))
-    }
-
-    /// Reads a big-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, WalError> {
-        let raw = self.take(4)?;
-        let arr: [u8; 4] = raw.try_into().map_err(|_| WalError::Corrupt("short u32"))?;
-        Ok(u32::from_be_bytes(arr))
-    }
-
-    /// Reads a big-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, WalError> {
-        let raw = self.take(8)?;
-        let arr: [u8; 8] = raw.try_into().map_err(|_| WalError::Corrupt("short u64"))?;
-        Ok(u64::from_be_bytes(arr))
-    }
-
-    /// Reads a 32-byte digest.
-    pub fn digest(&mut self) -> Result<[u8; 32], WalError> {
-        let raw = self.take(32)?;
-        raw.try_into().map_err(|_| WalError::Corrupt("short digest"))
-    }
-
-    /// Reads one frame's body, validating length and CRC.
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::Corrupt`] on a truncated header/body or a CRC
-    /// mismatch (a torn or bit-flipped frame).
-    pub fn frame(&mut self) -> Result<&'a [u8], WalError> {
-        let len = self.u32()? as usize;
-        let crc = self.u32()?;
-        let body = self.take(len)?;
-        if crc32(body) != crc {
-            return Err(WalError::Corrupt("frame crc mismatch"));
-        }
-        Ok(body)
-    }
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -149,16 +88,16 @@ mod tests {
     fn frame_round_trips_and_rejects_flips() {
         let mut out = Vec::new();
         put_frame(&mut out, b"hello wal").unwrap();
-        assert_eq!(Reader::new(&out).frame().unwrap(), b"hello wal");
+        assert_eq!(read_frame(&mut Reader::new(&out)).unwrap(), b"hello wal");
         for i in 0..out.len() {
             let mut bad = out.clone();
             if let Some(b) = bad.get_mut(i) {
                 *b ^= 0x40;
             }
-            assert!(Reader::new(&bad).frame().is_err(), "flip at byte {i} must fail");
+            assert!(read_frame(&mut Reader::new(&bad)).is_err(), "flip at byte {i} must fail");
         }
         for cut in 0..out.len() {
-            assert!(Reader::new(&out[..cut]).frame().is_err(), "cut at {cut} must fail");
+            assert!(read_frame(&mut Reader::new(&out[..cut])).is_err(), "cut at {cut} must fail");
         }
     }
 }

@@ -24,22 +24,23 @@
 //!
 //! # Record format
 //!
-//! Every persisted record is length+CRC framed, mirroring the wire
-//! codec's conventions (big-endian integers, `u32` length prefixes,
-//! the same per-block body layout as `wire::encode_block_body` plus
-//! the parent and expected content hashes):
+//! Every persisted record is length+CRC framed. Integers are
+//! big-endian, and a block record is the parent and expected content
+//! hashes followed by the block body that peer frames carry, written
+//! and read by the one body codec of `tobsvd_types::codec`:
 //!
 //! ```text
 //! frame  := body_len:u32 | crc32(body):u32 | body
 //! body   := tag:u8 | payload
-//! tag 1  := Block   — parent:32B | expected_id:32B | proposer:u32 |
-//!                     view:u64 | tx_count:u32 | (tx_len:u32 | tx_bytes)*
+//! tag 1  := Block   — parent:32B | expected_id:32B | block_body
 //! tag 2  := Decided — tip:32B | len:u64
+//! block_body := proposer:u32 | view:u64 | tx_count:u32 | (tx_len:u32 | tx_bytes)*
 //! ```
 //!
 //! A snapshot is one frame whose body is `tag 3 | tip:32B | len:u64 |
-//! block_count:u32 | block-payloads…` — the full decided chain, so a
-//! snapshot alone reconstructs the prefix it covers.
+//! block_count:u32` and then that many tag-1 payloads — the full
+//! decided chain, so a snapshot alone reconstructs the prefix it
+//! covers.
 //!
 //! # Corruption posture
 //!
@@ -80,6 +81,7 @@ mod replay;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use tobsvd_types::codec::{BodyError, Truncated};
 
 pub use codec::crc32;
 pub use file::FileDurable;
@@ -114,6 +116,21 @@ impl std::fmt::Display for WalError {
 }
 
 impl std::error::Error for WalError {}
+
+impl From<Truncated> for WalError {
+    fn from(_: Truncated) -> Self {
+        WalError::Corrupt("truncated record")
+    }
+}
+
+impl From<BodyError> for WalError {
+    fn from(e: BodyError) -> Self {
+        match e {
+            BodyError::Truncated => Truncated.into(),
+            BodyError::Limit(what) => WalError::Limit(what),
+        }
+    }
+}
 
 /// The persistence trait behind the decided log: an append-only WAL
 /// with periodic snapshot checkpoints.

@@ -1,9 +1,9 @@
 //! WAL record and snapshot types with their binary codecs.
 
-use tobsvd_crypto::Digest;
+use tobsvd_types::codec::{self, BlockBody, Reader};
 use tobsvd_types::{wire, BlockId, Transaction, ValidatorId, View};
 
-use crate::codec::{put_frame, Reader};
+use crate::codec::{put_frame, read_frame};
 use crate::WalError;
 
 const TAG_BLOCK: u8 = 1;
@@ -18,9 +18,8 @@ pub const MAX_SNAPSHOT_BLOCKS: u64 = wire::MAX_LOG_LEN;
 /// needed to re-`append` it into a [`tobsvd_types::BlockStore`], plus
 /// the content hash the append must reproduce.
 ///
-/// The payload layout mirrors the wire codec's block body (proposer,
-/// view, transaction count, per-transaction length-prefixed bytes)
-/// prefixed with the parent and expected content hashes.
+/// Persisted as the parent and expected content hashes, then the block
+/// body peer frames carry ([`tobsvd_types::codec::put_block_body`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockRecord {
     /// Parent block id.
@@ -76,48 +75,19 @@ pub struct Recovered {
     pub torn_bytes: u64,
 }
 
-fn put_block_payload(out: &mut Vec<u8>, rec: &BlockRecord) -> Result<(), WalError> {
-    out.extend_from_slice(rec.parent.0.as_bytes());
-    out.extend_from_slice(rec.expected_id.0.as_bytes());
-    out.extend_from_slice(&rec.proposer.raw().to_be_bytes());
-    out.extend_from_slice(&rec.view.number().to_be_bytes());
-    let count =
-        u32::try_from(rec.txs.len()).map_err(|_| WalError::Limit("tx count over u32"))?;
-    if count > wire::MAX_TXS_PER_BLOCK {
-        return Err(WalError::Limit("tx count over wire bound"));
+impl BlockRecord {
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), WalError> {
+        out.extend_from_slice(self.parent.0.as_bytes());
+        out.extend_from_slice(self.expected_id.0.as_bytes());
+        Ok(codec::put_block_body(out, self.proposer, self.view, &self.txs)?)
     }
-    out.extend_from_slice(&count.to_be_bytes());
-    for tx in &rec.txs {
-        let len =
-            u32::try_from(tx.payload().len()).map_err(|_| WalError::Limit("tx over u32"))?;
-        if len > wire::MAX_TX_BYTES {
-            return Err(WalError::Limit("tx over wire bound"));
-        }
-        out.extend_from_slice(&len.to_be_bytes());
-        out.extend_from_slice(tx.payload());
-    }
-    Ok(())
-}
 
-fn read_block_payload(r: &mut Reader<'_>) -> Result<BlockRecord, WalError> {
-    let parent = BlockId(Digest::from_bytes(r.digest()?));
-    let expected_id = BlockId(Digest::from_bytes(r.digest()?));
-    let proposer = ValidatorId::new(r.u32()?);
-    let view = View::new(r.u64()?);
-    let count = r.u32()?;
-    if count > wire::MAX_TXS_PER_BLOCK {
-        return Err(WalError::Limit("tx count over wire bound"));
+    fn read(r: &mut Reader<'_>) -> Result<BlockRecord, WalError> {
+        let parent = BlockId(r.digest()?);
+        let expected_id = BlockId(r.digest()?);
+        let BlockBody { proposer, view, txs } = codec::read_block_body(r)?;
+        Ok(BlockRecord { parent, expected_id, proposer, view, txs })
     }
-    let mut txs = Vec::new();
-    for _ in 0..count {
-        let len = r.u32()?;
-        if len > wire::MAX_TX_BYTES {
-            return Err(WalError::Limit("tx over wire bound"));
-        }
-        let payload = r.take(len as usize)?;
-        txs.push(Transaction::from_slice(payload));
-    }
-    Ok(BlockRecord { parent, expected_id, proposer, view, txs })
 }
 
 /// Appends one framed WAL record to `out`.
@@ -130,7 +100,7 @@ pub fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) -> Result<(), WalError>
     match rec {
         WalRecord::Block(b) => {
             body.push(TAG_BLOCK);
-            put_block_payload(&mut body, b)?;
+            b.put(&mut body)?;
         }
         WalRecord::Decided { tip, len } => {
             body.push(TAG_DECIDED);
@@ -144,9 +114,9 @@ pub fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) -> Result<(), WalError>
 fn decode_record_body(body: &[u8]) -> Result<WalRecord, WalError> {
     let mut r = Reader::new(body);
     let rec = match r.u8()? {
-        TAG_BLOCK => WalRecord::Block(read_block_payload(&mut r)?),
+        TAG_BLOCK => WalRecord::Block(BlockRecord::read(&mut r)?),
         TAG_DECIDED => {
-            let tip = BlockId(Digest::from_bytes(r.digest()?));
+            let tip = BlockId(r.digest()?);
             let len = r.u64()?;
             WalRecord::Decided { tip, len }
         }
@@ -173,11 +143,10 @@ pub fn decode_wal(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
         if r.remaining() == 0 {
             return (records, 0);
         }
-        let start = r.pos();
-        let parsed = r.frame().and_then(decode_record_body);
-        match parsed {
+        let torn = r.remaining() as u64;
+        match read_frame(&mut r).and_then(decode_record_body) {
             Ok(rec) => records.push(rec),
-            Err(_) => return (records, bytes.len().saturating_sub(start) as u64),
+            Err(_) => return (records, torn),
         }
     }
 }
@@ -199,7 +168,7 @@ pub fn encode_snapshot(snap: &Snapshot) -> Result<Vec<u8>, WalError> {
         u32::try_from(snap.blocks.len()).map_err(|_| WalError::Limit("snapshot over u32"))?;
     body.extend_from_slice(&count.to_be_bytes());
     for b in &snap.blocks {
-        put_block_payload(&mut body, b)?;
+        b.put(&mut body)?;
     }
     let mut out = Vec::new();
     put_frame(&mut out, &body)?;
@@ -214,7 +183,7 @@ pub fn encode_snapshot(snap: &Snapshot) -> Result<Vec<u8>, WalError> {
 /// structural violation — the caller falls back to WAL-only recovery.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, WalError> {
     let mut outer = Reader::new(bytes);
-    let body = outer.frame()?;
+    let body = read_frame(&mut outer)?;
     if outer.remaining() != 0 {
         return Err(WalError::Corrupt("trailing bytes after snapshot"));
     }
@@ -222,7 +191,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, WalError> {
     if r.u8()? != TAG_SNAPSHOT {
         return Err(WalError::Corrupt("not a snapshot image"));
     }
-    let tip = BlockId(Digest::from_bytes(r.digest()?));
+    let tip = BlockId(r.digest()?);
     let len = r.u64()?;
     let count = r.u32()?;
     if u64::from(count) > MAX_SNAPSHOT_BLOCKS {
@@ -230,7 +199,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, WalError> {
     }
     let mut blocks = Vec::new();
     for _ in 0..count {
-        blocks.push(read_block_payload(&mut r)?);
+        blocks.push(BlockRecord::read(&mut r)?);
     }
     if r.remaining() != 0 {
         return Err(WalError::Corrupt("trailing bytes in snapshot"));
@@ -241,6 +210,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tobsvd_crypto::Digest;
 
     fn sample_block(n: u64) -> BlockRecord {
         BlockRecord {
@@ -326,7 +296,7 @@ mod tests {
     #[test]
     fn oversized_records_are_limit_errors() {
         let mut rec = sample_block(1);
-        rec.txs = vec![Transaction::new(vec![0; (wire::MAX_TX_BYTES + 1) as usize])];
+        rec.txs = vec![Transaction::new(vec![0; (codec::MAX_TX_BYTES + 1) as usize])];
         let mut out = Vec::new();
         assert!(matches!(
             encode_record(&mut out, &WalRecord::Block(rec)),

@@ -18,11 +18,8 @@
 //! throttles reads on the socket) instead of queueing unboundedly —
 //! clients are expected to back off and resubmit.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use tobsvd_crypto::Digest;
-
+use crate::codec::{Reader, Truncated, MAX_TX_BYTES};
 use crate::tx::{Transaction, TxId};
-use crate::wire::MAX_TX_BYTES;
 
 /// First byte of every client frame. Peer frames start with
 /// [`crate::wire::WIRE_VERSION`] (currently 2); this value is far away
@@ -91,9 +88,10 @@ pub enum ClientFrame {
         client: u64,
         /// Fee bid for priority eviction.
         fee: u64,
-        /// Raw transaction payload: on decode, a view into the frame
-        /// that [`submit_transaction`] copies out of.
-        payload: Bytes,
+        /// The submitted transaction: on decode, its payload copied
+        /// once out of the frame, into the buffer the pool and every
+        /// block that includes it share.
+        payload: Transaction,
     },
     /// The node's admission verdict for a submitted transaction.
     SubmitAck {
@@ -137,25 +135,32 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
+impl From<Truncated> for ClientError {
+    fn from(_: Truncated) -> Self {
+        ClientError::Truncated
+    }
+}
+
 /// Encodes one client frame.
-pub fn encode_client_frame(frame: &ClientFrame) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_u8(CLIENT_WIRE_VERSION);
+pub fn encode_client_frame(frame: &ClientFrame) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    buf.push(CLIENT_WIRE_VERSION);
     match frame {
         ClientFrame::Submit { client, fee, payload } => {
-            buf.put_u8(SUBMIT_TAG);
-            buf.put_u64(*client);
-            buf.put_u64(*fee);
-            buf.put_u32(payload.len().min(u32::MAX as usize) as u32);
-            buf.put_slice(payload);
+            let payload = payload.payload();
+            buf.push(SUBMIT_TAG);
+            buf.extend_from_slice(&client.to_be_bytes());
+            buf.extend_from_slice(&fee.to_be_bytes());
+            buf.extend_from_slice(&(payload.len().min(u32::MAX as usize) as u32).to_be_bytes());
+            buf.extend_from_slice(payload);
         }
         ClientFrame::SubmitAck { tx, status } => {
-            buf.put_u8(SUBMIT_ACK_TAG);
-            buf.put_slice(tx.0.as_bytes());
-            buf.put_u8(status.code());
+            buf.push(SUBMIT_ACK_TAG);
+            buf.extend_from_slice(tx.0.as_bytes());
+            buf.push(status.code());
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes one client frame. The whole buffer must be consumed.
@@ -163,44 +168,34 @@ pub fn encode_client_frame(frame: &ClientFrame) -> Bytes {
 /// # Errors
 ///
 /// Any [`ClientError`]; decoding never panics on attacker-shaped bytes.
-pub fn decode_client_frame(raw: Bytes) -> Result<ClientFrame, ClientError> {
-    let mut buf = raw;
-    let version = get_u8(&mut buf)?;
+pub fn decode_client_frame(raw: &[u8]) -> Result<ClientFrame, ClientError> {
+    let mut r = Reader::new(raw);
+    let version = r.u8()?;
     if version != CLIENT_WIRE_VERSION {
         return Err(ClientError::BadVersion(version));
     }
-    let tag = get_u8(&mut buf)?;
+    let tag = r.u8()?;
     let frame = match tag {
         SUBMIT_TAG => {
-            let client = get_u64(&mut buf)?;
-            let fee = get_u64(&mut buf)?;
-            let len = get_u32(&mut buf)? as u64;
-            if len > MAX_TX_BYTES as u64 {
-                return Err(ClientError::Oversize(len));
+            let client = r.u64()?;
+            let fee = r.u64()?;
+            let len = r.u32()?;
+            if len > MAX_TX_BYTES {
+                return Err(ClientError::Oversize(len.into()));
             }
-            if (buf.remaining() as u64) < len {
-                return Err(ClientError::Truncated);
-            }
-            let payload = buf.copy_to_bytes(len as usize);
+            let payload = Transaction::from_slice(r.take(len as usize)?);
             ClientFrame::Submit { client, fee, payload }
         }
         SUBMIT_ACK_TAG => {
-            if buf.remaining() < 32 {
-                return Err(ClientError::Truncated);
-            }
-            let mut digest = [0u8; 32];
-            buf.copy_to_slice(&mut digest);
-            let code = get_u8(&mut buf)?;
-            let status = match AckStatus::from_code(code) {
-                Some(s) => s,
-                None => return Err(ClientError::BadStatus(code)),
-            };
-            ClientFrame::SubmitAck { tx: TxId(Digest::from_bytes(digest)), status }
+            let tx = TxId(r.digest()?);
+            let code = r.u8()?;
+            let status = AckStatus::from_code(code).ok_or(ClientError::BadStatus(code))?;
+            ClientFrame::SubmitAck { tx, status }
         }
         other => return Err(ClientError::BadTag(other)),
     };
-    if buf.has_remaining() {
-        return Err(ClientError::TrailingBytes(buf.remaining()));
+    if r.remaining() != 0 {
+        return Err(ClientError::TrailingBytes(r.remaining()));
     }
     Ok(frame)
 }
@@ -211,31 +206,6 @@ pub fn is_client_frame(first_byte: u8) -> bool {
     first_byte == CLIENT_WIRE_VERSION
 }
 
-/// The transaction a `Submit` frame denotes, in its own buffer.
-pub fn submit_transaction(payload: &[u8]) -> Transaction {
-    Transaction::from_slice(payload)
-}
-
-fn get_u8(buf: &mut Bytes) -> Result<u8, ClientError> {
-    if buf.remaining() < 1 {
-        return Err(ClientError::Truncated);
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, ClientError> {
-    if buf.remaining() < 4 {
-        return Err(ClientError::Truncated);
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64, ClientError> {
-    if buf.remaining() < 8 {
-        return Err(ClientError::Truncated);
-    }
-    Ok(buf.get_u64())
-}
 
 #[cfg(test)]
 mod tests {
@@ -244,8 +214,8 @@ mod tests {
     fn sample_frames() -> Vec<ClientFrame> {
         let tx = Transaction::new(b"pay bob 3".to_vec());
         vec![
-            ClientFrame::Submit { client: 7, fee: 42, payload: Bytes::from(&b"pay bob 3"[..]) },
-            ClientFrame::Submit { client: u64::MAX, fee: 0, payload: Bytes::new() },
+            ClientFrame::Submit { client: 7, fee: 42, payload: tx.clone() },
+            ClientFrame::Submit { client: u64::MAX, fee: 0, payload: Transaction::new(Vec::new()) },
             ClientFrame::SubmitAck { tx: tx.id(), status: AckStatus::Accepted },
             ClientFrame::SubmitAck { tx: tx.id(), status: AckStatus::Duplicate },
             ClientFrame::SubmitAck { tx: tx.id(), status: AckStatus::Busy },
@@ -257,7 +227,7 @@ mod tests {
     fn roundtrip_all_variants() {
         for frame in sample_frames() {
             let raw = encode_client_frame(&frame);
-            assert_eq!(decode_client_frame(raw).expect("roundtrip"), frame);
+            assert_eq!(decode_client_frame(&raw).expect("roundtrip"), frame);
         }
     }
 
@@ -273,10 +243,10 @@ mod tests {
 
     #[test]
     fn peer_version_byte_is_rejected() {
-        let mut raw = encode_client_frame(&sample_frames()[0]).to_vec();
+        let mut raw = encode_client_frame(&sample_frames()[0]);
         raw[0] = crate::wire::WIRE_VERSION;
         assert!(matches!(
-            decode_client_frame(Bytes::from(raw)),
+            decode_client_frame(&raw),
             Err(ClientError::BadVersion(_))
         ));
     }
@@ -292,17 +262,17 @@ mod tests {
         raw.extend_from_slice(&1u64.to_be_bytes());
         raw.extend_from_slice(&(MAX_TX_BYTES + 1).to_be_bytes());
         assert!(matches!(
-            decode_client_frame(Bytes::from(raw)),
+            decode_client_frame(&raw),
             Err(ClientError::Oversize(_))
         ));
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut raw = encode_client_frame(&sample_frames()[2]).to_vec();
+        let mut raw = encode_client_frame(&sample_frames()[2]);
         raw.push(0);
         assert!(matches!(
-            decode_client_frame(Bytes::from(raw)),
+            decode_client_frame(&raw),
             Err(ClientError::TrailingBytes(1))
         ));
     }
@@ -312,7 +282,7 @@ mod tests {
         for frame in sample_frames() {
             let raw = encode_client_frame(&frame);
             for cut in 0..raw.len() {
-                let _ = decode_client_frame(raw.slice(..cut));
+                let _ = decode_client_frame(&raw[..cut]);
             }
         }
     }
@@ -324,15 +294,13 @@ mod tests {
         // mutated Submit that still decodes must carry consistent
         // content (the payload length field governs the payload).
         for frame in sample_frames() {
-            let raw = encode_client_frame(&frame).to_vec();
+            let raw = encode_client_frame(&frame);
             for pos in 0..raw.len() {
                 for delta in [1u8, 0x80] {
                     let mut m = raw.clone();
                     m[pos] = m[pos].wrapping_add(delta);
-                    if let Ok(ClientFrame::Submit { payload, .. }) =
-                        decode_client_frame(Bytes::from(m))
-                    {
-                        assert!(payload.len() <= MAX_TX_BYTES as usize);
+                    if let Ok(ClientFrame::Submit { payload, .. }) = decode_client_frame(&m) {
+                        assert!(payload.size() <= MAX_TX_BYTES as usize);
                     }
                 }
             }
@@ -340,13 +308,15 @@ mod tests {
     }
 
     #[test]
-    fn submit_denotes_content_addressed_transaction() {
-        let payload = b"transfer 9".to_vec();
-        let frame = ClientFrame::Submit { client: 1, fee: 5, payload: Bytes::from(payload.clone()) };
-        let raw = encode_client_frame(&frame);
-        let Ok(ClientFrame::Submit { payload: decoded, .. }) = decode_client_frame(raw) else {
+    fn submit_decodes_to_the_transaction_in_a_buffer_of_its_own() {
+        let tx = Transaction::new(b"transfer 9".to_vec());
+        let raw = encode_client_frame(&ClientFrame::Submit { client: 1, fee: 5, payload: tx.clone() });
+        let Ok(ClientFrame::Submit { payload: decoded, .. }) = decode_client_frame(&raw) else {
             panic!("submit frame must decode");
         };
-        assert_eq!(submit_transaction(&decoded).id(), Transaction::new(payload).id());
+        assert_eq!((decoded.id(), decoded.payload()), (tx.id(), tx.payload()));
+        // The one copy: out of the frame, not a view into it.
+        let frame = raw.as_ptr_range();
+        assert!(!frame.contains(&decoded.payload().as_ptr()), "the payload points into its frame");
     }
 }

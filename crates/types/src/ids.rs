@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of a validator `v_i` in the system `V = {v_1, …, v_n}`.
 ///
 /// Identities are small dense integers so per-validator state can live in
@@ -16,9 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(v.index(), 3);
 /// assert_eq!(v.to_string(), "v3");
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ValidatorId(u32);
 
 impl ValidatorId {

@@ -23,6 +23,9 @@
 //!   chain length instead of the O(L) full-chain shipping of Table 1's
 //!   accounting (retained as [`wire::inline_equivalent_len`] for
 //!   comparison).
+//! * [`codec`] — the byte layer under the wire, client and WAL formats:
+//!   one checked [`codec::Reader`] over a borrowed slice and one block
+//!   body codec.
 //!
 //! # Example
 //!
@@ -63,6 +66,7 @@ pub const ENVELOPE_NOMINAL_BYTES: u64 = 64;
 
 mod block;
 pub mod client;
+pub mod codec;
 mod ids;
 mod log;
 mod message;

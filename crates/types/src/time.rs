@@ -10,12 +10,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in discrete simulation time, measured in ticks.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Time(pub u64);
 
 impl Time {
@@ -109,9 +105,7 @@ impl fmt::Display for Time {
 /// assert_eq!(t.ticks(), 24);
 /// assert!(t.is_phase_boundary(delta));
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Delta(u64);
 
 impl Delta {

@@ -102,6 +102,12 @@ impl Transaction {
     }
 }
 
+impl From<Vec<u8>> for Transaction {
+    fn from(payload: Vec<u8>) -> Self {
+        Transaction::new(payload)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::RangeInclusive;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{Delta, Time};
 
 /// A protocol view `v`.
@@ -21,9 +19,7 @@ use crate::time::{Delta, Time};
 /// assert_eq!(v.start_time(d).ticks(), 3 * 4 * 8);
 /// assert_eq!(View::of_time(v.start_time(d), d), v);
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct View(u64);
 
 /// Number of Δ intervals per TOB-SVD view.

@@ -43,12 +43,11 @@
 //!   u8  a           ancestor hashes listed (= min(len−1−k, ANCESTOR_WINDOW))
 //!   a × 32B ancestor ids, heights len−2−k downward (newest first)
 //!   if k > 0: 32B window-parent id (block at height len−1−k), then
-//!   k blocks, lowest height first:
-//!     u32 proposer, u64 view, u32 tx count, txs (u32 size + bytes)
+//!   k block bodies (`crate::codec`'s layout), lowest height first
 //! tag 5 — block request: 32B tip, u64 from_height
 //! tag 6 — block response: 32B tip, u64 from_height, u64 count,
-//!   32B anchor id (block at height from_height−1), then `count` blocks
-//!   in the same body format as above
+//!   32B anchor id (block at height from_height−1), then `count` block
+//!   bodies
 //! tag 7 — certificate, after the announcement: u8 signer word count
 //!   (minimal — the top word must be non-zero, so each signer set has
 //!   exactly one encoding), that many u64 bitmap words, 32B aggregate
@@ -56,15 +55,14 @@
 //! 32B signature digest
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use tobsvd_crypto::{AggregateSignature, Digest, Signature, VrfOutput, VrfProof};
+use tobsvd_crypto::{AggregateSignature, Signature, VrfOutput, VrfProof};
 
-use crate::block::{Block, BlockId};
+use crate::block::BlockId;
+use crate::codec::{self, BlockBody, BodyError, Reader, Truncated};
 use crate::ids::ValidatorId;
 use crate::log::Log;
 use crate::message::{InstanceId, Payload, SignedMessage, SignerSet};
 use crate::store::BlockStore;
-use crate::tx::Transaction;
 use crate::view::View;
 
 /// Codec version byte (2 = delta-sync announcements).
@@ -84,14 +82,10 @@ pub const ANCESTOR_WINDOW: u64 = 8;
 /// Maximum blocks a single `BlockResponse` may carry.
 pub const MAX_FETCH_BLOCKS: u64 = 4096;
 
-/// Maximum transactions per block the decoder accepts.
-pub const MAX_TXS_PER_BLOCK: u32 = 1 << 16;
-/// Maximum transaction payload size the decoder accepts.
-pub const MAX_TX_BYTES: u32 = 1 << 20;
 /// Maximum log length the decoder accepts.
 pub const MAX_LOG_LEN: u64 = 1 << 20;
 
-/// Errors from [`decode_message`].
+/// Errors from [`encode_message`] and [`decode_message`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
     /// Buffer ended before the message was complete.
@@ -100,7 +94,8 @@ pub enum WireError {
     BadVersion(u8),
     /// Unknown payload tag.
     BadTag(u8),
-    /// A length field exceeded its sanity bound.
+    /// A length field exceeded its sanity bound (decode), or a block
+    /// to encode exceeds the body limits every decoder enforces.
     LimitExceeded(&'static str),
     /// The decoded blocks failed to link into the store, or the
     /// reconstructed chain contradicts the announced hashes.
@@ -131,7 +126,7 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "message truncated"),
             WireError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
             WireError::BadTag(t) => write!(f, "unknown payload tag {t}"),
-            WireError::LimitExceeded(what) => write!(f, "{what} exceeds decoder limit"),
+            WireError::LimitExceeded(what) => write!(f, "{what} exceeds codec limit"),
             WireError::BadChain => write!(f, "decoded blocks do not form the announced chain"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
             WireError::MissingBlocks { missing, from_height } => {
@@ -145,6 +140,21 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<Truncated> for WireError {
+    fn from(_: Truncated) -> Self {
+        WireError::Truncated
+    }
+}
+
+impl From<BodyError> for WireError {
+    fn from(e: BodyError) -> Self {
+        match e {
+            BodyError::Truncated => WireError::Truncated,
+            BodyError::Limit(what) => WireError::LimitExceeded(what),
+        }
+    }
+}
 
 fn payload_tag(payload: &Payload) -> u8 {
     match payload {
@@ -194,9 +204,10 @@ impl MessageClass {
 /// than the header. The claim is unauthenticated until the frame
 /// decodes and its signature verifies.
 pub fn peek_header(frame: &[u8]) -> Option<(ValidatorId, MessageClass)> {
-    let sender = <[u8; 4]>::try_from(frame.get(1..5)?).ok()?;
-    let tag = *frame.get(5)?;
-    Some((ValidatorId::new(u32::from_be_bytes(sender)), MessageClass::of_tag(tag)))
+    let mut r = Reader::new(frame);
+    r.u8().ok()?;
+    let sender = ValidatorId::new(r.u32().ok()?);
+    Some((sender, MessageClass::of_tag(r.u8().ok()?)))
 }
 
 /// Minimal number of bitmap words needed to carry `signers` (index of
@@ -213,69 +224,63 @@ fn signer_word_count(signers: &SignerSet) -> usize {
 /// range's) blocks are missing from `store`. A constructed `Log` always
 /// has its chain stored and honest responders only serve ranges they
 /// hold, so this signals a caller bug or corrupted state — but it must
-/// not crash a validator, so the frame is refused instead.
-pub fn encode_message(msg: &SignedMessage, store: &BlockStore) -> Result<Bytes, WireError> {
-    let mut buf = BytesMut::with_capacity(256);
-    buf.put_u8(WIRE_VERSION);
-    buf.put_u32(msg.sender().raw());
-    buf.put_u8(payload_tag(msg.payload()));
+/// not crash a validator, so the frame is refused instead. Returns
+/// [`WireError::LimitExceeded`] if a block to ship exceeds
+/// [`codec::MAX_TXS_PER_BLOCK`] or [`codec::MAX_TX_BYTES`]: every
+/// decoder would drop that frame.
+pub fn encode_message(msg: &SignedMessage, store: &BlockStore) -> Result<Vec<u8>, WireError> {
+    let mut buf = Vec::with_capacity(256);
+    buf.push(WIRE_VERSION);
+    buf.extend_from_slice(&msg.sender().raw().to_be_bytes());
+    buf.push(payload_tag(msg.payload()));
     match msg.payload() {
-        Payload::Log { instance, log } => {
-            buf.put_u64(instance.0);
+        Payload::Log { instance: InstanceId(header), log }
+        | Payload::Vote { instance: InstanceId(header), log }
+        | Payload::FinalityVote { epoch: header, log } => {
+            buf.extend_from_slice(&header.to_be_bytes());
             encode_announcement(&mut buf, log, store)?;
         }
         Payload::Proposal { view, log, vrf, proof } => {
-            buf.put_u64(view.number());
-            buf.put_slice(vrf.0.as_bytes());
-            buf.put_slice(proof.0.as_bytes());
-            encode_announcement(&mut buf, log, store)?;
-        }
-        Payload::Vote { instance, log } => {
-            buf.put_u64(instance.0);
+            buf.extend_from_slice(&view.number().to_be_bytes());
+            buf.extend_from_slice(vrf.0.as_bytes());
+            buf.extend_from_slice(proof.0.as_bytes());
             encode_announcement(&mut buf, log, store)?;
         }
         Payload::Recovery { from_view, log } => {
-            buf.put_u64(from_view.number());
-            encode_announcement(&mut buf, log, store)?;
-        }
-        Payload::FinalityVote { epoch, log } => {
-            buf.put_u64(*epoch);
+            buf.extend_from_slice(&from_view.number().to_be_bytes());
             encode_announcement(&mut buf, log, store)?;
         }
         Payload::BlockRequest { tip, from_height } => {
-            buf.put_slice(tip.0.as_bytes());
-            buf.put_u64(*from_height);
+            buf.extend_from_slice(tip.0.as_bytes());
+            buf.extend_from_slice(&from_height.to_be_bytes());
         }
         Payload::Certificate { instance, log, signers, agg } => {
-            buf.put_u64(instance.0);
+            buf.extend_from_slice(&instance.0.to_be_bytes());
             encode_announcement(&mut buf, log, store)?;
             let wc = signer_word_count(signers);
-            buf.put_u8(wc as u8);
+            buf.push(wc as u8);
             for word in signers.words().iter().take(wc) {
-                buf.put_u64(*word);
+                buf.extend_from_slice(&word.to_be_bytes());
             }
-            buf.put_slice(agg.as_digest().as_bytes());
+            buf.extend_from_slice(agg.as_digest().as_bytes());
         }
         Payload::BlockResponse { tip, from_height, count } => {
-            buf.put_slice(tip.0.as_bytes());
-            buf.put_u64(*from_height);
-            buf.put_u64(*count);
+            buf.extend_from_slice(tip.0.as_bytes());
+            buf.extend_from_slice(&from_height.to_be_bytes());
+            buf.extend_from_slice(&count.to_be_bytes());
             let anchor = store
                 .ancestor_at(*tip, from_height.saturating_sub(1))
                 .ok_or(WireError::UnstoredChain)?;
-            buf.put_slice(anchor.0.as_bytes());
+            buf.extend_from_slice(anchor.0.as_bytes());
             let ids = store
                 .chain_range(*tip, *from_height)
                 .ok_or(WireError::UnstoredChain)?;
             debug_assert_eq!(ids.len() as u64, *count, "count must match the served range");
-            for id in ids {
-                let block = store.get(id).ok_or(WireError::UnstoredChain)?;
-                encode_block_body(&mut buf, &block)?;
-            }
+            encode_bodies(&mut buf, &ids, store)?;
         }
     }
-    buf.put_slice(msg.signature().as_digest().as_bytes());
-    Ok(buf.freeze())
+    buf.extend_from_slice(msg.signature().as_digest().as_bytes());
+    Ok(buf)
 }
 
 fn announcement_windows(len: u64) -> (u64, u64) {
@@ -284,58 +289,45 @@ fn announcement_windows(len: u64) -> (u64, u64) {
     (k, a)
 }
 
-fn encode_announcement(
-    buf: &mut BytesMut,
-    log: &Log,
-    store: &BlockStore,
-) -> Result<(), WireError> {
+fn encode_announcement(buf: &mut Vec<u8>, log: &Log, store: &BlockStore) -> Result<(), WireError> {
     let len = log.len();
-    buf.put_u64(len);
-    buf.put_slice(log.tip().0.as_bytes());
+    buf.extend_from_slice(&len.to_be_bytes());
+    buf.extend_from_slice(log.tip().0.as_bytes());
     let (k, a) = announcement_windows(len);
-    buf.put_u8(k as u8);
-    buf.put_u8(a as u8);
+    buf.push(k as u8);
+    buf.push(a as u8);
     // Ancestor hashes, newest first: heights len−2−k down to len−1−k−a.
     for i in 0..a {
         let height = len - 2 - k - i;
         let id = store
             .ancestor_at(log.tip(), height)
             .ok_or(WireError::UnstoredChain)?;
-        buf.put_slice(id.0.as_bytes());
+        buf.extend_from_slice(id.0.as_bytes());
     }
     if k > 0 {
         let base_height = len - 1 - k;
         let parent = store
             .ancestor_at(log.tip(), base_height)
             .ok_or(WireError::UnstoredChain)?;
-        buf.put_slice(parent.0.as_bytes());
+        buf.extend_from_slice(parent.0.as_bytes());
         let ids = store
             .chain_range(log.tip(), base_height + 1)
             .ok_or(WireError::UnstoredChain)?;
-        for id in ids {
-            let block = store.get(id).ok_or(WireError::UnstoredChain)?;
-            encode_block_body(buf, &block)?;
-        }
+        encode_bodies(buf, &ids, store)?;
     }
     Ok(())
 }
 
-fn encode_block_body(buf: &mut BytesMut, block: &Block) -> Result<(), WireError> {
-    // Genesis carries no proposer and is never shipped in a body; a
-    // genesis block here means the range arithmetic above went wrong.
-    let proposer = block.proposer().ok_or(WireError::UnstoredChain)?;
-    buf.put_u32(proposer.raw());
-    buf.put_u64(block.view().number());
-    buf.put_u32(block.txs().len() as u32);
-    for tx in block.txs() {
-        buf.put_u32(tx.payload().len() as u32);
-        buf.put_slice(tx.payload());
+/// The bodies of the stored blocks `ids`, in order.
+fn encode_bodies(buf: &mut Vec<u8>, ids: &[BlockId], store: &BlockStore) -> Result<(), WireError> {
+    for id in ids {
+        let block = store.get(*id).ok_or(WireError::UnstoredChain)?;
+        // Genesis carries no proposer and is never shipped in a body; a
+        // genesis block here means the range arithmetic went wrong.
+        let proposer = block.proposer().ok_or(WireError::UnstoredChain)?;
+        codec::put_block_body(buf, proposer, block.view(), block.txs())?;
     }
     Ok(())
-}
-
-fn block_body_len(block: &Block) -> u64 {
-    4 + 8 + 4 + block.txs().iter().map(|t| 4 + t.payload().len() as u64).sum::<u64>()
 }
 
 /// Exact length in bytes of [`encode_message`]'s output, computed
@@ -345,7 +337,8 @@ fn block_body_len(block: &Block) -> u64 {
 ///
 /// # Errors
 ///
-/// Fails under the same conditions as [`encode_message`].
+/// [`WireError::UnstoredChain`], as [`encode_message`]. A block over
+/// the body limits is measured, not refused.
 pub fn encoded_len(msg: &SignedMessage, store: &BlockStore) -> Result<u64, WireError> {
     measure(msg, store).map(|(len, _)| len)
 }
@@ -356,7 +349,7 @@ pub fn encoded_len(msg: &SignedMessage, store: &BlockStore) -> Result<u64, WireE
 ///
 /// # Errors
 ///
-/// Fails under the same conditions as [`encode_message`].
+/// As [`encoded_len`].
 pub fn encoded_and_inline_len(msg: &SignedMessage, store: &BlockStore) -> Result<(u64, u64), WireError> {
     let (wire_len, tip_size) = measure(msg, store)?;
     let inline_len = match msg.payload().log() {
@@ -404,7 +397,7 @@ fn measure(msg: &SignedMessage, store: &BlockStore) -> Result<(u64, Option<u64>)
             for _ in 0..k {
                 let block = store.get(cur).ok_or(WireError::UnstoredChain)?;
                 tip_size.get_or_insert(block.cumulative_size());
-                n += block_body_len(&block);
+                n += codec::block_body_len(block.txs());
                 cur = block.parent();
             }
             n
@@ -417,7 +410,7 @@ fn measure(msg: &SignedMessage, store: &BlockStore) -> Result<(u64, Option<u64>)
             let mut n = 32;
             for id in &ids {
                 let block = store.get(*id).ok_or(WireError::UnstoredChain)?;
-                n += block_body_len(&block);
+                n += codec::block_body_len(block.txs());
             }
             n
         }
@@ -441,7 +434,9 @@ pub fn inline_equivalent_len(msg: &SignedMessage, store: &BlockStore) -> u64 {
     }
 }
 
-/// Decodes one message, inserting carried blocks into `store`.
+/// Decodes one message from a borrowed frame, inserting carried blocks
+/// into `store`. Each transaction payload is copied once out of the
+/// frame; nothing else is.
 ///
 /// # Errors
 ///
@@ -450,57 +445,58 @@ pub fn inline_equivalent_len(msg: &SignedMessage, store: &BlockStore) -> u64 {
 /// references blocks the local store does not hold yet (the caller
 /// should park the frame and issue a `BlockRequest`). On success the
 /// full buffer must have been consumed.
-pub fn decode_message(mut buf: Bytes, store: &BlockStore) -> Result<SignedMessage, WireError> {
-    let version = get_u8(&mut buf)?;
+pub fn decode_message(frame: impl AsRef<[u8]>, store: &BlockStore) -> Result<SignedMessage, WireError> {
+    let mut r = Reader::new(frame.as_ref());
+    let version = r.u8()?;
     if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let sender = ValidatorId::new(get_u32(&mut buf)?);
-    let tag = get_u8(&mut buf)?;
+    let sender = ValidatorId::new(r.u32()?);
+    let tag = r.u8()?;
     let payload = match tag {
         0 => {
-            let instance = InstanceId(get_u64(&mut buf)?);
-            let log = decode_announcement(&mut buf, store)?;
+            let instance = InstanceId(r.u64()?);
+            let log = decode_announcement(&mut r, store)?;
             Payload::Log { instance, log }
         }
         1 => {
-            let view = View::new(get_u64(&mut buf)?);
-            let vrf = VrfOutput(get_digest(&mut buf)?);
-            let proof = VrfProof(get_digest(&mut buf)?);
-            let log = decode_announcement(&mut buf, store)?;
+            let view = View::new(r.u64()?);
+            let vrf = VrfOutput(r.digest()?);
+            let proof = VrfProof(r.digest()?);
+            let log = decode_announcement(&mut r, store)?;
             Payload::Proposal { view, log, vrf, proof }
         }
         2 => {
-            let instance = InstanceId(get_u64(&mut buf)?);
-            let log = decode_announcement(&mut buf, store)?;
+            let instance = InstanceId(r.u64()?);
+            let log = decode_announcement(&mut r, store)?;
             Payload::Vote { instance, log }
         }
         3 => {
-            let from_view = View::new(get_u64(&mut buf)?);
-            let log = decode_announcement(&mut buf, store)?;
+            let from_view = View::new(r.u64()?);
+            let log = decode_announcement(&mut r, store)?;
             Payload::Recovery { from_view, log }
         }
         4 => {
-            let epoch = get_u64(&mut buf)?;
-            let log = decode_announcement(&mut buf, store)?;
+            let epoch = r.u64()?;
+            let log = decode_announcement(&mut r, store)?;
             Payload::FinalityVote { epoch, log }
         }
         5 => {
-            let tip = BlockId(get_digest(&mut buf)?);
-            let from_height = get_u64(&mut buf)?;
+            let tip = BlockId(r.digest()?);
+            let from_height = r.u64()?;
             Payload::BlockRequest { tip, from_height }
         }
-        6 => decode_response(&mut buf, store)?,
+        6 => decode_response(&mut r, store)?,
         7 => {
-            let instance = InstanceId(get_u64(&mut buf)?);
-            let log = decode_announcement(&mut buf, store)?;
-            let wc = get_u8(&mut buf)? as usize;
+            let instance = InstanceId(r.u64()?);
+            let log = decode_announcement(&mut r, store)?;
+            let wc = r.u8()? as usize;
             if wc == 0 || wc > SignerSet::WORDS {
                 return Err(WireError::LimitExceeded("certificate signer words"));
             }
             let mut words = [0u64; SignerSet::WORDS];
             for word in words.iter_mut().take(wc) {
-                *word = get_u64(&mut buf)?;
+                *word = r.u64()?;
             }
             // Canonical form: minimal word count, so each signer set has
             // exactly one encoding — a zero-padded bitmap would let the
@@ -510,33 +506,33 @@ pub fn decode_message(mut buf: Bytes, store: &BlockStore) -> Result<SignedMessag
             if words.get(wc - 1).map_or(true, |w| *w == 0) {
                 return Err(WireError::LimitExceeded("certificate signer encoding"));
             }
-            let agg = AggregateSignature::from_digest(get_digest(&mut buf)?);
+            let agg = AggregateSignature::from_digest(r.digest()?);
             Payload::Certificate { instance, log, signers: SignerSet::from_words(words), agg }
         }
         t => return Err(WireError::BadTag(t)),
     };
-    let signature = Signature::from_digest(get_digest(&mut buf)?);
-    if !buf.is_empty() {
-        return Err(WireError::TrailingBytes(buf.len()));
+    let signature = Signature::from_digest(r.digest()?);
+    if r.remaining() != 0 {
+        return Err(WireError::TrailingBytes(r.remaining()));
     }
     Ok(SignedMessage::from_parts(sender, payload, signature))
 }
 
-fn decode_announcement(buf: &mut Bytes, store: &BlockStore) -> Result<Log, WireError> {
-    let len = get_u64(buf)?;
+fn decode_announcement(r: &mut Reader<'_>, store: &BlockStore) -> Result<Log, WireError> {
+    let len = r.u64()?;
     if len == 0 || len > MAX_LOG_LEN {
         return Err(WireError::LimitExceeded("log length"));
     }
-    let tip = BlockId(get_digest(buf)?);
-    let k = get_u8(buf)? as u64;
-    let a = get_u8(buf)? as u64;
+    let tip = BlockId(r.digest()?);
+    let k = r.u8()? as u64;
+    let a = r.u8()? as u64;
     let (want_k, want_a) = announcement_windows(len);
     if k != want_k || a != want_a {
         return Err(WireError::BadChain);
     }
     let mut ancestors = Vec::with_capacity(a as usize);
     for _ in 0..a {
-        ancestors.push(BlockId(get_digest(buf)?));
+        ancestors.push(BlockId(r.digest()?));
     }
     if k == 0 {
         // Pure hash announcement: the tip itself must resolve locally.
@@ -552,23 +548,9 @@ fn decode_announcement(buf: &mut Bytes, store: &BlockStore) -> Result<Log, WireE
             }),
         };
     }
-    let parent = BlockId(get_digest(buf)?);
-    let bodies = decode_block_bodies(buf, k)?;
-    let base_height = len - 1 - k;
-    match store.height(parent) {
-        Some(h) if h == base_height => {}
-        Some(_) => return Err(WireError::BadChain),
-        None => {
-            return Err(WireError::MissingBlocks {
-                missing: parent,
-                from_height: fetch_hint(store, &ancestors, len, k),
-            })
-        }
-    }
-    let derived = append_bodies(store, parent, bodies)?;
-    if derived != tip {
-        return Err(WireError::BadChain);
-    }
+    let parent = BlockId(r.digest()?);
+    let hint = || fetch_hint(store, &ancestors, len, k);
+    absorb_bodies(r, store, k, (parent, len - 1 - k), tip, hint)?;
     check_ancestors(store, tip, len, k, &ancestors)?;
     Log::from_parts(store, tip, len).ok_or(WireError::BadChain)
 }
@@ -604,111 +586,54 @@ fn fetch_hint(store: &BlockStore, ancestors: &[BlockId], len: u64, k: u64) -> u6
     1
 }
 
-struct BlockBody {
-    proposer: ValidatorId,
-    view: View,
-    txs: Vec<Transaction>,
-}
-
-fn decode_block_bodies(buf: &mut Bytes, count: u64) -> Result<Vec<BlockBody>, WireError> {
-    let mut bodies = Vec::with_capacity(count.min(1024) as usize);
-    for _ in 0..count {
-        let proposer = ValidatorId::new(get_u32(buf)?);
-        let view = View::new(get_u64(buf)?);
-        let tx_count = get_u32(buf)?;
-        if tx_count > MAX_TXS_PER_BLOCK {
-            return Err(WireError::LimitExceeded("tx count"));
-        }
-        let mut txs = Vec::with_capacity(tx_count.min(1024) as usize);
-        for _ in 0..tx_count {
-            let size = get_u32(buf)?;
-            if size > MAX_TX_BYTES {
-                return Err(WireError::LimitExceeded("tx size"));
-            }
-            if buf.remaining() < size as usize {
-                return Err(WireError::Truncated);
-            }
-            let payload = buf.copy_to_bytes(size as usize);
-            txs.push(Transaction::from_slice(&payload));
-        }
-        bodies.push(BlockBody { proposer, view, txs });
-    }
-    Ok(bodies)
-}
-
-fn append_bodies(
+/// Reads `count` block bodies and appends them onto `base`, a block id
+/// at its height, which must be stored; the chain they build must end
+/// at `tip`. Every body is read before any is appended, so a frame that
+/// turns out truncated or over a limit appends nothing. A missing base
+/// fails with `hint()` as the fetch's start height.
+fn absorb_bodies(
+    r: &mut Reader<'_>,
     store: &BlockStore,
-    parent: BlockId,
-    bodies: Vec<BlockBody>,
-) -> Result<BlockId, WireError> {
-    let mut tip = parent;
-    for body in bodies {
-        tip = store
-            .append(tip, body.proposer, body.view, body.txs)
-            .map_err(|_| WireError::BadChain)?;
+    count: u64,
+    base: (BlockId, u64),
+    tip: BlockId,
+    hint: impl FnOnce() -> u64,
+) -> Result<(), WireError> {
+    let bodies = (0..count).map(|_| codec::read_block_body(r)).collect::<Result<Vec<_>, _>>()?;
+    let (mut cur, height) = base;
+    match store.height(cur) {
+        Some(h) if h == height => {}
+        Some(_) => return Err(WireError::BadChain),
+        None => return Err(WireError::MissingBlocks { missing: cur, from_height: hint() }),
     }
-    Ok(tip)
+    for BlockBody { proposer, view, txs } in bodies {
+        cur = store.append(cur, proposer, view, txs).map_err(|_| WireError::BadChain)?;
+    }
+    if cur != tip {
+        return Err(WireError::BadChain);
+    }
+    Ok(())
 }
 
-fn decode_response(buf: &mut Bytes, store: &BlockStore) -> Result<Payload, WireError> {
-    let tip = BlockId(get_digest(buf)?);
-    let from_height = get_u64(buf)?;
-    let count = get_u64(buf)?;
+fn decode_response(r: &mut Reader<'_>, store: &BlockStore) -> Result<Payload, WireError> {
+    let tip = BlockId(r.digest()?);
+    let from_height = r.u64()?;
+    let count = r.u64()?;
     if from_height == 0 {
         return Err(WireError::LimitExceeded("response from_height"));
     }
     if count == 0 || count > MAX_FETCH_BLOCKS {
         return Err(WireError::LimitExceeded("response block count"));
     }
-    let anchor = BlockId(get_digest(buf)?);
-    let bodies = decode_block_bodies(buf, count)?;
-    match store.height(anchor) {
-        Some(h) if h == from_height - 1 => {}
-        Some(_) => return Err(WireError::BadChain),
-        None => {
-            return Err(WireError::MissingBlocks { missing: anchor, from_height: 1 });
-        }
-    }
-    let derived = append_bodies(store, anchor, bodies)?;
-    if derived != tip {
-        return Err(WireError::BadChain);
-    }
+    let anchor = BlockId(r.digest()?);
+    absorb_bodies(r, store, count, (anchor, from_height - 1), tip, || 1)?;
     Ok(Payload::BlockResponse { tip, from_height, count })
-}
-
-fn get_u8(buf: &mut Bytes) -> Result<u8, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u64())
-}
-
-fn get_digest(buf: &mut Bytes) -> Result<Digest, WireError> {
-    if buf.remaining() < 32 {
-        return Err(WireError::Truncated);
-    }
-    let mut bytes = [0u8; 32];
-    buf.copy_to_slice(&mut bytes);
-    Ok(Digest::from_bytes(bytes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::Transaction;
     use tobsvd_crypto::Keypair;
 
     fn signed(payload: Payload) -> SignedMessage {
@@ -751,7 +676,7 @@ mod tests {
         assert_eq!(bytes.len() as u64, encoded_len(&msg, &tx_store).expect("len"));
 
         let rx_store = synced_receiver(&tx_store, &log);
-        let decoded = decode_message(bytes, &rx_store).expect("decode");
+        let decoded = decode_message(&bytes, &rx_store).expect("decode");
         assert_eq!(decoded.sender(), msg.sender());
         assert_eq!(decoded.payload(), msg.payload());
         let kp = Keypair::from_seed(ValidatorId::new(1).key_seed());
@@ -767,7 +692,7 @@ mod tests {
         let msg = signed(Payload::Vote { instance: InstanceId(3), log });
         let bytes = encode_message(&msg, &tx_store).expect("encode");
         let cold = BlockStore::new();
-        match decode_message(bytes, &cold) {
+        match decode_message(&bytes, &cold) {
             Err(WireError::MissingBlocks { missing, from_height }) => {
                 // The missing block is the one below the inline window.
                 let base = tx_store.ancestor_at(log.tip(), log.len() - 1 - INLINE_WINDOW).unwrap();
@@ -808,7 +733,7 @@ mod tests {
         let bytes = encode_message(&msg, &store).expect("encode");
         assert_eq!(bytes.len() as u64, encoded_len(&msg, &store).expect("len"));
         let rx = BlockStore::new();
-        let decoded = decode_message(bytes, &rx).expect("decode");
+        let decoded = decode_message(&bytes, &rx).expect("decode");
         assert_eq!(decoded.payload(), msg.payload());
     }
 
@@ -824,7 +749,7 @@ mod tests {
         let bytes = encode_message(&msg, &store).expect("encode");
         assert_eq!(bytes.len() as u64, encoded_len(&msg, &store).expect("len"));
         let rx = BlockStore::new();
-        let decoded = decode_message(bytes, &rx).expect("decode");
+        let decoded = decode_message(&bytes, &rx).expect("decode");
         assert_eq!(decoded.payload(), msg.payload());
         // The receiver now resolves the whole chain.
         assert_eq!(rx.height(log.tip()), Some(log.len() - 1));
@@ -880,7 +805,7 @@ mod tests {
         let bytes = encode_message(&msg, &store).expect("encode");
         for cut in [0, 1, 5, 10, bytes.len() - 1] {
             let rx = synced_receiver(&store, &msg.payload().log().unwrap());
-            let res = decode_message(bytes.slice(..cut), &rx);
+            let res = decode_message(&bytes[..cut], &rx);
             assert!(res.is_err(), "cut at {cut} should fail");
         }
     }
@@ -889,11 +814,11 @@ mod tests {
     fn trailing_bytes_rejected() {
         let store = BlockStore::new();
         let msg = signed(Payload::Log { instance: InstanceId(1), log: Log::genesis(&store) });
-        let mut bytes = encode_message(&msg, &store).expect("encode").to_vec();
+        let mut bytes = encode_message(&msg, &store).expect("encode");
         bytes.push(0xff);
         let rx = BlockStore::new();
         assert_eq!(
-            decode_message(Bytes::from(bytes), &rx),
+            decode_message(&bytes, &rx),
             Err(WireError::TrailingBytes(1))
         );
     }
@@ -902,10 +827,10 @@ mod tests {
     fn bad_version_rejected() {
         let store = BlockStore::new();
         let msg = signed(Payload::Log { instance: InstanceId(1), log: Log::genesis(&store) });
-        let mut bytes = encode_message(&msg, &store).expect("encode").to_vec();
+        let mut bytes = encode_message(&msg, &store).expect("encode");
         bytes[0] = 99;
         let rx = BlockStore::new();
-        assert_eq!(decode_message(Bytes::from(bytes), &rx), Err(WireError::BadVersion(99)));
+        assert_eq!(decode_message(&bytes, &rx), Err(WireError::BadVersion(99)));
     }
 
     #[test]
@@ -920,14 +845,14 @@ mod tests {
             vec![Transaction::new(vec![1, 2, 3])],
         );
         let msg = signed(Payload::Log { instance: InstanceId(1), log });
-        let mut bytes = encode_message(&msg, &store).expect("encode").to_vec();
+        let mut bytes = encode_message(&msg, &store).expect("encode");
         let pos = bytes
             .windows(3)
             .position(|w| w == [1, 2, 3])
             .expect("tx payload present");
         bytes[pos] = 77;
         let rx = BlockStore::new();
-        assert_eq!(decode_message(Bytes::from(bytes), &rx), Err(WireError::BadChain));
+        assert_eq!(decode_message(&bytes, &rx), Err(WireError::BadChain));
     }
 
     #[test]
@@ -938,7 +863,7 @@ mod tests {
             log = log.extend_empty(&store, ValidatorId::new(0), View::new(i + 1));
         }
         let msg = signed(Payload::Log { instance: InstanceId(1), log });
-        let bytes = encode_message(&msg, &store).expect("encode").to_vec();
+        let bytes = encode_message(&msg, &store).expect("encode");
         // Flip a byte inside the first ancestor hash: offset =
         // version(1)+sender(4)+tag(1)+instance(8)+len(8)+tip(32)+k(1)+a(1).
         let off = 1 + 4 + 1 + 8 + 8 + 32 + 1 + 1;
@@ -946,10 +871,29 @@ mod tests {
         tampered[off] ^= 0x01;
         let rx = synced_receiver(&store, &log);
         assert_eq!(
-            decode_message(Bytes::from(tampered), &rx),
+            decode_message(&tampered, &rx),
             Err(WireError::BadChain),
             "advisory ancestor list must still be integrity-checked"
         );
+    }
+
+    #[test]
+    fn over_limit_block_is_refused_by_the_encoder_but_still_measured() {
+        // Every decoder drops a body over the limits, so the encoder
+        // refuses it too; byte accounting still measures it.
+        let store = BlockStore::new();
+        let big = Transaction::new(vec![7; crate::codec::MAX_TX_BYTES as usize + 1]);
+        let log = Log::genesis(&store).extend(&store, ValidatorId::new(0), View::new(1), vec![big]);
+        let over_limit = [
+            Payload::Log { instance: InstanceId(1), log },
+            Payload::BlockResponse { tip: log.tip(), from_height: 1, count: 1 },
+        ];
+        for payload in over_limit {
+            let msg = signed(payload);
+            assert_eq!(encode_message(&msg, &store), Err(WireError::LimitExceeded("tx size")));
+            let len = encoded_len(&msg, &store).expect("measures");
+            assert!(len > u64::from(crate::codec::MAX_TX_BYTES), "{payload:?} measured {len}");
+        }
     }
 
     #[test]
@@ -957,13 +901,13 @@ mod tests {
         let store = BlockStore::new();
         let log = sample_log(&store);
         let msg = signed(Payload::BlockResponse { tip: log.tip(), from_height: 1, count: 2 });
-        let mut bytes = encode_message(&msg, &store).expect("encode").to_vec();
+        let mut bytes = encode_message(&msg, &store).expect("encode");
         // count field offset: version(1)+sender(4)+tag(1)+tip(32)+from(8).
         let off = 1 + 4 + 1 + 32 + 8;
         bytes[off..off + 8].copy_from_slice(&u64::MAX.to_be_bytes());
         let rx = BlockStore::new();
         assert!(matches!(
-            decode_message(Bytes::from(bytes), &rx),
+            decode_message(&bytes, &rx),
             Err(WireError::LimitExceeded(_))
         ));
     }
@@ -993,7 +937,7 @@ mod tests {
         let bytes = encode_message(&msg, &store).expect("encode");
         assert_eq!(bytes.len() as u64, encoded_len(&msg, &store).expect("len"));
         let rx = synced_receiver(&store, &payload.log().unwrap());
-        let decoded = decode_message(bytes, &rx).expect("decode");
+        let decoded = decode_message(&bytes, &rx).expect("decode");
         assert_eq!(decoded.payload(), msg.payload());
         assert_eq!(decoded.id(), msg.id());
         let kp = Keypair::from_seed(ValidatorId::new(1).key_seed());
@@ -1019,7 +963,7 @@ mod tests {
         let store = BlockStore::new();
         let payload = sample_certificate(&store);
         let msg = signed(payload);
-        let bytes = encode_message(&msg, &store).expect("encode").to_vec();
+        let bytes = encode_message(&msg, &store).expect("encode");
         let rx = || synced_receiver(&store, &payload.log().unwrap());
         // The signer section sits between the announcement and the two
         // trailing digests: u8 word count + words.
@@ -1031,7 +975,7 @@ mod tests {
         padded[wc_off] = 2;
         padded.splice(wc_off + 1 + 8..wc_off + 1 + 8, [0u8; 8]);
         assert!(matches!(
-            decode_message(Bytes::from(padded), &rx()),
+            decode_message(&padded, &rx()),
             Err(WireError::LimitExceeded(_))
         ));
 
@@ -1039,12 +983,12 @@ mod tests {
         let mut empty = bytes.clone();
         empty[wc_off] = 0;
         empty.splice(wc_off + 1..wc_off + 1 + 8, []);
-        assert!(decode_message(Bytes::from(empty), &rx()).is_err());
+        assert!(decode_message(&empty, &rx()).is_err());
 
         // Word count beyond the bitmap capacity must fail.
         let mut oversized = bytes;
         oversized[wc_off] = SignerSet::WORDS as u8 + 1;
-        assert!(decode_message(Bytes::from(oversized), &rx()).is_err());
+        assert!(decode_message(&oversized, &rx()).is_err());
     }
 
     #[test]
@@ -1059,14 +1003,14 @@ mod tests {
         let store = BlockStore::new();
         let payload = sample_certificate(&store);
         let msg = signed(payload);
-        let bytes = encode_message(&msg, &store).expect("encode").to_vec();
+        let bytes = encode_message(&msg, &store).expect("encode");
         let sender_kp = Keypair::from_seed(ValidatorId::new(1).key_seed());
         for pos in 0..bytes.len() {
             for flip in [0x01u8, 0xff] {
                 let mut mutated = bytes.clone();
                 mutated[pos] ^= flip;
                 let rx = synced_receiver(&store, &payload.log().unwrap());
-                if let Ok(decoded) = decode_message(Bytes::from(mutated), &rx) {
+                if let Ok(decoded) = decode_message(&mutated, &rx) {
                     assert!(
                         decoded.payload() != msg.payload()
                             || decoded.signature() != msg.signature()
@@ -1094,7 +1038,7 @@ mod tests {
         for cut in 0..bytes.len() {
             let rx = synced_receiver(&store, &payload.log().unwrap());
             assert!(
-                decode_message(bytes.slice(..cut), &rx).is_err(),
+                decode_message(&bytes[..cut], &rx).is_err(),
                 "cut at {cut} must fail"
             );
         }
@@ -1130,7 +1074,7 @@ mod tests {
                 encoded_len(&msg, &store).expect("len"),
                 "encoded_len disagrees for {payload:?}"
             );
-            let decoded = decode_message(frame.clone(), &store).expect("decode");
+            let decoded = decode_message(&frame, &store).expect("decode");
             let class = match payload {
                 Payload::BlockRequest { .. } | Payload::BlockResponse { .. } => MessageClass::Sync,
                 Payload::Certificate { .. } => MessageClass::Certificate,

@@ -79,7 +79,7 @@ impl TwoStores {
     fn park(&mut self, msg: &SignedMessage, ctx: &mut Context) {
         let raw = wire::encode_message(msg, &self.a).expect("encodes at A");
         let Err(wire::WireError::MissingBlocks { missing, from_height }) =
-            wire::decode_message(raw.clone(), &self.b)
+            wire::decode_message(&raw, &self.b)
         else {
             panic!("B lacks b3: the frame must not decode yet");
         };
@@ -93,7 +93,7 @@ impl TwoStores {
         let tip = self.chain[3].tip();
         let response = sign(1, Payload::BlockResponse { tip, from_height: 3, count: 1 });
         let raw = wire::encode_message(&response, &self.a).expect("encodes at A");
-        let decoded = wire::decode_message(raw, &self.b).expect("the anchor b2 is in B");
+        let decoded = wire::decode_message(&raw, &self.b).expect("the anchor b2 is in B");
         let mut ctx = ctx_at(t, &self.b);
         self.val.on_message(&decoded, &mut ctx);
         ctx

@@ -157,7 +157,7 @@ fn wire_decode_copies_each_payload_out_of_its_frame() {
     );
     let frame = wire::encode_message(&response, &store).expect("encode");
     let rx = BlockStore::new();
-    wire::decode_message(frame.clone(), &rx).expect("the response decodes into a cold store");
+    wire::decode_message(&frame, &rx).expect("the response decodes into a cold store");
     assert_copied_once(&store, &rx, log.tip(), &frame);
 }
 

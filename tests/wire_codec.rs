@@ -138,7 +138,7 @@ proptest! {
         prop_assert_eq!(bytes.len() as u64, wire::encoded_len(&msg, &tx_store).expect("len"));
 
         let rx_store = synced_receiver(&msg, &tx_store);
-        let decoded = wire::decode_message(bytes, &rx_store).expect("well-formed");
+        let decoded = wire::decode_message(&bytes, &rx_store).expect("well-formed");
         prop_assert_eq!(decoded.sender(), msg.sender());
         prop_assert_eq!(decoded.payload(), msg.payload());
         let kp = Keypair::from_seed(msg.sender().key_seed());
@@ -158,7 +158,7 @@ proptest! {
         let msg = build_message(&spec, &tx_store);
         let bytes = wire::encode_message(&msg, &tx_store).expect("encode");
         let cold = BlockStore::new();
-        match wire::decode_message(bytes, &cold) {
+        match wire::decode_message(&bytes, &cold) {
             Ok(decoded) => prop_assert_eq!(decoded.payload(), msg.payload()),
             Err(wire::WireError::MissingBlocks { missing, from_height }) => {
                 // The named block really is part of the referenced chain
@@ -179,7 +179,7 @@ proptest! {
         let bytes = wire::encode_message(&msg, &store).expect("encode");
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
         let rx = synced_receiver(&msg, &store);
-        prop_assert!(wire::decode_message(bytes.slice(..cut), &rx).is_err());
+        prop_assert!(wire::decode_message(&bytes[..cut], &rx).is_err());
     }
 
     /// Flipping any single byte either makes the message undecodable or
@@ -190,11 +190,11 @@ proptest! {
     fn single_byte_flips_never_verify(spec in msg_spec(), pos_frac in 0.0f64..1.0) {
         let store = BlockStore::new();
         let msg = build_message(&spec, &store);
-        let mut bytes = wire::encode_message(&msg, &store).expect("encode").to_vec();
+        let mut bytes = wire::encode_message(&msg, &store).expect("encode");
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
         bytes[pos] ^= 0x01;
         let rx = synced_receiver(&msg, &store);
-        match wire::decode_message(bytes.into(), &rx) {
+        match wire::decode_message(&bytes, &rx) {
             Err(_) => {} // rejected outright: fine
             Ok(decoded) => {
                 let kp = Keypair::from_seed(decoded.sender().key_seed());
@@ -220,7 +220,7 @@ proptest! {
     ) {
         let store = BlockStore::new();
         let msg = build_message(&spec, &store);
-        let mut bytes = wire::encode_message(&msg, &store).expect("encode").to_vec();
+        let mut bytes = wire::encode_message(&msg, &store).expect("encode");
         match action {
             0 => {
                 for (pos, val) in &flips {
@@ -243,7 +243,7 @@ proptest! {
         let rx = synced_receiver(&msg, &store);
         // The assertion is the return itself: a panic fails the case
         // (the harness catches unwinds and reports the input).
-        let _ = wire::decode_message(bytes.into(), &rx);
+        let _ = wire::decode_message(&bytes, &rx);
     }
 }
 
@@ -292,7 +292,7 @@ fn every_variant_roundtrips_and_rejects_truncation() {
         assert_eq!(bytes.len() as u64, wire::encoded_len(&msg, &store).expect("len"));
 
         let rx = synced_receiver(&msg, &store);
-        let decoded = wire::decode_message(bytes.clone(), &rx)
+        let decoded = wire::decode_message(&bytes, &rx)
             .unwrap_or_else(|e| panic!("{payload:?} failed to decode: {e}"));
         assert_eq!(decoded.payload(), &payload, "identity broken for {payload:?}");
         assert_eq!(decoded.sender(), sender);
@@ -301,7 +301,7 @@ fn every_variant_roundtrips_and_rejects_truncation() {
         for cut in 0..bytes.len() {
             let rx = synced_receiver(&msg, &store);
             assert!(
-                wire::decode_message(bytes.slice(..cut), &rx).is_err(),
+                wire::decode_message(&bytes[..cut], &rx).is_err(),
                 "{payload:?}: {cut}-byte prefix of {} decoded",
                 bytes.len()
             );
@@ -336,7 +336,7 @@ fn announcement_then_fetch_then_replay_converges_stores() {
 
     let rx = BlockStore::new();
     let Err(wire::WireError::MissingBlocks { missing, from_height }) =
-        wire::decode_message(frame.clone(), &rx)
+        wire::decode_message(&frame, &rx)
     else {
         panic!("cold receiver must report missing blocks");
     };
@@ -353,10 +353,10 @@ fn announcement_then_fetch_then_replay_converges_stores() {
         },
     );
     let resp_frame = wire::encode_message(&response, &store).expect("encode");
-    wire::decode_message(resp_frame, &rx).expect("response decodes into the cold store");
+    wire::decode_message(&resp_frame, &rx).expect("response decodes into the cold store");
 
     // Replaying the parked announcement now succeeds.
-    let decoded = wire::decode_message(frame, &rx).expect("replay decodes");
+    let decoded = wire::decode_message(&frame, &rx).expect("replay decodes");
     assert_eq!(decoded.payload(), announcement.payload());
     assert_eq!(rx.height(log.tip()), Some(log.len() - 1));
     // Content survived the transfer: all six transactions are present.
@@ -372,13 +372,13 @@ fn decoder_enforces_limits() {
         &MsgSpec { sender: 0, tag: 0, instance: 1, blocks: vec![] },
         &store,
     );
-    let mut bytes = wire::encode_message(&msg, &store).expect("encode").to_vec();
+    let mut bytes = wire::encode_message(&msg, &store).expect("encode");
     // Layout: version(1) + sender(4) + tag(1) + instance(8) + len(8).
     let len_off = 1 + 4 + 1 + 8;
     bytes[len_off..len_off + 8].copy_from_slice(&u64::MAX.to_be_bytes());
     let rx = BlockStore::new();
     assert!(matches!(
-        wire::decode_message(bytes.into(), &rx),
+        wire::decode_message(&bytes, &rx),
         Err(wire::WireError::LimitExceeded(_))
     ));
 }
