@@ -87,17 +87,13 @@ mod tests {
     use super::*;
     use tobsvd_core::leader::vrf_for;
     use tobsvd_crypto::Keypair;
-    use tobsvd_types::{BlockStore, Log, SignedMessage, Time};
+    use tobsvd_types::{BlockStore, Delivered, Log, SignedMessage, Time};
 
-    fn proposal(sender: ValidatorId, view: View) -> Arc<SignedMessage> {
+    fn proposal(sender: ValidatorId, view: View) -> Arc<Delivered> {
         let store = BlockStore::new();
         let kp = Keypair::from_seed(sender.key_seed());
         let (vrf, proof) = vrf_for(sender, view);
-        Arc::new(SignedMessage::sign(
-            &kp,
-            sender,
-            Payload::Proposal { view, log: Log::genesis(&store), vrf, proof },
-        ))
+        SignedMessage::sign(&kp, sender, Payload::Proposal { view, log: Log::genesis(&store), vrf, proof }).into()
     }
 
     #[test]
@@ -143,7 +139,7 @@ mod tests {
             sender,
             Payload::Proposal { view: View::new(1), log: Log::genesis(&store), vrf, proof },
         );
-        let cmds = ctl.on_tick(&TickView { time: Time::new(32), sent: &[Arc::new(forged)] });
+        let cmds = ctl.on_tick(&TickView { time: Time::new(32), sent: &[forged.into()] });
         assert!(cmds.is_empty());
     }
 
@@ -166,7 +162,7 @@ mod tests {
             sender,
             Payload::Proposal { view, log: Log::genesis(&store), vrf, proof },
         );
-        let msgs: Vec<_> = std::iter::once(Arc::new(forged)).chain(genuine).collect();
+        let msgs: Vec<_> = std::iter::once(forged.into()).chain(genuine).collect();
         let cmds = ctl.on_tick(&TickView { time: Time::new(32), sent: &msgs });
         assert_eq!(cmds, vec![AdversaryCommand::Corrupt(winner)]);
     }

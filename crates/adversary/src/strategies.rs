@@ -1,9 +1,11 @@
 //! Byzantine node strategies.
 
+use std::sync::Arc;
+
 use tobsvd_crypto::Keypair;
 use tobsvd_sim::{Context, Node, Outgoing};
 use tobsvd_types::{
-    BlockStore, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
+    BlockStore, Delivered, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
 };
 
 use tobsvd_core::{TobConfig, Validator};
@@ -214,8 +216,12 @@ impl Node for SplitBrainNode {
     }
 
     fn on_message(&mut self, msg: &SignedMessage, ctx: &mut Context) {
+        self.on_delivery(&(*msg).into(), ctx);
+    }
+
+    fn on_delivery(&mut self, msg: &Arc<Delivered>, ctx: &mut Context) {
         let mut scratch = self.scratch(ctx);
-        self.inner.on_message(msg, &mut scratch);
+        self.inner.on_delivery(msg, &mut scratch);
         let out = scratch.take_outbox();
         // Forward like an honest node so the network stays live.
         self.rewrite(out, ctx);
@@ -270,9 +276,13 @@ impl Node for LateVoter {
     }
 
     fn on_message(&mut self, msg: &SignedMessage, ctx: &mut Context) {
+        self.on_delivery(&(*msg).into(), ctx);
+    }
+
+    fn on_delivery(&mut self, msg: &Arc<Delivered>, ctx: &mut Context) {
         let mut scratch =
             Context::new(ctx.time, ctx.me, ctx.delta, ctx.store.clone(), ctx.mempool.clone());
-        self.inner.on_message(msg, &mut scratch);
+        self.inner.on_delivery(msg, &mut scratch);
         for action in scratch.take_outbox() {
             match action {
                 Outgoing::Broadcast(m) => ctx.forward(m),

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use tobsvd_crypto::{AggregateSignature, Digest, KeyCache, Keypair, PublicKey, Signature};
-use tobsvd_types::{InstanceId, Log, Payload, SignedMessage, SignerSet, ValidatorId};
+use tobsvd_types::{Delivered, InstanceId, Log, Payload, SignedMessage, SignerSet, ValidatorId};
 
 use crate::leader::Priority;
 use crate::window::Window;
@@ -56,7 +56,7 @@ pub(crate) struct VoteGroup {
     /// Every certificate the flush sent for the group, own or
     /// forwarded, in sending order, when recovery is on: their signers
     /// are `covered`. A recovery serve re-sends these handles.
-    sent: Vec<Arc<SignedMessage>>,
+    sent: Vec<Arc<Delivered>>,
     /// Signers vouched by a received certificate whose aggregate this
     /// validator fully verified.
     cert_verified: SignerSet,
@@ -68,7 +68,7 @@ pub(crate) struct VoteGroup {
     /// as their signers and the handles they were delivered under, which
     /// the flush forwards: a certificate's parts are nearly all of it,
     /// so keeping the handle costs no more than keeping the parts.
-    pending_certs: Vec<(SignerSet, Arc<SignedMessage>)>,
+    pending_certs: Vec<(SignerSet, Arc<Delivered>)>,
 }
 
 impl VoteGroup {
@@ -98,7 +98,7 @@ impl VoteGroup {
 
     /// The certificates the flush sent for the group.
     #[cfg(test)]
-    pub(crate) fn sent(&self) -> &[Arc<SignedMessage>] {
+    pub(crate) fn sent(&self) -> &[Arc<Delivered>] {
         &self.sent
     }
 
@@ -181,8 +181,8 @@ fn group_mut(window: &mut Window, instance: InstanceId, log: Log) -> Option<&mut
 /// no groups (per-vote mode) every archived vote is sent.
 pub(crate) fn served_votes<'a>(
     groups: &'a [VoteGroup],
-    archive: &'a [Arc<SignedMessage>],
-) -> impl Iterator<Item = &'a Arc<SignedMessage>> {
+    archive: &'a [Arc<Delivered>],
+) -> impl Iterator<Item = &'a Arc<Delivered>> {
     let covered = |msg: &SignedMessage| match *msg.payload() {
         Payload::Log { instance, log } => groups
             .iter()
@@ -227,7 +227,7 @@ impl AggregationPlane {
     pub(crate) fn note_vote(
         &mut self,
         window: &mut Window,
-        msg: &Arc<SignedMessage>,
+        msg: &Arc<Delivered>,
         instance: InstanceId,
         log: Log,
         ctx: &mut Context,
@@ -257,7 +257,7 @@ impl AggregationPlane {
     pub(crate) fn on_certificate(
         &mut self,
         window: &mut Window,
-        msg: &Arc<SignedMessage>,
+        msg: &Arc<Delivered>,
         ctx: &mut Context,
     ) -> Vec<ValidatorId> {
         let Payload::Certificate { instance, log, signers, agg } = *msg.payload() else {
@@ -347,7 +347,7 @@ impl AggregationPlane {
                     let cert = SignedMessage::sign(&self.keypair, self.me, payload);
                     ctx.broadcast(cert);
                     if self.recovery {
-                        g.sent.push(Arc::new(cert));
+                        g.sent.push(cert.into());
                     }
                     self.certificates_emitted += 1;
                     g.own_cert_emitted = true;
@@ -413,7 +413,7 @@ mod tests {
         let mut ctx = Context::new(Time::new(3), plane.me, Delta::new(8), store.clone(), Mempool::new());
         for m in votes {
             let Payload::Log { instance, log } = *m.payload() else { unreachable!() };
-            plane.note_vote(window, &Arc::new(*m), instance, log, &mut ctx);
+            plane.note_vote(window, &(*m).into(), instance, log, &mut ctx);
         }
         assert!(ctx.outbox().is_empty(), "votes are deferred to the boundary");
     }
@@ -428,7 +428,7 @@ mod tests {
         let relayed: Vec<_> = flush(&mut plane, &store)
             .into_iter()
             .map(|o| match o {
-                Outgoing::Forward(m) => *m,
+                Outgoing::Forward(m) => **m,
                 other => panic!("expected a forward, got {other:?}"),
             })
             .collect();
@@ -460,7 +460,7 @@ mod tests {
 
         let late = vote(7, instance, log);
         note(&mut plane, &[late], &store);
-        assert!(matches!(flush(&mut plane, &store).as_slice(), [Outgoing::Forward(m)] if **m == late));
+        assert!(matches!(flush(&mut plane, &store).as_slice(), [Outgoing::Forward(m)] if ***m == late));
     }
 
     #[test]
@@ -478,10 +478,10 @@ mod tests {
 
         let mut plane = plane(8);
         let mut ctx = Context::new(Time::new(3), plane.0.me, Delta::new(8), store.clone(), Mempool::new());
-        let absorbed = plane.0.on_certificate(&mut plane.1, &Arc::new(cert), &mut ctx);
+        let absorbed = plane.0.on_certificate(&mut plane.1, &cert.into(), &mut ctx);
         assert_eq!(absorbed, signers.iter().collect::<Vec<_>>());
         let forwarded = flush(&mut plane, &store);
-        assert!(matches!(forwarded.as_slice(), [Outgoing::Forward(m)] if **m == cert), "{forwarded:?}");
+        assert!(matches!(forwarded.as_slice(), [Outgoing::Forward(m)] if ***m == cert), "{forwarded:?}");
     }
 
     /// The retained bytes per buffered vote: a sender and a signature.

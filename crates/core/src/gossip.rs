@@ -12,6 +12,17 @@
 //! whether the node should re-broadcast it (`forward`). Dedup is by
 //! message id: a message arriving over many paths is verified once.
 //!
+//! The gate takes the delivered handle ([`Delivered`]) and verifies a
+//! first sighting through it. The simulator hands one handle to every
+//! recipient of a broadcast, and the handle records a successful check
+//! under the key it was made with, so after the first recipient each
+//! gate's check is one key compare. Each gate still counts its first
+//! sighting as one [`crate::CryptoOps::sig_verifies`], whichever answered
+//! it, so the counters are per validator and seed-exact. A forged handle
+//! records nothing and is checked at every recipient; a copy of the
+//! message in a new handle (the TCP node's decoded frames, a wrapper
+//! that receives by reference) starts with no verdict.
+//!
 //! # Layout: sender-indexed slot tables with an ordered overflow
 //!
 //! The paper's rule is the index: per `(view, kind, sender)` — the
@@ -77,7 +88,7 @@
 use std::collections::BTreeSet;
 
 use tobsvd_crypto::{Digest, KeyCache, PublicKey};
-use tobsvd_types::{SignedMessage, SignerSet, ValidatorId, View};
+use tobsvd_types::{Delivered, SignedMessage, SignerSet, ValidatorId, View};
 
 use crate::node::Context;
 
@@ -264,10 +275,13 @@ impl GossipState {
         }
     }
 
-    /// A first sighting: verified unless fault-injected, then filed.
+    /// A first sighting: verified through its handle unless
+    /// fault-injected, then filed. It counts as one verification here
+    /// whether the handle's recorded verdict or the signature check
+    /// answers it.
     fn first_sighting(
         &mut self,
-        msg: &SignedMessage,
+        msg: &Delivered,
         key: Option<Key>,
         ctx: &mut Context,
     ) -> Option<Reception> {
@@ -293,7 +307,7 @@ impl GossipState {
     /// its key. Every decision counts into the context's
     /// [`crate::CryptoOps`], and only there. Every view is admitted: this
     /// is the gate of a node with no live range.
-    pub fn admit(&mut self, msg: &SignedMessage, ctx: &mut Context) -> Option<Reception> {
+    pub fn admit(&mut self, msg: &Delivered, ctx: &mut Context) -> Option<Reception> {
         let key = Self::key(msg);
         if key.is_some_and(|key| self.is_filed(key, &msg.id())) {
             ctx.crypto_ops.sig_verify_skips += 1;
@@ -309,7 +323,7 @@ impl GossipState {
     /// range"): a first sighting the current view at the context's clock
     /// does not take is dropped between the committee gate and the
     /// signature check. A copy of a filed id pays the probe only.
-    pub fn admit_live(&mut self, msg: &SignedMessage, ctx: &mut Context) -> Admission {
+    pub fn admit_live(&mut self, msg: &Delivered, ctx: &mut Context) -> Admission {
         let key = Self::key(msg);
         if key.is_some_and(|key| self.is_filed(key, &msg.id())) {
             ctx.crypto_ops.sig_verify_skips += 1;
@@ -466,24 +480,63 @@ mod tests {
         );
         let mut gossip = GossipState::new();
         // Forged-first: rejected, no slot taken.
-        assert_eq!(gossip.admit(&forged, &mut ctx), None);
+        assert_eq!(gossip.admit(&forged.into(), &mut ctx), None);
         assert_eq!(gossip.verified_count(), 0);
         assert!(!gossip.is_verified(&genuine));
         // Genuine: verified and filed; the earlier forgery cannot
         // shadow it.
-        assert_eq!(gossip.admit(&genuine, &mut ctx), Some(ACCEPTED));
+        assert_eq!(gossip.admit(&genuine.into(), &mut ctx), Some(ACCEPTED));
         assert_eq!((gossip.seen_count(), gossip.verified_count()), (1, 1));
         // Any later copy of the id — even the forged one — skips.
-        assert_eq!(gossip.admit(&forged, &mut ctx), Some(IGNORED));
+        assert_eq!(gossip.admit(&forged.into(), &mut ctx), Some(IGNORED));
         assert_eq!((ctx.crypto_ops.sig_verifies, ctx.crypto_ops.sig_verify_skips), (2, 1));
         // Fetch payloads: verified, served, never remembered.
         let kp = Keypair::from_seed(ValidatorId::new(2).key_seed());
         let fetch = Payload::BlockRequest { tip: store.genesis(), from_height: 1 };
         let fetch = SignedMessage::sign(&kp, ValidatorId::new(2), fetch);
-        assert_eq!(gossip.admit(&fetch, &mut ctx), Some(POINT_TO_POINT));
-        assert_eq!(gossip.admit(&fetch, &mut ctx), Some(POINT_TO_POINT));
+        assert_eq!(gossip.admit(&fetch.into(), &mut ctx), Some(POINT_TO_POINT));
+        assert_eq!(gossip.admit(&fetch.into(), &mut ctx), Some(POINT_TO_POINT));
         assert!(!gossip.is_verified(&fetch) && !gossip.has_seen(&fetch.id()));
         assert_eq!(ctx.crypto_ops.sig_verifies, 4, "non-retained ids re-verify every time");
+    }
+
+    /// One shared handle through several gates: the first check records
+    /// the verdict in the handle, and each gate still counts its own
+    /// verification and files the id. The verdict never vouches for
+    /// another handle, forged bytes under the same id included.
+    #[test]
+    fn gates_sharing_a_handle_each_count_and_file_it() {
+        let store = BlockStore::new();
+        let genuine = Delivered::from(msg(&store, 1, 0, Log::genesis(&store)));
+        let forged_sig = Keypair::from_seed(999).sign(b"forged");
+        let forged = Delivered::from(SignedMessage::from_parts(genuine.sender(), *genuine.payload(), forged_sig));
+        assert_eq!(forged.id(), genuine.id(), "same sender and payload, same id");
+        let (mut a, mut b, mut c) = (GossipState::new(), GossipState::new(), GossipState::new());
+        for gate in [&mut a, &mut b] {
+            let mut cx = ctx(&store);
+            assert_eq!(gate.admit(&genuine, &mut cx), Some(ACCEPTED));
+            assert_eq!((cx.crypto_ops.sig_verifies, cx.crypto_ops.sig_verify_skips), (1, 0));
+            assert!(gate.is_verified(&genuine) && gate.seen_count() == 1);
+        }
+        let mut cx = ctx(&store);
+        assert_eq!(c.admit(&forged, &mut cx), None, "a gate that has not seen the id checks the forgery");
+        assert_eq!((cx.crypto_ops.sig_verifies, c.seen_count()), (1, 0));
+        // A filed id is a copy whatever bytes it carries: gates that took
+        // the genuine handle skip the forged one, as they always have.
+        for gate in [&mut a, &mut b] {
+            let mut cx = ctx(&store);
+            assert_eq!(gate.admit(&forged, &mut cx), Some(IGNORED));
+            assert_eq!((cx.crypto_ops.sig_verifies, cx.crypto_ops.sig_verify_skips), (0, 1));
+        }
+        // A forged handle of an id neither has filed: each gate checks
+        // it, and both reject it.
+        let unseen = msg(&store, 2, 0, Log::genesis(&store));
+        let unseen = Delivered::from(SignedMessage::from_parts(unseen.sender(), *unseen.payload(), forged_sig));
+        for gate in [&mut a, &mut b] {
+            let mut cx = ctx(&store);
+            assert_eq!(gate.admit(&unseen, &mut cx), None);
+            assert_eq!((cx.crypto_ops.sig_verifies, gate.seen_count()), (1, 1));
+        }
     }
 
     #[test]
@@ -492,13 +545,13 @@ mod tests {
         let (mut ctx, g) = (ctx(&store), Log::genesis(&store));
         let mut gossip = GossipState::for_committee(4);
         let (member, outsider) = (msg(&store, 3, 1, g), msg(&store, 4, 1, g));
-        assert_eq!(gossip.admit_live(&outsider, &mut ctx), Admission::Forged);
-        assert_eq!(gossip.admit_live(&member, &mut ctx), Admission::Admitted(ACCEPTED));
+        assert_eq!(gossip.admit_live(&outsider.into(), &mut ctx), Admission::Forged);
+        assert_eq!(gossip.admit_live(&member.into(), &mut ctx), Admission::Admitted(ACCEPTED));
         // Fetch traffic passes the same gate.
         let kp = Keypair::from_seed(ValidatorId::new(4).key_seed());
         let fetch = Payload::BlockRequest { tip: store.genesis(), from_height: 1 };
         let fetch = SignedMessage::sign(&kp, ValidatorId::new(4), fetch);
-        assert_eq!(gossip.admit_live(&fetch, &mut ctx), Admission::Forged);
+        assert_eq!(gossip.admit_live(&fetch.into(), &mut ctx), Admission::Forged);
         assert_eq!((ctx.crypto_ops.sig_verifies, gossip.seen_count()), (1, 1));
     }
 
@@ -531,13 +584,13 @@ mod tests {
         gossip.set_live(7);
         let far: Vec<_> = (0..10_000u64).map(|k| msg(&store, 3, 1_000_000 + 977 * k, g)).collect();
         for m in &far {
-            assert_eq!(gossip.admit_live(m, &mut ctx), Admission::OutOfRange);
+            assert_eq!(gossip.admit_live(&(*m).into(), &mut ctx), Admission::OutOfRange);
         }
         let ops = ctx.crypto_ops;
         assert_eq!((ops.sig_verifies, ops.sig_verify_skips, ops.dropped_out_of_range), (0, 0, 10_000));
         assert_eq!((gossip.seen_count(), gossip.overflow.len()), (0, 0), "nothing filed");
         for m in &far {
-            assert_eq!(gossip.admit(m, &mut ctx), Some(ACCEPTED));
+            assert_eq!(gossip.admit(&(*m).into(), &mut ctx), Some(ACCEPTED));
         }
         let slots: usize = gossip.live.iter().flatten().map(Vec::capacity).sum();
         assert_eq!(slots, 0, "no dense table was allocated");
@@ -548,8 +601,8 @@ mod tests {
         let before = ctx.crypto_ops;
         let wide = msg(&store, SignerSet::CAPACITY as u32, 7, g);
         for _ in 0..2 {
-            assert_eq!(gossip.admit(&wide, &mut ctx), None);
-            assert_eq!(gossip.admit_live(&wide, &mut ctx), Admission::Forged);
+            assert_eq!(gossip.admit(&wide.into(), &mut ctx), None);
+            assert_eq!(gossip.admit_live(&wide.into(), &mut ctx), Admission::Forged);
             assert_eq!(gossip.on_receive(&wide), IGNORED);
         }
         assert_eq!(ctx.crypto_ops, before, "0 verifies, 0 skips, 0 drops");

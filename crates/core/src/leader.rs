@@ -15,7 +15,7 @@
 //!
 //! [`ProposalTracker`] keeps every proposal of a view until the vote, as
 //! the vote input must be the highest-VRF non-equivocating one. Each of
-//! its claims is the delivered message's handle (`Arc<SignedMessage>`)
+//! its claims is the delivered message's handle (`Arc<Delivered>`)
 //! plus a VRF verdict: a committee of n holds n² claims per live view,
 //! and they share the view's n messages instead of copying one each. A
 //! relay or a recovery serve hands out the recorded handle, so what is
@@ -26,7 +26,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use tobsvd_crypto::{KeyCache, Vrf, VrfOutput, VrfProof};
-use tobsvd_types::{BlockStore, Log, Payload, SignedMessage, SignerSet, ValidatorId, View};
+use tobsvd_types::{BlockStore, Delivered, Log, Payload, SignerSet, ValidatorId, View};
 
 use crate::CryptoOps;
 
@@ -88,7 +88,7 @@ enum Verdict {
 /// relay or a recovery serve hands out the handle itself.
 #[derive(Clone, Debug)]
 struct Claim {
-    msg: Arc<SignedMessage>,
+    msg: Arc<Delivered>,
     verdict: Verdict,
 }
 
@@ -224,7 +224,7 @@ impl ProposalTracker {
     /// claim's slot if it is new: a claim already held, a third distinct
     /// one from the sender (the gossip cap lets neither through), or a
     /// message that is not a proposal for this view is not recorded.
-    pub fn record(&mut self, msg: &Arc<SignedMessage>) -> Option<usize> {
+    pub fn record(&mut self, msg: &Arc<Delivered>) -> Option<usize> {
         let Payload::Proposal { view, log, vrf, proof } = msg.payload() else { return None };
         if *view != self.view {
             return None;
@@ -323,7 +323,7 @@ impl ProposalTracker {
         pending: &[(ValidatorId, usize)],
         best_relayed: &mut Option<Priority>,
         ops: &mut CryptoOps,
-    ) -> Vec<Arc<SignedMessage>> {
+    ) -> Vec<Arc<Delivered>> {
         let view = self.view;
         let mut out = Vec::new();
         let mut ranked: BinaryHeap<(Priority, Reverse<usize>, usize)> = BinaryHeap::new();
@@ -356,7 +356,7 @@ impl ProposalTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tobsvd_types::View;
+    use tobsvd_types::{SignedMessage, View};
 
     fn v(i: u32) -> ValidatorId {
         ValidatorId::new(i)
@@ -428,7 +428,7 @@ mod tests {
 
     /// Records a signed proposal of `log` for the tracker's view.
     fn record(tr: &mut ProposalTracker, sender: ValidatorId, log: Log, vrf: VrfOutput, proof: VrfProof) -> Option<usize> {
-        tr.record(&Arc::new(proposal(sender, tr.view, log, vrf, proof)))
+        tr.record(&proposal(sender, tr.view, log, vrf, proof).into())
     }
 
     /// A claim above every genuine output, with a proof that cannot verify.
@@ -470,10 +470,10 @@ mod tests {
         let mut tr = ProposalTracker::new(view);
         let mut received = Vec::new();
         let (vrf, proof) = forged_top();
-        let forged = Arc::new(proposal(v(7), view, g.extend_empty(&store, v(7), view), vrf, proof));
+        let forged = Arc::<Delivered>::from(proposal(v(7), view, g.extend_empty(&store, v(7), view), vrf, proof));
         for i in 1..4 {
             let (vrf, proof) = vrf_for(v(i), view);
-            received.push(Arc::new(proposal(v(i), view, g.extend_empty(&store, v(i), view), vrf, proof)));
+            received.push(Arc::<Delivered>::from(proposal(v(i), view, g.extend_empty(&store, v(i), view), vrf, proof)));
         }
         received.insert(1, forged);
         let pending: Vec<_> = received.iter().map(|m| (m.sender(), tr.record(m).unwrap())).collect();
@@ -525,7 +525,7 @@ mod tests {
         let (vrf, proof) = vrf_for(v(1), view);
         let mut ops = CryptoOps::default();
         let mut tr = ProposalTracker::new(view);
-        let received = [proposal(v(1), view, a, vrf, proof), proposal(v(1), view, b, vrf, proof)].map(Arc::new);
+        let received = [proposal(v(1), view, a, vrf, proof), proposal(v(1), view, b, vrf, proof)].map(Arc::<Delivered>::from);
         let pending: Vec<_> = received.iter().map(|m| (m.sender(), tr.record(m).unwrap())).collect();
         assert!(tr.is_equivocator(v(1), &mut ops));
         assert_eq!(tr.best_extending(&g, &store, &mut ops), None);
@@ -547,10 +547,10 @@ mod tests {
         let log = Log::genesis(&store).extend_empty(&store, v(1), View::new(4));
         let (vrf, proof) = vrf_for(v(1), View::new(4));
         let mut tr = ProposalTracker::new(View::new(5));
-        assert_eq!(tr.record(&Arc::new(proposal(v(1), View::new(4), log, vrf, proof))), None);
+        assert_eq!(tr.record(&proposal(v(1), View::new(4), log, vrf, proof).into()), None);
         let kp = tobsvd_crypto::Keypair::from_seed(v(1).key_seed());
         let vote = SignedMessage::sign(&kp, v(1), Payload::Log { instance: tobsvd_types::InstanceId(5), log });
-        assert_eq!(tr.record(&Arc::new(vote)), None);
+        assert_eq!(tr.record(&vote.into()), None);
         assert!(tr.seats.is_empty());
     }
 
@@ -558,6 +558,6 @@ mod tests {
     /// and a seat holds two claims inline.
     #[test]
     fn a_seat_is_two_handles_wide() {
-        assert!(std::mem::size_of::<Option<Claims>>() <= 2 * std::mem::size_of::<(Arc<SignedMessage>, usize)>());
+        assert!(std::mem::size_of::<Option<Claims>>() <= 2 * std::mem::size_of::<(Arc<Delivered>, usize)>());
     }
 }

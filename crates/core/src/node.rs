@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use tobsvd_types::{BlockStore, Delta, Log, SignedMessage, Time, ValidatorId};
+use tobsvd_types::{BlockStore, Delivered, Delta, Log, SignedMessage, Time, ValidatorId};
 
 use crate::mempool::Mempool;
 
@@ -14,13 +14,14 @@ pub enum Outgoing {
     /// Re-broadcast a received message (honest forwarding). Counted
     /// separately from originals in the metrics and never counts as a
     /// voting phase. The handle is the one the message was delivered
-    /// under when the forwarder kept it, so a forward copies no message.
-    Forward(Arc<SignedMessage>),
+    /// under when the forwarder kept it, so a forward copies no message
+    /// and carries the signature verdict recorded in it.
+    Forward(Arc<Delivered>),
     /// Re-send stored messages, in order, to one validator: the §2
     /// recovery protocol's reply, one action per serve. The handles are
     /// the sender's own stored copies, so a reply copies no message.
     /// Each message counts as one forward.
-    ForwardTo(ValidatorId, Vec<Arc<SignedMessage>>),
+    ForwardTo(ValidatorId, Vec<Arc<Delivered>>),
     /// Send a message only to the given validators: the fetch plane's
     /// targeted block requests and responses, and Byzantine strategies
     /// (e.g. split equivocation).
@@ -28,8 +29,8 @@ pub enum Outgoing {
 }
 
 /// Crypto-operation counts a node reports through its [`Context`]: how
-/// many signature/VRF verifications it actually performed vs answered
-/// from its verified-id table or its per-claim VRF verdicts. The engine
+/// many signature/VRF verifications it decided vs answered from its
+/// verified-id table or its per-claim VRF verdicts. The engine
 /// folds these into `tobsvd_sim::Metrics` after every callback, so a whole
 /// run's crypto budget is observable without instrumenting node
 /// internals. This is
@@ -37,7 +38,11 @@ pub enum Outgoing {
 /// skips) bumps the field here, and nodes keep no totals of their own.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CryptoOps {
-    /// Signature verifications performed.
+    /// Signature verifications: the validator's verification decisions,
+    /// one per first sighting its gate checked. A shared handle may
+    /// answer one of them from the verdict another recipient recorded in
+    /// it ([`tobsvd_types::Delivered`]), so this counts decisions per
+    /// validator, not signature checks per process.
     pub sig_verifies: u64,
     /// Signature verifications skipped (id already verified).
     pub sig_verify_skips: u64,
@@ -136,12 +141,12 @@ impl Context {
 
     /// Forwards a received message to all validators: its delivered
     /// handle, or a message that is wrapped in one here.
-    pub fn forward(&mut self, msg: impl Into<Arc<SignedMessage>>) {
+    pub fn forward(&mut self, msg: impl Into<Arc<Delivered>>) {
         self.outbox.push(Outgoing::Forward(msg.into()));
     }
 
     /// Re-sends stored messages, in order, to `to` (a recovery reply).
-    pub fn forward_to(&mut self, to: ValidatorId, msgs: Vec<Arc<SignedMessage>>) {
+    pub fn forward_to(&mut self, to: ValidatorId, msgs: Vec<Arc<Delivered>>) {
         self.outbox.push(Outgoing::ForwardTo(to, msgs));
     }
 
@@ -183,15 +188,18 @@ pub trait Node: Send + 'static {
     /// awake (or buffered for the node while it slept, at wake time),
     /// with the one handle all of a broadcast's copies share. A node that
     /// keeps or forwards the message keeps this handle instead of a copy
-    /// of its own, so a message is one allocation for the whole run.
-    /// Default: [`Node::on_message`].
+    /// of its own, so a message is one allocation for the whole run, and
+    /// its signature is checked once: the first recipient's successful
+    /// check is recorded in the handle and answers every later one
+    /// ([`Delivered::verify`]). Default: [`Node::on_message`], which
+    /// sees no handle and so no recorded verdict.
     ///
     /// `on_message` keeps its by-reference signature because most nodes
     /// keep nothing and the runtime, tests and wrapper nodes hold no
     /// handle; taking an `Arc` there would make each of them allocate
     /// one per message. The engine does not clone the handle per
     /// delivery: a node clones it only for what it stores.
-    fn on_delivery(&mut self, msg: &Arc<SignedMessage>, ctx: &mut Context) {
+    fn on_delivery(&mut self, msg: &Arc<Delivered>, ctx: &mut Context) {
         self.on_message(msg, ctx);
     }
 

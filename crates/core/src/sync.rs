@@ -62,7 +62,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use tobsvd_types::{wire, BlockId, BlockStore, Log, SignedMessage, Time};
+use tobsvd_types::{wire, BlockId, BlockStore, Delivered, Log, SignedMessage, Time};
 
 /// Outcome of [`SyncState::resolve`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,7 +78,7 @@ pub enum Resolution {
 pub enum Pending {
     /// A decoded message whose chain this validator cannot vouch for:
     /// the handle it was delivered under, so parking copies nothing.
-    Msg(Arc<SignedMessage>),
+    Msg(Arc<Delivered>),
     /// A peer frame that does not decode against the local store yet
     /// ([`wire::WireError::MissingBlocks`]); its fetch carries the
     /// codec's start hint. The one copy of a peer frame the node
@@ -86,15 +86,15 @@ pub enum Pending {
     Frame(Vec<u8>),
 }
 
-impl From<Arc<SignedMessage>> for Pending {
-    fn from(msg: Arc<SignedMessage>) -> Self {
+impl From<Arc<Delivered>> for Pending {
+    fn from(msg: Arc<Delivered>) -> Self {
         Pending::Msg(msg)
     }
 }
 
 impl From<SignedMessage> for Pending {
     fn from(msg: SignedMessage) -> Self {
-        Pending::Msg(Arc::new(msg))
+        Pending::Msg(msg.into())
     }
 }
 

@@ -13,7 +13,7 @@ use tobsvd_crypto::{Digest, KeyCache, Keypair};
 use tobsvd_ga::Ga3;
 use tobsvd_storage::{replay_into, BlockRecord, SharedDurable, Snapshot, WalError, WalRecord};
 use tobsvd_types::{
-    wire, BlockId, BlockStore, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
+    wire, BlockId, BlockStore, Delivered, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
 };
 
 use crate::aggregation::{self, AggregationPlane};
@@ -517,7 +517,7 @@ impl Validator {
         }
         let proposal_range = View::of_time(ctx.time, ctx.delta).proposal_range();
         let cap = SyncState::RECOVERY_RESPONSE_CAP;
-        let mut served: Vec<Arc<SignedMessage>> = Vec::new();
+        let mut served: Vec<Arc<Delivered>> = Vec::new();
         for (w, state) in self.window.range_mut(from_view..) {
             if served.len() >= cap {
                 break;
@@ -632,7 +632,7 @@ impl Validator {
     /// (its inline window), so the pending set is drained afterwards —
     /// a parked message's gap can close through ordinary announcements,
     /// not just fetch responses.
-    fn on_protocol_message(&mut self, msg: &Arc<SignedMessage>, ctx: &mut Context) {
+    fn on_protocol_message(&mut self, msg: &Arc<Delivered>, ctx: &mut Context) {
         self.handle_or_park(msg, ctx);
         self.drain_pending(ctx);
     }
@@ -650,7 +650,7 @@ impl Validator {
         }
     }
 
-    fn handle_or_park(&mut self, msg: &Arc<SignedMessage>, ctx: &mut Context) {
+    fn handle_or_park(&mut self, msg: &Arc<Delivered>, ctx: &mut Context) {
         let Some(log) = msg.payload().log() else {
             return;
         };
@@ -692,7 +692,7 @@ impl Validator {
                 match entry {
                     Pending::Msg(msg) => self.handle_or_park(&msg, ctx),
                     Pending::Frame(raw) => match wire::decode_message(&raw, &ctx.store) {
-                        Ok(msg) => self.on_delivery(&Arc::new(msg), ctx),
+                        Ok(msg) => self.on_delivery(&msg.into(), ctx),
                         Err(wire::WireError::MissingBlocks { missing, from_height })
                             if !self.sync.knows(missing) =>
                         {
@@ -841,10 +841,10 @@ impl Node for Validator {
 
     /// Wraps `msg` in one handle, shared by whatever keeps or forwards it.
     fn on_message(&mut self, msg: &SignedMessage, ctx: &mut Context) {
-        self.on_delivery(&Arc::new(*msg), ctx);
+        self.on_delivery(&(*msg).into(), ctx);
     }
 
-    fn on_delivery(&mut self, msg: &Arc<SignedMessage>, ctx: &mut Context) {
+    fn on_delivery(&mut self, msg: &Arc<Delivered>, ctx: &mut Context) {
         let reception = match self.gossip.admit_live(msg, ctx) {
             Admission::Admitted(reception) => reception,
             Admission::Forged => return,
@@ -899,7 +899,7 @@ impl Node for Validator {
 impl Validator {
     /// The protocol state machine proper, entered only with fully
     /// resolved messages (every referenced block known).
-    fn process(&mut self, msg: &Arc<SignedMessage>, ctx: &mut Context) {
+    fn process(&mut self, msg: &Arc<Delivered>, ctx: &mut Context) {
         // Only live instances take input: a LOG or certificate for a
         // view out of `View::live_range`, however large, a proposal out
         // of `View::proposal_range`, and every VOTE or finality vote,
@@ -1566,8 +1566,8 @@ mod tests {
             let kp = KeyCache::keypair(sender.key_seed());
             for view in views {
                 let payload = Payload::Log { instance: InstanceId::for_view(view), log: g };
-                let vote = Arc::new(SignedMessage::sign(&kp, sender, payload));
-                val.window.entry(view).or_default().archive.push(vote);
+                let vote = SignedMessage::sign(&kp, sender, payload);
+                val.window.entry(view).or_default().archive.push(vote.into());
             }
         }
         let archived: Vec<_> =
@@ -1845,7 +1845,7 @@ mod tests {
     }
 
     /// `peer`'s recovery request reaches `val` at tick 96: the reply.
-    fn serve_at_96(val: &mut Validator, store: &BlockStore, peer: u32) -> Vec<Arc<SignedMessage>> {
+    fn serve_at_96(val: &mut Validator, store: &BlockStore, peer: u32) -> Vec<Arc<Delivered>> {
         let request = Payload::Recovery { from_view: View::new(1), log: Log::genesis(store) };
         let mut ctx = ctx_at(96, store);
         val.on_message(&sign_as(peer, request), &mut ctx);
@@ -1868,7 +1868,7 @@ mod tests {
         let batch = serve_at_96(&mut val, &store, 9);
         let w2 = &val.window[&View::new(2)];
         let [own] = w2.groups[0].sent() else { panic!("one certificate sent for `a`") };
-        assert!(sent.iter().any(|o| matches!(o, crate::Outgoing::Broadcast(m) if m == &**own)));
+        assert!(sent.iter().any(|o| matches!(o, crate::Outgoing::Broadcast(m) if *m == ***own)));
         assert!(matches!(own.payload(), Payload::Certificate { signers, .. } if signers.len() == 6));
         assert!(w2.groups[1].sent().is_empty(), "`b` never reached a quorum");
         // The archive is a1..a6, b3, a7, a8: the certificate covers a1..a6.
@@ -1891,7 +1891,7 @@ mod tests {
             let (mut val, _) = scripted_server(&store, certificates);
             let batch = serve_at_96(&mut val, &store, 9);
             let trimmed: Vec<_> = val.window[&View::new(1)].proposals.as_ref().expect("a side").archive.clone();
-            let is_proposal = |m: &&Arc<SignedMessage>| matches!(m.payload(), Payload::Proposal { .. });
+            let is_proposal = |m: &&Arc<Delivered>| matches!(m.payload(), Payload::Proposal { .. });
             assert_eq!(batch.iter().filter(is_proposal).count(), 6, "two per view, views 2 to 4");
             for arrive in 97..=104 {
                 let cfg = TobConfig::new(10).with_recovery(true).with_certificates(certificates);

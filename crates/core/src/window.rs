@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tobsvd_ga::Ga3;
-use tobsvd_types::{Payload, SignedMessage, View};
+use tobsvd_types::{Delivered, Payload, View};
 
 use crate::aggregation::{ProposalRelay, VoteGroup};
 use crate::leader::ProposalTracker;
@@ -36,7 +36,7 @@ pub(crate) struct ViewState {
     /// The §2 recovery archive's votes: every `LOG` taken in, in
     /// arrival order, each allocated once (empty without
     /// `cfg.recovery`). A serve hands out clones of the handles.
-    pub(crate) archive: Vec<Arc<SignedMessage>>,
+    pub(crate) archive: Vec<Arc<Delivered>>,
 }
 
 /// A view's proposal tracking, the aggregation plane's relay buffer of
@@ -48,7 +48,7 @@ pub(crate) struct ProposalSide {
     /// The proposals taken in, in arrival order (empty without
     /// `cfg.recovery`). The first `vetted` have had their VRFs checked,
     /// forged ones removed.
-    pub(crate) archive: Vec<Arc<SignedMessage>>,
+    pub(crate) archive: Vec<Arc<Delivered>>,
     vetted: usize,
 }
 
@@ -66,7 +66,7 @@ impl ProposalSide {
     /// archived since the last call are vetted first through the
     /// tracker's verdicts (checked at most once per claim) and the
     /// forged ones dropped, so a forged VRF is never served.
-    pub(crate) fn vetted(&mut self, ops: &mut CryptoOps) -> &[Arc<SignedMessage>] {
+    pub(crate) fn vetted(&mut self, ops: &mut CryptoOps) -> &[Arc<Delivered>] {
         if self.vetted < self.archive.len() {
             let fresh = self.archive.split_off(self.vetted);
             let tracker = &mut self.tracker;

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use tobsvd_types::{SignedMessage, Time, ValidatorId};
+use tobsvd_types::{Delivered, Time, ValidatorId};
 
 /// What the adversary saw happen during one tick.
 #[derive(Debug)]
@@ -24,7 +24,7 @@ pub struct TickView<'a> {
     /// order. The network adversary observes all traffic. Entries are
     /// the engine's shared per-broadcast handles — the same allocation
     /// every delivery event of that broadcast points at.
-    pub sent: &'a [Arc<SignedMessage>],
+    pub sent: &'a [Arc<Delivered>],
 }
 
 /// Commands an adversary controller may issue.

@@ -45,20 +45,21 @@
 use std::sync::Arc;
 
 use tobsvd_core::{Context, IdleNode, Node, Outgoing};
-use tobsvd_types::{wire, Log, Payload, SignedMessage, ValidatorId};
+use tobsvd_types::{wire, Delivered, Log, Payload, ValidatorId};
 
 use super::Simulation;
 use crate::invariant::{DecisionEvent, InvariantViolation};
 use crate::metrics::MessageKind;
 use crate::observer::DecisionRecord;
 
-/// One broadcast's shared delivery payload: the `Arc`'d message plus
+/// One broadcast's shared delivery payload: the message's handle (one
+/// [`Delivered`], so one signature verdict, for every recipient) plus
 /// its byte accounting, computed once at send time (both lengths are
 /// invariant per message — blocks are immutable once stored) instead of
 /// re-derived for each of the n per-recipient deliveries.
 #[derive(Clone)]
 struct Delivery {
-    msg: Arc<SignedMessage>,
+    msg: Arc<Delivered>,
     /// Exact wire encoding length under the delta-sync codec.
     wire_len: u64,
     /// Legacy full-chain accounting for the same message.
@@ -181,7 +182,7 @@ impl Simulation {
         &mut self,
         idx: usize,
         ctx: &mut Context,
-        msgs: impl Iterator<Item = (u32, &'a Arc<SignedMessage>)>,
+        msgs: impl Iterator<Item = (u32, &'a Arc<Delivered>)>,
     ) {
         let from = ValidatorId::new(idx as u32);
         ctx.me = from;
@@ -223,7 +224,7 @@ impl Simulation {
             match out {
                 Outgoing::Broadcast(msg) => {
                     self.metrics.record_broadcast(kind_of(msg.payload()));
-                    let delivery = self.share(Arc::new(msg));
+                    let delivery = self.share(msg.into());
                     self.deliver_to_all(from, &delivery);
                 }
                 // A forward arrives with its handle: no allocation.
@@ -243,7 +244,7 @@ impl Simulation {
                 }
                 Outgoing::Multicast(targets, msg) => {
                     self.metrics.record_broadcast(kind_of(msg.payload()));
-                    let delivery = self.share(Arc::new(msg));
+                    let delivery = self.share(msg.into());
                     self.deliver_to_each(from, &targets, &delivery);
                 }
             }
@@ -276,7 +277,7 @@ impl Simulation {
 
     /// Pairs an outgoing message's handle with both byte accountings,
     /// computed once per send from one read of its tip.
-    fn share(&mut self, msg: Arc<SignedMessage>) -> Delivery {
+    fn share(&mut self, msg: Arc<Delivered>) -> Delivery {
         // The sim's store is the single shared source of truth, so a
         // constructed message always has its chain stored; a failure here
         // is a sim bug and must not be silently charged as 0 bytes.
@@ -361,7 +362,7 @@ mod tests {
     use crate::schedule::ParticipationSchedule;
     use rand::rngs::StdRng;
     use tobsvd_crypto::Keypair;
-    use tobsvd_types::{BlockStore, InstanceId, Time, View};
+    use tobsvd_types::{BlockStore, InstanceId, SignedMessage, Time, View};
 
     // -----------------------------------------------------------------
     // Same-tick seams of the split drain: heap events ranked before the
@@ -553,7 +554,7 @@ mod tests {
             self.sent = growing_logs(&ctx.store, 12);
             let to = ValidatorId::new(1);
             if self.batched {
-                ctx.forward_to(to, self.sent.iter().copied().map(Arc::new).collect());
+                ctx.forward_to(to, self.sent.iter().copied().map(Into::into).collect());
             } else {
                 for m in &self.sent {
                     ctx.multicast(vec![to], *m);

@@ -64,7 +64,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use tobsvd_core::{Context, IdleNode, Mempool, Node, StateFault};
-use tobsvd_types::{BlockStore, SignedMessage, Time, ValidatorId};
+use tobsvd_types::{BlockStore, Delivered, Time, ValidatorId};
 
 pub use builder::{ByzantineFactory, RestartFactory, SimulationBuilder};
 use delivery::{Bucket, Effect};
@@ -145,7 +145,7 @@ struct Slot {
     /// Killed and not yet restarted: volatile state (node, buffer) is
     /// gone and deliveries are dropped regardless of the sleep mode.
     crashed: bool,
-    buffer: Vec<Arc<SignedMessage>>,
+    buffer: Vec<Arc<Delivered>>,
     /// (time, awake?) transition log for post-hoc compliance checking.
     transitions: Vec<(Time, bool)>,
 }
@@ -182,7 +182,7 @@ pub struct Simulation {
     metrics: Metrics,
     observer: DecisionObserver,
     rng: StdRng,
-    sent_this_tick: Vec<Arc<SignedMessage>>,
+    sent_this_tick: Vec<Arc<Delivered>>,
     /// Scratch for [`Simulation::deliver_to_each`]: one mark per
     /// validator, all `false` between calls.
     target_marks: Vec<bool>,
@@ -502,7 +502,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use tobsvd_crypto::Keypair;
-    use tobsvd_types::{InstanceId, Log, Payload};
+    use tobsvd_types::{InstanceId, Log, Payload, SignedMessage};
 
     /// Broadcasts one LOG at its first phase, counts received messages.
     struct PingNode {

@@ -8,6 +8,8 @@
 //! validator's outputs, which is what the Theorem 1/2 property tests
 //! check the GA properties against.
 
+use std::sync::Arc;
+
 use tobsvd_core::gossip::GossipState;
 use tobsvd_core::{Context, Node};
 use tobsvd_crypto::{KeyCache, Keypair};
@@ -15,7 +17,7 @@ use tobsvd_ga::{
     Ga2, Ga3, MrGa, GA2_DURATION_DELTAS, GA2_GRADES, GA3_DURATION_DELTAS, GA3_GRADES,
     MR_DURATION_DELTAS,
 };
-use tobsvd_types::{BlockStore, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId};
+use tobsvd_types::{BlockStore, Delivered, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId};
 
 use crate::{DelayPolicy, ParticipationSchedule, SimConfig, SimReport, Simulation, UniformDelay};
 
@@ -173,13 +175,18 @@ impl Node for GaNode {
         }
     }
 
+    /// Wraps `msg` in one handle, shared by whatever forwards it.
     fn on_message(&mut self, msg: &SignedMessage, ctx: &mut Context) {
+        self.on_delivery(&(*msg).into(), ctx);
+    }
+
+    fn on_delivery(&mut self, msg: &Arc<Delivered>, ctx: &mut Context) {
         // "The adversary cannot forge signatures": drop invalid ones.
         let Some(reception) = self.gossip.admit(msg, ctx) else {
             return;
         };
         if reception.forward {
-            ctx.forward(*msg);
+            ctx.forward(Arc::clone(msg));
         }
         if !reception.fresh {
             return;

@@ -84,7 +84,7 @@ pub mod wire;
 pub use block::{Block, BlockId};
 pub use ids::ValidatorId;
 pub use log::Log;
-pub use message::{InstanceId, Payload, SignedMessage, SignerSet};
+pub use message::{Delivered, InstanceId, Payload, SignedMessage, SignerSet};
 pub use store::{BlockStore, StoreError};
 pub use time::{Delta, Time};
 pub use tx::{Transaction, TxId};

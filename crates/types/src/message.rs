@@ -22,6 +22,8 @@
 //! *equivocation evidence* (§3.3).
 
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use tobsvd_crypto::{
     AggregateSignature, Digest, Hasher, Keypair, PublicKey, Signature, VrfOutput, VrfProof,
@@ -481,6 +483,77 @@ impl SignedMessage {
     }
 }
 
+/// A [`SignedMessage`] as delivered: the message plus the memo of its
+/// own signature verdict. The simulator shares one `Arc<Delivered>`
+/// among every recipient of a broadcast, and nodes keep and forward
+/// that handle, so after the first recipient has checked the signature
+/// each later check is one key compare.
+///
+/// Only a success is recorded, tied to the key it was checked under: a
+/// forged handle is checked every time, a verdict under one key never
+/// answers for another, and a message wrapped in a new handle starts
+/// with no verdict. The message's fields are private and never change,
+/// so a recorded verdict cannot go stale. [`SignedMessage`] itself stays
+/// `Copy` and its [`SignedMessage::verify`] the plain check.
+pub struct Delivered {
+    msg: SignedMessage,
+    /// The key this handle's signature verified under, once it has.
+    verified: OnceLock<PublicKey>,
+}
+
+impl Delivered {
+    /// [`SignedMessage::verify`], answered from the memo when this
+    /// handle already verified under exactly `public`; a success is
+    /// recorded.
+    pub fn verify(&self, public: &PublicKey) -> bool {
+        if self.verified.get() == Some(public) {
+            return true;
+        }
+        let genuine = self.msg.verify(public);
+        if genuine {
+            // Another thread's success may hold the slot already; it
+            // answers for its own key only.
+            let _ = self.verified.set(*public);
+        }
+        genuine
+    }
+}
+
+impl From<SignedMessage> for Delivered {
+    fn from(msg: SignedMessage) -> Self {
+        Delivered { msg, verified: OnceLock::new() }
+    }
+}
+
+impl From<SignedMessage> for Arc<Delivered> {
+    fn from(msg: SignedMessage) -> Self {
+        Arc::new(msg.into())
+    }
+}
+
+impl Deref for Delivered {
+    type Target = SignedMessage;
+
+    fn deref(&self) -> &SignedMessage {
+        &self.msg
+    }
+}
+
+/// Handles compare by message: the verdict is a memo, not content.
+impl PartialEq for Delivered {
+    fn eq(&self, other: &Self) -> bool {
+        self.msg == other.msg
+    }
+}
+
+impl Eq for Delivered {}
+
+impl fmt::Debug for Delivered {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.msg.fmt(f)
+    }
+}
+
 impl fmt::Display for SignedMessage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.payload {
@@ -669,5 +742,68 @@ mod tests {
         let m = SignedMessage::sign(&kp, ValidatorId::new(0), log_payload(&store, 1));
         let forged = SignedMessage::from_parts(ValidatorId::new(1), *m.payload(), *m.signature());
         assert!(!forged.verify(&kp.public()));
+    }
+
+    fn signed_by(sender: u32) -> (SignedMessage, PublicKey) {
+        let store = BlockStore::new();
+        let v = ValidatorId::new(sender);
+        let kp = Keypair::from_seed(v.key_seed());
+        (SignedMessage::sign(&kp, v, log_payload(&store, 1)), kp.public())
+    }
+
+    #[test]
+    fn a_genuine_handle_is_answered_by_its_memo() {
+        let (msg, key) = signed_by(2);
+        let handle = Delivered::from(msg);
+        assert_eq!(handle.verified.get(), None);
+        assert!(handle.verify(&key));
+        assert_eq!(handle.verified.get(), Some(&key), "the success is recorded");
+        assert!(handle.verify(&key), "answered by one key compare");
+        assert_eq!(*handle, msg);
+    }
+
+    #[test]
+    fn a_forged_handle_is_never_recorded() {
+        let (msg, key) = signed_by(2);
+        let forged = SignedMessage::from_parts(msg.sender(), *msg.payload(), Keypair::from_seed(999).sign(b"x"));
+        let handle = Delivered::from(forged);
+        for _ in 0..3 {
+            assert!(!handle.verify(&key));
+            assert_eq!(handle.verified.get(), None);
+        }
+    }
+
+    #[test]
+    fn a_verdict_answers_for_its_own_key_only() {
+        let (msg, key) = signed_by(2);
+        let (_, other) = signed_by(3);
+        let handle = Delivered::from(msg);
+        assert!(handle.verify(&key));
+        assert!(!handle.verify(&other), "a verdict under K never answers for K'");
+        assert_eq!(handle.verified.get(), Some(&key));
+        // The other order: a failure under K' records nothing.
+        let handle = Delivered::from(msg);
+        assert!(!handle.verify(&other));
+        assert_eq!(handle.verified.get(), None);
+        assert!(handle.verify(&key));
+    }
+
+    #[test]
+    fn a_new_handle_starts_with_no_verdict() {
+        let (msg, key) = signed_by(2);
+        let shared: Arc<Delivered> = msg.into();
+        assert!(shared.verify(&key));
+        let copy = Delivered::from(**shared);
+        assert_eq!(copy.verified.get(), None);
+        assert_eq!(*copy, **shared);
+    }
+
+    #[test]
+    fn the_handle_is_shareable_and_small() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<Delivered>();
+        let (handle, msg) = (std::mem::size_of::<Delivered>(), std::mem::size_of::<SignedMessage>());
+        assert_eq!(msg, 256, "SignedMessage");
+        assert!(handle <= msg + 40, "the memo adds {} bytes", handle - msg);
     }
 }

@@ -1,6 +1,6 @@
 //! The canonical decision transcript shared by the determinism suites.
 
-use tob_svd::sim::TobReport;
+use tob_svd::sim::{SimReport, TobReport};
 use tob_svd::types::{BlockStore, Log};
 
 /// Serializes a decided log into a canonical byte transcript: length,
@@ -26,14 +26,19 @@ fn log_transcript(out: &mut Vec<u8>, log: &Log, store: &BlockStore) {
 /// validator's latest decision (id, tick, log bytes) plus the longest
 /// decided log.
 pub fn report_transcript(report: &TobReport) -> Vec<u8> {
+    sim_transcript(&report.report)
+}
+
+/// [`report_transcript`] of an engine run built without the facade.
+pub fn sim_transcript(report: &SimReport) -> Vec<u8> {
     let mut out = Vec::new();
-    for rec in &report.report.latest_decisions {
+    for rec in &report.latest_decisions {
         out.extend_from_slice(&rec.validator.raw().to_be_bytes());
         out.extend_from_slice(&rec.at.ticks().to_be_bytes());
-        log_transcript(&mut out, &rec.log, &report.report.store);
+        log_transcript(&mut out, &rec.log, &report.store);
     }
-    if let Some(longest) = &report.report.longest_decided {
-        log_transcript(&mut out, longest, &report.report.store);
+    if let Some(longest) = &report.longest_decided {
+        log_transcript(&mut out, longest, &report.store);
     }
     out
 }

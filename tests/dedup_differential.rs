@@ -311,7 +311,7 @@ impl Differential {
                 } else {
                     Admission::Forged
                 };
-                prop_assert_eq!(self.gossip.admit_live(&m, &mut self.ctx), want);
+                prop_assert_eq!(self.gossip.admit_live(&m.into(), &mut self.ctx), want);
             }
             Op::Poison { msg, garbage } => {
                 let id = match msg {

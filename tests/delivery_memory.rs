@@ -22,7 +22,7 @@ use tob_svd::crypto::KeyCache;
 use tob_svd::protocol::leader::vrf_for;
 use tob_svd::protocol::{TobConfig, Validator};
 use tob_svd::sim::{Context, Mempool, Node};
-use tob_svd::types::{BlockStore, Delta, Log, Payload, SignedMessage, Time, ValidatorId, View};
+use tob_svd::types::{BlockStore, Delivered, Delta, Log, Payload, SignedMessage, Time, ValidatorId, View};
 
 /// Net heap bytes allocated and not yet freed.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
@@ -80,7 +80,9 @@ const N: usize = 64;
 /// ≈ 0.2 KiB, and the 640-byte `ViewState` box). With the state inline
 /// the leaf alone is ≈ 7.1 KiB, and the record measured 225; a seat
 /// that copies the proposal's fields (152 bytes) measured 345. The
-/// bound lies between 127 and 225.
+/// bound lies between 127 and 225. The handle's signature memo costs
+/// its bytes once per message, made before the measurement, not per
+/// record.
 const BOUND_PER_RECORD: isize = 170;
 
 /// 64 validators on one store each receive the same 64 signed proposals
@@ -91,12 +93,12 @@ fn a_kept_proposal_costs_a_handle_not_a_copy() {
     let store = BlockStore::new();
     let genesis = Log::genesis(&store);
     let view = View::ZERO;
-    let proposals: Vec<Arc<SignedMessage>> = ValidatorId::all(N)
+    let proposals: Vec<Arc<Delivered>> = ValidatorId::all(N)
         .map(|v| {
             let (vrf, proof) = vrf_for(v, view);
             let log = genesis.extend_empty(&store, v, view);
             let payload = Payload::Proposal { view, log, vrf, proof };
-            Arc::new(SignedMessage::sign(&KeyCache::keypair(v.key_seed()), v, payload))
+            SignedMessage::sign(&KeyCache::keypair(v.key_seed()), v, payload).into()
         })
         .collect();
     let mut validators: Vec<(Validator, Context)> = ValidatorId::all(N)

@@ -7,14 +7,19 @@
 //! in a flaky downstream experiment.
 
 use tob_svd::adversary::{churn, AdaptiveLeaderCorruptor, SplitBrainNode};
-use tob_svd::protocol::TobConfig;
+use tob_svd::crypto::Keypair;
+use tob_svd::protocol::{TobConfig, Validator, ViewSchedule};
 use tob_svd::sim::{
-    AdvanceMode, CorruptionSchedule, TobReport, TobSimulationBuilder, TxWorkload, WorstCaseDelay,
+    AdvanceMode, Context, CorruptionSchedule, Node, SimConfig, SimReport, Simulation, StateFault,
+    TobReport, TobSimulationBuilder, TxWorkload, WorstCaseDelay,
 };
-use tob_svd::types::{Delta, Time, ValidatorId, View};
+use tob_svd::storage::{shared, MemDurable};
+use tob_svd::types::{
+    Delta, InstanceId, Log, Payload, SignedMessage, Time, Transaction, ValidatorId, View,
+};
 
 mod common;
-use common::report_transcript;
+use common::{report_transcript, sim_transcript};
 
 fn fault_free_run(seed: u64) -> TobReport {
     TobSimulationBuilder::new(7)
@@ -383,4 +388,135 @@ fn per_vote_transcript_fingerprint_is_pinned() {
         "64a6d6e007febb3a747d8a680761378cf661ce4fecdfa0d6df1b0775926127c7",
         "the per-vote (certificates = false) run changed"
     );
+}
+
+// ---------------------------------------------------------------------
+// The delivered handle's signature memo is unobservable: validators
+// that each receive a handle of their own per delivery decide, send and
+// count exactly what validators sharing the engine's handle do.
+// ---------------------------------------------------------------------
+
+/// Passes every callback through but receives by reference only, as a
+/// tracing wrapper does, so the node it wraps builds a new handle per
+/// delivery and never sees a verdict another recipient recorded.
+struct ByReference(Box<dyn Node>);
+
+impl Node for ByReference {
+    fn on_wake(&mut self, ctx: &mut Context) {
+        self.0.on_wake(ctx);
+    }
+
+    fn on_phase(&mut self, ctx: &mut Context) {
+        self.0.on_phase(ctx);
+    }
+
+    fn on_message(&mut self, msg: &SignedMessage, ctx: &mut Context) {
+        self.0.on_message(msg, ctx);
+    }
+
+    fn on_state_fault(&mut self, fault: &StateFault, ctx: &mut Context) {
+        self.0.on_state_fault(fault, ctx);
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self.0.as_any()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self.0.as_any_mut()
+    }
+}
+
+/// Broadcasts, at every phase, a `LOG` for the current view that claims
+/// validator 0 as its sender under a signature that does not verify: a
+/// forged handle every recipient must check and reject.
+struct Forger;
+
+impl Node for Forger {
+    fn on_phase(&mut self, ctx: &mut Context) {
+        let instance = InstanceId::for_view(View::of_time(ctx.time, ctx.delta));
+        let payload = Payload::Log { instance, log: Log::genesis(&ctx.store) };
+        let signature = Keypair::from_seed(ctx.me.key_seed()).sign(b"forged");
+        ctx.broadcast(SignedMessage::from_parts(ValidatorId::new(0), payload, signature));
+    }
+
+    fn on_message(&mut self, _msg: &SignedMessage, _ctx: &mut Context) {}
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Ten validators for twelve views under rotating sleep with the
+/// recovery protocol, one crash and restart from durable state, one
+/// split-brain equivocator and one forger; with `by_reference`, every
+/// node (restarted incarnations included) is wrapped in [`ByReference`].
+fn memo_run(certificates: bool, by_reference: bool) -> SimReport {
+    let (n, views, delta) = (10usize, 12u64, Delta::default());
+    let sched = ViewSchedule::new(delta);
+    let wrap = move |node: Box<dyn Node>| -> Box<dyn Node> {
+        if by_reference {
+            Box::new(ByReference(node))
+        } else {
+            node
+        }
+    };
+    let cfg = TobConfig::new(n).with_delta(delta).with_recovery(true).with_certificates(certificates);
+    let mut builder = Simulation::builder(SimConfig::new(n).with_delta(delta).with_seed(23)).drop_while_asleep(true);
+    let mempool = builder.mempool().clone();
+    for view in 0..views {
+        let due = sched.view_start(View::new(view)).saturating_sub(Time::new(1));
+        for k in 0..2 {
+            mempool.submit(Transaction::synthetic(2 * view + k, 32), due);
+        }
+    }
+    let store = builder.store().clone();
+    let durable = shared(MemDurable::new());
+    let (crashed, equivocator, forger) = (ValidatorId::new(1), ValidatorId::new(8), ValidatorId::new(9));
+    let (half_a, half_b): (Vec<_>, Vec<_>) = ValidatorId::all(n).partition(|v| v.index() % 2 == 0);
+    for v in ValidatorId::all(n) {
+        builder = if v == equivocator {
+            let split = SplitBrainNode::new(v, cfg.clone(), &store, half_a.clone(), half_b.clone());
+            builder.byzantine_node(v, wrap(Box::new(split)))
+        } else if v == forger {
+            builder.byzantine_node(v, wrap(Box::new(Forger)))
+        } else {
+            let mut validator = Validator::new(v, cfg.clone(), &store);
+            if v == crashed {
+                validator = validator.with_durable(durable.clone());
+            }
+            builder.node(v, wrap(Box::new(validator)))
+        };
+    }
+    let horizon = sched.view_start(View::new(views));
+    let crash = (crashed, sched.view_start(View::new(4)) + 3, sched.view_start(View::new(7)) + 1);
+    let restart_store = store.clone();
+    let mut sim = builder
+        .participation(churn::rotating_sleep(n, 4, 6 * delta.ticks(), horizon))
+        .crashes(vec![crash])
+        .restart_factory(Box::new(move |v, _at| {
+            wrap(Box::new(Validator::recovered(v, cfg.clone(), &restart_store, durable.clone())))
+        }))
+        .build();
+    sim.run_until(horizon + delta * 2);
+    sim.report()
+}
+
+#[test]
+fn a_handle_per_delivery_changes_no_decision_message_or_counter() {
+    for certificates in [false, true] {
+        let what = format!("certificates {certificates}");
+        let shared = memo_run(certificates, false);
+        let own = memo_run(certificates, true);
+        assert!(shared.safe && shared.max_decided_len() > 4, "{what}: a safe run that decides");
+        let m = &shared.metrics;
+        assert!(m.crashes == 1 && m.sig_verifies > 0 && m.forwards > 0 && m.dropped > 0, "{what}: {m:?}");
+        assert_eq!(sim_transcript(&shared), sim_transcript(&own), "{what}: transcripts");
+        assert_eq!(format!("{:?}", shared.decisions), format!("{:?}", own.decisions), "{what}: decisions");
+        assert_eq!(format!("{m:?}"), format!("{:?}", own.metrics), "{what}: metrics");
+    }
 }

@@ -16,7 +16,7 @@ use tob_svd::protocol::leader::vrf_for;
 use tob_svd::protocol::{TobConfig, Validator};
 use tob_svd::sim::{Context, Mempool, Node, Outgoing, TobSimulationBuilder};
 use tob_svd::types::{
-    wire, BlockStore, Delta, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
+    wire, BlockStore, Delivered, Delta, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
 };
 
 const N: usize = 16;
@@ -63,7 +63,7 @@ fn drive(val: &mut Validator, store: &BlockStore, ticks: std::ops::Range<u64>, s
 
 /// `requester`'s `RECOVERY` reaches `server` at tick `t`: the one reply
 /// batch it gets (empty when nothing is served).
-fn request(server: &mut Validator, store: &BlockStore, requester: u32, t: u64) -> Vec<Arc<SignedMessage>> {
+fn request(server: &mut Validator, store: &BlockStore, requester: u32, t: u64) -> Vec<Arc<Delivered>> {
     let current = View::of_time(Time::new(t), Delta::new(DELTA));
     let payload = Payload::Recovery { from_view: *current.live_range().start(), log: Log::genesis(store) };
     let mut c = ctx(store, t, server.id().raw());
@@ -80,7 +80,7 @@ fn request(server: &mut Validator, store: &BlockStore, requester: u32, t: u64) -
     })
 }
 
-fn absorb(val: &mut Validator, store: &BlockStore, t: u64, batch: &[Arc<SignedMessage>]) {
+fn absorb(val: &mut Validator, store: &BlockStore, t: u64, batch: &[Arc<Delivered>]) {
     let mut c = ctx(store, t, val.id().raw());
     for msg in batch {
         val.on_message(msg, &mut c);
@@ -154,7 +154,7 @@ fn a_serve_leaves_the_requesters_gas_where_a_resend_of_every_archived_vote_does(
             // What the server took in: every scripted vote before the
             // serve is in its live range.
             let resend: Vec<_> =
-                script.iter().filter(|(at, _)| *at < serve_at).map(|(_, m)| Arc::new(*m)).collect();
+                script.iter().filter(|(at, _)| *at < serve_at).map(|(_, m)| (*m).into()).collect();
             for arrive in serve_at + 1..=serve_at + DELTA {
                 let [mut recovered, mut reference] = REQUESTERS.map(|_| validator(REQUESTERS[0], &store));
                 for r in [&mut recovered, &mut reference] {
@@ -211,7 +211,7 @@ fn a_served_proposal_is_the_delivered_handle() {
     let (proposer, view) = (ValidatorId::new(3), View::new(1));
     let (vrf, proof) = vrf_for(proposer, view);
     let log = Log::genesis(&store).extend_empty(&store, proposer, view);
-    let delivered = Arc::new(sign(proposer.raw(), Payload::Proposal { view, log, vrf, proof }));
+    let delivered: Arc<Delivered> = sign(proposer.raw(), Payload::Proposal { view, log, vrf, proof }).into();
     let mut server = validator(SERVER, &store);
     // View 1 starts at 4Δ = 32.
     server.on_delivery(&delivered, &mut ctx(&store, 33, SERVER));

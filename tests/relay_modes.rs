@@ -21,7 +21,7 @@ use tob_svd::sim::{
     TxWorkload,
 };
 use tob_svd::types::{
-    wire, BlockId, BlockStore, Delta, InstanceId, Log, Payload, SignedMessage, SignerSet, Time,
+    wire, BlockId, BlockStore, Delivered, Delta, InstanceId, Log, Payload, SignedMessage, SignerSet, Time,
     ValidatorId, View,
 };
 
@@ -248,12 +248,12 @@ fn a_relayed_proposal_is_the_delivered_handle() {
     let (vrf, proof) = vrf_for(proposer, view);
     let log = Log::genesis(&store).extend_empty(&store, proposer, view);
     let payload = Payload::Proposal { view, log, vrf, proof };
-    let delivered = Arc::new(SignedMessage::sign(&Keypair::from_seed(proposer.key_seed()), proposer, payload));
+    let delivered: Arc<Delivered> = SignedMessage::sign(&Keypair::from_seed(proposer.key_seed()), proposer, payload).into();
     let received_bytes = wire::encode_message(&delivered, &store).expect("stored chain");
     let ctx_at = |t: u64| {
         Context::new(Time::new(t), ValidatorId::new(0), Delta::new(8), store.clone(), Mempool::new())
     };
-    let proposal_relays = |ctx: &Context| -> Vec<Arc<SignedMessage>> {
+    let proposal_relays = |ctx: &Context| -> Vec<Arc<Delivered>> {
         let relays = ctx.outbox().iter().filter_map(|o| match o {
             Outgoing::Forward(m) if matches!(m.payload(), Payload::Proposal { .. }) => Some(Arc::clone(m)),
             _ => None,

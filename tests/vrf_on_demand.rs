@@ -25,7 +25,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use proptest::prelude::*;
 use tob_svd::crypto::{Digest, Keypair, VrfOutput, VrfProof};
@@ -209,7 +208,7 @@ fn run(first: u32, n: u32, steps: &[Step]) -> Result<(u64, u64), TestCaseError> 
             if eager.receive(&msg) {
                 eager_pending.push(msg);
             }
-            let slot = tracker.record(&Arc::new(msg));
+            let slot = tracker.record(&msg.into());
             prop_assert!(slot.is_some(), "a fresh claim is new");
             pending.extend(slot.map(|slot| (sender, slot)));
         }
@@ -221,7 +220,7 @@ fn run(first: u32, n: u32, steps: &[Step]) -> Result<(u64, u64), TestCaseError> 
                 0 => {
                     let want = eager.relays(&std::mem::take(&mut eager_pending), &mut eager_best);
                     let got = tracker.relays(&std::mem::take(&mut pending), &mut best, &mut ops);
-                    let got: Vec<SignedMessage> = got.iter().map(|m| **m).collect();
+                    let got: Vec<SignedMessage> = got.iter().map(|m| ***m).collect();
                     prop_assert_eq!(got, want, "flush relay choice");
                     prop_assert_eq!(best, eager_best);
                 }
@@ -356,7 +355,7 @@ fn lazy_extends_picks_like_the_eager_filter_on_forks() {
         for lock in [a, g, b] {
             let mut tracker = ProposalTracker::new(view());
             for m in &claims {
-                assert!(tracker.record(&Arc::new(*m)).is_some());
+                assert!(tracker.record(&(*m).into()).is_some());
             }
             let (mut lazy_ops, mut eager_ops) = (CryptoOps::default(), CryptoOps::default());
             let got = tracker.best_extending(&lock, &store, &mut lazy_ops);
