@@ -14,7 +14,7 @@ use crate::leader::ProposalTracker;
 use crate::CryptoOps;
 
 /// A validator's per-view state, by view, boxed: only 2–3 views are live,
-/// so the map's first leaf holds pointers, not eleven 640-byte states.
+/// so the map's first leaf holds pointers, not eleven 712-byte states.
 pub(crate) type Window = BTreeMap<View, Box<ViewState>>;
 
 /// What a validator keeps about one view.

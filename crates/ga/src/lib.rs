@@ -15,33 +15,37 @@
 //! 5. **Uniqueness** — one honest validator never outputs two conflicting
 //!    logs at the same grade.
 //!
-//! Three implementations:
+//! [`properties`] states the five as predicates over the honest
+//! validators' outputs, for tests and checkers to share.
 //!
-//! * [`Ga2`] — Figure 1: k = 2, 3Δ duration, works in the (3Δ, 0, ½)-
-//!   sleepy model. Satisfies Uniqueness at *every* grade.
-//! * [`Ga3`] — Figure 2: k = 3, 5Δ duration, (5Δ, 0, ½)-sleepy model;
-//!   the nested time-shifted quorum. This is the GA TOB-SVD runs.
+//! Two protocols:
+//!
+//! * [`Ga<K>`](Ga) — Figures 1 and 2, one state machine for every `k`:
+//!   [`Ga2`] (k = 2, 3Δ, the (3Δ, 0, ½)-sleepy model) and [`Ga3`]
+//!   (k = 3, 5Δ, the (5Δ, 0, ½)-sleepy model; the nested time-shifted
+//!   quorum, and the GA TOB-SVD runs). Uniqueness holds at *every*
+//!   grade.
 //! * [`MrGa`] — the §4 background protocol of Momose–Ren, with `VOTE`
 //!   messages; grade-0 outputs may violate Uniqueness (counting
 //!   equivocations in `X_Λ`), which the `mr_uniqueness_gap` experiment
 //!   demonstrates.
 //!
-//! All three are sans-io state machines driven by `on_log` / `on_vote` /
+//! Both are sans-io state machines driven by `on_log` / `on_vote` /
 //! `on_phase`, and this crate depends only on `tobsvd-types` and
 //! `tobsvd-crypto`. `tobsvd-core` embeds [`Ga3`] directly inside the
-//! TOB-SVD validator; `tobsvd_sim::GaNode` adapts any of the three to
-//! the protocol's `Node` interface for standalone GA experiments.
+//! TOB-SVD validator; `tobsvd_sim::GaNode` adapts [`Ga2`], [`Ga3`] and
+//! [`MrGa`] to the protocol's `Node` interface for standalone GA
+//! experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ga2;
-mod ga3;
+mod ga;
 mod mr;
+pub mod properties;
 pub mod support;
 mod tracker;
 
-pub use ga2::{Ga2, GA2_DURATION_DELTAS, GA2_GRADES};
-pub use ga3::{Ga3, GA3_DURATION_DELTAS, GA3_GRADES};
+pub use ga::{Ga, Ga2, Ga3};
 pub use mr::{MrGa, MR_DURATION_DELTAS};
 pub use tracker::{LogTracker, TrackOutcome, VSnapshot};

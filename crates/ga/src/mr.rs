@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use tobsvd_types::{BlockStore, Delta, InstanceId, Log, Time, ValidatorId};
 
-use crate::ga2::deltas_since;
+use crate::ga::deltas_since;
 use crate::support::{distinct_supporter_counts, highest_supported, maximal_passing};
 use crate::tracker::{LogTracker, TrackOutcome};
 

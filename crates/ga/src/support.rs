@@ -1,12 +1,13 @@
 //! Support counting over the block tree.
 //!
 //! The quorum conditions of the GA protocols all have the shape
-//! "output (Λ, g) if 2·|V_Λ| > |S|", where `V_Λ` counts validators whose
-//! recorded log *extends* Λ. Because support is monotone non-increasing
-//! along extensions, the set of logs passing the threshold is a prefix
-//! chain, and — since two conflicting logs have disjoint supporter sets
-//! while each would need more than half of `S ⊇ V` — at most one maximal
-//! log passes. [`highest_supported`] finds it.
+//! "output (Λ, g) if 2·|V_Λ| > |S|" ([`is_majority`]), where `V_Λ`
+//! counts validators whose recorded log *extends* Λ. Because support is
+//! monotone non-increasing along extensions, the set of logs passing the
+//! threshold is a prefix chain, and — since two conflicting logs have
+//! disjoint supporter sets while each would need more than half of
+//! `S ⊇ V` — at most one maximal log passes. [`highest_supported`] finds
+//! it.
 //!
 //! The count map is built by walking each recorded tip up to the
 //! *iterated LCA* of all tips: every block at or below the LCA is
@@ -20,6 +21,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use tobsvd_types::{BlockId, BlockStore, Log, ValidatorId};
+
+/// The quorum test of every GA output: `support` validators are more
+/// than half of the `s_len` senders, `2·support > s_len`.
+pub fn is_majority(support: usize, s_len: usize) -> bool {
+    2 * support > s_len
+}
 
 /// Finds the longest log Λ with `2·|{(v, Λ') ∈ entries : Λ' ⪰ Λ}| > s_len`.
 ///
@@ -37,7 +44,7 @@ pub fn highest_supported(
     store: &BlockStore,
 ) -> Option<Log> {
     let total = entries.len();
-    if total == 0 || 2 * total <= s_len {
+    if total == 0 || !is_majority(total, s_len) {
         // Even unanimous support cannot pass the threshold.
         return None;
     }
@@ -88,7 +95,7 @@ pub fn highest_supported(
     // iteration order even if that argument rots).
     let mut best: Option<(u64, BlockId)> = None;
     for (id, count) in &counts {
-        if 2 * count > s_len {
+        if is_majority(*count, s_len) {
             let h = store.height(*id).expect("counted block stored");
             if best.map(|(bh, bid)| h > bh || (h == bh && *id < bid)).unwrap_or(true) {
                 best = Some((h, *id));
@@ -153,7 +160,7 @@ pub fn maximal_passing(
 ) -> Vec<Log> {
     let passing: Vec<BlockId> = counts
         .iter()
-        .filter(|(_, c)| 2 * **c > s_len)
+        .filter(|(_, c)| is_majority(**c, s_len))
         .map(|(id, _)| *id)
         .collect();
     let mut maximal: Vec<Log> = Vec::new();
@@ -173,7 +180,8 @@ pub fn maximal_passing(
 
 /// Brute-force reference for [`highest_supported`], used by property
 /// tests: enumerates every prefix of every entry and checks the
-/// threshold directly.
+/// threshold directly — spelled out, not through [`is_majority`], so a
+/// fault in that test cannot hide from the comparison.
 pub fn highest_supported_bruteforce(
     entries: &[(ValidatorId, Log)],
     s_len: usize,

@@ -1,22 +1,20 @@
 //! Standalone Graded Agreement execution on the simulator.
 //!
-//! [`GaNode`] adapts any of the three GA state machines to the
+//! [`GaNode`] adapts [`Ga2`], [`Ga3`] and [`MrGa`] to the
 //! simulator's [`Node`] interface (input broadcast, honest forwarding,
 //! signature verification, schedule driving). [`GaHarness`] assembles a
 //! one-instance experiment — per-validator inputs, Byzantine slots,
 //! participation schedules, delay policies — runs it, and extracts every
 //! validator's outputs, which is what the Theorem 1/2 property tests
-//! check the GA properties against.
+//! check the GA properties ([`tobsvd_ga::properties`]) against.
 
 use std::sync::Arc;
 
 use tobsvd_core::gossip::GossipState;
 use tobsvd_core::{Context, Node};
 use tobsvd_crypto::{KeyCache, Keypair};
-use tobsvd_ga::{
-    Ga2, Ga3, MrGa, GA2_DURATION_DELTAS, GA2_GRADES, GA3_DURATION_DELTAS, GA3_GRADES,
-    MR_DURATION_DELTAS,
-};
+use tobsvd_ga::properties::Outcome;
+use tobsvd_ga::{Ga, Ga2, Ga3, MrGa, MR_DURATION_DELTAS};
 use tobsvd_types::{BlockStore, Delivered, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId};
 
 use crate::{DelayPolicy, ParticipationSchedule, SimConfig, SimReport, Simulation, UniformDelay};
@@ -36,8 +34,8 @@ impl GaKind {
     /// Number of grades.
     pub fn grades(&self) -> u8 {
         match self {
-            GaKind::Two => GA2_GRADES,
-            GaKind::Three => GA3_GRADES,
+            GaKind::Two => Ga2::GRADES,
+            GaKind::Three => Ga3::GRADES,
             GaKind::Mr => 2,
         }
     }
@@ -45,8 +43,8 @@ impl GaKind {
     /// Protocol duration in Δ.
     pub fn duration_deltas(&self) -> u64 {
         match self {
-            GaKind::Two => GA2_DURATION_DELTAS,
-            GaKind::Three => GA3_DURATION_DELTAS,
+            GaKind::Two => Ga2::DURATION_DELTAS,
+            GaKind::Three => Ga3::DURATION_DELTAS,
             GaKind::Mr => MR_DURATION_DELTAS,
         }
     }
@@ -83,8 +81,8 @@ impl GaNode {
         input: Option<Log>,
     ) -> Self {
         let ga = match kind {
-            GaKind::Two => AnyGa::Two(Ga2::new(instance, start)),
-            GaKind::Three => AnyGa::Three(Ga3::new(instance, start)),
+            GaKind::Two => AnyGa::Two(Ga::new(instance, start)),
+            GaKind::Three => AnyGa::Three(Ga::new(instance, start)),
             GaKind::Mr => AnyGa::Mr(MrGa::new(instance, start)),
         };
         GaNode {
@@ -246,6 +244,27 @@ pub struct GaRunResult {
     pub store: BlockStore,
 }
 
+impl GaRunResult {
+    /// Each honest validator's outputs and participation, as the
+    /// [`tobsvd_ga::properties`] predicates take them.
+    pub fn honest_outcomes(&self) -> Vec<Outcome<'_>> {
+        ValidatorId::all(self.honest.len())
+            .filter(|v| self.honest[v.index()])
+            .map(|v| Outcome {
+                validator: v,
+                outputs: &self.outputs[v.index()],
+                participated: &self.participated[v.index()],
+            })
+            .collect()
+    }
+
+    /// The inputs the honest validators made.
+    pub fn honest_inputs(&self) -> Vec<Log> {
+        let honest = self.inputs.iter().zip(&self.honest).filter(|(_, honest)| **honest);
+        honest.filter_map(|(input, _)| *input).collect()
+    }
+}
+
 /// Builds and runs a single standalone GA instance.
 pub struct GaHarness {
     cfg: SimConfig,
@@ -331,7 +350,7 @@ impl GaHarness {
         }
         builder = builder.participation(self.participation).delay(self.delay);
         let mut sim = builder.build();
-        // One extra Δ of margin so trailing forwards settle in metrics.
+        // Through the last output phase, inclusive: no margin after it.
         sim.run_until(self.start + delta * duration);
 
         let mut outputs = Vec::with_capacity(n);

@@ -77,10 +77,12 @@ const N: usize = 64;
 /// 33-byte gossip slot, the 32-byte seat, the 16-byte relay reference,
 /// each in a doubling `Vec`) plus about 0.8 KiB of per-view state per
 /// validator (a map leaf of eleven 8-byte keys and eleven box pointers,
-/// ≈ 0.2 KiB, and the 640-byte `ViewState` box). With the state inline
-/// the leaf alone is ≈ 7.1 KiB, and the record measured 225; a seat
-/// that copies the proposal's fields (152 bytes) measured 345. The
-/// bound lies between 127 and 225. The handle's signature memo costs
+/// ≈ 0.2 KiB, and the 640-byte `ViewState` box). The box is 712 bytes
+/// since the GA keeps one snapshot slot per grade (`Ga<K>`), and the
+/// record measures 128. With the state inline the leaf alone is
+/// ≈ 7.1 KiB, and the record measured 225; a seat that copies the
+/// proposal's fields (152 bytes) measured 345. The bound lies between
+/// 128 and 225. The handle's signature memo costs
 /// its bytes once per message, made before the measurement, not per
 /// record.
 const BOUND_PER_RECORD: isize = 170;

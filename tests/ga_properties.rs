@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use tob_svd::adversary::{GaEquivocator, SplitDelay};
+use tob_svd::ga::properties;
 use tob_svd::sim::compliance::{check, SleepyParams};
 use tob_svd::sim::{
     BestCaseDelay, CorruptionSchedule, DelayPolicy, GaHarness, GaKind, GaRunResult,
@@ -78,7 +79,7 @@ fn log_menu(store: &tob_svd::types::BlockStore, common_base: bool) -> Vec<Log> {
     }
 }
 
-fn run_scenario(sc: &Scenario) -> Option<(GaRunResult, Log, GaKind)> {
+fn run_scenario(sc: &Scenario) -> Option<(GaRunResult, Log)> {
     let kind = if sc.kind_three { GaKind::Three } else { GaKind::Two };
     let cfg = SimConfig::new(sc.n).with_seed(sc.seed);
     let delta = cfg.delta;
@@ -149,17 +150,7 @@ fn run_scenario(sc: &Scenario) -> Option<(GaRunResult, Log, GaKind)> {
         )),
     };
     h.delay(delay);
-    Some((h.run(), base, kind))
-}
-
-fn honest_indices(result: &GaRunResult) -> Vec<usize> {
-    result
-        .honest
-        .iter()
-        .enumerate()
-        .filter(|(_, h)| **h)
-        .map(|(i, _)| i)
-        .collect()
+    Some((h.run(), base))
 }
 
 proptest! {
@@ -171,24 +162,10 @@ proptest! {
     /// maxima is exactly the property).
     #[test]
     fn consistency_and_uniqueness(sc in scenario()) {
-        let Some((result, _, kind)) = run_scenario(&sc) else {
+        let Some((result, _)) = run_scenario(&sc) else {
             return Ok(()); // non-compliant scenario: skip
         };
-        let honest = honest_indices(&result);
-        for g in 1..kind.grades() {
-            for &i in &honest {
-                for &j in &honest {
-                    if let (Some(a), Some(b)) =
-                        (result.outputs[i][g as usize], result.outputs[j][g as usize])
-                    {
-                        prop_assert!(
-                            a.compatible(&b, &result.store),
-                            "grade {g}: v{i} output {a} conflicts with v{j} output {b}"
-                        );
-                    }
-                }
-            }
-        }
+        prop_assert_eq!(properties::consistency(&result.honest_outcomes(), &result.store), Ok(()));
     }
 
     /// Graded Delivery: if an honest validator outputs (Λ, g) with g ≥ 1,
@@ -196,26 +173,10 @@ proptest! {
     /// grade g−1 outputs (Λ, g−1) — i.e. its grade-(g−1) maximum extends Λ.
     #[test]
     fn graded_delivery(sc in scenario()) {
-        let Some((result, _, kind)) = run_scenario(&sc) else {
+        let Some((result, _)) = run_scenario(&sc) else {
             return Ok(());
         };
-        let honest = honest_indices(&result);
-        for g in 1..kind.grades() {
-            for &i in &honest {
-                let Some(hi) = result.outputs[i][g as usize] else { continue };
-                for &j in &honest {
-                    if !result.participated[j][(g - 1) as usize] {
-                        continue;
-                    }
-                    let lo = result.outputs[j][(g - 1) as usize];
-                    prop_assert!(
-                        matches!(lo, Some(lo) if hi.is_prefix_of(&lo, &result.store)),
-                        "v{i} output {hi} at grade {g}, but v{j} grade {} output is {lo:?}",
-                        g - 1
-                    );
-                }
-            }
-        }
+        prop_assert_eq!(properties::graded_delivery(&result.honest_outcomes(), &result.store), Ok(()));
     }
 
     /// Integrity: every honest output is a prefix of some honest input
@@ -223,26 +184,11 @@ proptest! {
     /// of it).
     #[test]
     fn integrity(sc in scenario()) {
-        let Some((result, _, kind)) = run_scenario(&sc) else {
+        let Some((result, _)) = run_scenario(&sc) else {
             return Ok(());
         };
-        let honest = honest_indices(&result);
-        let honest_inputs: Vec<Log> = honest
-            .iter()
-            .filter_map(|&i| result.inputs[i])
-            .collect();
-        for &i in &honest {
-            for g in 0..kind.grades() {
-                if let Some(out) = result.outputs[i][g as usize] {
-                    prop_assert!(
-                        honest_inputs
-                            .iter()
-                            .any(|input| out.is_prefix_of(input, &result.store)),
-                        "v{i} output {out} at grade {g} extends no honest input"
-                    );
-                }
-            }
-        }
+        let verdict = properties::integrity(&result.honest_outcomes(), &result.honest_inputs(), &result.store);
+        prop_assert_eq!(verdict, Ok(()));
     }
 
     /// Validity: when every honest validator inputs an extension of a
@@ -251,25 +197,14 @@ proptest! {
     #[test]
     fn validity_on_common_base(mut sc in scenario()) {
         sc.common_base = true;
-        let Some((result, base, kind)) = run_scenario(&sc) else {
+        let Some((result, base)) = run_scenario(&sc) else {
             return Ok(());
         };
         // All honest inputs must extend the base for the premise to hold;
         // the common-base menu guarantees it. Validity additionally
         // requires the inputting validators to be awake at time 0 — the
         // napper sleeps only from Δ onward, so the premise stands.
-        let honest = honest_indices(&result);
-        for &i in &honest {
-            for g in 0..kind.grades() {
-                if result.participated[i][g as usize] {
-                    let out = result.outputs[i][g as usize];
-                    prop_assert!(
-                        matches!(out, Some(out) if base.is_prefix_of(&out, &result.store)),
-                        "v{i} participated at grade {g} but output {out:?} does not extend the base {base}"
-                    );
-                }
-            }
-        }
+        prop_assert_eq!(properties::validity(&result.honest_outcomes(), base, &result.store), Ok(()));
     }
 }
 
@@ -308,18 +243,8 @@ fn split_equivocation_worst_case_regression() {
         }
         h.delay(Box::new(BestCaseDelay));
         let result = h.run();
-        for g in 1..3u8 {
-            let outs: Vec<Log> = (0..4)
-                .filter_map(|i| result.outputs[i][g as usize])
-                .collect();
-            for x in &outs {
-                for y in &outs {
-                    assert!(
-                        x.compatible(y, &result.store),
-                        "seed {seed} grade {g}: {x} vs {y}"
-                    );
-                }
-            }
+        if let Err(violation) = properties::consistency(&result.honest_outcomes(), &result.store) {
+            panic!("seed {seed}: {violation}");
         }
     }
 }

@@ -6,6 +6,7 @@
 //! set. Both claims are exhibited on the same adversarial scenario.
 
 use tob_svd::adversary::GaEquivocator;
+use tob_svd::ga::properties;
 use tob_svd::sim::{BestCaseDelay, GaHarness, GaKind, SimConfig};
 use tob_svd::types::{InstanceId, Log, Time, ValidatorId, View};
 
@@ -53,10 +54,10 @@ fn mr_ga_outputs_conflicting_logs_at_grade_0() {
         honest0.len() >= 2,
         "expected conflicting grade-0 outputs, got {honest0:?}"
     );
-    let has_conflict = honest0
-        .iter()
-        .any(|x| honest0.iter().any(|y| x.conflicts(y, &result.store)));
-    assert!(has_conflict, "outputs must conflict: {honest0:?}");
+    assert!(
+        properties::uniqueness(honest0, &result.store).is_err(),
+        "outputs must conflict: {honest0:?}"
+    );
     assert!(honest0.contains(&a));
     assert!(honest0.contains(&b));
 }
@@ -117,14 +118,8 @@ fn gap_needs_equivocation_counting_not_just_byzantines() {
     h.delay(Box::new(BestCaseDelay));
     let result = h.run();
     for i in 0..2 {
-        let outs = &result.mr_grade0[i];
-        for x in outs {
-            for y in outs {
-                assert!(
-                    x.compatible(y, &result.store),
-                    "v{i}: consistent byz votes must not create conflicts: {outs:?}"
-                );
-            }
+        if let Err(violation) = properties::uniqueness(&result.mr_grade0[i], &result.store) {
+            panic!("v{i}: consistent byz votes must not create conflicts: {violation}");
         }
     }
 }
