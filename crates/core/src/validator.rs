@@ -1,17 +1,18 @@
 //! The TOB-SVD validator state machine (Figure 4).
 //!
 //! Receive pipeline (dedup-before-verify, the delta-sync resolution
-//! gate), view phases and their GA instances, the per-phase
-//! stabilization audit and decided-log persistence. *How* fresh votes,
-//! certificates and proposals are relayed is not decided here: that is
-//! the `Option<AggregationPlane>` of `aggregation.rs`, built once from
-//! [`TobConfig::certificates`] — no other line reads the flag.
+//! gate), view phases and their GA instances, and the per-phase
+//! stabilization audit; decided-log persistence is the storage crate's
+//! [`Persistence`]. *How* fresh votes, certificates and proposals are
+//! relayed is not decided here: that is the `Option<AggregationPlane>`
+//! of `aggregation.rs`, built once from [`TobConfig::certificates`] —
+//! no other line reads the flag.
 
 use std::sync::Arc;
 
 use tobsvd_crypto::{Digest, KeyCache, Keypair};
 use tobsvd_ga::Ga3;
-use tobsvd_storage::{replay_into, BlockRecord, SharedDurable, Snapshot, WalError, WalRecord};
+use tobsvd_storage::{Persistence, SharedDurable};
 use tobsvd_types::{
     wire, BlockId, BlockStore, Delivered, InstanceId, Log, Payload, SignedMessage, Time, ValidatorId, View,
 };
@@ -59,18 +60,9 @@ pub struct Validator {
     agg: Option<AggregationPlane>,
     /// Whether the node has started (first wake consumed).
     started: bool,
-    /// Durable storage backend (WAL + snapshot checkpoints), when
-    /// attached. Decisions are persisted; restart replays them back.
-    durable: Option<SharedDurable>,
-    /// Decided log length through which block contents and the head
-    /// marker are durably synced.
-    persisted_len: u64,
-    /// Decided length at the last snapshot checkpoint.
-    last_snapshot_len: u64,
-    /// Durable operations that failed. Storage faults degrade
-    /// durability (the suffix retries on the next decision), never
-    /// safety or liveness — and never panic.
-    wal_errors: u64,
+    /// Decided-log persistence: the durable backend (WAL + snapshot
+    /// checkpoints), when attached, and its counters.
+    persistence: Persistence,
     /// A durably recorded decided head whose block contents could not
     /// be reconstructed locally on restart; fetched over the delta-sync
     /// plane at the first phase boundary.
@@ -108,10 +100,7 @@ impl Validator {
             sync: SyncState::new(store),
             agg: cfg.certificates.then(|| AggregationPlane::new(me, keypair, cfg.n, cfg.recovery)),
             started: false,
-            durable: None,
-            persisted_len: 1,
-            last_snapshot_len: 1,
-            wal_errors: 0,
+            persistence: Persistence::default(),
             recover_fetch: None,
             votes_cast: 0,
             proposals_made: 0,
@@ -128,7 +117,7 @@ impl Validator {
     /// appended to the WAL and fsynced, with a snapshot checkpoint
     /// every [`TobConfig::snapshot_every`] decided blocks.
     pub fn with_durable(mut self, durable: SharedDurable) -> Self {
-        self.durable = Some(durable);
+        self.persistence.attach(durable);
         self
     }
 
@@ -149,30 +138,12 @@ impl Validator {
         let mut val = Validator::new(me, cfg, store);
         // Not a first activation: restart is semantically a wake-up.
         val.started = true;
-        let loaded = durable.lock().load();
-        match loaded {
-            Ok(recovered) => {
-                let replayed = replay_into(store, &recovered);
-                for id in &replayed.known {
-                    val.sync.mark_own(*id);
-                }
-                if let Some(log) = Log::from_parts(store, replayed.decided_tip, replayed.decided_len)
-                {
-                    val.decided = log;
-                    val.persisted_len = replayed.decided_len;
-                }
-                val.last_snapshot_len =
-                    recovered.snapshot.as_ref().map_or(1, |s| s.len).max(1);
-                val.wal_errors = val.wal_errors.saturating_add(replayed.skipped);
-                val.recover_fetch = replayed.beyond.map(|(tip, _)| tip);
-            }
-            Err(_) => {
-                // Unreadable durable state: start from genesis and let
-                // the recovery + fetch planes rebuild, counting the loss.
-                val.wal_errors = val.wal_errors.saturating_add(1);
-            }
+        let restart = val.persistence.recover(durable, store);
+        for id in &restart.known {
+            val.sync.mark_own(*id);
         }
-        val.durable = Some(durable);
+        val.decided = restart.decided;
+        val.recover_fetch = restart.beyond;
         val
     }
 
@@ -183,12 +154,12 @@ impl Validator {
 
     /// Durable operations that failed (storage degradation counter).
     pub fn wal_errors(&self) -> u64 {
-        self.wal_errors
+        self.persistence.wal_errors()
     }
 
     /// Decided log length through which durable persistence has synced.
     pub fn persisted_len(&self) -> u64 {
-        self.persisted_len
+        self.persistence.persisted_len()
     }
 
     /// The highest log this validator has decided.
@@ -371,62 +342,7 @@ impl Validator {
         ctx.decide(d);
         if d.len() > self.decided.len() {
             self.decided = d;
-            self.persist_decided(ctx);
-        }
-    }
-
-    /// Persists the newly decided suffix: block contents for every
-    /// height not yet durable, the decided head marker, then one fsync
-    /// (one write+fsync per decision batch, not per record). On
-    /// failure `persisted_len` stays put so the next decision retries
-    /// the whole suffix — storage faults degrade durability, never
-    /// safety, and never panic. A snapshot checkpoint of the full
-    /// decided chain replaces the WAL every
-    /// [`TobConfig::snapshot_every`] decided blocks.
-    fn persist_decided(&mut self, ctx: &mut Context) {
-        let Some(handle) = self.durable.clone() else {
-            return;
-        };
-        let d = self.decided;
-        if d.len() <= self.persisted_len {
-            return;
-        }
-        let Some(suffix) = ctx.store.chain_range(d.tip(), self.persisted_len) else {
-            self.wal_errors = self.wal_errors.saturating_add(1);
-            return;
-        };
-        let mut durable = handle.lock();
-        let store = &ctx.store;
-        let mut write = || -> Result<(), WalError> {
-            for id in &suffix {
-                let Some(record) = block_record(store, *id) else {
-                    continue; // genesis (or vanished): nothing to log
-                };
-                durable.append(&WalRecord::Block(record))?;
-            }
-            durable.append(&WalRecord::Decided { tip: d.tip(), len: d.len() })?;
-            durable.sync()
-        };
-        if write().is_err() {
-            self.wal_errors = self.wal_errors.saturating_add(1);
-            return;
-        }
-        self.persisted_len = d.len();
-        if self.cfg.snapshot_every == 0
-            || d.len().saturating_sub(self.last_snapshot_len) < self.cfg.snapshot_every
-        {
-            return;
-        }
-        let Some(chain) = ctx.store.chain_range(d.tip(), 1) else {
-            self.wal_errors = self.wal_errors.saturating_add(1);
-            return;
-        };
-        let blocks: Vec<BlockRecord> =
-            chain.iter().filter_map(|id| block_record(store, *id)).collect();
-        let snapshot = Snapshot { tip: d.tip(), len: d.len(), blocks };
-        match durable.install_snapshot(&snapshot) {
-            Ok(()) => self.last_snapshot_len = d.len(),
-            Err(_) => self.wal_errors = self.wal_errors.saturating_add(1),
+            self.persistence.persist(d, &ctx.store, self.cfg.snapshot_every);
         }
     }
 
@@ -436,10 +352,10 @@ impl Validator {
     /// the bad fragment and re-arms the ordinary recovery machinery —
     /// never panics, never trusts the corrupt fragment.
     ///
-    /// * **Counter monotonicity** — `last_snapshot_len ≤ persisted_len ≤
-    ///   decided.len()`: an overshooting counter silently disables
-    ///   persistence (`persist_decided` skips "already persisted"
-    ///   suffixes), so it is clamped back to the decided log.
+    /// * **Counter monotonicity** — [`Persistence::audit`]: an
+    ///   overshooting persistence counter silently disables persistence
+    ///   (it skips "already persisted" suffixes), so it is clamped back
+    ///   to the decided log.
     /// * **Decided-log linkage** — the decided tip must sit in the
     ///   store at height `len − 1`; a mismatched head is untrusted and
     ///   reset to genesis (the next grade-2 GA output re-decides the
@@ -466,24 +382,11 @@ impl Validator {
     /// have lost live-instance messages no structural check can see.
     fn local_audit(&mut self, ctx: &mut Context) -> u64 {
         self.audits_run += 1;
-        let mut repairs = 0u64;
         let dlen = self.decided.len();
-        if self.persisted_len > dlen {
-            self.persisted_len = dlen;
-            repairs += 1;
-        }
-        if self.last_snapshot_len > self.persisted_len {
-            self.last_snapshot_len = self.persisted_len;
-            repairs += 1;
-        }
-        let linked = ctx
-            .store
-            .height(self.decided.tip())
-            .is_some_and(|h| h.saturating_add(1) == dlen);
+        let linked = ctx.store.height(self.decided.tip()).is_some_and(|h| h.saturating_add(1) == dlen);
+        let mut repairs = self.persistence.audit(dlen, linked);
         if !linked {
             self.decided = Log::genesis(&ctx.store);
-            self.persisted_len = self.persisted_len.min(1);
-            self.last_snapshot_len = self.last_snapshot_len.min(1);
             repairs += 1;
         }
         if !self.sync.knows(self.decided.tip()) {
@@ -706,20 +609,6 @@ impl Validator {
     }
 }
 
-/// The durable [`BlockRecord`] for a stored block, `None` for genesis
-/// (whose content is implicit) or an unknown id.
-fn block_record(store: &BlockStore, id: BlockId) -> Option<BlockRecord> {
-    let block = store.get(id)?;
-    let proposer = block.proposer()?;
-    Some(BlockRecord {
-        parent: block.parent(),
-        expected_id: block.id(),
-        proposer,
-        view: block.view(),
-        txs: block.txs().to_vec(),
-    })
-}
-
 impl Node for Validator {
     fn on_wake(&mut self, ctx: &mut Context) {
         if !self.started {
@@ -804,10 +693,7 @@ impl Node for Validator {
             StateFault::DecidedReset => {
                 self.decided = Log::genesis(&ctx.store);
             }
-            StateFault::CounterSkew { skew } => {
-                self.persisted_len = self.persisted_len.saturating_add(skew);
-                self.last_snapshot_len = self.last_snapshot_len.saturating_add(skew);
-            }
+            StateFault::CounterSkew { skew } => self.persistence.skew(skew),
             StateFault::VerifiedPoison { seed } => {
                 for lane in 0..4 {
                     self.gossip.poison(Digest::from_bytes(garbage_bytes(seed, lane)));
@@ -822,20 +708,12 @@ impl Node for Validator {
                 self.sync.forget_all();
             }
             StateFault::SnapshotBitFlip { byte, bit } => {
-                if let Some(handle) = self.durable.clone() {
-                    handle.lock().corrupt_snapshot_bit(byte as usize, u32::from(bit));
-                }
+                self.persistence.corrupt(|d| d.corrupt_snapshot_bit(byte as usize, u32::from(bit)));
             }
             StateFault::WalBitFlip { byte, bit } => {
-                if let Some(handle) = self.durable.clone() {
-                    handle.lock().corrupt_wal_bit(byte as usize, u32::from(bit));
-                }
+                self.persistence.corrupt(|d| d.corrupt_wal_bit(byte as usize, u32::from(bit)));
             }
-            StateFault::WalTear { bytes } => {
-                if let Some(handle) = self.durable.clone() {
-                    handle.lock().tear_wal_tail(bytes as usize);
-                }
-            }
+            StateFault::WalTear { bytes } => self.persistence.corrupt(|d| d.tear_wal_tail(bytes as usize)),
         }
     }
 
@@ -1096,7 +974,7 @@ mod tests {
 
     #[test]
     fn late_boundary_withholds_its_gas_and_the_next_clean_view_decides_the_suffix() {
-        use tobsvd_storage::{shared, MemDurable};
+        use tobsvd_storage::{replay_into, shared, MemDurable};
 
         let store = BlockStore::new();
         let durable = shared(MemDurable::new());

@@ -9,12 +9,18 @@
 //!   decided history through: append [`WalRecord`]s, `sync` them
 //!   durable, checkpoint a [`Snapshot`] every N decided views, and
 //!   `load` everything back after a crash;
-//! * [`MemDurable`] — a deterministic in-memory backend for the
-//!   simulator and model checker, with faithful crash semantics
-//!   (unsynced appends are lost, synced bytes survive);
-//! * [`FileDurable`] — a real file-backed backend for the TCP runtime
-//!   and benches: an append-only WAL file plus an atomically-replaced
-//!   snapshot file, torn tails truncated on open;
+//! * [`Durable`] — its one implementation: one policy (buffered
+//!   appends, one write + fsync per sync, a snapshot that replaces the
+//!   WAL, torn tails truncated on load) over two media. [`MemDurable`]
+//!   is the deterministic in-memory medium of the simulator and model
+//!   checker, with faithful crash semantics (unsynced appends are lost,
+//!   synced bytes survive) and the fault hooks; [`FileDurable`] is a
+//!   directory for the TCP runtime and benches: an append-only WAL file
+//!   plus an atomically-replaced snapshot file;
+//! * [`Persistence`] — a validator's durable half: it writes the
+//!   decided log in the record order below, checkpoints on the
+//!   snapshot cadence, recovers on restart, and keeps the counters the
+//!   stabilization audit checks;
 //! * [`replay_into`] — deterministic replay of a [`Recovered`] image
 //!   into a [`tobsvd_types::BlockStore`], yielding the reconstructed
 //!   decided head, the set of block ids the validator provably holds,
@@ -46,9 +52,9 @@
 //!
 //! Decoding never panics. A torn, truncated or bit-flipped WAL record
 //! invalidates its frame's CRC; the decoder stops there and reports the
-//! remaining bytes as the torn tail, which the backends truncate on
-//! open (classic WAL semantics: a torn tail is an interrupted write,
-//! not data). A corrupt snapshot surfaces as a [`WalError`] and
+//! remaining bytes as the torn tail, which `load` truncates in place
+//! (classic WAL semantics: a torn tail is an interrupted write, not
+//! data). A snapshot that fails [`decode_snapshot`] is discarded and
 //! recovery falls back to WAL-only (then to delta-sync fetch for
 //! whatever is still missing). This is the same graceful-degradation
 //! posture the clippy gate's panic-path lints enforce on the rest of
@@ -73,8 +79,8 @@
 )]
 
 mod codec;
-mod file;
-mod mem;
+mod durable;
+mod persist;
 mod record;
 mod replay;
 
@@ -84,8 +90,8 @@ use parking_lot::Mutex;
 use tobsvd_types::codec::{BodyError, Truncated};
 
 pub use codec::crc32;
-pub use file::FileDurable;
-pub use mem::MemDurable;
+pub use durable::{Durable, FileDurable, MemDurable};
+pub use persist::{Persistence, Restart};
 pub use record::{
     decode_snapshot, decode_wal, encode_record, encode_snapshot, BlockRecord, Recovered, Snapshot,
     WalRecord, MAX_SNAPSHOT_BLOCKS,
@@ -116,6 +122,12 @@ impl std::fmt::Display for WalError {
 }
 
 impl std::error::Error for WalError {}
+
+impl From<std::io::Error> for WalError {
+    fn from(e: std::io::Error) -> Self {
+        WalError::Io(e.to_string())
+    }
+}
 
 impl From<Truncated> for WalError {
     fn from(_: Truncated) -> Self {
@@ -159,23 +171,17 @@ pub trait DurableStore: Send {
     fn crash(&mut self);
 
     /// Fault injection: flips one bit of the durable WAL image.
-    /// Out-of-range offsets no-op. Default: no-op (real backends are
-    /// corrupted by the universe, not the test harness).
-    fn corrupt_wal_bit(&mut self, byte: usize, bit: u32) {
-        let _ = (byte, bit);
-    }
+    /// Out-of-range offsets no-op, as does the directory medium (a real
+    /// disk is corrupted by the universe, not by the test harness).
+    fn corrupt_wal_bit(&mut self, byte: usize, bit: u32);
 
     /// Fault injection: flips one bit of the durable snapshot image.
-    /// Out-of-range offsets (or no snapshot) no-op. Default: no-op.
-    fn corrupt_snapshot_bit(&mut self, byte: usize, bit: u32) {
-        let _ = (byte, bit);
-    }
+    /// Out-of-range offsets (or no snapshot) no-op.
+    fn corrupt_snapshot_bit(&mut self, byte: usize, bit: u32);
 
     /// Fault injection: tears the last `n` bytes off the durable WAL
-    /// (an interrupted write). Default: no-op.
-    fn tear_wal_tail(&mut self, n: usize) {
-        let _ = n;
-    }
+    /// (an interrupted write).
+    fn tear_wal_tail(&mut self, n: usize);
 }
 
 /// A durable backend shared between a live validator and the restart

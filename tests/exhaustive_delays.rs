@@ -97,8 +97,10 @@ fn delay_combinations_with_reduced_participation() {
     use tob_svd::sim::ParticipationSchedule;
     for kind in KINDS {
         let gated = usize::from(kind.grades() - 1);
-        // Only the 6 links out of the Byzantine validator are enumerated
-        // (64 combos); honest links stay fast.
+        // Only copies of the Byzantine validator's messages are delayed,
+        // one bit per (which of its two logs, which of v0, v1, v2 the
+        // copy reaches): 2 × 3 = 6 bits, 64 distinct schedules. Copies
+        // to v3 and honest messages stay fast.
         for mask in 0u32..64 {
             let cfg = SimConfig::new(N).with_seed(2);
             let mut h = GaHarness::new(cfg, kind);
@@ -134,9 +136,9 @@ fn delay_combinations_with_reduced_participation() {
             h.participation(part);
             h.delay(Box::new(FnDelay(
                 move |m: &tob_svd::types::SignedMessage, _from, to: ValidatorId, _at, d: tob_svd::types::Delta| {
-                    if m.sender() == ValidatorId::new(3) {
-                        let bit = to.index().min(2);
-                        if mask & (1 << bit) != 0 {
+                    if m.sender() == ValidatorId::new(3) && to.index() < 3 {
+                        let second_log = usize::from(m.payload().log() == Some(b));
+                        if mask & (1 << (3 * second_log + to.index())) != 0 {
                             return d.ticks();
                         }
                     }

@@ -248,3 +248,54 @@ fn split_equivocation_worst_case_regression() {
         }
     }
 }
+
+/// Deterministic regression: a vote that lands after the grade-0 output
+/// must not tip a higher grade. At n = 5 with honest inputs a, a, b, b,
+/// the Byzantine v4 sends one `LOG a` to v0 alone at kΔ, arriving one
+/// tick after every grade-0 output (genesis: a has 2 of 4). Grade 1
+/// counts `V^{(k−1)Δ} ∩ V^{now}`, where a still has 2 of 5; counting
+/// `V^{now}` alone would give a 3 of 5 and output it at grade 1 while no
+/// honest grade-0 output holds it, breaking Graded Delivery. At n = 4
+/// with one Byzantine validator no late vote can tip a strict majority,
+/// so only a wider committee tells the two apart.
+#[test]
+fn late_vote_after_grade_zero_regression() {
+    let delta = tob_svd::types::Delta::default().ticks();
+    for kind in [GaKind::Two, GaKind::Three] {
+        let k = u64::from(kind.grades());
+        for seed in 0..8u64 {
+            let n = 5;
+            let mut h = GaHarness::new(SimConfig::new(n).with_seed(seed), kind);
+            let store = h.store().clone();
+            let g = Log::genesis(&store);
+            let a = g.extend_empty(&store, ValidatorId::new(80), View::new(1));
+            let b = g.extend_empty(&store, ValidatorId::new(81), View::new(1));
+            for (v, input) in [a, a, b, b].into_iter().enumerate() {
+                h.input(ValidatorId::new(v as u32), input);
+            }
+            let byz = ValidatorId::new(4);
+            h.byzantine(
+                byz,
+                Box::new(GaEquivocator::new(
+                    byz,
+                    InstanceId(0),
+                    Time::new(k * delta),
+                    a,
+                    vec![ValidatorId::new(0)],
+                    b,
+                    vec![],
+                )),
+            );
+            h.delay(Box::new(BestCaseDelay));
+            let result = h.run();
+            let (honest, store) = (result.honest_outcomes(), &result.store);
+            let verdict = properties::consistency(&honest, store)
+                .and_then(|()| properties::graded_delivery(&honest, store))
+                .and_then(|()| properties::integrity(&honest, &result.honest_inputs(), store))
+                .and_then(|()| properties::validity(&honest, g, store));
+            if let Err(violation) = verdict {
+                panic!("{kind:?} seed {seed}: {violation}");
+            }
+        }
+    }
+}
