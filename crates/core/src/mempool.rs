@@ -51,6 +51,17 @@
 //! again, "not already included in `log`" only has to look at the
 //! blocks of `log` above its common prefix with the pruned log: one or
 //! two blocks when proposals extend the decided chain.
+//!
+//! # Lookup by id
+//!
+//! The id index of admitted transactions also names each one's pending
+//! record (its sequence number, until a prune drops the record). It
+//! answers [`Mempool::lookup`], the pool side of a TCP node's frame
+//! decoding (a block body takes a pooled transaction instead of
+//! copying its bytes: `tobsvd_types::codec::Reader::pooled`), and lets
+//! a prune remove exactly the records its log includes, without
+//! scanning the pool. One index serves duplicate suppression, latency
+//! lookups and these, so an admission still inserts one id.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -137,6 +148,14 @@ pub struct AdmissionStats {
     pub pending_peak: u64,
 }
 
+/// What the pool keeps of an admitted transaction's id.
+#[derive(Clone, Copy, Debug)]
+struct Admitted {
+    at: Time,
+    /// The key of its record in `Inner::pool`; `None` once pruned.
+    pending: Option<u64>,
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     /// Pending pool keyed by submission sequence number (iteration in
@@ -148,10 +167,11 @@ struct Inner {
     priority: BTreeSet<(u64, u64)>,
     /// Next submission sequence number.
     next_seq: u64,
-    /// Submission time of every transaction ever admitted (ids only —
-    /// retained after pruning for duplicate suppression and latency
-    /// lookups; *removed* on eviction so clients can resubmit).
-    submitted: BTreeMap<TxId, Time>,
+    /// Every transaction ever admitted: its submission time and, while
+    /// its record is pending, that record's seq. Retained after pruning
+    /// for duplicate suppression and latency lookups; *removed* on
+    /// eviction so clients can resubmit.
+    submitted: BTreeMap<TxId, Admitted>,
     /// Decided ids this pool never admitted (a peer's client submitted
     /// them): duplicate-suppressed, with no submission time.
     decided_elsewhere: BTreeSet<TxId>,
@@ -168,6 +188,9 @@ impl Inner {
     fn remove(&mut self, seq: u64) -> Option<TxRecord> {
         let rec = self.pool.remove(&seq)?;
         self.priority.remove(&(rec.fee, seq));
+        if let Some(admitted) = self.submitted.get_mut(&rec.tx.id()) {
+            admitted.pending = None;
+        }
         Some(rec)
     }
 
@@ -195,7 +218,7 @@ impl Inner {
         let seq = self.next_seq;
         self.next_seq += 1;
         let id = tx.id();
-        self.submitted.insert(id, now);
+        self.submitted.insert(id, Admitted { at: now, pending: Some(seq) });
         self.priority.insert((fee, seq));
         self.pool.insert(seq, TxRecord { tx, submitted_at: now, fee });
         self.stats.accepted += 1;
@@ -325,7 +348,15 @@ impl Mempool {
     /// Submission time of a transaction, if ever admitted (survives
     /// pruning; cleared by eviction).
     pub fn submitted_at(&self, id: TxId) -> Option<Time> {
-        self.inner.lock().submitted.get(&id).copied()
+        self.inner.lock().submitted.get(&id).map(|a| a.at)
+    }
+
+    /// The pending transaction with this id, if any: a clone sharing
+    /// the pooled payload.
+    pub fn lookup(&self, id: TxId) -> Option<Transaction> {
+        let inner = self.inner.lock();
+        let seq = inner.submitted.get(&id)?.pending?;
+        inner.pool.get(&seq).map(|r| r.tx.clone())
     }
 
     /// Number of pooled transactions (ever admitted and not evicted).
@@ -377,19 +408,15 @@ impl Mempool {
         if decided.len() <= inner.pruned.map_or(1, |p| p.len()) {
             return;
         }
-        let included = inner.included_above_pruned(decided, store);
-        let confirmed: Vec<u64> = inner
-            .pool
-            .iter()
-            .filter(|(_, r)| included.contains(&r.tx.id()))
-            .map(|(seq, _)| *seq)
-            .collect();
-        for seq in confirmed {
-            inner.remove(seq);
-        }
-        for id in included {
-            if !inner.submitted.contains_key(&id) {
-                inner.decided_elsewhere.insert(id);
+        for id in inner.included_above_pruned(decided, store) {
+            match inner.submitted.get(&id).copied() {
+                Some(Admitted { pending: Some(seq), .. }) => {
+                    inner.remove(seq);
+                }
+                Some(_) => {}
+                None => {
+                    inner.decided_elsewhere.insert(id);
+                }
             }
         }
         inner.pruned = Some(*decided);
@@ -577,6 +604,24 @@ mod tests {
         }
         let next = decided.extend_empty(&store, ValidatorId::new(1), View::new(2));
         assert_eq!(pool.pending_for(&next, &store).len(), 1);
+    }
+
+    #[test]
+    fn lookup_answers_pending_records_only() {
+        let store = BlockStore::new();
+        let pool = Mempool::bounded(AdmissionPolicy { capacity: 2, rate_cap: 0, rate_window: 1 });
+        let [a, b, c] = [1, 2, 3].map(|i| Transaction::new(vec![i]));
+        assert!(pool.admit(a.clone(), Time::ZERO, 1, None).is_accepted());
+        assert!(pool.admit(b.clone(), Time::ZERO, 1, None).is_accepted());
+        let pooled = pool.lookup(a.id()).expect("pending");
+        assert_eq!(pooled.payload().as_ptr(), a.payload().as_ptr(), "the pooled buffer");
+        // Evicted (the newest of the lowest fee) and pruned records are gone.
+        assert!(pool.admit(c.clone(), Time::ZERO, 2, None).is_accepted());
+        assert_eq!(pool.lookup(b.id()), None);
+        let decided = Log::genesis(&store).extend(&store, ValidatorId::new(0), View::new(1), vec![a.clone()]);
+        pool.prune_confirmed(&decided, &store);
+        assert_eq!((pool.lookup(a.id()), pool.lookup(c.id())), (None, Some(c)));
+        assert_eq!(pool.pending_len(), 1);
     }
 
     #[test]

@@ -18,12 +18,17 @@
 //!
 //! * [`tobsvd_types::wire::WIRE_VERSION`] — a **peer** session carrying
 //!   consensus frames, decoded into the node's inbox (including the
-//!   park-and-fetch `MissingBlocks` path);
+//!   park-and-fetch `MissingBlocks` path), and `TxBatch` frames, the
+//!   client transactions the peer admitted, also handed to the inbox.
+//!   Consensus frames decode against the node's pool
+//!   ([`Mempool::lookup`]): a block body names transactions the peers
+//!   already pushed here, and takes the pooled copies;
 //! * [`tobsvd_types::client::CLIENT_WIRE_VERSION`] — a **client**
 //!   session carrying `Submit` frames. Submissions go through the
 //!   shared bounded mempool ([`Mempool::admit`]) during the pass, and
 //!   every submission is answered with a `SubmitAck` flushed by the
-//!   same pass.
+//!   same pass. [`Ingest::scan`] returns what the pass admitted, which
+//!   the node pushes to every peer as one `TxBatch` frame per link.
 //!
 //! # Backpressure
 //!
@@ -50,10 +55,11 @@ use std::time::{Duration, Instant};
 
 use tobsvd_core::{Admission, Mempool};
 use tobsvd_types::client::{
-    decode_client_frame, encode_client_frame, is_client_frame, AckStatus, ClientFrame,
-    MAX_SUBMIT_FRAME_BYTES,
+    decode_client_frame, decode_tx_batch, encode_client_frame, is_client_frame, is_tx_batch,
+    AckStatus, ClientFrame, MAX_SUBMIT_FRAME_BYTES,
 };
-use tobsvd_types::{wire, BlockId, BlockStore, SignedMessage};
+use tobsvd_types::codec::Reader;
+use tobsvd_types::{wire, BlockId, BlockStore, SignedMessage, Transaction};
 
 use crate::clock::TickClock;
 use crate::frame::{self, FrameStep, MAX_FRAME_BYTES};
@@ -73,10 +79,16 @@ const PEER_READ_BUDGET: usize = 256 * 1024;
 /// as a slow client.
 pub const CLIENT_OUTBUF_CAP: usize = 256 * 1024;
 
+/// Client transactions with their fee bids, in admission order.
+pub(crate) type FeeTxs = Vec<(u64, Transaction)>;
+
 /// What a pass hands the node loop.
 pub(crate) enum Inbound {
     /// A fully decoded message (`u64` = frame payload length).
     Msg(SignedMessage, u64),
+    /// A peer's `TxBatch` for the node's pool (`u64` = frame payload
+    /// length).
+    Txs(FeeTxs, u64),
     /// A well-formed frame referencing blocks the store lacks, for
     /// [`tobsvd_core::Validator::park_frame`].
     NeedBlocks {
@@ -104,7 +116,8 @@ pub struct IngestStats {
     pub peer_sessions: u64,
     /// Sessions classified as clients.
     pub client_sessions: u64,
-    /// Peer frames decoded and handed to the node loop.
+    /// Peer frames (consensus and `TxBatch`) decoded and handed to the
+    /// node loop.
     pub peer_frames: u64,
     /// Client `Submit` frames processed.
     pub submits: u64,
@@ -122,8 +135,9 @@ pub struct IngestStats {
     pub slow_client_closes: u64,
     /// Malformed frames. A corrupt length prefix, an unclassifiable
     /// first frame or a bad client frame closes its session; a peer
-    /// frame that fails to decode is only counted and dropped, and the
-    /// mesh link stays open.
+    /// frame that fails to decode (a `TxBatch` included: nothing of it
+    /// is admitted) is only counted and dropped, and the mesh link
+    /// stays open.
     pub malformed: u64,
     /// Peak total buffered bytes across all sessions (in + out) — the
     /// witness that per-socket memory stays bounded under load.
@@ -191,9 +205,11 @@ impl Ingest {
     /// One nonblocking pass at `now`: accepts what the listener holds,
     /// reads every session that is not throttled (up to its budgets),
     /// hands decoded peer frames to `inbox`, admits and acks client
-    /// submissions, flushes acks and reaps closed sessions.
-    pub(crate) fn scan(&mut self, inbox: &mut VecDeque<Inbound>, now: Instant) {
+    /// submissions, flushes acks and reaps closed sessions. Returns the
+    /// client transactions the pass admitted, for the node's peers.
+    pub(crate) fn scan(&mut self, inbox: &mut VecDeque<Inbound>, now: Instant) -> FeeTxs {
         let Ingest { listener, sessions, cfg, stats } = self;
+        let mut admitted = Vec::new();
         stats.scans += 1;
         let rounds = cfg.clock.tick_duration().as_micros() / READ_CYCLE.as_micros();
         accept_all(listener, sessions, stats);
@@ -203,7 +219,7 @@ impl Ingest {
             }
             session.throttled_until = None;
             for _ in 0..rounds.max(1) {
-                if !service_read(session, cfg, inbox, now, stats) {
+                if !service_read(session, cfg, inbox, &mut admitted, now, stats) {
                     break;
                 }
             }
@@ -218,6 +234,7 @@ impl Ingest {
             !session.closed
         });
         stats.buffer_bytes_peak = stats.buffer_bytes_peak.max(buffered_total);
+        admitted
     }
 }
 
@@ -243,12 +260,14 @@ fn accept_all(listener: &TcpListener, sessions: &mut Vec<Session>, stats: &mut I
 }
 
 /// One read round: reads up to the session's budget and processes
-/// complete frames; `true` if the budget ran out and the session is
-/// open and unthrottled, so more may wait.
+/// complete frames, peer frames into the inbox and admitted client
+/// transactions into `admitted`; `true` if the budget ran out and the
+/// session is open and unthrottled, so more may wait.
 fn service_read(
     session: &mut Session,
     cfg: &IngestConfig,
     inbox: &mut VecDeque<Inbound>,
+    admitted: &mut FeeTxs,
     now: Instant,
     stats: &mut IngestStats,
 ) -> bool {
@@ -283,8 +302,8 @@ fn service_read(
             }
             FrameStep::Frame(frame) => {
                 match session.kind {
-                    SessionKind::Peer => handle_peer_frame(frame, &cfg.store, inbox, stats),
-                    SessionKind::Client => handle_client_frame(session, frame, cfg, now, stats),
+                    SessionKind::Peer => handle_peer_frame(frame, cfg, inbox, stats),
+                    SessionKind::Client => handle_client_frame(session, frame, cfg, now, admitted, stats),
                     SessionKind::Unknown => {}
                 }
                 if session.closed || session.throttled_until.is_some() {
@@ -321,15 +340,28 @@ fn classify(session: &mut Session, stats: &mut IngestStats) -> bool {
     true
 }
 
-/// Decodes one peer frame into the node loop's inbox.
+/// Decodes one peer frame into the node loop's inbox: a `TxBatch` as a
+/// whole or not at all, anything else as a consensus message whose
+/// block bodies take the transactions the pool holds from the pool.
 fn handle_peer_frame(
     frame: &[u8],
-    store: &BlockStore,
+    cfg: &IngestConfig,
     inbox: &mut VecDeque<Inbound>,
     stats: &mut IngestStats,
 ) {
     let n = frame.len() as u64;
-    match wire::decode_message(frame, store) {
+    if is_tx_batch(frame) {
+        match decode_tx_batch(frame) {
+            Ok(batch) => {
+                stats.peer_frames += 1;
+                inbox.push_back(Inbound::Txs(batch.txs, n));
+            }
+            Err(_) => stats.malformed += 1,
+        }
+        return;
+    }
+    let pooled = |id| cfg.mempool.lookup(id);
+    match wire::decode_from(Reader::pooled(frame, &pooled), &cfg.store) {
         Ok(msg) => {
             stats.peer_frames += 1;
             inbox.push_back(Inbound::Msg(msg, n));
@@ -344,13 +376,15 @@ fn handle_peer_frame(
     }
 }
 
-/// Admits one client submission and queues the ack. Shed verdicts
-/// impose a read-throttle window on the session.
+/// Admits one client submission, noting it in `admitted` if accepted,
+/// and queues the ack. Shed verdicts impose a read-throttle window on
+/// the session.
 fn handle_client_frame(
     session: &mut Session,
     frame: &[u8],
     cfg: &IngestConfig,
     now: Instant,
+    admitted: &mut FeeTxs,
     stats: &mut IngestStats,
 ) {
     let (client, fee, tx) = match decode_client_frame(frame) {
@@ -364,8 +398,11 @@ fn handle_client_frame(
     };
     stats.submits += 1;
     let id = tx.id();
-    let (status, acks) = match cfg.mempool.admit(tx, cfg.clock.now_tick(), fee, Some(client)) {
-        Admission::Accepted { .. } => (AckStatus::Accepted, &mut stats.acks_accepted),
+    let (status, acks) = match cfg.mempool.admit(tx.clone(), cfg.clock.now_tick(), fee, Some(client)) {
+        Admission::Accepted { .. } => {
+            admitted.push((fee, tx));
+            (AckStatus::Accepted, &mut stats.acks_accepted)
+        }
         Admission::Duplicate => (AckStatus::Duplicate, &mut stats.acks_duplicate),
         Admission::Busy => (AckStatus::Busy, &mut stats.acks_busy),
         Admission::RateLimited => (AckStatus::RateLimited, &mut stats.acks_rate_limited),
@@ -403,7 +440,9 @@ pub(crate) mod tests {
     use std::net::SocketAddr;
     use tobsvd_core::AdmissionPolicy;
     use tobsvd_crypto::KeyCache;
-    use tobsvd_types::{InstanceId, Log, Payload, Transaction, ValidatorId, View};
+    use tobsvd_types::client::encode_tx_batches;
+    use tobsvd_types::codec::MAX_TXS_PER_BLOCK;
+    use tobsvd_types::{InstanceId, Log, Payload, Time, ValidatorId, View};
 
     const THROTTLE: Duration = Duration::from_secs(60);
 
@@ -594,5 +633,62 @@ pub(crate) mod tests {
         let stats = ingest.stats();
         assert_eq!((stats.peer_sessions, stats.peer_frames, stats.malformed), (1, 1, 0));
         assert!(matches!(inbox.pop_front(), Some(Inbound::Msg(m, n)) if m == msg && n == bytes.len() as u64));
+    }
+
+    #[test]
+    fn a_batch_that_fails_to_decode_is_dropped_whole_and_the_link_stays() {
+        let (mut ingest, addr) = plane(16);
+        let txs = vec![(1, Transaction::new(vec![1; 32])), (2, Transaction::new(vec![2; 32]))];
+        let batch = encode_tx_batches(ValidatorId::new(1), &txs, usize::MAX).remove(0);
+        let truncated = &batch[..batch.len() - 1];
+        let mut over_limit = batch.clone();
+        over_limit[6..10].copy_from_slice(&(MAX_TXS_PER_BLOCK + 1).to_be_bytes());
+        let mut peer = connect_and_write(addr, &[framed(truncated), framed(&over_limit)].concat());
+        let mut inbox = VecDeque::new();
+        scan_until(&mut ingest, &mut inbox, Instant::now(), |i| i.stats().malformed >= 2);
+        let stats = ingest.stats();
+        assert_eq!((stats.peer_sessions, stats.malformed, stats.peer_frames), (1, 2, 0));
+        assert_eq!((ingest.sessions.len(), inbox.len()), (1, 0), "nothing handed on, the link open");
+
+        peer.write_all(&framed(&batch)).expect("write");
+        scan_until(&mut ingest, &mut inbox, Instant::now(), |i| i.stats().peer_frames > 0);
+        assert!(matches!(inbox.pop_front(), Some(Inbound::Txs(got, n)) if got == txs && n == batch.len() as u64));
+        assert_eq!(ingest.cfg.mempool.pending_len(), 0, "the node loop admits a batch, not the pass");
+    }
+
+    #[test]
+    fn a_pass_returns_the_submissions_it_admitted_and_no_others() {
+        let (mut ingest, addr) = plane(1);
+        let _client = connect_and_write(addr, &[submit(7, 1), submit(7, 2)].concat());
+        let mut admitted = Vec::new();
+        let deadline = Instant::now() + DEADLINE;
+        while ingest.stats().submits < 2 && Instant::now() < deadline {
+            admitted.extend(ingest.scan(&mut VecDeque::new(), Instant::now()));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The pool holds one transaction: the second submission is shed.
+        assert_eq!((ingest.stats().acks_accepted, ingest.stats().acks_busy), (1, 1));
+        assert_eq!(admitted, vec![(1, Transaction::new(vec![1; 32]))]);
+    }
+
+    #[test]
+    fn a_block_body_from_a_peer_shares_the_pools_payloads() {
+        let (mut ingest, addr) = plane(16);
+        let [held, foreign] = [1u8, 2].map(|i| Transaction::new(vec![i; 32]));
+        assert!(ingest.cfg.mempool.admit(held.clone(), Time::ZERO, 1, None).is_accepted());
+        let (msg, bytes) = log_frame(vec![held.clone(), foreign.clone()]);
+        let _peer = connect_and_write(addr, &framed(&bytes));
+        let mut inbox = VecDeque::new();
+        scan_until(&mut ingest, &mut inbox, Instant::now(), |i| i.stats().peer_frames > 0);
+        let Some(Inbound::Msg(got, _)) = inbox.pop_front() else { panic!("a decoded message") };
+        // The message and the stored block are those a decode without
+        // the pool makes; only where the payload bytes live differs.
+        let plain = BlockStore::new();
+        assert_eq!((got, wire::decode_message(&bytes, &plain)), (msg, Ok(msg)));
+        let tip = msg.payload().log().expect("a log").tip();
+        let (block, same) = (ingest.cfg.store.get(tip).expect("stored"), plain.get(tip).expect("stored"));
+        assert_eq!((block.txs(), block.proposer()), (same.txs(), same.proposer()));
+        assert_eq!(block.txs()[0].payload().as_ptr(), held.payload().as_ptr(), "the pooled copy");
+        assert_ne!(block.txs()[1].payload().as_ptr(), foreign.payload().as_ptr());
     }
 }

@@ -10,8 +10,10 @@
 //! 4. three quarters into the tick, makes one nonblocking pass over its
 //!    sockets ([`Ingest::scan`]): the listener and every inbound
 //!    session — peer frames are decoded into the inbox, client
-//!    submissions are admitted into the shared bounded mempool and
-//!    acknowledged — then over the peer links' unsent bytes.
+//!    submissions are admitted into the node's bounded mempool and
+//!    acknowledged — then pushes the transactions the pass admitted to
+//!    every peer, one `TxBatch` frame per link, and writes the peer
+//!    links' unsent bytes.
 //!
 //! A frame a peer sends at tick k is therefore handled at tick k + 1,
 //! never in the tick it was sent: peers send at their boundaries, early
@@ -35,6 +37,23 @@
 //! the codec expands the referenced range into block bodies on encode
 //! and inserts them on decode.
 //!
+//! **One pool, n copies.** The paper's transaction pool is one that every
+//! validator retrieves from (§2, §3.2); the simulator shares one
+//! [`Mempool`]. Here each node owns one, and they are joined by the
+//! `TxBatch` frames: a node admits a peer's batch through its own
+//! [`Mempool::admit`] (no client identity, the same policy) at the
+//! next tick's inbox drain, before that tick's boundary, and never
+//! forwards it again, since the mesh is full. So whichever node a
+//! client submits to, every proposer of the next view batches the
+//! transaction. Consensus frames decode against the pool (`ingest`
+//! module), so the n proposals carrying one batch share the pooled
+//! payloads. A `TxBatch` counts as an announcement in
+//! [`NodeOutcome::announce_bytes`], both ways.
+//!
+//! A `Forward` goes to every peer but the message's signer, who made
+//! the message and gains nothing from the echo; the simulator's
+//! engine keeps its all-n forward.
+//!
 //! Byte formats live elsewhere: the length prefix in the `frame`
 //! module, the peer header in `tobsvd_types::wire`
 //! ([`wire::peek_header`] is all this module reads of a frame it
@@ -47,13 +66,14 @@ use std::time::{Duration, Instant};
 use tobsvd_core::{AdmissionPolicy, AdmissionStats, Context, Mempool, Node, Outgoing};
 use tobsvd_core::{TobConfig, Validator};
 use tobsvd_storage::{shared, FileDurable};
+use tobsvd_types::client::encode_tx_batches;
 use tobsvd_types::wire::{self, MessageClass};
 use tobsvd_types::{BlockId, BlockStore, Delta, SignedMessage, Time, Transaction, ValidatorId};
 
 use crate::clock::TickClock;
 use crate::cluster::ClusterError;
 use crate::frame::{self, MAX_FRAME_BYTES};
-use crate::ingest::{Inbound, Ingest, IngestConfig, IngestStats};
+use crate::ingest::{FeeTxs, Inbound, Ingest, IngestConfig, IngestStats};
 
 /// Unsent bytes a peer link may hold before it is closed as a peer that
 /// stopped reading: room for two frames of the largest size.
@@ -114,8 +134,8 @@ pub struct NodeOutcome {
     /// Frames it received / sent over the mesh (loopback self-copies
     /// are neither).
     pub frames: (u64, u64),
-    /// Announcement (LOG/PROPOSAL/VOTE/RECOVERY/FINALITY) bytes
-    /// (received, sent).
+    /// Announcement (LOG/PROPOSAL/VOTE/RECOVERY/FINALITY) and
+    /// `TxBatch` bytes (received, sent).
     pub announce_bytes: (u64, u64),
     /// Fetch-subprotocol (`BlockRequest`/`BlockResponse`) bytes
     /// (received, sent). Certificate frames count as frames but their
@@ -318,6 +338,13 @@ impl NodeState {
                 self.out.charge(class, Dir::In, raw.len() as u64);
                 self.validator.park_frame(raw, missing, from_height, &mut ctx);
             }
+            Inbound::Txs(txs, bytes) => {
+                self.out.frames.0 += 1;
+                self.out.charge(MessageClass::Announce, Dir::In, bytes);
+                for (fee, tx) in txs {
+                    self.mempool.admit(tx, now, fee, None);
+                }
+            }
         }
         self.absorb(ctx, now.ticks());
     }
@@ -328,26 +355,31 @@ impl NodeState {
         self.absorb(ctx, now.ticks());
     }
 
-    /// Encodes and frames `msg` once, then queues it on the link of
-    /// each of `targets` that is a dialed peer and writes what the
-    /// socket takes at once; the rest leaves at the next pass. A link
-    /// whose peer is gone or stopped reading is closed, the latter
-    /// counted. Returns `false` when the message cannot be encoded —
-    /// refusing it beats crashing the node, and the counter makes the
-    /// drop observable in the run report.
+    /// Encodes `msg` once and [`NodeState::queue`]s it. Returns `false`
+    /// when the message cannot be encoded — refusing it beats crashing
+    /// the node, and the counter makes the drop observable in the run
+    /// report.
     fn send(&mut self, msg: &SignedMessage, targets: &[ValidatorId]) -> bool {
         let Ok(payload) = wire::encode_message(msg, &self.store) else {
             self.out.encode_failures += 1;
             return false;
         };
+        self.queue(&payload, MessageClass::of(msg.payload()), targets);
+        true
+    }
+
+    /// Frames `payload` once, then queues it on the link of each of
+    /// `targets` that is a dialed peer and writes what the socket takes
+    /// at once; the rest leaves at the next pass. A link whose peer is
+    /// gone or stopped reading is closed, the latter counted.
+    fn queue(&mut self, payload: &[u8], class: MessageClass, targets: &[ValidatorId]) {
         let mut framed = Vec::new();
-        frame::push(&mut framed, &payload);
+        frame::push(&mut framed, payload);
         if framed.is_empty() {
             // Too large to frame: it reaches no peer, as every reader
             // would refuse it.
-            return true;
+            return;
         }
-        let class = MessageClass::of(msg.payload());
         for target in targets {
             let Some(link) = self.outbound.get_mut(target) else { continue };
             link.outbuf.extend_from_slice(&framed);
@@ -361,14 +393,25 @@ impl NodeState {
                 self.outbound.remove(target);
             }
         }
-        true
     }
 
     /// The tick's pass over the sockets: inbound sessions into the
-    /// inbox, then the unsent bytes of every peer link.
+    /// inbox, what it admitted from clients to every peer, then the
+    /// unsent bytes of every peer link.
     fn scan(&mut self, ingest: &mut Ingest) {
-        ingest.scan(&mut self.inbox, Instant::now());
+        let admitted = ingest.scan(&mut self.inbox, Instant::now());
+        self.push_txs(&admitted);
         self.outbound.retain(|_, link| link.flush());
+    }
+
+    /// Sends client transactions this node admitted to every peer's
+    /// pool: one `TxBatch` frame per link, more only past a frame's
+    /// limits.
+    fn push_txs(&mut self, admitted: &FeeTxs) {
+        let peers = self.peers();
+        for batch in encode_tx_batches(self.me, admitted, MAX_FRAME_BYTES) {
+            self.queue(&batch, MessageClass::Announce, &peers);
+        }
     }
 
     /// Fan-out order of every `Broadcast`/`Forward`: ascending validator
@@ -385,9 +428,11 @@ impl NodeState {
                     let targets: Vec<_> = self.peers().into_iter().chain([self.me]).collect();
                     self.transmit(&m, &targets);
                 }
-                // Forwards skip self: already processed.
+                // Forwards skip self (already processed) and the
+                // message's signer, who made it.
                 Outgoing::Forward(m) => {
-                    let peers = self.peers();
+                    let mut peers = self.peers();
+                    peers.retain(|p| *p != m.sender());
                     self.transmit(&m, &peers);
                 }
                 // A recovery reply leaves message by message, in order.
@@ -657,5 +702,68 @@ mod tests {
         assert_eq!(state.out.frames, (0, TICKS));
         assert_eq!((theirs.stats().peer_frames, theirs.stats().malformed), (TICKS, 0));
         assert_eq!(inbox.len() as u64, TICKS);
+    }
+
+    /// A nonblocking link to the listener at `addr`.
+    fn link_to(addr: SocketAddr) -> Link {
+        let stream = TcpStream::connect(addr).expect("dial");
+        stream.set_nonblocking(true).expect("nonblocking link");
+        Link::new(stream)
+    }
+
+    #[test]
+    fn a_forward_queues_nothing_on_its_signers_link() {
+        use crate::ingest::tests::{plane, scan_until};
+        let (me, signer, other) = (ValidatorId::new(0), ValidatorId::new(1), ValidatorId::new(2));
+        let (mut signers_plane, signers_addr) = plane(16);
+        let (mut others_plane, others_addr) = plane(16);
+        let mut state = node_state(me);
+        state.outbound.insert(signer, link_to(signers_addr));
+        state.outbound.insert(other, link_to(others_addr));
+        let msg = log_message(signer, Log::genesis(&state.store));
+        let mut ctx = state.ctx(Time::ZERO);
+        ctx.forward(msg);
+        state.flush(&mut ctx);
+        assert_eq!(state.out.frames, (0, 1), "one copy, to the other peer");
+
+        let mut inbox = VecDeque::new();
+        scan_until(&mut others_plane, &mut inbox, Instant::now(), |i| i.stats().peer_frames > 0);
+        // Written in the same call, the signer's copy would be there too.
+        scan_until(&mut signers_plane, &mut inbox, Instant::now(), |i| i.stats().sessions_accepted > 0);
+        assert_eq!(signers_plane.stats().buffer_bytes_peak, 0, "not a byte for the signer");
+        assert_eq!(inbox.len(), 1);
+    }
+
+    #[test]
+    fn a_pushed_batch_is_charged_alike_at_both_ends_admitted_once_and_not_pushed_on() {
+        use crate::ingest::tests::{plane, scan_until};
+        let (me, peer, third) = (ValidatorId::new(0), ValidatorId::new(1), ValidatorId::new(2));
+        let (mut peers_plane, peers_addr) = plane(16);
+        let (mut own_plane, _) = plane(16);
+        let (_thirds_plane, thirds_addr) = plane(16);
+        let mut sender = node_state(me);
+        sender.outbound.insert(peer, link_to(peers_addr));
+        let mut receiver = node_state(peer);
+        receiver.outbound.insert(third, link_to(thirds_addr));
+
+        let txs: FeeTxs = (0..3).map(|i| (i, Transaction::synthetic(i, 64))).collect();
+        sender.push_txs(&txs);
+        sender.push_txs(&Vec::new());
+        scan_until(&mut peers_plane, &mut receiver.inbox, Instant::now(), |i| i.stats().peer_frames > 0);
+        while let Some(inbound) = receiver.inbox.pop_front() {
+            receiver.handle_inbound(inbound, Time::new(1));
+        }
+        // The batch is an announcement-class frame at both ends.
+        assert_eq!((sender.out.frames.1, receiver.out.frames.0), (1, 1));
+        assert_eq!(sender.out.announce_bytes.1, receiver.out.announce_bytes.0);
+        assert!(sender.out.announce_bytes.1 > 3 * 64);
+        for (_, tx) in &txs {
+            assert_eq!(receiver.mempool.lookup(tx.id()), Some(tx.clone()));
+            assert_eq!(receiver.mempool.submitted_at(tx.id()), Some(Time::new(1)));
+        }
+        // The receiver's own pass admitted nothing from clients: the
+        // batch goes no further.
+        receiver.scan(&mut own_plane);
+        assert_eq!(receiver.out.frames.1, 0);
     }
 }

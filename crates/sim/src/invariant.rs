@@ -114,6 +114,11 @@ impl Invariant for PrefixAgreement {
     }
 
     fn on_decision(&mut self, ev: &DecisionEvent<'_>) -> Result<(), String> {
+        // An observer with no violation has every decision so far on one
+        // chain (its anchor's), so the scan below could only pass.
+        if ev.observer.is_safe() {
+            return Ok(());
+        }
         // BTreeMap iteration is already validator-id order, which keeps
         // the violation detail deterministic (verdicts are replayed and
         // compared byte-for-byte).

@@ -17,9 +17,18 @@
 //! whose mempool is at capacity answers [`AckStatus::Busy`] (and
 //! throttles reads on the socket) instead of queueing unboundedly —
 //! clients are expected to back off and resubmit.
+//!
+//! What a node admits from its clients travels on to its peers in one
+//! more frame, [`TxBatch`]: a peer frame (it starts with the peer
+//! header, so it rides the mesh links), but its body is this module's,
+//! a list of `(fee, payload)` pairs. Each peer admits the pairs into
+//! its own pool, so every proposer batches every client transaction
+//! (§3.2: one pool that every validator retrieves from).
 
-use crate::codec::{Reader, Truncated, MAX_TX_BYTES};
+use crate::codec::{Reader, Truncated, MAX_TXS_PER_BLOCK, MAX_TX_BYTES};
+use crate::ids::ValidatorId;
 use crate::tx::{Transaction, TxId};
+use crate::wire::WIRE_VERSION;
 
 /// First byte of every client frame. Peer frames start with
 /// [`crate::wire::WIRE_VERSION`] (currently 2); this value is far away
@@ -102,8 +111,9 @@ pub enum ClientFrame {
     },
 }
 
-/// Client-codec errors. All are terminal for the session: a client
-/// that sends a malformed frame is disconnected.
+/// Client-codec errors. On a client session all are terminal: a client
+/// that sends a malformed frame is disconnected. A [`TxBatch`] that
+/// fails to decode is dropped whole, and its peer link stays open.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ClientError {
     /// Version byte is neither the client version nor anything known.
@@ -118,6 +128,8 @@ pub enum ClientError {
     BadStatus(u8),
     /// Bytes left over after a complete frame.
     TrailingBytes(usize),
+    /// A batch of more than [`MAX_TXS_PER_BLOCK`] transactions.
+    TooMany(u32),
 }
 
 impl std::fmt::Display for ClientError {
@@ -129,6 +141,7 @@ impl std::fmt::Display for ClientError {
             ClientError::Oversize(n) => write!(f, "submit payload of {n} bytes over limit"),
             ClientError::BadStatus(c) => write!(f, "unknown ack status code {c}"),
             ClientError::TrailingBytes(n) => write!(f, "{n} trailing bytes after frame"),
+            ClientError::TooMany(n) => write!(f, "batch of {n} transactions over limit"),
         }
     }
 }
@@ -206,6 +219,114 @@ pub fn is_client_frame(first_byte: u8) -> bool {
     first_byte == CLIENT_WIRE_VERSION
 }
 
+/// Peer-frame tag of a [`TxBatch`]. After the peer header
+/// (`u8 WIRE_VERSION ‖ u32 sender ‖ u8 tag`), big-endian:
+///
+/// ```text
+/// u32 count (≤ MAX_TXS_PER_BLOCK), then per transaction:
+/// u64 fee, u32 size (≤ MAX_TX_BYTES), the payload bytes
+/// ```
+pub const TX_BATCH_TAG: u8 = 8;
+
+/// Bytes of a batch's header (peer header and count), and of each
+/// transaction's fee and size.
+const BATCH_HEADER: usize = 1 + 4 + 1 + 4;
+const BATCH_ENTRY: usize = 8 + 4;
+
+/// The client transactions one node admitted in one pass over its
+/// sockets, pushed to a peer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TxBatch {
+    /// The pushing node, as its header claims (batches are unsigned:
+    /// each transaction faces the receiver's own admission policy).
+    pub sender: ValidatorId,
+    /// `(fee, transaction)` pairs, in the sender's admission order.
+    pub txs: Vec<(u64, Transaction)>,
+}
+
+/// Whether a peer frame is a [`TxBatch`] (by its header's tag byte).
+pub fn is_tx_batch(frame: &[u8]) -> bool {
+    matches!(frame, [WIRE_VERSION, _, _, _, _, TX_BATCH_TAG, ..])
+}
+
+/// Encodes `txs` from `sender` as [`TxBatch`] frames, in order and as
+/// few as the limits allow: at most [`MAX_TXS_PER_BLOCK`] transactions
+/// and, unless one transaction alone exceeds it, `max_bytes` bytes per
+/// frame. A payload over [`MAX_TX_BYTES`] is left out, as every decoder
+/// would drop its frame. No transactions, no frames.
+pub fn encode_tx_batches(sender: ValidatorId, txs: &[(u64, Transaction)], max_bytes: usize) -> Vec<Vec<u8>> {
+    let mut frames = Vec::new();
+    let mut count = 0u32;
+    let mut buf = Vec::new();
+    for (fee, tx) in txs {
+        let Some(size) = u32::try_from(tx.size()).ok().filter(|n| *n <= MAX_TX_BYTES) else {
+            continue;
+        };
+        if count > 0 && (count == MAX_TXS_PER_BLOCK || buf.len() + BATCH_ENTRY + tx.size() > max_bytes) {
+            frames.push(seal_batch(std::mem::take(&mut buf), count));
+            count = 0;
+        }
+        if count == 0 {
+            buf.push(WIRE_VERSION);
+            buf.extend_from_slice(&sender.raw().to_be_bytes());
+            buf.extend_from_slice(&[TX_BATCH_TAG, 0, 0, 0, 0]);
+        }
+        buf.extend_from_slice(&fee.to_be_bytes());
+        buf.extend_from_slice(&size.to_be_bytes());
+        buf.extend_from_slice(tx.payload());
+        count += 1;
+    }
+    if count > 0 {
+        frames.push(seal_batch(buf, count));
+    }
+    frames
+}
+
+/// Writes `count` into the header of a batch frame.
+fn seal_batch(mut frame: Vec<u8>, count: u32) -> Vec<u8> {
+    if let Some(slot) = frame.get_mut(BATCH_HEADER - 4..BATCH_HEADER) {
+        slot.copy_from_slice(&count.to_be_bytes());
+    }
+    frame
+}
+
+/// Decodes one [`TxBatch`] frame, copying each payload once out of it.
+/// The whole frame must be consumed.
+///
+/// # Errors
+///
+/// Any [`ClientError`]: a short frame, a count or size over its limit,
+/// or a header that is not a batch's. Nothing of a failed frame is
+/// returned.
+pub fn decode_tx_batch(frame: &[u8]) -> Result<TxBatch, ClientError> {
+    let mut r = Reader::new(frame);
+    let version = r.u8()?;
+    if version != WIRE_VERSION {
+        return Err(ClientError::BadVersion(version));
+    }
+    let sender = ValidatorId::new(r.u32()?);
+    let tag = r.u8()?;
+    if tag != TX_BATCH_TAG {
+        return Err(ClientError::BadTag(tag));
+    }
+    let count = r.u32()?;
+    if count > MAX_TXS_PER_BLOCK {
+        return Err(ClientError::TooMany(count));
+    }
+    let mut txs = Vec::with_capacity(count.min(1024) as usize);
+    for _ in 0..count {
+        let fee = r.u64()?;
+        let size = r.u32()?;
+        if size > MAX_TX_BYTES {
+            return Err(ClientError::Oversize(size.into()));
+        }
+        txs.push((fee, Transaction::from_slice(r.take(size as usize)?)));
+    }
+    if r.remaining() != 0 {
+        return Err(ClientError::TrailingBytes(r.remaining()));
+    }
+    Ok(TxBatch { sender, txs })
+}
 
 #[cfg(test)]
 mod tests {
@@ -305,6 +426,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn sample_batch() -> Vec<(u64, Transaction)> {
+        vec![(3, Transaction::new(b"pay bob 3".to_vec())), (0, Transaction::new(Vec::new()))]
+    }
+
+    #[test]
+    fn a_batch_round_trips_and_is_told_from_consensus_frames() {
+        let sender = ValidatorId::new(2);
+        let frames = encode_tx_batches(sender, &sample_batch(), usize::MAX);
+        assert_eq!(frames.len(), 1);
+        assert!(is_tx_batch(&frames[0]));
+        assert_eq!(crate::wire::peek_header(&frames[0]).map(|(v, _)| v), Some(sender));
+        assert_eq!(decode_tx_batch(&frames[0]), Ok(TxBatch { sender, txs: sample_batch() }));
+        assert!(encode_tx_batches(sender, &[], usize::MAX).is_empty());
+        assert!(!is_tx_batch(&[WIRE_VERSION, 0, 0, 0, 2, 0]), "a LOG frame");
+        assert!(!is_tx_batch(&[CLIENT_WIRE_VERSION, 0, 0, 0, 2, TX_BATCH_TAG]));
+    }
+
+    #[test]
+    fn batches_split_at_the_byte_budget_and_keep_their_order() {
+        let txs: Vec<(u64, Transaction)> = (0..5).map(|i| (i, Transaction::synthetic(i, 100))).collect();
+        // Room for two entries per frame.
+        let frames = encode_tx_batches(ValidatorId::new(0), &txs, BATCH_HEADER + 2 * (BATCH_ENTRY + 100));
+        assert_eq!(frames.len(), 3);
+        let back: Vec<_> = frames.iter().flat_map(|f| decode_tx_batch(f).expect("decodes").txs).collect();
+        assert_eq!(back, txs);
+        // One transaction over the budget still travels, alone.
+        assert_eq!(encode_tx_batches(ValidatorId::new(0), &txs, 1).len(), 5);
+    }
+
+    #[test]
+    fn a_truncated_or_over_limit_batch_decodes_to_nothing() {
+        let frame = encode_tx_batches(ValidatorId::new(1), &sample_batch(), usize::MAX).remove(0);
+        for cut in 0..frame.len() {
+            assert!(decode_tx_batch(&frame[..cut]).is_err(), "cut {cut}");
+        }
+        let mut long = frame.clone();
+        long.push(0);
+        assert_eq!(decode_tx_batch(&long), Err(ClientError::TrailingBytes(1)));
+        let mut many = frame.clone();
+        many[6..10].copy_from_slice(&(MAX_TXS_PER_BLOCK + 1).to_be_bytes());
+        assert_eq!(decode_tx_batch(&many), Err(ClientError::TooMany(MAX_TXS_PER_BLOCK + 1)));
+        let mut big = frame[..BATCH_HEADER + 8].to_vec();
+        big.extend_from_slice(&(MAX_TX_BYTES + 1).to_be_bytes());
+        assert_eq!(decode_tx_batch(&big), Err(ClientError::Oversize(u64::from(MAX_TX_BYTES) + 1)));
     }
 
     #[test]

@@ -19,11 +19,18 @@
 //!
 //! Encoding and decoding enforce the same two limits, so a node cannot
 //! write a body that every reader drops.
+//!
+//! A reader made with [`Reader::pooled`] carries its caller's pool
+//! lookup, and every body it reads takes a transaction the pool holds
+//! with the same bytes from the pool instead of copying it
+//! ([`Reader::transaction`]). The TCP node decodes peer frames this
+//! way: a proposal's transactions are ones its peers already pushed to
+//! its pool, so n proposals of one batch share one buffer per payload.
 
 use tobsvd_crypto::Digest;
 
 use crate::ids::ValidatorId;
-use crate::tx::Transaction;
+use crate::tx::{Transaction, TxId};
 use crate::view::View;
 
 /// Maximum transactions per block body.
@@ -39,12 +46,20 @@ pub struct Truncated;
 /// with [`Truncated`], consuming nothing, when too few bytes remain.
 pub struct Reader<'a> {
     rest: &'a [u8],
+    /// Where [`Reader::transaction`] looks a payload up first.
+    pool: Option<&'a dyn Fn(TxId) -> Option<Transaction>>,
 }
 
 impl<'a> Reader<'a> {
     /// Starts a cursor at the beginning of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { rest: buf }
+        Reader { rest: buf, pool: None }
+    }
+
+    /// [`Reader::new`], with `pool` answering [`Reader::transaction`]'s
+    /// lookups.
+    pub fn pooled(buf: &'a [u8], pool: &'a dyn Fn(TxId) -> Option<Transaction>) -> Self {
+        Reader { rest: buf, pool: Some(pool) }
     }
 
     /// Bytes not read yet.
@@ -84,6 +99,16 @@ impl<'a> Reader<'a> {
     pub fn digest(&mut self) -> Result<Digest, Truncated> {
         self.array().map(Digest::from_bytes)
     }
+
+    /// Reads `n` bytes as a transaction payload: the pool's transaction
+    /// when it holds these bytes, else one copy out of the input.
+    pub fn transaction(&mut self, n: usize) -> Result<Transaction, Truncated> {
+        let payload = self.take(n)?;
+        Ok(match self.pool {
+            Some(pool) => Transaction::from_slice_or(payload, pool),
+            None => Transaction::from_slice(payload),
+        })
+    }
 }
 
 /// Why a block body cannot be encoded or decoded.
@@ -109,7 +134,8 @@ pub struct BlockBody {
     pub proposer: ValidatorId,
     /// View the block was proposed in.
     pub view: View,
-    /// The batched transactions, each copied once out of the input.
+    /// The batched transactions: each the reader's pooled copy, or
+    /// copied once out of the input.
     pub txs: Vec<Transaction>,
 }
 
@@ -138,7 +164,8 @@ pub fn put_block_body(
     Ok(())
 }
 
-/// Reads one block body, copying each payload once out of the input.
+/// Reads one block body through [`Reader::transaction`]: each payload
+/// is the reader's pooled copy or one copy out of the input.
 ///
 /// # Errors
 ///
@@ -157,7 +184,7 @@ pub fn read_block_body(r: &mut Reader<'_>) -> Result<BlockBody, BodyError> {
         if size > MAX_TX_BYTES {
             return Err(BodyError::Limit("tx size"));
         }
-        txs.push(Transaction::from_slice(r.take(size as usize)?));
+        txs.push(r.transaction(size as usize)?);
     }
     Ok(BlockBody { proposer, view, txs })
 }
@@ -205,6 +232,22 @@ mod tests {
         for cut in 0..out.len() {
             assert_eq!(read_block_body(&mut Reader::new(&out[..cut])), Err(BodyError::Truncated), "cut {cut}");
         }
+    }
+
+    #[test]
+    fn a_pooled_reader_shares_the_pools_payloads_and_decodes_the_same_body() {
+        let (proposer, view) = (ValidatorId::new(4), View::new(9));
+        let txs = vec![Transaction::new(vec![1, 2, 3]), Transaction::new(vec![4, 5])];
+        let mut out = Vec::new();
+        put_block_body(&mut out, proposer, view, &txs).expect("within limits");
+        // The pool holds the first transaction only.
+        let held = txs[0].clone();
+        let pool = |id: TxId| (id == held.id()).then(|| held.clone());
+        let body = read_block_body(&mut Reader::pooled(&out, &pool)).expect("decodes");
+        assert_eq!(body, BlockBody { proposer, view, txs: txs.clone() });
+        assert_eq!(body.txs[0].payload().as_ptr(), held.payload().as_ptr(), "shared");
+        let input = out.as_ptr_range();
+        assert!(!input.contains(&body.txs[1].payload().as_ptr()), "copied out of the input");
     }
 
     #[test]

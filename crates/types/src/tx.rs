@@ -10,6 +10,10 @@
 //! The payload is one shared buffer: every validator proposes in every
 //! view (§3.3), so the same pending transaction sits in up to n stored
 //! blocks, and a clone is a reference-count bump rather than a copy.
+//! A TCP node pools each client transaction before any peer's block
+//! carries it back (its peers push what their clients submit), so a
+//! decoder given the pool's lookup ([`Transaction::from_slice_or`])
+//! shares the pooled buffer instead of copying the bytes again.
 
 use std::fmt;
 use std::sync::Arc;
@@ -63,10 +67,25 @@ impl Transaction {
         Transaction::from_shared(payload.into())
     }
 
+    /// [`Transaction::from_slice`], unless `pooled` answers this id
+    /// with a transaction of the same bytes: then that transaction,
+    /// sharing its buffer, and nothing is copied.
+    pub fn from_slice_or(payload: &[u8], pooled: &dyn Fn(TxId) -> Option<Transaction>) -> Self {
+        let id = Self::id_of(payload);
+        match pooled(id) {
+            Some(tx) if tx.payload() == payload => tx,
+            _ => Transaction { id, payload: payload.into() },
+        }
+    }
+
     fn from_shared(payload: Arc<[u8]>) -> Self {
+        Transaction { id: Self::id_of(&payload), payload }
+    }
+
+    fn id_of(payload: &[u8]) -> TxId {
         let mut h = Hasher::new("tobsvd/tx");
-        h.update(&payload);
-        Transaction { id: TxId(h.finalize()), payload }
+        h.update(payload);
+        TxId(h.finalize())
     }
 
     /// A synthetic transaction of `size` bytes, unique per `nonce`.
@@ -128,6 +147,22 @@ mod tests {
         assert_ne!(a.id(), b.id());
         assert_eq!(a.size(), 64);
         assert_eq!(b.size(), 64);
+    }
+
+    #[test]
+    fn a_pooled_copy_with_the_same_bytes_is_shared_and_any_other_answer_is_not() {
+        let pooled = Transaction::new(b"pay carol 2".to_vec());
+        let bytes = pooled.payload().to_vec();
+        let shared = Transaction::from_slice_or(&bytes, &|id| (id == pooled.id()).then(|| pooled.clone()));
+        assert_eq!(shared.payload().as_ptr(), pooled.payload().as_ptr(), "the pool's buffer");
+        // A lookup that misses, or answers other bytes, gets a copy.
+        let impostor = Transaction::new(b"other".to_vec());
+        let lookups: [&dyn Fn(TxId) -> Option<Transaction>; 2] = [&|_| None, &|_| Some(impostor.clone())];
+        for lookup in lookups {
+            let copy = Transaction::from_slice_or(&bytes, lookup);
+            assert_eq!(copy, Transaction::from_slice(&bytes));
+            assert_ne!(copy.payload().as_ptr(), pooled.payload().as_ptr());
+        }
     }
 
     #[test]

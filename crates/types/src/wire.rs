@@ -1,5 +1,4 @@
-//! Binary wire codec for [`SignedMessage`] — content-addressed delta
-//! sync.
+//! Binary wire codec for [`SignedMessage`]: content-addressed delta sync.
 //!
 //! Used by the real TCP runtime (`tobsvd-runtime`) and by the
 //! simulator's byte accounting. Log-carrying payloads are framed as
@@ -10,10 +9,8 @@
 //! only; receivers that are missing the referenced blocks fetch them
 //! with the [`crate::Payload::BlockRequest`] /
 //! [`crate::Payload::BlockResponse`] subprotocol instead of every
-//! message re-shipping the whole chain. Per message this turns the old
-//! O(chain length) block payload into O(1) blocks + O(1) hashes, which
-//! is where the order-of-magnitude wire-byte reduction of the
-//! `sync_traffic` bench comes from.
+//! message re-shipping the whole chain: per message, O(1) blocks and
+//! O(1) hashes instead of O(chain length) blocks.
 //!
 //! Block ids are re-derived by the decoder: inline suffix blocks are
 //! appended to the local [`BlockStore`] and the reconstructed tip must
@@ -34,7 +31,7 @@
 //! u32 sender
 //! u8  tag           0 = LOG, 1 = PROPOSAL, 2 = VOTE, 3 = RECOVERY,
 //!                   4 = FINALITY-VOTE, 5 = BLOCK-REQUEST, 6 = BLOCK-RESPONSE,
-//!                   7 = CERTIFICATE
+//!                   7 = CERTIFICATE, 8 = TX-BATCH (`crate::client`)
 //! ... tag-specific header (instance / view + vrf + proof / epoch)
 //! tags 0–4, 7 — log announcement:
 //!   u64 log length  (number of blocks incl. genesis)
@@ -352,13 +349,9 @@ pub fn encoded_len(msg: &SignedMessage, store: &BlockStore) -> Result<u64, WireE
 /// As [`encoded_len`].
 pub fn encoded_and_inline_len(msg: &SignedMessage, store: &BlockStore) -> Result<(u64, u64), WireError> {
     let (wire_len, tip_size) = measure(msg, store)?;
-    let inline_len = match msg.payload().log() {
-        Some(log) => {
-            let size = tip_size.unwrap_or_else(|| log.nominal_size(store));
-            crate::ENVELOPE_NOMINAL_BYTES + size
-        }
-        None => 0,
-    };
+    let inline_len = msg.payload().log().map_or(0, |log| {
+        crate::ENVELOPE_NOMINAL_BYTES + tip_size.unwrap_or_else(|| log.nominal_size(store))
+    });
     Ok((wire_len, inline_len))
 }
 
@@ -421,12 +414,10 @@ fn measure(msg: &SignedMessage, store: &BlockStore) -> Result<(u64, Option<u64>)
 }
 
 /// Nominal wire length of the same message under the pre-delta-sync
-/// codec, which shipped the full chain (every block from height 1 to the
-/// tip, transactions included) in every log-carrying message. Fetch
-/// payloads return 0 — the counterfactual protocol has no fetch
-/// traffic. Computed from the store's cumulative nominal sizes in O(1);
-/// the simulator accumulates it alongside the real wire bytes so
-/// delta-sync savings are measurable in a single run.
+/// codec, which shipped the full chain (every block, transactions
+/// included) in every log-carrying message; 0 for fetch payloads, which
+/// that protocol lacks. O(1), from the store's cumulative nominal
+/// sizes; the simulator counts it beside the real wire bytes.
 pub fn inline_equivalent_len(msg: &SignedMessage, store: &BlockStore) -> u64 {
     match msg.payload().log() {
         Some(log) => crate::ENVELOPE_NOMINAL_BYTES + log.nominal_size(store),
@@ -446,7 +437,16 @@ pub fn inline_equivalent_len(msg: &SignedMessage, store: &BlockStore) -> u64 {
 /// should park the frame and issue a `BlockRequest`). On success the
 /// full buffer must have been consumed.
 pub fn decode_message(frame: impl AsRef<[u8]>, store: &BlockStore) -> Result<SignedMessage, WireError> {
-    let mut r = Reader::new(frame.as_ref());
+    decode_from(Reader::new(frame.as_ref()), store)
+}
+
+/// [`decode_message`] over the frame `r` reads: a [`Reader::pooled`]
+/// takes the carried transactions its pool holds from the pool.
+///
+/// # Errors
+///
+/// As [`decode_message`].
+pub fn decode_from(mut r: Reader<'_>, store: &BlockStore) -> Result<SignedMessage, WireError> {
     let version = r.u8()?;
     if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));

@@ -14,13 +14,21 @@
 //! saving end to end: announcement bytes stay flat as the chain grows,
 //! and a healthy steady-state cluster needs no fetch traffic at all.
 //!
+//! One client submits a few transactions to node 0 alone. Node 0 pushes
+//! what it admits to every peer's pool, so the run asserts that every
+//! node decides all of them.
+//!
 //! Stdout carries what the run decides: blocks, votes and agreement.
 //! Frame and byte counts depend on socket timing, so they go to
 //! stderr, and two runs print the same stdout.
 
 use std::time::Duration;
 
-use tob_svd::runtime::{ClusterConfig, LocalCluster};
+use tob_svd::runtime::{ClientConn, ClusterConfig, LocalCluster};
+use tob_svd::types::{TxId, ValidatorId};
+
+/// Transactions the client submits, all to node 0.
+const CLIENT_TXS: usize = 8;
 
 fn main() {
     let cfg = ClusterConfig::new(5).views(6).tick(Duration::from_millis(10));
@@ -29,7 +37,17 @@ fn main() {
         cfg.delta.ticks() * 10,
         cfg.views
     );
-    let report = LocalCluster::run(cfg).expect("cluster runs");
+    let cluster = LocalCluster::spawn(cfg).expect("cluster spawns");
+    let (clock, run_ticks) = (cluster.clock(), cluster.run_ticks());
+    let node0 = cluster.addr_of(ValidatorId::new(0)).expect("node 0 listens");
+    let mut client = ClientConn::connect(node0, 1).expect("client connects");
+    let submitted: Vec<TxId> =
+        (0..CLIENT_TXS).map(|i| client.submit(1, format!("transfer {i}").into_bytes())).collect();
+    while clock.now_tick().ticks() < run_ticks && !client.is_closed() {
+        client.pump().expect("client pumps");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let report = cluster.join().expect("cluster runs");
 
     println!("per-node outcomes:");
     for o in report.outcomes() {
@@ -71,4 +89,10 @@ fn main() {
         report.min_decided_len() - 1,
         report.max_decided_len() - 1
     );
+    for o in report.outcomes() {
+        let decided = report.decided_tx_ticks(o.me);
+        let count = submitted.iter().filter(|id| decided.contains_key(id)).count();
+        assert_eq!(count, CLIENT_TXS, "{} decided {count} of the client's transactions", o.me);
+    }
+    println!("client: {CLIENT_TXS} transactions submitted to node 0 only; every node decided all {CLIENT_TXS}");
 }

@@ -11,13 +11,18 @@
 //! * one peer frame per `Payload` kind (`wire::encode_message`),
 //!   certificate and `BlockResponse` included;
 //! * a client `Submit` and a `SubmitAck` (`client::encode_client_frame`);
+//! * a `TxBatch`, the peer frame that pushes admitted client
+//!   transactions (`client::encode_tx_batches`), written down from its
+//!   layout when the frame was added;
 //! * a WAL `Block` record, a WAL `Decided` record and a snapshot.
 
 use tob_svd::crypto::{sha256, AggregateSignature, Keypair, VrfOutput, VrfProof};
 use tob_svd::storage::{
     decode_snapshot, decode_wal, encode_record, encode_snapshot, BlockRecord, Snapshot, WalRecord,
 };
-use tob_svd::types::client::{encode_client_frame, AckStatus, ClientFrame};
+use tob_svd::types::client::{
+    decode_tx_batch, encode_client_frame, encode_tx_batches, AckStatus, ClientFrame, TxBatch,
+};
 use tob_svd::types::{
     wire, BlockStore, InstanceId, Log, Payload, SignedMessage, SignerSet, Transaction,
     ValidatorId, View,
@@ -205,6 +210,21 @@ fn client_frames_match_their_recorded_bytes() {
         }
     }
     assert_pinned(&moved);
+}
+
+#[test]
+fn a_tx_batch_matches_its_recorded_bytes() {
+    let sender = ValidatorId::new(1);
+    let txs = vec![(42, Transaction::new(b"pay bob 3".to_vec())), (0, Transaction::new(vec![4]))];
+    // Peer header (version 2, sender 1, tag 8), count 2, then per
+    // transaction its fee, size and bytes.
+    let golden = "0200000001080000000200000000000000\
+        2a0000000970617920626f6220330000\
+        0000000000000000000104";
+    let frames = encode_tx_batches(sender, &txs, usize::MAX);
+    let got: Vec<String> = frames.iter().map(|f| hex(f)).collect();
+    assert_eq!(got, vec![golden.to_string()], "one frame, these bytes");
+    assert_eq!(decode_tx_batch(&frames[0]), Ok(TxBatch { sender, txs }));
 }
 
 /// The WAL records of `sample_log`'s two blocks, parent first.

@@ -2,12 +2,13 @@
 //! deciding over actual sockets, with agreement across processes'
 //! independent stores.
 
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-use tob_svd::runtime::{ClusterConfig, LocalCluster, NodeOutcome};
+use tob_svd::runtime::{ClientConn, ClusterConfig, LocalCluster, NodeOutcome};
 use tob_svd::sim::invariant::{DecisionEvent, DecisionMonotonicity, Invariant};
 use tob_svd::sim::{DecisionObserver, DecisionRecord};
-use tob_svd::types::{Log, Time};
+use tob_svd::types::{Log, Time, TxId, ValidatorId};
 
 /// ROADMAP 1b over TCP: a node's decision events form one chain in its
 /// own store — each decided tip extends the one before it.
@@ -99,4 +100,57 @@ fn each_node_reads_its_sockets_once_per_tick() {
             o.ingest.scans
         );
     }
+}
+
+/// Clients that reach node 0 alone still reach every proposer: node 0
+/// pushes what it admits to its peers' pools, so every node decides
+/// every client transaction, and blocks that node 1 or node 2 proposed
+/// (views they led) carry some of them.
+#[test]
+fn transactions_submitted_to_one_node_are_decided_everywhere_and_proposed_by_all() {
+    const VIEWS: u64 = 10;
+    const LOADED_VIEWS: u64 = 6;
+    let cfg = ClusterConfig::new(3).views(VIEWS).tick(Duration::from_millis(8));
+    let view_ticks = 4 * cfg.delta.ticks();
+    let cluster = LocalCluster::spawn(cfg).expect("cluster spawns");
+    let (clock, run_ticks) = (cluster.clock(), cluster.run_ticks());
+    let node0 = cluster.addr_of(ValidatorId::new(0)).expect("node 0 listens");
+    let mut client = ClientConn::connect(node0, 1).expect("client connects");
+    // Four submissions per view, then the last views drain.
+    let mut ids: Vec<TxId> = Vec::new();
+    for view in 0..LOADED_VIEWS {
+        clock.wait_for(view * view_ticks);
+        ids.extend((0..4).map(|i| client.submit(1, format!("view {view} tx {i}").into_bytes())));
+        client.pump().expect("client pumps");
+    }
+    while clock.now_tick().ticks() < run_ticks && !client.is_closed() {
+        client.pump().expect("client pumps");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let report = cluster.join().expect("cluster runs");
+    report.assert_agreement();
+
+    for o in report.outcomes() {
+        let decided = report.decided_tx_ticks(o.me);
+        let missing: Vec<_> = ids.iter().filter(|id| !decided.contains_key(id)).collect();
+        assert!(missing.is_empty(), "{} never decided {} of {}", o.me, missing.len(), ids.len());
+    }
+    let o = &report.outcomes()[0];
+    let wanted: BTreeSet<TxId> = ids.iter().copied().collect();
+    let proposers: BTreeSet<ValidatorId> = o
+        .store
+        .chain_range(o.decided_tip, 1)
+        .expect("the decided chain is stored")
+        .into_iter()
+        .filter_map(|id| o.store.get(id))
+        .filter(|block| block.txs().iter().any(|tx| wanted.contains(&tx.id())))
+        .filter_map(|block| block.proposer())
+        .collect();
+    assert!(proposers.iter().any(|p| p.index() != 0), "only {proposers:?} proposed client transactions");
+
+    // Announcement bytes, batches included, reconcile across the mesh:
+    // nothing is received that was not sent.
+    let received: u64 = report.outcomes().iter().map(|o| o.announce_bytes.0).sum();
+    let sent: u64 = report.outcomes().iter().map(|o| o.announce_bytes.1).sum();
+    assert!(0 < received && received <= sent, "{received} announcement bytes received, {sent} sent");
 }
