@@ -62,8 +62,17 @@
 //! a prune remove exactly the records its log includes, without
 //! scanning the pool. One index serves duplicate suppression, latency
 //! lookups and these, so an admission still inserts one id.
+//!
+//! The index, and the set of ids decided elsewhere, are hashed: every
+//! id ever admitted stays in them, and a TCP node looks up each
+//! transaction of each block body it decodes, so an ordered walk over
+//! them was the node's largest self time. Both are keyed-lookup only,
+//! never iterated, so hash order reaches no output. They keep std's
+//! keyed SipHash, as `BlockStore`'s map does, not an identity hash over
+//! the digest bytes: clients choose payloads, so they can grind ids
+//! into one bucket.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -171,10 +180,10 @@ struct Inner {
     /// its record is pending, that record's seq. Retained after pruning
     /// for duplicate suppression and latency lookups; *removed* on
     /// eviction so clients can resubmit.
-    submitted: BTreeMap<TxId, Admitted>,
+    submitted: HashMap<TxId, Admitted>,
     /// Decided ids this pool never admitted (a peer's client submitted
     /// them): duplicate-suppressed, with no submission time.
-    decided_elsewhere: BTreeSet<TxId>,
+    decided_elsewhere: HashSet<TxId>,
     /// Per-client rate-cap windows: client → (window index, accepted).
     rate: BTreeMap<u64, (u64, u32)>,
     /// Admission counters.

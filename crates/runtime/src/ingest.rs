@@ -59,7 +59,7 @@ use tobsvd_types::client::{
     AckStatus, ClientFrame, MAX_SUBMIT_FRAME_BYTES,
 };
 use tobsvd_types::codec::Reader;
-use tobsvd_types::{wire, BlockId, BlockStore, SignedMessage, Transaction};
+use tobsvd_types::{wire, BlockId, BlockStore, SignedMessage, Transaction, TxId};
 
 use crate::clock::TickClock;
 use crate::frame::{self, FrameStep, MAX_FRAME_BYTES};
@@ -302,7 +302,9 @@ fn service_read(
             }
             FrameStep::Frame(frame) => {
                 match session.kind {
-                    SessionKind::Peer => handle_peer_frame(frame, cfg, inbox, stats),
+                    SessionKind::Peer => {
+                        handle_peer_frame(frame, &cfg.store, &|id| cfg.mempool.lookup(id), inbox, stats);
+                    }
                     SessionKind::Client => handle_client_frame(session, frame, cfg, now, admitted, stats),
                     SessionKind::Unknown => {}
                 }
@@ -341,11 +343,13 @@ fn classify(session: &mut Session, stats: &mut IngestStats) -> bool {
 }
 
 /// Decodes one peer frame into the node loop's inbox: a `TxBatch` as a
-/// whole or not at all, anything else as a consensus message whose
-/// block bodies take the transactions the pool holds from the pool.
+/// whole or not at all, anything else as a consensus message against
+/// `store`, whose block bodies take the transactions `pool` holds from
+/// it (the node passes [`Mempool::lookup`]).
 fn handle_peer_frame(
     frame: &[u8],
-    cfg: &IngestConfig,
+    store: &BlockStore,
+    pool: &dyn Fn(TxId) -> Option<Transaction>,
     inbox: &mut VecDeque<Inbound>,
     stats: &mut IngestStats,
 ) {
@@ -360,8 +364,7 @@ fn handle_peer_frame(
         }
         return;
     }
-    let pooled = |id| cfg.mempool.lookup(id);
-    match wire::decode_from(Reader::pooled(frame, &pooled), &cfg.store) {
+    match wire::decode_from(Reader::pooled(frame, pool), store) {
         Ok(msg) => {
             stats.peer_frames += 1;
             inbox.push_back(Inbound::Msg(msg, n));
@@ -439,7 +442,7 @@ pub(crate) mod tests {
     use std::io::Write;
     use std::net::SocketAddr;
     use tobsvd_core::AdmissionPolicy;
-    use tobsvd_crypto::KeyCache;
+    use tobsvd_crypto::{Digest, KeyCache, VrfOutput, VrfProof};
     use tobsvd_types::client::encode_tx_batches;
     use tobsvd_types::codec::MAX_TXS_PER_BLOCK;
     use tobsvd_types::{InstanceId, Log, Payload, Time, ValidatorId, View};
@@ -669,6 +672,42 @@ pub(crate) mod tests {
         // The pool holds one transaction: the second submission is shed.
         assert_eq!((ingest.stats().acks_accepted, ingest.stats().acks_busy), (1, 1));
         assert_eq!(admitted, vec![(1, Transaction::new(vec![1; 32]))]);
+    }
+
+    #[test]
+    fn a_peers_vote_after_its_proposal_costs_no_pool_lookups() {
+        let (ingest, _) = plane(16);
+        let me = ValidatorId::new(1);
+        let txs: Vec<_> = (1u8..=3).map(|i| Transaction::new(vec![i; 32])).collect();
+        for tx in &txs {
+            assert!(ingest.cfg.mempool.admit(tx.clone(), Time::ZERO, 1, None).is_accepted());
+        }
+        let store = BlockStore::new();
+        let log = Log::genesis(&store).extend(&store, me, View::new(1), txs);
+        let (vrf, proof) = (VrfOutput(Digest::ZERO), VrfProof(Digest::ZERO));
+        let frames = [
+            Payload::Proposal { view: View::new(1), log, vrf, proof },
+            Payload::Vote { instance: InstanceId(1), log },
+        ];
+        let lookups = std::cell::Cell::new(0);
+        let pool = |id| {
+            lookups.set(lookups.get() + 1);
+            ingest.cfg.mempool.lookup(id)
+        };
+        let (mut inbox, mut stats) = (VecDeque::new(), IngestStats::default());
+        let mut counts = Vec::new();
+        for payload in frames {
+            let msg = SignedMessage::sign(&KeyCache::keypair(me.key_seed()), me, payload);
+            let bytes = wire::encode_message(&msg, &store).expect("a chain in its own store encodes");
+            handle_peer_frame(&bytes, &ingest.cfg.store, &pool, &mut inbox, &mut stats);
+            assert!(matches!(inbox.pop_front(), Some(Inbound::Msg(got, _)) if got == msg));
+            counts.push(lookups.replace(0));
+        }
+        // The proposal's body looks up each of its transactions; the
+        // vote inlines the same, now stored, tip block, which is
+        // compared with the store instead.
+        assert_eq!(counts, [3, 0]);
+        assert_eq!((stats.peer_frames, stats.malformed), (2, 0));
     }
 
     #[test]

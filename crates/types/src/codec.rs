@@ -26,10 +26,22 @@
 //! ([`Reader::transaction`]). The TCP node decodes peer frames this
 //! way: a proposal's transactions are ones its peers already pushed to
 //! its pool, so n proposals of one batch share one buffer per payload.
+//!
+//! A known tip's bodies are compared, not decoded. Every view each
+//! awake validator proposes, votes and LOGs on the logs it holds, and
+//! each of those frames inlines its tip block, so a node mostly reads
+//! bodies it already stores. `skip_stored_bodies` compares such a
+//! frame's bodies byte for byte with the stored blocks and consumes
+//! them: no payload is copied, hashed or looked up in the pool. A body
+//! that differs in any byte, ends early or breaks a limit is decoded as
+//! before, so what a tampered frame decodes to, and what it appends to
+//! the store, does not depend on the compare.
 
 use tobsvd_crypto::Digest;
 
+use crate::block::{Block, BlockId};
 use crate::ids::ValidatorId;
+use crate::store::BlockStore;
 use crate::tx::{Transaction, TxId};
 use crate::view::View;
 
@@ -43,7 +55,9 @@ pub const MAX_TX_BYTES: u32 = 1 << 20;
 pub struct Truncated;
 
 /// A panic-free cursor over a borrowed byte slice. Every read fails
-/// with [`Truncated`], consuming nothing, when too few bytes remain.
+/// with [`Truncated`], consuming nothing, when too few bytes remain. A
+/// copy is a saved position: assigning it back rewinds.
+#[derive(Clone, Copy)]
 pub struct Reader<'a> {
     rest: &'a [u8],
     /// Where [`Reader::transaction`] looks a payload up first.
@@ -189,6 +203,64 @@ pub fn read_block_body(r: &mut Reader<'_>) -> Result<BlockBody, BodyError> {
     Ok(BlockBody { proposer, view, txs })
 }
 
+/// Consumes `count` block bodies from `r` and returns `true` when they
+/// are byte for byte the bodies of the stored chain that runs from
+/// `base` (a block id at its height) up to `tip`; else leaves `r` where
+/// it was and returns `false`, for the caller to decode them.
+///
+/// A `true` stands for what decoding and appending the bodies would
+/// do: [`read_block_body`] would read the stored blocks' fields within
+/// its limits, and appending them onto `base` would rebuild the stored
+/// ids up to `tip` and store nothing new. The compare allocates per
+/// frame one list of the chain's ids, and per transaction nothing: no
+/// payload is copied, hashed or looked up.
+pub(crate) fn skip_stored_bodies(
+    r: &mut Reader<'_>,
+    store: &BlockStore,
+    count: u64,
+    base: (BlockId, u64),
+    tip: BlockId,
+) -> bool {
+    let start = *r;
+    let (Some(from), Some(top)) = (base.1.checked_add(1), base.1.checked_add(count)) else {
+        return false;
+    };
+    let same = count > 0
+        && store.height(tip) == Some(top)
+        && store.chain_range(tip, from).is_some_and(|ids| {
+            ids.iter().enumerate().all(|(i, id)| {
+                store.get(*id).is_some_and(|block| {
+                    (i > 0 || block.parent() == base.0) && stored_body_matches(r, &block) == Ok(true)
+                })
+            })
+        });
+    if !same {
+        *r = start;
+    }
+    same
+}
+
+/// Whether the next body `r` holds is exactly what [`put_block_body`]
+/// writes for `block`, within the limits [`read_block_body`] enforces;
+/// reads up to the first difference.
+fn stored_body_matches(r: &mut Reader<'_>, block: &Block) -> Result<bool, Truncated> {
+    let txs = block.txs();
+    if block.proposer() != Some(ValidatorId::new(r.u32()?))
+        || r.u64()? != block.view().number()
+        || usize::try_from(r.u32()?) != Ok(txs.len())
+        || txs.len() > MAX_TXS_PER_BLOCK as usize
+    {
+        return Ok(false);
+    }
+    for tx in txs {
+        let size = r.u32()?;
+        if size > MAX_TX_BYTES || usize::try_from(size) != Ok(tx.size()) || r.take(tx.size())? != tx.payload() {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
 /// Length in bytes of the body [`put_block_body`] writes for `txs`,
 /// whatever the limits: byte accounting measures every block it is
 /// shown.
@@ -248,6 +320,60 @@ mod tests {
         assert_eq!(body.txs[0].payload().as_ptr(), held.payload().as_ptr(), "shared");
         let input = out.as_ptr_range();
         assert!(!input.contains(&body.txs[1].payload().as_ptr()), "copied out of the input");
+    }
+
+    #[test]
+    fn stored_bodies_are_consumed_only_when_every_byte_matches() {
+        let store = BlockStore::new();
+        let g = store.genesis();
+        let (proposer, view, txs) = (ValidatorId::new(4), View::new(9), sample_txs());
+        let tip = store.append(g, proposer, view, txs.clone()).expect("appends");
+        let mut frame = Vec::new();
+        put_block_body(&mut frame, proposer, view, &txs).expect("within limits");
+        frame.push(0xAB);
+
+        let mut r = Reader::new(&frame);
+        assert!(skip_stored_bodies(&mut r, &store, 1, (g, 0), tip));
+        assert_eq!(r.remaining(), 1, "the body is consumed, what follows is not");
+
+        // Another base, height or tip, or any flipped byte: `r` is left
+        // where it was, for the decode.
+        let other = store.append(g, proposer, View::new(10), vec![]).expect("appends");
+        for (base, count, want) in [((other, 0), 1, tip), ((g, 1), 1, tip), ((g, 0), 2, tip), ((g, 0), 1, other)] {
+            let mut r = Reader::new(&frame);
+            assert!(!skip_stored_bodies(&mut r, &store, count, base, want));
+            assert_eq!(r.remaining(), frame.len());
+        }
+        for i in 0..frame.len() - 1 {
+            let mut flipped = frame.clone();
+            flipped[i] ^= 0x01;
+            let mut r = Reader::new(&flipped);
+            assert!(!skip_stored_bodies(&mut r, &store, 1, (g, 0), tip), "flip at byte {i}");
+            assert_eq!(r.remaining(), frame.len());
+        }
+    }
+
+    #[test]
+    fn a_stored_block_over_the_limits_is_decoded_not_skipped() {
+        // `BlockStore::append` takes any body, but a reader refuses one
+        // over the limits, so its bytes never pass as a stored block.
+        let store = BlockStore::new();
+        let g = store.genesis();
+        let over = [
+            (1, vec![Transaction::new(vec![0; MAX_TX_BYTES as usize + 1])], "tx size"),
+            (2, vec![Transaction::new(vec![]); MAX_TXS_PER_BLOCK as usize + 1], "tx count"),
+        ];
+        for (view, txs, limit) in over {
+            let tip = store.append(g, ValidatorId::new(0), View::new(view), txs.clone()).expect("appends");
+            let mut frame = [0u32.to_be_bytes().as_slice(), &view.to_be_bytes(), &(txs.len() as u32).to_be_bytes()].concat();
+            for tx in &txs {
+                frame.extend_from_slice(&(tx.size() as u32).to_be_bytes());
+                frame.extend_from_slice(tx.payload());
+            }
+            let mut r = Reader::new(&frame);
+            assert!(!skip_stored_bodies(&mut r, &store, 1, (g, 0), tip), "{limit}");
+            assert_eq!(read_block_body(&mut r), Err(BodyError::Limit(limit)));
+        }
     }
 
     #[test]

@@ -427,7 +427,7 @@ pub fn inline_equivalent_len(msg: &SignedMessage, store: &BlockStore) -> u64 {
 
 /// Decodes one message from a borrowed frame, inserting carried blocks
 /// into `store`. Each transaction payload is copied once out of the
-/// frame; nothing else is.
+/// frame, unless its block is stored (then the body is compared with it).
 ///
 /// # Errors
 ///
@@ -481,11 +481,7 @@ pub fn decode_from(mut r: Reader<'_>, store: &BlockStore) -> Result<SignedMessag
             let log = decode_announcement(&mut r, store)?;
             Payload::FinalityVote { epoch, log }
         }
-        5 => {
-            let tip = BlockId(r.digest()?);
-            let from_height = r.u64()?;
-            Payload::BlockRequest { tip, from_height }
-        }
+        5 => Payload::BlockRequest { tip: BlockId(r.digest()?), from_height: r.u64()? },
         6 => decode_response(&mut r, store)?,
         7 => {
             let instance = InstanceId(r.u64()?);
@@ -588,9 +584,10 @@ fn fetch_hint(store: &BlockStore, ancestors: &[BlockId], len: u64, k: u64) -> u6
 
 /// Reads `count` block bodies and appends them onto `base`, a block id
 /// at its height, which must be stored; the chain they build must end
-/// at `tip`. Every body is read before any is appended, so a frame that
-/// turns out truncated or over a limit appends nothing. A missing base
-/// fails with `hint()` as the fetch's start height.
+/// at `tip`. Bodies of a stored chain are compared, not decoded. Else
+/// every body is read before any is appended, so a frame that turns out
+/// truncated or over a limit appends nothing. A missing base fails with
+/// `hint()` as the fetch's start height.
 fn absorb_bodies(
     r: &mut Reader<'_>,
     store: &BlockStore,
@@ -599,6 +596,9 @@ fn absorb_bodies(
     tip: BlockId,
     hint: impl FnOnce() -> u64,
 ) -> Result<(), WireError> {
+    if codec::skip_stored_bodies(r, store, count, base, tip) {
+        return Ok(());
+    }
     let bodies = (0..count).map(|_| codec::read_block_body(r)).collect::<Result<Vec<_>, _>>()?;
     let (mut cur, height) = base;
     match store.height(cur) {
@@ -910,6 +910,101 @@ mod tests {
             decode_message(&bytes, &rx),
             Err(WireError::LimitExceeded(_))
         ));
+    }
+
+    /// [`sample_log`] with a tip block of two transactions.
+    fn tip_with_txs(store: &BlockStore) -> Log {
+        let txs = vec![Transaction::new(vec![5; 40]), Transaction::new(vec![6])];
+        sample_log(store).extend(store, ValidatorId::new(3), View::new(3), txs)
+    }
+
+    /// [`decode_from`] with a pool that counts its lookups and holds
+    /// nothing: the result and the number of lookups.
+    fn decode_counting(bytes: &[u8], store: &BlockStore) -> (Result<SignedMessage, WireError>, usize) {
+        let calls = std::cell::Cell::new(0);
+        let pool = |_| {
+            calls.set(calls.get() + 1);
+            None
+        };
+        (decode_from(Reader::pooled(bytes, &pool), store), calls.get())
+    }
+
+    #[test]
+    fn a_frame_inlining_a_stored_tip_is_compared_without_a_lookup() {
+        let store = BlockStore::new();
+        let log = tip_with_txs(&store);
+        for payload in [Payload::Log { instance: InstanceId(4), log }, Payload::Vote { instance: InstanceId(4), log }] {
+            let msg = signed(payload);
+            let bytes = encode_message(&msg, &store).expect("encode");
+            // Without the tip, each of its two transactions is looked up.
+            let rx = synced_receiver(&store, &log);
+            let plain = decode_message(&bytes, &synced_receiver(&store, &log));
+            assert_eq!(decode_counting(&bytes, &rx), (plain.clone(), 2));
+            // With it, the frame decodes to the same message, and nothing
+            // is looked up or stored.
+            let stored = rx.len();
+            assert_eq!(decode_counting(&bytes, &rx), (plain, 0));
+            assert_eq!(rx.len(), stored);
+        }
+    }
+
+    #[test]
+    fn a_response_for_stored_blocks_is_compared_without_a_lookup() {
+        let store = BlockStore::new();
+        let log = tip_with_txs(&store);
+        let msg = signed(Payload::BlockResponse { tip: log.tip(), from_height: 1, count: log.len() - 1 });
+        let bytes = encode_message(&msg, &store).expect("encode");
+        let rx = BlockStore::new();
+        assert_eq!(decode_counting(&bytes, &rx), (Ok(msg), 4), "two txs per block with txs");
+        let stored = rx.len();
+        assert_eq!(decode_counting(&bytes, &rx), (Ok(msg), 0));
+        assert_eq!(rx.len(), stored);
+    }
+
+    #[test]
+    fn a_tampered_frame_with_a_stored_tip_fails_as_a_decode_does() {
+        let store = BlockStore::new();
+        let log = tip_with_txs(&store);
+        let tip = store.get(log.tip()).expect("stored");
+        let msg = signed(Payload::Vote { instance: InstanceId(4), log });
+        let bytes = encode_message(&msg, &store).expect("encode");
+        let body = bytes.len() - 32 - codec::block_body_len(tip.txs()) as usize;
+        let receiver = || {
+            let rx = synced_receiver(&store, &log);
+            decode_message(&bytes, &rx).expect("the tip is stored");
+            rx
+        };
+
+        // A flipped payload byte: the junk block the decode appends, and
+        // nothing else, is stored.
+        let mut flipped = bytes.clone();
+        flipped[body + 16 + 4] ^= 0x01;
+        let rx = receiver();
+        let stored = rx.len();
+        assert_eq!(decode_counting(&flipped, &rx).0, Err(WireError::BadChain));
+        let mut junk_txs = tip.txs().to_vec();
+        junk_txs[0] = Transaction::new({
+            let mut payload = junk_txs[0].payload().to_vec();
+            payload[0] ^= 0x01;
+            payload
+        });
+        let junk = synced_receiver(&store, &log).append(tip.parent(), ValidatorId::new(3), View::new(3), junk_txs);
+        assert!(rx.contains(junk.expect("appends")));
+        assert_eq!(rx.len(), stored + 1);
+
+        // A body cut short, or a count over its limit: nothing is stored.
+        let mut over = bytes.clone();
+        over[body + 12..body + 16].copy_from_slice(&(codec::MAX_TXS_PER_BLOCK + 1).to_be_bytes());
+        let refused = [
+            (&bytes[..bytes.len() - 32 - 1], WireError::Truncated),
+            (&over[..], WireError::LimitExceeded("tx count")),
+        ];
+        for (frame, err) in refused {
+            let rx = receiver();
+            let stored = rx.len();
+            assert_eq!(decode_counting(frame, &rx).0, Err(err));
+            assert_eq!(rx.len(), stored);
+        }
     }
 
     /// A quorum certificate over votes from validators 0, 2 and 5.
