@@ -42,6 +42,14 @@ pub(crate) fn push(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// `payload` with its length prefix, as [`push`] appends it: empty for
+/// the frames no reader accepts.
+pub(crate) fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    push(&mut out, payload);
+    out
+}
+
 /// Outcome of one [`take`].
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum FrameStep<'a> {

@@ -78,6 +78,7 @@ mod frame;
     )
 )]
 mod ingest;
+mod link;
 mod node;
 
 pub use client::{Ack, ClientConn};

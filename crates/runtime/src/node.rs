@@ -20,7 +20,9 @@
 //! in the tick, and the pass comes late in it. Writes never block the
 //! thread: each dialed peer is a [`Link`] with a bounded out-buffer
 //! (blocking writes to a peer blocked writing to us would deadlock two
-//! single-threaded nodes).
+//! single-threaded nodes). A link also remembers the tips whose bodies
+//! it carried, and a peer known to store a frame's tip gets it
+//! hash-only, without the body (the `link` module).
 //!
 //! Each node owns a private [`BlockStore`], and the message plane is
 //! **content-addressed delta sync**: log-carrying frames are hash
@@ -74,10 +76,7 @@ use crate::clock::TickClock;
 use crate::cluster::ClusterError;
 use crate::frame::{self, MAX_FRAME_BYTES};
 use crate::ingest::{FeeTxs, Inbound, Ingest, IngestConfig, IngestStats};
-
-/// Unsent bytes a peer link may hold before it is closed as a peer that
-/// stopped reading: room for two frames of the largest size.
-const PEER_OUTBUF_CAP: usize = 2 * MAX_FRAME_BYTES;
+use crate::link::{Link, Pushed};
 
 /// Configuration of one node.
 #[derive(Clone, Debug)]
@@ -261,26 +260,6 @@ pub fn spawn_node(
     Ok(NodeHandle { join })
 }
 
-/// A dialed peer: its nonblocking socket and the frame bytes the
-/// socket has not taken yet.
-struct Link {
-    stream: TcpStream,
-    outbuf: Vec<u8>,
-    out_pos: usize,
-}
-
-impl Link {
-    fn new(stream: TcpStream) -> Link {
-        Link { stream, outbuf: Vec::new(), out_pos: 0 }
-    }
-
-    /// Writes what the socket takes of the unsent bytes; `false` once
-    /// the peer is gone.
-    fn flush(&mut self) -> bool {
-        !frame::flush(&mut self.stream, &mut self.outbuf, &mut self.out_pos).unwrap_or(true)
-    }
-}
-
 /// The node loop's long-lived state, threaded through message handling
 /// and phase boundaries.
 struct NodeState {
@@ -355,44 +334,66 @@ impl NodeState {
         self.absorb(ctx, now.ticks());
     }
 
-    /// Encodes `msg` once and [`NodeState::queue`]s it. Returns `false`
-    /// when the message cannot be encoded — refusing it beats crashing
-    /// the node, and the counter makes the drop observable in the run
-    /// report.
+    /// Queues `msg` on the link of each of `targets` that is a dialed
+    /// peer: hash-only to a peer known to store the log's tip, the full
+    /// frame otherwise, after which that link notes the tip (the `link`
+    /// module). Each form is encoded at most once, and only if some
+    /// target needs it. Returns `false` when the message cannot be
+    /// encoded — refusing it beats crashing the node, and the counter
+    /// makes the drop observable in the run report.
     fn send(&mut self, msg: &SignedMessage, targets: &[ValidatorId]) -> bool {
-        let Ok(payload) = wire::encode_message(msg, &self.store) else {
+        // A one-block log has one form: no body to leave out.
+        let tip = msg.payload().log().filter(|log| log.len() > 1).map(|log| log.tip());
+        let proposer = tip.and_then(|tip| self.store.get(tip)).and_then(|block| block.proposer());
+        let stores_tip = |peer, link: &Link| tip.is_some_and(|tip| Some(peer) == proposer || link.carried(tip));
+        // Each dialed target, and whether it gets the hash-only form.
+        let linked: Vec<(ValidatorId, bool)> =
+            targets.iter().filter_map(|t| self.outbound.get(t).map(|link| (*t, stores_tip(*t, link)))).collect();
+        let needs = |hash_only| linked.iter().any(|(_, h)| *h == hash_only);
+        // With no peer to reach, the full form is still encoded: a message
+        // whose chain the store lacks is refused, its self-copy included.
+        let full = (needs(false) || linked.is_empty()).then(|| wire::encode_message(msg, &self.store));
+        let hash_only = needs(true).then(|| wire::encode_hash_only(msg, &self.store));
+        let (Ok(full), Ok(hash_only)) = (full.transpose(), hash_only.transpose()) else {
             self.out.encode_failures += 1;
             return false;
         };
-        self.queue(&payload, MessageClass::of(msg.payload()), targets);
+        let class = MessageClass::of(msg.payload());
+        let (full, hash_only) = (full.map(|p| frame::framed(&p)), hash_only.map(|p| frame::framed(&p)));
+        for (target, elided) in linked {
+            let form = if elided { &hash_only } else { &full };
+            let queued = form.as_ref().is_some_and(|framed| self.queue(target, framed, class));
+            if queued && !elided {
+                if let (Some(tip), Some(link)) = (tip, self.outbound.get_mut(&target)) {
+                    link.note_carried(tip);
+                }
+            }
+        }
         true
     }
 
-    /// Frames `payload` once, then queues it on the link of each of
-    /// `targets` that is a dialed peer and writes what the socket takes
-    /// at once; the rest leaves at the next pass. A link whose peer is
-    /// gone or stopped reading is closed, the latter counted.
-    fn queue(&mut self, payload: &[u8], class: MessageClass, targets: &[ValidatorId]) {
-        let mut framed = Vec::new();
-        frame::push(&mut framed, payload);
-        if framed.is_empty() {
-            // Too large to frame: it reaches no peer, as every reader
+    /// Queues `framed` on `target`'s link, if it is a dialed peer, and
+    /// writes what the socket takes at once; the rest leaves at the
+    /// next pass. A link whose peer is gone or stopped reading is
+    /// closed, the latter counted. Returns whether the frame was queued.
+    fn queue(&mut self, target: ValidatorId, framed: &[u8], class: MessageClass) -> bool {
+        let link = match self.outbound.get_mut(&target) {
+            Some(link) if !framed.is_empty() => link,
+            // No link, or a payload too large to frame: every reader
             // would refuse it.
-            return;
-        }
-        for target in targets {
-            let Some(link) = self.outbound.get_mut(target) else { continue };
-            link.outbuf.extend_from_slice(&framed);
-            let open = link.flush();
-            if open && link.outbuf.len() - link.out_pos <= PEER_OUTBUF_CAP {
-                self.out.charge(class, Dir::Out, payload.len() as u64);
+            _ => return false,
+        };
+        match link.push(framed) {
+            Pushed::Queued => {
+                self.out.charge(class, Dir::Out, (framed.len() - frame::PREFIX) as u64);
                 self.out.frames.1 += 1;
-            } else {
-                // The peer is gone, or it stopped reading.
-                self.out.slow_peer_closes += u64::from(open);
-                self.outbound.remove(target);
+                return true;
             }
+            Pushed::Slow => self.out.slow_peer_closes += 1,
+            Pushed::Gone => {}
         }
+        self.outbound.remove(&target);
+        false
     }
 
     /// The tick's pass over the sockets: inbound sessions into the
@@ -410,7 +411,10 @@ impl NodeState {
     fn push_txs(&mut self, admitted: &FeeTxs) {
         let peers = self.peers();
         for batch in encode_tx_batches(self.me, admitted, MAX_FRAME_BYTES) {
-            self.queue(&batch, MessageClass::Announce, &peers);
+            let framed = frame::framed(&batch);
+            for peer in &peers {
+                self.queue(*peer, &framed, MessageClass::Announce);
+            }
         }
     }
 
@@ -594,6 +598,7 @@ fn dial_with_retry(addr: SocketAddr, until: Instant) -> Option<TcpStream> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::PEER_OUTBUF_CAP;
     use tobsvd_crypto::KeyCache;
     use tobsvd_types::{InstanceId, Log, Payload, View};
 
@@ -646,14 +651,15 @@ mod tests {
         std::thread::spawn(move || {
             let mut state = node_state(me);
             state.outbound.insert(peer, Link::new(link));
-            // About 4 MiB per frame: the tip block inlines four 1 MiB
-            // transactions.
-            let txs = (0..4).map(|i| Transaction::synthetic(i, 1 << 20)).collect();
-            let log = Log::genesis(&state.store).extend(&state.store, me, View::ZERO, txs);
-            let msg = log_message(me, log);
+            // About 4 MiB per frame: each send's tip is a fresh block
+            // (its own view) inlining the same four 1 MiB transactions,
+            // so no frame goes hash-only.
+            let txs: Vec<_> = (0..4).map(|i| Transaction::synthetic(i, 1 << 20)).collect();
+            let genesis = Log::genesis(&state.store);
             let mut sends = 0u64;
             while state.outbound.contains_key(&peer) && sends < 64 {
-                assert!(state.send(&msg, &[peer]));
+                let log = genesis.extend(&state.store, me, View::new(sends), txs.clone());
+                assert!(state.send(&log_message(me, log), &[peer]));
                 sends += 1;
             }
             let _ = done.send((sends, state.outbound.contains_key(&peer), state.out));
@@ -709,6 +715,105 @@ mod tests {
         let stream = TcpStream::connect(addr).expect("dial");
         stream.set_nonblocking(true).expect("nonblocking link");
         Link::new(stream)
+    }
+
+    /// A node linked to `peers`, each through a listener that accepts
+    /// and never reads (the frames here are small); the listeners come
+    /// back to keep the links open.
+    fn linked_node(me: ValidatorId, peers: &[ValidatorId]) -> (NodeState, Vec<TcpListener>) {
+        let mut state = node_state(me);
+        let listeners: Vec<_> = peers.iter().map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
+        for (peer, listener) in peers.iter().zip(&listeners) {
+            state.outbound.insert(*peer, link_to(listener.local_addr().expect("addr")));
+        }
+        (state, listeners)
+    }
+
+    /// The payload bytes one `send` of `msg` to `to` charged, beside the
+    /// message's full and hash-only payload lengths.
+    fn charged(state: &mut NodeState, msg: &SignedMessage, to: ValidatorId) -> (u64, [u64; 2]) {
+        let before = state.out.announce_bytes.1;
+        assert!(state.send(msg, &[to]));
+        let full = wire::encode_message(msg, &state.store).expect("encodes").len() as u64;
+        let hash_only = wire::encode_hash_only(msg, &state.store).expect("encodes").len() as u64;
+        assert!(hash_only < full, "the tip inlines a body");
+        (state.out.announce_bytes.1 - before, [full, hash_only])
+    }
+
+    /// A one-transaction block by `proposer` on top of genesis in view
+    /// `view`: a fresh tip per view.
+    fn tip_by(state: &NodeState, proposer: ValidatorId, view: u64) -> Log {
+        let tx = Transaction::synthetic(view, 64);
+        Log::genesis(&state.store).extend(&state.store, proposer, View::new(view), vec![tx])
+    }
+
+    #[test]
+    fn a_log_to_its_tips_proposer_is_hash_only_at_once() {
+        let (me, proposer) = (ValidatorId::new(0), ValidatorId::new(1));
+        let (mut state, _listeners) = linked_node(me, &[proposer]);
+        let msg = log_message(me, tip_by(&state, proposer, 1));
+        for _ in 0..2 {
+            let (sent, [_, hash_only]) = charged(&mut state, &msg, proposer);
+            assert_eq!(sent, hash_only);
+        }
+    }
+
+    #[test]
+    fn a_log_to_a_third_peer_is_full_until_its_link_carried_the_body() {
+        let (me, proposer, third) = (ValidatorId::new(0), ValidatorId::new(1), ValidatorId::new(2));
+        let (mut state, _listeners) = linked_node(me, &[proposer, third]);
+        let log = tip_by(&state, proposer, 1);
+        let msg = log_message(me, log);
+        let (sent, [full, hash_only]) = charged(&mut state, &msg, third);
+        assert_eq!(sent, full);
+        assert_eq!(charged(&mut state, &msg, third).0, hash_only);
+        // Any message over that tip, a VOTE here, on the same link.
+        let vote = Payload::Vote { instance: InstanceId(0), log };
+        let vote = SignedMessage::sign(&KeyCache::keypair(me.key_seed()), me, vote);
+        let (sent, [_, hash_only]) = charged(&mut state, &vote, third);
+        assert_eq!(sent, hash_only);
+
+        // One broadcast over a fresh tip: each peer its own form.
+        let msg = log_message(me, tip_by(&state, proposer, 2));
+        let full = wire::encode_message(&msg, &state.store).expect("encodes").len() as u64;
+        let hash_only = wire::encode_hash_only(&msg, &state.store).expect("encodes").len() as u64;
+        let before = state.out.announce_bytes.1;
+        assert!(state.send(&msg, &[proposer, third, me]));
+        assert_eq!(state.out.announce_bytes.1 - before, hash_only + full);
+        assert_eq!(charged(&mut state, &msg, third).0, hash_only);
+    }
+
+    #[test]
+    fn a_tip_the_record_forgot_ships_in_full_again() {
+        let (me, third) = (ValidatorId::new(0), ValidatorId::new(2));
+        let (mut state, _listeners) = linked_node(me, &[third]);
+        let proposer = ValidatorId::new(1);
+        let msgs: Vec<_> =
+            (0..=crate::link::CARRIED_CAP as u64).map(|v| log_message(me, tip_by(&state, proposer, v + 1))).collect();
+        for msg in &msgs {
+            let (sent, [full, _]) = charged(&mut state, msg, third);
+            assert_eq!(sent, full);
+        }
+        // The record holds the last CARRIED_CAP tips: all but the first.
+        let (sent, [_, hash_only]) = charged(&mut state, &msgs[1], third);
+        assert_eq!(sent, hash_only);
+        let (sent, [full, _]) = charged(&mut state, &msgs[0], third);
+        assert_eq!(sent, full);
+    }
+
+    #[test]
+    fn a_closed_link_takes_its_record_with_it() {
+        let (me, third) = (ValidatorId::new(0), ValidatorId::new(2));
+        let (mut state, listeners) = linked_node(me, &[third]);
+        let msg = log_message(me, tip_by(&state, ValidatorId::new(1), 1));
+        let (sent, [full, hash_only]) = charged(&mut state, &msg, third);
+        assert_eq!(sent, full);
+        assert_eq!(charged(&mut state, &msg, third).0, hash_only);
+        // The link closes and the peer is dialed again: the new link
+        // has carried nothing.
+        state.outbound.remove(&third);
+        state.outbound.insert(third, link_to(listeners[0].local_addr().expect("addr")));
+        assert_eq!(charged(&mut state, &msg, third).0, full);
     }
 
     #[test]

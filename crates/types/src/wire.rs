@@ -36,7 +36,8 @@
 //! tags 0–4, 7 — log announcement:
 //!   u64 log length  (number of blocks incl. genesis)
 //!   32B tip id
-//!   u8  k           inline suffix blocks (= min(len−1, INLINE_WINDOW))
+//!   u8  k           inline suffix blocks (= min(len−1, INLINE_WINDOW),
+//!                   or 0 when the sender knows the receiver stores the tip)
 //!   u8  a           ancestor hashes listed (= min(len−1−k, ANCESTOR_WINDOW))
 //!   a × 32B ancestor ids, heights len−2−k downward (newest first)
 //!   if k > 0: 32B window-parent id (block at height len−1−k), then
@@ -226,6 +227,22 @@ fn signer_word_count(signers: &SignerSet) -> usize {
 /// [`codec::MAX_TXS_PER_BLOCK`] or [`codec::MAX_TX_BYTES`]: every
 /// decoder would drop that frame.
 pub fn encode_message(msg: &SignedMessage, store: &BlockStore) -> Result<Vec<u8>, WireError> {
+    encode(msg, store, false)
+}
+
+/// [`encode_message`] for a receiver known to store the log's tip: the
+/// announcement in hash-only form (`k = 0`, ancestors from the tip's
+/// parent down, no body), which that receiver resolves from its store.
+/// Payloads without a log encode as in [`encode_message`].
+///
+/// # Errors
+///
+/// As [`encode_message`].
+pub fn encode_hash_only(msg: &SignedMessage, store: &BlockStore) -> Result<Vec<u8>, WireError> {
+    encode(msg, store, true)
+}
+
+fn encode(msg: &SignedMessage, store: &BlockStore, hash_only: bool) -> Result<Vec<u8>, WireError> {
     let mut buf = Vec::with_capacity(256);
     buf.push(WIRE_VERSION);
     buf.extend_from_slice(&msg.sender().raw().to_be_bytes());
@@ -235,17 +252,17 @@ pub fn encode_message(msg: &SignedMessage, store: &BlockStore) -> Result<Vec<u8>
         | Payload::Vote { instance: InstanceId(header), log }
         | Payload::FinalityVote { epoch: header, log } => {
             buf.extend_from_slice(&header.to_be_bytes());
-            encode_announcement(&mut buf, log, store)?;
+            encode_announcement(&mut buf, log, store, hash_only)?;
         }
         Payload::Proposal { view, log, vrf, proof } => {
             buf.extend_from_slice(&view.number().to_be_bytes());
             buf.extend_from_slice(vrf.0.as_bytes());
             buf.extend_from_slice(proof.0.as_bytes());
-            encode_announcement(&mut buf, log, store)?;
+            encode_announcement(&mut buf, log, store, hash_only)?;
         }
         Payload::Recovery { from_view, log } => {
             buf.extend_from_slice(&from_view.number().to_be_bytes());
-            encode_announcement(&mut buf, log, store)?;
+            encode_announcement(&mut buf, log, store, hash_only)?;
         }
         Payload::BlockRequest { tip, from_height } => {
             buf.extend_from_slice(tip.0.as_bytes());
@@ -253,7 +270,7 @@ pub fn encode_message(msg: &SignedMessage, store: &BlockStore) -> Result<Vec<u8>
         }
         Payload::Certificate { instance, log, signers, agg } => {
             buf.extend_from_slice(&instance.0.to_be_bytes());
-            encode_announcement(&mut buf, log, store)?;
+            encode_announcement(&mut buf, log, store, hash_only)?;
             let wc = signer_word_count(signers);
             buf.push(wc as u8);
             for word in signers.words().iter().take(wc) {
@@ -265,13 +282,9 @@ pub fn encode_message(msg: &SignedMessage, store: &BlockStore) -> Result<Vec<u8>
             buf.extend_from_slice(tip.0.as_bytes());
             buf.extend_from_slice(&from_height.to_be_bytes());
             buf.extend_from_slice(&count.to_be_bytes());
-            let anchor = store
-                .ancestor_at(*tip, from_height.saturating_sub(1))
-                .ok_or(WireError::UnstoredChain)?;
+            let anchor = store.ancestor_at(*tip, from_height.saturating_sub(1)).ok_or(WireError::UnstoredChain)?;
             buf.extend_from_slice(anchor.0.as_bytes());
-            let ids = store
-                .chain_range(*tip, *from_height)
-                .ok_or(WireError::UnstoredChain)?;
+            let ids = store.chain_range(*tip, *from_height).ok_or(WireError::UnstoredChain)?;
             debug_assert_eq!(ids.len() as u64, *count, "count must match the served range");
             encode_bodies(&mut buf, &ids, store)?;
         }
@@ -280,36 +293,36 @@ pub fn encode_message(msg: &SignedMessage, store: &BlockStore) -> Result<Vec<u8>
     Ok(buf)
 }
 
-fn announcement_windows(len: u64) -> (u64, u64) {
-    let k = (len - 1).min(INLINE_WINDOW);
-    let a = (len - 1 - k).min(ANCESTOR_WINDOW);
-    (k, a)
+/// `(k, a)` of a `len`-block announcement: the full form, or the
+/// hash-only one.
+fn announcement_windows(len: u64, hash_only: bool) -> (u64, u64) {
+    let k = if hash_only { 0 } else { (len - 1).min(INLINE_WINDOW) };
+    (k, (len - 1 - k).min(ANCESTOR_WINDOW))
 }
 
-fn encode_announcement(buf: &mut Vec<u8>, log: &Log, store: &BlockStore) -> Result<(), WireError> {
+fn encode_announcement(
+    buf: &mut Vec<u8>,
+    log: &Log,
+    store: &BlockStore,
+    hash_only: bool,
+) -> Result<(), WireError> {
     let len = log.len();
     buf.extend_from_slice(&len.to_be_bytes());
     buf.extend_from_slice(log.tip().0.as_bytes());
-    let (k, a) = announcement_windows(len);
+    let (k, a) = announcement_windows(len, hash_only);
     buf.push(k as u8);
     buf.push(a as u8);
     // Ancestor hashes, newest first: heights len−2−k down to len−1−k−a.
     for i in 0..a {
         let height = len - 2 - k - i;
-        let id = store
-            .ancestor_at(log.tip(), height)
-            .ok_or(WireError::UnstoredChain)?;
+        let id = store.ancestor_at(log.tip(), height).ok_or(WireError::UnstoredChain)?;
         buf.extend_from_slice(id.0.as_bytes());
     }
     if k > 0 {
         let base_height = len - 1 - k;
-        let parent = store
-            .ancestor_at(log.tip(), base_height)
-            .ok_or(WireError::UnstoredChain)?;
+        let parent = store.ancestor_at(log.tip(), base_height).ok_or(WireError::UnstoredChain)?;
         buf.extend_from_slice(parent.0.as_bytes());
-        let ids = store
-            .chain_range(log.tip(), base_height + 1)
-            .ok_or(WireError::UnstoredChain)?;
+        let ids = store.chain_range(log.tip(), base_height + 1).ok_or(WireError::UnstoredChain)?;
         encode_bodies(buf, &ids, store)?;
     }
     Ok(())
@@ -380,7 +393,7 @@ fn measure(msg: &SignedMessage, store: &BlockStore) -> Result<(u64, Option<u64>)
         | Payload::Recovery { log, .. }
         | Payload::FinalityVote { log, .. }
         | Payload::Certificate { log, .. } => {
-            let (k, a) = announcement_windows(log.len());
+            let (k, a) = announcement_windows(log.len(), false);
             let mut n = 8 + 32 + 1 + 1 + 32 * a;
             if k > 0 {
                 n += 32;
@@ -397,9 +410,7 @@ fn measure(msg: &SignedMessage, store: &BlockStore) -> Result<(u64, Option<u64>)
         }
         Payload::BlockRequest { .. } => 0,
         Payload::BlockResponse { tip, from_height, .. } => {
-            let ids = store
-                .chain_range(*tip, *from_height)
-                .ok_or(WireError::UnstoredChain)?;
+            let ids = store.chain_range(*tip, *from_height).ok_or(WireError::UnstoredChain)?;
             let mut n = 32;
             for id in &ids {
                 let block = store.get(*id).ok_or(WireError::UnstoredChain)?;
@@ -454,10 +465,15 @@ pub fn decode_from(mut r: Reader<'_>, store: &BlockStore) -> Result<SignedMessag
     let sender = ValidatorId::new(r.u32()?);
     let tag = r.u8()?;
     let payload = match tag {
-        0 => {
-            let instance = InstanceId(r.u64()?);
+        0 | 2..=4 => {
+            let header = r.u64()?;
             let log = decode_announcement(&mut r, store)?;
-            Payload::Log { instance, log }
+            match tag {
+                0 => Payload::Log { instance: InstanceId(header), log },
+                2 => Payload::Vote { instance: InstanceId(header), log },
+                3 => Payload::Recovery { from_view: View::new(header), log },
+                _ => Payload::FinalityVote { epoch: header, log },
+            }
         }
         1 => {
             let view = View::new(r.u64()?);
@@ -465,21 +481,6 @@ pub fn decode_from(mut r: Reader<'_>, store: &BlockStore) -> Result<SignedMessag
             let proof = VrfProof(r.digest()?);
             let log = decode_announcement(&mut r, store)?;
             Payload::Proposal { view, log, vrf, proof }
-        }
-        2 => {
-            let instance = InstanceId(r.u64()?);
-            let log = decode_announcement(&mut r, store)?;
-            Payload::Vote { instance, log }
-        }
-        3 => {
-            let from_view = View::new(r.u64()?);
-            let log = decode_announcement(&mut r, store)?;
-            Payload::Recovery { from_view, log }
-        }
-        4 => {
-            let epoch = r.u64()?;
-            let log = decode_announcement(&mut r, store)?;
-            Payload::FinalityVote { epoch, log }
         }
         5 => Payload::BlockRequest { tip: BlockId(r.digest()?), from_height: r.u64()? },
         6 => decode_response(&mut r, store)?,
@@ -522,8 +523,7 @@ fn decode_announcement(r: &mut Reader<'_>, store: &BlockStore) -> Result<Log, Wi
     let tip = BlockId(r.digest()?);
     let k = r.u8()? as u64;
     let a = r.u8()? as u64;
-    let (want_k, want_a) = announcement_windows(len);
-    if k != want_k || a != want_a {
+    if (k, a) != announcement_windows(len, false) && (k, a) != announcement_windows(len, true) {
         return Err(WireError::BadChain);
     }
     let mut ancestors = Vec::with_capacity(a as usize);
@@ -1007,9 +1007,90 @@ mod tests {
         }
     }
 
+    /// The three log-carrying payload shapes over [`tip_with_txs`]: a
+    /// LOG, a PROPOSAL and a certificate.
+    fn over_a_tip_with_txs(store: &BlockStore) -> [Payload; 3] {
+        let log = tip_with_txs(store);
+        let (vrf, proof) = (VrfOutput(tobsvd_crypto::sha256(b"vrf")), VrfProof(tobsvd_crypto::sha256(b"proof")));
+        [
+            Payload::Log { instance: InstanceId(4), log },
+            Payload::Proposal { view: View::new(3), log, vrf, proof },
+            certificate_over(log),
+        ]
+    }
+
+    #[test]
+    fn a_hash_only_frame_decodes_to_the_full_frames_message_from_a_stored_tip() {
+        let store = BlockStore::new();
+        for payload in over_a_tip_with_txs(&store) {
+            let msg = signed(payload);
+            let full = encode_message(&msg, &store).expect("encode");
+            let hash_only = encode_hash_only(&msg, &store).expect("encode");
+            let log = payload.log().expect("a log");
+            let body = codec::block_body_len(store.get(log.tip()).expect("stored").txs()) as usize;
+            // The parent id gives way to one more ancestor; the body goes.
+            assert_eq!(hash_only.len(), full.len() - body, "{payload:?}");
+            let rx = synced_receiver(&store, &log);
+            assert_eq!(decode_message(&full, &rx), Ok(msg));
+            let stored = rx.len();
+            assert_eq!(decode_counting(&hash_only, &rx), (Ok(msg), 0), "{payload:?}");
+            assert_eq!(rx.len(), stored, "nothing appended");
+        }
+    }
+
+    #[test]
+    fn a_hash_only_frame_for_an_unstored_tip_parks_on_the_tip_and_decodes_once_it_is_stored() {
+        let store = BlockStore::new();
+        for payload in over_a_tip_with_txs(&store) {
+            let msg = signed(payload);
+            let raw = encode_hash_only(&msg, &store).expect("encode");
+            let log = payload.log().expect("a log");
+            let rx = synced_receiver(&store, &log);
+            // The tip's parent, the newest listed ancestor, is stored:
+            // the fetch starts at the tip's height.
+            let missing = WireError::MissingBlocks { missing: log.tip(), from_height: log.len() - 1 };
+            assert_eq!(decode_message(&raw, &rx), Err(missing), "{payload:?}");
+            rx.insert(store.get(log.tip()).expect("stored").as_ref().clone()).expect("links");
+            assert_eq!(decode_message(&raw, &rx), Ok(msg), "{payload:?}");
+        }
+    }
+
+    #[test]
+    fn an_announcement_outside_its_two_window_forms_is_a_bad_chain() {
+        let store = BlockStore::new();
+        let log = tip_with_txs(&store);
+        let msg = signed(Payload::Log { instance: InstanceId(4), log });
+        let (full, hash_only) = (encode_message(&msg, &store).unwrap(), encode_hash_only(&msg, &store).unwrap());
+        let rx = synced_receiver(&store, &log);
+        decode_message(&full, &rx).expect("the tip is stored");
+        // k and a follow version, sender, tag, instance, length and tip.
+        let (k_at, a_at) = (1 + 4 + 1 + 8 + 8 + 32, 1 + 4 + 1 + 8 + 8 + 32 + 1);
+        assert_eq!((full[k_at], full[a_at], hash_only[k_at], hash_only[a_at]), (1, 2, 0, 3));
+        let with = |frame: &[u8], at: usize, byte: u8| {
+            let mut frame = frame.to_vec();
+            frame[at] = byte;
+            decode_message(&frame, &rx)
+        };
+        for a in [0, 1, 2, 4, 8, 255] {
+            assert_eq!(with(&hash_only, a_at, a), Err(WireError::BadChain), "k = 0, a = {a}");
+        }
+        for k in 2..=255 {
+            assert_eq!(with(&hash_only, k_at, k), Err(WireError::BadChain), "k = {k}");
+            assert_eq!(with(&full, k_at, k), Err(WireError::BadChain), "k = {k}");
+        }
+        // A flipped byte in any listed ancestor.
+        for at in (a_at + 1..a_at + 1 + 3 * 32).step_by(13) {
+            assert_eq!(with(&hash_only, at, hash_only[at] ^ 0x01), Err(WireError::BadChain), "byte {at}");
+        }
+    }
+
     /// A quorum certificate over votes from validators 0, 2 and 5.
     fn sample_certificate(store: &BlockStore) -> Payload {
-        let log = sample_log(store);
+        certificate_over(sample_log(store))
+    }
+
+    /// A quorum certificate over `log`'s votes from validators 0, 2 and 5.
+    fn certificate_over(log: Log) -> Payload {
         let instance = InstanceId(7);
         let mut signers = SignerSet::empty();
         let mut sigs = Vec::new();

@@ -18,6 +18,10 @@
 //! what it admits to every peer's pool, so the run asserts that every
 //! node decides all of them.
 //!
+//! A node sends a peer each block body once per link (never to the
+//! block's proposer) and names the block by hash after that. The run
+//! asserts that no node had to fetch a block.
+//!
 //! Stdout carries what the run decides: blocks, votes and agreement.
 //! Frame and byte counts depend on socket timing, so they go to
 //! stderr, and two runs print the same stdout.
@@ -95,4 +99,8 @@ fn main() {
         assert_eq!(count, CLIENT_TXS, "{} decided {count} of the client's transactions", o.me);
     }
     println!("client: {CLIENT_TXS} transactions submitted to node 0 only; every node decided all {CLIENT_TXS}");
+    for o in report.outcomes() {
+        assert_eq!(o.blocks_fetched, 0, "{} fetched blocks in a fault-free cluster", o.me);
+    }
+    println!("fetch: no node fetched a block; every hash-only frame resolved from its receiver's store");
 }

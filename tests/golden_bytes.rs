@@ -10,6 +10,9 @@
 //!
 //! * one peer frame per `Payload` kind (`wire::encode_message`),
 //!   certificate and `BlockResponse` included;
+//! * a hash-only `LOG` frame (`wire::encode_hash_only`), the form a
+//!   node sends a peer known to store the tip, written down from its
+//!   layout when the form was added;
 //! * a client `Submit` and a `SubmitAck` (`client::encode_client_frame`);
 //! * a `TxBatch`, the peer frame that pushes admitted client
 //!   transactions (`client::encode_tx_batches`), written down from its
@@ -183,6 +186,24 @@ fn peer_frames_match_their_recorded_bytes() {
         assert_eq!((back.payload(), back.id()), (msg.payload(), msg.id()), "{kind}");
     }
     assert_pinned(&moved);
+}
+
+#[test]
+fn a_hash_only_log_frame_matches_its_recorded_bytes() {
+    let store = BlockStore::new();
+    let msg = signed(wire_payloads(&store)[0]);
+    // The `log` frame's header, length and tip; then k = 0 and a = 2,
+    // the ancestors at heights 1 and 0 (the tip's parent first), no
+    // window parent, no body; then the same signature.
+    let golden = "020000000100000000000000000900000000000000033609f0867fff32f84da8\
+        dde7b8b5db2a2ae3200e27fcf81fc9bf0ff650e6826e0002ec448b36b2fb0001\
+        99fdee09902aef24f94adabd03fdbb8d31d8e6d9c4c8b4a5942539cb7d552b2b\
+        594e7b3e99732b6ff84bdd4b719629ded113fd4bfbf3338ac0da1004a9e475ed\
+        5d47236fe82c4f9157e98ee8ff32a836f69d81d0a675c57a";
+    let frame = wire::encode_hash_only(&msg, &store).expect("a stored chain encodes");
+    assert_eq!(hex(&frame), golden, "hash-only log bytes moved");
+    let back = wire::decode_message(frame, &store).expect("the tip is stored");
+    assert_eq!((back.payload(), back.id()), (msg.payload(), msg.id()));
 }
 
 #[test]

@@ -153,4 +153,12 @@ fn transactions_submitted_to_one_node_are_decided_everywhere_and_proposed_by_all
     let received: u64 = report.outcomes().iter().map(|o| o.announce_bytes.0).sum();
     let sent: u64 = report.outcomes().iter().map(|o| o.announce_bytes.1).sum();
     assert!(0 < received && received <= sent, "{received} announcement bytes received, {sent} sent");
+
+    // A node sends a peer a tip's body once per link, or never to the
+    // block's proposer, and hash-only frames after it: in a fault-free
+    // cluster every such frame resolves from the receiver's store, and
+    // no node fetches a block.
+    for o in report.outcomes() {
+        assert_eq!((o.blocks_fetched, o.sync_bytes), (0, (0, 0)), "{} fetched", o.me);
+    }
 }
