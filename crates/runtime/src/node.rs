@@ -684,15 +684,16 @@ mod tests {
         link.set_nonblocking(true).expect("nonblocking link");
         let mut state = node_state(me);
         state.outbound.insert(peer, Link::new(link));
-        // About 2 MiB per tick: the tip block inlines two 1 MiB
-        // transactions. The run carries 80 MiB, over twice the link's
-        // bound, so a reader slower than the sender closes the link.
-        let txs = (0..2).map(|i| Transaction::synthetic(i, 1 << 20)).collect();
-        let log = Log::genesis(&state.store).extend(&state.store, me, View::ZERO, txs);
-        let msg = log_message(me, log);
+        // About 2 MiB per tick: each tick's tip is a fresh block (its own
+        // view) inlining the same two 1 MiB transactions, so no frame goes
+        // hash-only. The run carries 80 MiB, over twice the link's bound,
+        // so a reader slower than the sender closes the link.
+        let txs: Vec<_> = (0..2).map(|i| Transaction::synthetic(i, 1 << 20)).collect();
+        let genesis = Log::genesis(&state.store);
         let mut inbox = VecDeque::new();
-        for _ in 0..TICKS {
-            assert!(state.send(&msg, &[peer]));
+        for tick in 0..TICKS {
+            let log = genesis.extend(&state.store, me, View::new(tick), txs.clone());
+            assert!(state.send(&log_message(me, log), &[peer]));
             std::thread::sleep(TICK);
             // Each side's pass of the tick.
             theirs.scan(&mut inbox, Instant::now());
@@ -706,6 +707,7 @@ mod tests {
         assert_eq!(state.out.slow_peer_closes, 0);
         assert!(state.outbound.contains_key(&peer), "the link stays open");
         assert_eq!(state.out.frames, (0, TICKS));
+        assert!(state.out.announce_bytes.1 > 2 * PEER_OUTBUF_CAP as u64, "every frame is full");
         assert_eq!((theirs.stats().peer_frames, theirs.stats().malformed), (TICKS, 0));
         assert_eq!(inbox.len() as u64, TICKS);
     }

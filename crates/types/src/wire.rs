@@ -63,6 +63,9 @@ use crate::message::{InstanceId, Payload, SignedMessage, SignerSet};
 use crate::store::BlockStore;
 use crate::view::View;
 
+mod size;
+pub use size::{encoded_and_inline_len, encoded_len, inline_equivalent_len};
+
 /// Codec version byte (2 = delta-sync announcements).
 pub const WIRE_VERSION: u8 = 2;
 
@@ -282,9 +285,13 @@ fn encode(msg: &SignedMessage, store: &BlockStore, hash_only: bool) -> Result<Ve
             buf.extend_from_slice(tip.0.as_bytes());
             buf.extend_from_slice(&from_height.to_be_bytes());
             buf.extend_from_slice(&count.to_be_bytes());
-            let anchor = store.ancestor_at(*tip, from_height.saturating_sub(1)).ok_or(WireError::UnstoredChain)?;
+            let anchor = store
+                .ancestor_at(*tip, from_height.saturating_sub(1))
+                .ok_or(WireError::UnstoredChain)?;
             buf.extend_from_slice(anchor.0.as_bytes());
-            let ids = store.chain_range(*tip, *from_height).ok_or(WireError::UnstoredChain)?;
+            let ids = store
+                .chain_range(*tip, *from_height)
+                .ok_or(WireError::UnstoredChain)?;
             debug_assert_eq!(ids.len() as u64, *count, "count must match the served range");
             encode_bodies(&mut buf, &ids, store)?;
         }
@@ -297,15 +304,11 @@ fn encode(msg: &SignedMessage, store: &BlockStore, hash_only: bool) -> Result<Ve
 /// hash-only one.
 fn announcement_windows(len: u64, hash_only: bool) -> (u64, u64) {
     let k = if hash_only { 0 } else { (len - 1).min(INLINE_WINDOW) };
-    (k, (len - 1 - k).min(ANCESTOR_WINDOW))
+    let a = (len - 1 - k).min(ANCESTOR_WINDOW);
+    (k, a)
 }
 
-fn encode_announcement(
-    buf: &mut Vec<u8>,
-    log: &Log,
-    store: &BlockStore,
-    hash_only: bool,
-) -> Result<(), WireError> {
+fn encode_announcement(buf: &mut Vec<u8>, log: &Log, store: &BlockStore, hash_only: bool) -> Result<(), WireError> {
     let len = log.len();
     buf.extend_from_slice(&len.to_be_bytes());
     buf.extend_from_slice(log.tip().0.as_bytes());
@@ -315,14 +318,20 @@ fn encode_announcement(
     // Ancestor hashes, newest first: heights len−2−k down to len−1−k−a.
     for i in 0..a {
         let height = len - 2 - k - i;
-        let id = store.ancestor_at(log.tip(), height).ok_or(WireError::UnstoredChain)?;
+        let id = store
+            .ancestor_at(log.tip(), height)
+            .ok_or(WireError::UnstoredChain)?;
         buf.extend_from_slice(id.0.as_bytes());
     }
     if k > 0 {
         let base_height = len - 1 - k;
-        let parent = store.ancestor_at(log.tip(), base_height).ok_or(WireError::UnstoredChain)?;
+        let parent = store
+            .ancestor_at(log.tip(), base_height)
+            .ok_or(WireError::UnstoredChain)?;
         buf.extend_from_slice(parent.0.as_bytes());
-        let ids = store.chain_range(log.tip(), base_height + 1).ok_or(WireError::UnstoredChain)?;
+        let ids = store
+            .chain_range(log.tip(), base_height + 1)
+            .ok_or(WireError::UnstoredChain)?;
         encode_bodies(buf, &ids, store)?;
     }
     Ok(())
@@ -338,102 +347,6 @@ fn encode_bodies(buf: &mut Vec<u8>, ids: &[BlockId], store: &BlockStore) -> Resu
         codec::put_block_body(buf, proposer, block.view(), block.txs())?;
     }
     Ok(())
-}
-
-/// Exact length in bytes of [`encode_message`]'s output, computed
-/// without allocating — the simulator charges every delivery this
-/// amount, so sim byte metrics and real TCP frames agree by
-/// construction (pinned by a codec test).
-///
-/// # Errors
-///
-/// [`WireError::UnstoredChain`], as [`encode_message`]. A block over
-/// the body limits is measured, not refused.
-pub fn encoded_len(msg: &SignedMessage, store: &BlockStore) -> Result<u64, WireError> {
-    measure(msg, store).map(|(len, _)| len)
-}
-
-/// [`encoded_len`] and [`inline_equivalent_len`] together, reading a
-/// log's tip block from `store` once for both (the simulator charges
-/// every copy both amounts).
-///
-/// # Errors
-///
-/// As [`encoded_len`].
-pub fn encoded_and_inline_len(msg: &SignedMessage, store: &BlockStore) -> Result<(u64, u64), WireError> {
-    let (wire_len, tip_size) = measure(msg, store)?;
-    let inline_len = msg.payload().log().map_or(0, |log| {
-        crate::ENVELOPE_NOMINAL_BYTES + tip_size.unwrap_or_else(|| log.nominal_size(store))
-    });
-    Ok((wire_len, inline_len))
-}
-
-/// [`encoded_len`], plus the tip block's cumulative size when the
-/// inline-window walk read that block (a log with `k > 0`).
-fn measure(msg: &SignedMessage, store: &BlockStore) -> Result<(u64, Option<u64>), WireError> {
-    let mut tip_size = None;
-    let header = match msg.payload() {
-        Payload::Log { .. }
-        | Payload::Vote { .. }
-        | Payload::Recovery { .. }
-        | Payload::FinalityVote { .. }
-        | Payload::Certificate { .. } => 8,
-        Payload::Proposal { .. } => 8 + 64,
-        Payload::BlockRequest { .. } => 32 + 8,
-        Payload::BlockResponse { .. } => 32 + 8 + 8,
-    };
-    let trailer = match msg.payload() {
-        Payload::Certificate { signers, .. } => 1 + 8 * signer_word_count(signers) as u64 + 32,
-        _ => 0,
-    };
-    let body = match msg.payload() {
-        Payload::Log { log, .. }
-        | Payload::Proposal { log, .. }
-        | Payload::Vote { log, .. }
-        | Payload::Recovery { log, .. }
-        | Payload::FinalityVote { log, .. }
-        | Payload::Certificate { log, .. } => {
-            let (k, a) = announcement_windows(log.len(), false);
-            let mut n = 8 + 32 + 1 + 1 + 32 * a;
-            if k > 0 {
-                n += 32;
-            }
-            // The window's blocks, by parent links from the tip.
-            let mut cur = log.tip();
-            for _ in 0..k {
-                let block = store.get(cur).ok_or(WireError::UnstoredChain)?;
-                tip_size.get_or_insert(block.cumulative_size());
-                n += codec::block_body_len(block.txs());
-                cur = block.parent();
-            }
-            n
-        }
-        Payload::BlockRequest { .. } => 0,
-        Payload::BlockResponse { tip, from_height, .. } => {
-            let ids = store.chain_range(*tip, *from_height).ok_or(WireError::UnstoredChain)?;
-            let mut n = 32;
-            for id in &ids {
-                let block = store.get(*id).ok_or(WireError::UnstoredChain)?;
-                n += codec::block_body_len(block.txs());
-            }
-            n
-        }
-    };
-    // version + sender + tag + header + body (+ certificate trailer) +
-    // signature.
-    Ok((1 + 4 + 1 + header + body + trailer + 32, tip_size))
-}
-
-/// Nominal wire length of the same message under the pre-delta-sync
-/// codec, which shipped the full chain (every block, transactions
-/// included) in every log-carrying message; 0 for fetch payloads, which
-/// that protocol lacks. O(1), from the store's cumulative nominal
-/// sizes; the simulator counts it beside the real wire bytes.
-pub fn inline_equivalent_len(msg: &SignedMessage, store: &BlockStore) -> u64 {
-    match msg.payload().log() {
-        Some(log) => crate::ENVELOPE_NOMINAL_BYTES + log.nominal_size(store),
-        None => 0,
-    }
 }
 
 /// Decodes one message from a borrowed frame, inserting carried blocks
@@ -465,15 +378,10 @@ pub fn decode_from(mut r: Reader<'_>, store: &BlockStore) -> Result<SignedMessag
     let sender = ValidatorId::new(r.u32()?);
     let tag = r.u8()?;
     let payload = match tag {
-        0 | 2..=4 => {
-            let header = r.u64()?;
+        0 => {
+            let instance = InstanceId(r.u64()?);
             let log = decode_announcement(&mut r, store)?;
-            match tag {
-                0 => Payload::Log { instance: InstanceId(header), log },
-                2 => Payload::Vote { instance: InstanceId(header), log },
-                3 => Payload::Recovery { from_view: View::new(header), log },
-                _ => Payload::FinalityVote { epoch: header, log },
-            }
+            Payload::Log { instance, log }
         }
         1 => {
             let view = View::new(r.u64()?);
@@ -481,6 +389,21 @@ pub fn decode_from(mut r: Reader<'_>, store: &BlockStore) -> Result<SignedMessag
             let proof = VrfProof(r.digest()?);
             let log = decode_announcement(&mut r, store)?;
             Payload::Proposal { view, log, vrf, proof }
+        }
+        2 => {
+            let instance = InstanceId(r.u64()?);
+            let log = decode_announcement(&mut r, store)?;
+            Payload::Vote { instance, log }
+        }
+        3 => {
+            let from_view = View::new(r.u64()?);
+            let log = decode_announcement(&mut r, store)?;
+            Payload::Recovery { from_view, log }
+        }
+        4 => {
+            let epoch = r.u64()?;
+            let log = decode_announcement(&mut r, store)?;
+            Payload::FinalityVote { epoch, log }
         }
         5 => Payload::BlockRequest { tip: BlockId(r.digest()?), from_height: r.u64()? },
         6 => decode_response(&mut r, store)?,
