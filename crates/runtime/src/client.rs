@@ -118,3 +118,33 @@ impl ClientConn {
         Ok(acks)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn a_corrupt_length_prefix_from_the_node_closes_the_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut conn = ClientConn::connect(listener.local_addr().expect("addr"), 7).expect("connect");
+        // The node's end stays open: the close is the client's own.
+        let (mut node, _) = listener.accept().expect("accept");
+        let tx = Transaction::new(vec![1; 32]).id();
+        let ack = encode_client_frame(&ClientFrame::SubmitAck { tx, status: AckStatus::Accepted });
+        let len = |n: usize| (n as u32).to_be_bytes();
+        let over_cap = len(MAX_SUBMIT_FRAME_BYTES + 1);
+        node.write_all(&[&len(ack.len())[..], &ack, &over_cap, &[0; 8]].concat()).expect("write");
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut acks = Vec::new();
+        while !conn.is_closed() {
+            assert!(Instant::now() < deadline, "still open, {} acks in", acks.len());
+            acks.extend(conn.pump().expect("no socket error"));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(acks, vec![Ack { tx, status: AckStatus::Accepted }], "the frame before it is read");
+    }
+}

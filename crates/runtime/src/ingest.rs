@@ -586,6 +586,40 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_client_that_never_reads_its_acks_is_closed_and_counted() {
+        let (mut ingest, addr) = plane(16);
+        let mut client = TcpStream::connect(addr).expect("connect");
+        // The same submission again and again: each repeat is acked
+        // `Duplicate`, which sheds nothing, so the session is never
+        // throttled. The writer stops when the node closes the socket.
+        let burst = submit(7, 1).repeat(1024);
+        let (stopped, writer) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            while client.write_all(&burst).is_ok() {}
+            let _ = stopped.send(());
+        });
+        scan_until(&mut ingest, &mut VecDeque::new(), Instant::now(), |i| i.stats().slow_client_closes > 0);
+        let stats = ingest.stats();
+        assert_eq!((stats.slow_client_closes, stats.throttles, stats.malformed), (1, 0, 0));
+        assert_eq!((stats.acks_accepted, stats.acks_duplicate), (1, stats.submits - 1));
+        assert!(stats.buffer_bytes_peak > CLIENT_OUTBUF_CAP as u64, "closed past the cap, not before");
+        assert!(ingest.sessions.is_empty(), "the session is reaped");
+        writer.recv_timeout(DEADLINE).expect("the client sees the close");
+    }
+
+    #[test]
+    fn a_corrupt_length_prefix_mid_session_closes_a_client_session() {
+        let (mut ingest, addr) = plane(16);
+        let over_cap = (MAX_SUBMIT_FRAME_BYTES as u32 + 1).to_be_bytes();
+        let mut client = connect_and_write(addr, &[&submit(7, 1)[..], &over_cap, &[0; 8]].concat());
+        scan_until(&mut ingest, &mut VecDeque::new(), Instant::now(), |i| i.stats().malformed > 0);
+        let stats = ingest.stats();
+        assert_eq!((stats.client_sessions, stats.submits, stats.malformed), (1, 1, 1));
+        assert!(ingest.sessions.is_empty(), "the session is reaped");
+        assert!(closed_by_node(&mut client), "the client sees the close");
+    }
+
+    #[test]
     fn a_peer_frame_that_fails_to_decode_is_counted_and_the_link_stays() {
         let (mut ingest, addr) = plane(16);
         let mut client = connect_and_write(addr, &framed(&[wire::WIRE_VERSION, 0xFF, 0xFF]));
