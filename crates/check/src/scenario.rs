@@ -17,7 +17,7 @@ use tobsvd_sim::{
     ParticipationSchedule, StateFault, TobReport, TobSimulationBuilder, TxWorkload, UniformDelay,
     WorstCaseDelay,
 };
-use tobsvd_types::{Delta, SignerSet, Time, ValidatorId, View};
+use tobsvd_types::{Delta, SignerSet, Time, ValidatorId};
 
 use crate::faults::{FetchFaultDelay, FetchFaultFilter};
 use crate::invariants::{BoundedDecisionLatency, ChainGrowth, NoStalledFetch, Reconvergence};
@@ -415,10 +415,9 @@ impl CheckScenario {
         sleep.saturating_add(fetch)
     }
 
-    /// End-of-run tick, matching `TobSimulationBuilder`'s horizon rule.
+    /// End-of-run tick ([`ViewSchedule::run_end`]).
     pub fn horizon(&self) -> Time {
-        let delta = Delta::new(self.delta);
-        ViewSchedule::new(delta).view_start(View::new(self.views)) + delta * 2
+        ViewSchedule::new(Delta::new(self.delta)).run_end(self.views)
     }
 
     /// The participation schedule realized by the sleep windows.

@@ -2,6 +2,9 @@
 
 use tobsvd_types::Delta;
 
+/// Maximum transactions batched into one proposed block.
+pub const MAX_TXS_PER_PROPOSAL: usize = 256;
+
 /// Static configuration of a TOB-SVD validator.
 #[derive(Clone, Debug)]
 pub struct TobConfig {
@@ -9,8 +12,6 @@ pub struct TobConfig {
     pub n: usize,
     /// The network delay bound Δ.
     pub delta: Delta,
-    /// Maximum transactions batched into one proposed block.
-    pub max_txs_per_block: usize,
     /// Enables the §2 recovery protocol: on waking, broadcast a
     /// `RECOVERY` request, and serve peers' requests from a bounded
     /// archive of recent messages and the certificates already sent.
@@ -36,7 +37,6 @@ impl TobConfig {
         TobConfig {
             n,
             delta: Delta::default(),
-            max_txs_per_block: 256,
             recovery: false,
             certificates: true,
             snapshot_every: 8,

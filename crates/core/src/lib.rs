@@ -63,7 +63,7 @@ mod validator;
 #[cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 mod window;
 
-pub use config::TobConfig;
+pub use config::{TobConfig, MAX_TXS_PER_PROPOSAL};
 pub use fault::{garbage_bytes, StateFault};
 pub use leader::ProposalTracker;
 pub use mempool::{Admission, AdmissionPolicy, AdmissionStats, Mempool, TxRecord};

@@ -66,6 +66,12 @@ impl ViewSchedule {
         self.view_start(v) + self.delta * 2
     }
 
+    /// End of a run of `views` views: `t_views + 2Δ`, the decision time
+    /// of the last view's proposal.
+    pub fn run_end(&self, views: u64) -> Time {
+        self.decide_time(View::new(views))
+    }
+
     /// Input-phase time of `GA_v`: `t_v + Δ`.
     pub fn ga_start(&self, v: View) -> Time {
         self.vote_time(v)

@@ -18,7 +18,7 @@ use tobsvd_types::{
 };
 
 use crate::aggregation::{self, AggregationPlane};
-use crate::config::TobConfig;
+use crate::config::{TobConfig, MAX_TXS_PER_PROPOSAL};
 use crate::gossip::{Admission, GossipState};
 use crate::leader::vrf_for;
 use crate::schedule::{ViewSchedule, ViewPhase};
@@ -290,7 +290,7 @@ impl Validator {
         let mut txs = ctx
             .mempool
             .pending_for_at(&candidate, &ctx.store, ctx.time);
-        txs.truncate(self.cfg.max_txs_per_block);
+        txs.truncate(MAX_TXS_PER_PROPOSAL);
         let proposal_log = candidate.extend(&ctx.store, self.me, v, txs);
         // We built this block: its content is known to us by definition.
         self.sync.mark_own(proposal_log.tip());

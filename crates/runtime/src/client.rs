@@ -8,14 +8,14 @@
 //! multiplex hundreds of connections, which is exactly how the ingest
 //! bench models large client populations without a thread per user.
 
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 
 use tobsvd_types::client::{
     decode_client_frame, encode_client_frame, AckStatus, ClientFrame, MAX_SUBMIT_FRAME_BYTES,
 };
 use tobsvd_types::{Transaction, TxId};
 
-use crate::frame::{self, FrameStep};
+use crate::frame::Conn;
 
 /// One received acknowledgment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,12 +29,8 @@ pub struct Ack {
 /// A nonblocking client connection to a node's listener.
 #[derive(Debug)]
 pub struct ClientConn {
-    stream: std::net::TcpStream,
+    conn: Conn,
     client: u64,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
-    out_pos: usize,
-    closed: bool,
 }
 
 impl ClientConn {
@@ -46,17 +42,8 @@ impl ClientConn {
     ///
     /// Propagates connection/socket errors.
     pub fn connect(addr: SocketAddr, client: u64) -> std::io::Result<ClientConn> {
-        let stream = std::net::TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        Ok(ClientConn {
-            stream,
-            client,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
-            out_pos: 0,
-            closed: false,
-        })
+        // Submissions queue without bound: the caller paces them.
+        Ok(ClientConn { conn: Conn::new(TcpStream::connect(addr)?, usize::MAX)?, client })
     }
 
     /// The logical client identity.
@@ -64,15 +51,16 @@ impl ClientConn {
         self.client
     }
 
-    /// Whether the node closed the connection (slow-client shed or
-    /// protocol error).
+    /// Whether the connection is closed: by the node (slow-client shed
+    /// or protocol error), by a corrupt frame from it, or by a socket
+    /// error.
     pub fn is_closed(&self) -> bool {
-        self.closed
+        self.conn.closed
     }
 
     /// Bytes queued but not yet accepted by the socket.
     pub fn pending_out(&self) -> usize {
-        self.outbuf.len() - self.out_pos
+        self.conn.pending()
     }
 
     /// Queues one submission and returns the content-addressed id its
@@ -83,7 +71,7 @@ impl ClientConn {
         let frame = encode_client_frame(&ClientFrame::Submit { client: self.client, fee, payload: tx });
         // A payload too large to frame is not sent; its ack never comes,
         // which is what the node's own size cap would have made of it.
-        frame::push(&mut self.outbuf, &frame);
+        self.conn.push(&frame, false);
         id
     }
 
@@ -95,26 +83,15 @@ impl ClientConn {
     /// Propagates unexpected socket errors (`WouldBlock` is not an
     /// error; EOF marks the connection closed and returns normally).
     pub fn pump(&mut self) -> std::io::Result<Vec<Ack>> {
-        self.closed |= frame::flush(&mut self.stream, &mut self.outbuf, &mut self.out_pos)?;
-        self.closed |= frame::fill(&mut self.stream, &mut self.inbuf, usize::MAX)?;
+        self.conn.flush()?;
+        self.conn.fill(usize::MAX)?;
         let mut acks = Vec::new();
-        let mut consumed = 0;
-        loop {
-            match frame::take(&self.inbuf, &mut consumed, MAX_SUBMIT_FRAME_BYTES) {
-                FrameStep::Incomplete => break,
-                FrameStep::Corrupt => {
-                    // Garbled stream: nothing sane can follow.
-                    self.closed = true;
-                    break;
-                }
-                FrameStep::Frame(frame) => {
-                    if let Ok(ClientFrame::SubmitAck { tx, status }) = decode_client_frame(frame) {
-                        acks.push(Ack { tx, status });
-                    }
-                }
+        self.conn.frames(MAX_SUBMIT_FRAME_BYTES, |_, frame| {
+            if let Ok(ClientFrame::SubmitAck { tx, status }) = decode_client_frame(frame) {
+                acks.push(Ack { tx, status });
             }
-        }
-        self.inbuf.drain(..consumed);
+            true
+        });
         Ok(acks)
     }
 }

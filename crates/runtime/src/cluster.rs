@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-use tobsvd_core::AdmissionPolicy;
+use tobsvd_core::{AdmissionPolicy, ViewSchedule};
 use tobsvd_types::{Delta, SignerSet, Transaction, TxId, ValidatorId};
 
 use crate::clock::TickClock;
@@ -266,8 +266,7 @@ impl LocalCluster {
             (0..cfg.seed_txs).map(|i| Transaction::synthetic(i as u64, 48)).collect();
 
         let clock = TickClock::new(epoch, cfg.tick);
-        // Run length: `views` views of 4Δ plus the trailing 2Δ decide.
-        let run_ticks = cfg.views * 4 * cfg.delta.ticks() + 2 * cfg.delta.ticks();
+        let run_ticks = ViewSchedule::new(cfg.delta).run_end(cfg.views).ticks();
 
         let mut handles = Vec::with_capacity(cfg.n);
         for (v, listener) in listeners {

@@ -50,7 +50,7 @@
 //!   lengthen: a peer gets 5 MiB per pass at a 10 ms tick.
 
 use std::collections::VecDeque;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use tobsvd_core::{Admission, Mempool};
@@ -62,7 +62,7 @@ use tobsvd_types::codec::Reader;
 use tobsvd_types::{wire, BlockId, BlockStore, SignedMessage, Transaction, TxId};
 
 use crate::clock::TickClock;
-use crate::frame::{self, FrameStep, MAX_FRAME_BYTES};
+use crate::frame::{Conn, Pushed, MAX_FRAME_BYTES};
 
 /// Tick time per read budget: a pass reads a session in up to
 /// `tick / READ_CYCLE` rounds of its budget.
@@ -152,21 +152,11 @@ enum SessionKind {
 }
 
 struct Session {
-    stream: TcpStream,
+    conn: Conn,
     kind: SessionKind,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
-    out_pos: usize,
     /// While set, passes before this instant skip the session's socket
     /// — kernel-level backpressure.
     throttled_until: Option<Instant>,
-    closed: bool,
-}
-
-impl Session {
-    fn buffered(&self) -> usize {
-        self.inbuf.len() + (self.outbuf.len() - self.out_pos)
-    }
 }
 
 /// What the passes need from the node.
@@ -225,13 +215,12 @@ impl Ingest {
             }
         }
         let mut buffered_total = 0u64;
-        sessions.retain_mut(|session| {
-            if !session.closed {
-                let Session { stream, outbuf, out_pos, .. } = session;
-                session.closed = frame::flush(stream, outbuf, out_pos).unwrap_or(true);
+        sessions.retain_mut(|Session { conn, .. }| {
+            if !conn.closed {
+                let _ = conn.flush();
             }
-            buffered_total += session.buffered() as u64;
-            !session.closed
+            buffered_total += conn.buffered() as u64;
+            !conn.closed
         });
         stats.buffer_bytes_peak = stats.buffer_bytes_peak.max(buffered_total);
         admitted
@@ -241,19 +230,11 @@ impl Ingest {
 /// Drains the accept queue into nonblocking sessions.
 fn accept_all(listener: &TcpListener, sessions: &mut Vec<Session>, stats: &mut IngestStats) {
     while let Ok((stream, _addr)) = listener.accept() {
-        if stream.set_nonblocking(true).is_err() {
+        // Only client sessions write, and only acks.
+        let Ok(conn) = Conn::new(stream, CLIENT_OUTBUF_CAP) else {
             continue;
-        }
-        let _ = stream.set_nodelay(true);
-        sessions.push(Session {
-            stream,
-            kind: SessionKind::Unknown,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
-            out_pos: 0,
-            throttled_until: None,
-            closed: false,
-        });
+        };
+        sessions.push(Session { conn, kind: SessionKind::Unknown, throttled_until: None });
         stats.sessions_accepted += 1;
         stats.sessions_peak = stats.sessions_peak.max(sessions.len() as u64);
     }
@@ -271,71 +252,50 @@ fn service_read(
     now: Instant,
     stats: &mut IngestStats,
 ) -> bool {
-    let budget = match session.kind {
+    let Session { conn, kind, throttled_until } = session;
+    let budget = match kind {
         SessionKind::Peer => PEER_READ_BUDGET,
         _ => CLIENT_READ_BUDGET,
     };
-    let before = session.inbuf.len();
     // Any socket error ends the session, like an orderly close.
-    session.closed |= frame::fill(&mut session.stream, &mut session.inbuf, budget).unwrap_or(true);
-    let spent = session.inbuf.len().saturating_sub(before) >= budget;
-    if matches!(session.kind, SessionKind::Unknown) && !classify(session, stats) {
+    let spent = conn.fill(budget).unwrap_or(false);
+    if matches!(kind, SessionKind::Unknown) && !classify(conn, kind, stats) {
         return false;
     }
-
-    // Frames are decoded in place, borrowed from the buffer, which is
-    // lent out of the session while its frames are handled.
-    let inbuf = std::mem::take(&mut session.inbuf);
-    let mut consumed = 0;
-    loop {
-        let max_len = match session.kind {
-            SessionKind::Client => MAX_SUBMIT_FRAME_BYTES,
-            // Unclassified: no payload byte yet, no frame to find.
-            SessionKind::Peer | SessionKind::Unknown => MAX_FRAME_BYTES,
-        };
-        match frame::take(&inbuf, &mut consumed, max_len) {
-            FrameStep::Incomplete => break,
-            FrameStep::Corrupt => {
-                stats.malformed += 1;
-                session.closed = true;
-                break;
-            }
-            FrameStep::Frame(frame) => {
-                match session.kind {
-                    SessionKind::Peer => {
-                        handle_peer_frame(frame, &cfg.store, &|id| cfg.mempool.lookup(id), inbox, stats);
-                    }
-                    SessionKind::Client => handle_client_frame(session, frame, cfg, now, admitted, stats),
-                    SessionKind::Unknown => {}
-                }
-                if session.closed || session.throttled_until.is_some() {
-                    break;
-                }
-            }
+    let max_len = match kind {
+        SessionKind::Client => MAX_SUBMIT_FRAME_BYTES,
+        // Unclassified: no payload byte yet, no frame to find.
+        SessionKind::Peer | SessionKind::Unknown => MAX_FRAME_BYTES,
+    };
+    let corrupt = conn.frames(max_len, |conn, frame| {
+        match kind {
+            SessionKind::Peer => handle_peer_frame(frame, &cfg.store, &|id| cfg.mempool.lookup(id), inbox, stats),
+            SessionKind::Client => *throttled_until = handle_client_frame(conn, frame, cfg, now, admitted, stats),
+            SessionKind::Unknown => {}
         }
-    }
-    session.inbuf = inbuf;
-    session.inbuf.drain(..consumed);
-    spent && !session.closed && session.throttled_until.is_none()
+        !conn.closed && throttled_until.is_none()
+    });
+    stats.malformed += u64::from(corrupt);
+    spent && !conn.closed && throttled_until.is_none()
 }
 
 /// Classifies an unclassified session by its first payload byte, once
 /// buffered; `false`, and the session malformed and closed, if that
 /// byte names neither a peer nor a client.
-fn classify(session: &mut Session, stats: &mut IngestStats) -> bool {
-    match session.inbuf.get(frame::PREFIX) {
+fn classify(conn: &mut Conn, kind: &mut SessionKind, stats: &mut IngestStats) -> bool {
+    match conn.peek() {
         None => {}
-        Some(&b) if b == wire::WIRE_VERSION => {
-            session.kind = SessionKind::Peer;
+        Some(b) if b == wire::WIRE_VERSION => {
+            *kind = SessionKind::Peer;
             stats.peer_sessions += 1;
         }
-        Some(&b) if is_client_frame(b) => {
-            session.kind = SessionKind::Client;
+        Some(b) if is_client_frame(b) => {
+            *kind = SessionKind::Client;
             stats.client_sessions += 1;
         }
         Some(_) => {
             stats.malformed += 1;
-            session.closed = true;
+            conn.closed = true;
             return false;
         }
     }
@@ -380,23 +340,24 @@ fn handle_peer_frame(
 }
 
 /// Admits one client submission, noting it in `admitted` if accepted,
-/// and queues the ack. Shed verdicts impose a read-throttle window on
-/// the session.
+/// and queues the ack, closing a slow client that never drains its
+/// acks. Returns the end of the read-throttle window that a shed
+/// verdict imposes on the session.
 fn handle_client_frame(
-    session: &mut Session,
+    conn: &mut Conn,
     frame: &[u8],
     cfg: &IngestConfig,
     now: Instant,
     admitted: &mut FeeTxs,
     stats: &mut IngestStats,
-) {
+) -> Option<Instant> {
     let (client, fee, tx) = match decode_client_frame(frame) {
         Ok(ClientFrame::Submit { client, fee, payload }) => (client, fee, payload),
         Ok(ClientFrame::SubmitAck { .. }) | Err(_) => {
             // Acks flow node→client only; anything else is malformed.
             stats.malformed += 1;
-            session.closed = true;
-            return;
+            conn.closed = true;
+            return None;
         }
     };
     stats.submits += 1;
@@ -411,36 +372,24 @@ fn handle_client_frame(
         Admission::RateLimited => (AckStatus::RateLimited, &mut stats.acks_rate_limited),
     };
     *acks += 1;
-    queue_ack(session, id, status, stats);
-    if matches!(status, AckStatus::Busy | AckStatus::RateLimited) {
-        // Read-throttle: leave the socket unread so TCP pushes back.
-        stats.throttles += 1;
-        session.throttled_until = Some(now + cfg.throttle);
-    }
-}
-
-/// Encodes a `SubmitAck` into the session's out-buffer (length-prefixed
-/// like every other frame) and closes slow clients that never drain it.
-fn queue_ack(
-    session: &mut Session,
-    tx: tobsvd_types::TxId,
-    status: AckStatus,
-    stats: &mut IngestStats,
-) {
-    let payload = encode_client_frame(&ClientFrame::SubmitAck { tx, status });
-    // An ack is a fixed few dozen bytes: always framable.
-    frame::push(&mut session.outbuf, &payload);
-    if session.outbuf.len() - session.out_pos > CLIENT_OUTBUF_CAP {
+    // An ack is a fixed few dozen bytes, always framable, and leaves
+    // with the pass's flush.
+    if conn.push(&encode_client_frame(&ClientFrame::SubmitAck { tx: id, status }), false) == Pushed::Slow {
         stats.slow_client_closes += 1;
-        session.closed = true;
     }
+    if !matches!(status, AckStatus::Busy | AckStatus::RateLimited) {
+        return None;
+    }
+    // Read-throttle: leave the socket unread so TCP pushes back.
+    stats.throttles += 1;
+    Some(now + cfg.throttle)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use std::io::Write;
-    use std::net::SocketAddr;
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::{SocketAddr, TcpStream};
     use tobsvd_core::AdmissionPolicy;
     use tobsvd_crypto::{Digest, KeyCache, VrfOutput, VrfProof};
     use tobsvd_types::client::encode_tx_batches;
@@ -494,10 +443,9 @@ pub(crate) mod tests {
         stream
     }
 
+    /// `payload` with its length prefix.
     pub(crate) fn framed(payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        frame::push(&mut out, payload);
-        out
+        [&(payload.len() as u32).to_be_bytes()[..], payload].concat()
     }
 
     fn submit(client: u64, tag: u8) -> Vec<u8> {
@@ -520,20 +468,26 @@ pub(crate) mod tests {
     /// The first `want` client frames `stream` receives.
     fn acks(stream: &mut TcpStream, want: usize) -> Vec<ClientFrame> {
         stream.set_read_timeout(Some(DEADLINE)).expect("timeout");
-        let (mut buf, mut frames, mut cursor) = (Vec::new(), Vec::new(), 0);
-        while frames.len() < want {
-            assert!(!frame::fill(stream, &mut buf, 1).expect("read"), "closed by the node");
-            while let FrameStep::Frame(f) = frame::take(&buf, &mut cursor, MAX_SUBMIT_FRAME_BYTES) {
-                frames.push(decode_client_frame(f).expect("a client frame"));
-            }
-        }
-        frames
+        let mut read = |len: usize| {
+            let mut buf = vec![0; len];
+            stream.read_exact(&mut buf).expect("not closed by the node");
+            buf
+        };
+        (0..want)
+            .map(|_| {
+                let len = u32::from_be_bytes(read(4).try_into().expect("four bytes"));
+                decode_client_frame(&read(len as usize)).expect("a client frame")
+            })
+            .collect()
     }
 
     /// Whether the node closes `stream` within [`DEADLINE`].
     fn closed_by_node(stream: &mut TcpStream) -> bool {
         stream.set_read_timeout(Some(DEADLINE)).expect("timeout");
-        frame::fill(stream, &mut Vec::new(), usize::MAX).expect("read")
+        match std::io::copy(stream, &mut std::io::sink()) {
+            Ok(_) => true,
+            Err(e) => e.kind() == ErrorKind::ConnectionReset,
+        }
     }
 
     #[test]

@@ -33,11 +33,10 @@
 // this crate's job, so the clock/entropy lists of clippy.toml do not
 // bind it; hash-order iteration stays denied (workspace lint).
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
-
-// The front door — `client`, `frame`, `ingest` — parses bytes from
-// untrusted sockets and is held to the protocol core's panic-safety
-// lints: a garbled stream closes a session, never a node.
-#[cfg_attr(
+// The whole crate is held to the protocol core's panic-safety lints: it
+// parses bytes from untrusted sockets on the node's one thread, and a
+// garbled stream closes a session, never a node.
+#![cfg_attr(
     not(test),
     deny(
         clippy::unwrap_used,
@@ -49,34 +48,11 @@
         clippy::indexing_slicing
     )
 )]
+
 pub mod client;
 mod clock;
 mod cluster;
-#[cfg_attr(
-    not(test),
-    deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented,
-        clippy::indexing_slicing
-    )
-)]
 mod frame;
-#[cfg_attr(
-    not(test),
-    deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable,
-        clippy::todo,
-        clippy::unimplemented,
-        clippy::indexing_slicing
-    )
-)]
 mod ingest;
 mod link;
 mod node;

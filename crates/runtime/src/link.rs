@@ -1,5 +1,5 @@
-//! A dialed peer ([`Link`]): its nonblocking socket, the frame bytes
-//! the socket has not taken yet, and the tips whose bodies it carried.
+//! A dialed peer ([`Link`]): its framed connection and the tips whose
+//! bodies it carried.
 //!
 //! **Tip elision.** A log-carrying frame (LOG, PROPOSAL, VOTE,
 //! RECOVERY, FINALITY-VOTE, certificate) names its log by tip, and its
@@ -22,11 +22,12 @@
 //! and fetches too.
 
 use std::collections::VecDeque;
+use std::io;
 use std::net::TcpStream;
 
 use tobsvd_types::BlockId;
 
-use crate::frame::{self, MAX_FRAME_BYTES};
+use crate::frame::{Conn, Pushed, MAX_FRAME_BYTES};
 
 /// Unsent bytes a peer link may hold before it is closed as a peer that
 /// stopped reading: room for two frames of the largest size.
@@ -35,48 +36,35 @@ pub(crate) const PEER_OUTBUF_CAP: usize = 2 * MAX_FRAME_BYTES;
 /// Tips a link remembers having carried the bodies of.
 pub(crate) const CARRIED_CAP: usize = 64;
 
-/// What became of a frame handed to [`Link::push`].
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Pushed {
-    /// Queued, and written as far as the socket took it.
-    Queued,
-    /// The peer is gone: the link must close.
-    Gone,
-    /// The peer stopped reading (over [`PEER_OUTBUF_CAP`] unsent bytes):
-    /// the link must close.
-    Slow,
-}
-
 /// A dialed peer.
 pub(crate) struct Link {
-    pub(crate) stream: TcpStream,
-    outbuf: Vec<u8>,
-    out_pos: usize,
+    conn: Conn,
     /// Tips whose bodies this link carried, oldest first.
     carried: VecDeque<BlockId>,
 }
 
 impl Link {
-    pub(crate) fn new(stream: TcpStream) -> Link {
-        Link { stream, outbuf: Vec::new(), out_pos: 0, carried: VecDeque::with_capacity(CARRIED_CAP) }
+    /// Takes over a dialed `stream`.
+    ///
+    /// # Errors
+    ///
+    /// The OS error if the stream cannot be made nonblocking.
+    pub(crate) fn new(stream: TcpStream) -> io::Result<Link> {
+        Ok(Link { conn: Conn::new(stream, PEER_OUTBUF_CAP)?, carried: VecDeque::with_capacity(CARRIED_CAP) })
     }
 
     /// Writes what the socket takes of the unsent bytes; `false` once
     /// the peer is gone.
     pub(crate) fn flush(&mut self) -> bool {
-        !frame::flush(&mut self.stream, &mut self.outbuf, &mut self.out_pos).unwrap_or(true)
+        let _ = self.conn.flush();
+        !self.conn.closed
     }
 
-    /// Appends one framed frame and writes what the socket takes.
-    pub(crate) fn push(&mut self, framed: &[u8]) -> Pushed {
-        self.outbuf.extend_from_slice(framed);
-        if !self.flush() {
-            Pushed::Gone
-        } else if self.outbuf.len() - self.out_pos > PEER_OUTBUF_CAP {
-            Pushed::Slow
-        } else {
-            Pushed::Queued
-        }
+    /// Queues one frame and writes what the socket takes at once; the
+    /// link closes if the peer is gone or holds over
+    /// [`PEER_OUTBUF_CAP`] unsent bytes.
+    pub(crate) fn push(&mut self, payload: &[u8]) -> Pushed {
+        self.conn.push(payload, true)
     }
 
     /// Whether this link carried `tip`'s body among its last

@@ -74,9 +74,9 @@ use tobsvd_types::{BlockId, BlockStore, Delta, SignedMessage, Time, Transaction,
 
 use crate::clock::TickClock;
 use crate::cluster::ClusterError;
-use crate::frame::{self, MAX_FRAME_BYTES};
+use crate::frame::{Pushed, MAX_FRAME_BYTES};
 use crate::ingest::{FeeTxs, Inbound, Ingest, IngestConfig, IngestStats};
-use crate::link::{Link, Pushed};
+use crate::link::Link;
 
 /// Configuration of one node.
 #[derive(Clone, Debug)]
@@ -359,10 +359,9 @@ impl NodeState {
             return false;
         };
         let class = MessageClass::of(msg.payload());
-        let (full, hash_only) = (full.map(|p| frame::framed(&p)), hash_only.map(|p| frame::framed(&p)));
         for (target, elided) in linked {
             let form = if elided { &hash_only } else { &full };
-            let queued = form.as_ref().is_some_and(|framed| self.queue(target, framed, class));
+            let queued = form.as_ref().is_some_and(|payload| self.queue(target, payload, class));
             if queued && !elided {
                 if let (Some(tip), Some(link)) = (tip, self.outbound.get_mut(&target)) {
                     link.note_carried(tip);
@@ -372,23 +371,23 @@ impl NodeState {
         true
     }
 
-    /// Queues `framed` on `target`'s link, if it is a dialed peer, and
-    /// writes what the socket takes at once; the rest leaves at the
-    /// next pass. A link whose peer is gone or stopped reading is
-    /// closed, the latter counted. Returns whether the frame was queued.
-    fn queue(&mut self, target: ValidatorId, framed: &[u8], class: MessageClass) -> bool {
-        let link = match self.outbound.get_mut(&target) {
-            Some(link) if !framed.is_empty() => link,
-            // No link, or a payload too large to frame: every reader
-            // would refuse it.
-            _ => return false,
+    /// Queues `payload` as one frame on `target`'s link, if it is a
+    /// dialed peer, and writes what the socket takes at once; the rest
+    /// leaves at the next pass. A link whose peer is gone or stopped
+    /// reading is closed, the latter counted. Returns whether the frame
+    /// was queued.
+    fn queue(&mut self, target: ValidatorId, payload: &[u8], class: MessageClass) -> bool {
+        let Some(link) = self.outbound.get_mut(&target) else {
+            return false;
         };
-        match link.push(framed) {
+        match link.push(payload) {
             Pushed::Queued => {
-                self.out.charge(class, Dir::Out, (framed.len() - frame::PREFIX) as u64);
+                self.out.charge(class, Dir::Out, payload.len() as u64);
                 self.out.frames.1 += 1;
                 return true;
             }
+            // A payload too large to frame: every reader would refuse it.
+            Pushed::Refused => return false,
             Pushed::Slow => self.out.slow_peer_closes += 1,
             Pushed::Gone => {}
         }
@@ -411,9 +410,8 @@ impl NodeState {
     fn push_txs(&mut self, admitted: &FeeTxs) {
         let peers = self.peers();
         for batch in encode_tx_batches(self.me, admitted, MAX_FRAME_BYTES) {
-            let framed = frame::framed(&batch);
             for peer in &peers {
-                self.queue(*peer, &framed, MessageClass::Announce);
+                self.queue(*peer, &batch, MessageClass::Announce);
             }
         }
     }
@@ -501,8 +499,8 @@ fn run_node(
     // Outbound mesh: dial every peer.
     let mut outbound = BTreeMap::new();
     for (peer, addr) in &peers {
-        if let Some(s) = dial_with_retry(*addr, clock.instant_of(cfg.run_ticks)) {
-            outbound.insert(*peer, Link::new(s));
+        if let Some(link) = dial_with_retry(*addr, clock.instant_of(cfg.run_ticks)) {
+            outbound.insert(*peer, link);
         }
     }
 
@@ -564,9 +562,7 @@ fn run_node(
 
     // Close outbound so peers' sessions observe EOF; the listener and
     // the inbound sessions close when `ingest` drops.
-    for link in state.outbound.values() {
-        let _ = link.stream.shutdown(std::net::Shutdown::Both);
-    }
+    state.outbound.clear();
     let (val, mut out) = (&state.validator, state.out);
     out.ingest = ingest.stats();
     out.admission = mempool.admission_stats();
@@ -580,13 +576,10 @@ fn run_node(
     Ok(out)
 }
 
-fn dial_with_retry(addr: SocketAddr, until: Instant) -> Option<TcpStream> {
+fn dial_with_retry(addr: SocketAddr, until: Instant) -> Option<Link> {
     loop {
         match TcpStream::connect(addr) {
-            Ok(s) => {
-                s.set_nodelay(true).ok();
-                return s.set_nonblocking(true).is_ok().then_some(s);
-            }
+            Ok(s) => return Link::new(s).ok(),
             Err(_) if Instant::now() < until => {
                 std::thread::sleep(Duration::from_millis(10));
             }
@@ -640,8 +633,7 @@ mod tests {
     fn a_peer_that_never_reads_is_closed_and_counted_not_waited_for() {
         let (me, peer) = (ValidatorId::new(0), ValidatorId::new(1));
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let link = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
-        link.set_nonblocking(true).expect("nonblocking link");
+        let link = link_to(listener.local_addr().expect("addr"));
         // The peer's end of the link: accepted, never read.
         let (_unread, _) = listener.accept().expect("accept");
 
@@ -650,7 +642,7 @@ mod tests {
         let (done, outcome) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let mut state = node_state(me);
-            state.outbound.insert(peer, Link::new(link));
+            state.outbound.insert(peer, link);
             // About 4 MiB per frame: each send's tip is a fresh block
             // (its own view) inlining the same four 1 MiB transactions,
             // so no frame goes hash-only.
@@ -680,10 +672,8 @@ mod tests {
         let (me, peer) = (ValidatorId::new(0), ValidatorId::new(1));
         let (mut theirs, addr) = plane(16);
         let (mut ours, _) = plane(16);
-        let link = TcpStream::connect(addr).expect("dial");
-        link.set_nonblocking(true).expect("nonblocking link");
         let mut state = node_state(me);
-        state.outbound.insert(peer, Link::new(link));
+        state.outbound.insert(peer, link_to(addr));
         // About 2 MiB per tick: each tick's tip is a fresh block (its own
         // view) inlining the same two 1 MiB transactions, so no frame goes
         // hash-only. The run carries 80 MiB, over twice the link's bound,
@@ -714,9 +704,7 @@ mod tests {
 
     /// A nonblocking link to the listener at `addr`.
     fn link_to(addr: SocketAddr) -> Link {
-        let stream = TcpStream::connect(addr).expect("dial");
-        stream.set_nonblocking(true).expect("nonblocking link");
-        Link::new(stream)
+        Link::new(TcpStream::connect(addr).expect("dial")).expect("nonblocking link")
     }
 
     /// A node linked to `peers`, each through a listener that accepts

@@ -348,7 +348,7 @@ impl TobSimulationBuilder {
         }
 
         let mut sim = builder.build();
-        let end = horizon + self.delta * 2;
+        let end = sched.run_end(self.views);
         sim.run_until(end);
 
         // Ground-truth good-leader record per view.
